@@ -33,10 +33,11 @@ import numpy as np
 
 from . import calibration as cal
 from . import market_data as md
-from .copula import load_correlation
+from .copula import CopulaSpec, load_correlation
 from .cosine_density import Interval, coeffs_classical, series_to_json
 from .errors import QamcError, StageError, ValidationError
 from .experiments import (
+    BASKET_CORRELATION,
     FIXTURES,
     FIXTURE_RATE,
     StudyConfig,
@@ -232,8 +233,6 @@ def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool = False, ma
     corr_assets, spec = load_correlation(corr if isinstance(corr, dict) else _resolve(cfg, "correlations"))
     order = [corr_assets.index(a) for a in assets]
     sigma = np.asarray(spec.sigma)[np.ix_(order, order)]
-    from .copula import CopulaSpec
-
     spec = CopulaSpec.from_matrix(sigma)
     chosen = [marginals[a] for a in assets]
     payoff = Payoff(payoff_cfg["kind"], float(payoff_cfg["strike"]))
@@ -335,11 +334,7 @@ def cmd_make_bundle(out: Path, strikes_per_asset: int = 12, spread: float = 0.01
         quotes.extend(generate_synthetic_quotes(params, slice_, strikes, spread=spread))
         spots[name] = spot
     md.save_quotes(out / "quotes.csv", quotes)
-    assets = sorted(FIXTURES)
-    corr = {
-        "assets": ["AXA", "CREDIT_AGRICOLE", "MICHELIN"],
-        "sigma": [[1.0, -0.2, -0.25], [-0.2, 1.0, -0.15], [-0.25, -0.15, 1.0]],
-    }
+    corr = {"assets": ["AXA", "CREDIT_AGRICOLE", "MICHELIN"], "sigma": BASKET_CORRELATION}
     _write_json(out / "corr.json", corr)
     config = {
         "quotes_csv": "quotes.csv",

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .nig import NIGParams, cumulant_interval, _tail_masses
-from .numerics import integrate
+from .nig import NIGParams, widened_interval
+from .numerics import QuadratureRule, gauss_legendre_panels
 
 __all__ = [
     "Interval",
@@ -31,6 +31,7 @@ __all__ = [
     "KSelection",
     "basis_gamma",
     "basis_gamma_plus",
+    "basis_matrix",
     "coeffs_classical",
     "eval_pdf",
     "eval_cdf",
@@ -123,7 +124,8 @@ def basis_gamma_plus(k: int, x, interval: Interval):
     return 0.5 + 0.5 * math.sqrt(interval.width / 2.0) * g
 
 
-def _basis_matrix(interval: Interval, terms: int, x: np.ndarray) -> np.ndarray:
+def basis_matrix(interval: Interval, terms: int, x: np.ndarray) -> np.ndarray:
+    """Rows gamma_0..gamma_{terms-1} evaluated at the points x (no range check)."""
     w = interval.width
     k = np.arange(terms)[:, None]
     mat = np.cos(k * math.pi * (x[None, :] - interval.a) / w) * math.sqrt(2.0 / w)
@@ -131,27 +133,24 @@ def _basis_matrix(interval: Interval, terms: int, x: np.ndarray) -> np.ndarray:
     return mat
 
 
-def coeffs_classical(pdf, interval: Interval, terms: int, panels: int | None = None) -> CosineSeries:
+def coeffs_classical(pdf, interval: Interval, terms: int) -> CosineSeries:
     """Project a density onto the first ``terms`` basis functions by quadrature.
 
-    The density is evaluated once on a composite Gauss-Legendre grid shared by
-    every coefficient; panel count scales with ``terms`` so the highest mode
-    is fully resolved.
+    The density is evaluated once on a composite 64-node Gauss-Legendre grid
+    shared by every coefficient; the panel count, max(16, ceil(terms / 6)),
+    scales with ``terms`` so the highest mode is fully resolved.
     """
     if terms < 1:
         raise DomainError("terms must be >= 1")
-    if panels is None:
-        panels = max(16, math.ceil(terms / 6))
-    ref_x, ref_w = np.polynomial.legendre.leggauss(64)
-    edges = np.linspace(interval.a, interval.b, panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    x = (mid[:, None] + half[:, None] * ref_x[None, :]).ravel()
-    w = (half[:, None] * ref_w[None, :]).ravel()
+    panels = max(16, math.ceil(terms / 6))
+    rule = QuadratureRule.gauss_legendre(64)
+    nodes, half = gauss_legendre_panels(np.linspace(interval.a, interval.b, panels + 1), rule)
+    x = nodes.ravel()
+    w = (half[:, None] * rule.weights[None, :]).ravel()
     f = np.asarray(pdf(x), dtype=float)
     if np.any(f < -1e-12):
         raise DomainError("pdf must be nonnegative on the interval")
-    coeffs = _basis_matrix(interval, terms, x) @ (w * f)
+    coeffs = basis_matrix(interval, terms, x) @ (w * f)
     return CosineSeries(interval, coeffs)
 
 
@@ -159,7 +158,7 @@ def eval_pdf(series: CosineSeries, x):
     """Partial-sum density; truncation can leave small negative lobes (kept)."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     _check_inside(x_arr, series.interval)
-    out = series.coeffs @ _basis_matrix(series.interval, series.terms, x_arr)
+    out = series.coeffs @ basis_matrix(series.interval, series.terms, x_arr)
     return float(out[0]) if np.isscalar(x) else out
 
 
@@ -193,22 +192,15 @@ def select_terms(sel: KSelection, interval: Interval) -> int:
     return max(1, math.ceil(value))
 
 
-def choose_interval(p: NIGParams, t: float, epsilon: float, max_width: float = 60.0) -> Interval:
+def choose_interval(p: NIGParams, t: float, epsilon: float) -> Interval:
     """Symmetric cumulant interval, widened until the tail condition holds.
 
-    Starts at width parameter 10 and grows by +2 until quadrature tail masses
-    satisfy F(a) <= epsilon/2 and F(b) >= 1 - epsilon.  NIG tails decay
-    exponentially, so this always terminates.
+    The interval satisfies F(a) <= epsilon/2 and F(b) >= 1 - epsilon by
+    quadrature tail masses (see nig.widened_interval).
     """
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must lie in (0, 1)")
-    width = 10.0
-    while True:
-        a, b = cumulant_interval(p, t, width)
-        left, right = _tail_masses(p, t, a, b)
-        if (left <= 0.5 * epsilon and right <= epsilon) or width >= max_width:
-            return Interval(a, b)
-        width += 2.0
+    return Interval(*widened_interval(p, t, 0.5 * epsilon, epsilon))
 
 
 def estimate_decay(series: CosineSeries, floor: float = 1e-13) -> tuple[float, float]:

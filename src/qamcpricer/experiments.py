@@ -24,11 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copula import CopulaSpec
-from .cosine_density import CosineSeries, Interval, coeffs_classical, eval_cdf, eval_pdf
+from .cosine_density import CosineSeries, Interval, basis_matrix, coeffs_classical, eval_cdf, eval_pdf
 from .errors import ValidationError
 from .market_data import MarketSlice
 from .nig import NIGParams, nig_cdf, nig_pdf, support_interval
-from .pricing import AssetMarginal, GridMeasure, Payoff, PricingGrid, cmc_price
+from .pricing import (
+    AssetMarginal, GridMeasure, Payoff, PricingGrid, cmc_price, normalize_cell_masses, sample_grid_indices,
+)
 from .qamc import AEConfig, qamc_coefficient, qamc_price, run_log_line, RUN_LOG_HEADER
 
 __all__ = [
@@ -150,32 +152,20 @@ def _percentile_record(method: str, cost: float, errors: np.ndarray) -> Converge
     )
 
 
-def _coeff_grid(params: NIGParams, qubits: int, tail_eps: float = MARGINAL_TAIL_EPS):
-    """Midpoint cells and normalized exact-density masses for the coefficient studies."""
-    iv = Interval(*support_interval(params, 1.0, tail_eps))
-    count = 2**qubits
-    dx = iv.width / count
-    nodes = iv.a + dx * (np.arange(count) + 0.5)
-    masses = nig_pdf(nodes, params, 1.0) * dx
-    masses = np.clip(masses, 0.0, None)
-    masses /= masses.sum()
-    return iv, nodes, masses
-
-
-def _gamma_table(iv: Interval, terms: int, nodes: np.ndarray) -> np.ndarray:
-    k = np.arange(terms)[:, None]
-    table = np.cos(k * math.pi * (nodes[None, :] - iv.a) / iv.width) * math.sqrt(2.0 / iv.width)
-    table[0, :] = 1.0 / math.sqrt(iv.width)
-    return table
+def _coeff_grid(asset: str, qubits: int, tail_eps: float = MARGINAL_TAIL_EPS):
+    """Pricing-grid cells and masses of the exact density, for the coefficient studies."""
+    marginal = AssetMarginal(FIXTURES[asset][0], fixture_slice(asset), tail_eps=tail_eps)
+    grid = PricingGrid.build([marginal], qubits)
+    (nodes,), (dx,) = grid.nodes, grid.deltas
+    masses, _ = normalize_cell_masses(marginal.pdf(nodes) * dx)
+    return Interval(*marginal.interval), nodes, masses
 
 
 def _cmc_coefficients(
     table: np.ndarray, masses: np.ndarray, samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """All coefficients from one shared classical sample of grid nodes."""
-    cdf = np.cumsum(masses)
-    cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, rng.random(samples), side="right")
+    idx = sample_grid_indices(masses, samples, rng)
     counts = np.bincount(idx, minlength=masses.size)
     return (table @ counts) / samples
 
@@ -187,9 +177,8 @@ def study_coeffs(cfg: StudyConfig, asset: str = "AXA"):
     averaged over coefficients k >= 1), a per-(method, cost, k) mean-error
     table, and amplitude-estimation run-log lines.
     """
-    params, _ = FIXTURES[asset]
-    iv, nodes, masses = _coeff_grid(params, cfg.qubits)
-    table = _gamma_table(iv, cfg.terms, nodes)
+    iv, nodes, masses = _coeff_grid(asset, cfg.qubits)
+    table = basis_matrix(iv, cfg.terms, nodes)
     truth = table @ masses
     ks = np.arange(1, cfg.terms)
 
@@ -257,14 +246,14 @@ def study_density_recovery(cfg: StudyConfig, asset: str = "AXA", tail_eps: float
     of the largest order must sit below the noise floor.
     """
     params, _ = FIXTURES[asset]
-    iv, nodes, masses = _coeff_grid(params, cfg.qubits, tail_eps)
+    iv, nodes, masses = _coeff_grid(asset, cfg.qubits, tail_eps)
     xs = np.linspace(iv.a, iv.b - 1e-9, 800)
     pdf_true = nig_pdf(xs, params, 1.0)
     cdf_true = nig_cdf(xs, params, 1.0)
 
     rows: list[dict] = []
     for terms in cfg.recovery_terms:
-        table = _gamma_table(iv, terms, nodes)
+        table = basis_matrix(iv, terms, nodes)
         truth0 = float(table[0] @ masses)
         for method in ("cmc", "qamc"):
             sup_pdf = np.empty(cfg.repetitions)

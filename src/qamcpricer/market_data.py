@@ -317,27 +317,25 @@ def generate_synthetic_quotes(
 ) -> list[OptionQuote]:
     """Model-generated call and put quotes at the given strikes.
 
-    Mids come from the exponential-NIG pricer, so the output is arbitrage-free
+    Mids come from one batch of the exponential-NIG pricer, so the output is arbitrage-free
     by construction; ``spread`` is a half-width, constant or per-(strike, mid).
     """
     model = _nig.ExpNIGModel(params, slice_)
+    pairs = [(float(strike), kind) for strike in strikes for kind in ("C", "P")]
+    mids = _nig.price_european_batch(model, [k for k, _ in pairs], [kind for _, kind in pairs])
     out = []
-    for strike in strikes:
-        if strike <= 0:
-            raise DomainError("strikes must be positive")
-        for kind in ("C", "P"):
-            mid = _nig.price_european(model, float(strike), kind)
-            half = spread(strike, mid) if callable(spread) else float(spread)
-            if half < 0:
-                raise DomainError("spread half-width must be nonnegative")
-            out.append(
-                OptionQuote(
-                    underlying=slice_.underlying,
-                    expiry=slice_.expiry,
-                    strike=float(strike),
-                    kind=kind,
-                    bid=max(mid - half, 0.0),
-                    ask=mid + half,
-                )
+    for (strike, kind), mid in zip(pairs, mids.tolist()):
+        half = spread(strike, mid) if callable(spread) else float(spread)
+        if half < 0:
+            raise DomainError("spread half-width must be nonnegative")
+        out.append(
+            OptionQuote(
+                underlying=slice_.underlying,
+                expiry=slice_.expiry,
+                strike=strike,
+                kind=kind,
+                bid=max(mid - half, 0.0),
+                ask=mid + half,
             )
+        )
     return out

@@ -23,9 +23,10 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.special import k1e
 
 from .errors import DomainError
-from .numerics import QuadratureRule, integrate
+from .numerics import QuadratureRule, gauss_legendre_panels, integrate
 
 if TYPE_CHECKING:  # pragma: no cover
     from .market_data import MarketSlice
@@ -39,8 +40,9 @@ __all__ = [
     "martingale_adjustment",
     "nig_cumulants",
     "cumulant_interval",
+    "widened_interval",
     "support_interval",
-    "price_european",
+    "price_european_batch",
     "price_european_cos",
     "sample_nig",
 ]
@@ -99,8 +101,6 @@ def nig_pdf(x, p: NIGParams, t: float = 1.0):
     s = np.sqrt(dt * dt + dx * dx)
     z = p.alpha * s
     # K1(z) = k1e(z) exp(-z); fold exp(-z) into the main exponent.
-    from scipy.special import k1e
-
     expo = dt * p.gamma + p.beta * dx - z
     out = (p.alpha * dt / math.pi) * np.exp(expo) * k1e(z) / s
     return float(out) if np.isscalar(x) else out
@@ -154,7 +154,7 @@ def _far_anchors(p: NIGParams, t: float) -> tuple[float, float]:
     return lo, hi
 
 
-def nig_cdf(x, p: NIGParams, t: float = 1.0, base_points: int = 512):
+def nig_cdf(x, p: NIGParams, t: float = 1.0):
     """CDF by cumulative quadrature of the density (no closed form exists).
 
     Vectorized: query points are merged with a fine base grid, each resulting
@@ -165,24 +165,35 @@ def nig_cdf(x, p: NIGParams, t: float = 1.0, base_points: int = 512):
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = _far_anchors(p, t)
     queries = np.clip(x_arr.ravel(), lo, hi)
-    edges = np.union1d(np.linspace(lo, hi, base_points), queries)
-    left, right = edges[:-1], edges[1:]
-    half = 0.5 * (right - left)
-    mid = 0.5 * (right + left)
-    ref_x, ref_w = np.polynomial.legendre.leggauss(16)
-    nodes = mid[:, None] + half[:, None] * ref_x[None, :]
+    edges = np.union1d(np.linspace(lo, hi, 512), queries)
+    rule = QuadratureRule.gauss_legendre(16)
+    nodes, half = gauss_legendre_panels(edges, rule)
     vals = nig_pdf(nodes.ravel(), p, t).reshape(nodes.shape)
-    cum = np.concatenate([[0.0], np.cumsum(half * (vals @ ref_w))])
+    cum = np.concatenate([[0.0], np.cumsum(half * (vals @ rule.weights))])
     out = cum[np.searchsorted(edges, queries)]
     out = out.reshape(x_arr.shape)
     return float(out[0]) if scalar else out
 
 
-def _tail_masses(p: NIGParams, t: float, a: float, b: float) -> tuple[float, float]:
+@lru_cache(maxsize=4096)
+def widened_interval(p: NIGParams, t: float, left_eps: float, right_eps: float) -> tuple[float, float]:
+    """Cumulant interval from width 10, widened by +2 until the tails pass.
+
+    The tails pass when the quadrature mass left of a is <= left_eps and the
+    mass right of b is <= right_eps.  NIG tails decay exponentially, so this
+    terminates; width 60 is the stop regardless.
+    """
     lo, hi = _far_anchors(p, t)
-    left = integrate(lambda y: nig_pdf(y, p, t), (lo, a), panels=8) if a > lo else 0.0
-    right = integrate(lambda y: nig_pdf(y, p, t), (b, hi), panels=8) if b < hi else 0.0
-    return left, right
+    width = 10.0
+    while True:
+        a, b = cumulant_interval(p, t, width)
+        if width >= 60.0:
+            return a, b
+        left = integrate(lambda y: nig_pdf(y, p, t), (lo, a), panels=8) if a > lo else 0.0
+        right = integrate(lambda y: nig_pdf(y, p, t), (b, hi), panels=8) if b < hi else 0.0
+        if left <= left_eps and right <= right_eps:
+            return a, b
+        width += 2.0
 
 
 def support_interval(
@@ -258,84 +269,30 @@ class ExpNIGModel:
         return math.log(strike / self.slice_.spot) - self.drift
 
 
-@lru_cache(maxsize=4096)
-def _pricing_interval(p: NIGParams, t: float, tail_eps: float) -> tuple[float, float]:
-    """Cumulant interval (width 10) widened by +2 until tails drop below tail_eps."""
-    width = 10.0
-    a, b = cumulant_interval(p, t, width)
-    while max(_tail_masses(p, t, a, b)) > tail_eps and width < 60.0:
-        width += 2.0
-        a, b = cumulant_interval(p, t, width)
-    return a, b
+def price_european_batch(model: ExpNIGModel, strikes, kinds) -> np.ndarray:
+    """European prices of many (strike, kind) pairs off one density evaluation.
 
-
-def price_european(
-    model: ExpNIGModel,
-    strike: float,
-    kind: str,
-    tail_eps: float = 1e-11,
-    panels: int = _PRICING_PANELS,
-    rule: QuadratureRule | None = None,
-) -> float:
-    """European price by discounted quadrature of the payoff against the density.
-
-    The truncation interval follows the symmetric cumulant rule (width 10),
-    widened by +2 until per-side tail mass drops below tail_eps; the integral
-    is split at the payoff kink so each panel sees an analytic integrand.
-    The result is independent of the location parameter mu.
-    """
-    if strike <= 0:
-        raise DomainError("strike must be positive")
-    if kind not in ("C", "P"):
-        raise DomainError(f"unknown option kind {kind!r}")
-    p = model.params
-    t = model.slice_.expiry
-    a, b = _pricing_interval(p, t, tail_eps)
-
-    s0 = model.slice_.spot
-    m = model.drift
-    df = model.slice_.discount_factor
-    x_star = model.log_strike(strike)
-
-    if kind == "C":
-        lo, hi = max(a, x_star), b
-        payoff = lambda x: (s0 * np.exp(m + x) - strike) * nig_pdf(x, p, t)
-    else:
-        lo, hi = a, min(b, x_star)
-        payoff = lambda x: (strike - s0 * np.exp(m + x)) * nig_pdf(x, p, t)
-    if lo >= hi:
-        return 0.0
-    return df * integrate(payoff, (lo, hi), rule=rule, panels=panels)
-
-
-def price_european_batch(
-    model: ExpNIGModel,
-    strikes,
-    kinds,
-    tail_eps: float = 1e-11,
-    nodes_per_panel: int = 64,
-) -> np.ndarray:
-    """Price many (strike, kind) pairs off one shared density evaluation.
-
-    Builds a single composite Gauss-Legendre grid whose panel edges include
-    every payoff kink, so each quote's integral is an exact sub-sum of the
-    shared nodes.  Used by the calibration objective, where the density is
-    by far the dominant cost.
+    Discounted quadrature of each payoff against the density on the pricing
+    interval: the cumulant rule (width 10), widened by +2 until each tail
+    holds at most 1e-11 mass.  One composite Gauss-Legendre grid has every
+    payoff kink among its panel edges, so each quote's integral is an exact
+    sub-sum of the shared nodes and sees an analytic integrand per panel.
+    A single quote is a batch of one.  The result is independent of the
+    location parameter mu.
     """
     strikes = np.asarray(strikes, dtype=float)
     if np.any(strikes <= 0):
         raise DomainError("strikes must be positive")
     p = model.params
     t = model.slice_.expiry
-    a, b = _pricing_interval(p, t, tail_eps)
+    a, b = widened_interval(p, t, 1e-11, 1e-11)
     kinks = np.array(sorted({model.log_strike(k) for k in strikes if a < model.log_strike(k) < b}))
     edges = np.unique(np.concatenate([np.linspace(a, b, _PRICING_PANELS + 1), kinks]))
 
-    ref_x, ref_w = np.polynomial.legendre.leggauss(nodes_per_panel)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    x = (mid[:, None] + half[:, None] * ref_x[None, :]).ravel()
-    w = (half[:, None] * ref_w[None, :]).ravel()
+    rule = QuadratureRule.gauss_legendre(64)
+    nodes, half = gauss_legendre_panels(edges, rule)
+    x = nodes.ravel()
+    w = (half[:, None] * rule.weights[None, :]).ravel()
     dens = nig_pdf(x, p, t)
     s_vals = model.price_at(x)
     df = model.slice_.discount_factor

@@ -1,15 +1,15 @@
 """Special functions and quadrature primitives shared by every other module.
 
 Provides the modified Bessel function K1 (the kernel of the NIG density),
-standard normal CDF/quantile, and fixed quadrature rules (Gauss-Legendre and
-trapezoid) with an interval mapper.  All functions are pure and accept scalars
-or numpy arrays.
+standard normal CDF/quantile, and the package's one composite Gauss-Legendre
+kernel: cached reference rules mapped onto arbitrary panel edges.  All
+functions are pure and accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -18,20 +18,14 @@ from scipy import special as _special
 from .errors import DomainError
 
 __all__ = [
-    "QuadratureKind",
     "QuadratureRule",
     "bessel_k1",
     "std_normal_cdf",
     "std_normal_pdf",
     "std_normal_quantile",
+    "gauss_legendre_panels",
     "integrate",
-    "default_rule",
 ]
-
-
-class QuadratureKind(str, Enum):
-    GAUSS_LEGENDRE = "gauss-legendre"
-    TRAPEZOID = "trapezoid"
 
 
 @dataclass(frozen=True)
@@ -44,7 +38,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: QuadratureKind
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -59,29 +52,28 @@ class QuadratureRule:
             raise DomainError("quadrature weights must be strictly positive")
 
     @classmethod
+    @lru_cache(maxsize=None)
     def gauss_legendre(cls, n: int) -> "QuadratureRule":
+        """The n-point Gauss-Legendre rule, computed once per n and read-only."""
         nodes, weights = np.polynomial.legendre.leggauss(n)
-        return cls(nodes, weights, QuadratureKind.GAUSS_LEGENDRE)
-
-    @classmethod
-    def trapezoid(cls, n: int) -> "QuadratureRule":
-        nodes = np.linspace(-1.0, 1.0, n)
-        h = 2.0 / (n - 1)
-        weights = np.full(n, h)
-        weights[0] = weights[-1] = h / 2.0
-        return cls(nodes, weights, QuadratureKind.TRAPEZOID)
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
+        return cls(nodes, weights)
 
 
-_DEFAULT_RULE = QuadratureRule.gauss_legendre(256)
-# Composite (panelled) integration uses a smaller per-panel rule; 64 nodes per
-# panel resolves sharply peaked analytic integrands far better than one wide
-# 256-node panel at equal cost.
-_PANEL_RULE = QuadratureRule.gauss_legendre(64)
+def gauss_legendre_panels(edges, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """Map a reference rule onto every panel [edges[i], edges[i + 1]].
 
-
-def default_rule() -> QuadratureRule:
-    """The package default 256-node Gauss-Legendre rule."""
-    return _DEFAULT_RULE
+    Returns the nodes, shape (panels, n), and the panel half-widths: node
+    (i, j) carries weight half[i] * rule.weights[j].  The weights stay
+    factored so that a panel sum can read half[i] * (f[i] @ rule.weights),
+    the rounding of a single-panel rule.
+    """
+    edges = np.asarray(edges, dtype=float)
+    left, right = edges[:-1], edges[1:]
+    half = 0.5 * (right - left)
+    mid = 0.5 * (right + left)
+    return mid[:, None] + half[:, None] * rule.nodes[None, :], half
 
 
 def bessel_k1(z):
@@ -139,9 +131,10 @@ def integrate(
 ) -> float:
     """Fixed-rule quadrature of ``f`` over ``interval``.
 
-    The rule is mapped affinely from [-1, 1] onto each of ``panels`` equal
-    sub-intervals; the result is deterministic for a fixed rule.  ``f`` must
-    accept a numpy array of abscissae.
+    The rule (256-node Gauss-Legendre for one panel, 64 nodes per panel
+    otherwise) is mapped affinely onto each of ``panels`` equal
+    sub-intervals; the result is deterministic for a fixed rule.  ``f`` is
+    called once, on a 1-d numpy array of every panel's abscissae.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
@@ -149,13 +142,14 @@ def integrate(
     if panels < 1:
         raise DomainError("panels must be >= 1")
     if rule is None:
-        rule = _DEFAULT_RULE if panels == 1 else _PANEL_RULE
+        # 64 nodes per panel resolve sharply peaked analytic integrands far
+        # better than one wide 256-node panel at equal cost.
+        rule = QuadratureRule.gauss_legendre(256 if panels == 1 else 64)
 
-    edges = np.linspace(lo, hi, panels + 1)
+    x, half = gauss_legendre_panels(np.linspace(lo, hi, panels + 1), rule)
+    values = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
     total = 0.0
-    for left, right in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (right - left)
-        mid = 0.5 * (right + left)
-        x = mid + half * rule.nodes
-        total += half * float(np.dot(rule.weights, np.asarray(f(x), dtype=float)))
+    # Panel by panel, so the sum keeps the rounding of the per-panel rule.
+    for h, row in zip(half, values):
+        total += h * float(np.dot(rule.weights, row))
     return float(total)

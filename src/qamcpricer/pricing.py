@@ -39,6 +39,8 @@ __all__ = [
     "GridMeasure",
     "PriceEstimate",
     "eval_payoff",
+    "normalize_cell_masses",
+    "sample_grid_indices",
     "riemann_reference",
     "cmc_price",
 ]
@@ -46,6 +48,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 PAYOFF_KINDS = ("basket-call", "worst-of-put", "spread-call")
+
+# Largest negative cell mass a grid may lose to clipping before the truncated
+# density is rejected as too far from a density to price or load.
+_CLIP_BOUND = 1e-4
 
 
 @dataclass(frozen=True)
@@ -143,6 +149,28 @@ class AssetMarginal:
         return float(out[0]) if np.isscalar(u) else out
 
 
+def normalize_cell_masses(raw) -> tuple[np.ndarray, float]:
+    """Clip negative cell masses to zero and normalize: the one negative-mass policy.
+
+    Returns the normalized masses and the clipped mass.  Raises
+    ValidationError when the clipped mass reaches 1e-4 and DomainError
+    when no mass is left.
+    """
+    raw = np.asarray(raw, dtype=float)
+    if raw.ndim != 1:
+        raise DomainError("cell masses must be a flat vector")
+    clipped = np.clip(raw, 0.0, None)
+    lost = float(np.sum(clipped - raw))
+    if lost >= _CLIP_BOUND:
+        raise ValidationError(f"clipped mass {lost:.3e} exceeds the {_CLIP_BOUND:g} sanity bound")
+    if lost > 0.0:
+        logger.warning("clipped %.3e negative cell mass", lost)
+    total = clipped.sum()
+    if total <= 0.0:
+        raise DomainError("all cell masses vanish")
+    return clipped / total, lost
+
+
 def _common_discount(marginals: list[AssetMarginal]) -> float:
     # Tolerance absorbs per-asset regression roundoff in the stripped curves
     # while still catching genuinely different discounting.
@@ -225,15 +253,9 @@ class GridMeasure:
         masses = []
         clipped_total = 0.0
         for marginal, nodes, dx in zip(marginals, grid.nodes, grid.deltas):
-            raw = np.asarray(marginal.pdf(nodes), dtype=float) * dx
-            clipped = np.clip(raw, 0.0, None)
-            clipped_total += float(np.sum(clipped - raw))
-            total = clipped.sum()
-            if total <= 0.0:
-                raise ValidationError("marginal mass vanished on the grid")
-            masses.append(clipped / total)
-        if clipped_total > 0.0:
-            logger.warning("clipped %.3e negative cell mass on the pricing grid", clipped_total)
+            p, clipped = normalize_cell_masses(np.asarray(marginal.pdf(nodes), dtype=float) * dx)
+            masses.append(p)
+            clipped_total += clipped
         cdf_values = [
             np.asarray(marginal.cdf(nodes), dtype=float)
             for marginal, nodes in zip(marginals, grid.nodes)
@@ -314,7 +336,8 @@ def riemann_reference(
     )
 
 
-def _sample_grid_indices(prob: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+def sample_grid_indices(prob: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF draws of ``count`` cell indices from normalized masses."""
     cdf = np.cumsum(prob)
     cdf[-1] = 1.0
     return np.searchsorted(cdf, rng.random(count), side="right")
@@ -354,11 +377,11 @@ def cmc_price(
             measure = GridMeasure.build(payoff, marginals, spec, grid)
         if formulation == "joint":
             flat = measure.joint_masses.ravel()
-            idx = _sample_grid_indices(flat, samples, rng)
+            idx = sample_grid_indices(flat, samples, rng)
             draws = measure.payoff_values.ravel()[idx] * measure.copula_total_mass
         else:
             per_dim = [
-                _sample_grid_indices(p, samples, rng) for p in measure.marginal_masses
+                sample_grid_indices(p, samples, rng) for p in measure.marginal_masses
             ]
             flat_idx = np.ravel_multi_index(per_dim, measure.payoff_values.shape)
             draws = (

@@ -19,16 +19,15 @@ query and one Grover iterate as 2 (it contains U and its inverse).
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .copula import CopulaSpec
 from .cosine_density import Interval, basis_gamma_plus
 from .errors import DomainError, ValidationError
-from .pricing import AssetMarginal, GridMeasure, Payoff, PriceEstimate, PricingGrid
+from .pricing import AssetMarginal, GridMeasure, Payoff, PriceEstimate, PricingGrid, normalize_cell_masses
 
 __all__ = [
     "Statevector",
@@ -46,8 +45,6 @@ __all__ = [
     "run_log_line",
     "RUN_LOG_HEADER",
 ]
-
-logger = logging.getLogger(__name__)
 
 RUN_LOG_HEADER = "algo,target,epsilon,rho,estimate,abs_err,queries,seed"
 
@@ -78,22 +75,6 @@ class Statevector:
         return probs[0::2] + probs[1::2]
 
 
-def _normalized_masses(masses) -> np.ndarray:
-    raw = np.asarray(masses, dtype=float)
-    if raw.ndim != 1:
-        raise DomainError("cell masses must be a flat vector")
-    clipped = np.clip(raw, 0.0, None)
-    lost = float(np.sum(clipped - raw))
-    if lost > 0.0:
-        logger.warning("clipped %.3e negative mass before amplitude loading", lost)
-        if lost >= 1e-4:
-            raise ValidationError(f"clipped mass {lost:.3e} exceeds the 1e-4 sanity bound")
-    total = clipped.sum()
-    if total <= 0.0:
-        raise DomainError("all cell masses vanish; nothing to load")
-    return clipped / total
-
-
 def _data_qubits_for(count: int) -> int:
     n = max(1, math.ceil(math.log2(count)))
     return n
@@ -115,7 +96,7 @@ class DensityOracle:
 
 def build_density_oracle(masses, label: str = "A") -> DensityOracle:
     """Validate, clip, and normalize cell masses into a loading oracle."""
-    return DensityOracle(_normalized_masses(masses), label)
+    return DensityOracle(normalize_cell_masses(masses)[0], label)
 
 
 def apply_payoff_rotation(state: Statevector, values) -> Statevector:
@@ -153,7 +134,7 @@ class AmplitudeOracle:
 
     @classmethod
     def build(cls, masses, values, label: str = "U_ak") -> "AmplitudeOracle":
-        p = _normalized_masses(masses)
+        p, _ = normalize_cell_masses(masses)
         phi = np.asarray(values, dtype=float)
         if phi.shape != p.shape:
             raise DomainError("values must match masses node for node")
@@ -376,7 +357,7 @@ def qamc_coefficient(
     and the signed estimator.  The zeroth basis function is constant, so its
     coefficient is known exactly without estimation.
     """
-    p = _normalized_masses(masses)
+    p, _ = normalize_cell_masses(masses)
     width = interval.width
     if k == 0:
         return AEResult(
@@ -434,15 +415,7 @@ def qamc_price(
 
     oracle = AmplitudeOracle.build(masses, values, label=label)
     eps_ae = min(cfg.epsilon / scale, 0.499)
-    ae_cfg = AEConfig(
-        epsilon=eps_ae,
-        rho=cfg.rho,
-        max_grover_depth=cfg.max_grover_depth,
-        seed=cfg.seed,
-        shots_per_round=cfg.shots_per_round,
-        max_rounds=cfg.max_rounds,
-    )
-    result = iqae_estimate(oracle, ae_cfg, rng)
+    result = iqae_estimate(oracle, replace(cfg, epsilon=eps_ae), rng)
     return PriceEstimate(
         value=scale * result.estimate,
         estimator=f"qamc-{formulation}",

@@ -178,12 +178,12 @@ class TestCalibrate:
     def test_mu_invariance_of_fit_quality(self, axa_quote_slice):
         # Prices from the fitted theta are unchanged when mu is moved (and the
         # martingale adjustment recenters), restated at price level.
-        from qamcpricer.nig import ExpNIGModel, price_european
+        from qamcpricer.nig import ExpNIGModel, price_european_batch
 
         result = calibrate(axa_quote_slice, CalibrationConfig(regularization=5e-7))
         base = ExpNIGModel(result.theta, axa_quote_slice)
         moved = ExpNIGModel(result.theta.with_mu(0.3), axa_quote_slice)
         for strike in [30.0, 34.0, 38.0]:
-            assert price_european(base, strike, "C") == pytest.approx(
-                price_european(moved, strike, "C"), abs=1e-9
+            assert price_european_batch(base, [strike], ["C"])[0] == pytest.approx(
+                price_european_batch(moved, [strike], ["C"])[0], abs=1e-9
             )

@@ -20,7 +20,7 @@ from qamcpricer.market_data import (
     scan_arbitrage,
     strip_curves,
 )
-from qamcpricer.nig import ExpNIGModel, price_european
+from qamcpricer.nig import ExpNIGModel, price_european_batch
 
 
 def bs_quote_set(spot=100.0, r=0.03, q=0.01, expiry=1.0, sigma=0.2, strikes=None, spread=0.0):
@@ -231,4 +231,4 @@ class TestSyntheticQuotes:
         quotes = generate_synthetic_quotes(michelin_params, michelin_slice, [30.0], spread=0.0)
         model = ExpNIGModel(michelin_params, michelin_slice)
         call = next(q for q in quotes if q.kind == "C")
-        assert call.mid == pytest.approx(price_european(model, 30.0, "C"), abs=1e-14)
+        assert call.mid == pytest.approx(price_european_batch(model, [30.0], ["C"])[0], abs=1e-14)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
@@ -18,7 +19,7 @@ from qamcpricer.nig import (
     nig_char_exponent,
     nig_cumulants,
     nig_pdf,
-    price_european,
+    price_european_batch,
     price_european_cos,
     sample_nig,
     support_interval,
@@ -161,7 +162,7 @@ class TestSupportInterval:
 class TestPriceEuropean:
     def test_small_strike_call_is_discounted_forward(self, axa_params, axa_slice):
         model = ExpNIGModel(axa_params, axa_slice)
-        price = price_european(model, 1e-6, "C")
+        price = price_european_batch(model, [1e-6], ["C"])[0]
         target = axa_slice.discount_factor * (axa_slice.forward - 1e-6)
         assert price == pytest.approx(target, rel=1e-6)
 
@@ -169,23 +170,23 @@ class TestPriceEuropean:
         base = ExpNIGModel(axa_params, axa_slice)
         moved = ExpNIGModel(axa_params.with_mu(0.7), axa_slice)
         for strike in [25.0, 33.8, 45.0]:
-            assert price_european(base, strike, "C") == pytest.approx(
-                price_european(moved, strike, "C"), abs=1e-9
+            assert price_european_batch(base, [strike], ["C"])[0] == pytest.approx(
+                price_european_batch(moved, [strike], ["C"])[0], abs=1e-9
             )
 
     def test_put_call_parity(self, axa_params, axa_slice):
         model = ExpNIGModel(axa_params, axa_slice)
         for strike in [28.0, 33.8, 40.0]:
-            call = price_european(model, strike, "C")
-            put = price_european(model, strike, "P")
+            call = price_european_batch(model, [strike], ["C"])[0]
+            put = price_european_batch(model, [strike], ["P"])[0]
             parity = axa_slice.discount_factor * (axa_slice.forward - strike)
             assert call - put == pytest.approx(parity, abs=1e-9)
 
     def test_monotone_in_strike(self, michelin_params, michelin_slice):
         model = ExpNIGModel(michelin_params, michelin_slice)
         strikes = np.linspace(0.7, 1.3, 13) * michelin_slice.forward
-        calls = [price_european(model, k, "C") for k in strikes]
-        puts = [price_european(model, k, "P") for k in strikes]
+        calls = [price_european_batch(model, [k], ["C"])[0] for k in strikes]
+        puts = [price_european_batch(model, [k], ["P"])[0] for k in strikes]
         assert all(a > b for a, b in zip(calls, calls[1:]))
         assert all(a < b for a, b in zip(puts, puts[1:]))
 
@@ -193,13 +194,13 @@ class TestPriceEuropean:
 class TestPriceCos:
     def test_agreement_with_quadrature_atm(self, axa_params, axa_slice):
         model = ExpNIGModel(axa_params, axa_slice)
-        q = price_european(model, axa_slice.spot, "C")
+        q = price_european_batch(model, [axa_slice.spot], ["C"])[0]
         c = price_european_cos(model, axa_slice.spot, "C", terms=256)
         assert abs(c - q) / q <= 1e-6
 
     def test_term_doubling_shrinks_error(self, axa_params, axa_slice):
         model = ExpNIGModel(axa_params, axa_slice)
-        q = price_european(model, 35.0, "C")
+        q = price_european_batch(model, [35.0], ["C"])[0]
         # Spectral decay holds once past the pre-asymptotic wiggle (~2^5 terms).
         errors = [abs(price_european_cos(model, 35.0, "C", terms=k) - q) for k in (32, 64, 128, 256)]
         assert all(a >= b * 0.9 for a, b in zip(errors, errors[1:]))  # monotone up to floor
@@ -222,13 +223,48 @@ class TestPriceCos:
             for moneyness in np.linspace(0.8, 1.2, 21):
                 strike = moneyness * slc.forward
                 for kind in ("C", "P"):
-                    q = price_european(model, strike, kind)
+                    q = price_european_batch(model, [strike], [kind])[0]
                     c = price_european_cos(model, strike, kind, terms=256)
                     assert abs(c - q) <= 1e-6 * max(q, 1e-12), (slc.underlying, strike, kind)
 
     def test_terms_floor(self, axa_params, axa_slice):
         with pytest.raises(DomainError):
             price_european_cos(ExpNIGModel(axa_params, axa_slice), 30.0, "C", terms=8)
+
+
+# Equity-skew NIG laws (left tail rate alpha + beta, right tail rate alpha - beta),
+# the region of the bundled fixtures, with strikes at 0.7-1.3 x forward.
+equity_laws = st.builds(
+    lambda left, right, delta: NIGParams((left + right) / 2, (left - right) / 2, delta),
+    st.floats(1.5, 4.0),
+    st.floats(6.0, 12.0),
+    st.floats(0.1, 0.4),
+)
+moneyness = st.floats(0.7, 1.3)
+property_settings = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+PROPERTY_SLICE = MarketSlice.from_rates("PROP", spot=30.0, expiry=1.0, rate=0.02, dividend_yield=0.0)
+
+
+class TestPricerProperties:
+    @property_settings
+    @given(params=equity_laws, m=moneyness)
+    def test_put_call_parity_both_pricers(self, params, m):
+        model = ExpNIGModel(params, PROPERTY_SLICE)
+        strike = m * PROPERTY_SLICE.forward
+        parity = PROPERTY_SLICE.discount_factor * (PROPERTY_SLICE.forward - strike)
+        call, put = price_european_batch(model, [strike, strike], ["C", "P"])
+        assert call - put == pytest.approx(parity, abs=1e-9)
+        cos_gap = price_european_cos(model, strike, "C") - price_european_cos(model, strike, "P")
+        assert cos_gap == pytest.approx(parity, abs=1e-6 * PROPERTY_SLICE.forward)
+
+    @property_settings
+    @given(params=equity_laws, m=moneyness, kind=st.sampled_from(["C", "P"]))
+    def test_batch_of_one_matches_multi_strike_batch(self, params, m, kind):
+        model = ExpNIGModel(params, PROPERTY_SLICE)
+        strike = m * PROPERTY_SLICE.forward
+        ladder = list(np.linspace(0.7, 1.3, 7) * PROPERTY_SLICE.forward)
+        batch = price_european_batch(model, ladder + [strike], ["C", "P"] * 3 + ["C", kind])
+        assert price_european_batch(model, [strike], [kind])[0] == pytest.approx(batch[-1], abs=1e-12)
 
 
 class TestSampling:

@@ -8,7 +8,6 @@ from scipy import integrate as sci_integrate
 
 from qamcpricer.errors import DomainError
 from qamcpricer.numerics import (
-    QuadratureKind,
     QuadratureRule,
     bessel_k1,
     integrate,
@@ -137,10 +136,15 @@ class TestQuadrature:
         ref, _ = sci_integrate.quad(f, -3.0, 3.0)
         assert whole == pytest.approx(ref, abs=1e-13)
 
-    def test_trapezoid_rule_converges(self):
-        rule = QuadratureRule.trapezoid(2001)
-        value = integrate(lambda x: np.sin(x), (0.0, np.pi), rule)
-        assert value == pytest.approx(2.0, abs=1e-5)
+    def test_integrand_evaluated_once_across_panels(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.exp(-(x**2))
+
+        integrate(f, (-3.0, 3.0), panels=8)
+        assert sizes == [8 * 64]
 
     def test_interval_validation(self):
         with pytest.raises(DomainError):
@@ -150,8 +154,8 @@ class TestQuadrature:
 
     def test_rule_invariants(self):
         with pytest.raises(DomainError):
-            QuadratureRule(np.array([0.0, -1.0]), np.array([1.0, 1.0]), QuadratureKind.TRAPEZOID)
+            QuadratureRule(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
         with pytest.raises(DomainError):
-            QuadratureRule(np.array([-1.0, 1.0]), np.array([1.0, -1.0]), QuadratureKind.TRAPEZOID)
+            QuadratureRule(np.array([-1.0, 1.0]), np.array([1.0, -1.0]))
         with pytest.raises(DomainError):
-            QuadratureRule(np.array([0.0]), np.array([2.0]), QuadratureKind.TRAPEZOID)
+            QuadratureRule(np.array([0.0]), np.array([2.0]))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from qamcpricer.copula import CopulaSpec
-from qamcpricer.cosine_density import Interval, coeffs_classical
-from qamcpricer.errors import DomainError
+from qamcpricer.cosine_density import CosineSeries, Interval, coeffs_classical
+from qamcpricer.errors import DomainError, ValidationError
 from qamcpricer.nig import nig_pdf, support_interval
 from qamcpricer.pricing import (
     AssetMarginal,
@@ -91,6 +91,18 @@ class TestMeasure:
         for p in measure.marginal_masses:
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(p >= 0)
+
+    def test_large_clip_rejected(self, spread_setup):
+        payoff, marginals, spec, _ = spread_setup
+        # 1/2 + 0.6 cos(pi (x + 1) / 2) dips below zero over (0.63, 1]: at
+        # 2^3 cells the last cell alone has mass about -0.022.
+        lobed = AssetMarginal(
+            marginals[0].params, marginals[0].slice_,
+            CosineSeries(Interval(-1.0, 1.0), [1.0 / math.sqrt(2.0), 0.6]),
+        )
+        chosen = [lobed, marginals[1]]
+        with pytest.raises(ValidationError):
+            GridMeasure.build(payoff, chosen, spec, PricingGrid.build(chosen, 3))
 
     def test_identity_grid_identity(self, spread_setup):
         # f_joint h == f_ind H c_max node by node.

@@ -298,6 +298,12 @@ class TestQamcPrice:
         indep = qamc_price(payoff, marginals, spec, "independent", grid, cfg, np.random.default_rng(2))
         assert abs(joint.value - indep.value) <= 2 * cfg.epsilon
 
+    def test_query_budget_honoured(self, small_pricing_setup):
+        payoff, marginals, spec, grid = small_pricing_setup
+        cfg = AEConfig(epsilon=1e-4, rho=0.05, max_queries=10_000)
+        est = qamc_price(payoff, marginals, spec, "joint", grid, cfg, np.random.default_rng(5))
+        assert est.samples_or_queries <= 10_000
+
     def test_joint_cheaper_at_matched_epsilon(self, small_pricing_setup):
         payoff, marginals, spec, grid = small_pricing_setup
         cfg = AEConfig(epsilon=1e-3, rho=0.05)
