@@ -1,4 +1,4 @@
-"""Gaussian copula density, joint-density assembly, and the copula-adjusted payoff.
+"""Gaussian copula density, joint-density assembly, and grid density bounds.
 
 The copula density with correlation matrix Sigma is
 
@@ -9,9 +9,9 @@ Pricing under independent marginals weights the payoff by c(F_1,...,F_N):
 the whole dependence structure rides on that multiplicative factor.
 
 c(u) is unbounded at the corners of the cube for any Sigma != I, so the
-c_max used to keep the adjusted payoff in [0, 1] is taken over the discrete
-pricing grid actually in use (plus a small safety factor), not over the open
-cube.
+c_max used to keep the adjusted payoff h c / (h_max c_max) in [0, 1] is taken
+over the copula weights of the discrete pricing grid actually in use (plus a
+small safety factor), not over the open cube.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,38 +31,30 @@ __all__ = [
     "gaussian_copula_density",
     "copula_density_at_cdf_values",
     "joint_pdf",
-    "adjusted_payoff",
     "grid_c_max",
     "grid_c_prime_max",
     "copula_weights_on_grid",
     "load_correlation",
     "CLAMP_EPS",
-    "clamp_counter",
 ]
 
 logger = logging.getLogger(__name__)
 
 CLAMP_EPS = 1e-12
 
-# Diagnostic tally of CDF values clamped away from {0, 1} before the normal
-# quantile (exact 0/1 appear where a truncated CDF saturates at grid edges).
-clamp_counter = {"count": 0}
-
 
 @dataclass(frozen=True)
 class CopulaSpec:
-    """Correlation matrix with derived inverse/determinant and grid-level bounds.
+    """Correlation matrix with its inverse and determinant.
 
-    ``c_max``/``c_prime_max`` are populated from the pricing grid via
-    grid_c_max / grid_c_prime_max; both equal 1.0 (exactly, no safety factor)
-    for the identity matrix, where c is constant.
+    Grid-level bounds of the density belong to a grid, not to the matrix:
+    GridMeasure.build takes c_max from the weights it computes (grid_c_max),
+    and grid_c_prime_max bounds the derivative on a grid.
     """
 
     sigma: np.ndarray
     inv: np.ndarray
     det: float
-    c_max: float | None = None
-    c_prime_max: float | None = None
 
     @classmethod
     def from_matrix(cls, sigma) -> "CopulaSpec":
@@ -77,11 +69,7 @@ class CopulaSpec:
             np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError as exc:
             raise ValidationError("correlation matrix must be positive definite") from exc
-        det = float(np.linalg.det(sigma))
-        spec = cls(sigma=sigma, inv=np.linalg.inv(sigma), det=det)
-        if spec.is_identity:
-            spec = replace(spec, c_max=1.0, c_prime_max=0.0)
-        return spec
+        return cls(sigma=sigma, inv=np.linalg.inv(sigma), det=float(np.linalg.det(sigma)))
 
     @property
     def dim(self) -> int:
@@ -94,9 +82,6 @@ class CopulaSpec:
     @property
     def cholesky(self) -> np.ndarray:
         return np.linalg.cholesky(self.sigma)
-
-    def with_bounds(self, c_max: float, c_prime_max: float | None = None) -> "CopulaSpec":
-        return replace(self, c_max=c_max, c_prime_max=c_prime_max)
 
 
 def _density_from_unit(u: np.ndarray, spec: CopulaSpec) -> np.ndarray:
@@ -121,7 +106,6 @@ def _clamped_unit(u: np.ndarray) -> np.ndarray:
     clipped = np.clip(u, CLAMP_EPS, 1.0 - CLAMP_EPS)
     moved = int(np.count_nonzero(clipped != u))
     if moved:
-        clamp_counter["count"] += moved
         logger.debug("clamped %d CDF values away from {0,1}", moved)
     return clipped
 
@@ -176,41 +160,18 @@ def joint_pdf(x, marginals, spec: CopulaSpec):
     return float(out) if x_arr.ndim == 1 else out
 
 
-def adjusted_payoff(x, payoff, marginal_cdfs, spec: CopulaSpec):
-    """Copula-weighted payoff (1/c_max) h(x) c(F_1(x_1),...,F_N(x_N)) in [0, 1].
-
-    ``payoff`` must already be normalized into [0, 1] by the caller.  Raises
-    when the copula density exceeds the stored c_max (stale grid bound).
-    """
-    if spec.c_max is None:
-        raise DomainError("spec.c_max not set; compute grid_c_max first")
-    x_arr = np.asarray(x, dtype=float)
-    h = np.asarray(payoff(x_arr), dtype=float)
-    if np.any(h < -1e-12) or np.any(h > 1.0 + 1e-12):
-        raise DomainError("payoff must be normalized into [0, 1]")
-    cdf_vals = np.empty_like(x_arr)
-    for i, cdf_i in enumerate(marginal_cdfs):
-        cdf_vals[..., i] = np.asarray(cdf_i(x_arr[..., i]), dtype=float)
-    c_val = copula_density_at_cdf_values(cdf_vals, spec)
-    if np.any(np.asarray(c_val) > spec.c_max * (1.0 + 1e-12)):
-        raise DomainError("copula density exceeds stored c_max: stale grid bound")
-    out = h * c_val / spec.c_max
-    return float(out) if x_arr.ndim == 1 else out
-
-
-def grid_c_max(spec: CopulaSpec, marginal_cdfs, grids: list[np.ndarray], safety: float = 1.01) -> float:
-    """Max copula density over the pricing grid nodes, times a safety factor.
+def grid_c_max(spec: CopulaSpec, weights: np.ndarray) -> float:
+    """Max of a grid's copula weights (copula_weights_on_grid), times 1.01.
 
     Exactly 1.0 for the identity matrix (c is constant there, and the
     identity-collapse contracts require no slack).
     """
     if spec.is_identity:
         return 1.0
-    unit = [np.asarray(cdf(np.asarray(g, dtype=float)), dtype=float) for cdf, g in zip(marginal_cdfs, grids)]
-    if any(u.size == 0 for u in unit):
+    weights = np.asarray(weights, dtype=float)
+    if weights.size == 0:
         raise DomainError("grids must be non-empty")
-    weights = copula_weights_on_grid(spec, unit)
-    return safety * float(weights.max())
+    return 1.01 * float(weights.max())
 
 
 def grid_c_prime_max(spec: CopulaSpec, marginal_cdfs, grids: list[np.ndarray], step: float = 1e-6) -> float:

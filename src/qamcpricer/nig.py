@@ -281,6 +281,8 @@ def price_european_batch(model: ExpNIGModel, strikes, kinds) -> np.ndarray:
     location parameter mu.
     """
     strikes = np.asarray(strikes, dtype=float)
+    if strikes.ndim != 1 or len(kinds) != strikes.size:
+        raise DomainError("strikes must be a flat vector with one kind per strike")
     if np.any(strikes <= 0):
         raise DomainError("strikes must be positive")
     p = model.params

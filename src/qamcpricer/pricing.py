@@ -229,7 +229,9 @@ class GridMeasure:
 
     marginal_masses are normalized per dimension; copula_weights holds
     c(F(x)) at every node combination; payoff_values holds h(s(x)).  The
-    copula-weighted total mass Q = E_ind[c] rescales the joint formulation.
+    copula-weighted total mass Q = E_ind[c] rescales the joint formulation;
+    c_max, the bound of these same weights (grid_c_max), keeps the
+    independent formulation's payoff h c / (h_max c_max) in [0, 1].
     """
 
     grid: PricingGrid
@@ -264,9 +266,6 @@ class GridMeasure:
         prices = [m.price_at(nodes) for m, nodes in zip(marginals, grid.nodes)]
         mesh = np.meshgrid(*prices, indexing="ij")
         payoff_vals = eval_payoff(payoff, np.stack(mesh, axis=-1))
-        c_max = spec.c_max
-        if c_max is None:
-            c_max = grid_c_max(spec, [m.cdf for m in marginals], list(grid.nodes))
         return cls(
             grid=grid,
             marginal_masses=tuple(masses),
@@ -274,7 +273,7 @@ class GridMeasure:
             payoff_values=payoff_vals,
             discount_factor=_common_discount(marginals),
             clipped_mass=clipped_total,
-            c_max=float(c_max),
+            c_max=grid_c_max(spec, weights),
         )
 
     @cached_property

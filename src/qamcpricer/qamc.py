@@ -1,20 +1,23 @@
-"""Ideal statevector simulation of amplitude loading plus iterative QAE.
+"""Simulated iterative quantum amplitude estimation of grid-measure expectations.
 
-The state-preparation oracle U maps |0...0>|0> to
+QAMC loads the grid measure p and a payoff phi in [0, 1] with an oracle U
+mapping |0...0>|0> to
 
     sum_j sqrt(p_j phi_j) |j>|1> + sum_j sqrt(p_j (1 - phi_j)) |j>|0>,
 
 so the ancilla-|1> probability is a = sum_j p_j phi_j, the Riemann estimator
-of E[phi(X)] under the discrete measure p.  Grover iterates rotate the
-ancilla-|1> amplitude to sin((2m+1) theta) with sin^2(theta) = a; estimating
-a to epsilon with confidence 1 - rho costs O((1/epsilon) log(1/rho)) oracle
-queries instead of the classical O(1/epsilon^2) samples.
+of E[phi(X)] under p.  Grover iterates rotate the ancilla-|1> amplitude to
+sin((2m+1) theta) with sin^2(theta) = a; estimating a to epsilon with
+confidence 1 - rho costs O((1/epsilon) log(1/rho)) oracle queries instead of
+the classical O(1/epsilon^2) samples.
 
-Measurement outcomes are drawn from the exact Bernoulli law of the ideal
-state (equivalent to full-state collapse for this estimator, and orders of
-magnitude faster); the statevector machinery exists so the rotation identity
-is verified directly, not assumed.  One application of U counts as 1 oracle
-query and one Grover iterate as 2 (it contains U and its inverse).
+The estimator sees the oracle only through that Bernoulli law, so it takes
+the amplitude a itself and draws shots from sin^2((2k+1) theta) exactly.
+For both pricing formulations a is the Riemann reference divided by the
+formulation's price scale.  The statevector check of the rotation identity,
+against the amplitude handed over here, lives with the tests.  One
+application of U counts as 1 oracle query and one Grover iterate as 2 (it
+contains U and its inverse).
 """
 
 from __future__ import annotations
@@ -30,14 +33,8 @@ from .errors import DomainError, ValidationError
 from .pricing import AssetMarginal, GridMeasure, Payoff, PriceEstimate, PricingGrid, normalize_cell_masses
 
 __all__ = [
-    "Statevector",
-    "DensityOracle",
-    "AmplitudeOracle",
     "AEConfig",
     "AEResult",
-    "build_density_oracle",
-    "apply_payoff_rotation",
-    "grover_operator",
     "iqae_estimate",
     "signed_ae_estimate",
     "qamc_coefficient",
@@ -48,126 +45,8 @@ __all__ = [
 
 RUN_LOG_HEADER = "algo,target,epsilon,rho,estimate,abs_err,queries,seed"
 
-
-@dataclass(frozen=True)
-class Statevector:
-    """Complex amplitudes over n data qubits plus one ancilla (LSB)."""
-
-    amplitudes: np.ndarray
-    n_data_qubits: int
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.size != 2 ** (self.n_data_qubits + 1):
-            raise ValidationError("amplitude vector length must be 2^(n_data+1)")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValidationError(f"state norm {norm} deviates from 1 beyond 1e-12")
-
-    @property
-    def ancilla_one_probability(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes[1::2]) ** 2))
-
-    def data_distribution(self) -> np.ndarray:
-        """Measurement distribution of the data register (ancilla traced out)."""
-        probs = np.abs(self.amplitudes) ** 2
-        return probs[0::2] + probs[1::2]
-
-
-def _data_qubits_for(count: int) -> int:
-    n = max(1, math.ceil(math.log2(count)))
-    return n
-
-
-@dataclass(frozen=True)
-class DensityOracle:
-    """State-preparation component: loads sqrt(p_j) onto the data register."""
-
-    masses: np.ndarray
-    label: str = "A"
-
-    def prepare(self) -> Statevector:
-        n = _data_qubits_for(self.masses.size)
-        amps = np.zeros(2 ** (n + 1), dtype=complex)
-        amps[0 : 2 * self.masses.size : 2] = np.sqrt(self.masses)
-        return Statevector(amps, n)
-
-
-def build_density_oracle(masses, label: str = "A") -> DensityOracle:
-    """Validate, clip, and normalize cell masses into a loading oracle."""
-    return DensityOracle(normalize_cell_masses(masses)[0], label)
-
-
-def apply_payoff_rotation(state: Statevector, values) -> Statevector:
-    """Ancilla rotation by angle asin(sqrt(phi_j)), controlled on node j."""
-    phi = np.asarray(values, dtype=float)
-    if np.any(phi < -1e-12) or np.any(phi > 1.0 + 1e-12):
-        raise DomainError("rotation values must lie in [0, 1]")
-    phi = np.clip(phi, 0.0, 1.0)
-    count = 2**state.n_data_qubits
-    if phi.size > count:
-        raise DomainError("more rotation values than data states")
-    full = np.zeros(count)
-    full[: phi.size] = phi
-    sin = np.sqrt(full)
-    cos = np.sqrt(1.0 - full)
-    a0 = state.amplitudes[0::2]
-    a1 = state.amplitudes[1::2]
-    out = np.empty_like(state.amplitudes)
-    out[0::2] = cos * a0 - sin * a1
-    out[1::2] = sin * a0 + cos * a1
-    return Statevector(out, state.n_data_qubits)
-
-
-@dataclass(frozen=True)
-class AmplitudeOracle:
-    """Full oracle U: density loading followed by the payoff rotation.
-
-    ``label`` distinguishes the three uses (coefficient, joint price,
-    independent price) in run logs.
-    """
-
-    masses: np.ndarray
-    values: np.ndarray
-    label: str = "U_ak"
-
-    @classmethod
-    def build(cls, masses, values, label: str = "U_ak") -> "AmplitudeOracle":
-        p, _ = normalize_cell_masses(masses)
-        phi = np.asarray(values, dtype=float)
-        if phi.shape != p.shape:
-            raise DomainError("values must match masses node for node")
-        if np.any(phi < -1e-12) or np.any(phi > 1.0 + 1e-12):
-            raise DomainError("oracle values must lie in [0, 1]")
-        return cls(p, np.clip(phi, 0.0, 1.0), label)
-
-    @property
-    def amplitude(self) -> float:
-        return float(np.dot(self.masses, self.values))
-
-    def prepare(self) -> Statevector:
-        return apply_payoff_rotation(build_density_oracle(self.masses, self.label).prepare(), self.values)
-
-
-class GroverOperator:
-    """G = (2|psi0><psi0| - I) S_chi acting on the explicit statevector."""
-
-    def __init__(self, oracle: AmplitudeOracle):
-        self._psi0 = oracle.prepare().amplitudes
-
-    def apply(self, state: Statevector, power: int = 1) -> Statevector:
-        if power < 0:
-            raise DomainError("power must be >= 0")
-        v = state.amplitudes.copy()
-        for _ in range(power):
-            v[1::2] *= -1.0  # reflect about the bad subspace (ancilla 0)
-            v = 2.0 * np.vdot(self._psi0, v) * self._psi0 - v
-        return Statevector(v, state.n_data_qubits)
-
-
-def grover_operator(oracle: AmplitudeOracle) -> GroverOperator:
-    return GroverOperator(oracle)
+# Roundoff an amplitude may carry outside [0, 1] before it is rejected.
+_AMPLITUDE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -224,15 +103,22 @@ def _find_next_k(k: int, theta_l: float, theta_u: float, up: bool, cap: int, rat
     return k, up
 
 
-def iqae_estimate(oracle: AmplitudeOracle, cfg: AEConfig, rng: np.random.Generator | None = None) -> AEResult:
+def iqae_estimate(amplitude: float, cfg: AEConfig, rng: np.random.Generator | None = None) -> AEResult:
     """Iterative amplitude estimation with Chernoff-Hoeffding intervals.
 
     Returns, with probability >= 1 - rho, an estimate within epsilon of the
-    true ancilla-one probability; query count scales as (1/epsilon) log(1/rho).
-    Shots are drawn from the exact Bernoulli law sin^2((2k+1) theta).
+    true ancilla-one probability ``amplitude``; query count scales as
+    (1/epsilon) log(1/rho).  Shots are drawn from the exact Bernoulli law
+    sin^2((2k+1) theta).  An amplitude more than 1e-12 outside [0, 1] is a
+    DomainError; roundoff within that is clamped.  ``capped`` reports a stop
+    before the interval reached 2 epsilon: the round or query budget ran
+    out, or a depth used up its share of the confidence budget.
     """
+    a = float(amplitude)
+    if not -_AMPLITUDE_TOL <= a <= 1.0 + _AMPLITUDE_TOL:
+        raise DomainError(f"amplitude {a!r} lies outside [0, 1]")
     rng = rng or np.random.default_rng(cfg.seed)
-    a_true = min(max(oracle.amplitude, 0.0), 1.0)
+    a_true = min(max(a, 0.0), 1.0)
     theta_true = math.asin(math.sqrt(a_true))
     if cfg.epsilon >= 0.5:
         # The trivial interval [0, 1] already satisfies the contract.
@@ -247,6 +133,7 @@ def iqae_estimate(oracle: AmplitudeOracle, cfg: AEConfig, rng: np.random.Generat
     theta_l, theta_u = 0.0, math.pi / 2.0
     up = True
     k = 0
+    looks_at: dict[int, int] = {}
     ones_at: dict[int, int] = {}
     shots_at: dict[int, int] = {}
     batch_at: dict[int, int] = {}
@@ -268,6 +155,9 @@ def iqae_estimate(oracle: AmplitudeOracle, cfg: AEConfig, rng: np.random.Generat
             capped = True
             break
         k, up = _find_next_k(k, theta_l, theta_u, up, cfg.max_grover_depth)
+        if looks_at.get(k, 0) == looks_cap:
+            capped = True  # a further look would overdraw this depth's share of rho
+            break
         # Each repeated look at the same depth doubles the batch, so the
         # interval either shrinks enough to advance within a few looks or the
         # shot count grows geometrically; either way looks stay log-bounded.
@@ -278,10 +168,12 @@ def iqae_estimate(oracle: AmplitudeOracle, cfg: AEConfig, rng: np.random.Generat
             and queries > 0
             and queries + batch * (2 * k + 1) > cfg.max_queries
         ):
+            capped = True
             break
         scale = 4 * k + 2
         p_shot = math.sin((2 * k + 1) * theta_true) ** 2
         ones = int(rng.binomial(batch, p_shot))
+        looks_at[k] = looks_at.get(k, 0) + 1
         ones_at[k] = ones_at.get(k, 0) + ones
         shots_at[k] = shots_at.get(k, 0) + batch
         shots_total += batch
@@ -321,18 +213,18 @@ def iqae_estimate(oracle: AmplitudeOracle, cfg: AEConfig, rng: np.random.Generat
 
 
 def signed_ae_estimate(
-    oracle: AmplitudeOracle,
+    amplitude: float,
     cfg: AEConfig,
     scale: float = 1.0,
     rng: np.random.Generator | None = None,
 ) -> AEResult:
     """Sign-carrying estimation through the shifted positive encoding.
 
-    The oracle loads a shifted quantity a = (v/scale + 1)/2 in [0, 1]; the
+    ``amplitude`` is the shifted quantity a = (v/scale + 1)/2 in [0, 1]; the
     estimate maps back through v = scale (2a - 1), so the half-width scales
     by 2|scale| and the (epsilon, rho) contract survives the affine map.
     """
-    base = iqae_estimate(oracle, cfg, rng)
+    base = iqae_estimate(amplitude, cfg, rng)
     return AEResult(
         estimate=scale * (2.0 * base.estimate - 1.0),
         half_width=2.0 * abs(scale) * base.half_width,
@@ -353,9 +245,10 @@ def qamc_coefficient(
 ) -> AEResult:
     """Estimate the k-th cosine coefficient of the loaded cell masses.
 
-    Composes density loading with the rotation on the shifted basis values
-    and the signed estimator.  The zeroth basis function is constant, so its
-    coefficient is known exactly without estimation.
+    The amplitude is the mass-weighted mean of the shifted basis values
+    gamma_k^+ in [0, 1] at the cell midpoints; the signed estimator maps it
+    back.  The zeroth basis function is constant, so its coefficient is
+    known exactly without estimation.
     """
     p, _ = normalize_cell_masses(masses)
     width = interval.width
@@ -368,9 +261,8 @@ def qamc_coefficient(
             signed=True,
         )
     nodes = interval.a + width / p.size * (np.arange(p.size) + 0.5)
-    values = basis_gamma_plus(k, nodes, interval)
-    oracle = AmplitudeOracle.build(p, values, label="U_ak")
-    return signed_ae_estimate(oracle, cfg, scale=math.sqrt(2.0 / width), rng=rng)
+    amplitude = float(np.dot(p, basis_gamma_plus(k, nodes, interval)))
+    return signed_ae_estimate(amplitude, cfg, scale=math.sqrt(2.0 / width), rng=rng)
 
 
 def qamc_price(
@@ -385,10 +277,11 @@ def qamc_price(
 ) -> PriceEstimate:
     """Amplitude-estimated price on the shared grid measure.
 
-    cfg.epsilon is the price-level target; it is mapped to the amplitude
-    scale of the chosen formulation (h_max Q for the joint loading, h_max
-    c_max for the independent one with the copula-adjusted payoff), and the
-    discount factor is applied after estimation.
+    The joint formulation loads p c/Q with payoff h/h_max, the independent
+    one loads p with the copula-adjusted payoff h c/(h_max c_max).  Either
+    amplitude equals V/scale, with V the discounted Riemann reference and
+    scale = DF h_max Q or DF h_max c_max.  cfg.epsilon is the price-level
+    target; it is mapped to the amplitude scale and the estimate back.
     """
     if formulation not in ("joint", "independent"):
         raise DomainError(f"unknown formulation {formulation!r}")
@@ -399,23 +292,10 @@ def qamc_price(
     if h_max <= 0.0:
         return PriceEstimate(0.0, f"qamc-{formulation}", 1, stderr=0.0, target_epsilon=cfg.epsilon)
 
-    if formulation == "joint":
-        scale = df * h_max * measure.copula_total_mass
-        masses = measure.joint_masses.ravel()
-        values = measure.payoff_values.ravel() / h_max
-        label = "U_V"
-    else:
-        c_max = measure.c_max
-        if np.any(measure.copula_weights > c_max * (1.0 + 1e-12)):
-            raise DomainError("copula density exceeds stored c_max: stale grid bound")
-        scale = df * h_max * c_max
-        masses = measure.independent_masses.ravel()
-        values = (measure.payoff_values * measure.copula_weights).ravel() / (h_max * c_max)
-        label = "U_Vind"
-
-    oracle = AmplitudeOracle.build(masses, values, label=label)
+    bound = measure.copula_total_mass if formulation == "joint" else measure.c_max
+    scale = df * h_max * bound
     eps_ae = min(cfg.epsilon / scale, 0.499)
-    result = iqae_estimate(oracle, replace(cfg, epsilon=eps_ae), rng)
+    result = iqae_estimate(measure.reference_value() / scale, replace(cfg, epsilon=eps_ae), rng)
     return PriceEstimate(
         value=scale * result.estimate,
         estimator=f"qamc-{formulation}",

@@ -45,7 +45,7 @@ from qamcpricer.nig import (
 )
 from qamcpricer.numerics import integrate
 from qamcpricer.pricing import AssetMarginal, GridMeasure, Payoff, PricingGrid, cmc_price, riemann_reference
-from qamcpricer.qamc import AEConfig, AmplitudeOracle, iqae_estimate, qamc_price
+from qamcpricer.qamc import AEConfig, iqae_estimate, qamc_price
 
 # Deterministic regression pins for the experiment-scale Riemann references
 # (spread: AXA/Michelin rho=-0.25 K=0 J=2^3/dim; basket: three names K=25
@@ -170,21 +170,19 @@ def test_criterion_5_qae_contract():
     start = time.monotonic()
     coverages = {}
     for a_true in (0.1, 0.25, 0.7):
-        oracle = AmplitudeOracle.build(np.full(8, 1 / 8), np.full(8, a_true))
         hits = 0
         for seed in range(200):
             res = iqae_estimate(
-                oracle, AEConfig(epsilon=1e-2, rho=0.05), np.random.default_rng([seed, 55])
+                a_true, AEConfig(epsilon=1e-2, rho=0.05), np.random.default_rng([seed, 55])
             )
             hits += abs(res.estimate - a_true) <= 1e-2
         coverages[a_true] = hits / 200
     ladder = (2e-2, 1e-2, 5e-3, 2e-3, 1e-3, 5e-4)
-    oracle = AmplitudeOracle.build(np.full(8, 1 / 8), np.full(8, 0.25))
     mean_queries = [
         np.mean(
             [
                 iqae_estimate(
-                    oracle, AEConfig(epsilon=eps, rho=0.05), np.random.default_rng([s, 3])
+                    0.25, AEConfig(epsilon=eps, rho=0.05), np.random.default_rng([s, 3])
                 ).oracle_queries
                 for s in range(16)
             ]

@@ -7,7 +7,6 @@ import pytest
 
 from qamcpricer.copula import (
     CopulaSpec,
-    adjusted_payoff,
     copula_weights_on_grid,
     gaussian_copula_density,
     grid_c_max,
@@ -22,6 +21,12 @@ from qamcpricer.numerics import std_normal_cdf, std_normal_pdf
 
 def two_asset_spec(rho=-0.25):
     return CopulaSpec.from_matrix([[1.0, rho], [rho, 1.0]])
+
+
+def grid_weights(spec, cdfs, grids):
+    """Copula weights on the tensor grid of ``grids`` and their c_max bound."""
+    weights = copula_weights_on_grid(spec, [cdf(g) for cdf, g in zip(cdfs, grids)])
+    return weights, grid_c_max(spec, weights)
 
 
 class TestDensity:
@@ -129,49 +134,28 @@ class TestJointPdf:
 
 
 class TestAdjustedPayoff:
-    def test_identity_returns_raw_payoff(self, gauss_marginals):
-        spec = CopulaSpec.from_matrix(np.eye(2))
-        payoff = lambda x: np.clip(x[..., 0] * 0 + 0.37, 0, 1)
-        cdfs = [m[1] for m in gauss_marginals]
-        assert adjusted_payoff(np.array([0.2, -0.4]), payoff, cdfs, spec) == pytest.approx(0.37)
-
-    def test_zero_payoff_zero(self, gauss_marginals):
-        spec = two_asset_spec().with_bounds(c_max=2.0)
-        payoff = lambda x: np.zeros(x.shape[:-1]) if x.ndim > 1 else 0.0
-        cdfs = [m[1] for m in gauss_marginals]
-        assert adjusted_payoff(np.array([0.0, 0.0]), payoff, cdfs, spec) == 0.0
+    """The independent formulation's payoff h c / c_max on grid weights."""
 
     def test_stays_in_unit_interval(self, gauss_marginals):
         spec = two_asset_spec(0.6)
         cdfs = [m[1] for m in gauss_marginals]
         grid = np.linspace(-3, 3, 41)
-        c_max = grid_c_max(spec, cdfs, [grid, grid])
-        spec = spec.with_bounds(c_max=c_max)
-        payoff = lambda x: np.ones(x.shape[:-1]) if x.ndim > 1 else 1.0
-        xx, yy = np.meshgrid(grid, grid, indexing="ij")
-        vals = adjusted_payoff(np.stack([xx, yy], axis=-1), payoff, cdfs, spec)
+        weights, c_max = grid_weights(spec, cdfs, [grid, grid])
+        vals = weights / c_max  # unit payoff
         assert np.all((vals >= 0) & (vals <= 1))
-
-    def test_stale_c_max_detected(self, gauss_marginals):
-        spec = two_asset_spec(0.8).with_bounds(c_max=1.0)  # far too small
-        cdfs = [m[1] for m in gauss_marginals]
-        payoff = lambda x: np.ones(x.shape[:-1]) if x.ndim > 1 else 1.0
-        with pytest.raises(DomainError):
-            adjusted_payoff(np.array([2.5, 2.5]), payoff, cdfs, spec)
 
     def test_identity_between_formulations_on_grid(self, gauss_marginals):
         # f_joint * h == f_independent * H_adj * c_max at every node.
         spec = two_asset_spec(-0.25)
         cdfs = [m[1] for m in gauss_marginals]
         grid = np.linspace(-2.5, 2.5, 21)
-        c_max = grid_c_max(spec, cdfs, [grid, grid])
-        spec = spec.with_bounds(c_max=c_max)
+        weights, c_max = grid_weights(spec, cdfs, [grid, grid])
         payoff = lambda x: np.clip(np.abs(x[..., 0] - x[..., 1]) / 6.0, 0, 1)
         xx, yy = np.meshgrid(grid, grid, indexing="ij")
         pts = np.stack([xx, yy], axis=-1)
         lhs = joint_pdf(pts, gauss_marginals, spec) * payoff(pts)
         f_ind = std_normal_pdf(xx) * std_normal_pdf(yy)
-        rhs = f_ind * adjusted_payoff(pts, payoff, cdfs, spec) * spec.c_max
+        rhs = f_ind * (payoff(pts) * weights / c_max) * c_max
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -179,20 +163,21 @@ class TestGridCMax:
     def test_identity_exactly_one(self, gauss_marginals):
         spec = CopulaSpec.from_matrix(np.eye(2))
         cdfs = [m[1] for m in gauss_marginals]
-        assert grid_c_max(spec, cdfs, [np.linspace(-1, 1, 5)] * 2) == 1.0
+        assert grid_weights(spec, cdfs, [np.linspace(-1, 1, 5)] * 2)[1] == 1.0
 
     def test_center_lower_bound(self, gauss_marginals):
         spec = two_asset_spec(-0.25)
         cdfs = [m[1] for m in gauss_marginals]
         grid = np.linspace(-2, 2, 9)  # includes 0
-        value = grid_c_max(spec, cdfs, [grid, grid])
+        weights, value = grid_weights(spec, cdfs, [grid, grid])
         assert value >= 1.0 / math.sqrt(1 - 0.0625)
+        assert value == 1.01 * weights.max()
 
     def test_grows_toward_corners(self, gauss_marginals):
         spec = two_asset_spec(-0.25)
         cdfs = [m[1] for m in gauss_marginals]
-        shallow = grid_c_max(spec, cdfs, [np.linspace(-2, 2, 9)] * 2)
-        deep = grid_c_max(spec, cdfs, [np.linspace(-4, 4, 17)] * 2)
+        shallow = grid_weights(spec, cdfs, [np.linspace(-2, 2, 9)] * 2)[1]
+        deep = grid_weights(spec, cdfs, [np.linspace(-4, 4, 17)] * 2)[1]
         assert deep >= shallow
 
     def test_c_prime_max_positive_when_correlated(self, gauss_marginals):
@@ -204,6 +189,10 @@ class TestGridCMax:
         spec = CopulaSpec.from_matrix(np.eye(2))
         w = copula_weights_on_grid(spec, [np.array([0.2, 0.5]), np.array([0.4, 0.9])])
         assert np.array_equal(w, np.ones((2, 2)))
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(DomainError):
+            grid_c_max(two_asset_spec(), np.ones((0, 3)))
 
 
 class TestLoadCorrelation:

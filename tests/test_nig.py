@@ -190,6 +190,15 @@ class TestPriceEuropean:
         assert all(a > b for a, b in zip(calls, calls[1:]))
         assert all(a < b for a, b in zip(puts, puts[1:]))
 
+    def test_batch_shape_checked(self, axa_params, axa_slice):
+        model = ExpNIGModel(axa_params, axa_slice)
+        with pytest.raises(DomainError):
+            price_european_batch(model, [30.0, 31.0, 32.0], ["C"])  # fewer kinds than strikes
+        with pytest.raises(DomainError):
+            price_european_batch(model, [30.0], ["C", "P"])
+        with pytest.raises(DomainError):
+            price_european_batch(model, [[30.0, 31.0]], ["C", "C"])
+
 
 class TestPriceCos:
     def test_agreement_with_quadrature_atm(self, axa_params, axa_slice):

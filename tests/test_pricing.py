@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qamcpricer import copula, pricing
 from qamcpricer.copula import CopulaSpec
 from qamcpricer.cosine_density import CosineSeries, Interval, coeffs_classical
 from qamcpricer.errors import DomainError, ValidationError
@@ -114,6 +115,21 @@ class TestMeasure:
         adj = measure.payoff_values * measure.copula_weights / (h_max * measure.c_max)
         ind_side = measure.independent_masses * adj * measure.c_max * h_max
         assert np.max(np.abs(joint_side - ind_side)) <= 1e-12 * max(h_max, 1.0)
+
+    def test_copula_weights_evaluated_once(self, spread_setup, monkeypatch):
+        payoff, marginals, spec, grid = spread_setup
+        calls = []
+        weights_on_grid = copula.copula_weights_on_grid
+
+        def counted(*args):
+            calls.append(args)
+            return weights_on_grid(*args)
+
+        for module in (copula, pricing):
+            monkeypatch.setattr(module, "copula_weights_on_grid", counted)
+        measure = GridMeasure.build(payoff, marginals, spec, grid)
+        assert len(calls) == 1
+        assert measure.c_max == 1.01 * float(measure.copula_weights.max())
 
     def test_identity_copula_collapse(self, spread_setup):
         payoff, marginals, _, grid = spread_setup

@@ -1,43 +1,42 @@
-"""Tests for the statevector simulator and the amplitude estimators."""
+"""Tests for the amplitude estimators, checked against the statevector model."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qamcpricer.cosine_density import Interval, basis_gamma, coeffs_classical
+from qamcpricer import qamc
+from qamcpricer.cosine_density import Interval, basis_gamma
 from qamcpricer.copula import CopulaSpec
 from qamcpricer.errors import DomainError, ValidationError
-from qamcpricer.market_data import MarketSlice
-from qamcpricer.nig import NIGParams, nig_pdf
+from qamcpricer.experiments import basket_setup, spread_setup
+from qamcpricer.nig import nig_pdf
 from qamcpricer.pricing import AssetMarginal, GridMeasure, Payoff, PricingGrid, riemann_reference
 from qamcpricer.qamc import (
     AEConfig,
     AEResult,
-    AmplitudeOracle,
-    apply_payoff_rotation,
-    build_density_oracle,
-    grover_operator,
     iqae_estimate,
     qamc_coefficient,
     qamc_price,
     run_log_line,
     signed_ae_estimate,
 )
+from statevector import GroverOperator, load_masses, prepare, rotate_payoff
 
 
-def flat_oracle(a: float, nodes: int = 8) -> AmplitudeOracle:
-    return AmplitudeOracle.build(np.full(nodes, 1.0 / nodes), np.full(nodes, a))
+def flat(a: float, nodes: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform masses and a constant payoff: amplitude a."""
+    return np.full(nodes, 1.0 / nodes), np.full(nodes, a)
 
 
 class TestDensityOracle:
     def test_uniform_masses(self):
-        state = build_density_oracle(np.full(8, 1.0 / 8.0)).prepare()
+        state = load_masses(np.full(8, 1.0 / 8.0))
         assert np.allclose(state.amplitudes[0:16:2], 1.0 / math.sqrt(8.0))
         assert state.ancilla_one_probability == 0.0
 
     def test_single_unit_mass(self):
-        state = build_density_oracle([0.0, 1.0, 0.0, 0.0]).prepare()
+        state = load_masses([0.0, 1.0, 0.0, 0.0])
         dist = state.data_distribution()
         assert dist[1] == pytest.approx(1.0)
         assert np.sum(dist) == pytest.approx(1.0)
@@ -47,58 +46,56 @@ class TestDensityOracle:
         nodes = np.linspace(a, b, 32)
         masses = nig_pdf(nodes, axa_params, 1.0)
         masses /= masses.sum()
-        dist = build_density_oracle(masses).prepare().data_distribution()
+        dist = load_masses(masses).data_distribution()
         assert np.max(np.abs(dist - masses)) <= 1e-12
 
     def test_all_zero_mass_rejected(self):
         with pytest.raises(DomainError):
-            build_density_oracle(np.zeros(4))
+            load_masses(np.zeros(4))
 
     def test_large_clip_rejected(self):
         with pytest.raises(ValidationError):
-            build_density_oracle([0.5, 0.5, -0.1, 0.0])
+            load_masses([0.5, 0.5, -0.1, 0.0])
 
 
 class TestPayoffRotation:
     def test_constant_one(self):
-        state = build_density_oracle(np.full(4, 0.25)).prepare()
-        rotated = apply_payoff_rotation(state, np.ones(4))
+        rotated = prepare(np.full(4, 0.25), np.ones(4))
         assert rotated.ancilla_one_probability == pytest.approx(1.0, abs=1e-14)
 
     def test_constant_zero(self):
-        state = build_density_oracle(np.full(4, 0.25)).prepare()
-        rotated = apply_payoff_rotation(state, np.zeros(4))
+        rotated = prepare(np.full(4, 0.25), np.zeros(4))
         assert rotated.ancilla_one_probability == 0.0
 
     def test_dot_product_identity(self):
         rng = np.random.default_rng(1)
         p = rng.dirichlet(np.ones(8))
         phi = rng.uniform(0, 1, 8)
-        state = apply_payoff_rotation(build_density_oracle(p).prepare(), phi)
+        state = prepare(p, phi)
         assert state.ancilla_one_probability == pytest.approx(float(np.dot(p, phi)), abs=1e-12)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(2)
         p = rng.dirichlet(np.ones(16))
         phi = rng.uniform(0, 1, 16)
-        state = apply_payoff_rotation(build_density_oracle(p).prepare(), phi)
+        state = prepare(p, phi)
         assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_range_validation(self):
-        state = build_density_oracle(np.full(4, 0.25)).prepare()
+        state = load_masses(np.full(4, 0.25))
         with pytest.raises(DomainError):
-            apply_payoff_rotation(state, [0.5, 1.5, 0.0, 0.0])
+            rotate_payoff(state, [0.5, 1.5, 0.0, 0.0])
 
 
 class TestGrover:
     def test_quarter_amplitude_single_step(self):
-        oracle = flat_oracle(0.25)
-        state = grover_operator(oracle).apply(oracle.prepare(), 1)
+        masses, values = flat(0.25)
+        state = GroverOperator(masses, values).apply(prepare(masses, values), 1)
         assert state.ancilla_one_probability == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_power_is_identity(self):
-        oracle = flat_oracle(0.37)
-        state = grover_operator(oracle).apply(oracle.prepare(), 0)
+        masses, values = flat(0.37)
+        state = GroverOperator(masses, values).apply(prepare(masses, values), 0)
         assert state.ancilla_one_probability == pytest.approx(0.37, abs=1e-12)
 
     def test_rotation_identity_random(self):
@@ -106,17 +103,43 @@ class TestGrover:
         for _ in range(5):
             p = rng.dirichlet(np.ones(8))
             phi = rng.uniform(0, 1, 8)
-            oracle = AmplitudeOracle.build(p, phi)
-            theta = math.asin(math.sqrt(oracle.amplitude))
-            op = grover_operator(oracle)
+            theta = math.asin(math.sqrt(float(np.dot(p, phi))))
+            op = GroverOperator(p, phi)
             for m in (1, 2, 3):
-                prob = op.apply(oracle.prepare(), m).ancilla_one_probability
+                prob = op.apply(prepare(p, phi), m).ancilla_one_probability
                 assert prob == pytest.approx(math.sin((2 * m + 1) * theta) ** 2, abs=1e-10)
 
     def test_norm_preserved_across_powers(self):
-        oracle = flat_oracle(0.12)
-        state = grover_operator(oracle).apply(oracle.prepare(), 7)
+        masses, values = flat(0.12)
+        state = GroverOperator(masses, values).apply(prepare(masses, values), 7)
         assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestProductionAmplitude:
+    @pytest.mark.parametrize("setup", [spread_setup, basket_setup], ids=["spread", "basket"])
+    @pytest.mark.parametrize("formulation", ["joint", "independent"])
+    def test_statevector_matches_amplitude_handed_to_iqae(self, monkeypatch, setup, formulation):
+        payoff, marginals, spec, grid = setup()
+        assert grid.total_nodes == 64
+        measure = GridMeasure.build(payoff, marginals, spec, grid)
+        handed = []
+        estimate = qamc.iqae_estimate
+
+        def spy(amplitude, cfg, rng=None):
+            handed.append(amplitude)
+            return estimate(amplitude, cfg, rng)
+
+        monkeypatch.setattr(qamc, "iqae_estimate", spy)
+        qamc_price(payoff, marginals, spec, formulation, grid, AEConfig(epsilon=1e-2, seed=0), measure=measure)
+        h_max = measure.payoff_max
+        if formulation == "joint":
+            masses = measure.joint_masses.ravel()
+            values = measure.payoff_values.ravel() / h_max
+        else:
+            masses = measure.independent_masses.ravel()
+            values = (measure.payoff_values * measure.copula_weights).ravel() / (h_max * measure.c_max)
+        assert handed and 0.0 < handed[0] < 1.0
+        assert prepare(masses, values).ancilla_one_probability == pytest.approx(handed[0], abs=1e-12)
 
 
 class TestIqae:
@@ -124,7 +147,7 @@ class TestIqae:
         hits = 0
         for seed in range(200):
             res = iqae_estimate(
-                flat_oracle(0.25),
+                0.25,
                 AEConfig(epsilon=1e-3, rho=0.05),
                 np.random.default_rng([seed, 5]),
             )
@@ -132,7 +155,7 @@ class TestIqae:
         assert hits / 200 >= 0.95
 
     def test_trivial_epsilon(self):
-        res = iqae_estimate(flat_oracle(0.8), AEConfig(epsilon=0.5, rho=0.05), np.random.default_rng(0))
+        res = iqae_estimate(0.8, AEConfig(epsilon=0.5, rho=0.05), np.random.default_rng(0))
         assert abs(res.estimate - 0.8) <= 0.5
         assert res.oracle_queries == 1
 
@@ -142,7 +165,7 @@ class TestIqae:
         for eps in ladder:
             qs = [
                 iqae_estimate(
-                    flat_oracle(0.25), AEConfig(epsilon=eps, rho=0.05), np.random.default_rng([s, 9])
+                    0.25, AEConfig(epsilon=eps, rho=0.05), np.random.default_rng([s, 9])
                 ).oracle_queries
                 for s in range(10)
             ]
@@ -155,7 +178,7 @@ class TestIqae:
             return np.mean(
                 [
                     iqae_estimate(
-                        flat_oracle(0.3), AEConfig(epsilon=eps, rho=0.05), np.random.default_rng([s, 2])
+                        0.3, AEConfig(epsilon=eps, rho=0.05), np.random.default_rng([s, 2])
                     ).oracle_queries
                     for s in range(16)
                 ]
@@ -165,24 +188,46 @@ class TestIqae:
         assert 1.4 <= ratio <= 2.6  # factor 2 within 30%
 
     def test_query_accounting_audit(self):
-        res = iqae_estimate(flat_oracle(0.25), AEConfig(epsilon=1e-3, rho=0.05), np.random.default_rng(4))
+        res = iqae_estimate(0.25, AEConfig(epsilon=1e-3, rho=0.05), np.random.default_rng(4))
         recomputed = sum(shots * (2 * k + 1) for k, shots in res.rounds)
         assert recomputed == res.oracle_queries
         assert res.shots_used == sum(shots for _, shots in res.rounds)
 
     def test_extreme_amplitudes(self):
         for a in (0.0, 1.0, 1e-4, 1 - 1e-4):
-            res = iqae_estimate(flat_oracle(a), AEConfig(epsilon=5e-3, rho=0.05), np.random.default_rng(11))
+            res = iqae_estimate(a, AEConfig(epsilon=5e-3, rho=0.05), np.random.default_rng(11))
             assert abs(res.estimate - a) <= 5e-3
 
     def test_depth_cap_flag(self):
         res = iqae_estimate(
-            flat_oracle(0.25),
+            0.25,
             AEConfig(epsilon=1e-5, rho=0.05, max_grover_depth=2, max_rounds=40),
             np.random.default_rng(0),
         )
         assert res.capped
         assert res.half_width > 1e-5  # honest unfinished interval
+
+    def test_looks_per_depth_bounded_by_confidence_split(self):
+        # Depth 0 only: the interval cannot reach 2e-4 within 32 looks.
+        res = iqae_estimate(0.25, AEConfig(epsilon=1e-4, max_grover_depth=0), np.random.default_rng(0))
+        assert len(res.rounds) == 32
+        assert res.capped
+        assert abs(res.estimate - 0.25) <= res.half_width
+
+    def test_budget_stop_is_capped(self):
+        res = iqae_estimate(0.25, AEConfig(epsilon=1e-5, max_queries=1000), np.random.default_rng(0))
+        assert res.oracle_queries <= 1000
+        assert res.capped
+        assert res.half_width > 1e-5
+
+    def test_amplitude_outside_unit_interval_rejected(self):
+        cfg = AEConfig(epsilon=1e-2)
+        for a in (-1e-9, 1.0 + 1e-9, float("nan")):
+            with pytest.raises(DomainError):
+                iqae_estimate(a, cfg, np.random.default_rng(0))
+        for a in (-1e-13, 1.0 + 1e-13):  # roundoff is clamped
+            res = iqae_estimate(a, cfg, np.random.default_rng(0))
+            assert abs(res.estimate - min(max(a, 0.0), 1.0)) <= 1e-2
 
 
 class TestSignedAe:
@@ -191,7 +236,7 @@ class TestSignedAe:
         hits = 0
         for seed in range(100):
             res = signed_ae_estimate(
-                flat_oracle(0.25),
+                0.25,
                 AEConfig(epsilon=5e-3, rho=0.05),
                 scale=1.0,
                 rng=np.random.default_rng([seed, 21]),
@@ -201,14 +246,14 @@ class TestSignedAe:
 
     def test_zero_target_midpoint(self):
         res = signed_ae_estimate(
-            flat_oracle(0.5), AEConfig(epsilon=1e-3, rho=0.05), scale=1.0, rng=np.random.default_rng(1)
+            0.5, AEConfig(epsilon=1e-3, rho=0.05), scale=1.0, rng=np.random.default_rng(1)
         )
         assert abs(res.estimate) <= 2e-3
 
     def test_sign_correct_when_target_clears_noise(self):
         for seed in range(40):
             res = signed_ae_estimate(
-                flat_oracle(0.53),  # v = +0.06, 3x the mapped epsilon 0.02
+                0.53,  # v = +0.06, 3x the mapped epsilon 0.02
                 AEConfig(epsilon=1e-2, rho=0.05),
                 scale=1.0,
                 rng=np.random.default_rng([seed, 33]),
