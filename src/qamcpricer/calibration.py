@@ -46,11 +46,11 @@ DEFAULT_GRID = {
     "delta": (0.1, 0.2, 0.4),
 }
 
-DEFAULT_BOUNDS = {
-    "alpha": (0.5, 30.0),
-    "beta": (-15.0, 15.0),
-    "delta": (1e-3, 5.0),
-}
+# Box bounds on (alpha, beta, delta) and the trust-region stopping rule.
+BOUNDS = ((0.5, 30.0), (-15.0, 15.0), (1e-3, 5.0))
+GTOL = 1e-10
+XTOL = 1e-12
+MAX_ITERATIONS = 500
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,7 @@ class CalibrationConfig:
     regularization: float = 5e-7
     prior: tuple[float, float, float] | None = None  # None -> Black-Scholes ATM prior
     weights_rule: str = "inverse-bid-ask"  # or "uniform"
-    bounds: dict = field(default_factory=lambda: dict(DEFAULT_BOUNDS))
     grid: dict = field(default_factory=lambda: dict(DEFAULT_GRID))
-    gtol: float = 1e-10
-    xtol: float = 1e-12
-    max_iterations: int = 500
 
     def __post_init__(self):
         if self.regularization < 0:
@@ -115,18 +111,37 @@ def _model_prices(theta, slice_: MarketSlice, quotes: list[OptionQuote]) -> np.n
     return price_european_batch(model, [q.strike for q in quotes], [q.kind for q in quotes])
 
 
+def _least_squares(slice_: MarketSlice, config: CalibrationConfig):
+    """J(theta) of one slice as (residuals, fun).
+
+    The usable quotes, their weights and the prior are fixed per slice, so
+    they are computed once here and not at each evaluation.
+    """
+    quotes = _usable_quotes(slice_)
+    if not quotes:
+        raise ValidationError("no usable quotes")
+    weights = quote_weights(quotes, config.weights_rule)
+    mids = np.array([q.mid for q in quotes])
+    prior = np.asarray(_prior_theta(slice_, config), dtype=float)
+    lam = config.regularization
+
+    def residuals(theta):
+        return _model_prices(theta, slice_, quotes) - mids
+
+    def fun(theta):
+        resid = residuals(theta)
+        return float(np.dot(weights, resid**2) + lam * np.sum((theta - prior) ** 2))
+
+    return residuals, fun
+
+
 def objective(theta, slice_: MarketSlice, config: CalibrationConfig) -> float:
     """Exact evaluation of the regularized weighted squared-residual sum."""
     theta = np.asarray(theta, dtype=float)
     if not _admissible(theta):
         raise DomainError(f"inadmissible parameter vector {theta}")
-    quotes = _usable_quotes(slice_)
-    if not quotes:
-        raise ValidationError("no usable quotes")
-    weights = quote_weights(quotes, config.weights_rule)
-    resid = _model_prices(theta, slice_, quotes) - np.array([q.mid for q in quotes])
-    prior = np.asarray(_prior_theta(slice_, config), dtype=float)
-    return float(np.dot(weights, resid**2) + config.regularization * np.sum((theta - prior) ** 2))
+    _, fun = _least_squares(slice_, config)
+    return fun(theta)
 
 
 def bs_prior(slice_: MarketSlice, anchor_alpha: float = 10.0) -> tuple[float, float, float]:
@@ -161,7 +176,8 @@ def grid_init(slice_: MarketSlice, config: CalibrationConfig) -> tuple[float, fl
     ]
     if not points:
         raise ValidationError("initialization lattice empty after admissibility filtering")
-    scores = [objective(p, slice_, config) for p in points]
+    _, fun = _least_squares(slice_, config)
+    scores = [fun(np.asarray(p, dtype=float)) for p in points]
     return points[int(np.argmin(scores))]
 
 
@@ -181,14 +197,7 @@ def calibrate(
     quotes = _usable_quotes(slice_)
     if len(quotes) < 3:
         raise ValidationError("calibration needs at least 3 usable quotes")
-    prior = np.asarray(_prior_theta(slice_, config), dtype=float)
-    weights = quote_weights(quotes, config.weights_rule)
-    mids = np.array([q.mid for q in quotes])
-    lam = config.regularization
-
-    def fun(theta):
-        resid = _model_prices(theta, slice_, quotes) - mids
-        return float(np.dot(weights, resid**2) + lam * np.sum((theta - prior) ** 2))
+    residuals, fun = _least_squares(slice_, config)
 
     def jac(theta):
         grad = np.empty(3)
@@ -202,7 +211,6 @@ def calibrate(
         return grad
 
     start = np.asarray(grid_init(slice_, config), dtype=float)
-    bounds = [config.bounds["alpha"], config.bounds["beta"], config.bounds["delta"]]
     constraints = LinearConstraint(
         np.array([[1.0, -1.0, 0.0], [1.0, 1.0, 0.0]]),
         lb=[1.0 + ADMISSIBILITY_MARGIN, ADMISSIBILITY_MARGIN],
@@ -219,10 +227,10 @@ def calibrate(
         start,
         jac=jac,
         method="trust-constr",
-        bounds=bounds,
+        bounds=BOUNDS,
         constraints=[constraints],
         callback=callback,
-        options={"gtol": config.gtol, "xtol": config.xtol, "maxiter": config.max_iterations},
+        options={"gtol": GTOL, "xtol": XTOL, "maxiter": MAX_ITERATIONS},
     )
     theta = np.asarray(result.x, dtype=float)
     if not _admissible(theta):
@@ -230,7 +238,7 @@ def calibrate(
     value = fun(theta)
     if value > fun(start) + 1e-12:
         raise CalibrationError("optimizer failed to improve on the grid start")
-    resid = _model_prices(theta, slice_, quotes) - mids
+    resid = residuals(theta)
     err_bp = np.abs(resid) / slice_.spot * 1e4
     return CalibrationResult(
         theta=NIGParams(theta[0], theta[1], theta[2], 0.0),

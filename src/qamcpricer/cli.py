@@ -51,7 +51,7 @@ from .experiments import (
 )
 from .market_data import MarketSlice, generate_synthetic_quotes
 from .nig import nig_pdf, support_interval
-from .pricing import AssetMarginal, Payoff, PricingGrid, cmc_price, riemann_reference
+from .pricing import AssetMarginal, GridMeasure, Payoff, PriceEstimate, PricingGrid, cmc_price
 from .qamc import AEConfig, qamc_price
 
 __all__ = ["main"]
@@ -175,8 +175,8 @@ def _build_slices(cfg, out, drop_violations):
 
 
 @_stage("calibrate")
-def cmd_calibrate(cfg: dict, out: Path, drop_violations: bool = False, slices=None):
-    slices = slices if slices is not None else _build_slices(cfg, out, drop_violations)
+def cmd_calibrate(cfg: dict, out: Path, drop_violations: bool = False):
+    slices = _build_slices(cfg, out, drop_violations)
     opts = cfg.get("calibration", {})
     config = cal.CalibrationConfig(
         regularization=float(opts.get("lambda", 5e-7)),
@@ -206,8 +206,8 @@ def cmd_calibrate(cfg: dict, out: Path, drop_violations: bool = False, slices=No
 
 
 @_stage("density")
-def cmd_density(cfg: dict, out: Path, drop_violations: bool = False, calibrated=None):
-    calibrated = calibrated if calibrated is not None else cmd_calibrate(cfg, out, drop_violations)
+def cmd_density(cfg: dict, out: Path, drop_violations: bool = False):
+    calibrated = cmd_calibrate(cfg, out, drop_violations)
     opts = cfg.get("density", {})
     terms = int(opts.get("terms", 128))
     tail_eps = float(opts.get("tail_eps", 1e-5))
@@ -222,8 +222,8 @@ def cmd_density(cfg: dict, out: Path, drop_violations: bool = False, calibrated=
 
 
 @_stage("price")
-def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool = False, marginals=None):
-    marginals = marginals if marginals is not None else cmd_density(cfg, out, drop_violations)
+def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool = False):
+    marginals = cmd_density(cfg, out, drop_violations)
     payoff_cfg = cfg["payoff"]
     assets = payoff_cfg["assets"]
     missing = [a for a in assets if a not in marginals]
@@ -238,6 +238,7 @@ def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool = False, ma
     payoff = Payoff(payoff_cfg["kind"], float(payoff_cfg["strike"]))
     opts = cfg.get("pricing", {})
     grid = PricingGrid.build(chosen, int(opts.get("qubits_per_dim", 3)))
+    measure = GridMeasure.build(payoff, chosen, spec, grid)
     estimators = opts.get("estimators", ["riemann", "cmc-joint", "qamc-joint", "qamc-independent"])
     samples = int(opts.get("samples", 2**16))
     epsilon = float(opts.get("epsilon", 1e-3))
@@ -247,9 +248,9 @@ def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool = False, ma
     for i, estimator in enumerate(estimators):
         rng = np.random.default_rng([seed, 7000 + i])
         if estimator == "riemann":
-            est = riemann_reference(payoff, chosen, spec, grid)
+            est = PriceEstimate(measure.reference_value(), "riemann", grid.total_nodes)
         elif estimator.startswith("cmc-"):
-            est = cmc_price(payoff, chosen, spec, estimator.removeprefix("cmc-"), samples, rng, grid=grid)
+            est = cmc_price(payoff, chosen, spec, estimator.removeprefix("cmc-"), samples, rng, measure=measure)
         elif estimator.startswith("qamc-"):
             est = qamc_price(
                 payoff,
@@ -259,6 +260,7 @@ def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool = False, ma
                 grid,
                 AEConfig(epsilon=epsilon, rho=rho, seed=seed),
                 rng,
+                measure=measure,
             )
         else:
             raise ValidationError(f"unknown estimator {estimator!r}")
@@ -275,14 +277,6 @@ def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool = False, ma
         )
     _write_json(out / "prices.json", rows)
     return rows
-
-
-@_stage("pipeline")
-def cmd_pipeline(cfg: dict, out: Path, seed: int, drop_violations: bool) -> None:
-    slices = _build_slices(cfg, out, drop_violations)
-    calibrated = cmd_calibrate(cfg, out, drop_violations, slices=slices)
-    marginals = cmd_density(cfg, out, drop_violations, calibrated=calibrated)
-    cmd_price(cfg, out, seed, drop_violations, marginals=marginals)
 
 
 def _study_config(cfg: dict, study: str, seed: int) -> StudyConfig:
@@ -400,12 +394,11 @@ def main(argv=None) -> int:
             cmd_calibrate(cfg, out, args.drop_violations)
         elif args.command == "density":
             cmd_density(cfg, out, args.drop_violations)
-        elif args.command == "price":
+        elif args.command in ("price", "pipeline"):
+            # Each stage runs the stages before it, so price is the whole pipeline.
             cmd_price(cfg, out, args.seed, args.drop_violations)
         elif args.command == "study":
             cmd_study(cfg, args.kind, out, args.seed)
-        elif args.command == "pipeline":
-            cmd_pipeline(cfg, out, args.seed, args.drop_violations)
     except QamcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

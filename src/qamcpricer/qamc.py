@@ -47,6 +47,10 @@ RUN_LOG_HEADER = "algo,target,epsilon,rho,estimate,abs_err,queries,seed"
 
 # Roundoff an amplitude may carry outside [0, 1] before it is rejected.
 _AMPLITUDE_TOL = 1e-12
+# Shots in the first look at a depth; each further look at that depth doubles them.
+_FIRST_BATCH = 32
+# Looks per depth that the confidence split allows for.
+_LOOKS_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -55,15 +59,14 @@ class AEConfig:
     rho: float = 0.05
     max_grover_depth: int = 2**22
     seed: int | None = None
-    shots_per_round: int = 32
     max_rounds: int = 100_000
     max_queries: int | None = None  # optional hard budget (matched-cost studies)
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0) or not (0.0 < self.rho < 1.0):
             raise ValidationError("epsilon and rho must lie in (0, 1)")
-        if self.shots_per_round < 1 or self.max_grover_depth < 0:
-            raise ValidationError("invalid shot count or depth cap")
+        if self.max_rounds < 1 or self.max_grover_depth < 0:
+            raise ValidationError("invalid round cap or depth cap")
         if self.max_queries is not None and self.max_queries < 1:
             raise ValidationError("query budget must be positive")
 
@@ -72,18 +75,19 @@ class AEConfig:
 class AEResult:
     estimate: float
     half_width: float
-    oracle_queries: int
-    shots_used: int
-    signed: bool = False
     capped: bool = False
     rounds: tuple[tuple[int, int], ...] = ()  # (grover power, shots) per round
 
-    def __post_init__(self):
-        if self.oracle_queries <= 0:
-            raise ValidationError("query count must be positive")
+    @property
+    def oracle_queries(self) -> int:
+        return sum(shots * (2 * k + 1) for k, shots in self.rounds)
+
+    @property
+    def shots_used(self) -> int:
+        return sum(shots for _, shots in self.rounds)
 
 
-def _find_next_k(k: int, theta_l: float, theta_u: float, up: bool, cap: int, ratio: float = 2.0):
+def _find_next_k(k: int, theta_l: float, theta_u: float, up: bool, cap: int):
     """Largest Grover power (a doubling step up) keeping the scaled interval in one half-period."""
     span = theta_u - theta_l
     k_old_scale = 4 * k + 2
@@ -91,7 +95,7 @@ def _find_next_k(k: int, theta_l: float, theta_u: float, up: bool, cap: int, rat
         return k, up
     scale_max = min(int(math.pi / span), 4 * cap + 2)
     scale = scale_max - (scale_max - 2) % 4
-    while scale >= ratio * k_old_scale:
+    while scale >= 2 * k_old_scale:
         lo = (scale * theta_l) % (2.0 * math.pi)
         hi = (scale * theta_u) % (2.0 * math.pi)
         if hi >= lo:
@@ -110,78 +114,57 @@ def iqae_estimate(amplitude: float, cfg: AEConfig, rng: np.random.Generator | No
     true ancilla-one probability ``amplitude``; query count scales as
     (1/epsilon) log(1/rho).  Shots are drawn from the exact Bernoulli law
     sin^2((2k+1) theta).  An amplitude more than 1e-12 outside [0, 1] is a
-    DomainError; roundoff within that is clamped.  ``capped`` reports a stop
-    before the interval reached 2 epsilon: the round or query budget ran
-    out, or a depth used up its share of the confidence budget.
+    DomainError; roundoff within that is clamped.  For epsilon >= 0.5 the
+    initial interval [0, 1] already meets the target: no shot is drawn and
+    the cost is 0.  ``capped`` reports a stop before the interval reached
+    2 epsilon: the round or query budget ran out, or a depth used up its
+    share of the confidence budget.
     """
     a = float(amplitude)
     if not -_AMPLITUDE_TOL <= a <= 1.0 + _AMPLITUDE_TOL:
         raise DomainError(f"amplitude {a!r} lies outside [0, 1]")
     rng = rng or np.random.default_rng(cfg.seed)
-    a_true = min(max(a, 0.0), 1.0)
-    theta_true = math.asin(math.sqrt(a_true))
-    if cfg.epsilon >= 0.5:
-        # The trivial interval [0, 1] already satisfies the contract.
-        rng.binomial(1, a_true)
-        return AEResult(0.5, 0.5, 1, 1, rounds=((0, 1),))
+    theta_true = math.asin(math.sqrt(min(max(a, 0.0), 1.0)))
 
     # Confidence budget: rho split over the candidate depth levels and the
     # (log-bounded, thanks to batch doubling) number of looks per level.
     t_rounds = max(1, math.ceil(math.log2(math.pi / (8.0 * cfg.epsilon))))
-    looks_cap = 32
-    log_term = math.log(2.0 * t_rounds * looks_cap / cfg.rho)
+    log_term = math.log(2.0 * t_rounds * _LOOKS_CAP / cfg.rho)
     theta_l, theta_u = 0.0, math.pi / 2.0
     up = True
     k = 0
-    looks_at: dict[int, int] = {}
-    ones_at: dict[int, int] = {}
-    shots_at: dict[int, int] = {}
-    batch_at: dict[int, int] = {}
+    # Counts pooled at the current depth.  The Grover power never returns to
+    # an earlier depth, so they reset whenever it moves up.
+    looks = ones = shots = 0
+    batch = _FIRST_BATCH
     queries = 0
-    shots_total = 0
-    round_log: list[tuple[int, int]] = []
+    rounds: list[tuple[int, int]] = []
     capped = False
-
-    def a_interval() -> tuple[float, float]:
-        return math.sin(theta_l) ** 2, math.sin(theta_u) ** 2
-
-    rounds = 0
-    while True:
-        a_lo, a_hi = a_interval()
-        if a_hi - a_lo <= 2.0 * cfg.epsilon:
-            break
-        rounds += 1
-        if rounds > cfg.max_rounds:
+    while math.sin(theta_u) ** 2 - math.sin(theta_l) ** 2 > 2.0 * cfg.epsilon:
+        if len(rounds) >= cfg.max_rounds:
             capped = True
             break
-        k, up = _find_next_k(k, theta_l, theta_u, up, cfg.max_grover_depth)
-        if looks_at.get(k, 0) == looks_cap:
+        next_k, up = _find_next_k(k, theta_l, theta_u, up, cfg.max_grover_depth)
+        if next_k != k:
+            k, looks, ones, shots, batch = next_k, 0, 0, 0, _FIRST_BATCH
+        if looks == _LOOKS_CAP:
             capped = True  # a further look would overdraw this depth's share of rho
             break
+        if cfg.max_queries is not None and queries > 0 and queries + batch * (2 * k + 1) > cfg.max_queries:
+            capped = True
+            break
+        ones += int(rng.binomial(batch, math.sin((2 * k + 1) * theta_true) ** 2))
+        looks += 1
+        shots += batch
+        queries += batch * (2 * k + 1)
+        rounds.append((k, batch))
         # Each repeated look at the same depth doubles the batch, so the
         # interval either shrinks enough to advance within a few looks or the
         # shot count grows geometrically; either way looks stay log-bounded.
-        batch = batch_at.get(k, cfg.shots_per_round)
-        batch_at[k] = min(2 * batch, 2**20)
-        if (
-            cfg.max_queries is not None
-            and queries > 0
-            and queries + batch * (2 * k + 1) > cfg.max_queries
-        ):
-            capped = True
-            break
-        scale = 4 * k + 2
-        p_shot = math.sin((2 * k + 1) * theta_true) ** 2
-        ones = int(rng.binomial(batch, p_shot))
-        looks_at[k] = looks_at.get(k, 0) + 1
-        ones_at[k] = ones_at.get(k, 0) + ones
-        shots_at[k] = shots_at.get(k, 0) + batch
-        shots_total += batch
-        queries += batch * (2 * k + 1)
-        round_log.append((k, batch))
+        batch = min(2 * batch, 2**20)
 
-        mean = ones_at[k] / shots_at[k]
-        radius = math.sqrt(log_term / (2.0 * shots_at[k]))
+        mean = ones / shots
+        radius = math.sqrt(log_term / (2.0 * shots))
         p_lo = max(0.0, mean - radius)
         p_hi = min(1.0, mean + radius)
         if up:
@@ -195,21 +178,15 @@ def iqae_estimate(amplitude: float, cfg: AEConfig, rng: np.random.Generator | No
         # shots accumulate instead of being committed forever.  The turn
         # count comes from the interval midpoint, which sits strictly inside
         # its half-period (endpoints can touch turn boundaries).
+        scale = 4 * k + 2
         turns = math.floor(scale * 0.5 * (theta_l + theta_u) / (2.0 * math.pi))
         new_l = (2.0 * math.pi * turns + omega_lo) / scale
         new_u = (2.0 * math.pi * turns + omega_hi) / scale
         theta_l = min(max(0.0, min(new_l, new_u)), math.pi / 2.0)
         theta_u = max(0.0, min(max(new_l, new_u), math.pi / 2.0))
 
-    a_lo, a_hi = a_interval()
-    return AEResult(
-        estimate=0.5 * (a_lo + a_hi),
-        half_width=0.5 * (a_hi - a_lo),
-        oracle_queries=max(queries, 1),
-        shots_used=max(shots_total, 1),
-        capped=capped,
-        rounds=tuple(round_log),
-    )
+    a_lo, a_hi = math.sin(theta_l) ** 2, math.sin(theta_u) ** 2
+    return AEResult(0.5 * (a_lo + a_hi), 0.5 * (a_hi - a_lo), capped, tuple(rounds))
 
 
 def signed_ae_estimate(
@@ -225,14 +202,10 @@ def signed_ae_estimate(
     by 2|scale| and the (epsilon, rho) contract survives the affine map.
     """
     base = iqae_estimate(amplitude, cfg, rng)
-    return AEResult(
+    return replace(
+        base,
         estimate=scale * (2.0 * base.estimate - 1.0),
         half_width=2.0 * abs(scale) * base.half_width,
-        oracle_queries=base.oracle_queries,
-        shots_used=base.shots_used,
-        signed=True,
-        capped=base.capped,
-        rounds=base.rounds,
     )
 
 
@@ -253,13 +226,7 @@ def qamc_coefficient(
     p, _ = normalize_cell_masses(masses)
     width = interval.width
     if k == 0:
-        return AEResult(
-            estimate=1.0 / math.sqrt(width),
-            half_width=0.0,
-            oracle_queries=1,
-            shots_used=1,
-            signed=True,
-        )
+        return AEResult(1.0 / math.sqrt(width), 0.0)
     nodes = interval.a + width / p.size * (np.arange(p.size) + 0.5)
     amplitude = float(np.dot(p, basis_gamma_plus(k, nodes, interval)))
     return signed_ae_estimate(amplitude, cfg, scale=math.sqrt(2.0 / width), rng=rng)

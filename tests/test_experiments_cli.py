@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qamcpricer import pricing
 from qamcpricer.cli import main
 from qamcpricer.cosine_density import series_from_json
 from qamcpricer.errors import ValidationError
@@ -149,6 +150,24 @@ def pipeline_out(bundle, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def price_run(bundle, tmp_path_factory):
+    """A ``price --seed 7`` run and the number of grid measures it built."""
+    out = tmp_path_factory.mktemp("price")
+    build = pricing.GridMeasure.build.__func__
+    builds = []
+
+    def counted(cls, *args, **kwargs):
+        builds.append(args)
+        return build(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pricing.GridMeasure, "build", classmethod(counted))
+        rc = main(["price", "--config", str(bundle / "config.json"), "--out", str(out), "--seed", "7"])
+    assert rc == 0
+    return out, len(builds)
+
+
 class TestCli:
     def test_bundle_contents(self, bundle):
         assert {p.name for p in bundle.iterdir()} == {"quotes.csv", "corr.json", "config.json"}
@@ -198,6 +217,34 @@ class TestCli:
         assert rc == 0
         for name in ("curves.json", "calibration.json", "prices.json", "density_AXA.json"):
             assert (pipeline_out / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_curves_command(self, bundle, pipeline_out, tmp_path):
+        rc = main(["curves", "--config", str(bundle / "config.json"), "--out", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "curves.json").read_bytes() == (pipeline_out / "curves.json").read_bytes()
+
+    def test_calibrate_command(self, bundle, pipeline_out, tmp_path):
+        rc = main(["calibrate", "--config", str(bundle / "config.json"), "--out", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "calibration.json").read_bytes() == (pipeline_out / "calibration.json").read_bytes()
+        assert not (tmp_path / "density_AXA.json").exists()
+
+    def test_density_command(self, bundle, pipeline_out, tmp_path):
+        rc = main(["density", "--config", str(bundle / "config.json"), "--out", str(tmp_path)])
+        assert rc == 0
+        for name in ("AXA", "CREDIT_AGRICOLE", "MICHELIN"):
+            path = f"density_{name}.json"
+            assert (tmp_path / path).read_bytes() == (pipeline_out / path).read_bytes()
+        assert not (tmp_path / "prices.json").exists()
+
+    def test_price_command_matches_pipeline(self, price_run, pipeline_out):
+        out, _ = price_run
+        assert (out / "prices.json").read_bytes() == (pipeline_out / "prices.json").read_bytes()
+
+    def test_price_builds_one_grid_measure(self, price_run):
+        # riemann, cmc-joint and both qamc formulations share one measure.
+        _, builds = price_run
+        assert builds == 1
 
     def test_arb_violation_stops_pipeline(self, bundle, tmp_path):
         quotes = (bundle / "quotes.csv").read_text().rstrip().splitlines()

@@ -157,7 +157,14 @@ class TestIqae:
     def test_trivial_epsilon(self):
         res = iqae_estimate(0.8, AEConfig(epsilon=0.5, rho=0.05), np.random.default_rng(0))
         assert abs(res.estimate - 0.8) <= 0.5
-        assert res.oracle_queries == 1
+        assert res.oracle_queries == 0
+        assert res.rounds == ()
+
+    def test_trivial_epsilon_draws_nothing(self):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        iqae_estimate(0.8, AEConfig(epsilon=0.6), rng)
+        assert rng.bit_generator.state == before
 
     def test_query_scaling_slope(self):
         ladder = [2e-2, 1e-2, 5e-3, 2e-3, 1e-3, 5e-4]
@@ -229,6 +236,10 @@ class TestIqae:
             res = iqae_estimate(a, cfg, np.random.default_rng(0))
             assert abs(res.estimate - min(max(a, 0.0), 1.0)) <= 1e-2
 
+    def test_zero_round_cap_rejected(self):
+        with pytest.raises(ValidationError):
+            AEConfig(epsilon=1e-2, max_rounds=0)
+
 
 class TestSignedAe:
     def test_negative_target_coverage(self):
@@ -266,7 +277,7 @@ class TestQamcCoefficient:
         iv = Interval(-2.0, 2.0)
         res = qamc_coefficient(np.full(32, 1 / 32), 0, iv, AEConfig(epsilon=1e-3))
         assert res.estimate == pytest.approx(0.5)  # 1/sqrt(4)
-        assert res.oracle_queries == 1
+        assert res.oracle_queries == 0
 
     def test_matches_grid_truth(self, axa_params):
         # Reference setup: 2^5 grid nodes, 2^4 coefficients, every estimate
@@ -360,7 +371,7 @@ class TestQamcPrice:
 class TestRunLog:
     def test_line_format(self):
         cfg = AEConfig(epsilon=1e-2, rho=0.05)
-        res = AEResult(estimate=0.25, half_width=0.005, oracle_queries=123, shots_used=30)
+        res = AEResult(estimate=0.25, half_width=0.005, rounds=((20, 3),))  # 3 shots x 41 queries
         line = run_log_line("iqae", 0.251, cfg, res, seed=7)
         fields = line.split(",")
         assert len(fields) == 8
