@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -248,7 +249,7 @@ def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool = False):
     for i, estimator in enumerate(estimators):
         rng = np.random.default_rng([seed, 7000 + i])
         if estimator == "riemann":
-            est = PriceEstimate(measure.reference_value(), "riemann", grid.total_nodes)
+            est = PriceEstimate(measure.reference_value(), "riemann", grid.total_nodes, stderr=0.0)
         elif estimator.startswith("cmc-"):
             est = cmc_price(payoff, chosen, spec, estimator.removeprefix("cmc-"), samples, rng, measure=measure)
         elif estimator.startswith("qamc-"):
@@ -270,7 +271,7 @@ def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool = False):
                 "formulation": estimator.split("-", 1)[1] if "-" in estimator else "n/a",
                 "estimator": estimator,
                 "value": est.value,
-                "stderr_or_eps": est.stderr if est.stderr is not None else epsilon,
+                "stderr_or_eps": est.stderr,
                 "samples_or_queries": est.samples_or_queries,
                 "seed": seed,
             }
@@ -281,7 +282,11 @@ def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool = False):
 
 def _study_config(cfg: dict, study: str, seed: int) -> StudyConfig:
     opts = dict(cfg.get("study", {}))
-    opts.pop("out_dir", None)
+    # The command picks the study and --seed the seed; every other field is settable.
+    settable = {f.name for f in fields(StudyConfig)} - {"study", "seed"}
+    unknown = sorted(set(opts) - settable)
+    if unknown:
+        raise ValidationError(f"unknown study option(s) {unknown}; expected some of {sorted(settable)}")
     for tuple_key in ("epsilon_ladder", "sample_ladder", "recovery_terms"):
         if tuple_key in opts:
             opts[tuple_key] = tuple(opts[tuple_key])

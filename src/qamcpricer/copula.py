@@ -1,4 +1,4 @@
-"""Gaussian copula density, joint-density assembly, and grid density bounds.
+"""Gaussian copula weights on the pricing grid and their bound c_max.
 
 The copula density with correlation matrix Sigma is
 
@@ -6,7 +6,9 @@ The copula density with correlation matrix Sigma is
 
 which multiplies the product of marginals to form the joint density (Sklar).
 Pricing under independent marginals weights the payoff by c(F_1,...,F_N):
-the whole dependence structure rides on that multiplicative factor.
+the whole dependence structure rides on that multiplicative factor.  Every
+estimator prices the grid measure, so c is evaluated in one place: on the
+tensor grid of per-axis CDF values (copula_weights_on_grid).
 
 c(u) is unbounded at the corners of the cube for any Sigma != I, so the
 c_max used to keep the adjusted payoff h c / (h_max c_max) in [0, 1] is taken
@@ -28,12 +30,8 @@ from .numerics import std_normal_quantile
 
 __all__ = [
     "CopulaSpec",
-    "gaussian_copula_density",
-    "copula_density_at_cdf_values",
-    "joint_pdf",
-    "grid_c_max",
-    "grid_c_prime_max",
     "copula_weights_on_grid",
+    "grid_c_max",
     "load_correlation",
     "CLAMP_EPS",
 ]
@@ -48,8 +46,7 @@ class CopulaSpec:
     """Correlation matrix with its inverse and determinant.
 
     Grid-level bounds of the density belong to a grid, not to the matrix:
-    GridMeasure.build takes c_max from the weights it computes (grid_c_max),
-    and grid_c_prime_max bounds the derivative on a grid.
+    GridMeasure.build takes c_max from the weights it computes (grid_c_max).
     """
 
     sigma: np.ndarray
@@ -79,28 +76,6 @@ class CopulaSpec:
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.sigma, np.eye(self.dim)))
 
-    @property
-    def cholesky(self) -> np.ndarray:
-        return np.linalg.cholesky(self.sigma)
-
-
-def _density_from_unit(u: np.ndarray, spec: CopulaSpec) -> np.ndarray:
-    z = std_normal_quantile(u)
-    z = np.atleast_2d(z)
-    quad = np.einsum("...i,ij,...j->...", z, spec.inv - np.eye(spec.dim), z)
-    return np.exp(-0.5 * quad) / math.sqrt(spec.det)
-
-
-def gaussian_copula_density(u, spec: CopulaSpec):
-    """Copula density at u in the open cube (0, 1)^N; strictly positive."""
-    u_arr = np.asarray(u, dtype=float)
-    if u_arr.shape[-1] != spec.dim:
-        raise DomainError(f"expected {spec.dim}-dimensional u, got shape {u_arr.shape}")
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
-        raise DomainError("copula density requires every u_i strictly inside (0, 1)")
-    out = _density_from_unit(u_arr, spec)
-    return float(out[0]) if u_arr.ndim == 1 else out.reshape(u_arr.shape[:-1])
-
 
 def _clamped_unit(u: np.ndarray) -> np.ndarray:
     clipped = np.clip(u, CLAMP_EPS, 1.0 - CLAMP_EPS)
@@ -110,54 +85,32 @@ def _clamped_unit(u: np.ndarray) -> np.ndarray:
     return clipped
 
 
-def copula_density_at_cdf_values(cdf_values, spec: CopulaSpec):
-    """Copula density at possibly-saturated CDF values (clamped into the cube).
-
-    Unlike gaussian_copula_density this tolerates exact 0/1 coordinates,
-    which truncated CDFs produce at grid edges.
-    """
-    u = np.asarray(cdf_values, dtype=float)
-    if u.shape[-1] != spec.dim:
-        raise DomainError(f"expected {spec.dim}-dimensional CDF values, got shape {u.shape}")
-    if spec.is_identity:
-        return 1.0 if u.ndim == 1 else np.ones(u.shape[:-1])
-    out = _density_from_unit(_clamped_unit(u), spec)
-    return float(out[0]) if u.ndim == 1 else out.reshape(u.shape[:-1])
-
-
 def copula_weights_on_grid(spec: CopulaSpec, unit_coords: list[np.ndarray]) -> np.ndarray:
     """c(u_1,...,u_N) on the tensor grid of per-dimension CDF values.
 
     CDF values exactly at 0 or 1 (truncated-CDF saturation) are clamped into
-    the open cube with a diagnostic count.
+    the open cube with a diagnostic count.  The normal quantile runs once per
+    axis; the quadratic form is summed over (i, j) by broadcasting those
+    per-axis vectors, so no (nodes, N) array of coordinates is formed.
     """
     if len(unit_coords) != spec.dim:
         raise DomainError("one coordinate vector per dimension required")
+    shape = tuple(len(c) for c in unit_coords)
     if spec.is_identity:
-        shape = tuple(len(c) for c in unit_coords)
         return np.ones(shape)
-    mesh = np.meshgrid(*[_clamped_unit(np.asarray(c, dtype=float)) for c in unit_coords], indexing="ij")
-    u = np.stack(mesh, axis=-1)
-    return _density_from_unit(u, spec).reshape(u.shape[:-1])
-
-
-def joint_pdf(x, marginals, spec: CopulaSpec):
-    """Joint density c(F_1(x_1),...,F_N(x_N)) * prod_i f_i(x_i).
-
-    ``marginals`` is a list of (pdf, cdf) callables per asset.  With the
-    identity matrix this reduces exactly to the product of the marginals.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    if x_arr.shape[-1] != spec.dim or len(marginals) != spec.dim:
-        raise DomainError("dimension mismatch between x, marginals, and spec")
-    dens = np.ones(x_arr.shape[:-1]) if x_arr.ndim > 1 else 1.0
-    cdf_vals = np.empty_like(x_arr)
-    for i, (pdf_i, cdf_i) in enumerate(marginals):
-        xi = x_arr[..., i]
-        dens = dens * np.asarray(pdf_i(xi), dtype=float)
-        cdf_vals[..., i] = np.asarray(cdf_i(xi), dtype=float)
-    out = copula_density_at_cdf_values(cdf_vals, spec) * dens
-    return float(out) if x_arr.ndim == 1 else out
+    z = []
+    for axis, coords in enumerate(unit_coords):
+        view = [1] * spec.dim
+        view[axis] = shape[axis]
+        z.append(std_normal_quantile(_clamped_unit(np.asarray(coords, dtype=float))).reshape(view))
+    m = spec.inv - np.eye(spec.dim)
+    # Terms are added from zero in row-major (i, j) order; the last bits of
+    # the weights, and so the pinned references, depend on that order.
+    quad = np.zeros(shape)
+    for i in range(spec.dim):
+        for j in range(spec.dim):
+            quad += z[i] * m[i, j] * z[j]
+    return np.exp(-0.5 * quad) / math.sqrt(spec.det)
 
 
 def grid_c_max(spec: CopulaSpec, weights: np.ndarray) -> float:
@@ -172,31 +125,6 @@ def grid_c_max(spec: CopulaSpec, weights: np.ndarray) -> float:
     if weights.size == 0:
         raise DomainError("grids must be non-empty")
     return 1.01 * float(weights.max())
-
-
-def grid_c_prime_max(spec: CopulaSpec, marginal_cdfs, grids: list[np.ndarray], step: float = 1e-6) -> float:
-    """Max |dc/du_i| over grid nodes by central differences (budgeting only)."""
-    if spec.is_identity:
-        return 0.0
-    unit = [
-        _clamped_unit(np.asarray(cdf(np.asarray(g, dtype=float)), dtype=float))
-        for cdf, g in zip(marginal_cdfs, grids)
-    ]
-    mesh = np.meshgrid(*unit, indexing="ij")
-    u = np.stack(mesh, axis=-1).reshape(-1, spec.dim)
-    worst = 0.0
-    for i in range(spec.dim):
-        up = u.copy()
-        dn = u.copy()
-        up[:, i] = np.clip(up[:, i] + step, CLAMP_EPS, 1 - CLAMP_EPS)
-        dn[:, i] = np.clip(dn[:, i] - step, CLAMP_EPS, 1 - CLAMP_EPS)
-        width = up[:, i] - dn[:, i]
-        ok = width > 0
-        deriv = np.abs(
-            _density_from_unit(up[ok], spec) - _density_from_unit(dn[ok], spec)
-        ) / width[ok]
-        worst = max(worst, float(deriv.max()))
-    return worst
 
 
 def load_correlation(source) -> tuple[list[str], CopulaSpec]:

@@ -78,7 +78,6 @@ class StudyConfig:
     matched_cost: int = 5000
     recovery_terms: tuple[int, ...] = (8, 16, 32)
     rho: float = 0.05
-    out_dir: str | None = None
 
     def __post_init__(self):
         if self.study not in ("coeffs", "density-recovery", "price-convergence"):

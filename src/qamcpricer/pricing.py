@@ -10,10 +10,9 @@ values.  The Riemann reference
 is the common estimand, so estimator error can be studied without mixing in
 discretization error.
 
-CMC supports both formulations (joint sampling of correlated vectors, or
-independent marginals with the copula weight moved into the payoff) and two
-sampling modes: the discrete grid measure (matching the reference exactly)
-and continuous inverse-CDF sampling of the marginals.
+CMC draws nodes of that same measure, in either formulation: joint sampling
+of the copula-weighted cell masses, or independent marginals with the copula
+weight moved into the payoff.  Its estimate is unbiased for the reference.
 """
 
 from __future__ import annotations
@@ -25,12 +24,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .copula import CopulaSpec, copula_density_at_cdf_values, copula_weights_on_grid, grid_c_max
+from .copula import CopulaSpec, copula_weights_on_grid, grid_c_max
 from .cosine_density import CosineSeries, eval_cdf, eval_pdf
 from .errors import DomainError, ValidationError
 from .market_data import MarketSlice
 from .nig import ExpNIGModel, NIGParams, nig_cdf, nig_pdf, support_interval
-from .numerics import std_normal_cdf
 
 __all__ = [
     "Payoff",
@@ -126,27 +124,6 @@ class AssetMarginal:
 
     def price_at(self, x):
         return self.model.price_at(x)
-
-    def quantile(self, u, tol: float = 1e-10):
-        """Inverse CDF on the support by bisection (truncation wiggle safe).
-
-        Values of u outside the CDF range of the interval saturate to the
-        endpoints (the CDF is 0/1 outside by construction).
-        """
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        if np.any((u_arr <= 0.0) | (u_arr >= 1.0)):
-            raise DomainError("quantile requires u in (0, 1)")
-        a, b = self.interval
-        lo = np.full(u_arr.shape, a)
-        hi = np.full(u_arr.shape, b)
-        steps = max(60, int(math.ceil(math.log2((b - a) / tol))))
-        for _ in range(steps):
-            mid = 0.5 * (lo + hi)
-            below = np.asarray(self.cdf(mid)) < u_arr
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
-        return float(out[0]) if np.isscalar(u) else out
 
 
 def normalize_cell_masses(raw) -> tuple[np.ndarray, float]:
@@ -332,6 +309,7 @@ def riemann_reference(
         value=measure.reference_value(),
         estimator="riemann",
         samples_or_queries=grid.total_nodes,
+        stderr=0.0,
     )
 
 
@@ -351,60 +329,32 @@ def cmc_price(
     rng: np.random.Generator,
     grid: PricingGrid | None = None,
     measure: GridMeasure | None = None,
-    sampling: str = "grid",
 ) -> PriceEstimate:
-    """Classical Monte Carlo in the joint or independent formulation.
+    """Classical Monte Carlo over the nodes of the shared grid measure.
 
-    sampling="grid" draws nodes of the shared discrete measure, making the
-    estimator unbiased for riemann_reference.  sampling="continuous" draws
-    correlated vectors via Cholesky -> normal CDF -> marginal quantile
-    (joint), or independent marginals weighted by the copula density
-    (independent formulation).
+    The joint formulation draws nodes from the copula-weighted cell masses;
+    the independent one draws each axis from its marginal masses and weights
+    the payoff by the copula.  Either is unbiased for riemann_reference.
+    Pass the prebuilt ``measure``, or the ``grid`` to build it on.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
     if formulation not in ("joint", "independent"):
         raise DomainError(f"unknown formulation {formulation!r}")
-    if sampling not in ("grid", "continuous"):
-        raise DomainError(f"unknown sampling mode {sampling!r}")
-    df = _common_discount(marginals)
-
-    if sampling == "grid":
-        if measure is None:
-            if grid is None:
-                raise DomainError("grid sampling needs a grid or a prebuilt measure")
-            measure = GridMeasure.build(payoff, marginals, spec, grid)
-        if formulation == "joint":
-            flat = measure.joint_masses.ravel()
-            idx = sample_grid_indices(flat, samples, rng)
-            draws = measure.payoff_values.ravel()[idx] * measure.copula_total_mass
-        else:
-            per_dim = [
-                sample_grid_indices(p, samples, rng) for p in measure.marginal_masses
-            ]
-            flat_idx = np.ravel_multi_index(per_dim, measure.payoff_values.shape)
-            draws = (
-                measure.payoff_values.ravel()[flat_idx]
-                * measure.copula_weights.ravel()[flat_idx]
-            )
+    if measure is None:
+        if grid is None:
+            raise DomainError("cmc_price needs a grid or a prebuilt measure")
+        measure = GridMeasure.build(payoff, marginals, spec, grid)
+    if formulation == "joint":
+        flat = measure.joint_masses.ravel()
+        idx = sample_grid_indices(flat, samples, rng)
+        draws = measure.payoff_values.ravel()[idx] * measure.copula_total_mass
     else:
-        if formulation == "joint":
-            chol = spec.cholesky
-            z = rng.standard_normal((samples, spec.dim)) @ chol.T
-            u = np.clip(std_normal_cdf(z), 1e-15, 1.0 - 1e-15)
-            x = np.column_stack([m.quantile(u[:, i]) for i, m in enumerate(marginals)])
-            s = np.column_stack([m.price_at(x[:, i]) for i, m in enumerate(marginals)])
-            draws = eval_payoff(payoff, s)
-        else:
-            u = np.clip(rng.random((samples, spec.dim)), 1e-15, 1.0 - 1e-15)
-            x = np.column_stack([m.quantile(u[:, i]) for i, m in enumerate(marginals)])
-            cdf_vals = np.column_stack(
-                [np.asarray(m.cdf(x[:, i]), dtype=float) for i, m in enumerate(marginals)]
-            )
-            s = np.column_stack([m.price_at(x[:, i]) for i, m in enumerate(marginals)])
-            weight = copula_density_at_cdf_values(cdf_vals, spec)
-            draws = eval_payoff(payoff, s) * weight
+        per_dim = [sample_grid_indices(p, samples, rng) for p in measure.marginal_masses]
+        flat_idx = np.ravel_multi_index(per_dim, measure.payoff_values.shape)
+        draws = measure.payoff_values.ravel()[flat_idx] * measure.copula_weights.ravel()[flat_idx]
 
+    df = measure.discount_factor
     mean = float(np.mean(draws))
     stderr = float(np.std(draws, ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf")
     return PriceEstimate(

@@ -1,26 +1,51 @@
-"""Tests for the Gaussian copula density and joint-density assembly."""
+"""Tests for the Gaussian copula weights on the pricing grid and their bound.
+
+copula_weights_on_grid is the one evaluator of the copula density.  Pointwise
+checks use one-point axes; joint-density checks multiply the weights by the
+marginal densities on the same tensor grid.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qamcpricer import copula
 from qamcpricer.copula import (
+    CLAMP_EPS,
     CopulaSpec,
     copula_weights_on_grid,
-    gaussian_copula_density,
     grid_c_max,
-    grid_c_prime_max,
-    joint_pdf,
     load_correlation,
 )
 from qamcpricer.errors import DomainError, ValidationError
-from qamcpricer.nig import NIGParams, nig_cdf, nig_pdf, support_interval
-from qamcpricer.numerics import std_normal_cdf, std_normal_pdf
+from qamcpricer.nig import nig_cdf, nig_pdf, support_interval
+from qamcpricer.numerics import std_normal_cdf, std_normal_pdf, std_normal_quantile
 
 
 def two_asset_spec(rho=-0.25):
     return CopulaSpec.from_matrix([[1.0, rho], [rho, 1.0]])
+
+
+def weight_at(spec, *u):
+    """The copula density at one point: the weights of one-point axes."""
+    return copula_weights_on_grid(spec, [np.array([ui]) for ui in u]).item()
+
+
+def normal_joint_on_grid(spec, grids):
+    """Joint density of standard normal marginals under ``spec`` on a tensor grid."""
+    weights = copula_weights_on_grid(spec, [std_normal_cdf(g) for g in grids])
+    product = std_normal_pdf(grids[0])
+    for g in grids[1:]:
+        product = np.multiply.outer(product, std_normal_pdf(g))
+    return weights * product
+
+
+def bivariate_normal_pdf(x, y, rho):
+    det = 1 - rho**2
+    quad = (x**2 - 2 * rho * x * y + y**2) / det
+    return np.exp(-0.5 * quad) / (2 * math.pi * math.sqrt(det))
 
 
 def grid_weights(spec, cdfs, grids):
@@ -34,32 +59,26 @@ class TestDensity:
         spec = CopulaSpec.from_matrix(np.eye(3))
         rng = np.random.default_rng(0)
         for _ in range(5):
-            u = rng.uniform(0.05, 0.95, 3)
-            assert gaussian_copula_density(u, spec) == pytest.approx(1.0, abs=1e-14)
+            assert weight_at(spec, *rng.uniform(0.05, 0.95, 3)) == 1.0
 
     def test_center_value_closed_form(self):
         spec = two_asset_spec(-0.25)
-        value = gaussian_copula_density([0.5, 0.5], spec)
+        value = weight_at(spec, 0.5, 0.5)
         assert value == pytest.approx(1.0 / math.sqrt(1.0 - 0.25**2), rel=1e-14)
 
     def test_exchange_symmetry(self):
         spec = two_asset_spec(0.4)
-        assert gaussian_copula_density([0.3, 0.8], spec) == pytest.approx(
-            gaussian_copula_density([0.8, 0.3], spec), rel=1e-14
-        )
+        assert weight_at(spec, 0.3, 0.8) == pytest.approx(weight_at(spec, 0.8, 0.3), rel=1e-14)
+        u = np.array([0.1, 0.3, 0.8])
+        v = np.array([0.05, 0.6])
+        swapped = copula_weights_on_grid(spec, [v, u]).T
+        assert np.allclose(copula_weights_on_grid(spec, [u, v]), swapped, rtol=1e-14, atol=0.0)
 
     def test_strictly_positive(self):
         spec = two_asset_spec(0.9)
         rng = np.random.default_rng(1)
-        u = rng.uniform(0.01, 0.99, (100, 2))
-        assert np.all(gaussian_copula_density(u, spec) > 0.0)
-
-    def test_boundary_rejected(self):
-        spec = two_asset_spec()
-        with pytest.raises(DomainError):
-            gaussian_copula_density([0.0, 0.5], spec)
-        with pytest.raises(DomainError):
-            gaussian_copula_density([0.5, 1.0], spec)
+        u = [rng.uniform(0.01, 0.99, 10), rng.uniform(0.01, 0.99, 10)]
+        assert np.all(copula_weights_on_grid(spec, u) > 0.0)
 
     def test_matrix_validation(self):
         with pytest.raises(ValidationError):
@@ -70,120 +89,97 @@ class TestDensity:
             CopulaSpec.from_matrix([[1.0, 1.0], [1.0, 1.0]])  # singular
 
 
-@pytest.fixture(scope="module")
-def gauss_marginals():
-    # Standard normal marginals make the joint law exactly multivariate normal.
-    pdf = lambda x: std_normal_pdf(x)
-    cdf = lambda x: std_normal_cdf(x)
-    return [(pdf, cdf), (pdf, cdf)]
-
-
 class TestJointPdf:
-    def test_identity_reduces_to_product(self, gauss_marginals):
-        spec = CopulaSpec.from_matrix(np.eye(2))
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            x = rng.normal(size=2)
-            expected = std_normal_pdf(x[0]) * std_normal_pdf(x[1])
-            assert joint_pdf(x, gauss_marginals, spec) == pytest.approx(expected, abs=1e-14)
+    """Copula weights times the marginal densities form the joint density (Sklar)."""
 
-    def test_matches_bivariate_normal(self, gauss_marginals):
+    def test_identity_reduces_to_product(self):
+        spec = CopulaSpec.from_matrix(np.eye(2))
+        x = np.random.default_rng(2).normal(size=(2, 5))
+        expected = np.multiply.outer(std_normal_pdf(x[0]), std_normal_pdf(x[1]))
+        assert np.array_equal(normal_joint_on_grid(spec, list(x)), expected)
+
+    def test_matches_bivariate_normal(self):
         rho = -0.25
         spec = two_asset_spec(rho)
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            x = rng.normal(size=2)
-            det = 1 - rho**2
-            quad = (x[0] ** 2 - 2 * rho * x[0] * x[1] + x[1] ** 2) / det
-            expected = math.exp(-0.5 * quad) / (2 * math.pi * math.sqrt(det))
-            assert joint_pdf(x, gauss_marginals, spec) == pytest.approx(expected, rel=1e-12)
+        x, y = np.random.default_rng(3).normal(size=(2, 10))
+        expected = bivariate_normal_pdf(x[:, None], y[None, :], rho)
+        assert np.allclose(normal_joint_on_grid(spec, [x, y]), expected, rtol=1e-12, atol=0.0)
 
     def test_riemann_normalization_two_asset_nig(self, axa_params, michelin_params):
         spec = two_asset_spec(-0.25)
-        marginals = []
-        grids = []
+        grids, pdfs, cdfs = [], [], []
         for p in (axa_params, michelin_params):
             a, b = support_interval(p, 1.0, 1e-5)
             nodes = np.linspace(a, b, 220)
-            marginals.append(
-                (lambda x, p=p: nig_pdf(x, p, 1.0), lambda x, p=p: np.array([nig_cdf(v, p, 1.0) for v in np.atleast_1d(x)]))
-            )
             grids.append(nodes)
-        xx, yy = np.meshgrid(grids[0], grids[1], indexing="ij")
-        pts = np.stack([xx, yy], axis=-1)
-        values = joint_pdf(pts, marginals, spec)
+            pdfs.append(nig_pdf(nodes, p, 1.0))
+            cdfs.append(np.array([nig_cdf(v, p, 1.0) for v in nodes]))
+        values = copula_weights_on_grid(spec, cdfs) * np.multiply.outer(*pdfs)
         dx = grids[0][1] - grids[0][0]
         dy = grids[1][1] - grids[1][0]
         assert float(values.sum() * dx * dy) == pytest.approx(1.0, abs=2e-3)
 
-    def test_marginalization_recovers_first_marginal(self, gauss_marginals):
+    def test_marginalization_recovers_first_marginal(self):
         spec = two_asset_spec(0.5)
+        x1 = np.array([-0.7, 0.0, 1.3])
         x2 = np.linspace(-8, 8, 1601)
-        for x1 in [-0.7, 0.0, 1.3]:
-            pts = np.stack([np.full_like(x2, x1), x2], axis=-1)
-            integral = np.trapezoid(joint_pdf(pts, gauss_marginals, spec), x2)
-            assert integral == pytest.approx(std_normal_pdf(x1), abs=1e-6)
+        integral = np.trapezoid(normal_joint_on_grid(spec, [x1, x2]), x2, axis=1)
+        assert np.allclose(integral, std_normal_pdf(x1), rtol=0.0, atol=1e-6)
 
-    def test_exchangeability_under_permutation(self, gauss_marginals):
-        sigma = np.array([[1.0, 0.3], [0.3, 1.0]])
-        spec = CopulaSpec.from_matrix(sigma)
-        x = np.array([0.4, -1.1])
-        direct = joint_pdf(x, gauss_marginals, spec)
-        swapped = joint_pdf(x[::-1], gauss_marginals[::-1], spec)
-        assert direct == pytest.approx(swapped, rel=1e-13)
+    def test_exchangeability_under_permutation(self):
+        sigma = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.45], [-0.2, 0.45, 1.0]])
+        perm = [2, 0, 1]
+        u = [np.array([0.4, 0.7]), np.array([0.1, 0.5, 0.95]), np.array([0.2, 0.6, 0.8, 0.99])]
+        direct = copula_weights_on_grid(CopulaSpec.from_matrix(sigma), u)
+        permuted = copula_weights_on_grid(
+            CopulaSpec.from_matrix(sigma[np.ix_(perm, perm)]), [u[k] for k in perm]
+        )
+        assert np.allclose(np.transpose(direct, perm), permuted, rtol=1e-13, atol=0.0)
 
 
 class TestAdjustedPayoff:
     """The independent formulation's payoff h c / c_max on grid weights."""
 
-    def test_stays_in_unit_interval(self, gauss_marginals):
+    def test_stays_in_unit_interval(self):
         spec = two_asset_spec(0.6)
-        cdfs = [m[1] for m in gauss_marginals]
         grid = np.linspace(-3, 3, 41)
-        weights, c_max = grid_weights(spec, cdfs, [grid, grid])
+        weights, c_max = grid_weights(spec, [std_normal_cdf] * 2, [grid, grid])
         vals = weights / c_max  # unit payoff
         assert np.all((vals >= 0) & (vals <= 1))
 
-    def test_identity_between_formulations_on_grid(self, gauss_marginals):
+    def test_identity_between_formulations_on_grid(self):
         # f_joint * h == f_independent * H_adj * c_max at every node.
-        spec = two_asset_spec(-0.25)
-        cdfs = [m[1] for m in gauss_marginals]
+        rho = -0.25
+        spec = two_asset_spec(rho)
         grid = np.linspace(-2.5, 2.5, 21)
-        weights, c_max = grid_weights(spec, cdfs, [grid, grid])
+        weights, c_max = grid_weights(spec, [std_normal_cdf] * 2, [grid, grid])
         payoff = lambda x: np.clip(np.abs(x[..., 0] - x[..., 1]) / 6.0, 0, 1)
         xx, yy = np.meshgrid(grid, grid, indexing="ij")
         pts = np.stack([xx, yy], axis=-1)
-        lhs = joint_pdf(pts, gauss_marginals, spec) * payoff(pts)
+        lhs = bivariate_normal_pdf(xx, yy, rho) * payoff(pts)
         f_ind = std_normal_pdf(xx) * std_normal_pdf(yy)
         rhs = f_ind * (payoff(pts) * weights / c_max) * c_max
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 class TestGridCMax:
-    def test_identity_exactly_one(self, gauss_marginals):
+    def test_identity_exactly_one(self):
         spec = CopulaSpec.from_matrix(np.eye(2))
-        cdfs = [m[1] for m in gauss_marginals]
-        assert grid_weights(spec, cdfs, [np.linspace(-1, 1, 5)] * 2)[1] == 1.0
+        assert grid_weights(spec, [std_normal_cdf] * 2, [np.linspace(-1, 1, 5)] * 2)[1] == 1.0
 
-    def test_center_lower_bound(self, gauss_marginals):
+    def test_center_lower_bound(self):
         spec = two_asset_spec(-0.25)
-        cdfs = [m[1] for m in gauss_marginals]
         grid = np.linspace(-2, 2, 9)  # includes 0
-        weights, value = grid_weights(spec, cdfs, [grid, grid])
+        weights, value = grid_weights(spec, [std_normal_cdf] * 2, [grid, grid])
         assert value >= 1.0 / math.sqrt(1 - 0.0625)
         assert value == 1.01 * weights.max()
 
-    def test_grows_toward_corners(self, gauss_marginals):
+    def test_grows_toward_corners(self):
         spec = two_asset_spec(-0.25)
-        cdfs = [m[1] for m in gauss_marginals]
+        cdfs = [std_normal_cdf] * 2
         shallow = grid_weights(spec, cdfs, [np.linspace(-2, 2, 9)] * 2)[1]
         deep = grid_weights(spec, cdfs, [np.linspace(-4, 4, 17)] * 2)[1]
         assert deep >= shallow
-
-    def test_c_prime_max_positive_when_correlated(self, gauss_marginals):
-        spec = two_asset_spec(0.5)
-        cdfs = [m[1] for m in gauss_marginals]
-        assert grid_c_prime_max(spec, cdfs, [np.linspace(-2, 2, 9)] * 2) > 0.0
 
     def test_weights_on_grid_identity(self):
         spec = CopulaSpec.from_matrix(np.eye(2))
@@ -193,6 +189,98 @@ class TestGridCMax:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             grid_c_max(two_asset_spec(), np.ones((0, 3)))
+
+
+class TestPerAxisKernel:
+    def test_normal_quantile_runs_once_per_axis(self, monkeypatch):
+        # 16 points per axis on 3 axes: 48 quantiles, not one per node and axis.
+        points = []
+
+        def counting(u):
+            points.append(np.size(u))
+            return std_normal_quantile(u)
+
+        monkeypatch.setattr(copula, "std_normal_quantile", counting)
+        sigma = [[1.0, -0.2, -0.25], [-0.2, 1.0, -0.15], [-0.25, -0.15, 1.0]]
+        axes = [np.linspace(0.0, 1.0, 16)] * 3
+        weights = copula_weights_on_grid(CopulaSpec.from_matrix(sigma), axes)
+        assert weights.shape == (16, 16, 16)
+        assert sum(points) == 48
+
+
+@st.composite
+def correlation_matrices(draw):
+    """Correlation matrices of dimension 2..4 with smallest eigenvalue >= 0.2.
+
+    A mix of a random rank-deficient correlation and the identity keeps the
+    weights at the clamped corners far from exp underflow.
+    """
+    dim = draw(st.integers(2, 4))
+    rows = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim * dim, max_size=dim * dim)))
+    rows = rows.reshape(dim, dim)
+    norms = np.linalg.norm(rows, axis=1)
+    rows[norms < 1e-3] = np.eye(dim)[norms < 1e-3]
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    mix = draw(st.floats(0.2, 1.0))
+    sigma = (1.0 - mix) * (rows @ rows.T) + mix * np.eye(dim)
+    sigma = 0.5 * (sigma + sigma.T)
+    np.fill_diagonal(sigma, 1.0)
+    return sigma
+
+
+@st.composite
+def copula_grids(draw):
+    """A correlation matrix, per-axis CDF vectors holding exact 0 and 1, an axis permutation."""
+    sigma = draw(correlation_matrices())
+    dim = sigma.shape[0]
+    axes = [
+        np.array([0.0, 1.0] + draw(st.lists(st.floats(0.0, 1.0), min_size=0, max_size=4)))
+        for _ in range(dim)
+    ]
+    perm = draw(st.permutations(range(dim)))
+    return sigma, axes, perm
+
+
+copula_settings = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+class TestCopulaProperties:
+    @copula_settings
+    @given(case=copula_grids())
+    def test_identity_gives_all_ones(self, case):
+        _, axes, _ = case
+        weights = copula_weights_on_grid(CopulaSpec.from_matrix(np.eye(len(axes))), axes)
+        assert np.array_equal(weights, np.ones(tuple(len(a) for a in axes)))
+
+    @copula_settings
+    @given(case=copula_grids())
+    def test_permuting_axes_and_sigma_permutes_weights(self, case):
+        sigma, axes, perm = case
+        direct = copula_weights_on_grid(CopulaSpec.from_matrix(sigma), axes)
+        permuted = copula_weights_on_grid(
+            CopulaSpec.from_matrix(sigma[np.ix_(perm, perm)]), [axes[k] for k in perm]
+        )
+        assert np.allclose(np.transpose(direct, perm), permuted, rtol=1e-12, atol=0.0)
+
+    @copula_settings
+    @given(case=copula_grids(), picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=8))
+    def test_weights_match_pointwise_formula(self, case, picks):
+        sigma, axes, _ = case
+        spec = CopulaSpec.from_matrix(sigma)
+        weights = copula_weights_on_grid(spec, axes)
+        for pick in picks:
+            node = np.unravel_index(pick % weights.size, weights.shape)
+            u = np.array([axes[i][k] for i, k in enumerate(node)])
+            z = std_normal_quantile(np.clip(u, CLAMP_EPS, 1.0 - CLAMP_EPS))
+            expected = math.exp(-0.5 * z @ (spec.inv - np.eye(spec.dim)) @ z) / math.sqrt(spec.det)
+            assert weights[node] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @copula_settings
+    @given(case=copula_grids())
+    def test_weights_finite_and_positive(self, case):
+        sigma, axes, _ = case
+        weights = copula_weights_on_grid(CopulaSpec.from_matrix(sigma), axes)
+        assert np.all(np.isfinite(weights)) and np.all(weights > 0.0)
 
 
 class TestLoadCorrelation:

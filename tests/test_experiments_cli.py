@@ -211,6 +211,11 @@ class TestCli:
             if row["estimator"].startswith("qamc"):
                 assert row["value"] == pytest.approx(ref, abs=2e-3)
 
+    def test_riemann_row_has_zero_stderr(self, pipeline_out):
+        # The Riemann value is deterministic: its row carries no estimator error.
+        rows = json.loads((pipeline_out / "prices.json").read_text())
+        assert next(r["stderr_or_eps"] for r in rows if r["estimator"] == "riemann") == 0.0
+
     def test_rerun_byte_identical(self, bundle, pipeline_out, tmp_path):
         out2 = tmp_path / "again"
         rc = main(["pipeline", "--config", str(bundle / "config.json"), "--out", str(out2), "--seed", "7"])
@@ -309,3 +314,12 @@ class TestCli:
         assert main(["study", "price", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert (out / "study_price_spread.csv").exists()
         assert (out / "study_price_basket.csv").exists()
+
+    def test_unknown_study_option_rejected(self, bundle, tmp_path, capsys):
+        cfg = json.loads((bundle / "config.json").read_text())
+        cfg["study"] = {"reps": 3}
+        cfg_path = tmp_path / "bad_study.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["study", "price", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
