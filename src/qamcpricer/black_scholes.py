@@ -72,7 +72,7 @@ def bs_vega(inp: BSInputs) -> float:
     return inp.spot * math.exp(-inp.dividend * inp.expiry) * std_normal_pdf(d1) * math.sqrt(inp.expiry)
 
 
-def implied_vol(price: float, inp: BSInputs, kind: str, tol: float = 1e-10, max_iter: int = 100) -> float:
+def implied_vol(price: float, inp: BSInputs, kind: str) -> float:
     """Invert bs_price for sigma with a bracketed Newton / bisection fallback.
 
     ``inp.sigma`` is ignored.  Raises DomainError when the price sits outside
@@ -88,10 +88,10 @@ def implied_vol(price: float, inp: BSInputs, kind: str, tol: float = 1e-10, max_
             f"for sigma in [{lo}, {hi}]"
         )
     sigma = min(max(0.2, lo), hi)
-    for _ in range(max_iter):
+    for _ in range(100):
         cur = bs_price(inp.with_sigma(sigma), kind)
         diff = cur - price
-        if abs(diff) <= tol:
+        if abs(diff) <= 1e-10:
             return sigma
         if diff > 0:
             hi = sigma
@@ -104,4 +104,4 @@ def implied_vol(price: float, inp: BSInputs, kind: str, tol: float = 1e-10, max_
             candidate = 0.5 * (lo + hi)
         # Newton step only while it stays inside the bracket; bisect otherwise.
         sigma = candidate if lo < candidate < hi else 0.5 * (lo + hi)
-    raise ConvergenceError(f"implied vol did not converge after {max_iter} iterations")
+    raise ConvergenceError("implied vol did not converge after 100 iterations")

@@ -14,13 +14,13 @@ over a small lattice of plausible starting points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import LinearConstraint, minimize
 
 from .black_scholes import BSInputs, implied_vol
-from .errors import CalibrationError, DomainError, ValidationError
+from .errors import CalibrationError, ValidationError
 from .market_data import MarketSlice, OptionQuote
 from .nig import ExpNIGModel, NIGParams, price_european_batch
 
@@ -28,7 +28,6 @@ __all__ = [
     "CalibrationConfig",
     "CalibrationResult",
     "DEFAULT_GRID",
-    "objective",
     "grid_init",
     "bs_prior",
     "calibrate",
@@ -56,9 +55,7 @@ MAX_ITERATIONS = 500
 @dataclass(frozen=True)
 class CalibrationConfig:
     regularization: float = 5e-7
-    prior: tuple[float, float, float] | None = None  # None -> Black-Scholes ATM prior
     weights_rule: str = "inverse-bid-ask"  # or "uniform"
-    grid: dict = field(default_factory=lambda: dict(DEFAULT_GRID))
 
     def __post_init__(self):
         if self.regularization < 0:
@@ -122,7 +119,7 @@ def _least_squares(slice_: MarketSlice, config: CalibrationConfig):
         raise ValidationError("no usable quotes")
     weights = quote_weights(quotes, config.weights_rule)
     mids = np.array([q.mid for q in quotes])
-    prior = np.asarray(_prior_theta(slice_, config), dtype=float)
+    prior = np.asarray(bs_prior(slice_), dtype=float)
     lam = config.regularization
 
     def residuals(theta):
@@ -135,20 +132,11 @@ def _least_squares(slice_: MarketSlice, config: CalibrationConfig):
     return residuals, fun
 
 
-def objective(theta, slice_: MarketSlice, config: CalibrationConfig) -> float:
-    """Exact evaluation of the regularized weighted squared-residual sum."""
-    theta = np.asarray(theta, dtype=float)
-    if not _admissible(theta):
-        raise DomainError(f"inadmissible parameter vector {theta}")
-    _, fun = _least_squares(slice_, config)
-    return fun(theta)
-
-
-def bs_prior(slice_: MarketSlice, anchor_alpha: float = 10.0) -> tuple[float, float, float]:
+def bs_prior(slice_: MarketSlice) -> tuple[float, float, float]:
     """Map the ATM implied vol to a symmetric NIG prior.
 
     beta0 = 0 and delta0 = alpha0 * sigma_ATM^2, which matches the NIG
-    variance delta t / alpha to sigma_ATM^2 T; alpha0 is a fixed scale.
+    variance delta t / alpha to sigma_ATM^2 T; alpha0 = 10 is a fixed scale.
     """
     quotes = _usable_quotes(slice_)
     if not quotes:
@@ -158,20 +146,16 @@ def bs_prior(slice_: MarketSlice, anchor_alpha: float = 10.0) -> tuple[float, fl
         slice_.spot, atm.strike, slice_.expiry, slice_.rate, slice_.dividend_yield, 0.2
     )
     sigma_atm = implied_vol(atm.mid, inputs, atm.kind)
-    return (anchor_alpha, 0.0, anchor_alpha * sigma_atm**2)
-
-
-def _prior_theta(slice_: MarketSlice, config: CalibrationConfig) -> tuple[float, float, float]:
-    return config.prior if config.prior is not None else bs_prior(slice_)
+    return (10.0, 0.0, 10.0 * sigma_atm**2)
 
 
 def grid_init(slice_: MarketSlice, config: CalibrationConfig) -> tuple[float, float, float]:
-    """Lattice point with the lowest objective; deterministic for a fixed config."""
+    """DEFAULT_GRID point with the lowest objective; deterministic for a fixed config."""
     points = [
         (a, b, d)
-        for a in config.grid["alpha"]
-        for b in config.grid["beta"]
-        for d in config.grid["delta"]
+        for a in DEFAULT_GRID["alpha"]
+        for b in DEFAULT_GRID["beta"]
+        for d in DEFAULT_GRID["delta"]
         if _admissible((a, b, d))
     ]
     if not points:
@@ -181,17 +165,14 @@ def grid_init(slice_: MarketSlice, config: CalibrationConfig) -> tuple[float, fl
     return points[int(np.argmin(scores))]
 
 
-def calibrate(
-    slice_: MarketSlice,
-    config: CalibrationConfig | None = None,
-    iterate_log: list | None = None,
-) -> CalibrationResult:
+def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> CalibrationResult:
     """Constrained trust-region fit of (alpha, beta, delta) with mu = 0.
 
     Admissibility holds at every accepted iterate (linear constraints with
-    keep_feasible; pass ``iterate_log`` to capture the optimizer trace).
-    Gradients are central finite differences with step 1e-5 (1 + |theta|);
-    the model price has no closed-form gradient.
+    keep_feasible).  Gradients are central finite differences with step
+    1e-5 (1 + |theta_i|), shortened to half the distance to the edge of the
+    NIG domain, so that every point priced is admissible; the model price
+    has no closed-form gradient.
     """
     config = config or CalibrationConfig()
     quotes = _usable_quotes(slice_)
@@ -200,9 +181,12 @@ def calibrate(
     residuals, fun = _least_squares(slice_, config)
 
     def jac(theta):
+        # Room to the domain edge: alpha and beta move alpha - beta - 1 and alpha + beta.
+        edge = min(theta[0] - theta[1] - 1.0, theta[0] + theta[1])
+        room = (edge, edge, theta[2])
         grad = np.empty(3)
         for i in range(3):
-            step = 1e-5 * (1.0 + abs(theta[i]))
+            step = min(1e-5 * (1.0 + abs(theta[i])), 0.5 * room[i])
             up = theta.copy()
             dn = theta.copy()
             up[i] += step
@@ -217,11 +201,6 @@ def calibrate(
         ub=[np.inf, np.inf],
         keep_feasible=True,
     )
-    callback = None
-    if iterate_log is not None:
-        def callback(xk, state):
-            iterate_log.append(np.array(xk, copy=True))
-            return False
     result = minimize(
         fun,
         start,
@@ -229,7 +208,6 @@ def calibrate(
         method="trust-constr",
         bounds=BOUNDS,
         constraints=[constraints],
-        callback=callback,
         options={"gtol": GTOL, "xtol": XTOL, "maxiter": MAX_ITERATIONS},
     )
     theta = np.asarray(result.x, dtype=float)

@@ -176,7 +176,7 @@ def _build_slices(cfg, out, drop_violations):
 
 
 @_stage("calibrate")
-def cmd_calibrate(cfg: dict, out: Path, drop_violations: bool = False):
+def cmd_calibrate(cfg: dict, out: Path, drop_violations: bool):
     slices = _build_slices(cfg, out, drop_violations)
     opts = cfg.get("calibration", {})
     config = cal.CalibrationConfig(
@@ -207,7 +207,7 @@ def cmd_calibrate(cfg: dict, out: Path, drop_violations: bool = False):
 
 
 @_stage("density")
-def cmd_density(cfg: dict, out: Path, drop_violations: bool = False):
+def cmd_density(cfg: dict, out: Path, drop_violations: bool):
     calibrated = cmd_calibrate(cfg, out, drop_violations)
     opts = cfg.get("density", {})
     terms = int(opts.get("terms", 128))
@@ -223,7 +223,7 @@ def cmd_density(cfg: dict, out: Path, drop_violations: bool = False):
 
 
 @_stage("price")
-def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool = False):
+def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool):
     marginals = cmd_density(cfg, out, drop_violations)
     payoff_cfg = cfg["payoff"]
     assets = payoff_cfg["assets"]
@@ -323,14 +323,14 @@ def cmd_study(cfg: dict, study: str, out: Path, seed: int) -> None:
 
 
 @_stage("make-bundle")
-def cmd_make_bundle(out: Path, strikes_per_asset: int = 12, spread: float = 0.01) -> None:
-    """Synthetic 3-asset demo inputs from the bundled fixture parameters."""
+def cmd_make_bundle(out: Path) -> None:
+    """Synthetic 3-asset demo inputs: fixture-priced calls and puts, 12 strikes each, half-spread 0.01."""
     quotes = []
     spots = {}
     for name, (params, spot) in FIXTURES.items():
         slice_ = MarketSlice.from_rates(name, spot, 1.0, FIXTURE_RATE, 0.0)
-        strikes = np.linspace(0.82, 1.18, strikes_per_asset) * slice_.forward
-        quotes.extend(generate_synthetic_quotes(params, slice_, strikes, spread=spread))
+        strikes = np.linspace(0.82, 1.18, 12) * slice_.forward
+        quotes.extend(generate_synthetic_quotes(params, slice_, strikes, spread=0.01))
         spots[name] = spot
     md.save_quotes(out / "quotes.csv", quotes)
     corr = {"assets": ["AXA", "CREDIT_AGRICOLE", "MICHELIN"], "sigma": BASKET_CORRELATION}
@@ -358,25 +358,30 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qamcpricer", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, needs_config=True):
-        cmd = sub.add_parser(name, help=help_text)
-        if needs_config:
-            cmd.add_argument("--config", required=True, help="config JSON path")
-        cmd.add_argument("--out", default="out", help="output directory (default ./out)")
-        cmd.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        cmd.add_argument("--drop-violations", action="store_true", help="drop arbitrage-violating quotes")
-        return cmd
+    def flag(*names, **spec) -> argparse.ArgumentParser:
+        holder = argparse.ArgumentParser(add_help=False)
+        holder.add_argument(*names, **spec)
+        return holder
 
-    add("ingest", "validate and normalize a quote CSV")
-    add("curves", "strip discount factors and forwards by put-call parity")
-    add("arb-check", "digital and butterfly arbitrage scan")
-    add("calibrate", "fit NIG marginals per underlying and expiry")
-    add("density", "export cosine-series densities for calibrated marginals")
-    add("price", "price the configured payoff with the configured estimators")
-    study = add("study", "run a convergence study")
-    study.add_argument("kind", choices=["coeffs", "density", "price"])
-    add("pipeline", "run ingest -> curves -> arb-check -> calibrate -> density -> price")
-    add("make-bundle", "write a synthetic 3-asset demo bundle", needs_config=False)
+    # Each command takes only the flags it reads.
+    config = flag("--config", required=True, help="config JSON path")
+    out = flag("--out", default="out", help="output directory (default ./out)")
+    seed = flag("--seed", type=int, default=0, help="RNG seed (default 0)")
+    drop = flag("--drop-violations", action="store_true", help="drop arbitrage-violating quotes")
+    for name, help_text, flags in (
+        ("ingest", "validate and normalize a quote CSV", [config, out]),
+        ("curves", "strip discount factors and forwards by put-call parity", [config, out]),
+        ("arb-check", "digital and butterfly arbitrage scan", [config, out, drop]),
+        ("calibrate", "fit NIG marginals per underlying and expiry", [config, out, drop]),
+        ("density", "export cosine-series densities for calibrated marginals", [config, out, drop]),
+        ("price", "price the configured payoff with the configured estimators", [config, out, seed, drop]),
+        ("study", "run a convergence study", [config, out, seed]),
+        ("pipeline", "run ingest -> curves -> arb-check -> calibrate -> density -> price",
+         [config, out, seed, drop]),
+        ("make-bundle", "write a synthetic 3-asset demo bundle", [out]),
+    ):
+        sub.add_parser(name, help=help_text, parents=flags)
+    sub.choices["study"].add_argument("kind", choices=["coeffs", "density", "price"])
     return parser
 
 

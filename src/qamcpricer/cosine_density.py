@@ -39,7 +39,6 @@ __all__ = [
     "choose_interval",
     "estimate_decay",
     "series_to_json",
-    "series_from_json",
 ]
 
 
@@ -228,7 +227,3 @@ def series_to_json(series: CosineSeries) -> str:
         }
     )
 
-
-def series_from_json(payload: str) -> CosineSeries:
-    data = json.loads(payload)
-    return CosineSeries(Interval(float(data["a"]), float(data["b"])), np.asarray(data["coeffs"]))

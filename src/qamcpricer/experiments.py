@@ -60,7 +60,9 @@ FIXTURE_RATE = 0.02
 SPREAD_CORRELATION = [[1.0, -0.25], [-0.25, 1.0]]
 BASKET_CORRELATION = [[1.0, -0.2, -0.25], [-0.2, 1.0, -0.15], [-0.25, -0.15, 1.0]]
 BASKET_STRIKE = 25.0
+MARGINAL_TERMS = 128
 MARGINAL_TAIL_EPS = 1e-5
+STUDY_ASSET = "AXA"  # the exact density the coefficient and density studies estimate
 
 # Fixed seed tags per pricing setup (string hash is process-randomized).
 _SETUP_TAG = {"spread": 1, "basket": 2}
@@ -112,30 +114,26 @@ def fixture_slice(name: str) -> MarketSlice:
     return MarketSlice.from_rates(name, spot, 1.0, FIXTURE_RATE, 0.0)
 
 
-def fixture_marginal(name: str, terms: int = 128, tail_eps: float = MARGINAL_TAIL_EPS) -> AssetMarginal:
+def fixture_marginal(name: str) -> AssetMarginal:
     """Cosine-series marginal (classical coefficients) on the tight support."""
     params, _ = FIXTURES[name]
     slc = fixture_slice(name)
-    iv = Interval(*support_interval(params, slc.expiry, tail_eps))
-    series = coeffs_classical(lambda x: nig_pdf(x, params, slc.expiry), iv, terms)
+    iv = Interval(*support_interval(params, slc.expiry, MARGINAL_TAIL_EPS))
+    series = coeffs_classical(lambda x: nig_pdf(x, params, slc.expiry), iv, MARGINAL_TERMS)
     return AssetMarginal(params, slc, series)
 
 
-def spread_setup(terms: int = 128):
+def spread_setup():
     """1Y spread call on AXA vs Michelin at zero strike, rho = -0.25, 2^3 nodes/dim."""
-    marginals = [fixture_marginal("AXA", terms), fixture_marginal("MICHELIN", terms)]
+    marginals = [fixture_marginal("AXA"), fixture_marginal("MICHELIN")]
     spec = CopulaSpec.from_matrix(SPREAD_CORRELATION)
     grid = PricingGrid.build(marginals, 3)
     return Payoff("spread-call", 0.0), marginals, spec, grid
 
 
-def basket_setup(terms: int = 128):
+def basket_setup():
     """1Y arithmetic basket call at K=25 on the three names, 2^2 nodes/dim."""
-    marginals = [
-        fixture_marginal("AXA", terms),
-        fixture_marginal("CREDIT_AGRICOLE", terms),
-        fixture_marginal("MICHELIN", terms),
-    ]
+    marginals = [fixture_marginal(name) for name in ("AXA", "CREDIT_AGRICOLE", "MICHELIN")]
     spec = CopulaSpec.from_matrix(BASKET_CORRELATION)
     grid = PricingGrid.build(marginals, 2)
     return Payoff("basket-call", BASKET_STRIKE), marginals, spec, grid
@@ -151,9 +149,9 @@ def _percentile_record(method: str, cost: float, errors: np.ndarray) -> Converge
     )
 
 
-def _coeff_grid(asset: str, qubits: int, tail_eps: float = MARGINAL_TAIL_EPS):
-    """Pricing-grid cells and masses of the exact density, for the coefficient studies."""
-    marginal = AssetMarginal(FIXTURES[asset][0], fixture_slice(asset), tail_eps=tail_eps)
+def _coeff_grid(qubits: int, tail_eps: float):
+    """Pricing-grid cells and masses of STUDY_ASSET's exact density, for the coefficient studies."""
+    marginal = AssetMarginal(FIXTURES[STUDY_ASSET][0], fixture_slice(STUDY_ASSET), tail_eps=tail_eps)
     grid = PricingGrid.build([marginal], qubits)
     (nodes,), (dx,) = grid.nodes, grid.deltas
     masses, _ = normalize_cell_masses(marginal.pdf(nodes) * dx)
@@ -169,14 +167,14 @@ def _cmc_coefficients(
     return (table @ counts) / samples
 
 
-def study_coeffs(cfg: StudyConfig, asset: str = "AXA"):
+def study_coeffs(cfg: StudyConfig):
     """Error-vs-cost tables for cosine-coefficient estimation (CMC vs QAMC).
 
     Returns (records, per_k, run_log): aggregate ConvergenceRecords (error
     averaged over coefficients k >= 1), a per-(method, cost, k) mean-error
     table, and amplitude-estimation run-log lines.
     """
-    iv, nodes, masses = _coeff_grid(asset, cfg.qubits)
+    iv, nodes, masses = _coeff_grid(cfg.qubits, MARGINAL_TAIL_EPS)
     table = basis_matrix(iv, cfg.terms, nodes)
     truth = table @ masses
     ks = np.arange(1, cfg.terms)
@@ -237,15 +235,15 @@ def _budgeted_coefficient(masses, k, iv, budget, rho, rng) -> float:
     return qamc_coefficient(masses, k, iv, cfg, rng).estimate
 
 
-def study_density_recovery(cfg: StudyConfig, asset: str = "AXA", tail_eps: float = 1e-3):
+def study_density_recovery(cfg: StudyConfig):
     """Sup-norm pdf/CDF recovery errors at matched cost across truncation orders.
 
-    Uses a tighter support than the pricing marginals: at the matched cost
-    (~5000) the comparison is about estimation noise, so the truncation error
-    of the largest order must sit below the noise floor.
+    Uses a tighter support (tail mass 1e-3) than the pricing marginals: at
+    the matched cost (~5000) the comparison is about estimation noise, so the
+    truncation error of the largest order must sit below the noise floor.
     """
-    params, _ = FIXTURES[asset]
-    iv, nodes, masses = _coeff_grid(asset, cfg.qubits, tail_eps)
+    params, _ = FIXTURES[STUDY_ASSET]
+    iv, nodes, masses = _coeff_grid(cfg.qubits, 1e-3)
     xs = np.linspace(iv.a, iv.b - 1e-9, 800)
     pdf_true = nig_pdf(xs, params, 1.0)
     cdf_true = nig_cdf(xs, params, 1.0)
@@ -287,16 +285,16 @@ def study_density_recovery(cfg: StudyConfig, asset: str = "AXA", tail_eps: float
     return rows
 
 
-def study_price_convergence(cfg: StudyConfig, setups: tuple[str, ...] = ("spread", "basket")):
-    """Error-vs-cost tables for the multi-asset pricing problems.
+def study_price_convergence(cfg: StudyConfig):
+    """Error-vs-cost tables for the spread and basket pricing problems.
 
     Returns {setup_name: {"reference": value, "records": [...]}} with CMC
     (grid sampling of the shared measure, joint formulation) and both QAMC
     formulations measured against the pinned Riemann reference.
     """
     out: dict[str, dict] = {}
-    for name in setups:
-        payoff, marginals, spec, grid = spread_setup() if name == "spread" else basket_setup()
+    for name, setup in (("spread", spread_setup), ("basket", basket_setup)):
+        payoff, marginals, spec, grid = setup()
         measure = GridMeasure.build(payoff, marginals, spec, grid)
         reference = measure.reference_value()
         records: list[ConvergenceRecord] = []
@@ -329,30 +327,28 @@ def study_price_convergence(cfg: StudyConfig, setups: tuple[str, ...] = ("spread
     return out
 
 
-def fit_loglog_slope(costs, errors, trim: int = 1) -> float:
-    """Least-squares slope of log(error) against log(cost), ends trimmed.
-
-    The extreme ladder points are excluded as a saturation guard.
-    """
+def _trimmed_loglog(costs, errors) -> tuple[np.ndarray, np.ndarray]:
+    """log(cost), log(error) without zero errors and, on 4+ points, the two ends (saturation guard)."""
     costs = np.asarray(costs, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    if trim > 0 and costs.size > 2 * trim + 1:
-        costs = costs[trim:-trim]
-        errors = errors[trim:-trim]
+    if costs.size > 3:
+        costs = costs[1:-1]
+        errors = errors[1:-1]
     keep = errors > 0
-    slope, _ = np.polyfit(np.log(costs[keep]), np.log(errors[keep]), 1)
+    return np.log(costs[keep]), np.log(errors[keep])
+
+
+def fit_loglog_slope(costs, errors) -> float:
+    """Least-squares slope of log(error) against log(cost), ends trimmed."""
+    log_costs, log_errors = _trimmed_loglog(costs, errors)
+    slope, _ = np.polyfit(log_costs, log_errors, 1)
     return float(slope)
 
 
-def cost_at_error(costs, errors, target: float, trim: int = 1) -> float:
-    """Cost at a target error, read off the fitted log-log line."""
-    costs = np.asarray(costs, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    if trim > 0 and costs.size > 2 * trim + 1:
-        costs = costs[trim:-trim]
-        errors = errors[trim:-trim]
-    keep = errors > 0
-    slope, intercept = np.polyfit(np.log(errors[keep]), np.log(costs[keep]), 1)
+def cost_at_error(costs, errors, target: float) -> float:
+    """Cost at a target error, read off the log-log line fitted with ends trimmed."""
+    log_costs, log_errors = _trimmed_loglog(costs, errors)
+    slope, intercept = np.polyfit(log_errors, log_costs, 1)
     return float(math.exp(intercept + slope * math.log(target)))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -45,6 +45,8 @@ class OptionQuote:
     ask: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.expiry, self.strike, self.bid, self.ask)):
+            raise ValidationError(f"expiry, strike, bid and ask must be finite, got {self}")
         if self.expiry <= 0:
             raise ValidationError(f"expiry must be positive, got {self.expiry}")
         if self.strike <= 0:
@@ -82,8 +84,11 @@ class MarketSlice:
 
     def __post_init__(self):
         object.__setattr__(self, "quotes", tuple(self.quotes))
-        if self.spot <= 0 or self.forward <= 0:
-            raise ValidationError("spot and forward must be positive")
+        numbers = (self.spot, self.expiry, self.discount_factor, self.forward, self.rate, self.dividend_yield)
+        if not all(math.isfinite(v) for v in numbers):
+            raise ValidationError(f"slice numbers must be finite, got {numbers}")
+        if self.spot <= 0 or self.forward <= 0 or self.expiry <= 0:
+            raise ValidationError("spot, forward and expiry must be positive")
         if not (0.0 < self.discount_factor <= 1.0):
             raise ValidationError(f"discount factor must lie in (0,1], got {self.discount_factor}")
         r_implied = -math.log(self.discount_factor) / self.expiry
@@ -101,14 +106,10 @@ class MarketSlice:
         expiry: float,
         rate: float = 0.0,
         dividend_yield: float = 0.0,
-        quotes: Iterable[OptionQuote] = (),
     ) -> "MarketSlice":
         df = math.exp(-rate * expiry)
         fw = spot * math.exp((rate - dividend_yield) * expiry)
-        return cls(underlying, spot, expiry, df, fw, rate, dividend_yield, tuple(quotes))
-
-    def with_quotes(self, quotes: Iterable[OptionQuote]) -> "MarketSlice":
-        return replace(self, quotes=tuple(quotes))
+        return cls(underlying, spot, expiry, df, fw, rate, dividend_yield)
 
 
 @dataclass(frozen=True)
@@ -133,14 +134,12 @@ class ButterflyViolation:
     value: float
 
 
-def load_quotes(path, fmt: str = "csv") -> dict[tuple[str, float], list[OptionQuote]]:
-    """Read and validate quotes, grouped by (underlying, expiry).
+def load_quotes(path) -> dict[tuple[str, float], list[OptionQuote]]:
+    """Read and validate a quote CSV, grouped by (underlying, expiry).
 
     Invalid rows are collected and raised with their line numbers; nothing is
     silently dropped.
     """
-    if fmt != "csv":
-        raise ValidationError(f"unsupported quote format {fmt!r}")
     groups: dict[tuple[str, float], list[OptionQuote]] = {}
     problems: list[str] = []
     with open(path, newline="") as handle:
@@ -290,14 +289,14 @@ def scan_arbitrage(quotes: list[OptionQuote]) -> list[DigitalViolation | Butterf
     return found
 
 
-def drop_violating_quotes(quotes: list[OptionQuote], max_rounds: int = 100) -> list[OptionQuote]:
+def drop_violating_quotes(quotes: list[OptionQuote]) -> list[OptionQuote]:
     """Iteratively remove the smaller-mid (far-tail) quote of each violation.
 
     Mirrors the pre-calibration cleanup: offending digital/butterfly tuples
     lose their lowest-mid member until both checks pass.
     """
     current = list(quotes)
-    for _ in range(max_rounds):
+    for _ in range(100):
         found = scan_arbitrage(current)
         if not found:
             return current
@@ -306,7 +305,7 @@ def drop_violating_quotes(quotes: list[OptionQuote], max_rounds: int = 100) -> l
         members = [q for q in sub if q.strike in worst.strikes]
         victim = min(members, key=lambda q: q.mid)
         current = [q for q in current if q is not victim]
-    raise ValidationError("arbitrage cleanup did not terminate")
+    raise ValidationError("arbitrage cleanup did not finish within 100 removals")
 
 
 def generate_synthetic_quotes(

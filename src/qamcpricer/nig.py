@@ -44,7 +44,6 @@ __all__ = [
     "support_interval",
     "price_european_batch",
     "price_european_cos",
-    "sample_nig",
 ]
 
 # Panel count for composite Gauss-Legendre over NIG supports: the density is
@@ -81,9 +80,6 @@ class NIGParams:
     @property
     def gamma(self) -> float:
         return math.sqrt(self.alpha**2 - self.beta**2)
-
-    def with_mu(self, mu: float) -> "NIGParams":
-        return NIGParams(self.alpha, self.beta, self.delta, mu)
 
 
 def nig_pdf(x, p: NIGParams, t: float = 1.0):
@@ -278,7 +274,8 @@ def price_european_batch(model: ExpNIGModel, strikes, kinds) -> np.ndarray:
     payoff kink among its panel edges, so each quote's integral is an exact
     sub-sum of the shared nodes and sees an analytic integrand per panel.
     A single quote is a batch of one.  The result is independent of the
-    location parameter mu.
+    location parameter mu.  Tails too heavy for a finite S(T) on the
+    interval are a DomainError.
     """
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or len(kinds) != strikes.size:
@@ -288,6 +285,8 @@ def price_european_batch(model: ExpNIGModel, strikes, kinds) -> np.ndarray:
     p = model.params
     t = model.slice_.expiry
     a, b = widened_interval(p, t, 1e-11, 1e-11)
+    if math.log(model.slice_.spot) + model.drift + b >= math.log(np.finfo(float).max):
+        raise DomainError(f"S(T) overflows on the pricing interval [{a:.6g}, {b:.6g}] of {p}")
     kinks = np.array(sorted({model.log_strike(k) for k in strikes if a < model.log_strike(k) < b}))
     edges = np.unique(np.concatenate([np.linspace(a, b, _PRICING_PANELS + 1), kinks]))
 
@@ -382,16 +381,3 @@ def price_european_cos(
         payoff_coef = strike * psi - s0 * math.exp(m) * chi
     return model.slice_.discount_factor * float(np.dot(dens_coef, payoff_coef))
 
-
-def sample_nig(p: NIGParams, t: float, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw i.i.d. NIG(alpha, beta, delta*t, mu*t) samples.
-
-    Normal variance-mean mixture: X = mu t + beta Z + sqrt(Z) N(0,1) with Z
-    inverse-Gaussian with mean delta*t/gamma and shape (delta*t)^2, generated
-    by the exact transformation-with-rejection scheme (numpy's Wald sampler).
-    """
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    dt = p.delta * t
-    z = rng.wald(dt / p.gamma, dt * dt, size=count)
-    return p.mu * t + p.beta * z + np.sqrt(z) * rng.standard_normal(count)

@@ -1,9 +1,9 @@
 """Special functions and quadrature primitives shared by every other module.
 
-Provides the modified Bessel function K1 (the kernel of the NIG density),
-standard normal CDF/quantile, and the package's one composite Gauss-Legendre
-kernel: cached reference rules mapped onto arbitrary panel edges.  All
-functions are pure and accept scalars or numpy arrays.
+Provides the standard normal pdf/CDF/quantile (the NIG density takes its
+Bessel K1 straight from scipy.special.k1e) and the package's one composite
+Gauss-Legendre kernel: cached reference rules mapped onto arbitrary panel
+edges.  All functions are pure and accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .errors import DomainError
 
 __all__ = [
     "QuadratureRule",
-    "bessel_k1",
     "std_normal_cdf",
     "std_normal_pdf",
     "std_normal_quantile",
@@ -76,20 +75,6 @@ def gauss_legendre_panels(edges, rule: QuadratureRule) -> tuple[np.ndarray, np.n
     return mid[:, None] + half[:, None] * rule.nodes[None, :], half
 
 
-def bessel_k1(z):
-    """Modified Bessel function of the second kind, index 1.
-
-    Valid for z > 0.  Uses the exponentially scaled kernel so that values
-    remain accurate to ~1e-13 relative up to the overflow threshold, beyond
-    which the result underflows to 0 rather than erroring.
-    """
-    z_arr = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z_arr)) or np.any(z_arr <= 0.0):
-        raise DomainError("bessel_k1 requires finite z > 0")
-    out = _special.k1e(z_arr) * np.exp(-z_arr)
-    return float(out) if np.isscalar(z) else out
-
-
 def std_normal_pdf(x):
     x_arr = np.asarray(x, dtype=float)
     out = np.exp(-0.5 * x_arr * x_arr) / np.sqrt(2.0 * np.pi)
@@ -126,25 +111,23 @@ def std_normal_quantile(u):
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     interval: tuple[float, float],
-    rule: QuadratureRule | None = None,
     panels: int = 1,
 ) -> float:
     """Fixed-rule quadrature of ``f`` over ``interval``.
 
     The rule (256-node Gauss-Legendre for one panel, 64 nodes per panel
     otherwise) is mapped affinely onto each of ``panels`` equal
-    sub-intervals; the result is deterministic for a fixed rule.  ``f`` is
-    called once, on a 1-d numpy array of every panel's abscissae.
+    sub-intervals, so the result is deterministic.  ``f`` is called once, on
+    a 1-d numpy array of every panel's abscissae.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
         raise DomainError(f"integration interval must satisfy lo < hi, got [{lo}, {hi}]")
     if panels < 1:
         raise DomainError("panels must be >= 1")
-    if rule is None:
-        # 64 nodes per panel resolve sharply peaked analytic integrands far
-        # better than one wide 256-node panel at equal cost.
-        rule = QuadratureRule.gauss_legendre(256 if panels == 1 else 64)
+    # 64 nodes per panel resolve sharply peaked analytic integrands far
+    # better than one wide 256-node panel at equal cost.
+    rule = QuadratureRule.gauss_legendre(256 if panels == 1 else 64)
 
     x, half = gauss_legendre_panels(np.linspace(lo, hi, panels + 1), rule)
     values = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)

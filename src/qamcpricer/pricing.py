@@ -209,8 +209,10 @@ class GridMeasure:
     copula-weighted total mass Q = E_ind[c] rescales the joint formulation;
     c_max, the bound of these same weights (grid_c_max), keeps the
     independent formulation's payoff h c / (h_max c_max) in [0, 1].
+    ``payoff`` is the payoff the values were computed for.
     """
 
+    payoff: Payoff
     grid: PricingGrid
     marginal_masses: tuple[np.ndarray, ...]
     copula_weights: np.ndarray
@@ -244,6 +246,7 @@ class GridMeasure:
         mesh = np.meshgrid(*prices, indexing="ij")
         payoff_vals = eval_payoff(payoff, np.stack(mesh, axis=-1))
         return cls(
+            payoff=payoff,
             grid=grid,
             marginal_masses=tuple(masses),
             copula_weights=weights,
@@ -286,9 +289,6 @@ class PriceEstimate:
     estimator: str
     samples_or_queries: int
     stderr: float | None = None
-    target_epsilon: float | None = None
-    repetitions: int = 1
-    seed: int | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.value):
@@ -335,7 +335,8 @@ def cmc_price(
     The joint formulation draws nodes from the copula-weighted cell masses;
     the independent one draws each axis from its marginal masses and weights
     the payoff by the copula.  Either is unbiased for riemann_reference.
-    Pass the prebuilt ``measure``, or the ``grid`` to build it on.
+    Pass the prebuilt ``measure``, or the ``grid`` to build it on.  A
+    measure built for another payoff is a DomainError.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
@@ -345,6 +346,8 @@ def cmc_price(
         if grid is None:
             raise DomainError("cmc_price needs a grid or a prebuilt measure")
         measure = GridMeasure.build(payoff, marginals, spec, grid)
+    elif measure.payoff != payoff:
+        raise DomainError(f"measure built for {measure.payoff}, not for {payoff}")
     if formulation == "joint":
         flat = measure.joint_masses.ravel()
         idx = sample_grid_indices(flat, samples, rng)

@@ -82,10 +82,6 @@ class AEResult:
     def oracle_queries(self) -> int:
         return sum(shots * (2 * k + 1) for k, shots in self.rounds)
 
-    @property
-    def shots_used(self) -> int:
-        return sum(shots for _, shots in self.rounds)
-
 
 def _find_next_k(k: int, theta_l: float, theta_u: float, up: bool, cap: int):
     """Largest Grover power (a doubling step up) keeping the scaled interval in one half-period."""
@@ -248,16 +244,19 @@ def qamc_price(
     one loads p with the copula-adjusted payoff h c/(h_max c_max).  Either
     amplitude equals V/scale, with V the discounted Riemann reference and
     scale = DF h_max Q or DF h_max c_max.  cfg.epsilon is the price-level
-    target; it is mapped to the amplitude scale and the estimate back.
+    target; it is mapped to the amplitude scale and the estimate back.  A
+    prebuilt ``measure`` built for another payoff is a DomainError.
     """
     if formulation not in ("joint", "independent"):
         raise DomainError(f"unknown formulation {formulation!r}")
     if measure is None:
         measure = GridMeasure.build(payoff, marginals, spec, grid)
+    elif measure.payoff != payoff:
+        raise DomainError(f"measure built for {measure.payoff}, not for {payoff}")
     df = measure.discount_factor
     h_max = measure.payoff_max
     if h_max <= 0.0:
-        return PriceEstimate(0.0, f"qamc-{formulation}", 1, stderr=0.0, target_epsilon=cfg.epsilon)
+        return PriceEstimate(0.0, f"qamc-{formulation}", 1, stderr=0.0)
 
     bound = measure.copula_total_mass if formulation == "joint" else measure.c_max
     scale = df * h_max * bound
@@ -268,8 +267,6 @@ def qamc_price(
         estimator=f"qamc-{formulation}",
         samples_or_queries=result.oracle_queries,
         stderr=scale * result.half_width,
-        target_epsilon=cfg.epsilon,
-        seed=cfg.seed,
     )
 
 

@@ -8,6 +8,7 @@ Riemann reference on the shared grid measure.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ def test_criterion_2_nig_correctness_bundle():
         )
         mart_worst = max(mart_worst, abs(mean_s - slc.forward) / slc.forward)
 
-        moved = ExpNIGModel(params.with_mu(0.7), slc)
+        moved = ExpNIGModel(replace(params, mu=0.7), slc)
         for strike in (0.9 * slc.forward, slc.forward, 1.1 * slc.forward):
             call, moved_call = (price_european_batch(m, [strike], ["C"])[0] for m in (model, moved))
             mu_worst = max(mu_worst, abs(call - moved_call))
@@ -132,7 +133,7 @@ def test_criterion_3_calibration_round_trip():
     truth = NIGParams(5.24, -3.26, 0.18)
     slc = MarketSlice.from_rates("AXA", 33.8, 1.0, 0.02)
     strikes = np.linspace(0.8, 1.2, 20) * slc.forward
-    slc = slc.with_quotes(generate_synthetic_quotes(truth, slc, strikes, spread=0.0))
+    slc = replace(slc, quotes=generate_synthetic_quotes(truth, slc, strikes, spread=0.0))
     result = calibrate(slc, CalibrationConfig(regularization=5e-7))
     theta = result.theta
     rel = (

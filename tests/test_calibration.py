@@ -1,14 +1,17 @@
 """Tests for the regularized NIG calibration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from qamcpricer import calibration
 from qamcpricer.calibration import (
     CalibrationConfig,
+    _least_squares,
     bs_prior,
     calibrate,
     grid_init,
-    objective,
     quote_weights,
 )
 from qamcpricer.errors import DomainError, ValidationError
@@ -16,18 +19,24 @@ from qamcpricer.market_data import MarketSlice, OptionQuote, generate_synthetic_
 from qamcpricer.nig import NIGParams, nig_cumulants
 
 
+def quote_slice(params, slice_, strikes):
+    return replace(slice_, quotes=generate_synthetic_quotes(params, slice_, strikes, spread=0.0))
+
+
+def objective(theta, slice_, cfg) -> float:
+    """J(theta) as calibrate evaluates it."""
+    _, fun = _least_squares(slice_, cfg)
+    return fun(np.asarray(theta, dtype=float))
+
+
 @pytest.fixture(scope="module")
 def axa_quote_slice(axa_params, axa_slice):
-    strikes = np.linspace(0.8, 1.2, 20) * axa_slice.forward
-    quotes = generate_synthetic_quotes(axa_params, axa_slice, strikes, spread=0.0)
-    return axa_slice.with_quotes(quotes)
+    return quote_slice(axa_params, axa_slice, np.linspace(0.8, 1.2, 20) * axa_slice.forward)
 
 
 @pytest.fixture(scope="module")
 def michelin_quote_slice(michelin_params, michelin_slice):
-    strikes = np.linspace(0.82, 1.18, 16) * michelin_slice.forward
-    quotes = generate_synthetic_quotes(michelin_params, michelin_slice, strikes, spread=0.0)
-    return michelin_slice.with_quotes(quotes)
+    return quote_slice(michelin_params, michelin_slice, np.linspace(0.82, 1.18, 16) * michelin_slice.forward)
 
 
 class TestObjective:
@@ -37,18 +46,18 @@ class TestObjective:
         assert objective(truth, axa_quote_slice, cfg) <= 1e-14
 
     def test_penalty_vanishes_at_prior(self, axa_quote_slice):
-        prior = (6.0, -2.0, 0.25)
-        with_pen = CalibrationConfig(regularization=10.0, prior=prior, weights_rule="uniform")
-        without = CalibrationConfig(regularization=0.0, prior=prior, weights_rule="uniform")
+        prior = bs_prior(axa_quote_slice)
+        with_pen = CalibrationConfig(regularization=10.0, weights_rule="uniform")
+        without = CalibrationConfig(regularization=0.0, weights_rule="uniform")
         assert objective(prior, axa_quote_slice, with_pen) == pytest.approx(
             objective(prior, axa_quote_slice, without), rel=1e-12
         )
 
     def test_quadratic_penalty_by_finite_differences(self, axa_quote_slice):
-        prior = (6.0, -2.0, 0.25)
+        prior = bs_prior(axa_quote_slice)
         lam = 3.0
-        cfg = CalibrationConfig(regularization=lam, prior=prior, weights_rule="uniform")
-        cfg0 = CalibrationConfig(regularization=0.0, prior=prior, weights_rule="uniform")
+        cfg = CalibrationConfig(regularization=lam, weights_rule="uniform")
+        cfg0 = CalibrationConfig(regularization=0.0, weights_rule="uniform")
         delta = np.array([0.02, -0.01, 0.005])
         theta = np.array(prior) + delta
         penalty = objective(tuple(theta), axa_quote_slice, cfg) - objective(
@@ -57,6 +66,7 @@ class TestObjective:
         assert penalty == pytest.approx(lam * float(np.sum(delta**2)), rel=1e-9)
 
     def test_inadmissible_rejected(self, axa_quote_slice):
+        # (beta + 1)^2 >= alpha^2: the NIG law itself refuses the point.
         with pytest.raises(DomainError):
             objective((2.0, 1.5, 0.2), axa_quote_slice, CalibrationConfig())
 
@@ -75,35 +85,34 @@ class TestWeights:
 
 
 class TestGridInit:
-    def test_truth_in_lattice_is_chosen(self, axa_params, axa_quote_slice):
-        cfg = CalibrationConfig(
-            regularization=0.0,
-            weights_rule="uniform",
-            grid={"alpha": (4.0, 5.24, 8.0), "beta": (-3.26, 0.0), "delta": (0.18, 0.4)},
-        )
+    def test_truth_in_lattice_is_chosen(self, axa_params, axa_quote_slice, monkeypatch):
+        lattice = {"alpha": (4.0, 5.24, 8.0), "beta": (-3.26, 0.0), "delta": (0.18, 0.4)}
+        monkeypatch.setattr(calibration, "DEFAULT_GRID", lattice)
+        cfg = CalibrationConfig(regularization=0.0, weights_rule="uniform")
         assert grid_init(axa_quote_slice, cfg) == (5.24, -3.26, 0.18)
 
-    def test_singleton_lattice(self, axa_quote_slice):
-        cfg = CalibrationConfig(grid={"alpha": (6.0,), "beta": (-2.0,), "delta": (0.2,)})
-        assert grid_init(axa_quote_slice, cfg) == (6.0, -2.0, 0.2)
+    def test_singleton_lattice(self, axa_quote_slice, monkeypatch):
+        monkeypatch.setattr(calibration, "DEFAULT_GRID", {"alpha": (6.0,), "beta": (-2.0,), "delta": (0.2,)})
+        assert grid_init(axa_quote_slice, CalibrationConfig()) == (6.0, -2.0, 0.2)
 
     def test_default_lattice_beats_median(self, axa_quote_slice):
         cfg = CalibrationConfig()
         start = grid_init(axa_quote_slice, cfg)
+        lattice = calibration.DEFAULT_GRID
         admissible = [
             (a, b, d)
-            for a in cfg.grid["alpha"]
-            for b in cfg.grid["beta"]
-            for d in cfg.grid["delta"]
+            for a in lattice["alpha"]
+            for b in lattice["beta"]
+            for d in lattice["delta"]
             if a - b >= 1.0 + 1e-6 and a + b >= 1e-6
         ]
         scores = sorted(objective(p, axa_quote_slice, cfg) for p in admissible)
         assert objective(start, axa_quote_slice, cfg) <= scores[len(scores) // 2]
 
-    def test_empty_lattice_error(self, axa_quote_slice):
-        cfg = CalibrationConfig(grid={"alpha": (1.0,), "beta": (4.0,), "delta": (0.2,)})
+    def test_empty_lattice_error(self, axa_quote_slice, monkeypatch):
+        monkeypatch.setattr(calibration, "DEFAULT_GRID", {"alpha": (1.0,), "beta": (4.0,), "delta": (0.2,)})
         with pytest.raises(ValidationError):
-            grid_init(axa_quote_slice, cfg)
+            grid_init(axa_quote_slice, CalibrationConfig())
 
 
 class TestBsPrior:
@@ -117,7 +126,7 @@ class TestBsPrior:
             for kind in ("C", "P"):
                 mid = bs_price(inp, kind)
                 quotes.append(OptionQuote("AXA", 1.0, float(k), kind, mid, mid))
-        alpha0, beta0, delta0 = bs_prior(axa_slice.with_quotes(quotes))
+        alpha0, beta0, delta0 = bs_prior(replace(axa_slice, quotes=quotes))
         assert beta0 == 0.0
         assert delta0 == pytest.approx(10.0 * 0.04, abs=1e-6 * 0.4)
 
@@ -148,8 +157,8 @@ class TestCalibrate:
         assert result.max_err_bp <= 6.0
 
     def test_huge_lambda_pins_to_prior(self, axa_quote_slice):
-        prior = (6.0, -2.0, 0.25)
-        cfg = CalibrationConfig(regularization=1e3, prior=prior, weights_rule="uniform")
+        prior = bs_prior(axa_quote_slice)
+        cfg = CalibrationConfig(regularization=1e3, weights_rule="uniform")
         result = calibrate(axa_quote_slice, cfg)
         theta = result.theta
         assert theta.alpha == pytest.approx(prior[0], abs=0.05)
@@ -163,17 +172,34 @@ class TestCalibrate:
         assert first == again  # bit-for-bit: no hidden RNG
         assert first.objective <= objective(first.start, axa_quote_slice, cfg)
 
-    def test_admissible_at_every_accepted_iterate(self, axa_quote_slice):
-        from qamcpricer.calibration import ADMISSIBILITY_MARGIN
+    def test_admissible_at_every_accepted_iterate(self, axa_quote_slice, monkeypatch):
+        # Every point priced, accepted iterates and finite-difference points
+        # alike, lies in the NIG domain.  On the second slice, whose truth has
+        # alpha - beta = 1.00001, a full-length difference step around the
+        # constrained iterates crosses alpha - beta = 1.
+        edge_slice = MarketSlice.from_rates("EDGE", 30.0, 1.0, 0.02)
+        edge_slice = quote_slice(
+            NIGParams(3.0, 1.99999, 0.2), edge_slice, np.linspace(0.8, 1.2, 12) * edge_slice.forward
+        )
+        priced = []
+        model_prices = calibration._model_prices
 
-        trace: list = []
-        calibrate(axa_quote_slice, CalibrationConfig(regularization=5e-7), iterate_log=trace)
-        assert len(trace) > 0
-        for theta in trace:
-            alpha, beta, delta = theta
-            assert alpha > 0 and delta > 0
-            assert alpha - beta >= 1.0 + ADMISSIBILITY_MARGIN / 2
-            assert alpha + beta >= ADMISSIBILITY_MARGIN / 2
+        def recording(theta, slice_, quotes):
+            priced.append(np.array(theta, copy=True))
+            return model_prices(theta, slice_, quotes)
+
+        monkeypatch.setattr(calibration, "_model_prices", recording)
+        monkeypatch.setattr(calibration, "MAX_ITERATIONS", 40)
+        for slice_, cfg in (
+            (axa_quote_slice, CalibrationConfig(regularization=5e-7)),
+            (edge_slice, CalibrationConfig(regularization=0.0, weights_rule="uniform")),
+        ):
+            priced.clear()
+            calibrate(slice_, cfg)
+            assert len(priced) > 0
+            for alpha, beta, delta in priced:
+                assert delta > 0 and alpha - beta > 1.0 and alpha + beta > 0.0
+                NIGParams(alpha, beta, delta)  # does not raise
 
     def test_mu_invariance_of_fit_quality(self, axa_quote_slice):
         # Prices from the fitted theta are unchanged when mu is moved (and the
@@ -182,7 +208,7 @@ class TestCalibrate:
 
         result = calibrate(axa_quote_slice, CalibrationConfig(regularization=5e-7))
         base = ExpNIGModel(result.theta, axa_quote_slice)
-        moved = ExpNIGModel(result.theta.with_mu(0.3), axa_quote_slice)
+        moved = ExpNIGModel(replace(result.theta, mu=0.3), axa_quote_slice)
         for strike in [30.0, 34.0, 38.0]:
             assert price_european_batch(base, [strike], ["C"])[0] == pytest.approx(
                 price_european_batch(moved, [strike], ["C"])[0], abs=1e-9

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from qamcpricer import pricing
-from qamcpricer.cli import main
-from qamcpricer.cosine_density import series_from_json
+from qamcpricer.cli import _build_parser, main
+from qamcpricer.cosine_density import CosineSeries, Interval
 from qamcpricer.errors import ValidationError
 from qamcpricer.experiments import (
     FIXTURES,
@@ -82,7 +82,7 @@ class TestFixtures:
             assert slc.forward == pytest.approx(slc.spot * math.exp(0.02))
 
     def test_marginal_mass_near_one(self):
-        marginal = fixture_marginal("AXA", terms=128)
+        marginal = fixture_marginal("AXA")
         a, b = marginal.interval
         xs = np.linspace(a, b, 4001)
         mass = np.trapezoid(np.asarray(marginal.pdf(xs)), xs)
@@ -128,11 +128,11 @@ class TestStudies:
             assert row["sup_pdf_ci90_lo"] <= row["sup_pdf_err_median"] <= row["sup_pdf_ci90_hi"]
 
     def test_price_convergence_shapes(self, small_cfg):
-        out = study_price_convergence(small_cfg, setups=("spread",))
-        data = out["spread"]
-        assert data["reference"] > 0
-        methods = {r.method for r in data["records"]}
-        assert methods == {"cmc", "qamc-joint", "qamc-independent"}
+        out = study_price_convergence(small_cfg)
+        assert set(out) == {"spread", "basket"}
+        for data in out.values():
+            assert data["reference"] > 0
+            assert {r.method for r in data["records"]} == {"cmc", "qamc-joint", "qamc-independent"}
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +198,8 @@ class TestCli:
             assert row["rmse_bp"] <= 10.0
 
     def test_density_export_loadable(self, pipeline_out):
-        series = series_from_json((pipeline_out / "density_AXA.json").read_text())
+        data = json.loads((pipeline_out / "density_AXA.json").read_text())
+        series = CosineSeries(Interval(data["a"], data["b"]), np.asarray(data["coeffs"]))
         assert series.terms == 128
 
     def test_price_schema(self, pipeline_out):
@@ -314,6 +315,34 @@ class TestCli:
         assert main(["study", "price", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert (out / "study_price_spread.csv").exists()
         assert (out / "study_price_basket.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "--config", "c.json", "--seed", "3"],
+            ["curves", "--config", "c.json", "--drop-violations"],
+            ["arb-check", "--config", "c.json", "--seed", "3"],
+            ["calibrate", "--config", "c.json", "--seed", "3"],
+            ["density", "--config", "c.json", "--seed", "3"],
+            ["study", "price", "--config", "c.json", "--drop-violations"],
+            ["make-bundle", "--seed", "3"],
+            ["make-bundle", "--config", "c.json"],
+        ],
+    )
+    def test_flag_the_command_ignores_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            _build_parser().parse_args(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_flags_each_command_reads(self):
+        parse = _build_parser().parse_args
+        args = parse(["pipeline", "--config", "c.json", "--out", "o", "--seed", "5", "--drop-violations"])
+        assert (args.config, args.out, args.seed, args.drop_violations) == ("c.json", "o", 5, True)
+        args = parse(["study", "coeffs", "--config", "c.json", "--seed", "2"])
+        assert (args.kind, args.seed) == ("coeffs", 2)
+        assert parse(["make-bundle", "--out", "demo"]).out == "demo"
+        assert parse(["arb-check", "--config", "c.json", "--drop-violations"]).drop_violations
 
     def test_unknown_study_option_rejected(self, bundle, tmp_path, capsys):
         cfg = json.loads((bundle / "config.json").read_text())

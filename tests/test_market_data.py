@@ -50,6 +50,21 @@ class TestQuoteTypes:
         with pytest.raises(ValidationError):
             MarketSlice("X", 100.0, 1.0, math.exp(-0.03), 105.0, 0.05, 0.01)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_inputs_rejected(self, bad):
+        for args in (("X", bad, 1.0, 0.02), ("X", 30.0, bad, 0.02), ("X", 30.0, 1.0, bad)):
+            with pytest.raises(ValidationError):
+                MarketSlice.from_rates(*args)
+        for numbers in ((bad, 100.0, 1.0, 2.0), (1.0, bad, 1.0, 2.0), (1.0, 100.0, bad, 2.0),
+                        (1.0, 100.0, 1.0, bad)):
+            expiry, strike, bid, ask = numbers
+            with pytest.raises(ValidationError):
+                OptionQuote("X", expiry, strike, "C", bid, ask)
+
+    def test_zero_expiry_slice_rejected(self):
+        with pytest.raises(ValidationError):
+            MarketSlice.from_rates("X", 30.0, 0.0, 0.02)
+
 
 class TestLoadSave:
     def test_single_valid_row(self, tmp_path):
@@ -75,6 +90,20 @@ class TestLoadSave:
         path.write_text("underlying,expiry_years,strike,kind,bid,ask\nAXA,oops,30.0,C,1,2\n")
         with pytest.raises(ValidationError, match="line 2"):
             load_quotes(path)
+
+    def test_non_finite_rows_reported(self, tmp_path):
+        path = tmp_path / "quotes.csv"
+        path.write_text(
+            "underlying,expiry_years,strike,kind,bid,ask\n"
+            "AXA,1.0,30.0,C,nan,nan\n"
+            "AXA,1.0,nan,C,3.1,3.3\n"
+            "AXA,inf,30.0,C,3.1,3.3\n"
+            "AXA,1.0,31.0,C,3.1,3.3\n"
+        )
+        with pytest.raises(ValidationError) as info:
+            load_quotes(path)
+        reported = [line.split(":")[0] for line in str(info.value).splitlines()[1:]]
+        assert reported == ["line 2", "line 3", "line 4"]
 
     def test_round_trip_lossless(self, tmp_path, axa_params, axa_slice):
         quotes = generate_synthetic_quotes(axa_params, axa_slice, [30.0, 33.8, 37.0], spread=0.01)

@@ -1,6 +1,7 @@
 """Tests for the NIG distribution and the exponential-NIG pricing model."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,10 +22,11 @@ from qamcpricer.nig import (
     nig_pdf,
     price_european_batch,
     price_european_cos,
-    sample_nig,
     support_interval,
 )
 from qamcpricer.numerics import integrate
+
+from nig_sampling import sample_nig
 
 
 class TestParams:
@@ -60,7 +62,7 @@ class TestPdf:
         assert res.x < 0.0
 
     def test_mu_shift_equivariance(self, axa_params):
-        shifted = axa_params.with_mu(0.4)
+        shifted = replace(axa_params, mu=0.4)
         t = 0.7
         for x in [-0.5, 0.0, 0.9]:
             assert nig_pdf(x, shifted, t) == pytest.approx(nig_pdf(x - 0.4 * t, axa_params, t), rel=1e-13)
@@ -104,7 +106,7 @@ class TestMartingaleAdjustment:
 
     def test_linear_in_mu(self, axa_params):
         for mu in [-0.3, 0.7, 2.0]:
-            assert martingale_adjustment(axa_params.with_mu(mu)) == pytest.approx(
+            assert martingale_adjustment(replace(axa_params, mu=mu)) == pytest.approx(
                 martingale_adjustment(axa_params) - mu, abs=1e-14
             )
 
@@ -168,7 +170,7 @@ class TestPriceEuropean:
 
     def test_mu_independence(self, axa_params, axa_slice):
         base = ExpNIGModel(axa_params, axa_slice)
-        moved = ExpNIGModel(axa_params.with_mu(0.7), axa_slice)
+        moved = ExpNIGModel(replace(axa_params, mu=0.7), axa_slice)
         for strike in [25.0, 33.8, 45.0]:
             assert price_european_batch(base, [strike], ["C"])[0] == pytest.approx(
                 price_european_batch(moved, [strike], ["C"])[0], abs=1e-9
@@ -198,6 +200,15 @@ class TestPriceEuropean:
             price_european_batch(model, [30.0], ["C", "P"])
         with pytest.raises(DomainError):
             price_european_batch(model, [[30.0, 31.0]], ["C", "C"])
+
+    @pytest.mark.parametrize("params", [NIGParams(2.0, -1.99999, 0.3), NIGParams(6.0, -5.9999, 0.2)])
+    def test_tails_too_heavy_to_price_rejected(self, params):
+        # Admissible, but alpha + beta ~ 0 stretches the pricing interval to
+        # ~1e5-1e6 in log-price, where the asset price overflows: the batch
+        # used to come back NaN.
+        model = ExpNIGModel(params, MarketSlice.from_rates("X", 30.0, 1.0, 0.02))
+        with pytest.raises(DomainError):
+            price_european_batch(model, [27.0, 30.0, 33.0], ["C", "C", "C"])
 
 
 class TestPriceCos:

@@ -1,6 +1,7 @@
 """Tests for payoffs, the shared grid measure, Riemann reference, and CMC."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,15 +145,7 @@ class TestRiemannReference:
     def test_constant_payoff_pins_discounting(self, spread_setup):
         _, marginals, spec, grid = spread_setup
         measure = GridMeasure.build(Payoff("spread-call", 0.0), marginals, spec, grid)
-        ones = GridMeasure(
-            grid=measure.grid,
-            marginal_masses=measure.marginal_masses,
-            copula_weights=measure.copula_weights,
-            payoff_values=np.ones_like(measure.payoff_values),
-            discount_factor=measure.discount_factor,
-            clipped_mass=0.0,
-            c_max=measure.c_max,
-        )
+        ones = replace(measure, payoff_values=np.ones_like(measure.payoff_values), clipped_mass=0.0)
         df = marginals[0].slice_.discount_factor
         # payoff == 1: DF times the copula-weighted total grid mass (~1).
         assert ones.reference_value() == pytest.approx(df * measure.copula_total_mass, rel=1e-12)
@@ -233,15 +226,7 @@ class TestCmc:
         payoff, marginals, _, grid = spread_setup
         eye = CopulaSpec.from_matrix(np.eye(2))
         base = GridMeasure.build(payoff, marginals, eye, grid)
-        flat = GridMeasure(
-            grid=base.grid,
-            marginal_masses=base.marginal_masses,
-            copula_weights=base.copula_weights,
-            payoff_values=np.ones_like(base.payoff_values),
-            discount_factor=base.discount_factor,
-            clipped_mass=0.0,
-            c_max=base.c_max,
-        )
+        flat = replace(base, payoff_values=np.ones_like(base.payoff_values), clipped_mass=0.0)
         df = marginals[0].slice_.discount_factor
         for L in (1, 7, 256):
             est = cmc_price(payoff, marginals, eye, "joint", L, np.random.default_rng(0), measure=flat)
@@ -264,6 +249,17 @@ class TestCmc:
             cmc_price(payoff, marginals, spec, "sideways", 10, np.random.default_rng(0), grid=grid)
         with pytest.raises(DomainError):
             cmc_price(payoff, marginals, spec, "joint", 10, np.random.default_rng(0))
+
+    def test_measure_of_another_payoff_rejected(self, spread_setup):
+        # A measure holds the payoff values it was built for; priced as a
+        # strike-1000 spread (worth 0) it used to return the strike-0 price.
+        payoff, marginals, spec, grid = spread_setup
+        measure = GridMeasure.build(payoff, marginals, spec, grid)
+        assert measure.payoff == payoff
+        for formulation in ("joint", "independent"):
+            with pytest.raises(DomainError):
+                cmc_price(Payoff("spread-call", 1000.0), marginals, spec, formulation, 16,
+                          np.random.default_rng(0), measure=measure)
 
 
 class TestPriceEstimate:

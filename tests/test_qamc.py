@@ -1,6 +1,7 @@
 """Tests for the amplitude estimators, checked against the statevector model."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,7 +199,6 @@ class TestIqae:
         res = iqae_estimate(0.25, AEConfig(epsilon=1e-3, rho=0.05), np.random.default_rng(4))
         recomputed = sum(shots * (2 * k + 1) for k, shots in res.rounds)
         assert recomputed == res.oracle_queries
-        assert res.shots_used == sum(shots for _, shots in res.rounds)
 
     def test_extreme_amplitudes(self):
         for a in (0.0, 1.0, 1e-4, 1 - 1e-4):
@@ -312,15 +312,7 @@ class TestQamcPrice:
         payoff, marginals, spec, grid = small_pricing_setup
         measure = GridMeasure.build(payoff, marginals, spec, grid)
         # Constant payoff: amplitude 1 exactly, price = DF * h_max * Q.
-        flat = GridMeasure(
-            grid=measure.grid,
-            marginal_masses=measure.marginal_masses,
-            copula_weights=measure.copula_weights,
-            payoff_values=np.full_like(measure.payoff_values, 3.7),
-            discount_factor=measure.discount_factor,
-            clipped_mass=0.0,
-            c_max=measure.c_max,
-        )
+        flat = replace(measure, payoff_values=np.full_like(measure.payoff_values, 3.7), clipped_mass=0.0)
         est = qamc_price(
             payoff, marginals, spec, "joint", grid,
             AEConfig(epsilon=1e-3, rho=0.05, seed=0), measure=flat,
@@ -366,6 +358,14 @@ class TestQamcPrice:
         joint = qamc_price(payoff, marginals, spec, "joint", grid, cfg, np.random.default_rng(3))
         indep = qamc_price(payoff, marginals, spec, "independent", grid, cfg, np.random.default_rng(4))
         assert joint.samples_or_queries <= indep.samples_or_queries
+
+    def test_measure_of_another_payoff_rejected(self, small_pricing_setup):
+        payoff, marginals, spec, grid = small_pricing_setup
+        measure = GridMeasure.build(payoff, marginals, spec, grid)
+        cfg = AEConfig(epsilon=1e-3, rho=0.05)
+        with pytest.raises(DomainError):
+            qamc_price(Payoff("spread-call", 1000.0), marginals, spec, "joint", grid, cfg,
+                       np.random.default_rng(0), measure=measure)
 
 
 class TestRunLog:
