@@ -8,8 +8,11 @@ over theta = (alpha, beta, delta) with mu fixed to 0 (prices do not depend on
 the location parameter).  Admissibility (beta^2 < alpha^2 and
 (beta+1)^2 < alpha^2 with alpha > 0) reduces to the linear constraints
 alpha - beta >= 1 and alpha + beta >= 0, enforced with a small margin at
-every iterate of a trust-region optimizer.  Initialization is a grid search
-over a small lattice of plausible starting points.
+every iterate of a trust-region optimizer.  The optimizer gets the exact
+gradient of J, 2 sum_m w_m (V_m - mid_m) dV_m/dtheta + 2 lambda (theta - theta0),
+where dV/dtheta comes out of the same quadrature pass as the prices.
+Initialization is a grid search over a small lattice of plausible starting
+points.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ class CalibrationConfig:
 class CalibrationResult:
     theta: NIGParams
     objective: float
-    residuals: tuple[float, ...]
     rmse_bp: float
     max_err_bp: float
     iterations: int
@@ -102,17 +104,20 @@ def _usable_quotes(slice_: MarketSlice) -> list[OptionQuote]:
     return [q for q in slice_.quotes if q.bid > 0.0 or q.spread == 0.0]
 
 
-def _model_prices(theta, slice_: MarketSlice, quotes: list[OptionQuote]) -> np.ndarray:
+def _model_prices(theta, slice_: MarketSlice, quotes: list[OptionQuote], *, gradient: bool):
+    """Model prices of the quotes at theta, and with ``gradient`` their theta-derivatives."""
     params = NIGParams(theta[0], theta[1], theta[2], 0.0)
     model = ExpNIGModel(params, slice_)
-    return price_european_batch(model, [q.strike for q in quotes], [q.kind for q in quotes])
+    return price_european_batch(model, [q.strike for q in quotes], [q.kind for q in quotes], gradient=gradient)
 
 
 def _least_squares(slice_: MarketSlice, config: CalibrationConfig):
-    """J(theta) of one slice as (residuals, fun).
+    """J(theta) of one slice as (fun, fun_and_grad), one pricing batch per call.
 
-    The usable quotes, their weights and the prior are fixed per slice, so
-    they are computed once here and not at each evaluation.
+    ``fun(theta)`` returns (J, residuals) and ``fun_and_grad(theta)`` returns
+    (J, grad J); both compute J by the same arithmetic.  The usable quotes,
+    their weights and the prior are fixed per slice, so they are computed
+    once here and not at each evaluation.
     """
     quotes = _usable_quotes(slice_)
     if not quotes:
@@ -122,14 +127,20 @@ def _least_squares(slice_: MarketSlice, config: CalibrationConfig):
     prior = np.asarray(bs_prior(slice_), dtype=float)
     lam = config.regularization
 
-    def residuals(theta):
-        return _model_prices(theta, slice_, quotes) - mids
-
-    def fun(theta):
-        resid = residuals(theta)
+    def value(theta, resid):
         return float(np.dot(weights, resid**2) + lam * np.sum((theta - prior) ** 2))
 
-    return residuals, fun
+    def fun(theta):
+        resid = _model_prices(theta, slice_, quotes, gradient=False) - mids
+        return value(theta, resid), resid
+
+    def fun_and_grad(theta):
+        prices, d_prices = _model_prices(theta, slice_, quotes, gradient=True)
+        resid = prices - mids
+        grad = 2.0 * ((weights * resid) @ d_prices + lam * (theta - prior))
+        return value(theta, resid), grad
+
+    return fun, fun_and_grad
 
 
 def bs_prior(slice_: MarketSlice) -> tuple[float, float, float]:
@@ -149,8 +160,11 @@ def bs_prior(slice_: MarketSlice) -> tuple[float, float, float]:
     return (10.0, 0.0, 10.0 * sigma_atm**2)
 
 
-def grid_init(slice_: MarketSlice, config: CalibrationConfig) -> tuple[float, float, float]:
-    """DEFAULT_GRID point with the lowest objective; deterministic for a fixed config."""
+def grid_init(slice_: MarketSlice, config: CalibrationConfig) -> tuple[tuple[float, float, float], float]:
+    """DEFAULT_GRID point with the lowest objective, and that objective.
+
+    Deterministic for a fixed config.
+    """
     points = [
         (a, b, d)
         for a in DEFAULT_GRID["alpha"]
@@ -160,41 +174,27 @@ def grid_init(slice_: MarketSlice, config: CalibrationConfig) -> tuple[float, fl
     ]
     if not points:
         raise ValidationError("initialization lattice empty after admissibility filtering")
-    _, fun = _least_squares(slice_, config)
-    scores = [fun(np.asarray(p, dtype=float)) for p in points]
-    return points[int(np.argmin(scores))]
+    fun, _ = _least_squares(slice_, config)
+    scores = [fun(np.asarray(p, dtype=float))[0] for p in points]
+    best = int(np.argmin(scores))
+    return points[best], scores[best]
 
 
 def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> CalibrationResult:
     """Constrained trust-region fit of (alpha, beta, delta) with mu = 0.
 
     Admissibility holds at every accepted iterate (linear constraints with
-    keep_feasible).  Gradients are central finite differences with step
-    1e-5 (1 + |theta_i|), shortened to half the distance to the edge of the
-    NIG domain, so that every point priced is admissible; the model price
-    has no closed-form gradient.
+    keep_feasible), and only iterates are priced.  Each evaluation is one
+    pricing batch that returns J(theta) with its closed-form gradient (see
+    ``price_european_batch(..., gradient=True)``); the final theta is
+    priced once more for the objective and the residuals.
     """
     config = config or CalibrationConfig()
     quotes = _usable_quotes(slice_)
     if len(quotes) < 3:
         raise ValidationError("calibration needs at least 3 usable quotes")
-    residuals, fun = _least_squares(slice_, config)
-
-    def jac(theta):
-        # Room to the domain edge: alpha and beta move alpha - beta - 1 and alpha + beta.
-        edge = min(theta[0] - theta[1] - 1.0, theta[0] + theta[1])
-        room = (edge, edge, theta[2])
-        grad = np.empty(3)
-        for i in range(3):
-            step = min(1e-5 * (1.0 + abs(theta[i])), 0.5 * room[i])
-            up = theta.copy()
-            dn = theta.copy()
-            up[i] += step
-            dn[i] -= step
-            grad[i] = (fun(up) - fun(dn)) / (2.0 * step)
-        return grad
-
-    start = np.asarray(grid_init(slice_, config), dtype=float)
+    fun, fun_and_grad = _least_squares(slice_, config)
+    start, start_value = grid_init(slice_, config)
     constraints = LinearConstraint(
         np.array([[1.0, -1.0, 0.0], [1.0, 1.0, 0.0]]),
         lb=[1.0 + ADMISSIBILITY_MARGIN, ADMISSIBILITY_MARGIN],
@@ -202,9 +202,9 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
         keep_feasible=True,
     )
     result = minimize(
-        fun,
-        start,
-        jac=jac,
+        fun_and_grad,
+        np.asarray(start, dtype=float),
+        jac=True,
         method="trust-constr",
         bounds=BOUNDS,
         constraints=[constraints],
@@ -213,15 +213,13 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     theta = np.asarray(result.x, dtype=float)
     if not _admissible(theta):
         raise CalibrationError(f"optimizer left the admissible set at {theta}")
-    value = fun(theta)
-    if value > fun(start) + 1e-12:
+    value, resid = fun(theta)
+    if value > start_value + 1e-12:
         raise CalibrationError("optimizer failed to improve on the grid start")
-    resid = residuals(theta)
     err_bp = np.abs(resid) / slice_.spot * 1e4
     return CalibrationResult(
         theta=NIGParams(theta[0], theta[1], theta[2], 0.0),
         objective=value,
-        residuals=tuple(float(r) for r in resid),
         rmse_bp=float(np.sqrt(np.mean(err_bp**2))),
         max_err_bp=float(np.max(err_bp)),
         iterations=int(result.niter),

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import k1e
+from scipy.special import k0e, k1e
 
 from .errors import DomainError
 from .numerics import QuadratureRule, gauss_legendre_panels, integrate
@@ -185,8 +185,8 @@ def widened_interval(p: NIGParams, t: float, left_eps: float, right_eps: float) 
         a, b = cumulant_interval(p, t, width)
         if width >= 60.0:
             return a, b
-        left = integrate(lambda y: nig_pdf(y, p, t), (lo, a), panels=8) if a > lo else 0.0
-        right = integrate(lambda y: nig_pdf(y, p, t), (b, hi), panels=8) if b < hi else 0.0
+        left = integrate(lambda y: nig_pdf(y, p, t), (lo, a)) if a > lo else 0.0
+        right = integrate(lambda y: nig_pdf(y, p, t), (b, hi)) if b < hi else 0.0
         if left <= left_eps and right <= right_eps:
             return a, b
         width += 2.0
@@ -208,10 +208,10 @@ def support_interval(
     target = 0.5 * tail_eps
 
     def left_mass(a):
-        return integrate(lambda y: nig_pdf(y, p, t), (lo_anchor, a), panels=8)
+        return integrate(lambda y: nig_pdf(y, p, t), (lo_anchor, a))
 
     def right_mass(b):
-        return integrate(lambda y: nig_pdf(y, p, t), (b, hi_anchor), panels=8)
+        return integrate(lambda y: nig_pdf(y, p, t), (b, hi_anchor))
 
     # Largest a (smallest b) whose one-sided mass stays below target; the
     # returned endpoint is always on the safe side of the bisection.
@@ -265,7 +265,7 @@ class ExpNIGModel:
         return math.log(strike / self.slice_.spot) - self.drift
 
 
-def price_european_batch(model: ExpNIGModel, strikes, kinds) -> np.ndarray:
+def price_european_batch(model: ExpNIGModel, strikes, kinds, gradient: bool = False):
     """European prices of many (strike, kind) pairs off one density evaluation.
 
     Discounted quadrature of each payoff against the density on the pricing
@@ -276,6 +276,15 @@ def price_european_batch(model: ExpNIGModel, strikes, kinds) -> np.ndarray:
     A single quote is a batch of one.  The result is independent of the
     location parameter mu.  Tails too heavy for a finite S(T) on the
     interval are a DomainError.
+
+    With ``gradient=True`` the result is ``(prices, d_prices)``, where row m
+    of ``d_prices`` is d price_m / d(alpha, beta, delta) of the quadrature
+    sum itself, off the same density pass.  A parameter moves each term
+    w payoff(S(T)) f(x) through the density, through S(T) = S0 exp(drift + x),
+    and through its node and weight: the panel edges are the interval ends,
+    which scale with the cumulants, and the kinks, which move against the
+    drift.  So the gradient is that of the computed prices wherever the
+    interval's width step is locally constant, in tails slow or not.
     """
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or len(kinds) != strikes.size:
@@ -284,11 +293,16 @@ def price_european_batch(model: ExpNIGModel, strikes, kinds) -> np.ndarray:
         raise DomainError("strikes must be positive")
     p = model.params
     t = model.slice_.expiry
+    spot = model.slice_.spot
+    drift = model.drift
     a, b = widened_interval(p, t, 1e-11, 1e-11)
-    if math.log(model.slice_.spot) + model.drift + b >= math.log(np.finfo(float).max):
+    if math.log(spot) + drift + b >= math.log(np.finfo(float).max):
         raise DomainError(f"S(T) overflows on the pricing interval [{a:.6g}, {b:.6g}] of {p}")
-    kinks = np.array(sorted({model.log_strike(k) for k in strikes if a < model.log_strike(k) < b}))
-    edges = np.unique(np.concatenate([np.linspace(a, b, _PRICING_PANELS + 1), kinks]))
+    # Payoff kinks in x-space (ExpNIGModel.log_strike), one drift per batch.
+    x_stars = [math.log(strike / spot) - drift for strike in strikes]
+    kinks = np.array(sorted({x_star for x_star in x_stars if a < x_star < b}))
+    panel_edges = np.linspace(a, b, _PRICING_PANELS + 1)
+    edges, first = np.unique(np.concatenate([panel_edges, kinks]), return_index=True)
 
     rule = QuadratureRule.gauss_legendre(64)
     nodes, half = gauss_legendre_panels(edges, rule)
@@ -297,22 +311,112 @@ def price_european_batch(model: ExpNIGModel, strikes, kinds) -> np.ndarray:
     dens = nig_pdf(x, p, t)
     s_vals = model.price_at(x)
     df = model.slice_.discount_factor
+    if gradient:
+        scores, slope = _log_density_scores(x, p, t)
+        d_drift = _drift_gradient(p, t)
+        # Nodes and weights move with the panel edges: the interval's edges
+        # with its ends, the kinks log(K / S0) - drift against the drift.
+        d_a, d_b = _interval_gradient(p, t, a, b)
+        frac = np.linspace(0.0, 1.0, _PRICING_PANELS + 1)[:, None]
+        d_edges = np.concatenate([d_a + frac * (d_b - d_a), np.tile(-d_drift, (kinks.size, 1))])[first]
+        d_mid = 0.5 * (d_edges[1:] + d_edges[:-1])[:, None, :]
+        d_half = 0.5 * (d_edges[1:] - d_edges[:-1])[:, None, :]
+        d_x = (d_mid + d_half * rule.nodes[None, :, None]).reshape(-1, 3)
+        d_w = (d_half * rule.weights[None, :, None]).reshape(-1, 3)
+        # d(w payoff f) / d theta per node is u - K v for a call and K v - u
+        # for a put (d payoff / d drift = +-S(T)), so a quote's gradient is a
+        # suffix (call) or prefix (put) sum of u and v.
+        s_dens = s_vals * dens
+        u = s_dens[:, None] * d_w + (w * s_dens)[:, None] * (scores + (1.0 + slope)[:, None] * d_x + d_drift)
+        v = dens[:, None] * d_w + (w * dens)[:, None] * (scores + slope[:, None] * d_x)
+        uv = np.hstack([u, v])
+        none = np.zeros((1, 6))
+        prefix = np.vstack([none, np.cumsum(uv, axis=0)])
+        suffix = np.vstack([np.cumsum(uv[::-1], axis=0)[::-1], none])
 
-    out = np.empty(strikes.size)
-    for i, (strike, kind) in enumerate(zip(strikes, kinds)):
-        x_star = model.log_strike(strike)
+    # x increases, so each payoff's support is a run of nodes.
+    out = np.zeros(strikes.size)
+    d_out = np.zeros((strikes.size, 3))
+    for i, (strike, kind, x_star) in enumerate(zip(strikes, kinds, x_stars)):
         if kind == "C":
-            mask = x >= max(a, min(x_star, b))
-            payoff = s_vals[mask] - strike
+            lo = np.searchsorted(x, max(a, min(x_star, b)), side="left")
+            run = slice(lo, None)
+            payoff = s_vals[run] - strike
         elif kind == "P":
-            mask = x <= min(b, max(x_star, a))
-            payoff = strike - s_vals[mask]
+            hi = np.searchsorted(x, min(b, max(x_star, a)), side="right")
+            run = slice(0, hi)
+            payoff = strike - s_vals[run]
         else:
             raise DomainError(f"unknown option kind {kind!r}")
-        out[i] = df * float(np.dot(w[mask], payoff * dens[mask]))
         if (kind == "C" and x_star >= b) or (kind == "P" and x_star <= a):
-            out[i] = 0.0
-    return out
+            continue
+        out[i] = df * float(np.dot(w[run], payoff * dens[run]))
+        if gradient:
+            if kind == "C":
+                d_out[i] = df * (suffix[lo, :3] - strike * suffix[lo, 3:])
+            else:
+                d_out[i] = df * (strike * prefix[hi, 3:] - prefix[hi, :3])
+    return (out, d_out) if gradient else out
+
+
+def _log_density_scores(x: np.ndarray, p: NIGParams, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """d log f / d(alpha, beta, delta) at fixed x, shape (nodes, 3), and d log f / dx.
+
+    f is the NIG(alpha, beta, delta t, mu t) density.  With dx = x - mu t,
+    q = sqrt((delta t)^2 + dx^2), g = sqrt(alpha^2 - beta^2) and
+    R = K0(alpha q) / K1(alpha q) (from K1' = -K0 - K1/z):
+
+        d_alpha log f = -q R + delta t alpha / g
+        d_beta  log f = dx - delta t beta / g
+        d_delta log f = t (1/(delta t) - alpha delta t R / q - 2 delta t / q^2 + g)
+        d_x     log f = beta - alpha dx R / q - 2 dx / q^2
+    """
+    alpha, beta, delta = p.alpha, p.beta, p.delta
+    g = p.gamma
+    dt = delta * t
+    dx = x - p.mu * t
+    q = np.sqrt(dt * dt + dx * dx)
+    ratio = k0e(alpha * q) / k1e(alpha * q)  # the exp(-z) scalings cancel
+    scores = np.empty((x.size, 3))
+    scores[:, 0] = -q * ratio + dt * alpha / g
+    scores[:, 1] = dx - dt * beta / g
+    scores[:, 2] = t * (1.0 / dt - alpha * dt * ratio / q - 2.0 * dt / (q * q) + g)
+    slope = beta - alpha * dx * ratio / q - 2.0 * dx / (q * q)
+    return scores, slope
+
+
+def _drift_gradient(p: NIGParams, t: float) -> np.ndarray:
+    """d drift / d(alpha, beta, delta) of the exponential model at expiry t.
+
+    The drift is (r - q + omega) t with omega = -mu + delta (g1 - g),
+    g1 = sqrt(alpha^2 - (beta + 1)^2) and g = sqrt(alpha^2 - beta^2).
+    """
+    alpha, beta, delta = p.alpha, p.beta, p.delta
+    g = p.gamma
+    g1 = math.sqrt(alpha**2 - (beta + 1.0) ** 2)
+    return t * np.array([delta * alpha * (1.0 / g1 - 1.0 / g), delta * (beta / g - (beta + 1.0) / g1), g1 - g])
+
+
+def _interval_gradient(p: NIGParams, t: float, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """d(a, b) / d(alpha, beta, delta) of a cumulant interval [a, b] at fixed width.
+
+    a, b = c1 -+ width * s with s = sqrt(c2 + sqrt(c4)), so both ends move by
+    d c1 -+ ((b - a) / 2) d log s.
+    """
+    alpha, beta, delta = p.alpha, p.beta, p.delta
+    g2 = p.gamma**2
+    dt = delta * t
+    _, c2, c4 = nig_cumulants(p, t)
+    d_c1 = np.array([-dt * alpha * beta, dt * alpha**2, t * beta * g2]) / (g2 * p.gamma)
+    d_log_c2 = np.array([2.0 / alpha - 3.0 * alpha / g2, 3.0 * beta / g2, 1.0 / delta])
+    mix = alpha**2 + 4.0 * beta**2
+    d_log_c4 = np.array(
+        [2.0 / alpha + 2.0 * alpha / mix - 7.0 * alpha / g2, 8.0 * beta / mix + 7.0 * beta / g2, 1.0 / delta]
+    )
+    root_c4 = math.sqrt(c4)
+    d_log_s = (c2 * d_log_c2 + 0.5 * root_c4 * d_log_c4) / (2.0 * (c2 + root_c4))
+    half = 0.5 * (b - a)
+    return d_c1 - half * d_log_s, d_c1 + half * d_log_s
 
 
 def _cos_chi_psi(u: np.ndarray, a: float, c: float, d: float) -> tuple[np.ndarray, np.ndarray]:

@@ -111,23 +111,20 @@ def std_normal_quantile(u):
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     interval: tuple[float, float],
-    panels: int = 1,
+    panels: int = 8,
 ) -> float:
     """Fixed-rule quadrature of ``f`` over ``interval``.
 
-    The rule (256-node Gauss-Legendre for one panel, 64 nodes per panel
-    otherwise) is mapped affinely onto each of ``panels`` equal
-    sub-intervals, so the result is deterministic.  ``f`` is called once, on
-    a 1-d numpy array of every panel's abscissae.
+    The 64-node Gauss-Legendre rule is mapped affinely onto each of
+    ``panels`` equal sub-intervals, so the result is deterministic.  ``f`` is
+    called once, on a 1-d numpy array of every panel's abscissae.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
         raise DomainError(f"integration interval must satisfy lo < hi, got [{lo}, {hi}]")
     if panels < 1:
         raise DomainError("panels must be >= 1")
-    # 64 nodes per panel resolve sharply peaked analytic integrands far
-    # better than one wide 256-node panel at equal cost.
-    rule = QuadratureRule.gauss_legendre(256 if panels == 1 else 64)
+    rule = QuadratureRule.gauss_legendre(64)
 
     x, half = gauss_legendre_panels(np.linspace(lo, hi, panels + 1), rule)
     values = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)

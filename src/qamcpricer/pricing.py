@@ -163,7 +163,6 @@ class PricingGrid:
 
     nodes: tuple[np.ndarray, ...]
     deltas: tuple[float, ...]
-    qubits_per_dim: tuple[int, ...]
 
     def __post_init__(self):
         for arr in self.nodes:
@@ -186,7 +185,7 @@ class PricingGrid:
             dx = (b - a) / count
             nodes.append(a + dx * (np.arange(count) + 0.5))
             deltas.append(dx)
-        return cls(tuple(nodes), tuple(deltas), tuple(qubits))
+        return cls(tuple(nodes), tuple(deltas))
 
     @property
     def dim(self) -> int:

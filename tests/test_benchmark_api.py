@@ -1,5 +1,6 @@
 """The benchmark's traced pass must still find every name it wraps."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +8,50 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_tracer_installs_on_the_package():
-    code = "import child, spans; child.import_package(); spans.install(spans.Tracer())"
-    proc = subprocess.run(
+def _run(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
         [sys.executable, "-c", code], cwd=BENCH, capture_output=True, text=True, timeout=120
     )
+
+
+def test_tracer_installs_on_the_package():
+    proc = _run("import child, spans; child.import_package(); spans.install(spans.Tracer())")
     assert proc.returncode == 0, proc.stderr
+
+
+COUNT_EVALS = """
+import json
+import numpy as np
+from dataclasses import replace
+import child, spans
+child.import_package()
+from qamcpricer import calibration, experiments
+from qamcpricer.market_data import generate_synthetic_quotes
+
+tracer = spans.Tracer()
+spans.install(tracer)
+calls = []
+model_prices = calibration._model_prices
+
+def counting(*args, **kwargs):
+    calls.append(1)
+    return model_prices(*args, **kwargs)
+
+calibration._model_prices = counting
+params, _ = experiments.FIXTURES["MICHELIN"]
+slice_ = experiments.fixture_slice("MICHELIN")
+strikes = np.linspace(0.82, 1.18, 12) * slice_.forward
+slice_ = replace(slice_, quotes=tuple(generate_synthetic_quotes(params, slice_, strikes, 0.01)))
+before = tracer.counts["calibration.objective_evals"]
+calibration.calibrate(slice_, calibration.CalibrationConfig())
+print(json.dumps([len(calls), tracer.counts["calibration.objective_evals"] - before]))
+"""
+
+
+def test_objective_evals_count_pricing_batches():
+    # The traced pass counts calibration's pricing batches on the module
+    # attribute calibration.price_european_batch: one per _model_prices call.
+    proc = _run(COUNT_EVALS)
+    assert proc.returncode == 0, proc.stderr
+    calls, evals = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert calls > 0 and evals == calls

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qamcpricer import calibration
+from qamcpricer import calibration, experiments
 from qamcpricer.calibration import (
     CalibrationConfig,
     _least_squares,
@@ -25,8 +25,8 @@ def quote_slice(params, slice_, strikes):
 
 def objective(theta, slice_, cfg) -> float:
     """J(theta) as calibrate evaluates it."""
-    _, fun = _least_squares(slice_, cfg)
-    return fun(np.asarray(theta, dtype=float))
+    fun, _ = _least_squares(slice_, cfg)
+    return fun(np.asarray(theta, dtype=float))[0]
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +65,20 @@ class TestObjective:
         )
         assert penalty == pytest.approx(lam * float(np.sum(delta**2)), rel=1e-9)
 
+    def test_gradient_matches_central_differences(self, axa_quote_slice):
+        cfg = CalibrationConfig(regularization=1e-3)
+        fun, fun_and_grad = _least_squares(axa_quote_slice, cfg)
+        theta = np.array([5.0, -3.0, 0.2])
+        value, grad = fun_and_grad(theta)
+        assert value == fun(theta)[0]  # one arithmetic for J on both paths
+        for i in range(3):
+            step = 1e-5 * (1.0 + abs(theta[i]))
+            up, dn = theta.copy(), theta.copy()
+            up[i] += step
+            dn[i] -= step
+            central = (fun(up)[0] - fun(dn)[0]) / (2.0 * step)
+            assert grad[i] == pytest.approx(central, rel=1e-6, abs=1e-6 * np.max(np.abs(grad)))
+
     def test_inadmissible_rejected(self, axa_quote_slice):
         # (beta + 1)^2 >= alpha^2: the NIG law itself refuses the point.
         with pytest.raises(DomainError):
@@ -89,15 +103,18 @@ class TestGridInit:
         lattice = {"alpha": (4.0, 5.24, 8.0), "beta": (-3.26, 0.0), "delta": (0.18, 0.4)}
         monkeypatch.setattr(calibration, "DEFAULT_GRID", lattice)
         cfg = CalibrationConfig(regularization=0.0, weights_rule="uniform")
-        assert grid_init(axa_quote_slice, cfg) == (5.24, -3.26, 0.18)
+        assert grid_init(axa_quote_slice, cfg)[0] == (5.24, -3.26, 0.18)
 
     def test_singleton_lattice(self, axa_quote_slice, monkeypatch):
         monkeypatch.setattr(calibration, "DEFAULT_GRID", {"alpha": (6.0,), "beta": (-2.0,), "delta": (0.2,)})
-        assert grid_init(axa_quote_slice, CalibrationConfig()) == (6.0, -2.0, 0.2)
+        assert grid_init(axa_quote_slice, CalibrationConfig()) == (
+            (6.0, -2.0, 0.2),
+            objective((6.0, -2.0, 0.2), axa_quote_slice, CalibrationConfig()),
+        )
 
     def test_default_lattice_beats_median(self, axa_quote_slice):
         cfg = CalibrationConfig()
-        start = grid_init(axa_quote_slice, cfg)
+        start, _ = grid_init(axa_quote_slice, cfg)
         lattice = calibration.DEFAULT_GRID
         admissible = [
             (a, b, d)
@@ -173,10 +190,11 @@ class TestCalibrate:
         assert first.objective <= objective(first.start, axa_quote_slice, cfg)
 
     def test_admissible_at_every_accepted_iterate(self, axa_quote_slice, monkeypatch):
-        # Every point priced, accepted iterates and finite-difference points
-        # alike, lies in the NIG domain.  On the second slice, whose truth has
-        # alpha - beta = 1.00001, a full-length difference step around the
-        # constrained iterates crosses alpha - beta = 1.
+        # Every point priced lies in the NIG domain.  The gradient comes with
+        # the prices, so only iterates are priced; on the second slice, whose
+        # truth has alpha - beta = 1.00001, a finite-difference step of
+        # 1e-5 (1 + |theta|) around the constrained iterates would cross
+        # alpha - beta = 1.
         edge_slice = MarketSlice.from_rates("EDGE", 30.0, 1.0, 0.02)
         edge_slice = quote_slice(
             NIGParams(3.0, 1.99999, 0.2), edge_slice, np.linspace(0.8, 1.2, 12) * edge_slice.forward
@@ -184,9 +202,9 @@ class TestCalibrate:
         priced = []
         model_prices = calibration._model_prices
 
-        def recording(theta, slice_, quotes):
+        def recording(theta, slice_, quotes, **kwargs):
             priced.append(np.array(theta, copy=True))
-            return model_prices(theta, slice_, quotes)
+            return model_prices(theta, slice_, quotes, **kwargs)
 
         monkeypatch.setattr(calibration, "_model_prices", recording)
         monkeypatch.setattr(calibration, "MAX_ITERATIONS", 40)
@@ -200,6 +218,31 @@ class TestCalibrate:
             for alpha, beta, delta in priced:
                 assert delta > 0 and alpha - beta > 1.0 and alpha + beta > 0.0
                 NIGParams(alpha, beta, delta)  # does not raise
+
+    def test_desk_slice_prices_few_batches(self, monkeypatch):
+        # The make-bundle AXA slice.  With finite-difference gradients its
+        # calibration priced 338 batches (6 extra per gradient, the optimum
+        # twice and the grid start twice); now it is one batch per lattice
+        # point, one per optimizer evaluation and one at the optimum.
+        params, _ = experiments.FIXTURES["AXA"]
+        slice_ = experiments.fixture_slice("AXA")
+        slice_ = replace(
+            slice_,
+            quotes=tuple(
+                generate_synthetic_quotes(params, slice_, np.linspace(0.82, 1.18, 12) * slice_.forward, 0.01)
+            ),
+        )
+        calls = []
+        model_prices = calibration._model_prices
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["gradient"])
+            return model_prices(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "_model_prices", counting)
+        calibrate(slice_, CalibrationConfig())
+        assert len(calls) <= 100
+        assert calls[-1] is False  # the optimum: objective and residuals off one batch
 
     def test_mu_invariance_of_fit_quality(self, axa_quote_slice):
         # Prices from the fitted theta are unchanged when mu is moved (and the

@@ -211,6 +211,82 @@ class TestPriceEuropean:
             price_european_batch(model, [27.0, 30.0, 33.0], ["C", "C", "C"])
 
 
+def central_differences(model, strikes, kinds):
+    """d price / d(alpha, beta, delta) by central differences.
+
+    The step is 1e-4 (1 + |theta_i|), capped at 1e-4 of the room to the edge
+    of the NIG domain, where the curvature in alpha and beta grows like
+    1 / (alpha - beta - 1) and 1 / (alpha + beta), and of delta.
+    """
+    p = model.params
+    theta = np.array([p.alpha, p.beta, p.delta])
+    edge = min(p.alpha - p.beta - 1.0, p.alpha + p.beta)
+    room = (edge, edge, p.delta)
+    out = np.empty((len(strikes), 3))
+    for i in range(3):
+        step = 1e-4 * min(1.0 + abs(theta[i]), room[i])
+        moved = []
+        for sign in (1.0, -1.0):
+            shifted = theta.copy()
+            shifted[i] += sign * step
+            moved.append(ExpNIGModel(NIGParams(*shifted, p.mu), model.slice_))
+        out[:, i] = (price_european_batch(moved[0], strikes, kinds) - price_european_batch(moved[1], strikes, kinds)) / (
+            2.0 * step
+        )
+    return out
+
+
+def gradient_quotes(slice_):
+    """Calls and puts across the smile, plus a call struck below the pricing interval."""
+    strikes = np.concatenate([[1e-3 * slice_.spot], np.linspace(0.7, 1.3, 13) * slice_.forward])
+    strikes = np.concatenate([strikes, strikes[1:]])
+    kinds = ["C"] * 14 + ["P"] * 13
+    return strikes, kinds
+
+
+class TestPriceGradient:
+    @pytest.mark.parametrize(
+        "name, params, spot",
+        [
+            ("AXA", NIGParams(5.24, -3.26, 0.18), 33.8),
+            ("CREDIT_AGRICOLE", NIGParams(4.69, -3.06, 0.18), 12.91),
+            ("MICHELIN", NIGParams(6.2, -3.31, 0.26), 31.76),
+            # alpha - beta = 1.001: e^x f decays like exp(-0.001 x), so the
+            # moving interval ends carry most of the derivative.
+            ("SLOW_RIGHT", NIGParams(3.0, 1.999, 0.2), 30.0),
+            # alpha + beta = 0.01: a finite S(T) on the pricing interval needs
+            # delta t <~ 0.002, a sharp core, and the width-60 stop.
+            ("SLOW_LEFT", NIGParams(0.6, -0.59, 0.001), 30.0),
+        ],
+    )
+    def test_matches_central_differences(self, name, params, spot):
+        model = ExpNIGModel(params, MarketSlice.from_rates(name, spot, 1.0, 0.02))
+        strikes, kinds = gradient_quotes(model.slice_)
+        prices, grad = price_european_batch(model, strikes, kinds, gradient=True)
+        assert [repr(v) for v in prices] == [repr(v) for v in price_european_batch(model, strikes, kinds)]
+        reference = central_differences(model, strikes, kinds)
+        scale = np.max(np.abs(reference), axis=0)
+        assert np.all(np.abs(grad - reference) <= 1e-6 * scale)
+
+    def test_mu_independence(self, axa_params, axa_slice):
+        strikes, kinds = gradient_quotes(axa_slice)
+        base = ExpNIGModel(axa_params, axa_slice)
+        moved = ExpNIGModel(replace(axa_params, mu=0.3), axa_slice)
+        _, grad = price_european_batch(base, strikes, kinds, gradient=True)
+        _, moved_grad = price_european_batch(moved, strikes, kinds, gradient=True)
+        reference = central_differences(moved, strikes, kinds)
+        scale = np.max(np.abs(grad), axis=0)
+        assert np.all(np.abs(moved_grad - grad) <= 1e-9 * scale)
+        assert np.all(np.abs(moved_grad - reference) <= 1e-6 * scale)
+
+    def test_zero_where_the_price_is_zero(self, axa_params, axa_slice):
+        # A call struck beyond the interval and a put below it price to 0 for
+        # every nearby theta.
+        model = ExpNIGModel(axa_params, axa_slice)
+        prices, grad = price_european_batch(model, [1e8, 1e-8], ["C", "P"], gradient=True)
+        assert np.all(prices == 0.0) and np.all(grad == 0.0)
+
+
 class TestPriceCos:
     def test_agreement_with_quadrature_atm(self, axa_params, axa_slice):
         model = ExpNIGModel(axa_params, axa_slice)
