@@ -36,11 +36,9 @@ from .nig import (
     NIGParams,
     martingale_adjustment,
     nig_cdf,
-    nig_char_exponent,
     nig_cumulants,
     nig_pdf,
     price_european_batch,
-    price_european_cos,
 )
 from .pricing import (
     AssetMarginal,
@@ -106,11 +104,9 @@ __all__ = [
     "load_quotes",
     "martingale_adjustment",
     "nig_cdf",
-    "nig_char_exponent",
     "nig_cumulants",
     "nig_pdf",
     "price_european_batch",
-    "price_european_cos",
     "qamc_coefficient",
     "qamc_price",
     "riemann_reference",

@@ -5,14 +5,19 @@ Minimizes the Tikhonov-regularized weighted least squares
     J(theta) = sum_m w_m (V_m(theta) - mid_m)^2 + lambda ||theta - theta0||^2
 
 over theta = (alpha, beta, delta) with mu fixed to 0 (prices do not depend on
-the location parameter).  Admissibility (beta^2 < alpha^2 and
-(beta+1)^2 < alpha^2 with alpha > 0) reduces to the linear constraints
-alpha - beta >= 1 and alpha + beta >= 0, enforced with a small margin at
-every iterate of a trust-region optimizer.  The optimizer gets the exact
-gradient of J, 2 sum_m w_m (V_m - mid_m) dV_m/dtheta + 2 lambda (theta - theta0),
-where dV/dtheta comes out of the same quadrature pass as the prices.
-Initialization is a grid search over a small lattice of plausible starting
-points.
+the location parameter).  J is the squared norm of the stacked residual
+
+    r = [sqrt(w) (V(theta) - mid); sqrt(lambda) (theta - theta0)],
+
+which a bound-constrained Gauss-Newton (trust-region-reflective) fit
+minimizes with the exact residual Jacobian: dV/dtheta comes out of the same
+quadrature pass as the prices.  Admissibility (beta^2 < alpha^2 and
+(beta+1)^2 < alpha^2 with alpha > 0) reduces to alpha - beta >= 1 and
+alpha + beta >= 0, so the fit runs in z = (u, v, delta) with
+u = alpha - beta - 1 and v = alpha + beta, where both become lower bounds
+(with a small margin).  The fit keeps every trial point strictly inside its
+box, so every priced point is admissible.  Initialization is a grid search
+over a small lattice of plausible starting points.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import LinearConstraint, minimize
+from scipy.optimize import least_squares
 
 from .black_scholes import BSInputs, implied_vol
 from .errors import CalibrationError, ValidationError
@@ -48,11 +53,26 @@ DEFAULT_GRID = {
     "delta": (0.1, 0.2, 0.4),
 }
 
-# Box bounds on (alpha, beta, delta) and the trust-region stopping rule.
-BOUNDS = ((0.5, 30.0), (-15.0, 15.0), (1e-3, 5.0))
-GTOL = 1e-10
-XTOL = 1e-12
+# Box on z = (u, v, delta), u = alpha - beta - 1 and v = alpha + beta: the
+# lower bounds are admissibility, and the box maps into alpha in [0.5, 30],
+# beta in [-15, 14.5].  One tolerance serves the fit's three stopping tests,
+# and MAX_ITERATIONS caps its evaluations.
+BOUNDS = ((ADMISSIBILITY_MARGIN, ADMISSIBILITY_MARGIN, 1e-3), (29.0, 30.0, 5.0))
+TOLERANCE = 1e-12
 MAX_ITERATIONS = 500
+
+# d theta / d z, constant: theta = ((u + v + 1) / 2, (v - u - 1) / 2, delta).
+_THETA_OF_Z = np.array([[0.5, 0.5, 0.0], [-0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _theta(z) -> np.ndarray:
+    u, v, delta = z
+    return np.array([0.5 * (u + v + 1.0), 0.5 * (v - u - 1.0), delta])
+
+
+def _z(theta) -> np.ndarray:
+    alpha, beta, delta = theta
+    return np.array([alpha - beta - 1.0, alpha + beta, delta])
 
 
 @dataclass(frozen=True)
@@ -112,12 +132,15 @@ def _model_prices(theta, slice_: MarketSlice, quotes: list[OptionQuote], *, grad
 
 
 def _least_squares(slice_: MarketSlice, config: CalibrationConfig):
-    """J(theta) of one slice as (fun, fun_and_grad), one pricing batch per call.
+    """J(theta) of one slice as ``fun``, and its stacked residual in z with the Jacobian.
 
-    ``fun(theta)`` returns (J, residuals) and ``fun_and_grad(theta)`` returns
-    (J, grad J); both compute J by the same arithmetic.  The usable quotes,
-    their weights and the prior are fixed per slice, so they are computed
-    once here and not at each evaluation.
+    ``fun(theta)`` returns (J, residuals) off one pricing batch.
+    ``residual(z)`` returns r with ||r||^2 = J(theta(z)) off one pricing batch
+    with the gradient, and keeps dr/dz for ``jac(z)`` at the same z (the fit
+    asks for the Jacobian only at the point it has just evaluated; any other
+    z is priced anew).  The usable quotes, their weights and the prior are
+    fixed per slice, so they are computed once here and not at each
+    evaluation.
     """
     quotes = _usable_quotes(slice_)
     if not quotes:
@@ -126,21 +149,27 @@ def _least_squares(slice_: MarketSlice, config: CalibrationConfig):
     mids = np.array([q.mid for q in quotes])
     prior = np.asarray(bs_prior(slice_), dtype=float)
     lam = config.regularization
-
-    def value(theta, resid):
-        return float(np.dot(weights, resid**2) + lam * np.sum((theta - prior) ** 2))
+    root_w, root_lam = np.sqrt(weights), np.sqrt(lam)
+    penalty_jac = root_lam * _THETA_OF_Z
+    last = {}
 
     def fun(theta):
         resid = _model_prices(theta, slice_, quotes, gradient=False) - mids
-        return value(theta, resid), resid
+        return float(np.dot(weights, resid**2) + lam * np.sum((theta - prior) ** 2)), resid
 
-    def fun_and_grad(theta):
+    def residual(z):
+        theta = _theta(z)
         prices, d_prices = _model_prices(theta, slice_, quotes, gradient=True)
-        resid = prices - mids
-        grad = 2.0 * ((weights * resid) @ d_prices + lam * (theta - prior))
-        return value(theta, resid), grad
+        last["z"] = np.array(z, dtype=float)
+        last["jac"] = np.vstack([(root_w[:, None] * d_prices) @ _THETA_OF_Z, penalty_jac])
+        return np.concatenate([root_w * (prices - mids), root_lam * (theta - prior)])
 
-    return fun, fun_and_grad
+    def jac(z):
+        if not np.array_equal(z, last.get("z")):
+            residual(z)
+        return last["jac"]
+
+    return fun, residual, jac
 
 
 def bs_prior(slice_: MarketSlice) -> tuple[float, float, float]:
@@ -174,43 +203,42 @@ def grid_init(slice_: MarketSlice, config: CalibrationConfig) -> tuple[tuple[flo
     ]
     if not points:
         raise ValidationError("initialization lattice empty after admissibility filtering")
-    fun, _ = _least_squares(slice_, config)
+    fun, _, _ = _least_squares(slice_, config)
     scores = [fun(np.asarray(p, dtype=float))[0] for p in points]
     best = int(np.argmin(scores))
     return points[best], scores[best]
 
 
 def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> CalibrationResult:
-    """Constrained trust-region fit of (alpha, beta, delta) with mu = 0.
+    """Bound-constrained Gauss-Newton fit of (alpha, beta, delta) with mu = 0.
 
-    Admissibility holds at every accepted iterate (linear constraints with
-    keep_feasible), and only iterates are priced.  Each evaluation is one
-    pricing batch that returns J(theta) with its closed-form gradient (see
-    ``price_european_batch(..., gradient=True)``); the final theta is
-    priced once more for the objective and the residuals.
+    Trust-region-reflective least squares on the stacked residual in
+    z = (u, v, delta), from the grid start.  Every priced point lies strictly
+    inside the box, hence is admissible.  Each evaluation is one pricing
+    batch that returns the residual with its closed-form Jacobian (see
+    ``price_european_batch(..., gradient=True)``); the final theta is priced
+    once more for the objective and the residuals.  ``iterations`` counts
+    the fit's evaluations.
     """
     config = config or CalibrationConfig()
     quotes = _usable_quotes(slice_)
     if len(quotes) < 3:
         raise ValidationError("calibration needs at least 3 usable quotes")
-    fun, fun_and_grad = _least_squares(slice_, config)
+    fun, residual, jac = _least_squares(slice_, config)
     start, start_value = grid_init(slice_, config)
-    constraints = LinearConstraint(
-        np.array([[1.0, -1.0, 0.0], [1.0, 1.0, 0.0]]),
-        lb=[1.0 + ADMISSIBILITY_MARGIN, ADMISSIBILITY_MARGIN],
-        ub=[np.inf, np.inf],
-        keep_feasible=True,
-    )
-    result = minimize(
-        fun_and_grad,
-        np.asarray(start, dtype=float),
-        jac=True,
-        method="trust-constr",
+    result = least_squares(
+        residual,
+        _z(start),
+        jac=jac,
         bounds=BOUNDS,
-        constraints=[constraints],
-        options={"gtol": GTOL, "xtol": XTOL, "maxiter": MAX_ITERATIONS},
+        method="trf",
+        x_scale="jac",
+        ftol=TOLERANCE,
+        xtol=TOLERANCE,
+        gtol=TOLERANCE,
+        max_nfev=MAX_ITERATIONS,
     )
-    theta = np.asarray(result.x, dtype=float)
+    theta = _theta(result.x)
     if not _admissible(theta):
         raise CalibrationError(f"optimizer left the admissible set at {theta}")
     value, resid = fun(theta)
@@ -222,6 +250,6 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
         objective=value,
         rmse_bp=float(np.sqrt(np.mean(err_bp**2))),
         max_err_bp=float(np.max(err_bp)),
-        iterations=int(result.niter),
+        iterations=int(result.nfev),
         start=tuple(float(s) for s in start),
     )

@@ -10,9 +10,8 @@ follow NIG(alpha, beta, delta*t, mu*t).  The exponential model prices the
 asset as S(T) = S0 exp((r - q + omega) T + X(T)) where omega is the
 martingale adjustment making the discounted asset a martingale.
 
-European prices are computed two independent ways (a cross-validating oracle
-pair): quadrature of the payoff against the density, and a Fourier-cosine
-expansion driven by the characteristic exponent.
+European prices are computed by quadrature of the payoff against the density
+(the tests cross-check them with a Fourier-cosine pricer).
 """
 
 from __future__ import annotations
@@ -36,14 +35,12 @@ __all__ = [
     "ExpNIGModel",
     "nig_pdf",
     "nig_cdf",
-    "nig_char_exponent",
     "martingale_adjustment",
     "nig_cumulants",
     "cumulant_interval",
     "widened_interval",
     "support_interval",
     "price_european_batch",
-    "price_european_cos",
 ]
 
 # Panel count for composite Gauss-Legendre over NIG supports: the density is
@@ -100,18 +97,6 @@ def nig_pdf(x, p: NIGParams, t: float = 1.0):
     expo = dt * p.gamma + p.beta * dx - z
     out = (p.alpha * dt / math.pi) * np.exp(expo) * k1e(z) / s
     return float(out) if np.isscalar(x) else out
-
-
-def nig_char_exponent(u, p: NIGParams):
-    """Levy symbol: log of the unit-time characteristic function.
-
-    theta(u) = i mu u - delta (sqrt(alpha^2 - (beta + iu)^2) - sqrt(alpha^2 - beta^2)),
-    principal branch; theta(0) = 0.
-    """
-    u_arr = np.asarray(u, dtype=complex)
-    root = np.sqrt(p.alpha**2 - (p.beta + 1j * u_arr) ** 2)
-    out = 1j * p.mu * u_arr - p.delta * (root - p.gamma)
-    return complex(out) if np.isscalar(u) else out
 
 
 def martingale_adjustment(p: NIGParams) -> float:
@@ -417,71 +402,3 @@ def _interval_gradient(p: NIGParams, t: float, a: float, b: float) -> tuple[np.n
     d_log_s = (c2 * d_log_c2 + 0.5 * root_c4 * d_log_c4) / (2.0 * (c2 + root_c4))
     half = 0.5 * (b - a)
     return d_c1 - half * d_log_s, d_c1 + half * d_log_s
-
-
-def _cos_chi_psi(u: np.ndarray, a: float, c: float, d: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form integrals of exp(x)cos(u(x-a)) and cos(u(x-a)) over [c, d]."""
-    wc, wd = u * (c - a), u * (d - a)
-    chi = (
-        np.exp(d) * (np.cos(wd) + u * np.sin(wd))
-        - np.exp(c) * (np.cos(wc) + u * np.sin(wc))
-    ) / (1.0 + u * u)
-    psi = np.empty_like(u)
-    nz = u != 0.0
-    psi[nz] = (np.sin(wd[nz]) - np.sin(wc[nz])) / u[nz]
-    psi[~nz] = d - c
-    return chi, psi
-
-
-def price_european_cos(
-    model: ExpNIGModel,
-    strike: float,
-    kind: str,
-    terms: int = 256,
-    interval: tuple[float, float] | None = None,
-    tail_eps: float = 1e-8,
-) -> float:
-    """European price by the Fourier-cosine expansion of the density.
-
-    Density cosine coefficients come from the characteristic exponent (no
-    density evaluation), making this pricer independent of the quadrature
-    route.  Defaults to the tight asymmetric support so the series converges
-    within a few hundred terms despite the thin analyticity strip of NIG.
-    """
-    if terms < 16:
-        raise DomainError("terms must be >= 16")
-    if strike <= 0:
-        raise DomainError("strike must be positive")
-    if kind not in ("C", "P"):
-        raise DomainError(f"unknown option kind {kind!r}")
-    p = model.params
-    t = model.slice_.expiry
-    if interval is None:
-        a, b = support_interval(p, t, tail_eps)
-    else:
-        a, b = interval
-    width = b - a
-
-    k = np.arange(terms)
-    u = k * math.pi / width
-    phi = np.exp(t * nig_char_exponent(u, p))
-    dens_coef = (2.0 / width) * np.real(phi * np.exp(-1j * u * a))
-    dens_coef[0] *= 0.5
-
-    s0 = model.slice_.spot
-    m = model.drift
-    x_star = model.log_strike(strike)
-    if kind == "C":
-        lo, hi = max(a, x_star), b
-        if lo >= hi:
-            return 0.0
-        chi, psi = _cos_chi_psi(u, a, lo, hi)
-        payoff_coef = s0 * math.exp(m) * chi - strike * psi
-    else:
-        lo, hi = a, min(b, x_star)
-        if lo >= hi:
-            return 0.0
-        chi, psi = _cos_chi_psi(u, a, lo, hi)
-        payoff_coef = strike * psi - s0 * math.exp(m) * chi
-    return model.slice_.discount_factor * float(np.dot(dens_coef, payoff_coef))
-

@@ -41,12 +41,13 @@ from qamcpricer.nig import (
     nig_cdf,
     nig_pdf,
     price_european_batch,
-    price_european_cos,
     support_interval,
 )
 from qamcpricer.numerics import integrate
 from qamcpricer.pricing import AssetMarginal, GridMeasure, Payoff, PricingGrid, cmc_price, riemann_reference
 from qamcpricer.qamc import AEConfig, iqae_estimate, qamc_price
+
+from cos_pricing import price_european_cos
 
 # Deterministic regression pins for the experiment-scale Riemann references
 # (spread: AXA/Michelin rho=-0.25 K=0 J=2^3/dim; basket: three names K=25

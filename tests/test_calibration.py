@@ -4,11 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qamcpricer import calibration, experiments
 from qamcpricer.calibration import (
+    BOUNDS,
     CalibrationConfig,
     _least_squares,
+    _theta,
+    _z,
     bs_prior,
     calibrate,
     grid_init,
@@ -25,8 +29,40 @@ def quote_slice(params, slice_, strikes):
 
 def objective(theta, slice_, cfg) -> float:
     """J(theta) as calibrate evaluates it."""
-    fun, _ = _least_squares(slice_, cfg)
+    fun, _, _ = _least_squares(slice_, cfg)
     return fun(np.asarray(theta, dtype=float))[0]
+
+
+def desk_slice(name):
+    """The make-bundle slice of a desk name: 12 strikes 0.82-1.18 F, half-spread 0.01."""
+    params, _ = experiments.FIXTURES[name]
+    slice_ = experiments.fixture_slice(name)
+    return replace(
+        slice_,
+        quotes=tuple(
+            generate_synthetic_quotes(params, slice_, np.linspace(0.82, 1.18, 12) * slice_.forward, 0.01)
+        ),
+    )
+
+
+def jacobian_by_central_differences(residual, z):
+    """dr/dz by central differences.
+
+    The step is 1e-4 (1 + |z_i|), capped at 1e-4 of z_i for u, v and delta,
+    whose zero is the edge of the NIG domain.
+    """
+    columns = []
+    for i in range(3):
+        step = 1e-4 * min(1.0 + abs(z[i]), z[i])
+        up, dn = z.copy(), z.copy()
+        up[i] += step
+        dn[i] -= step
+        columns.append((residual(up) - residual(dn)) / (2.0 * step))
+    return np.column_stack(columns)
+
+
+# The fixtures and a law with alpha - beta = 1.001.
+FIT_POINTS = [(5.24, -3.26, 0.18), (4.69, -3.06, 0.18), (6.2, -3.31, 0.26), (3.0, 1.999, 0.2)]
 
 
 @pytest.fixture(scope="module")
@@ -65,19 +101,36 @@ class TestObjective:
         )
         assert penalty == pytest.approx(lam * float(np.sum(delta**2)), rel=1e-9)
 
-    def test_gradient_matches_central_differences(self, axa_quote_slice):
+    def test_residual_norm_is_the_objective(self, axa_quote_slice):
         cfg = CalibrationConfig(regularization=1e-3)
-        fun, fun_and_grad = _least_squares(axa_quote_slice, cfg)
-        theta = np.array([5.0, -3.0, 0.2])
-        value, grad = fun_and_grad(theta)
-        assert value == fun(theta)[0]  # one arithmetic for J on both paths
-        for i in range(3):
-            step = 1e-5 * (1.0 + abs(theta[i]))
-            up, dn = theta.copy(), theta.copy()
-            up[i] += step
-            dn[i] -= step
-            central = (fun(up)[0] - fun(dn)[0]) / (2.0 * step)
-            assert grad[i] == pytest.approx(central, rel=1e-6, abs=1e-6 * np.max(np.abs(grad)))
+        fun, residual, _ = _least_squares(axa_quote_slice, cfg)
+        for theta in FIT_POINTS[:3] + [bs_prior(axa_quote_slice)]:
+            z = _z(theta)
+            value = fun(_theta(z))[0]
+            assert float(np.sum(residual(z) ** 2)) == pytest.approx(value, rel=1e-14, abs=0.0)
+
+    def test_jacobian_matches_central_differences(self, axa_quote_slice):
+        cfg = CalibrationConfig(regularization=1e-3)
+        _, residual, jac = _least_squares(axa_quote_slice, cfg)
+        for theta in FIT_POINTS:
+            z = _z(theta)
+            exact = jac(z)  # first at this z: priced anew
+            assert np.array_equal(exact, jac(z))
+            reference = jacobian_by_central_differences(residual, z)
+            scale = np.max(np.abs(reference), axis=0)
+            assert np.all(np.abs(exact - reference) <= 1e-6 * scale)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(BOUNDS[0][0], BOUNDS[1][0]),
+        st.floats(BOUNDS[0][1], BOUNDS[1][1]),
+        st.floats(BOUNDS[0][2], BOUNDS[1][2]),
+    )
+    def test_box_maps_into_the_nig_domain(self, u, v, delta):
+        theta = _theta((u, v, delta))
+        NIGParams(*theta)  # does not raise
+        assert theta[0] - theta[1] > 1.0 and theta[0] + theta[1] > 0.0
+        np.testing.assert_allclose(_theta(_z(theta)), theta, rtol=1e-12, atol=1e-12)
 
     def test_inadmissible_rejected(self, axa_quote_slice):
         # (beta + 1)^2 >= alpha^2: the NIG law itself refuses the point.
@@ -190,11 +243,12 @@ class TestCalibrate:
         assert first.objective <= objective(first.start, axa_quote_slice, cfg)
 
     def test_admissible_at_every_accepted_iterate(self, axa_quote_slice, monkeypatch):
-        # Every point priced lies in the NIG domain.  The gradient comes with
-        # the prices, so only iterates are priced; on the second slice, whose
-        # truth has alpha - beta = 1.00001, a finite-difference step of
-        # 1e-5 (1 + |theta|) around the constrained iterates would cross
-        # alpha - beta = 1.
+        # Every point priced lies in the NIG domain: the fit keeps every trial
+        # point strictly inside its box on (alpha - beta - 1, alpha + beta,
+        # delta), whose lower bounds are admissibility, and takes the
+        # Jacobian from the pricing pass instead of stepping around the
+        # point.  The second slice's truth has alpha - beta = 1.00001, 1e-5
+        # from the edge.
         edge_slice = MarketSlice.from_rates("EDGE", 30.0, 1.0, 0.02)
         edge_slice = quote_slice(
             NIGParams(3.0, 1.99999, 0.2), edge_slice, np.linspace(0.8, 1.2, 12) * edge_slice.forward
@@ -220,18 +274,9 @@ class TestCalibrate:
                 NIGParams(alpha, beta, delta)  # does not raise
 
     def test_desk_slice_prices_few_batches(self, monkeypatch):
-        # The make-bundle AXA slice.  With finite-difference gradients its
-        # calibration priced 338 batches (6 extra per gradient, the optimum
-        # twice and the grid start twice); now it is one batch per lattice
-        # point, one per optimizer evaluation and one at the optimum.
-        params, _ = experiments.FIXTURES["AXA"]
-        slice_ = experiments.fixture_slice("AXA")
-        slice_ = replace(
-            slice_,
-            quotes=tuple(
-                generate_synthetic_quotes(params, slice_, np.linspace(0.82, 1.18, 12) * slice_.forward, 0.01)
-            ),
-        )
+        # The make-bundle AXA slice.  The fit prices one batch per lattice
+        # point, one per evaluation (the Jacobian comes with the residual at
+        # the same point) and one at the optimum: 27 + 8 + 1.
         calls = []
         model_prices = calibration._model_prices
 
@@ -240,9 +285,23 @@ class TestCalibrate:
             return model_prices(*args, **kwargs)
 
         monkeypatch.setattr(calibration, "_model_prices", counting)
-        calibrate(slice_, CalibrationConfig())
-        assert len(calls) <= 100
+        result = calibrate(desk_slice("AXA"), CalibrationConfig())
+        assert len(calls) <= 45
+        assert calls.count(True) == result.iterations
         assert calls[-1] is False  # the optimum: objective and residuals off one batch
+
+    @pytest.mark.parametrize(
+        "name, pinned",
+        [
+            ("AXA", 1.667132355685896e-05),
+            ("CREDIT_AGRICOLE", 1.8824029274544555e-05),
+            ("MICHELIN", 1.2731685915757092e-05),
+        ],
+    )
+    def test_desk_optimum_no_worse_than_trust_constr(self, name, pinned):
+        # J at the optimum of the quasi-Newton trust-constr fit this one
+        # replaced, on the make-bundle slices with the default config.
+        assert calibrate(desk_slice(name), CalibrationConfig()).objective <= pinned * (1.0 + 1e-9)
 
     def test_mu_invariance_of_fit_quality(self, axa_quote_slice):
         # Prices from the fitted theta are unchanged when mu is moved (and the

@@ -17,15 +17,14 @@ from qamcpricer.nig import (
     cumulant_interval,
     martingale_adjustment,
     nig_cdf,
-    nig_char_exponent,
     nig_cumulants,
     nig_pdf,
     price_european_batch,
-    price_european_cos,
     support_interval,
 )
 from qamcpricer.numerics import integrate
 
+from cos_pricing import nig_char_exponent, price_european_cos
 from nig_sampling import sample_nig
 
 
