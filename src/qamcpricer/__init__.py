@@ -7,12 +7,9 @@ from .copula import CopulaSpec, load_correlation
 from .cosine_density import (
     CosineSeries,
     Interval,
-    KSelection,
-    choose_interval,
     coeffs_classical,
     eval_cdf,
     eval_pdf,
-    select_terms,
 )
 from .errors import (
     CalibrationError,
@@ -76,7 +73,6 @@ __all__ = [
     "ExpNIGModel",
     "GridMeasure",
     "Interval",
-    "KSelection",
     "MarketSlice",
     "NIGParams",
     "OptionQuote",
@@ -91,7 +87,6 @@ __all__ = [
     "calibrate",
     "check_butterfly_arbitrage",
     "check_digital_arbitrage",
-    "choose_interval",
     "cmc_price",
     "coeffs_classical",
     "eval_cdf",
@@ -110,7 +105,6 @@ __all__ = [
     "qamc_coefficient",
     "qamc_price",
     "riemann_reference",
-    "select_terms",
     "signed_ae_estimate",
     "strip_curves",
     "__version__",

@@ -143,8 +143,8 @@ def _least_squares(slice_: MarketSlice, config: CalibrationConfig):
     evaluation.
     """
     quotes = _usable_quotes(slice_)
-    if not quotes:
-        raise ValidationError("no usable quotes")
+    if len(quotes) < 3:
+        raise ValidationError("calibration needs at least 3 usable quotes")
     weights = quote_weights(quotes, config.weights_rule)
     mids = np.array([q.mid for q in quotes])
     prior = np.asarray(bs_prior(slice_), dtype=float)
@@ -189,10 +189,11 @@ def bs_prior(slice_: MarketSlice) -> tuple[float, float, float]:
     return (10.0, 0.0, 10.0 * sigma_atm**2)
 
 
-def grid_init(slice_: MarketSlice, config: CalibrationConfig) -> tuple[tuple[float, float, float], float]:
+def grid_init(fun) -> tuple[tuple[float, float, float], float]:
     """DEFAULT_GRID point with the lowest objective, and that objective.
 
-    Deterministic for a fixed config.
+    ``fun`` is the slice's J(theta) as ``_least_squares`` returns it.
+    Deterministic for a fixed objective.
     """
     points = [
         (a, b, d)
@@ -203,7 +204,6 @@ def grid_init(slice_: MarketSlice, config: CalibrationConfig) -> tuple[tuple[flo
     ]
     if not points:
         raise ValidationError("initialization lattice empty after admissibility filtering")
-    fun, _, _ = _least_squares(slice_, config)
     scores = [fun(np.asarray(p, dtype=float))[0] for p in points]
     best = int(np.argmin(scores))
     return points[best], scores[best]
@@ -221,11 +221,8 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     the fit's evaluations.
     """
     config = config or CalibrationConfig()
-    quotes = _usable_quotes(slice_)
-    if len(quotes) < 3:
-        raise ValidationError("calibration needs at least 3 usable quotes")
     fun, residual, jac = _least_squares(slice_, config)
-    start, start_value = grid_init(slice_, config)
+    start, start_value = grid_init(fun)
     result = least_squares(
         residual,
         _z(start),

@@ -22,22 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .nig import NIGParams, widened_interval
 from .numerics import QuadratureRule, gauss_legendre_panels
 
 __all__ = [
     "Interval",
     "CosineSeries",
-    "KSelection",
     "basis_gamma",
     "basis_gamma_plus",
     "basis_matrix",
     "coeffs_classical",
     "eval_pdf",
     "eval_cdf",
-    "select_terms",
-    "choose_interval",
-    "estimate_decay",
     "series_to_json",
 ]
 
@@ -72,30 +67,6 @@ class CosineSeries:
     @property
     def terms(self) -> int:
         return int(self.coeffs.size)
-
-
-@dataclass(frozen=True)
-class KSelection:
-    """Truncation-order selection inputs for the ceiling formulas.
-
-    mode 'algebraic' uses rate = m (sup error <= zeta K^-m); mode
-    'exponential' uses rate = nu (sup error <= zeta exp(-nu K)).
-    """
-
-    mode: str
-    zeta: float
-    rate: float
-    epsilon: float
-
-    def __post_init__(self):
-        if self.mode not in ("algebraic", "exponential"):
-            raise DomainError(f"unknown selection mode {self.mode!r}")
-        if self.zeta <= 0 or self.rate <= 0:
-            raise DomainError("zeta and rate must be positive")
-        if self.mode == "algebraic" and self.rate < 1:
-            raise DomainError("algebraic order m must be >= 1")
-        if not (0.0 < self.epsilon < 1.0):
-            raise DomainError("epsilon must lie in (0, 1)")
 
 
 def _check_inside(x_arr: np.ndarray, interval: Interval) -> None:
@@ -179,43 +150,6 @@ def eval_cdf(series: CosineSeries, x):
             total = total + series.coeffs[1:] @ gamma_int
         out[inside] = total
     return float(out[0]) if np.isscalar(x) else out
-
-
-def select_terms(sel: KSelection, interval: Interval) -> int:
-    """Ceiling formulas for the truncation order meeting a sup-error target."""
-    ratio = 4.0 * sel.zeta * interval.width / sel.epsilon
-    if sel.mode == "algebraic":
-        value = ratio ** (1.0 / sel.rate)
-    else:
-        value = math.log(ratio ** (1.0 / sel.rate))
-    return max(1, math.ceil(value))
-
-
-def choose_interval(p: NIGParams, t: float, epsilon: float) -> Interval:
-    """Symmetric cumulant interval, widened until the tail condition holds.
-
-    The interval satisfies F(a) <= epsilon/2 and F(b) >= 1 - epsilon by
-    quadrature tail masses (see nig.widened_interval).
-    """
-    if not (0.0 < epsilon < 1.0):
-        raise DomainError("epsilon must lie in (0, 1)")
-    return Interval(*widened_interval(p, t, 0.5 * epsilon, epsilon))
-
-
-def estimate_decay(series: CosineSeries, floor: float = 1e-13) -> tuple[float, float]:
-    """Empirical (zeta, nu) from a log-linear fit of |a_k| against k.
-
-    The selection formulas need decay constants the theory only asserts to
-    exist; this measures them from computed coefficients (k >= 1, above the
-    quadrature noise floor).
-    """
-    mags = np.abs(series.coeffs)
-    k = np.arange(series.terms)
-    keep = (k >= 1) & (mags > floor * max(mags.max(), 1e-300))
-    if np.count_nonzero(keep) < 2:
-        raise ValidationError("not enough coefficients above the noise floor to fit decay")
-    slope, intercept = np.polyfit(k[keep], np.log(mags[keep]), 1)
-    return float(math.exp(intercept)), float(-slope)
 
 
 def series_to_json(series: CosineSeries) -> str:

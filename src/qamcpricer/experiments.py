@@ -150,12 +150,15 @@ def _percentile_record(method: str, cost: float, errors: np.ndarray) -> Converge
 
 
 def _coeff_grid(qubits: int, tail_eps: float):
-    """Pricing-grid cells and masses of STUDY_ASSET's exact density, for the coefficient studies."""
-    marginal = AssetMarginal(FIXTURES[STUDY_ASSET][0], fixture_slice(STUDY_ASSET), tail_eps=tail_eps)
-    grid = PricingGrid.build([marginal], qubits)
-    (nodes,), (dx,) = grid.nodes, grid.deltas
-    masses, _ = normalize_cell_masses(marginal.pdf(nodes) * dx)
-    return Interval(*marginal.interval), nodes, masses
+    """Midpoint cells (2^qubits, as on the pricing grid) and masses of STUDY_ASSET's exact density."""
+    params, _ = FIXTURES[STUDY_ASSET]
+    expiry = fixture_slice(STUDY_ASSET).expiry
+    a, b = support_interval(params, expiry, tail_eps)
+    count = 2**qubits
+    dx = (b - a) / count
+    nodes = a + dx * (np.arange(count) + 0.5)
+    masses, _ = normalize_cell_masses(nig_pdf(nodes, params, expiry) * dx)
+    return Interval(a, b), nodes, masses
 
 
 def _cmc_coefficients(

@@ -233,7 +233,7 @@ class ExpNIGModel:
     """
 
     params: NIGParams
-    slice_: "MarketSlice"
+    slice_: MarketSlice
 
     @property
     def drift(self) -> float:
@@ -244,10 +244,6 @@ class ExpNIGModel:
     def price_at(self, x):
         """Map a log-return node x to the terminal asset price."""
         return self.slice_.spot * np.exp(self.drift + np.asarray(x, dtype=float))
-
-    def log_strike(self, strike: float) -> float:
-        """Payoff kink location in x-space."""
-        return math.log(strike / self.slice_.spot) - self.drift
 
 
 def price_european_batch(model: ExpNIGModel, strikes, kinds, gradient: bool = False):
@@ -283,7 +279,7 @@ def price_european_batch(model: ExpNIGModel, strikes, kinds, gradient: bool = Fa
     a, b = widened_interval(p, t, 1e-11, 1e-11)
     if math.log(spot) + drift + b >= math.log(np.finfo(float).max):
         raise DomainError(f"S(T) overflows on the pricing interval [{a:.6g}, {b:.6g}] of {p}")
-    # Payoff kinks in x-space (ExpNIGModel.log_strike), one drift per batch.
+    # Payoff kinks in x-space, log(K / S0) - drift, one drift per batch.
     x_stars = [math.log(strike / spot) - drift for strike in strikes]
     kinks = np.array(sorted({x_star for x_star in x_stars if a < x_star < b}))
     panel_edges = np.linspace(a, b, _PRICING_PANELS + 1)

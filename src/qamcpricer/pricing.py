@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .copula import CopulaSpec, copula_weights_on_grid, grid_c_max
 from .cosine_density import CosineSeries, eval_cdf, eval_pdf
 from .errors import DomainError, ValidationError
 from .market_data import MarketSlice
-from .nig import ExpNIGModel, NIGParams, nig_cdf, nig_pdf, support_interval
+from .nig import ExpNIGModel, NIGParams
 
 __all__ = [
     "Payoff",
@@ -68,59 +68,69 @@ class Payoff:
                 raise DomainError("basket weights must sum to 1")
 
 
-def eval_payoff(payoff: Payoff, s):
-    """Payoff at an asset-price vector (or an array of them, last axis = asset)."""
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0.0):
-        raise DomainError("asset prices must be positive")
-    n = s_arr.shape[-1]
+def eval_payoff(payoff: Payoff, prices) -> np.ndarray:
+    """Payoff on the tensor grid of per-asset price vectors, one vector per asset.
+
+    Entry (j_1, ..., j_N) is the payoff at (prices[0][j_1], ..., prices[N-1][j_N]).
+    Each asset enters along its own axis and the payoff is combined by
+    broadcasting, so no (nodes, N) array of price vectors is formed.
+    """
+    n = len(prices)
+    axes = []
+    for i, vector in enumerate(prices):
+        vector = np.asarray(vector, dtype=float)
+        if vector.ndim != 1:
+            raise DomainError("one price vector per asset required")
+        if np.any(vector <= 0.0):
+            raise DomainError("asset prices must be positive")
+        view = [1] * n
+        view[i] = vector.size
+        axes.append(vector.reshape(view))
     if payoff.kind == "spread-call":
         if n != 2:
             raise DomainError("spread-call requires exactly 2 assets")
-        out = np.maximum(s_arr[..., 0] - s_arr[..., 1] - payoff.strike, 0.0)
+        out = axes[0] - axes[1] - payoff.strike
     elif payoff.kind == "basket-call":
         weights = np.full(n, 1.0 / n) if payoff.weights is None else np.asarray(payoff.weights)
         if weights.size != n:
             raise DomainError("weights length must match asset count")
-        out = np.maximum(s_arr @ weights - payoff.strike, 0.0)
+        total = axes[0] * weights[0]
+        for axis, weight in zip(axes[1:], weights[1:]):
+            total = total + axis * weight
+        out = total - payoff.strike
     else:  # worst-of-put
-        out = np.maximum(payoff.strike - s_arr.min(axis=-1), 0.0)
-    return float(out) if s_arr.ndim == 1 else out
+        worst = axes[0]
+        for axis in axes[1:]:
+            worst = np.minimum(worst, axis)
+        out = payoff.strike - worst
+    return np.maximum(out, 0.0, out=out)
 
 
 @dataclass(frozen=True)
 class AssetMarginal:
     """One asset's terminal log-return law plus the price mapping.
 
-    With a cosine ``series`` the pdf/cdf come from the truncated expansion
-    (the law every estimator shares in the studies); otherwise the exact NIG
-    density and quadrature CDF are used.
+    The pdf and cdf are those of the truncated cosine ``series`` (the law
+    every estimator shares); its interval is the marginal's support.
     """
 
     params: NIGParams
     slice_: MarketSlice
-    series: CosineSeries | None = None
-    tail_eps: float = 1e-5
+    series: CosineSeries
 
-    @cached_property
+    @property
     def interval(self) -> tuple[float, float]:
-        if self.series is not None:
-            return (self.series.interval.a, self.series.interval.b)
-        return support_interval(self.params, self.slice_.expiry, self.tail_eps)
+        return (self.series.interval.a, self.series.interval.b)
 
     @cached_property
     def model(self) -> ExpNIGModel:
         return ExpNIGModel(self.params, self.slice_)
 
     def pdf(self, x):
-        if self.series is not None:
-            return eval_pdf(self.series, np.clip(x, *self.interval))
-        return nig_pdf(x, self.params, self.slice_.expiry)
+        return eval_pdf(self.series, np.clip(x, *self.interval))
 
     def cdf(self, x):
-        if self.series is not None:
-            return eval_cdf(self.series, x)
-        return nig_cdf(x, self.params, self.slice_.expiry)
+        return eval_cdf(self.series, x)
 
     def price_at(self, x):
         return self.model.price_at(x)
@@ -170,18 +180,14 @@ class PricingGrid:
                 raise ValidationError("grid nodes must be strictly increasing")
 
     @classmethod
-    def build(cls, marginals: list[AssetMarginal], qubits_per_dim: int | list[int]) -> "PricingGrid":
-        if isinstance(qubits_per_dim, int):
-            qubits = [qubits_per_dim] * len(marginals)
-        else:
-            qubits = list(qubits_per_dim)
+    def build(cls, marginals: list[AssetMarginal], qubits_per_dim: int) -> "PricingGrid":
+        if qubits_per_dim < 1:
+            raise ValidationError("need at least one qubit per dimension")
+        count = 2**qubits_per_dim
         nodes = []
         deltas = []
-        for marginal, n in zip(marginals, qubits):
-            if n < 1:
-                raise ValidationError("need at least one qubit per dimension")
+        for marginal in marginals:
             a, b = marginal.interval
-            count = 2**n
             dx = (b - a) / count
             nodes.append(a + dx * (np.arange(count) + 0.5))
             deltas.append(dx)
@@ -204,17 +210,20 @@ class GridMeasure:
     """The shared discrete pricing measure plus cached payoff values.
 
     marginal_masses are normalized per dimension; copula_weights holds
-    c(F(x)) at every node combination; payoff_values holds h(s(x)).  The
-    copula-weighted total mass Q = E_ind[c] rescales the joint formulation;
-    c_max, the bound of these same weights (grid_c_max), keeps the
-    independent formulation's payoff h c / (h_max c_max) in [0, 1].
-    ``payoff`` is the payoff the values were computed for.
+    c(F(x)) at every node combination; masses holds prod(p_i) c, the
+    copula-weighted masses every estimator reads; payoff_values holds
+    h(s(x)).  All three tensors are built from per-axis factors by
+    broadcasting.  The copula-weighted total mass Q = E_ind[c] rescales the
+    joint formulation; c_max, the bound of these same weights (grid_c_max),
+    keeps the independent formulation's payoff h c / (h_max c_max) in
+    [0, 1].  ``payoff`` is the payoff the values were computed for.
     """
 
     payoff: Payoff
     grid: PricingGrid
     marginal_masses: tuple[np.ndarray, ...]
     copula_weights: np.ndarray
+    masses: np.ndarray
     payoff_values: np.ndarray
     discount_factor: float
     clipped_mass: float
@@ -230,46 +239,38 @@ class GridMeasure:
     ) -> "GridMeasure":
         if len(marginals) != spec.dim or grid.dim != spec.dim:
             raise DomainError("dimension mismatch between marginals, spec, and grid")
-        masses = []
+        marginal_masses = []
         clipped_total = 0.0
         for marginal, nodes, dx in zip(marginals, grid.nodes, grid.deltas):
             p, clipped = normalize_cell_masses(np.asarray(marginal.pdf(nodes), dtype=float) * dx)
-            masses.append(p)
+            marginal_masses.append(p)
             clipped_total += clipped
         cdf_values = [
             np.asarray(marginal.cdf(nodes), dtype=float)
             for marginal, nodes in zip(marginals, grid.nodes)
         ]
         weights = copula_weights_on_grid(spec, cdf_values)
-        prices = [m.price_at(nodes) for m, nodes in zip(marginals, grid.nodes)]
-        mesh = np.meshgrid(*prices, indexing="ij")
-        payoff_vals = eval_payoff(payoff, np.stack(mesh, axis=-1))
+        payoff_values = eval_payoff(payoff, [m.price_at(nodes) for m, nodes in zip(marginals, grid.nodes)])
         return cls(
             payoff=payoff,
             grid=grid,
-            marginal_masses=tuple(masses),
+            marginal_masses=tuple(marginal_masses),
             copula_weights=weights,
-            payoff_values=payoff_vals,
+            masses=reduce(np.multiply.outer, marginal_masses) * weights,
+            payoff_values=payoff_values,
             discount_factor=_common_discount(marginals),
             clipped_mass=clipped_total,
             c_max=grid_c_max(spec, weights),
         )
 
     @cached_property
-    def independent_masses(self) -> np.ndarray:
-        out = self.marginal_masses[0]
-        for p in self.marginal_masses[1:]:
-            out = np.multiply.outer(out, p)
-        return out
-
-    @cached_property
     def copula_total_mass(self) -> float:
         """Q = sum over nodes of prod(p_i) c: the joint-loading normalizer."""
-        return float(np.sum(self.independent_masses * self.copula_weights))
+        return float(np.sum(self.masses))
 
     @cached_property
     def joint_masses(self) -> np.ndarray:
-        return self.independent_masses * self.copula_weights / self.copula_total_mass
+        return self.masses / self.copula_total_mass
 
     @property
     def payoff_max(self) -> float:
@@ -277,9 +278,7 @@ class GridMeasure:
 
     def reference_value(self) -> float:
         """Discounted Riemann sum over the shared measure."""
-        return self.discount_factor * float(
-            np.sum(self.independent_masses * self.copula_weights * self.payoff_values)
-        )
+        return self.discount_factor * float(np.sum(self.masses * self.payoff_values))
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,7 @@ def price_european_cos(
 
     s0 = model.slice_.spot
     m = model.drift
-    x_star = model.log_strike(strike)
+    x_star = math.log(strike / s0) - m  # the payoff kink in x-space
     if kind == "C":
         lo, hi = max(a, x_star), b
         if lo >= hi:

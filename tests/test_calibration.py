@@ -156,18 +156,18 @@ class TestGridInit:
         lattice = {"alpha": (4.0, 5.24, 8.0), "beta": (-3.26, 0.0), "delta": (0.18, 0.4)}
         monkeypatch.setattr(calibration, "DEFAULT_GRID", lattice)
         cfg = CalibrationConfig(regularization=0.0, weights_rule="uniform")
-        assert grid_init(axa_quote_slice, cfg)[0] == (5.24, -3.26, 0.18)
+        assert grid_init(_least_squares(axa_quote_slice, cfg)[0])[0] == (5.24, -3.26, 0.18)
 
     def test_singleton_lattice(self, axa_quote_slice, monkeypatch):
         monkeypatch.setattr(calibration, "DEFAULT_GRID", {"alpha": (6.0,), "beta": (-2.0,), "delta": (0.2,)})
-        assert grid_init(axa_quote_slice, CalibrationConfig()) == (
+        assert grid_init(_least_squares(axa_quote_slice, CalibrationConfig())[0]) == (
             (6.0, -2.0, 0.2),
             objective((6.0, -2.0, 0.2), axa_quote_slice, CalibrationConfig()),
         )
 
     def test_default_lattice_beats_median(self, axa_quote_slice):
         cfg = CalibrationConfig()
-        start, _ = grid_init(axa_quote_slice, cfg)
+        start, _ = grid_init(_least_squares(axa_quote_slice, cfg)[0])
         lattice = calibration.DEFAULT_GRID
         admissible = [
             (a, b, d)
@@ -182,7 +182,7 @@ class TestGridInit:
     def test_empty_lattice_error(self, axa_quote_slice, monkeypatch):
         monkeypatch.setattr(calibration, "DEFAULT_GRID", {"alpha": (1.0,), "beta": (4.0,), "delta": (0.2,)})
         with pytest.raises(ValidationError):
-            grid_init(axa_quote_slice, CalibrationConfig())
+            grid_init(_least_squares(axa_quote_slice, CalibrationConfig())[0])
 
 
 class TestBsPrior:
@@ -289,6 +289,21 @@ class TestCalibrate:
         assert len(calls) <= 45
         assert calls.count(True) == result.iterations
         assert calls[-1] is False  # the optimum: objective and residuals off one batch
+
+    def test_prior_inverted_once_per_slice(self, monkeypatch):
+        # calibrate builds the slice's least-squares problem once and the
+        # grid start scores the lattice with that objective, so the ATM
+        # implied vol of the prior is inverted once.
+        calls = []
+        inverse = calibration.implied_vol
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inverse(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "implied_vol", counting)
+        calibrate(desk_slice("MICHELIN"), CalibrationConfig())
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "name, pinned",

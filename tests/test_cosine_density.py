@@ -9,20 +9,18 @@ import pytest
 from qamcpricer.cosine_density import (
     CosineSeries,
     Interval,
-    KSelection,
     basis_gamma,
     basis_gamma_plus,
-    choose_interval,
     coeffs_classical,
-    estimate_decay,
     eval_cdf,
     eval_pdf,
-    select_terms,
     series_to_json,
 )
 from qamcpricer.errors import DomainError
 from qamcpricer.nig import cumulant_interval, nig_cdf, nig_pdf, support_interval
 from qamcpricer.numerics import integrate
+
+from series_bounds import KSelection, choose_interval, estimate_decay, select_terms
 
 
 @pytest.fixture(scope="module")

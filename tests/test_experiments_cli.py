@@ -3,7 +3,6 @@
 import csv
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest

@@ -8,7 +8,6 @@ import pytest
 from qamcpricer.black_scholes import BSInputs, bs_price
 from qamcpricer.errors import DomainError, ValidationError
 from qamcpricer.market_data import (
-    ButterflyViolation,
     MarketSlice,
     OptionQuote,
     check_butterfly_arbitrage,

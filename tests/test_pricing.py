@@ -1,12 +1,15 @@
 """Tests for payoffs, the shared grid measure, Riemann reference, and CMC."""
 
+import itertools
 import math
+import tracemalloc
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from qamcpricer import copula, pricing
+from qamcpricer import copula, experiments, pricing
 from qamcpricer.copula import CopulaSpec
 from qamcpricer.cosine_density import CosineSeries, Interval, coeffs_classical
 from qamcpricer.errors import DomainError, ValidationError
@@ -36,37 +39,94 @@ def spread_setup(axa_params, michelin_params, axa_slice, michelin_slice):
     return payoff, marginals, spec, grid
 
 
+def pointwise(payoff, prices):
+    """The payoff node by node over the tensor grid of per-asset prices, by loops."""
+    n = len(prices)
+    out = np.empty(tuple(len(v) for v in prices))
+    for index in itertools.product(*(range(len(v)) for v in prices)):
+        s = [float(prices[i][j]) for i, j in enumerate(index)]
+        if payoff.kind == "spread-call":
+            value = s[0] - s[1] - payoff.strike
+        elif payoff.kind == "basket-call":
+            weights = payoff.weights or (1.0 / n,) * n
+            value = sum(w * x for w, x in zip(weights, s)) - payoff.strike
+        else:
+            value = payoff.strike - min(s)
+        out[index] = max(value, 0.0)
+    return out
+
+
+def axis_prices(dim, seed=0):
+    """One price vector per asset, of distinct lengths, straddling the strikes used here."""
+    rng = np.random.default_rng([dim, seed])
+    return [rng.uniform(5.0, 45.0, size) for size in (3, 4, 5)[:dim]]
+
+
+def assert_matches_pointwise(payoff, prices):
+    values = eval_payoff(payoff, prices)
+    assert values.shape == tuple(len(v) for v in prices)
+    assert np.allclose(values, pointwise(payoff, prices), rtol=1e-14, atol=1e-13)
+
+
 class TestEvalPayoff:
     def test_basket(self):
         payoff = Payoff("basket-call", 25.0)
-        assert eval_payoff(payoff, [30.0, 30.0, 30.0]) == 5.0
+        assert eval_payoff(payoff, [[30.0], [30.0], [30.0]]) == pytest.approx(5.0, abs=1e-14)
+        for dim in (2, 3):
+            assert_matches_pointwise(payoff, axis_prices(dim))
 
     def test_worst_of_put_out_of_money(self):
         payoff = Payoff("worst-of-put", 10.0)
-        assert eval_payoff(payoff, [12.0, 15.0]) == 0.0
+        assert eval_payoff(payoff, [[12.0], [15.0]]) == 0.0
 
     def test_worst_of_put_in_the_money(self):
         payoff = Payoff("worst-of-put", 10.0)
-        assert eval_payoff(payoff, [8.0, 15.0]) == 2.0
+        assert eval_payoff(payoff, [[8.0], [15.0]]) == 2.0
+        for dim in (2, 3):
+            prices = axis_prices(dim)
+            assert np.array_equal(eval_payoff(Payoff("worst-of-put", 20.0), prices),
+                                  pointwise(Payoff("worst-of-put", 20.0), prices))
 
     def test_spread(self):
         payoff = Payoff("spread-call", 0.0)
-        assert eval_payoff(payoff, [35.0, 30.0]) == 5.0
+        assert eval_payoff(payoff, [[35.0], [30.0]]) == 5.0
+        prices = axis_prices(2)
+        for strike in (0.0, 5.0):
+            assert np.array_equal(eval_payoff(Payoff("spread-call", strike), prices),
+                                  pointwise(Payoff("spread-call", strike), prices))
 
     def test_spread_dimension_check(self):
         with pytest.raises(DomainError):
-            eval_payoff(Payoff("spread-call", 0.0), [35.0, 30.0, 10.0])
+            eval_payoff(Payoff("spread-call", 0.0), [[35.0], [30.0], [10.0]])
+        with pytest.raises(DomainError):
+            eval_payoff(Payoff("spread-call", 0.0), axis_prices(3))
 
     def test_custom_basket_weights(self):
         payoff = Payoff("basket-call", 0.0, weights=(0.7, 0.3))
-        assert eval_payoff(payoff, [10.0, 20.0]) == pytest.approx(13.0)
+        assert eval_payoff(payoff, [[10.0], [20.0]]) == pytest.approx(13.0)
+        assert_matches_pointwise(Payoff("basket-call", 20.0, weights=(0.7, 0.3)), axis_prices(2))
+        assert_matches_pointwise(Payoff("basket-call", 20.0, weights=(0.5, 0.2, 0.3)), axis_prices(3))
+        with pytest.raises(DomainError):
+            eval_payoff(payoff, axis_prices(3))
         with pytest.raises(DomainError):
             Payoff("basket-call", 0.0, weights=(0.7, 0.7))
 
     def test_vectorized(self):
+        # One price vector per asset broadcasts to the tensor grid, axis i
+        # carrying asset i; the stacked (nodes, assets) form is rejected, and
+        # so is a non-positive price on any axis.
         payoff = Payoff("basket-call", 10.0)
-        s = np.array([[10.0, 12.0], [9.0, 9.0]])
-        assert eval_payoff(payoff, s) == pytest.approx([1.0, 0.0])
+        assert np.allclose(eval_payoff(payoff, [[10.0, 9.0], [12.0, 9.0]]), [[1.0, 0.0], [0.5, 0.0]])
+        for kind, strike in (("basket-call", 25.0), ("worst-of-put", 20.0), ("spread-call", 3.0)):
+            for dim in ((2,) if kind == "spread-call" else (2, 3)):
+                assert_matches_pointwise(Payoff(kind, strike), axis_prices(dim, seed=1))
+                with pytest.raises(DomainError):
+                    eval_payoff(Payoff(kind, strike), [np.array([[10.0, 12.0], [9.0, 9.0]])] * dim)
+                for axis in range(dim):
+                    prices = axis_prices(dim, seed=1)
+                    prices[axis][-1] = 0.0
+                    with pytest.raises(DomainError):
+                        eval_payoff(Payoff(kind, strike), prices)
 
 
 class TestGrid:
@@ -114,7 +174,7 @@ class TestMeasure:
         h_max = measure.payoff_max
         joint_side = measure.joint_masses * measure.copula_total_mass * measure.payoff_values
         adj = measure.payoff_values * measure.copula_weights / (h_max * measure.c_max)
-        ind_side = measure.independent_masses * adj * measure.c_max * h_max
+        ind_side = reduce(np.multiply.outer, measure.marginal_masses) * adj * measure.c_max * h_max
         assert np.max(np.abs(joint_side - ind_side)) <= 1e-12 * max(h_max, 1.0)
 
     def test_copula_weights_evaluated_once(self, spread_setup, monkeypatch):
@@ -139,6 +199,27 @@ class TestMeasure:
         assert measure.copula_total_mass == pytest.approx(1.0, abs=1e-14)
         assert measure.c_max == 1.0
         assert np.array_equal(measure.copula_weights, np.ones_like(measure.copula_weights))
+
+
+    def test_build_peak_memory(self):
+        # The payoff, the copula weights and prod(p_i) c are built from
+        # per-axis factors, so the build holds no (nodes, d) array: at d=3,
+        # q=6 it peaks at 5 node-sized tensors at most (about 3 are kept).
+        marginals = [experiments.fixture_marginal(name) for name in ("AXA", "CREDIT_AGRICOLE", "MICHELIN")]
+        spec = CopulaSpec.from_matrix(experiments.BASKET_CORRELATION)
+        grid = PricingGrid.build(marginals, 6)
+        node_tensor = grid.total_nodes * np.dtype(float).itemsize
+        for kind in ("basket-call", "worst-of-put"):
+            payoff = Payoff(kind, experiments.BASKET_STRIKE)
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                measure = GridMeasure.build(payoff, marginals, spec, grid)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert measure.payoff_values.shape == (64, 64, 64)
+            assert peak - before <= 5 * node_tensor
 
 
 class TestRiemannReference:

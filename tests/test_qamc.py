@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from qamcpricer import qamc
 from qamcpricer.cosine_density import Interval, basis_gamma
 from qamcpricer.copula import CopulaSpec
 from qamcpricer.errors import DomainError, ValidationError
-from qamcpricer.experiments import basket_setup, spread_setup
+from qamcpricer.experiments import basket_setup, fixture_marginal, spread_setup
 from qamcpricer.nig import nig_pdf
-from qamcpricer.pricing import AssetMarginal, GridMeasure, Payoff, PricingGrid, riemann_reference
+from qamcpricer.pricing import GridMeasure, Payoff, PricingGrid, riemann_reference
 from qamcpricer.qamc import (
     AEConfig,
     AEResult,
@@ -137,7 +138,7 @@ class TestProductionAmplitude:
             masses = measure.joint_masses.ravel()
             values = measure.payoff_values.ravel() / h_max
         else:
-            masses = measure.independent_masses.ravel()
+            masses = reduce(np.multiply.outer, measure.marginal_masses).ravel()
             values = (measure.payoff_values * measure.copula_weights).ravel() / (h_max * measure.c_max)
         assert handed and 0.0 < handed[0] < 1.0
         assert prepare(masses, values).ancilla_one_probability == pytest.approx(handed[0], abs=1e-12)
@@ -296,11 +297,8 @@ class TestQamcCoefficient:
 
 
 @pytest.fixture(scope="module")
-def small_pricing_setup(axa_params, michelin_params, axa_slice, michelin_slice):
-    marginals = [
-        AssetMarginal(axa_params, axa_slice),
-        AssetMarginal(michelin_params, michelin_slice),
-    ]
+def small_pricing_setup():
+    marginals = [fixture_marginal("AXA"), fixture_marginal("MICHELIN")]
     spec = CopulaSpec.from_matrix([[1.0, -0.25], [-0.25, 1.0]])
     grid = PricingGrid.build(marginals, 3)
     payoff = Payoff("spread-call", 0.0)
