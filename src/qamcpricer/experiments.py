@@ -29,7 +29,8 @@ from .errors import ValidationError
 from .market_data import MarketSlice
 from .nig import NIGParams, nig_cdf, nig_pdf, support_interval
 from .pricing import (
-    AssetMarginal, GridMeasure, Payoff, PricingGrid, cmc_price, normalize_cell_masses, sample_grid_indices,
+    AssetMarginal, GridMeasure, Payoff, PricingGrid, cmc_price, midpoint_cells, normalize_cell_masses,
+    sample_grid_indices,
 )
 from .qamc import AEConfig, qamc_coefficient, qamc_price, run_log_line, RUN_LOG_HEADER
 
@@ -150,13 +151,11 @@ def _percentile_record(method: str, cost: float, errors: np.ndarray) -> Converge
 
 
 def _coeff_grid(qubits: int, tail_eps: float):
-    """Midpoint cells (2^qubits, as on the pricing grid) and masses of STUDY_ASSET's exact density."""
+    """The 2^qubits midpoint cells of STUDY_ASSET's support and the exact density's cell masses."""
     params, _ = FIXTURES[STUDY_ASSET]
     expiry = fixture_slice(STUDY_ASSET).expiry
     a, b = support_interval(params, expiry, tail_eps)
-    count = 2**qubits
-    dx = (b - a) / count
-    nodes = a + dx * (np.arange(count) + 0.5)
+    nodes, dx = midpoint_cells(a, b, qubits)
     masses, _ = normalize_cell_masses(nig_pdf(nodes, params, expiry) * dx)
     return Interval(a, b), nodes, masses
 

@@ -34,6 +34,7 @@ __all__ = [
     "Payoff",
     "AssetMarginal",
     "PricingGrid",
+    "midpoint_cells",
     "GridMeasure",
     "PriceEstimate",
     "eval_payoff",
@@ -76,16 +77,13 @@ def eval_payoff(payoff: Payoff, prices) -> np.ndarray:
     broadcasting, so no (nodes, N) array of price vectors is formed.
     """
     n = len(prices)
-    axes = []
-    for i, vector in enumerate(prices):
-        vector = np.asarray(vector, dtype=float)
+    vectors = [np.asarray(vector, dtype=float) for vector in prices]
+    for vector in vectors:
         if vector.ndim != 1:
             raise DomainError("one price vector per asset required")
         if np.any(vector <= 0.0):
             raise DomainError("asset prices must be positive")
-        view = [1] * n
-        view[i] = vector.size
-        axes.append(vector.reshape(view))
+    axes = np.ix_(*vectors)
     if payoff.kind == "spread-call":
         if n != 2:
             raise DomainError("spread-call requires exactly 2 assets")
@@ -167,6 +165,15 @@ def _common_discount(marginals: list[AssetMarginal]) -> float:
     return dfs[0]
 
 
+def midpoint_cells(a: float, b: float, qubits: int) -> tuple[np.ndarray, float]:
+    """Midpoints and width of the 2^qubits equal cells of [a, b]."""
+    if qubits < 1:
+        raise ValidationError("need at least one qubit per dimension")
+    count = 2**qubits
+    dx = (b - a) / count
+    return a + dx * (np.arange(count) + 0.5), dx
+
+
 @dataclass(frozen=True)
 class PricingGrid:
     """Midpoints of 2^n equal cells per dimension on each marginal interval."""
@@ -181,17 +188,8 @@ class PricingGrid:
 
     @classmethod
     def build(cls, marginals: list[AssetMarginal], qubits_per_dim: int) -> "PricingGrid":
-        if qubits_per_dim < 1:
-            raise ValidationError("need at least one qubit per dimension")
-        count = 2**qubits_per_dim
-        nodes = []
-        deltas = []
-        for marginal in marginals:
-            a, b = marginal.interval
-            dx = (b - a) / count
-            nodes.append(a + dx * (np.arange(count) + 0.5))
-            deltas.append(dx)
-        return cls(tuple(nodes), tuple(deltas))
+        cells = [midpoint_cells(*marginal.interval, qubits_per_dim) for marginal in marginals]
+        return cls(tuple(nodes for nodes, _ in cells), tuple(dx for _, dx in cells))
 
     @property
     def dim(self) -> int:
@@ -210,20 +208,20 @@ class GridMeasure:
     """The shared discrete pricing measure plus cached payoff values.
 
     marginal_masses are normalized per dimension; copula_weights holds
-    c(F(x)) at every node combination; masses holds prod(p_i) c, the
-    copula-weighted masses every estimator reads; payoff_values holds
-    h(s(x)).  All three tensors are built from per-axis factors by
-    broadcasting.  The copula-weighted total mass Q = E_ind[c] rescales the
-    joint formulation; c_max, the bound of these same weights (grid_c_max),
-    keeps the independent formulation's payoff h c / (h_max c_max) in
-    [0, 1].  ``payoff`` is the payoff the values were computed for.
+    c(F(x)) at every node combination; masses, prod(p_i) c formed on first
+    read, is what the Riemann sum, Q and the joint masses read;
+    payoff_values holds h(s(x)).  All three tensors are built from per-axis
+    factors by broadcasting.  The copula-weighted total mass Q = E_ind[c]
+    rescales the joint formulation; c_max, the bound of these same weights
+    (grid_c_max), keeps the independent formulation's payoff
+    h c / (h_max c_max) in [0, 1].  ``payoff`` is the payoff the values
+    were computed for.
     """
 
     payoff: Payoff
     grid: PricingGrid
     marginal_masses: tuple[np.ndarray, ...]
     copula_weights: np.ndarray
-    masses: np.ndarray
     payoff_values: np.ndarray
     discount_factor: float
     clipped_mass: float
@@ -256,12 +254,16 @@ class GridMeasure:
             grid=grid,
             marginal_masses=tuple(marginal_masses),
             copula_weights=weights,
-            masses=reduce(np.multiply.outer, marginal_masses) * weights,
             payoff_values=payoff_values,
             discount_factor=_common_discount(marginals),
             clipped_mass=clipped_total,
             c_max=grid_c_max(spec, weights),
         )
+
+    @cached_property
+    def masses(self) -> np.ndarray:
+        """prod(p_i) c at every node: the copula-weighted, unnormalized joint masses."""
+        return reduce(np.multiply.outer, self.marginal_masses) * self.copula_weights
 
     @cached_property
     def copula_total_mass(self) -> float:

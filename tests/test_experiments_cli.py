@@ -343,6 +343,19 @@ class TestCli:
         assert parse(["make-bundle", "--out", "demo"]).out == "demo"
         assert parse(["arb-check", "--config", "c.json", "--drop-violations"]).drop_violations
 
+    @pytest.mark.parametrize("kind", ["coeffs", "density"])
+    @pytest.mark.parametrize("qubits", [0, -2])
+    def test_study_without_a_qubit_rejected(self, bundle, tmp_path, capsys, kind, qubits):
+        # 2^qubits midpoint cells need qubits >= 1; 2^-2 = 0.25 cells would
+        # put a node outside the support.
+        cfg = json.loads((bundle / "config.json").read_text())
+        cfg["study"] = {"qubits": qubits, "repetitions": 1}
+        cfg_path = tmp_path / "no_qubit.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["study", kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "at least one qubit" in capsys.readouterr().err
+
     def test_unknown_study_option_rejected(self, bundle, tmp_path, capsys):
         cfg = json.loads((bundle / "config.json").read_text())
         cfg["study"] = {"reps": 3}

@@ -9,11 +9,10 @@ import pytest
 
 from qamcpricer import qamc
 from qamcpricer.cosine_density import Interval, basis_gamma
-from qamcpricer.copula import CopulaSpec
 from qamcpricer.errors import DomainError, ValidationError
-from qamcpricer.experiments import basket_setup, fixture_marginal, spread_setup
+from qamcpricer.experiments import basket_setup, spread_setup
 from qamcpricer.nig import nig_pdf
-from qamcpricer.pricing import GridMeasure, Payoff, PricingGrid, riemann_reference
+from qamcpricer.pricing import GridMeasure, Payoff, riemann_reference
 from qamcpricer.qamc import (
     AEConfig,
     AEResult,
@@ -298,11 +297,7 @@ class TestQamcCoefficient:
 
 @pytest.fixture(scope="module")
 def small_pricing_setup():
-    marginals = [fixture_marginal("AXA"), fixture_marginal("MICHELIN")]
-    spec = CopulaSpec.from_matrix([[1.0, -0.25], [-0.25, 1.0]])
-    grid = PricingGrid.build(marginals, 3)
-    payoff = Payoff("spread-call", 0.0)
-    return payoff, marginals, spec, grid
+    return spread_setup()
 
 
 class TestQamcPrice:
