@@ -110,7 +110,12 @@ def copula_weights_on_grid(spec: CopulaSpec, unit_coords: list[np.ndarray]) -> n
     for i in range(spec.dim):
         for j in range(spec.dim):
             quad += z[i] * m[i, j] * z[j]
-    return np.exp(-0.5 * quad) / math.sqrt(spec.det)
+    # exp(-quad / 2) / sqrt(det), in place: the weights are the one
+    # node-sized tensor the kernel allocates (same bits as the out-of-place form).
+    quad *= -0.5
+    np.exp(quad, out=quad)
+    quad /= math.sqrt(spec.det)
+    return quad
 
 
 def grid_c_max(spec: CopulaSpec, weights: np.ndarray) -> float:

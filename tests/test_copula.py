@@ -6,6 +6,7 @@ marginal densities on the same tensor grid.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,22 @@ class TestPerAxisKernel:
         weights = copula_weights_on_grid(CopulaSpec.from_matrix(sigma), axes)
         assert weights.shape == (16, 16, 16)
         assert sum(points) == 48
+
+    def test_weights_peak_at_one_node_tensor(self):
+        # The quadratic form is exponentiated and scaled in place: the
+        # weights are the only node-sized tensor the kernel allocates.
+        sigma = [[1.0, -0.2, -0.25], [-0.2, 1.0, -0.15], [-0.25, -0.15, 1.0]]
+        axes = [np.linspace(0.01, 0.99, 64)] * 3
+        node_tensor = 64**3 * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            weights = copula_weights_on_grid(CopulaSpec.from_matrix(sigma), axes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert weights.shape == (64, 64, 64)
+        assert peak - before <= 1.5 * node_tensor
 
 
 @st.composite
