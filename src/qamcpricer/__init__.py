@@ -51,7 +51,6 @@ from .qamc import (
     AEConfig,
     AEResult,
     iqae_estimate,
-    qamc_coefficient,
     qamc_price,
     signed_ae_estimate,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "nig_cumulants",
     "nig_pdf",
     "price_european_batch",
-    "qamc_coefficient",
     "qamc_price",
     "riemann_reference",
     "signed_ae_estimate",

@@ -5,7 +5,10 @@ study {coeffs,density,price}, pipeline, and make-bundle (synthetic demo
 inputs).  All outputs are CSV/JSON; reruns with the same config and seed are
 byte-identical.
 
-Config JSON schema (paths are resolved relative to the config file):
+Config JSON schema (paths are resolved relative to the config file).  An
+unknown key, a missing required key (quotes_csv, spots, correlations, payoff
+and its three keys, for the stages that read them) and a value of the wrong
+type are errors that exit 2:
 
     {
       "quotes_csv": "quotes.csv",
@@ -27,7 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +38,14 @@ import numpy as np
 from . import calibration as cal
 from . import market_data as md
 from .copula import CopulaSpec, load_correlation
-from .cosine_density import Interval, coeffs_classical, series_to_json
+from .cosine_density import series_to_json
 from .errors import QamcError, StageError, ValidationError
 from .experiments import (
     BASKET_CORRELATION,
     FIXTURES,
     FIXTURE_RATE,
+    MARGINAL_TAIL_EPS,
+    MARGINAL_TERMS,
     StudyConfig,
     fit_loglog_slope,
     study_coeffs,
@@ -51,7 +56,6 @@ from .experiments import (
     write_run_log,
 )
 from .market_data import MarketSlice, generate_synthetic_quotes
-from .nig import nig_pdf, support_interval
 from .pricing import AssetMarginal, GridMeasure, Payoff, PriceEstimate, PricingGrid, cmc_price
 from .qamc import AEConfig, qamc_price
 
@@ -62,16 +66,88 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _converter(default):
+    """Conversion to the type of ``default``, element-wise for a tuple."""
+    if isinstance(default, tuple):
+        kind = type(default[0])
+        return lambda value: tuple(kind(v) for v in value)
+    return type(default)
+
+
+# Each config section's keys: key -> (conversion, default), a None default marking a required key.
+_SECTIONS = {
+    "calibration": {
+        "lambda": (float, cal.CalibrationConfig.regularization),
+        "weights_rule": (str, cal.CalibrationConfig.weights_rule),
+    },
+    "density": {"terms": (int, MARGINAL_TERMS), "tail_eps": (float, MARGINAL_TAIL_EPS)},
+    "payoff": {"kind": (str, None), "strike": (float, None), "assets": (list, None)},
+    "pricing": {
+        "qubits_per_dim": (int, 3),
+        "epsilon": (float, 1e-3),
+        "rho": (float, 0.05),
+        "samples": (int, 2**16),
+        "estimators": (list, ["riemann", "cmc-joint", "qamc-joint", "qamc-independent"]),
+    },
+    # The study command picks the study and --seed the seed; every other field is settable.
+    "study": {
+        f.name: (_converter(f.default), f.default) for f in fields(StudyConfig) if f.name not in ("study", "seed")
+    },
+}
+_CONFIG_KEYS = ("quotes_csv", "spots", "correlations", *_SECTIONS)
+
+
+def _reject_unknown(where: str, keys, settable) -> None:
+    unknown = sorted(set(keys) - set(settable))
+    if unknown:
+        raise ValidationError(f"unknown {where} option(s) {unknown}; expected some of {sorted(settable)}")
+
+
 def _load_config(path: str) -> dict:
     cfg_path = Path(path)
     with open(cfg_path) as handle:
         cfg = json.load(handle)
+    if not isinstance(cfg, dict):
+        raise ValidationError("config must be a JSON object")
+    _reject_unknown("config", cfg, _CONFIG_KEYS)
     cfg["_base"] = cfg_path.parent
     return cfg
 
 
+def _required(cfg: dict, name: str):
+    if name not in cfg:
+        raise ValidationError(f"config needs {name!r}")
+    return cfg[name]
+
+
+def _read(where: str, value, convert):
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"config {where}: cannot read {value!r} ({exc})") from exc
+
+
+def _section(cfg: dict, name: str) -> dict:
+    """Config section ``name``, each value converted and each missing one defaulted by ``_SECTIONS``."""
+    opts = cfg.get(name, {})
+    if not isinstance(opts, dict):
+        raise ValidationError(f"config {name} must be an object, got {opts!r}")
+    spec = _SECTIONS[name]
+    _reject_unknown(name, opts, spec)
+    values = {}
+    for key, (convert, default) in spec.items():
+        if key in opts:
+            values[key] = _read(f"{name}.{key}", opts[key], convert)
+        elif default is None:
+            raise ValidationError(f"config {name} needs {key!r}")
+        else:
+            values[key] = default
+    return values
+
+
 def _resolve(cfg: dict, name: str) -> Path:
-    return (cfg["_base"] / cfg[name]).resolve() if not Path(cfg[name]).is_absolute() else Path(cfg[name])
+    path = _read(name, _required(cfg, name), Path)
+    return path if path.is_absolute() else (cfg["_base"] / path).resolve()
 
 
 def _stage(name: str):
@@ -104,28 +180,28 @@ def cmd_ingest(cfg: dict, out: Path) -> dict[tuple[str, float], list[md.OptionQu
 
 
 @_stage("curves")
-def cmd_curves(cfg: dict, out: Path, groups=None) -> dict[tuple[str, float], md.StrippedCurves]:
+def cmd_curves(cfg: dict, out: Path, groups=None) -> dict[tuple[str, float], MarketSlice]:
     groups = groups if groups is not None else cmd_ingest(cfg, out)
-    spots = cfg["spots"]
-    curves = {}
+    spots = _required(cfg, "spots")
+    slices = {}
     rows = []
     for (underlying, expiry), quotes in sorted(groups.items()):
-        if underlying not in spots:
+        if not isinstance(spots, dict) or underlying not in spots:
             raise ValidationError(f"no spot configured for {underlying}")
-        stripped = md.strip_curves(quotes, float(spots[underlying]), expiry)
-        curves[(underlying, expiry)] = stripped
+        slice_ = md.strip_curves(quotes, _read(f"spots.{underlying}", spots[underlying], float), expiry)
+        slices[(underlying, expiry)] = slice_
         rows.append(
             {
                 "underlying": underlying,
                 "expiry_years": expiry,
-                "df": stripped.discount_factor,
-                "forward": stripped.forward,
-                "r": stripped.rate,
-                "q": stripped.dividend_yield,
+                "df": slice_.discount_factor,
+                "forward": slice_.forward,
+                "r": slice_.rate,
+                "q": slice_.dividend_yield,
             }
         )
     _write_json(out / "curves.json", rows)
-    return curves
+    return slices
 
 
 @_stage("arb-check")
@@ -136,15 +212,16 @@ def cmd_arb_check(cfg: dict, out: Path, drop_violations: bool, groups=None):
     for (underlying, expiry), quotes in sorted(groups.items()):
         found = md.scan_arbitrage(quotes)
         for violation in found:
-            entry = {
-                "underlying": underlying,
-                "expiry_years": expiry,
-                "type": type(violation).__name__,
-                "kind": violation.kind,
-                "strikes": list(violation.strikes),
-            }
-            entry["value"] = violation.ratio if hasattr(violation, "ratio") else violation.value
-            report.append(entry)
+            report.append(
+                {
+                    "underlying": underlying,
+                    "expiry_years": expiry,
+                    "type": type(violation).__name__,
+                    "kind": violation.kind,
+                    "strikes": list(violation.strikes),
+                    "value": violation.value,
+                }
+            )
         cleaned[(underlying, expiry)] = md.drop_violating_quotes(quotes) if found and drop_violations else quotes
     _write_json(out / "arb_report.json", report)
     if report and not drop_violations:
@@ -156,33 +233,16 @@ def cmd_arb_check(cfg: dict, out: Path, drop_violations: bool, groups=None):
 
 def _build_slices(cfg, out, drop_violations):
     groups = cmd_ingest(cfg, out)
-    curves = cmd_curves(cfg, out, groups)
+    slices = cmd_curves(cfg, out, groups)
     cleaned = cmd_arb_check(cfg, out, drop_violations, groups)
-    slices = {}
-    for key, quotes in sorted(cleaned.items()):
-        underlying, expiry = key
-        stripped = curves[key]
-        slices[key] = MarketSlice(
-            underlying=underlying,
-            spot=float(cfg["spots"][underlying]),
-            expiry=expiry,
-            discount_factor=stripped.discount_factor,
-            forward=stripped.forward,
-            rate=stripped.rate,
-            dividend_yield=stripped.dividend_yield,
-            quotes=tuple(quotes),
-        )
-    return slices
+    return {key: replace(slices[key], quotes=tuple(quotes)) for key, quotes in sorted(cleaned.items())}
 
 
 @_stage("calibrate")
 def cmd_calibrate(cfg: dict, out: Path, drop_violations: bool):
     slices = _build_slices(cfg, out, drop_violations)
-    opts = cfg.get("calibration", {})
-    config = cal.CalibrationConfig(
-        regularization=float(opts.get("lambda", 5e-7)),
-        weights_rule=opts.get("weights_rule", "inverse-bid-ask"),
-    )
+    opts = _section(cfg, "calibration")
+    config = cal.CalibrationConfig(regularization=opts["lambda"], weights_rule=opts["weights_rule"])
     rows = []
     results = {}
     for (underlying, expiry), slice_ in sorted(slices.items()):
@@ -209,49 +269,44 @@ def cmd_calibrate(cfg: dict, out: Path, drop_violations: bool):
 @_stage("density")
 def cmd_density(cfg: dict, out: Path, drop_violations: bool):
     calibrated = cmd_calibrate(cfg, out, drop_violations)
-    opts = cfg.get("density", {})
-    terms = int(opts.get("terms", 128))
-    tail_eps = float(opts.get("tail_eps", 1e-5))
+    opts = _section(cfg, "density")
     marginals = {}
-    for (underlying, expiry), (result, slice_) in sorted(calibrated.items()):
-        params = result.theta
-        iv = Interval(*support_interval(params, expiry, tail_eps))
-        series = coeffs_classical(lambda x: nig_pdf(x, params, expiry), iv, terms)
-        (out / f"density_{underlying}.json").write_text(series_to_json(series) + "\n")
-        marginals[underlying] = AssetMarginal(params, slice_, series)
+    for (underlying, _), (result, slice_) in sorted(calibrated.items()):
+        marginal = AssetMarginal.fit(result.theta, slice_, opts["terms"], opts["tail_eps"])
+        (out / f"density_{underlying}.json").write_text(series_to_json(marginal.series) + "\n")
+        marginals[underlying] = marginal
     return marginals
 
 
 @_stage("price")
 def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool):
     marginals = cmd_density(cfg, out, drop_violations)
-    payoff_cfg = cfg["payoff"]
+    payoff_cfg = _section(cfg, "payoff")
+    opts = _section(cfg, "pricing")
     assets = payoff_cfg["assets"]
     missing = [a for a in assets if a not in marginals]
     if missing:
         raise ValidationError(f"no calibrated marginal for asset(s) {missing}")
-    corr = cfg["correlations"]
+    corr = _required(cfg, "correlations")
     corr_assets, spec = load_correlation(corr if isinstance(corr, dict) else _resolve(cfg, "correlations"))
+    uncorrelated = [a for a in assets if a not in corr_assets]
+    if uncorrelated:
+        raise ValidationError(f"no correlation entry for asset(s) {uncorrelated}")
     order = [corr_assets.index(a) for a in assets]
     sigma = np.asarray(spec.sigma)[np.ix_(order, order)]
     spec = CopulaSpec.from_matrix(sigma)
     chosen = [marginals[a] for a in assets]
-    payoff = Payoff(payoff_cfg["kind"], float(payoff_cfg["strike"]))
-    opts = cfg.get("pricing", {})
-    grid = PricingGrid.build(chosen, int(opts.get("qubits_per_dim", 3)))
+    payoff = Payoff(payoff_cfg["kind"], payoff_cfg["strike"])
+    grid = PricingGrid.build(chosen, opts["qubits_per_dim"])
     measure = GridMeasure.build(payoff, chosen, spec, grid)
-    estimators = opts.get("estimators", ["riemann", "cmc-joint", "qamc-joint", "qamc-independent"])
-    samples = int(opts.get("samples", 2**16))
-    epsilon = float(opts.get("epsilon", 1e-3))
-    rho = float(opts.get("rho", 0.05))
 
     rows = []
-    for i, estimator in enumerate(estimators):
+    for i, estimator in enumerate(opts["estimators"]):
         rng = np.random.default_rng([seed, 7000 + i])
         if estimator == "riemann":
             est = PriceEstimate(measure.reference_value(), "riemann", grid.total_nodes, stderr=0.0)
         elif estimator.startswith("cmc-"):
-            est = cmc_price(payoff, chosen, spec, estimator.removeprefix("cmc-"), samples, rng, measure=measure)
+            est = cmc_price(payoff, chosen, spec, estimator.removeprefix("cmc-"), opts["samples"], rng, measure=measure)
         elif estimator.startswith("qamc-"):
             est = qamc_price(
                 payoff,
@@ -259,7 +314,7 @@ def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool):
                 spec,
                 estimator.removeprefix("qamc-"),
                 grid,
-                AEConfig(epsilon=epsilon, rho=rho, seed=seed),
+                AEConfig(epsilon=opts["epsilon"], rho=opts["rho"], seed=seed),
                 rng,
                 measure=measure,
             )
@@ -281,17 +336,8 @@ def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool):
 
 
 def _study_config(cfg: dict, study: str, seed: int) -> StudyConfig:
-    opts = dict(cfg.get("study", {}))
-    # The command picks the study and --seed the seed; every other field is settable.
-    settable = {f.name for f in fields(StudyConfig)} - {"study", "seed"}
-    unknown = sorted(set(opts) - settable)
-    if unknown:
-        raise ValidationError(f"unknown study option(s) {unknown}; expected some of {sorted(settable)}")
-    for tuple_key in ("epsilon_ladder", "sample_ladder", "recovery_terms"):
-        if tuple_key in opts:
-            opts[tuple_key] = tuple(opts[tuple_key])
     name = {"coeffs": "coeffs", "density": "density-recovery", "price": "price-convergence"}[study]
-    return StudyConfig(study=name, seed=seed, **opts)
+    return StudyConfig(study=name, seed=seed, **_section(cfg, "study"))
 
 
 @_stage("study")
@@ -335,22 +381,18 @@ def cmd_make_bundle(out: Path) -> None:
     md.save_quotes(out / "quotes.csv", quotes)
     corr = {"assets": ["AXA", "CREDIT_AGRICOLE", "MICHELIN"], "sigma": BASKET_CORRELATION}
     _write_json(out / "corr.json", corr)
+    # The demo config spells out every default of the sections that have one.
     config = {
-        "quotes_csv": "quotes.csv",
-        "spots": spots,
-        "calibration": {"lambda": 5e-7, "weights_rule": "inverse-bid-ask"},
-        "density": {"terms": 128, "tail_eps": 1e-5},
-        "correlations": "corr.json",
-        "payoff": {"kind": "spread-call", "strike": 0.0, "assets": ["AXA", "MICHELIN"]},
-        "pricing": {
-            "qubits_per_dim": 3,
-            "epsilon": 1e-3,
-            "rho": 0.05,
-            "samples": 65536,
-            "estimators": ["riemann", "cmc-joint", "qamc-joint", "qamc-independent"],
-        },
-        "study": {"repetitions": 32},
+        name: {key: default for key, (_, default) in _SECTIONS[name].items()}
+        for name in ("calibration", "density", "pricing")
     }
+    config.update(
+        quotes_csv="quotes.csv",
+        spots=spots,
+        correlations="corr.json",
+        payoff={"kind": "spread-call", "strike": 0.0, "assets": ["AXA", "MICHELIN"]},
+        study={"repetitions": 32},
+    )
     _write_json(out / "config.json", config)
 
 

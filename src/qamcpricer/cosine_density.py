@@ -4,10 +4,9 @@ Basis on [a, b]:
 
     gamma_0(x) = 1/sqrt(b-a),   gamma_k(x) = sqrt(2/(b-a)) cos(k pi (x-a)/(b-a))
 
-with coefficients a_k = E[gamma_k(X)].  The shifted basis
-gamma_plus = 1/2 + (1/2) sqrt((b-a)/2) gamma_k lies in [0, 1], which is the
-form a unit-interval payoff rotation can load; the coefficients convert back
-through a_k = sqrt(2/(b-a)) (2 E[gamma_plus] - 1).
+with coefficients a_k = E[gamma_k(X)].  For k >= 1, |gamma_k| <= sqrt(2/(b-a)),
+so a_k is a signed value that ``qamc.signed_ae_estimate`` can load with scale
+sqrt(2/(b-a)).
 
 The CDF estimate integrates the partial sum term by term and is clamped to
 0 / 1 outside the interval.
@@ -27,8 +26,6 @@ from .numerics import QuadratureRule, gauss_legendre_panels
 __all__ = [
     "Interval",
     "CosineSeries",
-    "basis_gamma",
-    "basis_gamma_plus",
     "basis_matrix",
     "coeffs_classical",
     "eval_pdf",
@@ -72,26 +69,6 @@ class CosineSeries:
 def _check_inside(x_arr: np.ndarray, interval: Interval) -> None:
     if np.any(x_arr < interval.a - 1e-12) or np.any(x_arr > interval.b + 1e-12):
         raise DomainError("x outside the series interval")
-
-
-def basis_gamma(k: int, x, interval: Interval):
-    """Orthonormal cosine basis function evaluated at x in [a, b]."""
-    if k < 0:
-        raise DomainError("basis index must be >= 0")
-    x_arr = np.asarray(x, dtype=float)
-    _check_inside(x_arr, interval)
-    w = interval.width
-    if k == 0:
-        out = np.full_like(x_arr, 1.0 / math.sqrt(w))
-    else:
-        out = math.sqrt(2.0 / w) * np.cos(k * math.pi * (x_arr - interval.a) / w)
-    return float(out) if np.isscalar(x) else out
-
-
-def basis_gamma_plus(k: int, x, interval: Interval):
-    """Shifted basis in [0, 1]: 1/2 + (1/2) sqrt((b-a)/2) gamma_k(x)."""
-    g = basis_gamma(k, x, interval)
-    return 0.5 + 0.5 * math.sqrt(interval.width / 2.0) * g
 
 
 def basis_matrix(interval: Interval, terms: int, x: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copula import CopulaSpec
-from .cosine_density import CosineSeries, Interval, basis_matrix, coeffs_classical, eval_cdf, eval_pdf
+from .cosine_density import CosineSeries, Interval, basis_matrix, eval_cdf, eval_pdf
 from .errors import ValidationError
 from .market_data import MarketSlice
 from .nig import NIGParams, nig_cdf, nig_pdf, support_interval
@@ -32,7 +32,7 @@ from .pricing import (
     AssetMarginal, GridMeasure, Payoff, PricingGrid, cmc_price, midpoint_cells, normalize_cell_masses,
     sample_grid_indices,
 )
-from .qamc import AEConfig, qamc_coefficient, qamc_price, run_log_line, RUN_LOG_HEADER
+from .qamc import AEConfig, qamc_price, run_log_line, signed_ae_estimate, RUN_LOG_HEADER
 
 __all__ = [
     "FIXTURES",
@@ -118,10 +118,7 @@ def fixture_slice(name: str) -> MarketSlice:
 def fixture_marginal(name: str) -> AssetMarginal:
     """Cosine-series marginal (classical coefficients) on the tight support."""
     params, _ = FIXTURES[name]
-    slc = fixture_slice(name)
-    iv = Interval(*support_interval(params, slc.expiry, MARGINAL_TAIL_EPS))
-    series = coeffs_classical(lambda x: nig_pdf(x, params, slc.expiry), iv, MARGINAL_TERMS)
-    return AssetMarginal(params, slc, series)
+    return AssetMarginal.fit(params, fixture_slice(name), MARGINAL_TERMS, MARGINAL_TAIL_EPS)
 
 
 def spread_setup():
@@ -179,6 +176,7 @@ def study_coeffs(cfg: StudyConfig):
     iv, nodes, masses = _coeff_grid(cfg.qubits, MARGINAL_TAIL_EPS)
     table = basis_matrix(iv, cfg.terms, nodes)
     truth = table @ masses
+    scale = math.sqrt(2.0 / iv.width)
     ks = np.arange(1, cfg.terms)
 
     records: list[ConvergenceRecord] = []
@@ -210,7 +208,7 @@ def study_coeffs(cfg: StudyConfig):
             for j, k in enumerate(ks):
                 rng = np.random.default_rng([cfg.seed, 202, int(1.0 / eps), rep, int(k)])
                 ae_cfg = AEConfig(epsilon=eps, rho=cfg.rho)
-                res = qamc_coefficient(masses, int(k), iv, ae_cfg, rng)
+                res = signed_ae_estimate(truth[k], ae_cfg, scale, rng)
                 errs[rep, j] = abs(res.estimate - truth[k])
                 costs[rep, j] = res.oracle_queries
                 if rep == 0:
@@ -231,12 +229,6 @@ def study_coeffs(cfg: StudyConfig):
     return records, per_k, run_log
 
 
-def _budgeted_coefficient(masses, k, iv, budget, rho, rng) -> float:
-    """Coefficient estimate at a fixed query budget (matched-cost studies)."""
-    cfg = AEConfig(epsilon=1e-7, rho=rho, max_queries=budget)
-    return qamc_coefficient(masses, k, iv, cfg, rng).estimate
-
-
 def study_density_recovery(cfg: StudyConfig):
     """Sup-norm pdf/CDF recovery errors at matched cost across truncation orders.
 
@@ -249,11 +241,13 @@ def study_density_recovery(cfg: StudyConfig):
     xs = np.linspace(iv.a, iv.b - 1e-9, 800)
     pdf_true = nig_pdf(xs, params, 1.0)
     cdf_true = nig_cdf(xs, params, 1.0)
+    scale = math.sqrt(2.0 / iv.width)
+    budgeted = AEConfig(epsilon=1e-7, rho=cfg.rho, max_queries=cfg.matched_cost)
 
     rows: list[dict] = []
     for terms in cfg.recovery_terms:
         table = basis_matrix(iv, terms, nodes)
-        truth0 = float(table[0] @ masses)
+        truth = table @ masses
         for method in ("cmc", "qamc"):
             sup_pdf = np.empty(cfg.repetitions)
             sup_cdf = np.empty(cfg.repetitions)
@@ -263,9 +257,9 @@ def study_density_recovery(cfg: StudyConfig):
                     coeffs = _cmc_coefficients(table, masses, cfg.matched_cost, rng)
                 else:
                     coeffs = np.empty(terms)
-                    coeffs[0] = truth0
+                    coeffs[0] = truth[0]
                     for k in range(1, terms):
-                        coeffs[k] = _budgeted_coefficient(masses, k, iv, cfg.matched_cost, cfg.rho, rng)
+                        coeffs[k] = signed_ae_estimate(truth[k], budgeted, scale, rng).estimate
                 series = CosineSeries(iv, coeffs)
                 sup_pdf[rep] = np.max(np.abs(eval_pdf(series, xs) - pdf_true))
                 sup_cdf[rep] = np.max(np.abs(eval_cdf(series, xs) - cdf_true))

@@ -20,7 +20,6 @@ from . import nig as _nig
 __all__ = [
     "OptionQuote",
     "MarketSlice",
-    "StrippedCurves",
     "DigitalViolation",
     "ButterflyViolation",
     "load_quotes",
@@ -33,6 +32,10 @@ __all__ = [
 ]
 
 CSV_HEADER = ["underlying", "expiry_years", "strike", "kind", "bid", "ask"]
+
+# Sanity bound on a discount factor.  Above 1 is a negative rate, and the
+# parity regression on zero-rate quotes can land a rounding error above 1.
+_DF_BOUND = 1.2
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,9 @@ class OptionQuote:
 class MarketSlice:
     """Per-expiry market state: spot, stripped curves, and the quote set.
 
-    Invariants: rate = -ln(DF)/T and forward = spot * exp((r - q) T), both
-    enforced at construction to 1e-10 relative.
+    Invariants, enforced at construction: 0 < DF < 1.2 (negative rates
+    allowed), and rate = -ln(DF)/T and forward = spot * exp((r - q) T) to
+    1e-10 relative.
     """
 
     underlying: str
@@ -89,8 +93,8 @@ class MarketSlice:
             raise ValidationError(f"slice numbers must be finite, got {numbers}")
         if self.spot <= 0 or self.forward <= 0 or self.expiry <= 0:
             raise ValidationError("spot, forward and expiry must be positive")
-        if not (0.0 < self.discount_factor <= 1.0):
-            raise ValidationError(f"discount factor must lie in (0,1], got {self.discount_factor}")
+        if not (0.0 < self.discount_factor < _DF_BOUND):
+            raise ValidationError(f"discount factor must lie in (0, {_DF_BOUND}), got {self.discount_factor}")
         r_implied = -math.log(self.discount_factor) / self.expiry
         if abs(r_implied - self.rate) > 1e-10 * max(1.0, abs(self.rate)):
             raise ValidationError("rate inconsistent with discount factor")
@@ -113,18 +117,10 @@ class MarketSlice:
 
 
 @dataclass(frozen=True)
-class StrippedCurves:
-    discount_factor: float
-    forward: float
-    dividend_yield: float
-    rate: float
-
-
-@dataclass(frozen=True)
 class DigitalViolation:
     kind: str
     strikes: tuple[float, float]
-    ratio: float
+    value: float
 
 
 @dataclass(frozen=True)
@@ -199,12 +195,13 @@ def _paired_mids(quotes: Iterable[OptionQuote]) -> tuple[np.ndarray, np.ndarray,
     )
 
 
-def strip_curves(quotes: Iterable[OptionQuote], spot: float, expiry: float) -> StrippedCurves:
-    """Discount factor and forward from put-call parity.
+def strip_curves(quotes: Iterable[OptionQuote], spot: float, expiry: float) -> MarketSlice:
+    """The slice of one underlying's quotes, its discount factor and forward from put-call parity.
 
     OLS of C - P on K: the slope is -DF and the intercept FW*DF; the dividend
     yield then follows from the spot-forward relation.
     """
+    quotes = tuple(quotes)
     strikes, call_mids, put_mids = _paired_mids(quotes)
     if strikes.size < 2:
         raise ValidationError("need call/put mids at >= 2 common strikes to strip curves")
@@ -214,12 +211,15 @@ def strip_curves(quotes: Iterable[OptionQuote], spot: float, expiry: float) -> S
     design = np.column_stack([strikes, np.ones_like(strikes)])
     (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
     df = -float(slope)
-    if not (0.0 < df < 1.2):
-        raise ValidationError(f"stripped discount factor {df} outside sanity bound (0, 1.2)")
+    if not (0.0 < df < _DF_BOUND):
+        raise ValidationError(f"stripped discount factor {df} outside sanity bound (0, {_DF_BOUND})")
     forward = float(intercept) / df
     rate = -math.log(df) / expiry
     dividend_yield = rate - math.log(forward / spot) / expiry
-    return StrippedCurves(df, forward, dividend_yield, rate)
+    underlyings = {q.underlying for q in quotes}
+    if len(underlyings) != 1:
+        raise ValidationError(f"a slice holds one underlying, got {sorted(underlyings)}")
+    return MarketSlice(underlyings.pop(), spot, expiry, df, forward, rate, dividend_yield, quotes)
 
 
 def _require_increasing(strikes: np.ndarray) -> None:

@@ -25,10 +25,10 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .copula import CopulaSpec, copula_weights_on_grid, grid_c_max
-from .cosine_density import CosineSeries, eval_cdf, eval_pdf
+from .cosine_density import CosineSeries, Interval, coeffs_classical, eval_cdf, eval_pdf
 from .errors import DomainError, ValidationError
 from .market_data import MarketSlice
-from .nig import ExpNIGModel, NIGParams
+from .nig import ExpNIGModel, NIGParams, nig_pdf, support_interval
 
 __all__ = [
     "Payoff",
@@ -115,6 +115,13 @@ class AssetMarginal:
     params: NIGParams
     slice_: MarketSlice
     series: CosineSeries
+
+    @classmethod
+    def fit(cls, params: NIGParams, slice_: MarketSlice, terms: int, tail_eps: float) -> "AssetMarginal":
+        """The ``terms``-term cosine series of NIG(params) on the support that leaves ``tail_eps`` outside."""
+        expiry = slice_.expiry
+        interval = Interval(*support_interval(params, expiry, tail_eps))
+        return cls(params, slice_, coeffs_classical(lambda x: nig_pdf(x, params, expiry), interval, terms))
 
     @property
     def interval(self) -> tuple[float, float]:

@@ -28,16 +28,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .copula import CopulaSpec
-from .cosine_density import Interval, basis_gamma_plus
 from .errors import DomainError, ValidationError
-from .pricing import AssetMarginal, GridMeasure, Payoff, PriceEstimate, PricingGrid, normalize_cell_masses
+from .pricing import AssetMarginal, GridMeasure, Payoff, PriceEstimate, PricingGrid
 
 __all__ = [
     "AEConfig",
     "AEResult",
     "iqae_estimate",
     "signed_ae_estimate",
-    "qamc_coefficient",
     "qamc_price",
     "run_log_line",
     "RUN_LOG_HEADER",
@@ -186,46 +184,24 @@ def iqae_estimate(amplitude: float, cfg: AEConfig, rng: np.random.Generator | No
 
 
 def signed_ae_estimate(
-    amplitude: float,
+    value: float,
     cfg: AEConfig,
-    scale: float = 1.0,
-    rng: np.random.Generator | None = None,
+    scale: float,
+    rng: np.random.Generator | None,
 ) -> AEResult:
-    """Sign-carrying estimation through the shifted positive encoding.
+    """Estimate a signed value v with |v| <= scale through the shifted encoding.
 
-    ``amplitude`` is the shifted quantity a = (v/scale + 1)/2 in [0, 1]; the
-    estimate maps back through v = scale (2a - 1), so the half-width scales
-    by 2|scale| and the (epsilon, rho) contract survives the affine map.
+    The loaded amplitude is a = (v/scale + 1)/2 in [0, 1] (a payoff
+    1/2 + v_j/(2 scale) per node, averaged under the loaded masses); the
+    estimate maps back through v = scale (2a - 1), so the half-width scales by
+    2|scale| and the (epsilon, rho) contract survives the affine map.
     """
-    base = iqae_estimate(amplitude, cfg, rng)
+    base = iqae_estimate((value / scale + 1.0) / 2.0, cfg, rng)
     return replace(
         base,
         estimate=scale * (2.0 * base.estimate - 1.0),
         half_width=2.0 * abs(scale) * base.half_width,
     )
-
-
-def qamc_coefficient(
-    masses,
-    k: int,
-    interval: Interval,
-    cfg: AEConfig,
-    rng: np.random.Generator | None = None,
-) -> AEResult:
-    """Estimate the k-th cosine coefficient of the loaded cell masses.
-
-    The amplitude is the mass-weighted mean of the shifted basis values
-    gamma_k^+ in [0, 1] at the cell midpoints; the signed estimator maps it
-    back.  The zeroth basis function is constant, so its coefficient is
-    known exactly without estimation.
-    """
-    p, _ = normalize_cell_masses(masses)
-    width = interval.width
-    if k == 0:
-        return AEResult(1.0 / math.sqrt(width), 0.0)
-    nodes = interval.a + width / p.size * (np.arange(p.size) + 0.5)
-    amplitude = float(np.dot(p, basis_gamma_plus(k, nodes, interval)))
-    return signed_ae_estimate(amplitude, cfg, scale=math.sqrt(2.0 / width), rng=rng)
 
 
 def qamc_price(

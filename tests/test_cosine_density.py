@@ -9,8 +9,7 @@ import pytest
 from qamcpricer.cosine_density import (
     CosineSeries,
     Interval,
-    basis_gamma,
-    basis_gamma_plus,
+    basis_matrix,
     coeffs_classical,
     eval_cdf,
     eval_pdf,
@@ -19,6 +18,7 @@ from qamcpricer.cosine_density import (
 from qamcpricer.errors import DomainError
 from qamcpricer.nig import cumulant_interval, nig_cdf, nig_pdf, support_interval
 from qamcpricer.numerics import integrate
+from qamcpricer.qamc import AEConfig, signed_ae_estimate
 
 from series_bounds import KSelection, choose_interval, estimate_decay, select_terms
 
@@ -29,18 +29,23 @@ def axa_series(axa_params):
     return coeffs_classical(lambda x: nig_pdf(x, axa_params, 1.0), iv, 128)
 
 
+def gamma(k: int, interval: Interval):
+    """Basis function k as a callable, read off its row of basis_matrix."""
+    return lambda x: basis_matrix(interval, k + 1, np.atleast_1d(np.asarray(x, dtype=float)))[k]
+
+
 class TestBasis:
     def test_constant_mode(self):
         iv = Interval(-1.0, 3.0)
-        assert basis_gamma(0, 0.7, iv) == pytest.approx(0.5)
+        assert gamma(0, iv)(0.7) == pytest.approx(0.5)
 
     def test_first_mode_at_left_edge(self):
         iv = Interval(-1.0, 3.0)
-        assert basis_gamma(1, -1.0, iv) == pytest.approx(math.sqrt(0.5))
+        assert gamma(1, iv)(-1.0) == pytest.approx(math.sqrt(0.5))
 
     def test_orthogonality_by_quadrature(self):
         iv = Interval(-2.0, 1.5)
-        val = integrate(lambda x: basis_gamma(2, x, iv) * basis_gamma(3, x, iv), (iv.a, iv.b), panels=8)
+        val = integrate(lambda x: gamma(2, iv)(x) * gamma(3, iv)(x), (iv.a, iv.b), panels=8)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_gram_matrix_is_identity(self):
@@ -48,41 +53,30 @@ class TestBasis:
         gram = np.empty((16, 16))
         for i in range(16):
             for j in range(16):
-                gram[i, j] = integrate(
-                    lambda x: basis_gamma(i, x, iv) * basis_gamma(j, x, iv), (0.0, 2.0), panels=8
-                )
+                gram[i, j] = integrate(lambda x: gamma(i, iv)(x) * gamma(j, iv)(x), (0.0, 2.0), panels=8)
         assert np.max(np.abs(gram - np.eye(16))) <= 1e-10
 
     def test_uniform_bound(self):
         iv = Interval(0.0, 0.5)
         xs = np.linspace(0.0, 0.5, 200)
-        for k in range(8):
-            assert np.all(np.abs(basis_gamma(k, xs, iv)) <= math.sqrt(2.0 / 0.5) + 1e-14)
-
-    def test_domain_error_outside(self):
-        with pytest.raises(DomainError):
-            basis_gamma(1, 5.0, Interval(0.0, 1.0))
+        assert np.all(np.abs(basis_matrix(iv, 8, xs)) <= math.sqrt(2.0 / 0.5) + 1e-14)
 
 
 class TestBasisPlus:
     def test_range_and_extremes(self):
+        # The coefficient studies load gamma_k (k >= 1) as a signed value of
+        # scale sqrt(2/w), i.e. the amplitude 1/2 + gamma_k/(2 scale): every
+        # basis value must be a loadable amplitude, and gamma_1 spans it all.
         iv = Interval(0.0, 2.0)
-        xs = np.linspace(0.0, 2.0, 401)
-        for k in range(1, 6):
-            vals = basis_gamma_plus(k, xs, iv)
-            assert np.all((vals >= -1e-12) & (vals <= 1 + 1e-12))
-        assert basis_gamma_plus(1, 0.0, iv) == pytest.approx(1.0)  # gamma at max
-        assert basis_gamma_plus(1, 1.0, iv) == pytest.approx(0.5)  # gamma zero crossing
-
-    def test_inversion_identity_dual_path(self, axa_params):
-        iv = Interval(*support_interval(axa_params, 1.0, 1e-6))
-        pdf = lambda x: nig_pdf(x, axa_params, 1.0)
-        for k in [1, 3, 9]:
-            direct = integrate(lambda x: pdf(x) * basis_gamma(k, x, iv), (iv.a, iv.b), panels=24)
-            via_plus = integrate(lambda x: pdf(x) * basis_gamma_plus(k, x, iv), (iv.a, iv.b), panels=24)
-            mass = integrate(pdf, (iv.a, iv.b), panels=24)
-            recovered = math.sqrt(2.0 / iv.width) * (2.0 * via_plus - mass)
-            assert direct == pytest.approx(recovered, abs=1e-12)
+        scale = math.sqrt(2.0 / iv.width)
+        rows = basis_matrix(iv, 6, np.linspace(0.0, 2.0, 401))[1:]
+        range_only = AEConfig(epsilon=0.5)  # draws no shot; the amplitude is range-checked
+        for value in rows.ravel():
+            signed_ae_estimate(value, range_only, scale, None)
+        assert (rows[0, 0], rows[0, -1]) == (scale, -scale)  # amplitudes 1 and 0
+        for value in (rows[0, 0], rows[0, 200], rows[0, -1]):
+            res = signed_ae_estimate(value, AEConfig(epsilon=1e-3), scale, np.random.default_rng(0))
+            assert abs(res.estimate - value) <= res.half_width + 1e-12
 
 
 class TestCoeffs:
@@ -124,7 +118,7 @@ class TestEvalPdf:
         xs = rng.uniform(iv.a, iv.b, 5)
         direct = np.zeros_like(xs)
         for k, coef in enumerate(axa_series.coeffs):
-            direct += coef * np.array([basis_gamma(k, x, iv) for x in xs])
+            direct += coef * gamma(k, iv)(xs)
         assert eval_pdf(axa_series, xs) == pytest.approx(direct, abs=1e-12)
 
 

@@ -364,3 +364,36 @@ class TestCli:
         rc = main(["study", "price", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, edit, message",
+        [
+            pytest.param(["price"], lambda cfg: cfg["pricing"].update(qubit_per_dim=6),
+                         "unknown pricing option(s) ['qubit_per_dim']", id="misspelt-pricing-key"),
+            pytest.param(["price"], lambda cfg: cfg.pop("payoff"), "config payoff needs 'kind'", id="no-payoff"),
+            pytest.param(["price"], lambda cfg: cfg["pricing"].update(qubits_per_dim="abc"),
+                         "pricing.qubits_per_dim", id="non-integer-qubits"),
+            pytest.param(["price"], lambda cfg: cfg.update(correlations={"assets": ["AXA"], "sigma": [[1.0]]}),
+                         "no correlation entry for asset(s) ['MICHELIN']", id="uncorrelated-asset"),
+            pytest.param(["ingest"], lambda cfg: cfg.update(pricng={}),
+                         "unknown config option(s) ['pricng']", id="misspelt-section"),
+            pytest.param(["ingest"], lambda cfg: cfg.pop("quotes_csv"), "config needs 'quotes_csv'", id="no-quotes"),
+            pytest.param(["calibrate"], lambda cfg: cfg["calibration"].update(lambda_=1.0),
+                         "unknown calibration option", id="misspelt-calibration-key"),
+            pytest.param(["density"], lambda cfg: cfg["density"].update(terms=[128]),
+                         "density.terms", id="non-integer-terms"),
+            pytest.param(["study", "coeffs"], lambda cfg: cfg["study"].update(repetitions="abc"),
+                         "study.repetitions", id="non-integer-repetitions"),
+        ],
+    )
+    def test_config_error_exits_2(self, bundle, tmp_path, capsys, command, edit, message):
+        # Each of these used to be silently ignored or to end in a traceback.
+        cfg = json.loads((bundle / "config.json").read_text())
+        cfg.update(quotes_csv=str(bundle / "quotes.csv"), correlations=str(bundle / "corr.json"))
+        edit(cfg)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main([*command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err

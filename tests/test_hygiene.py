@@ -42,3 +42,63 @@ def test_every_import_is_used(path):
 def test_unused_import_is_found():
     source = "import math\nfrom os import path, sep\n__all__ = ['sep']\nprint(math.pi)\n"
     assert unused_imports(source) == ["path (line 2)"]
+
+
+def _top_level_name(node) -> str | None:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return next((t.id for t in targets if isinstance(t, ast.Name)), None)
+    return None
+
+
+def unreferenced_exports(module: str, sources: list[str]) -> list[str]:
+    """Names in ``module``'s ``__all__`` that no source reads outside the name's own definition.
+
+    A name counts as read when it appears as a loaded name or as an
+    attribute anywhere in ``sources`` (``module`` among them), except inside
+    the top-level statement that defines it; ``__all__`` and import
+    statements are not reads.
+    """
+    tree = ast.parse(module)
+    exported = []
+    for node in tree.body:
+        if _top_level_name(node) == "__all__":
+            exported = [elt.value for elt in node.value.elts]
+    read = set()
+    for source in sources:
+        for statement in ast.parse(source).body:
+            own = _top_level_name(statement) if source is module else None
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    read.add(name)
+    return [name for name in exported if name not in read]
+
+
+def test_every_export_is_referenced():
+    # A public name that neither the package nor the benchmark reads is code
+    # that only the tests use; it belongs in the tests.
+    src = sorted((ROOT / "src").rglob("*.py"))
+    sources = {path: path.read_text() for path in src + sorted((ROOT / "perfbench").rglob("*.py"))}
+    unreferenced = {
+        str(path.relative_to(ROOT)): unreferenced_exports(sources[path], list(sources.values())) for path in src
+    }
+    assert {path: names for path, names in unreferenced.items() if names} == {}
+
+
+def test_unreferenced_export_is_found():
+    module = (
+        "__all__ = ['used', 'self_only', 'attr_only']\n"
+        "def used(): pass\n"
+        "def self_only(): return self_only()\n"
+        "def attr_only(): pass\n"
+    )
+    other = "import m\nm.attr_only()\nused()\n"
+    assert unreferenced_exports(module, [module, other]) == ["self_only"]

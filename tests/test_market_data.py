@@ -1,13 +1,16 @@
 """Tests for quote ingestion, parity stripping, and arbitrage checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qamcpricer.black_scholes import BSInputs, bs_price
 from qamcpricer.errors import DomainError, ValidationError
 from qamcpricer.market_data import (
+    ButterflyViolation,
     MarketSlice,
     OptionQuote,
     check_butterfly_arbitrage,
@@ -63,6 +66,13 @@ class TestQuoteTypes:
     def test_zero_expiry_slice_rejected(self):
         with pytest.raises(ValidationError):
             MarketSlice.from_rates("X", 30.0, 0.0, 0.02)
+
+    def test_discount_factor_sanity_bound(self):
+        # A negative rate gives DF > 1; the stripping sanity bound is the limit.
+        assert MarketSlice.from_rates("X", 30.0, 1.0, -0.005).discount_factor > 1.0
+        for rate in (-0.2, math.inf):
+            with pytest.raises(ValidationError):
+                MarketSlice.from_rates("X", 30.0, 1.0, rate)
 
 
 class TestLoadSave:
@@ -158,9 +168,17 @@ class TestStripCurves:
         dead_p = OptionQuote("SYN", 1.0, 95.0, "P", 0.0, 50.0)
         curves = strip_curves(quotes + [dead, dead_p], 100.0, 1.0)
         assert curves.discount_factor == pytest.approx(math.exp(-0.03), rel=1e-10)
+        # The slice keeps every quote it was given, the dead ones too.
+        assert (curves.underlying, curves.spot, curves.expiry) == ("SYN", 100.0, 1.0)
+        assert curves.quotes == tuple(quotes + [dead, dead_p])
+
+    def test_one_underlying_per_slice(self):
+        quotes = bs_quote_set(strikes=[90.0, 100.0, 110.0])
+        with pytest.raises(ValidationError):
+            strip_curves(quotes + [replace(quotes[0], underlying="OTHER")], 100.0, 1.0)
 
     def test_parity_exact_across_rate_grid(self):
-        for r in [0.0, 0.04, 0.1]:
+        for r in [-0.005, 0.0, 0.04, 0.1]:
             for q in [0.0, 0.03]:
                 quotes = bs_quote_set(r=r, q=q)
                 curves = strip_curves(quotes, 100.0, 1.0)
@@ -180,11 +198,11 @@ class TestDigitalCheck:
         violations = check_digital_arbitrage([90.0, 100.0], [5.0, 5.0], "C")
         assert len(violations) == 1
         assert violations[0].strikes == (90.0, 100.0)
-        assert violations[0].ratio == 0.0
+        assert violations[0].value == 0.0
 
     def test_increasing_call_price_is_violation(self):
         violations = check_digital_arbitrage([90.0, 100.0], [5.0, 6.0], "C")
-        assert len(violations) == 1 and violations[0].ratio < 0.0
+        assert len(violations) == 1 and violations[0].value < 0.0
 
     def test_ordering_enforced(self):
         with pytest.raises(DomainError):
@@ -260,3 +278,44 @@ class TestSyntheticQuotes:
         model = ExpNIGModel(michelin_params, michelin_slice)
         call = next(q for q in quotes if q.kind == "C")
         assert call.mid == pytest.approx(price_european_batch(model, [30.0], ["C"])[0], abs=1e-14)
+
+
+@st.composite
+def quote_sets(draw):
+    """One slice's quotes on a dyadic grid: distinct strikes per side, bids and asks free to break arbitrage."""
+    quotes = []
+    for kind in ("C", "P"):
+        for strike in draw(st.lists(st.integers(1, 400), max_size=8, unique=True)):
+            bid = draw(st.integers(0, 6400)) / 64
+            ask = bid + draw(st.integers(0, 320)) / 64
+            quotes.append(OptionQuote("SYN", 1.0, strike / 4, kind, bid, ask))
+    return quotes
+
+
+scan_settings = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+class TestScanArbitrageProperties:
+    @scan_settings
+    @given(data=st.data())
+    def test_invariant_under_quote_permutation(self, data):
+        quotes = data.draw(quote_sets())
+        assert scan_arbitrage(data.draw(st.permutations(quotes))) == scan_arbitrage(quotes)
+
+    @scan_settings
+    @given(quotes=quote_sets(), power=st.integers(-20, 20))
+    def test_equivariant_under_power_of_two_scaling(self, quotes, power):
+        # Scaling strikes and prices by 2^power is exact in floating point, so
+        # the digital ratios come back bit for bit and the butterfly values
+        # scale exactly.
+        factor = 2.0**power
+        scaled = [replace(q, strike=q.strike * factor, bid=q.bid * factor, ask=q.ask * factor) for q in quotes]
+        expected = [
+            replace(
+                v,
+                strikes=tuple(k * factor for k in v.strikes),
+                value=v.value * factor if isinstance(v, ButterflyViolation) else v.value,
+            )
+            for v in scan_arbitrage(quotes)
+        ]
+        assert scan_arbitrage(scaled) == expected

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qamcpricer import qamc
-from qamcpricer.cosine_density import Interval, basis_gamma
+from qamcpricer.cosine_density import Interval, basis_matrix
 from qamcpricer.errors import DomainError, ValidationError
 from qamcpricer.experiments import basket_setup, spread_setup
 from qamcpricer.nig import nig_pdf
@@ -17,7 +17,6 @@ from qamcpricer.qamc import (
     AEConfig,
     AEResult,
     iqae_estimate,
-    qamc_coefficient,
     qamc_price,
     run_log_line,
     signed_ae_estimate,
@@ -243,11 +242,11 @@ class TestIqae:
 
 class TestSignedAe:
     def test_negative_target_coverage(self):
-        # v = -0.5 encoded as a = 0.25 with unit scale.
+        # v = -0.5 is loaded as a = 0.25 with unit scale.
         hits = 0
         for seed in range(100):
             res = signed_ae_estimate(
-                0.25,
+                -0.5,
                 AEConfig(epsilon=5e-3, rho=0.05),
                 scale=1.0,
                 rng=np.random.default_rng([seed, 21]),
@@ -257,14 +256,14 @@ class TestSignedAe:
 
     def test_zero_target_midpoint(self):
         res = signed_ae_estimate(
-            0.5, AEConfig(epsilon=1e-3, rho=0.05), scale=1.0, rng=np.random.default_rng(1)
+            0.0, AEConfig(epsilon=1e-3, rho=0.05), scale=1.0, rng=np.random.default_rng(1)
         )
         assert abs(res.estimate) <= 2e-3
 
     def test_sign_correct_when_target_clears_noise(self):
         for seed in range(40):
             res = signed_ae_estimate(
-                0.53,  # v = +0.06, 3x the mapped epsilon 0.02
+                0.06,  # 3x the mapped epsilon 0.02
                 AEConfig(epsilon=1e-2, rho=0.05),
                 scale=1.0,
                 rng=np.random.default_rng([seed, 33]),
@@ -273,23 +272,19 @@ class TestSignedAe:
 
 
 class TestQamcCoefficient:
-    def test_k0_exact(self):
-        iv = Interval(-2.0, 2.0)
-        res = qamc_coefficient(np.full(32, 1 / 32), 0, iv, AEConfig(epsilon=1e-3))
-        assert res.estimate == pytest.approx(0.5)  # 1/sqrt(4)
-        assert res.oracle_queries == 0
-
     def test_matches_grid_truth(self, axa_params):
-        # Reference setup: 2^5 grid nodes, 2^4 coefficients, every estimate
-        # within the mapped epsilon of the classical Riemann value.
+        # Reference setup: 2^5 grid nodes, 2^4 coefficients, every estimate of
+        # k >= 1 within the mapped epsilon of the classical Riemann value.
         iv = Interval(-3.0, 1.0)
         nodes = iv.a + iv.width / 32 * (np.arange(32) + 0.5)
         masses = nig_pdf(nodes, axa_params, 1.0)
         masses /= masses.sum()
-        mapped_eps = 2.0 * math.sqrt(2.0 / iv.width) * 2e-3
-        for k in range(16):
-            truth = float(np.dot(masses, [basis_gamma(k, x, iv) for x in nodes]))
-            res = qamc_coefficient(masses, k, iv, AEConfig(epsilon=2e-3, rho=0.05), np.random.default_rng([k, 7]))
+        scale = math.sqrt(2.0 / iv.width)
+        mapped_eps = 2.0 * scale * 2e-3
+        truths = basis_matrix(iv, 16, nodes) @ masses
+        for k in range(1, 16):
+            truth = truths[k]
+            res = signed_ae_estimate(truth, AEConfig(epsilon=2e-3, rho=0.05), scale, np.random.default_rng([k, 7]))
             assert abs(res.estimate - truth) <= res.half_width + 1e-12
             assert res.half_width <= mapped_eps + 1e-12
             assert abs(res.estimate - truth) <= mapped_eps + 1e-12
