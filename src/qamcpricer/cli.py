@@ -5,10 +5,11 @@ study {coeffs,density,price}, pipeline, and make-bundle (synthetic demo
 inputs).  All outputs are CSV/JSON; reruns with the same config and seed are
 byte-identical.
 
-Config JSON schema (paths are resolved relative to the config file).  An
-unknown key, a missing required key (quotes_csv, spots, correlations, payoff
-and its three keys, for the stages that read them) and a value of the wrong
-type are errors that exit 2:
+Config JSON schema (paths are resolved relative to the config file).  A
+config file that cannot be read as JSON, an unknown key, a missing required
+key (quotes_csv, spots, correlations, payoff and its three keys, for the
+stages that read them) and a value of the wrong type (a fraction or a
+boolean for an integer setting included) are errors that exit 2:
 
     {
       "quotes_csv": "quotes.csv",
@@ -66,12 +67,20 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _integer(value) -> int:
+    """``value`` as an int; a boolean or non-integral value is an error where int() would take it."""
+    number = int(value)
+    if number != value or isinstance(value, bool):
+        raise ValueError("not an integer")
+    return number
+
+
 def _converter(default):
     """Conversion to the type of ``default``, element-wise for a tuple."""
     if isinstance(default, tuple):
-        kind = type(default[0])
-        return lambda value: tuple(kind(v) for v in value)
-    return type(default)
+        convert = _converter(default[0])
+        return lambda value: tuple(convert(v) for v in value)
+    return _integer if isinstance(default, int) else type(default)
 
 
 # Each config section's keys: key -> (conversion, default), a None default marking a required key.
@@ -80,13 +89,13 @@ _SECTIONS = {
         "lambda": (float, cal.CalibrationConfig.regularization),
         "weights_rule": (str, cal.CalibrationConfig.weights_rule),
     },
-    "density": {"terms": (int, MARGINAL_TERMS), "tail_eps": (float, MARGINAL_TAIL_EPS)},
+    "density": {"terms": (_integer, MARGINAL_TERMS), "tail_eps": (float, MARGINAL_TAIL_EPS)},
     "payoff": {"kind": (str, None), "strike": (float, None), "assets": (list, None)},
     "pricing": {
-        "qubits_per_dim": (int, 3),
+        "qubits_per_dim": (_integer, 3),
         "epsilon": (float, 1e-3),
         "rho": (float, 0.05),
-        "samples": (int, 2**16),
+        "samples": (_integer, 2**16),
         "estimators": (list, ["riemann", "cmc-joint", "qamc-joint", "qamc-independent"]),
     },
     # The study command picks the study and --seed the seed; every other field is settable.
@@ -105,8 +114,11 @@ def _reject_unknown(where: str, keys, settable) -> None:
 
 def _load_config(path: str) -> dict:
     cfg_path = Path(path)
-    with open(cfg_path) as handle:
-        cfg = json.load(handle)
+    try:
+        with open(cfg_path) as handle:
+            cfg = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValidationError("config must be a JSON object")
     _reject_unknown("config", cfg, _CONFIG_KEYS)

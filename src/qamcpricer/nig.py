@@ -156,6 +156,24 @@ def nig_cdf(x, p: NIGParams, t: float = 1.0):
     return float(out[0]) if scalar else out
 
 
+def _mass(p: NIGParams, t: float, lo: float, hi: float) -> float:
+    """Quadrature mass of the NIG(alpha, beta, delta*t, mu*t) density on [lo, hi]."""
+    return integrate(lambda y: nig_pdf(y, p, t), (lo, hi))
+
+
+def _tail_end(tail_mass, outer: float, inner: float, target: float) -> float:
+    """Bisect [outer, inner] for a tail end holding <= target mass; the outer end is the safe side."""
+    for _ in range(60):
+        mid = 0.5 * (outer + inner)
+        if tail_mass(mid) > target:
+            inner = mid
+        else:
+            outer = mid
+        if abs(inner - outer) < 1e-3:
+            break
+    return outer
+
+
 @lru_cache(maxsize=4096)
 def widened_interval(p: NIGParams, t: float, left_eps: float, right_eps: float) -> tuple[float, float]:
     """Cumulant interval from width 10, widened by +2 until the tails pass.
@@ -170,8 +188,8 @@ def widened_interval(p: NIGParams, t: float, left_eps: float, right_eps: float) 
         a, b = cumulant_interval(p, t, width)
         if width >= 60.0:
             return a, b
-        left = integrate(lambda y: nig_pdf(y, p, t), (lo, a)) if a > lo else 0.0
-        right = integrate(lambda y: nig_pdf(y, p, t), (b, hi)) if b < hi else 0.0
+        left = _mass(p, t, lo, a) if a > lo else 0.0
+        right = _mass(p, t, b, hi) if b < hi else 0.0
         if left <= left_eps and right <= right_eps:
             return a, b
         width += 2.0
@@ -188,39 +206,11 @@ def support_interval(
     """
     if not (0.0 < tail_eps < 1.0):
         raise DomainError("tail_eps must lie in (0, 1)")
-    c1, c2, c4 = nig_cumulants(p, t)
+    c1 = nig_cumulants(p, t)[0]
     lo_anchor, hi_anchor = _far_anchors(p, t)
     target = 0.5 * tail_eps
-
-    def left_mass(a):
-        return integrate(lambda y: nig_pdf(y, p, t), (lo_anchor, a))
-
-    def right_mass(b):
-        return integrate(lambda y: nig_pdf(y, p, t), (b, hi_anchor))
-
-    # Largest a (smallest b) whose one-sided mass stays below target; the
-    # returned endpoint is always on the safe side of the bisection.
-    lo, hi = lo_anchor + 1e-12, c1
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if left_mass(mid) > target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-3:
-            break
-    a = lo
-
-    lo, hi = c1, hi_anchor - 1e-12
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if right_mass(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-3:
-            break
-    b = hi
+    a = _tail_end(lambda end: _mass(p, t, lo_anchor, end), lo_anchor + 1e-12, c1, target)
+    b = _tail_end(lambda end: _mass(p, t, end, hi_anchor), hi_anchor - 1e-12, c1, target)
     return a, b
 
 
@@ -253,7 +243,8 @@ def price_european_batch(model: ExpNIGModel, strikes, kinds, gradient: bool = Fa
     interval: the cumulant rule (width 10), widened by +2 until each tail
     holds at most 1e-11 mass.  One composite Gauss-Legendre grid has every
     payoff kink among its panel edges, so each quote's integral is an exact
-    sub-sum of the shared nodes and sees an analytic integrand per panel.
+    sub-sum of the shared nodes and sees an analytic integrand per panel:
+    a suffix (call) or prefix (put) sum, read off one cumulative sum each way.
     A single quote is a batch of one.  The result is independent of the
     location parameter mu.  Tails too heavy for a finite S(T) on the
     interval are a DomainError.
@@ -272,6 +263,9 @@ def price_european_batch(model: ExpNIGModel, strikes, kinds, gradient: bool = Fa
         raise DomainError("strikes must be a flat vector with one kind per strike")
     if np.any(strikes <= 0):
         raise DomainError("strikes must be positive")
+    for kind in kinds:
+        if kind not in ("C", "P"):
+            raise DomainError(f"unknown option kind {kind!r}")
     p = model.params
     t = model.slice_.expiry
     spot = model.slice_.spot
@@ -280,7 +274,7 @@ def price_european_batch(model: ExpNIGModel, strikes, kinds, gradient: bool = Fa
     if math.log(spot) + drift + b >= math.log(np.finfo(float).max):
         raise DomainError(f"S(T) overflows on the pricing interval [{a:.6g}, {b:.6g}] of {p}")
     # Payoff kinks in x-space, log(K / S0) - drift, one drift per batch.
-    x_stars = [math.log(strike / spot) - drift for strike in strikes]
+    x_stars = np.array([math.log(strike / spot) - drift for strike in strikes])
     kinks = np.array(sorted({x_star for x_star in x_stars if a < x_star < b}))
     panel_edges = np.linspace(a, b, _PRICING_PANELS + 1)
     edges, first = np.unique(np.concatenate([panel_edges, kinks]), return_index=True)
@@ -290,8 +284,15 @@ def price_european_batch(model: ExpNIGModel, strikes, kinds, gradient: bool = Fa
     x = nodes.ravel()
     w = (half[:, None] * rule.weights[None, :]).ravel()
     dens = nig_pdf(x, p, t)
-    s_vals = model.price_at(x)
+    s_dens = model.price_at(x) * dens
     df = model.slice_.discount_factor
+    # Per node, w payoff f is u - K v for a call and K v - u for a put, with
+    # u = w S(T) f and v = w f.  Column 0 of uv is u and column ``cols`` is v;
+    # on request, the columns after each hold its (alpha, beta, delta)-gradient.
+    cols = 4 if gradient else 1
+    uv = np.empty((x.size, 2 * cols))
+    uv[:, 0] = w * s_dens
+    uv[:, cols] = w * dens
     if gradient:
         scores, slope = _log_density_scores(x, p, t)
         d_drift = _drift_gradient(p, t)
@@ -304,40 +305,26 @@ def price_european_batch(model: ExpNIGModel, strikes, kinds, gradient: bool = Fa
         d_half = 0.5 * (d_edges[1:] - d_edges[:-1])[:, None, :]
         d_x = (d_mid + d_half * rule.nodes[None, :, None]).reshape(-1, 3)
         d_w = (d_half * rule.weights[None, :, None]).reshape(-1, 3)
-        # d(w payoff f) / d theta per node is u - K v for a call and K v - u
-        # for a put (d payoff / d drift = +-S(T)), so a quote's gradient is a
-        # suffix (call) or prefix (put) sum of u and v.
-        s_dens = s_vals * dens
-        u = s_dens[:, None] * d_w + (w * s_dens)[:, None] * (scores + (1.0 + slope)[:, None] * d_x + d_drift)
-        v = dens[:, None] * d_w + (w * dens)[:, None] * (scores + slope[:, None] * d_x)
-        uv = np.hstack([u, v])
-        none = np.zeros((1, 6))
-        prefix = np.vstack([none, np.cumsum(uv, axis=0)])
-        suffix = np.vstack([np.cumsum(uv[::-1], axis=0)[::-1], none])
+        # d payoff / d drift = +-S(T), so the drift moves u and not v.
+        uv[:, 1:cols] = s_dens[:, None] * d_w + (w * s_dens)[:, None] * (
+            scores + (1.0 + slope)[:, None] * d_x + d_drift
+        )
+        uv[:, cols + 1:] = dens[:, None] * d_w + (w * dens)[:, None] * (scores + slope[:, None] * d_x)
 
-    # x increases, so each payoff's support is a run of nodes.
-    out = np.zeros(strikes.size)
-    d_out = np.zeros((strikes.size, 3))
-    for i, (strike, kind, x_star) in enumerate(zip(strikes, kinds, x_stars)):
-        if kind == "C":
-            lo = np.searchsorted(x, max(a, min(x_star, b)), side="left")
-            run = slice(lo, None)
-            payoff = s_vals[run] - strike
-        elif kind == "P":
-            hi = np.searchsorted(x, min(b, max(x_star, a)), side="right")
-            run = slice(0, hi)
-            payoff = strike - s_vals[run]
-        else:
-            raise DomainError(f"unknown option kind {kind!r}")
-        if (kind == "C" and x_star >= b) or (kind == "P" and x_star <= a):
-            continue
-        out[i] = df * float(np.dot(w[run], payoff * dens[run]))
-        if gradient:
-            if kind == "C":
-                d_out[i] = df * (suffix[lo, :3] - strike * suffix[lo, 3:])
-            else:
-                d_out[i] = df * (strike * prefix[hi, 3:] - prefix[hi, :3])
-    return (out, d_out) if gradient else out
+    # x increases, so a call's support is a suffix of the nodes and a put's a
+    # prefix; a call struck above b or a put below a has an empty run: 0.
+    prefix = np.zeros((x.size + 1, 2 * cols))
+    suffix = np.zeros_like(prefix)
+    np.cumsum(uv, axis=0, out=prefix[1:])
+    np.cumsum(uv[::-1], axis=0, out=suffix[-2::-1])
+    clipped = np.clip(x_stars, a, b)
+    lo = np.searchsorted(x, clipped, side="left")
+    hi = np.searchsorted(x, clipped, side="right")
+    k = strikes[:, None]
+    calls = df * (suffix[lo, :cols] - k * suffix[lo, cols:])
+    puts = df * (k * prefix[hi, cols:] - prefix[hi, :cols])
+    out = np.where(np.array([kind == "C" for kind in kinds], dtype=bool)[:, None], calls, puts)
+    return (out[:, 0], out[:, 1:]) if gradient else out[:, 0]
 
 
 def _log_density_scores(x: np.ndarray, p: NIGParams, t: float) -> tuple[np.ndarray, np.ndarray]:

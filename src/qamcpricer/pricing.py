@@ -109,7 +109,8 @@ class AssetMarginal:
     """One asset's terminal log-return law plus the price mapping.
 
     The pdf and cdf are those of the truncated cosine ``series`` (the law
-    every estimator shares); its interval is the marginal's support.
+    every estimator shares); its interval is the marginal's support, outside
+    which the pdf is a DomainError.
     """
 
     params: NIGParams
@@ -132,7 +133,7 @@ class AssetMarginal:
         return ExpNIGModel(self.params, self.slice_)
 
     def pdf(self, x):
-        return eval_pdf(self.series, np.clip(x, *self.interval))
+        return eval_pdf(self.series, x)
 
     def cdf(self, x):
         return eval_cdf(self.series, x)
@@ -216,7 +217,7 @@ class GridMeasure:
 
     marginal_masses are normalized per dimension; copula_weights holds
     c(F(x)) at every node combination; masses, prod(p_i) c formed on first
-    read, is what the Riemann sum, Q and the joint masses read;
+    read, is what the Riemann sum, Q and the joint CMC sampler read;
     payoff_values holds h(s(x)).  All three tensors are built from per-axis
     factors by broadcasting.  The copula-weighted total mass Q = E_ind[c]
     rescales the joint formulation; c_max, the bound of these same weights
@@ -277,10 +278,6 @@ class GridMeasure:
         """Q = sum over nodes of prod(p_i) c: the joint-loading normalizer."""
         return float(np.sum(self.masses))
 
-    @cached_property
-    def joint_masses(self) -> np.ndarray:
-        return self.masses / self.copula_total_mass
-
     @property
     def payoff_max(self) -> float:
         return float(self.payoff_values.max())
@@ -320,9 +317,10 @@ def riemann_reference(
     )
 
 
-def sample_grid_indices(prob: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws of ``count`` cell indices from normalized masses."""
-    cdf = np.cumsum(prob)
+def sample_grid_indices(masses: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF draws of ``count`` cell indices from unnormalized masses (cumsum normalized in place)."""
+    cdf = np.cumsum(masses)
+    cdf /= cdf[-1]
     cdf[-1] = 1.0
     return np.searchsorted(cdf, rng.random(count), side="right")
 
@@ -356,8 +354,7 @@ def cmc_price(
     elif measure.payoff != payoff:
         raise DomainError(f"measure built for {measure.payoff}, not for {payoff}")
     if formulation == "joint":
-        flat = measure.joint_masses.ravel()
-        idx = sample_grid_indices(flat, samples, rng)
+        idx = sample_grid_indices(measure.masses.ravel(), samples, rng)
         draws = measure.payoff_values.ravel()[idx] * measure.copula_total_mass
     else:
         per_dim = [sample_grid_indices(p, samples, rng) for p in measure.marginal_masses]

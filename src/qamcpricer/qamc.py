@@ -57,14 +57,13 @@ class AEConfig:
     rho: float = 0.05
     max_grover_depth: int = 2**22
     seed: int | None = None
-    max_rounds: int = 100_000
     max_queries: int | None = None  # optional hard budget (matched-cost studies)
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0) or not (0.0 < self.rho < 1.0):
             raise ValidationError("epsilon and rho must lie in (0, 1)")
-        if self.max_rounds < 1 or self.max_grover_depth < 0:
-            raise ValidationError("invalid round cap or depth cap")
+        if self.max_grover_depth < 0:
+            raise ValidationError("invalid depth cap")
         if self.max_queries is not None and self.max_queries < 1:
             raise ValidationError("query budget must be positive")
 
@@ -111,8 +110,8 @@ def iqae_estimate(amplitude: float, cfg: AEConfig, rng: np.random.Generator | No
     DomainError; roundoff within that is clamped.  For epsilon >= 0.5 the
     initial interval [0, 1] already meets the target: no shot is drawn and
     the cost is 0.  ``capped`` reports a stop before the interval reached
-    2 epsilon: the round or query budget ran out, or a depth used up its
-    share of the confidence budget.
+    2 epsilon: the query budget ran out, or a depth used up its share of
+    the confidence budget.
     """
     a = float(amplitude)
     if not -_AMPLITUDE_TOL <= a <= 1.0 + _AMPLITUDE_TOL:
@@ -135,9 +134,6 @@ def iqae_estimate(amplitude: float, cfg: AEConfig, rng: np.random.Generator | No
     rounds: list[tuple[int, int]] = []
     capped = False
     while math.sin(theta_u) ** 2 - math.sin(theta_l) ** 2 > 2.0 * cfg.epsilon:
-        if len(rounds) >= cfg.max_rounds:
-            capped = True
-            break
         next_k, up = _find_next_k(k, theta_l, theta_u, up, cfg.max_grover_depth)
         if next_k != k:
             k, looks, ones, shots, batch = next_k, 0, 0, 0, _FIRST_BATCH

@@ -301,7 +301,7 @@ def test_criterion_8_copula_identities():
     for spec in (eye, rho_spec):
         m = GridMeasure.build(payoff, marginals, spec, grid)
         h_max = m.payoff_max
-        lhs = m.joint_masses * m.copula_total_mass * m.payoff_values
+        lhs = m.masses * m.payoff_values
         h_adj = m.payoff_values * m.copula_weights / (h_max * m.c_max)
         rhs = reduce(np.multiply.outer, m.marginal_masses) * h_adj * m.c_max * h_max
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))

@@ -55,3 +55,27 @@ def test_objective_evals_count_pricing_batches():
     assert proc.returncode == 0, proc.stderr
     calls, evals = json.loads(proc.stdout.strip().splitlines()[-1])
     assert calls > 0 and evals == calls
+
+
+SUPPORT_SPANS = """
+import json
+import child, spans
+child.import_package()
+from qamcpricer import experiments, nig
+
+tracer = spans.Tracer()
+spans.install(tracer)
+params, _ = experiments.FIXTURES["AXA"]
+nig.support_interval(params, 1.0, 1e-5)
+names = [span[2] for span in tracer.spans]
+print(json.dumps([names.count("nig.support_interval"), names.count("numerics.integrate")]))
+"""
+
+
+def test_support_interval_integrates_through_the_traced_kernel():
+    # The tail bisection reaches numerics.integrate through nig's module
+    # global, so the traced pass counts each of its quadratures.
+    proc = _run(SUPPORT_SPANS)
+    assert proc.returncode == 0, proc.stderr
+    supports, integrals = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert supports == 1 and integrals > 0

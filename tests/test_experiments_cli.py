@@ -384,6 +384,12 @@ class TestCli:
                          "density.terms", id="non-integer-terms"),
             pytest.param(["study", "coeffs"], lambda cfg: cfg["study"].update(repetitions="abc"),
                          "study.repetitions", id="non-integer-repetitions"),
+            pytest.param(["price"], lambda cfg: cfg["pricing"].update(qubits_per_dim=2.9),
+                         "pricing.qubits_per_dim", id="fractional-qubits"),
+            pytest.param(["price"], lambda cfg: cfg["pricing"].update(qubits_per_dim=True),
+                         "pricing.qubits_per_dim", id="boolean-qubits"),
+            pytest.param(["study", "coeffs"], lambda cfg: cfg["study"].update(sample_ladder=[256.5, 1024]),
+                         "study.sample_ladder", id="fractional-ladder-entry"),
         ],
     )
     def test_config_error_exits_2(self, bundle, tmp_path, capsys, command, edit, message):
@@ -397,3 +403,13 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("text", [None, "{bad"], ids=["missing-file", "malformed-json"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "config.json"
+        if text is not None:
+            cfg_path.write_text(text)
+        rc = main(["ingest", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cannot read config" in err

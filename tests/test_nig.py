@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+from qamcpricer import nig
 from qamcpricer.errors import DomainError
 from qamcpricer.market_data import MarketSlice
 from qamcpricer.nig import (
@@ -21,8 +22,9 @@ from qamcpricer.nig import (
     nig_pdf,
     price_european_batch,
     support_interval,
+    widened_interval,
 )
-from qamcpricer.numerics import integrate
+from qamcpricer.numerics import QuadratureRule, gauss_legendre_panels, integrate
 
 from cos_pricing import nig_char_exponent, price_european_cos
 from nig_sampling import sample_nig
@@ -340,7 +342,50 @@ property_settings = settings(max_examples=25, deadline=None, derandomize=True, d
 PROPERTY_SLICE = MarketSlice.from_rates("PROP", spot=30.0, expiry=1.0, rate=0.02, dividend_yield=0.0)
 
 
+def per_quote_prices(model, strikes, kinds):
+    """Each quote priced by its own dot product over the batch's quadrature nodes.
+
+    The reference for price_european_batch, which reads every price off one
+    prefix and one suffix sum: the same nodes (the pricing interval's panels
+    split at every kink of the batch), one sum per quote.
+    """
+    p, slice_ = model.params, model.slice_
+    a, b = widened_interval(p, slice_.expiry, 1e-11, 1e-11)
+    x_stars = [math.log(strike / slice_.spot) - model.drift for strike in strikes]
+    kinks = sorted({x_star for x_star in x_stars if a < x_star < b})
+    edges = np.unique(np.concatenate([np.linspace(a, b, nig._PRICING_PANELS + 1), kinks]))
+    rule = QuadratureRule.gauss_legendre(64)
+    nodes, half = gauss_legendre_panels(edges, rule)
+    x = nodes.ravel()
+    w = (half[:, None] * rule.weights[None, :]).ravel()
+    dens = nig_pdf(x, p, slice_.expiry)
+    s_vals = model.price_at(x)
+    out = []
+    for strike, kind, x_star in zip(strikes, kinds, x_stars):
+        if kind == "C":
+            run = slice(np.searchsorted(x, min(x_star, b), side="left"), None)
+            payoff = s_vals[run] - strike
+        else:
+            run = slice(0, np.searchsorted(x, max(x_star, a), side="right"))
+            payoff = strike - s_vals[run]
+        out.append(slice_.discount_factor * float(np.dot(w[run], payoff * dens[run])))
+    return np.array(out)
+
+
 class TestPricerProperties:
+    @property_settings
+    @given(params=equity_laws)
+    def test_batch_matches_per_quote_sums(self, params):
+        # Calls and puts from deep in the money to far out, plus a call and a
+        # put struck beyond the pricing interval (price 0).
+        model = ExpNIGModel(params, PROPERTY_SLICE)
+        strikes = np.concatenate([np.linspace(0.4, 2.0, 17) * PROPERTY_SLICE.forward, [1e8, 1e-8]])
+        kinds = ["C", "P"] * 8 + ["C", "C", "P"]
+        prices, _ = price_european_batch(model, strikes, kinds, gradient=True)
+        assert prices.tobytes() == price_european_batch(model, strikes, kinds).tobytes()
+        reference = per_quote_prices(model, strikes, kinds)
+        assert np.all(np.abs(prices - reference) <= 1e-12 * np.abs(reference))
+
     @property_settings
     @given(params=equity_laws, m=moneyness)
     def test_put_call_parity_both_pricers(self, params, m):

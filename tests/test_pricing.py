@@ -154,6 +154,16 @@ class TestMeasure:
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(p >= 0)
 
+    def test_marginal_pdf_outside_support_rejected(self, spread_setup):
+        # The density is the series on its support; beyond it the pdf used
+        # to return the value at the nearest end.
+        marginal = spread_setup[1][0]
+        a, b = marginal.interval
+        assert np.all(np.isfinite(marginal.pdf(np.array([a, 0.5 * (a + b), b]))))
+        for x in (a - 1.0, b + 1.0):
+            with pytest.raises(DomainError):
+                marginal.pdf(x)
+
     def test_large_clip_rejected(self, spread_setup):
         payoff, marginals, spec, _ = spread_setup
         # 1/2 + 0.6 cos(pi (x + 1) / 2) dips below zero over (0.63, 1]: at
@@ -172,7 +182,7 @@ class TestMeasure:
         spec = CopulaSpec.from_matrix([[1.0, -0.25], [-0.25, 1.0]])
         measure = GridMeasure.build(payoff, marginals, spec, grid)
         h_max = measure.payoff_max
-        joint_side = measure.joint_masses * measure.copula_total_mass * measure.payoff_values
+        joint_side = measure.masses * measure.payoff_values
         adj = measure.payoff_values * measure.copula_weights / (h_max * measure.c_max)
         ind_side = reduce(np.multiply.outer, measure.marginal_masses) * adj * measure.c_max * h_max
         assert np.max(np.abs(joint_side - ind_side)) <= 1e-12 * max(h_max, 1.0)
@@ -330,6 +340,28 @@ class TestCmc:
             cmc_price(payoff, marginals, spec, "sideways", 10, np.random.default_rng(0), grid=grid)
         with pytest.raises(DomainError):
             cmc_price(payoff, marginals, spec, "joint", 10, np.random.default_rng(0))
+
+    def test_joint_sampling_peak_memory(self):
+        # Joint CMC reads the measure's one mass tensor and normalizes its
+        # cumulative sum in place: at d=3, q=6 it peaks below 2 node-sized
+        # tensors and keeps none.
+        marginals = [experiments.fixture_marginal(name) for name in ("AXA", "CREDIT_AGRICOLE", "MICHELIN")]
+        spec = CopulaSpec.from_matrix(experiments.BASKET_CORRELATION)
+        grid = PricingGrid.build(marginals, 6)
+        payoff = Payoff("basket-call", experiments.BASKET_STRIKE)
+        measure = GridMeasure.build(payoff, marginals, spec, grid)
+        reference = measure.reference_value()
+        node_tensor = grid.total_nodes * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            estimate = cmc_price(payoff, marginals, spec, "joint", 4096, np.random.default_rng(0), measure=measure)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(estimate.value - reference) <= 5.0 * estimate.stderr
+        assert peak - before < 2 * node_tensor
+        assert after - before < 0.5 * node_tensor
 
     def test_measure_of_another_payoff_rejected(self, spread_setup):
         # A measure holds the payoff values it was built for; priced as a
