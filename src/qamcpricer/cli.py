@@ -8,8 +8,9 @@ byte-identical.
 Config JSON schema (paths are resolved relative to the config file).  A
 config file that cannot be read as JSON, an unknown key, a missing required
 key (quotes_csv, spots, correlations, payoff and its three keys, for the
-stages that read them) and a value of the wrong type (a fraction or a
-boolean for an integer setting included) are errors that exit 2:
+stages that read them), a value of the wrong type (a fraction or a
+boolean for an integer setting included) and a CMC sample count below 2
+(one sample has no standard error) are errors that exit 2:
 
     {
       "quotes_csv": "quotes.csv",
@@ -64,7 +65,8 @@ __all__ = ["main"]
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # A non-finite float would be written as Infinity or NaN, which strict JSON parsers reject.
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _integer(value) -> int:
@@ -72,6 +74,14 @@ def _integer(value) -> int:
     number = int(value)
     if number != value or isinstance(value, bool):
         raise ValueError("not an integer")
+    return number
+
+
+def _sample_count(value) -> int:
+    """``value`` as a CMC sample count: an integer of at least 2, the fewest with a standard error."""
+    number = _integer(value)
+    if number < 2:
+        raise ValueError("CMC needs at least 2 samples")
     return number
 
 
@@ -95,7 +105,7 @@ _SECTIONS = {
         "qubits_per_dim": (_integer, 3),
         "epsilon": (float, 1e-3),
         "rho": (float, 0.05),
-        "samples": (_integer, 2**16),
+        "samples": (_sample_count, 2**16),
         "estimators": (list, ["riemann", "cmc-joint", "qamc-joint", "qamc-independent"]),
     },
     # The study command picks the study and --seed the seed; every other field is settable.

@@ -52,6 +52,11 @@ PAYOFF_KINDS = ("basket-call", "worst-of-put", "spread-call")
 # density is rejected as too far from a density to price or load.
 _CLIP_BOUND = 1e-4
 
+# Guide-table sampler: buckets per cell (so few buckets hold a CDF step) and
+# uniforms per chunk (so a chunk's working arrays stay in cache).
+_GUIDE_BUCKETS_PER_CELL = 16
+_GUIDE_CHUNK = 2**14
+
 
 @dataclass(frozen=True)
 class Payoff:
@@ -318,11 +323,42 @@ def riemann_reference(
 
 
 def sample_grid_indices(masses: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws of ``count`` cell indices from unnormalized masses (cumsum normalized in place)."""
+    """Inverse-CDF draws of ``count`` cell indices from unnormalized masses.
+
+    Returns exactly ``np.searchsorted(cdf, rng.random(count), side="right")``
+    for the normalized cumulative masses, and leaves ``rng`` where that call
+    would.  When the draw is at least as large as the table, a guide table
+    (Chen & Asau, 1974) replaces the binary search: [0, 1) is cut into a
+    power of two B of equal buckets, so u*B and the bucket edges are exact;
+    a bucket holding no CDF step maps every uniform in it to one index, and
+    only uniforms in a bucket that holds a step are searched.  The uniforms
+    are drawn in cache-sized chunks, which is the same stream as one call.
+    """
     cdf = np.cumsum(masses)
     cdf /= cdf[-1]
     cdf[-1] = 1.0
-    return np.searchsorted(cdf, rng.random(count), side="right")
+    buckets = 1 << (_GUIDE_BUCKETS_PER_CELL * cdf.size - 1).bit_length()
+    if buckets > count:
+        return np.searchsorted(cdf, rng.random(count), side="right")
+    # Scaling by a power of two is exact, so comparisons against u*B keep their outcome.
+    cdf *= buckets
+    starts = np.searchsorted(cdf, np.arange(buckets + 1, dtype=float), side="right")
+    guide = starts[:-1]
+    guide[guide != starts[1:]] = -1  # a step lies in the bucket: search there
+    out = np.empty(count, dtype=np.intp)
+    uniforms = np.empty(min(count, _GUIDE_CHUNK))
+    bucket = np.empty(uniforms.size, dtype=np.intp)
+    for start in range(0, count, _GUIDE_CHUNK):
+        stop = min(start + _GUIDE_CHUNK, count)
+        u, b, idx = uniforms[: stop - start], bucket[: stop - start], out[start:stop]
+        rng.random(out=u)
+        u *= buckets
+        np.copyto(b, u, casting="unsafe")  # truncation is floor here: u >= 0
+        np.take(guide, b, out=idx, mode="clip")  # b < B since u < 1
+        misses = np.flatnonzero(idx < 0)
+        if misses.size:
+            idx[misses] = np.searchsorted(cdf, u[misses], side="right")
+    return out
 
 
 def cmc_price(
@@ -355,15 +391,23 @@ def cmc_price(
         raise DomainError(f"measure built for {measure.payoff}, not for {payoff}")
     if formulation == "joint":
         idx = sample_grid_indices(measure.masses.ravel(), samples, rng)
-        draws = measure.payoff_values.ravel()[idx] * measure.copula_total_mass
+        draws = measure.payoff_values.ravel()[idx]
+        draws *= measure.copula_total_mass
     else:
         per_dim = [sample_grid_indices(p, samples, rng) for p in measure.marginal_masses]
         flat_idx = np.ravel_multi_index(per_dim, measure.payoff_values.shape)
-        draws = measure.payoff_values.ravel()[flat_idx] * measure.copula_weights.ravel()[flat_idx]
+        draws = measure.payoff_values.ravel()[flat_idx]
+        draws *= measure.copula_weights.ravel()[flat_idx]
 
     df = measure.discount_factor
     mean = float(np.mean(draws))
-    stderr = float(np.std(draws, ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf")
+    if samples > 1:
+        # np.std(draws, ddof=1) step for step, in place and reusing the mean.
+        draws -= mean
+        np.square(draws, out=draws)
+        stderr = math.sqrt(float(np.sum(draws)) / (samples - 1)) / math.sqrt(samples)
+    else:
+        stderr = float("inf")
     return PriceEstimate(
         value=df * mean,
         estimator=f"cmc-{formulation}",

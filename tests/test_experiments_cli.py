@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qamcpricer import pricing
-from qamcpricer.cli import _build_parser, main
+from qamcpricer.cli import _build_parser, _write_json, main
 from qamcpricer.cosine_density import CosineSeries, Interval
 from qamcpricer.errors import ValidationError
 from qamcpricer.experiments import (
@@ -390,6 +390,8 @@ class TestCli:
                          "pricing.qubits_per_dim", id="boolean-qubits"),
             pytest.param(["study", "coeffs"], lambda cfg: cfg["study"].update(sample_ladder=[256.5, 1024]),
                          "study.sample_ladder", id="fractional-ladder-entry"),
+            pytest.param(["pipeline"], lambda cfg: cfg["pricing"].update(samples=1),
+                         "CMC needs at least 2 samples", id="one-cmc-sample"),
         ],
     )
     def test_config_error_exits_2(self, bundle, tmp_path, capsys, command, edit, message):
@@ -413,3 +415,11 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "cannot read config" in err
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_output_not_written(self, tmp_path, value):
+        # A one-sample CMC row used to reach prices.json as "stderr_or_eps": Infinity.
+        path = tmp_path / "prices.json"
+        with pytest.raises(ValueError):
+            _write_json(path, [{"stderr_or_eps": value}])
+        assert not path.exists()

@@ -274,7 +274,105 @@ class TestRiemannReference:
         assert riemann_reference(*spread_setup).stderr == 0.0
 
 
+class _Uniforms:
+    """Generator stand-in that hands out chosen uniforms, in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.used = 0
+
+    def random(self, size=None, out=None):
+        count = size if out is None else out.size
+        chunk = self.values[self.used : self.used + count]
+        self.used += count
+        if out is None:
+            return chunk.copy()
+        out[...] = chunk
+        return out
+
+
+def normalized_cdf(masses):
+    cdf = np.cumsum(masses)
+    cdf /= cdf[-1]
+    cdf[-1] = 1.0
+    return cdf
+
+
+def guide_buckets(cells):
+    """The guide table's bucket count: the sampler uses it for draws at least this large."""
+    return 1 << (pricing._GUIDE_BUCKETS_PER_CELL * cells - 1).bit_length()
+
+
+class TestGridSampler:
+    MASSES = {
+        "dyadic": np.array([1.0, 1.0, 2.0, 0.0, 4.0]),
+        "zero runs": np.array([0.0, 0.0, 0.3, 0.0, 0.0, 0.0, 1e-9, 0.5, 0.0, 0.2, 0.0, 0.0]),
+        "one cell": np.array([0.7]),
+        "irregular": np.random.default_rng(3).random(37) ** 4,
+    }
+
+    @pytest.mark.parametrize("name", MASSES)
+    def test_equals_binary_search(self, name):
+        # Uniforms on every CDF step, just below each, 0.0, then random fill;
+        # counts straddle the guide threshold and the chunk size.
+        masses = self.MASSES[name]
+        cdf = normalized_cdf(masses)
+        steps = cdf[cdf < 1.0]
+        chosen = np.concatenate([[0.0], steps, np.nextafter(steps, 0.0), [np.nextafter(1.0, 0.0)]])
+        threshold, chunk = guide_buckets(masses.size), pricing._GUIDE_CHUNK
+        for count in (threshold - 1, threshold, threshold + 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            fill = np.random.default_rng(count).random(count)
+            u = np.resize(chosen, count)
+            u[chosen.size :: 2] = fill[chosen.size :: 2]
+            rng = _Uniforms(np.concatenate([u, [0.5]]))
+            idx = pricing.sample_grid_indices(masses, count, rng)
+            assert np.array_equal(idx, np.searchsorted(cdf, u, side="right")), count
+            assert rng.used == count
+
+    def test_leaves_generator_where_one_draw_would(self):
+        masses = self.MASSES["irregular"]
+        cdf = normalized_cdf(masses)
+        for count in (5, guide_buckets(masses.size), pricing._GUIDE_CHUNK, 3 * pricing._GUIDE_CHUNK + 1):
+            rng, reference = np.random.default_rng(count), np.random.default_rng(count)
+            idx = pricing.sample_grid_indices(masses, count, rng)
+            assert np.array_equal(idx, np.searchsorted(cdf, reference.random(count), side="right"))
+            assert rng.random() == reference.random()
+
+    def test_guide_peak_memory(self, spread_setup):
+        # The guide path holds one chunk of uniforms, not all of them: below
+        # 1.5 draw-sized arrays at peak, and only the result afterwards.
+        payoff, marginals, spec, grid = spread_setup
+        masses = GridMeasure.build(payoff, marginals, spec, grid).masses.ravel()
+        count = 2**19
+        draw_array = count * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            idx = pricing.sample_grid_indices(masses, count, np.random.default_rng(0))
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 1.5 * draw_array
+        assert after - before - idx.nbytes < 0.01 * draw_array
+
+
 class TestCmc:
+    # float.hex() of (value, stderr) on the spread measure at default_rng(11),
+    # recorded before the guide-table sampler: a change to the stream must be deliberate.
+    PINS = {
+        ("joint", 500): ("0x1.9556c6a92a5d1p+3", "0x1.5cabc9f5090d6p-2"),
+        ("joint", 2**17): ("0x1.8d04c51b4c8fdp+3", "0x1.52a300dfcc9c0p-6"),
+        ("independent", 500): ("0x1.861146bd1f25ap+3", "0x1.b985d9a0cedd4p-2"),
+        ("independent", 2**17): ("0x1.8b860fb056f59p+3", "0x1.ddd5dc8c2236bp-6"),
+    }
+
+    @pytest.mark.parametrize("formulation, samples", PINS)
+    def test_bit_identical_pins(self, spread_setup, formulation, samples):
+        payoff, marginals, spec, grid = spread_setup
+        measure = GridMeasure.build(payoff, marginals, spec, grid)
+        est = cmc_price(payoff, marginals, spec, formulation, samples, np.random.default_rng(11), measure=measure)
+        assert (est.value.hex(), est.stderr.hex()) == self.PINS[formulation, samples]
+
     def test_grid_sampling_unbiased(self, spread_setup):
         payoff, marginals, spec, grid = spread_setup
         ref = riemann_reference(payoff, marginals, spec, grid).value
