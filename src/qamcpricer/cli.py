@@ -9,8 +9,9 @@ Config JSON schema (paths are resolved relative to the config file).  A
 config file that cannot be read as JSON, an unknown key, a missing required
 key (quotes_csv, spots, correlations, payoff and its three keys, for the
 stages that read them), a value of the wrong type (a fraction or a
-boolean for an integer setting included) and a CMC sample count below 2
-(one sample has no standard error) are errors that exit 2:
+boolean for an integer setting, or a string for a list of names,
+included), a CMC sample count below 2 (one sample has no standard error)
+and a quote or correlation file that cannot be read are errors that exit 2:
 
     {
       "quotes_csv": "quotes.csv",
@@ -39,17 +40,17 @@ import numpy as np
 
 from . import calibration as cal
 from . import market_data as md
-from .copula import CopulaSpec, load_correlation
+from .copula import load_correlation
 from .cosine_density import series_to_json
 from .errors import QamcError, StageError, ValidationError
 from .experiments import (
     BASKET_CORRELATION,
     FIXTURES,
-    FIXTURE_RATE,
     MARGINAL_TAIL_EPS,
     MARGINAL_TERMS,
     StudyConfig,
     fit_loglog_slope,
+    fixture_slice,
     study_coeffs,
     study_density_recovery,
     study_price_convergence,
@@ -85,6 +86,13 @@ def _sample_count(value) -> int:
     return number
 
 
+def _names(value) -> list[str]:
+    """``value`` as a list of names; a string, which list() would split into characters, is an error."""
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise ValueError("not a list of names")
+    return value
+
+
 def _converter(default):
     """Conversion to the type of ``default``, element-wise for a tuple."""
     if isinstance(default, tuple):
@@ -100,13 +108,13 @@ _SECTIONS = {
         "weights_rule": (str, cal.CalibrationConfig.weights_rule),
     },
     "density": {"terms": (_integer, MARGINAL_TERMS), "tail_eps": (float, MARGINAL_TAIL_EPS)},
-    "payoff": {"kind": (str, None), "strike": (float, None), "assets": (list, None)},
+    "payoff": {"kind": (str, None), "strike": (float, None), "assets": (_names, None)},
     "pricing": {
         "qubits_per_dim": (_integer, 3),
         "epsilon": (float, 1e-3),
         "rho": (float, 0.05),
         "samples": (_sample_count, 2**16),
-        "estimators": (list, ["riemann", "cmc-joint", "qamc-joint", "qamc-independent"]),
+        "estimators": (_names, ["riemann", "cmc-joint", "qamc-joint", "qamc-independent"]),
     },
     # The study command picks the study and --seed the seed; every other field is settable.
     "study": {
@@ -202,8 +210,7 @@ def cmd_ingest(cfg: dict, out: Path) -> dict[tuple[str, float], list[md.OptionQu
 
 
 @_stage("curves")
-def cmd_curves(cfg: dict, out: Path, groups=None) -> dict[tuple[str, float], MarketSlice]:
-    groups = groups if groups is not None else cmd_ingest(cfg, out)
+def cmd_curves(cfg: dict, out: Path, groups) -> dict[tuple[str, float], MarketSlice]:
     spots = _required(cfg, "spots")
     slices = {}
     rows = []
@@ -227,8 +234,7 @@ def cmd_curves(cfg: dict, out: Path, groups=None) -> dict[tuple[str, float], Mar
 
 
 @_stage("arb-check")
-def cmd_arb_check(cfg: dict, out: Path, drop_violations: bool, groups=None):
-    groups = groups if groups is not None else cmd_ingest(cfg, out)
+def cmd_arb_check(cfg: dict, out: Path, drop_violations: bool, groups):
     report = []
     cleaned = {}
     for (underlying, expiry), quotes in sorted(groups.items()):
@@ -310,13 +316,7 @@ def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool):
     if missing:
         raise ValidationError(f"no calibrated marginal for asset(s) {missing}")
     corr = _required(cfg, "correlations")
-    corr_assets, spec = load_correlation(corr if isinstance(corr, dict) else _resolve(cfg, "correlations"))
-    uncorrelated = [a for a in assets if a not in corr_assets]
-    if uncorrelated:
-        raise ValidationError(f"no correlation entry for asset(s) {uncorrelated}")
-    order = [corr_assets.index(a) for a in assets]
-    sigma = np.asarray(spec.sigma)[np.ix_(order, order)]
-    spec = CopulaSpec.from_matrix(sigma)
+    spec = load_correlation(corr if isinstance(corr, dict) else _resolve(cfg, "correlations"), assets)
     chosen = [marginals[a] for a in assets]
     payoff = Payoff(payoff_cfg["kind"], payoff_cfg["strike"])
     grid = PricingGrid.build(chosen, opts["qubits_per_dim"])
@@ -396,7 +396,7 @@ def cmd_make_bundle(out: Path) -> None:
     quotes = []
     spots = {}
     for name, (params, spot) in FIXTURES.items():
-        slice_ = MarketSlice.from_rates(name, spot, 1.0, FIXTURE_RATE, 0.0)
+        slice_ = fixture_slice(name)
         strikes = np.linspace(0.82, 1.18, 12) * slice_.forward
         quotes.extend(generate_synthetic_quotes(params, slice_, strikes, spread=0.01))
         spots[name] = spot
@@ -461,9 +461,9 @@ def main(argv=None) -> int:
         if args.command == "ingest":
             cmd_ingest(cfg, out)
         elif args.command == "curves":
-            cmd_curves(cfg, out)
+            cmd_curves(cfg, out, cmd_ingest(cfg, out))
         elif args.command == "arb-check":
-            cmd_arb_check(cfg, out, args.drop_violations)
+            cmd_arb_check(cfg, out, args.drop_violations, cmd_ingest(cfg, out))
         elif args.command == "calibrate":
             cmd_calibrate(cfg, out, args.drop_violations)
         elif args.command == "density":

@@ -132,19 +132,34 @@ def grid_c_max(spec: CopulaSpec, weights: np.ndarray) -> float:
     return 1.01 * float(weights.max())
 
 
-def load_correlation(source) -> tuple[list[str], CopulaSpec]:
-    """Parse ``{"assets": [...], "sigma": [[...]]}`` (dict, JSON string, or path)."""
+def load_correlation(source, assets) -> CopulaSpec:
+    """The CopulaSpec of ``assets``, in that order, from ``{"assets": [...], "sigma": [[...]]}``.
+
+    ``source`` is that object or the path of a JSON file holding it.  The
+    full matrix is validated before the assets' rows and columns are taken.
+    A file that cannot be read as JSON, a missing key and a non-numeric
+    matrix are ValidationErrors.
+    """
     if isinstance(source, dict):
         data = source
     else:
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            data = json.loads(text)
-        else:
-            with open(text) as handle:
+        try:
+            with open(source) as handle:
                 data = json.load(handle)
-    assets = list(data["assets"])
-    spec = CopulaSpec.from_matrix(np.asarray(data["sigma"], dtype=float))
-    if len(assets) != spec.dim:
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"cannot read correlations {source}: {exc}") from exc
+    if not isinstance(data, dict) or not isinstance(data.get("assets"), list) or "sigma" not in data:
+        raise ValidationError('correlations need an "assets" list and a "sigma" matrix')
+    names = data["assets"]
+    try:
+        sigma = np.asarray(data["sigma"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"correlation matrix must be numeric: {exc}") from exc
+    full = CopulaSpec.from_matrix(sigma)
+    if len(names) != full.dim:
         raise ValidationError("asset list length must match matrix dimension")
-    return assets, spec
+    uncorrelated = [a for a in assets if a not in names]
+    if uncorrelated:
+        raise ValidationError(f"no correlation entry for asset(s) {uncorrelated}")
+    order = [names.index(a) for a in assets]
+    return CopulaSpec.from_matrix(full.sigma[np.ix_(order, order)])

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .pricing import (
     AssetMarginal, GridMeasure, Payoff, PricingGrid, cmc_price, midpoint_cells, normalize_cell_masses,
     sample_grid_indices,
 )
-from .qamc import AEConfig, qamc_price, run_log_line, signed_ae_estimate, RUN_LOG_HEADER
+from .qamc import AEConfig, AEResult, qamc_price, signed_ae_estimate
 
 __all__ = [
     "FIXTURES",
@@ -48,6 +48,8 @@ __all__ = [
     "fit_loglog_slope",
     "cost_at_error",
     "write_records_csv",
+    "run_log_line",
+    "RUN_LOG_HEADER",
 ]
 
 # Calibrated 1Y NIG parameters and spots for the bundled reference names.
@@ -349,13 +351,7 @@ def cost_at_error(costs, errors, target: float) -> float:
 
 
 def write_records_csv(records: list[ConvergenceRecord], path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["method", "cost", "mean_abs_err", "ci90_lo", "ci90_hi"])
-        for rec in records:
-            writer.writerow(
-                [rec.method, repr(rec.cost), repr(rec.mean_abs_err), repr(rec.ci90_lo), repr(rec.ci90_hi)]
-            )
+    write_rows_csv([asdict(record) for record in records], path)
 
 
 def write_rows_csv(rows: list[dict], path) -> None:
@@ -366,6 +362,17 @@ def write_rows_csv(rows: list[dict], path) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
+
+
+RUN_LOG_HEADER = "algo,target,epsilon,rho,estimate,abs_err,queries,seed"
+
+
+def run_log_line(algo: str, target: float, cfg: AEConfig, result: AEResult, seed) -> str:
+    """One run-log CSV record, in the columns of RUN_LOG_HEADER."""
+    return (
+        f"{algo},{target!r},{cfg.epsilon!r},{cfg.rho!r},{result.estimate!r},"
+        f"{abs(result.estimate - target)!r},{result.oracle_queries},{seed}"
+    )
 
 
 def write_run_log(lines: list[str], path) -> None:

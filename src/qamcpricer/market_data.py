@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -134,34 +134,38 @@ def load_quotes(path) -> dict[tuple[str, float], list[OptionQuote]]:
     """Read and validate a quote CSV, grouped by (underlying, expiry).
 
     Invalid rows are collected and raised with their line numbers; nothing is
-    silently dropped.
+    silently dropped.  A file that cannot be opened, decoded or parsed as CSV
+    is a ValidationError too.
     """
+    try:
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"cannot read quotes {path}: {exc}") from exc
+    header = rows[0] if rows else None
+    if header is None or [h.strip() for h in header] != CSV_HEADER:
+        raise ValidationError(f"expected header {','.join(CSV_HEADER)}, got {header}")
     groups: dict[tuple[str, float], list[OptionQuote]] = {}
     problems: list[str] = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != CSV_HEADER:
-            raise ValidationError(f"expected header {','.join(CSV_HEADER)}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(CSV_HEADER):
-                problems.append(f"line {lineno}: expected {len(CSV_HEADER)} columns, got {len(row)}")
-                continue
-            try:
-                quote = OptionQuote(
-                    underlying=row[0].strip(),
-                    expiry=float(row[1]),
-                    strike=float(row[2]),
-                    kind=row[3].strip(),
-                    bid=float(row[4]),
-                    ask=float(row[5]),
-                )
-            except (ValueError, ValidationError) as exc:
-                problems.append(f"line {lineno}: {exc}")
-                continue
-            groups.setdefault((quote.underlying, quote.expiry), []).append(quote)
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(CSV_HEADER):
+            problems.append(f"line {lineno}: expected {len(CSV_HEADER)} columns, got {len(row)}")
+            continue
+        try:
+            quote = OptionQuote(
+                underlying=row[0].strip(),
+                expiry=float(row[1]),
+                strike=float(row[2]),
+                kind=row[3].strip(),
+                bid=float(row[4]),
+                ask=float(row[5]),
+            )
+        except (ValueError, ValidationError) as exc:
+            problems.append(f"line {lineno}: {exc}")
+            continue
+        groups.setdefault((quote.underlying, quote.expiry), []).append(quote)
     if problems:
         raise ValidationError("invalid quote rows:\n" + "\n".join(problems))
     return groups
@@ -312,21 +316,21 @@ def generate_synthetic_quotes(
     params: _nig.NIGParams,
     slice_: MarketSlice,
     strikes: Iterable[float],
-    spread: float | Callable[[float, float], float] = 0.0,
+    spread: float,
 ) -> list[OptionQuote]:
     """Model-generated call and put quotes at the given strikes.
 
     Mids come from one batch of the exponential-NIG pricer, so the output is arbitrage-free
-    by construction; ``spread`` is a half-width, constant or per-(strike, mid).
+    by construction; ``spread`` is the nonnegative half-width of every quote.
     """
+    half = float(spread)
+    if half < 0:
+        raise DomainError("spread half-width must be nonnegative")
     model = _nig.ExpNIGModel(params, slice_)
     pairs = [(float(strike), kind) for strike in strikes for kind in ("C", "P")]
     mids = _nig.price_european_batch(model, [k for k, _ in pairs], [kind for _, kind in pairs])
     out = []
     for (strike, kind), mid in zip(pairs, mids.tolist()):
-        half = spread(strike, mid) if callable(spread) else float(spread)
-        if half < 0:
-            raise DomainError("spread half-width must be nonnegative")
         out.append(
             OptionQuote(
                 underlying=slice_.underlying,

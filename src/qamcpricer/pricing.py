@@ -62,16 +62,12 @@ _GUIDE_CHUNK = 2**14
 class Payoff:
     kind: str
     strike: float
-    weights: tuple[float, ...] | None = None  # basket only; defaults to 1/N
 
     def __post_init__(self):
         if self.kind not in PAYOFF_KINDS:
             raise DomainError(f"unknown payoff kind {self.kind!r}")
         if self.strike < 0:
             raise DomainError("strike must be nonnegative")
-        if self.weights is not None:
-            if abs(sum(self.weights) - 1.0) > 1e-12:
-                raise DomainError("basket weights must sum to 1")
 
 
 def eval_payoff(payoff: Payoff, prices) -> np.ndarray:
@@ -93,12 +89,10 @@ def eval_payoff(payoff: Payoff, prices) -> np.ndarray:
         if n != 2:
             raise DomainError("spread-call requires exactly 2 assets")
         out = axes[0] - axes[1] - payoff.strike
-    elif payoff.kind == "basket-call":
-        weights = np.full(n, 1.0 / n) if payoff.weights is None else np.asarray(payoff.weights)
-        if weights.size != n:
-            raise DomainError("weights length must match asset count")
-        total = axes[0] * weights[0]
-        for axis, weight in zip(axes[1:], weights[1:]):
+    elif payoff.kind == "basket-call":  # the equal-weight mean
+        weight = 1.0 / n
+        total = axes[0] * weight
+        for axis in axes[1:]:
             total = total + axis * weight
         out = total - payoff.strike
     else:  # worst-of-put

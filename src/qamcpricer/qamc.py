@@ -37,11 +37,7 @@ __all__ = [
     "iqae_estimate",
     "signed_ae_estimate",
     "qamc_price",
-    "run_log_line",
-    "RUN_LOG_HEADER",
 ]
-
-RUN_LOG_HEADER = "algo,target,epsilon,rho,estimate,abs_err,queries,seed"
 
 # Roundoff an amplitude may carry outside [0, 1] before it is rejected.
 _AMPLITUDE_TOL = 1e-12
@@ -49,21 +45,20 @@ _AMPLITUDE_TOL = 1e-12
 _FIRST_BATCH = 32
 # Looks per depth that the confidence split allows for.
 _LOOKS_CAP = 32
+# Largest Grover power a round may use.
+_MAX_GROVER_DEPTH = 2**22
 
 
 @dataclass(frozen=True)
 class AEConfig:
     epsilon: float
     rho: float = 0.05
-    max_grover_depth: int = 2**22
     seed: int | None = None
     max_queries: int | None = None  # optional hard budget (matched-cost studies)
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0) or not (0.0 < self.rho < 1.0):
             raise ValidationError("epsilon and rho must lie in (0, 1)")
-        if self.max_grover_depth < 0:
-            raise ValidationError("invalid depth cap")
         if self.max_queries is not None and self.max_queries < 1:
             raise ValidationError("query budget must be positive")
 
@@ -134,7 +129,7 @@ def iqae_estimate(amplitude: float, cfg: AEConfig, rng: np.random.Generator | No
     rounds: list[tuple[int, int]] = []
     capped = False
     while math.sin(theta_u) ** 2 - math.sin(theta_l) ** 2 > 2.0 * cfg.epsilon:
-        next_k, up = _find_next_k(k, theta_l, theta_u, up, cfg.max_grover_depth)
+        next_k, up = _find_next_k(k, theta_l, theta_u, up, _MAX_GROVER_DEPTH)
         if next_k != k:
             k, looks, ones, shots, batch = next_k, 0, 0, 0, _FIRST_BATCH
         if looks == _LOOKS_CAP:
@@ -239,12 +234,4 @@ def qamc_price(
         estimator=f"qamc-{formulation}",
         samples_or_queries=result.oracle_queries,
         stderr=scale * result.half_width,
-    )
-
-
-def run_log_line(algo: str, target: float, cfg: AEConfig, result: AEResult, seed) -> str:
-    """One run-log CSV record: algo,target,epsilon,rho,estimate,abs_err,queries,seed."""
-    return (
-        f"{algo},{target!r},{cfg.epsilon!r},{cfg.rho!r},{result.estimate!r},"
-        f"{abs(result.estimate - target)!r},{result.oracle_queries},{seed}"
     )

@@ -5,6 +5,7 @@ checks use one-point axes; joint-density checks multiply the weights by the
 marginal densities on the same tensor grid.
 """
 
+import json
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qamcpricer import copula
+from qamcpricer.cli import main
 from qamcpricer.copula import (
     CLAMP_EPS,
     CopulaSpec,
@@ -302,20 +304,34 @@ class TestCopulaProperties:
 
 class TestLoadCorrelation:
     def test_from_dict(self):
-        assets, spec = load_correlation({"assets": ["A", "B"], "sigma": [[1.0, -0.25], [-0.25, 1.0]]})
-        assert assets == ["A", "B"]
+        spec = load_correlation({"assets": ["A", "B"], "sigma": [[1.0, -0.25], [-0.25, 1.0]]}, ["A", "B"])
         assert spec.sigma[0, 1] == -0.25
 
-    def test_from_json_string_and_file(self, tmp_path):
-        payload = '{"assets": ["X", "Y", "Z"], "sigma": [[1, -0.2, -0.25], [-0.2, 1, -0.15], [-0.25, -0.15, 1]]}'
-        assets, spec = load_correlation(payload)
-        assert spec.dim == 3
+    def test_from_file(self, tmp_path):
+        payload = {"assets": ["X", "Y", "Z"], "sigma": [[1, -0.2, -0.25], [-0.2, 1, -0.15], [-0.25, -0.15, 1]]}
         path = tmp_path / "corr.json"
-        path.write_text(payload)
-        assets2, spec2 = load_correlation(path)
-        assert assets2 == assets
-        assert np.array_equal(spec2.sigma, spec.sigma)
+        path.write_text(json.dumps(payload))
+        spec = load_correlation(path, ["X", "Y", "Z"])
+        assert spec.dim == 3
+        assert np.array_equal(spec.sigma, load_correlation(payload, ["X", "Y", "Z"]).sigma)
+
+    def test_bundle_subset_in_asset_order(self, tmp_path):
+        # The spec takes the rows and columns of the assets asked for, in their order.
+        assert main(["make-bundle", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "corr.json"
+        data = json.loads(path.read_text())
+        assert data["assets"] == ["AXA", "CREDIT_AGRICOLE", "MICHELIN"]
+        subset = np.asarray(data["sigma"], dtype=float)[np.ix_([2, 0], [2, 0])]
+        spec = load_correlation(path, ["MICHELIN", "AXA"])
+        expected = CopulaSpec.from_matrix(subset)
+        assert np.array_equal(spec.sigma, subset)
+        assert np.array_equal(spec.inv, expected.inv)
+        assert spec.det == expected.det
+
+    def test_missing_asset(self):
+        with pytest.raises(ValidationError, match=r"no correlation entry for asset\(s\) \['C'\]"):
+            load_correlation({"assets": ["A", "B"], "sigma": [[1.0, 0.0], [0.0, 1.0]]}, ["A", "C"])
 
     def test_asset_count_mismatch(self):
         with pytest.raises(ValidationError):
-            load_correlation({"assets": ["A"], "sigma": [[1.0, 0.0], [0.0, 1.0]]})
+            load_correlation({"assets": ["A"], "sigma": [[1.0, 0.0], [0.0, 1.0]]}, ["A"])

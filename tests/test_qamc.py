@@ -15,10 +15,8 @@ from qamcpricer.nig import nig_pdf
 from qamcpricer.pricing import GridMeasure, Payoff, riemann_reference
 from qamcpricer.qamc import (
     AEConfig,
-    AEResult,
     iqae_estimate,
     qamc_price,
-    run_log_line,
     signed_ae_estimate,
 )
 from statevector import GroverOperator, load_masses, prepare, rotate_payoff
@@ -204,18 +202,16 @@ class TestIqae:
             res = iqae_estimate(a, AEConfig(epsilon=5e-3, rho=0.05), np.random.default_rng(11))
             assert abs(res.estimate - a) <= 5e-3
 
-    def test_depth_cap_flag(self):
-        res = iqae_estimate(
-            0.25,
-            AEConfig(epsilon=1e-5, rho=0.05, max_grover_depth=2),
-            np.random.default_rng(0),
-        )
+    def test_depth_cap_flag(self, monkeypatch):
+        monkeypatch.setattr(qamc, "_MAX_GROVER_DEPTH", 2)
+        res = iqae_estimate(0.25, AEConfig(epsilon=1e-5, rho=0.05), np.random.default_rng(0))
         assert res.capped
         assert res.half_width > 1e-5  # honest unfinished interval
 
-    def test_looks_per_depth_bounded_by_confidence_split(self):
+    def test_looks_per_depth_bounded_by_confidence_split(self, monkeypatch):
         # Depth 0 only: the interval cannot reach 2e-4 within 32 looks.
-        res = iqae_estimate(0.25, AEConfig(epsilon=1e-4, max_grover_depth=0), np.random.default_rng(0))
+        monkeypatch.setattr(qamc, "_MAX_GROVER_DEPTH", 0)
+        res = iqae_estimate(0.25, AEConfig(epsilon=1e-4), np.random.default_rng(0))
         assert len(res.rounds) == 32
         assert res.capped
         assert abs(res.estimate - 0.25) <= res.half_width
@@ -350,14 +346,3 @@ class TestQamcPrice:
         with pytest.raises(DomainError):
             qamc_price(Payoff("spread-call", 1000.0), marginals, spec, "joint", grid, cfg,
                        np.random.default_rng(0), measure=measure)
-
-
-class TestRunLog:
-    def test_line_format(self):
-        cfg = AEConfig(epsilon=1e-2, rho=0.05)
-        res = AEResult(estimate=0.25, half_width=0.005, rounds=((20, 3),))  # 3 shots x 41 queries
-        line = run_log_line("iqae", 0.251, cfg, res, seed=7)
-        fields = line.split(",")
-        assert len(fields) == 8
-        assert fields[0] == "iqae"
-        assert int(fields[6]) == 123
