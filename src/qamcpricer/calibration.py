@@ -9,7 +9,8 @@ the location parameter).  J is the squared norm of the stacked residual
 
     r = [sqrt(w) (V(theta) - mid); sqrt(lambda) (theta - theta0)],
 
-which a bound-constrained Gauss-Newton (trust-region-reflective) fit
+which a box-constrained Levenberg-Marquardt fit (Moré, "The
+Levenberg-Marquardt algorithm: implementation and theory", LNM 630, 1978)
 minimizes with the exact residual Jacobian: dV/dtheta comes out of the same
 quadrature pass as the prices.  Admissibility (beta^2 < alpha^2 and
 (beta+1)^2 < alpha^2 with alpha > 0) reduces to alpha - beta >= 1 and
@@ -25,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .black_scholes import BSInputs, implied_vol
 from .errors import CalibrationError, ValidationError
@@ -55,11 +55,16 @@ DEFAULT_GRID = {
 
 # Box on z = (u, v, delta), u = alpha - beta - 1 and v = alpha + beta: the
 # lower bounds are admissibility, and the box maps into alpha in [0.5, 30],
-# beta in [-15, 14.5].  One tolerance serves the fit's three stopping tests,
-# and MAX_ITERATIONS caps its evaluations.
+# beta in [-15, 14.5].  One tolerance serves the fit's stopping tests, and
+# MAX_ITERATIONS caps its evaluations.
 BOUNDS = ((ADMISSIBILITY_MARGIN, ADMISSIBILITY_MARGIN, 1e-3), (29.0, 30.0, 5.0))
 TOLERANCE = 1e-12
 MAX_ITERATIONS = 500
+
+# Levenberg-Marquardt damping: its start, its factor on an accepted step and
+# on a rejected one, and the share of the distance to the box a step may cover.
+_DAMPING_START, _DAMPING_DOWN, _DAMPING_UP = 1e-3, 0.1, 10.0
+_TO_BOUNDARY = 0.995
 
 # d theta / d z, constant: theta = ((u + v + 1) / 2, (v - u - 1) / 2, delta).
 _THETA_OF_Z = np.array([[0.5, 0.5, 0.0], [-0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
@@ -172,6 +177,57 @@ def _least_squares(slice_: MarketSlice, config: CalibrationConfig):
     return fun, residual, jac
 
 
+def _levenberg_marquardt(residual, jac, z) -> tuple[np.ndarray, int]:
+    """Minimize ||residual(z)||^2 inside BOUNDS from z: the minimizer and the evaluation count.
+
+    Levenberg-Marquardt with Marquardt's scaling: each step solves
+    (J^T J + damping D) s = -J^T r, D the diagonal of J^T J floored at eps
+    times its largest entry.  A component whose step would cross its bound
+    while the gradient pushes it there is held at _TO_BOUNDARY of the way
+    and the others are solved again; every component is cut the same way,
+    and one that rounding would put on its bound stays where it is, so
+    every evaluated z lies strictly inside.  A step that lowers ||r||^2
+    is taken and the damping falls; otherwise the damping rises and the
+    Jacobian already held at z serves the next solve.  The fit stops at a
+    step below TOLERANCE relative to z, at a taken step that lowers ||r||^2
+    by at most TOLERANCE relative, or at MAX_ITERATIONS evaluations, the
+    start counting as one.
+    """
+    lower, upper = (np.array(b, dtype=float) for b in BOUNDS)
+    r = residual(z)
+    cost, jz, evaluations, damping = r @ r, jac(z), 1, _DAMPING_START
+    while evaluations < MAX_ITERATIONS:
+        normal, gradient = jz.T @ jz, jz.T @ r
+        diagonal = np.diag(normal)
+        scale = np.maximum(diagonal, np.finfo(float).eps * diagonal.max())
+        system = normal + damping * np.diag(scale)
+        low, high = _TO_BOUNDARY * (lower - z), _TO_BOUNDARY * (upper - z)
+        step, free = np.zeros(3), np.ones(3, dtype=bool)
+        while free.any():
+            coupling = normal[np.ix_(free, ~free)] @ step[~free]
+            step[free] = np.linalg.solve(system[np.ix_(free, free)], -gradient[free] - coupling)
+            blocked = ((step < low) & (gradient > 0.0)) | ((step > high) & (gradient < 0.0))
+            if not blocked.any():
+                break
+            step, free = np.clip(step, low, high), free & ~blocked
+        trial = z + np.clip(step, low, high)
+        trial = np.where((trial > lower) & (trial < upper), trial, z)
+        if np.linalg.norm(trial - z) <= TOLERANCE * (TOLERANCE + np.linalg.norm(z)):
+            break
+        r_trial = residual(trial)
+        evaluations += 1
+        cost_trial = r_trial @ r_trial
+        if cost_trial < cost:
+            converged = cost - cost_trial <= TOLERANCE * cost
+            z, r, cost, jz = trial, r_trial, cost_trial, jac(trial)
+            damping *= _DAMPING_DOWN
+            if converged:
+                break
+        else:
+            damping *= _DAMPING_UP
+    return z, evaluations
+
+
 def bs_prior(slice_: MarketSlice) -> tuple[float, float, float]:
     """Map the ATM implied vol to a symmetric NIG prior.
 
@@ -210,32 +266,22 @@ def grid_init(fun) -> tuple[tuple[float, float, float], float]:
 
 
 def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> CalibrationResult:
-    """Bound-constrained Gauss-Newton fit of (alpha, beta, delta) with mu = 0.
+    """Box-constrained Levenberg-Marquardt fit of (alpha, beta, delta) with mu = 0.
 
-    Trust-region-reflective least squares on the stacked residual in
-    z = (u, v, delta), from the grid start.  Every priced point lies strictly
-    inside the box, hence is admissible.  Each evaluation is one pricing
-    batch that returns the residual with its closed-form Jacobian (see
-    ``price_european_batch(..., gradient=True)``); the final theta is priced
-    once more for the objective and the residuals.  ``iterations`` counts
-    the fit's evaluations.
+    Least squares on the stacked residual in z = (u, v, delta), from the
+    grid start (see ``_levenberg_marquardt``).
+    Every priced point lies strictly inside the box, hence is admissible.
+    Each evaluation is one pricing batch that returns the residual with its
+    closed-form Jacobian (see ``price_european_batch(..., gradient=True)``);
+    a rejected step reuses the Jacobian it holds, and the final theta is
+    priced once more for the objective and the residuals.  ``iterations``
+    counts the fit's evaluations, the start included.
     """
     config = config or CalibrationConfig()
     fun, residual, jac = _least_squares(slice_, config)
     start, start_value = grid_init(fun)
-    result = least_squares(
-        residual,
-        _z(start),
-        jac=jac,
-        bounds=BOUNDS,
-        method="trf",
-        x_scale="jac",
-        ftol=TOLERANCE,
-        xtol=TOLERANCE,
-        gtol=TOLERANCE,
-        max_nfev=MAX_ITERATIONS,
-    )
-    theta = _theta(result.x)
+    z, evaluations = _levenberg_marquardt(residual, jac, _z(start))
+    theta = _theta(z)
     if not _admissible(theta):
         raise CalibrationError(f"optimizer left the admissible set at {theta}")
     value, resid = fun(theta)
@@ -247,6 +293,6 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
         objective=value,
         rmse_bp=float(np.sqrt(np.mean(err_bp**2))),
         max_err_bp=float(np.max(err_bp)),
-        iterations=int(result.nfev),
+        iterations=evaluations,
         start=tuple(float(s) for s in start),
     )

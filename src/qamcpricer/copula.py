@@ -137,8 +137,8 @@ def load_correlation(source, assets) -> CopulaSpec:
 
     ``source`` is that object or the path of a JSON file holding it.  The
     full matrix is validated before the assets' rows and columns are taken.
-    A file that cannot be read as JSON, a missing key and a non-numeric
-    matrix are ValidationErrors.
+    A file that cannot be read as JSON, a missing key, a non-numeric matrix
+    and an asset named twice are ValidationErrors.
     """
     if isinstance(source, dict):
         data = source
@@ -158,6 +158,9 @@ def load_correlation(source, assets) -> CopulaSpec:
     full = CopulaSpec.from_matrix(sigma)
     if len(names) != full.dim:
         raise ValidationError("asset list length must match matrix dimension")
+    repeated = [a for i, a in enumerate(names) if a in names[:i]]
+    if repeated:
+        raise ValidationError(f"correlations name asset(s) {repeated} more than once")
     uncorrelated = [a for a in assets if a not in names]
     if uncorrelated:
         raise ValidationError(f"no correlation entry for asset(s) {uncorrelated}")

@@ -1,5 +1,6 @@
 """Tests for the regularized NIG calibration."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from qamcpricer import calibration, experiments
 from qamcpricer.calibration import (
     BOUNDS,
+    TOLERANCE,
     CalibrationConfig,
     _least_squares,
+    _levenberg_marquardt,
     _theta,
     _z,
     bs_prior,
@@ -212,6 +215,62 @@ class TestBsPrior:
         assert c2 == pytest.approx(sigma2, rel=1e-12)
 
 
+def linear_problem(matrix, target):
+    """residual(z) = matrix (z - target) and its Jacobian, recording every z evaluated."""
+    matrix, target = np.asarray(matrix, dtype=float), np.asarray(target, dtype=float)
+    evaluated = []
+
+    def residual(z):
+        evaluated.append(np.array(z, copy=True))
+        return matrix @ (z - target)
+
+    return residual, lambda z: matrix, evaluated
+
+
+class TestLevenbergMarquardt:
+    START = np.array([1.0, 1.0, 0.5])
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.eye(3), [[2.0, 1.0, 0.0], [1.0, 2.0, 0.3], [0.0, 0.5, 1.0]]],
+        ids=["diagonal", "coupled"],
+    )
+    @pytest.mark.parametrize("target, bound", [((-1.0, 2.0, 1.0), (0, 0)), ((2.0, 2.0, 9.0), (1, 2))])
+    def test_ends_at_an_active_bound(self, matrix, target, bound, monkeypatch):
+        # The unconstrained minimum lies outside the box.  With a diagonal
+        # Jacobian the box minimum is the target with one coordinate on its
+        # bound; coupled, the other coordinates move to the box minimum.
+        monkeypatch.setattr(calibration, "MAX_ITERATIONS", 60)
+        residual, jac, evaluated = linear_problem(matrix, target)
+        z, evaluations = _levenberg_marquardt(residual, jac, self.START)
+        side, index = bound
+        assert 0.0 < abs(z[index] - BOUNDS[side][index]) <= TOLERANCE * (TOLERANCE + np.linalg.norm(z))
+        lower, upper = np.array(BOUNDS)
+        assert all(np.all((lower < point) & (point < upper)) for point in evaluated)
+        assert evaluations == len(evaluated) <= 60
+        # First-order optimality on the box: the gradient vanishes in the
+        # free coordinates and pushes out of the box in the bound one.
+        gradient = np.asarray(jac(z)).T @ residual(z)
+        free = np.arange(3) != index
+        assert np.all(np.abs(gradient[free]) <= 1e-6)
+        assert gradient[index] * (1.0 if side == 0 else -1.0) > 0.0
+
+    def test_evaluation_cap(self, monkeypatch):
+        monkeypatch.setattr(calibration, "MAX_ITERATIONS", 3)
+        residual, jac, evaluated = linear_problem(np.eye(3), (-1.0, 2.0, 1.0))
+        _, evaluations = _levenberg_marquardt(residual, jac, self.START)
+        assert evaluations == len(evaluated) == 3
+
+    def test_singular_normal_matrix(self):
+        # J^T J is singular along (1, -1, 0): only u + v is determined.
+        residual, jac, _ = linear_problem([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], (1.5, 2.5, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, _ = _levenberg_marquardt(residual, jac, self.START)
+        assert z[0] + z[1] == pytest.approx(4.0, rel=1e-10)
+        assert z[2] == pytest.approx(1.0, rel=1e-10)
+
+
 class TestCalibrate:
     def test_axa_round_trip(self, axa_params, axa_quote_slice):
         result = calibrate(axa_quote_slice, CalibrationConfig(regularization=5e-7))
@@ -276,7 +335,7 @@ class TestCalibrate:
     def test_desk_slice_prices_few_batches(self, monkeypatch):
         # The make-bundle AXA slice.  The fit prices one batch per lattice
         # point, one per evaluation (the Jacobian comes with the residual at
-        # the same point) and one at the optimum: 27 + 8 + 1.
+        # the same point) and one at the optimum: 27 + 6 + 1.
         calls = []
         model_prices = calibration._model_prices
 
@@ -286,7 +345,7 @@ class TestCalibrate:
 
         monkeypatch.setattr(calibration, "_model_prices", counting)
         result = calibrate(desk_slice("AXA"), CalibrationConfig())
-        assert len(calls) <= 45
+        assert len(calls) <= 34
         assert calls.count(True) == result.iterations
         assert calls[-1] is False  # the optimum: objective and residuals off one batch
 

@@ -335,3 +335,9 @@ class TestLoadCorrelation:
     def test_asset_count_mismatch(self):
         with pytest.raises(ValidationError):
             load_correlation({"assets": ["A"], "sigma": [[1.0, 0.0], [0.0, 1.0]]}, ["A"])
+
+    def test_repeated_asset(self):
+        # names.index would silently take the first "A" row and drop the third row's 0.1.
+        data = {"assets": ["A", "B", "A"], "sigma": [[1.0, 0.5, 0.2], [0.5, 1.0, 0.1], [0.2, 0.1, 1.0]]}
+        with pytest.raises(ValidationError, match=r"asset\(s\) \['A'\] more than once"):
+            load_correlation(data, ["A", "B"])

@@ -418,6 +418,9 @@ class TestCli:
                          'correlations need an "assets" list', id="correlations-without-assets"),
             pytest.param(["price"], lambda cfg: cfg.update(correlations={"assets": ["AXA"], "sigma": [["one"]]}),
                          "correlation matrix must be numeric", id="non-numeric-sigma"),
+            pytest.param(["price"], lambda cfg: cfg.update(correlations={"assets": ["AXA", "MICHELIN", "AXA"],
+                                                                          "sigma": np.eye(3).tolist()}),
+                         "correlations name asset(s) ['AXA'] more than once", id="repeated-correlation-asset"),
             pytest.param(["price"], lambda cfg: cfg["payoff"].update(assets="AXA"),
                          "payoff.assets", id="string-assets"),
             pytest.param(["price"], lambda cfg: cfg["pricing"].update(estimators="riemann"),

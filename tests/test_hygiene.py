@@ -1,6 +1,10 @@
-"""Source hygiene: every module under src/ and tests/ uses each name it imports."""
+"""Source hygiene: every module under src/ and tests/ uses each name it imports,
+every export has a reader, and the CLI loads no scipy subpackage it does not use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,3 +106,22 @@ def test_unreferenced_export_is_found():
     )
     other = "import m\nm.attr_only()\nused()\n"
     assert unreferenced_exports(module, [module, other]) == ["self_only"]
+
+
+# Run in a fresh interpreter: pytest's own warning filters import scipy.optimize.
+_SCIPY_SUBPACKAGES = """
+import pkgutil, sys
+import qamcpricer.cli
+import scipy
+packages = {m.name for m in pkgutil.iter_modules(scipy.__path__) if m.ispkg and not m.name.startswith("_")}
+print(sorted(p for p in packages if "scipy." + p in sys.modules))
+"""
+
+
+def test_cli_imports_only_scipy_special():
+    # Every CLI run pays the import time of each scipy subpackage it loads.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", _SCIPY_SUBPACKAGES], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.strip() == "['special']"
