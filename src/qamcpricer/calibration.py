@@ -140,12 +140,10 @@ def _least_squares(slice_: MarketSlice, config: CalibrationConfig):
     """J(theta) of one slice as ``fun``, and its stacked residual in z with the Jacobian.
 
     ``fun(theta)`` returns (J, residuals) off one pricing batch.
-    ``residual(z)`` returns r with ||r||^2 = J(theta(z)) off one pricing batch
-    with the gradient, and keeps dr/dz for ``jac(z)`` at the same z (the fit
-    asks for the Jacobian only at the point it has just evaluated; any other
-    z is priced anew).  The usable quotes, their weights and the prior are
-    fixed per slice, so they are computed once here and not at each
-    evaluation.
+    ``residual(z)`` returns r with ||r||^2 = J(theta(z)) and dr/dz, off one
+    pricing batch with the gradient.  The usable quotes, their weights and
+    the prior are fixed per slice, so they are computed once here and not at
+    each evaluation.
     """
     quotes = _usable_quotes(slice_)
     if len(quotes) < 3:
@@ -156,7 +154,6 @@ def _least_squares(slice_: MarketSlice, config: CalibrationConfig):
     lam = config.regularization
     root_w, root_lam = np.sqrt(weights), np.sqrt(lam)
     penalty_jac = root_lam * _THETA_OF_Z
-    last = {}
 
     def fun(theta):
         resid = _model_prices(theta, slice_, quotes, gradient=False) - mids
@@ -165,20 +162,16 @@ def _least_squares(slice_: MarketSlice, config: CalibrationConfig):
     def residual(z):
         theta = _theta(z)
         prices, d_prices = _model_prices(theta, slice_, quotes, gradient=True)
-        last["z"] = np.array(z, dtype=float)
-        last["jac"] = np.vstack([(root_w[:, None] * d_prices) @ _THETA_OF_Z, penalty_jac])
-        return np.concatenate([root_w * (prices - mids), root_lam * (theta - prior)])
+        r = np.concatenate([root_w * (prices - mids), root_lam * (theta - prior)])
+        return r, np.vstack([(root_w[:, None] * d_prices) @ _THETA_OF_Z, penalty_jac])
 
-    def jac(z):
-        if not np.array_equal(z, last.get("z")):
-            residual(z)
-        return last["jac"]
-
-    return fun, residual, jac
+    return fun, residual
 
 
-def _levenberg_marquardt(residual, jac, z) -> tuple[np.ndarray, int]:
-    """Minimize ||residual(z)||^2 inside BOUNDS from z: the minimizer and the evaluation count.
+def _levenberg_marquardt(residual, z) -> tuple[np.ndarray, int]:
+    """Minimize ||r(z)||^2 inside BOUNDS from z: the minimizer and the evaluation count.
+
+    ``residual(z)`` returns r and its Jacobian dr/dz.
 
     Levenberg-Marquardt with Marquardt's scaling: each step solves
     (J^T J + damping D) s = -J^T r, D the diagonal of J^T J floored at eps
@@ -194,8 +187,8 @@ def _levenberg_marquardt(residual, jac, z) -> tuple[np.ndarray, int]:
     start counting as one.
     """
     lower, upper = (np.array(b, dtype=float) for b in BOUNDS)
-    r = residual(z)
-    cost, jz, evaluations, damping = r @ r, jac(z), 1, _DAMPING_START
+    r, jz = residual(z)
+    cost, evaluations, damping = r @ r, 1, _DAMPING_START
     while evaluations < MAX_ITERATIONS:
         normal, gradient = jz.T @ jz, jz.T @ r
         diagonal = np.diag(normal)
@@ -214,12 +207,12 @@ def _levenberg_marquardt(residual, jac, z) -> tuple[np.ndarray, int]:
         trial = np.where((trial > lower) & (trial < upper), trial, z)
         if np.linalg.norm(trial - z) <= TOLERANCE * (TOLERANCE + np.linalg.norm(z)):
             break
-        r_trial = residual(trial)
+        r_trial, j_trial = residual(trial)
         evaluations += 1
         cost_trial = r_trial @ r_trial
         if cost_trial < cost:
             converged = cost - cost_trial <= TOLERANCE * cost
-            z, r, cost, jz = trial, r_trial, cost_trial, jac(trial)
+            z, r, cost, jz = trial, r_trial, cost_trial, j_trial
             damping *= _DAMPING_DOWN
             if converged:
                 break
@@ -278,9 +271,9 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     counts the fit's evaluations, the start included.
     """
     config = config or CalibrationConfig()
-    fun, residual, jac = _least_squares(slice_, config)
+    fun, residual = _least_squares(slice_, config)
     start, start_value = grid_init(fun)
-    z, evaluations = _levenberg_marquardt(residual, jac, _z(start))
+    z, evaluations = _levenberg_marquardt(residual, _z(start))
     theta = _theta(z)
     if not _admissible(theta):
         raise CalibrationError(f"optimizer left the admissible set at {theta}")

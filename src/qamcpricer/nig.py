@@ -22,10 +22,9 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import k0e, k1e
 
 from .errors import DomainError
-from .numerics import QuadratureRule, gauss_legendre_panels, integrate
+from .numerics import QuadratureRule, gauss_legendre_panels, horner, integrate
 
 if TYPE_CHECKING:  # pragma: no cover
     from .market_data import MarketSlice
@@ -33,6 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "NIGParams",
     "ExpNIGModel",
+    "kve",
     "nig_pdf",
     "nig_cdf",
     "martingale_adjustment",
@@ -47,6 +47,85 @@ __all__ = [
 # analytic but sharply peaked relative to its tail-complete support, so a
 # single wide panel loses spectral accuracy.
 _PRICING_PANELS = 24
+
+# e^z K_nu(z) for z > 2 is read off a table: sqrt(z) e^z K_nu(z) as a
+# degree-_BESSEL_DEGREE polynomial on each of _BESSEL_CELLS equal cells of
+# w = 2/z in (0, 1).  Up to z = 2 the power series takes _BESSEL_TERMS terms.
+# scipy.special.k0e and k1e are the tests' oracle.
+_BESSEL_CELLS, _BESSEL_DEGREE, _BESSEL_TERMS = 64, 5, 12
+
+
+def _bessel_table() -> np.ndarray:
+    """Local coefficients of sqrt(z) e^z K_nu(z), shape (nu, power, cell).
+
+    Cell j holds the polynomial in v in [0, 1], w = (j + v) / cells, that
+    interpolates the function at the Chebyshev nodes in v.  The values
+    come from DLMF 10.32.9, K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt:
+    with t = s / sqrt(z) and cosh t - 1 = 2 sinh^2(t / 2) (no cancellation),
+
+        sqrt(z) e^z K_nu(z) = int_0^inf exp(-2 z sinh^2(t / 2)) cosh(nu t) ds,
+
+    an even integrand that decays at least like exp(-s^2 / 2), on which the
+    trapezoid rule with step 0.2 is exact to rounding by s = 12.
+    """
+    nodes = 0.5 + 0.5 * np.cos(np.pi * (np.arange(_BESSEL_DEGREE + 1) + 0.5) / (_BESSEL_DEGREE + 1))
+    z = 2.0 * _BESSEL_CELLS / (np.arange(_BESSEL_CELLS)[:, None] + nodes)
+    t = 0.2 * np.arange(61) / np.sqrt(z)[..., None]
+    kernel = np.exp(-2.0 * z[..., None] * np.sinh(0.5 * t) ** 2)
+    step = np.full(t.shape[-1], 0.2)
+    step[0] = 0.1
+    values = np.stack([kernel @ step, (kernel * np.cosh(t)) @ step])
+    coeffs = np.linalg.solve(np.vander(nodes, increasing=True), values.reshape(-1, nodes.size).T)
+    return np.ascontiguousarray(coeffs.reshape(nodes.size, 2, _BESSEL_CELLS).swapaxes(0, 1))
+
+
+def _bessel_series() -> np.ndarray:
+    """Power-series coefficients in y = z^2 / 4, shape (nu, term, (A, B), 1).
+
+    The trailing axis lets one Horner pass sum A and B over an array of z.
+
+    A_k = 1 / (k! (k + nu)!) and B_k = (H_k + H_{k + nu}) A_k / 2, H_k the
+    harmonic numbers, so that by DLMF 10.31.1-2, with L = log(z / 2) + gamma,
+    K_0 = B - L A and K_1 = 1 / z + (z / 2) (L A - B).
+    """
+    k = np.arange(_BESSEL_TERMS)
+    factorial = np.cumprod(np.concatenate([[1.0], np.arange(1.0, _BESSEL_TERMS + 1)]))
+    harmonic = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1.0, _BESSEL_TERMS + 1))])
+    series = np.empty((2, _BESSEL_TERMS, 2, 1))
+    for nu in (0, 1):
+        series[nu, :, 0, 0] = 1.0 / (factorial[k] * factorial[k + nu])
+        series[nu, :, 1, 0] = 0.5 * (harmonic[k] + harmonic[k + nu]) * series[nu, :, 0, 0]
+    return series
+
+
+_BESSEL_TABLE = _bessel_table()
+_BESSEL_SERIES = _bessel_series()
+
+
+def kve(nu: int, z):
+    """Exponentially scaled modified Bessel function e^z K_nu(z), nu in {0, 1}, z > 0."""
+    z = np.asarray(z, dtype=float)
+    small = z <= 2.0
+    if not small.any():
+        return _kve_table(nu, z)
+    out = np.empty_like(z)
+    large = ~small
+    out[large] = _kve_table(nu, z[large])
+    out[small] = _kve_series(nu, z[small])
+    return out
+
+
+def _kve_table(nu: int, z: np.ndarray) -> np.ndarray:
+    # z > 2 keeps w * cells = 2 cells / z below cells after rounding too.
+    cell = (2.0 * _BESSEL_CELLS) / z
+    index = cell.astype(np.intp)
+    return horner(np.take(_BESSEL_TABLE[nu], index, axis=1), cell - index) / np.sqrt(z)
+
+
+def _kve_series(nu: int, z: np.ndarray) -> np.ndarray:
+    a, b = horner(_BESSEL_SERIES[nu], 0.25 * z * z)
+    core = (np.log(0.5 * z) + np.euler_gamma) * a - b
+    return (1.0 / z + 0.5 * z * core if nu else -core) * np.exp(z)
 
 
 @dataclass(frozen=True)
@@ -93,9 +172,9 @@ def nig_pdf(x, p: NIGParams, t: float = 1.0):
     dx = x_arr - mt
     s = np.sqrt(dt * dt + dx * dx)
     z = p.alpha * s
-    # K1(z) = k1e(z) exp(-z); fold exp(-z) into the main exponent.
+    # K1(z) = kve(1, z) exp(-z); fold exp(-z) into the main exponent.
     expo = dt * p.gamma + p.beta * dx - z
-    out = (p.alpha * dt / math.pi) * np.exp(expo) * k1e(z) / s
+    out = (p.alpha * dt / math.pi) * np.exp(expo) * kve(1, z) / s
     return float(out) if np.isscalar(x) else out
 
 
@@ -344,7 +423,8 @@ def _log_density_scores(x: np.ndarray, p: NIGParams, t: float) -> tuple[np.ndarr
     dt = delta * t
     dx = x - p.mu * t
     q = np.sqrt(dt * dt + dx * dx)
-    ratio = k0e(alpha * q) / k1e(alpha * q)  # the exp(-z) scalings cancel
+    z = alpha * q
+    ratio = kve(0, z) / kve(1, z)  # the exp(-z) scalings cancel
     scores = np.empty((x.size, 3))
     scores[:, 0] = -q * ratio + dt * alpha / g
     scores[:, 1] = dx - dt * beta / g

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
+from numpy.random import Generator
 
 from .copula import CopulaSpec, copula_weights_on_grid, grid_c_max
 from .cosine_density import CosineSeries, Interval, coeffs_classical, eval_cdf, eval_pdf
@@ -316,7 +317,7 @@ def riemann_reference(
     )
 
 
-def sample_grid_indices(masses: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+def sample_grid_indices(masses: np.ndarray, count: int, rng: Generator) -> np.ndarray:
     """Inverse-CDF draws of ``count`` cell indices from unnormalized masses.
 
     Returns exactly ``np.searchsorted(cdf, rng.random(count), side="right")``
@@ -361,7 +362,7 @@ def cmc_price(
     spec: CopulaSpec,
     formulation: str,
     samples: int,
-    rng: np.random.Generator,
+    rng: Generator,
     grid: PricingGrid | None = None,
     measure: GridMeasure | None = None,
 ) -> PriceEstimate:

@@ -32,7 +32,7 @@ def quote_slice(params, slice_, strikes):
 
 def objective(theta, slice_, cfg) -> float:
     """J(theta) as calibrate evaluates it."""
-    fun, _, _ = _least_squares(slice_, cfg)
+    fun, _ = _least_squares(slice_, cfg)
     return fun(np.asarray(theta, dtype=float))[0]
 
 
@@ -60,7 +60,7 @@ def jacobian_by_central_differences(residual, z):
         up, dn = z.copy(), z.copy()
         up[i] += step
         dn[i] -= step
-        columns.append((residual(up) - residual(dn)) / (2.0 * step))
+        columns.append((residual(up)[0] - residual(dn)[0]) / (2.0 * step))
     return np.column_stack(columns)
 
 
@@ -106,19 +106,18 @@ class TestObjective:
 
     def test_residual_norm_is_the_objective(self, axa_quote_slice):
         cfg = CalibrationConfig(regularization=1e-3)
-        fun, residual, _ = _least_squares(axa_quote_slice, cfg)
+        fun, residual = _least_squares(axa_quote_slice, cfg)
         for theta in FIT_POINTS[:3] + [bs_prior(axa_quote_slice)]:
             z = _z(theta)
             value = fun(_theta(z))[0]
-            assert float(np.sum(residual(z) ** 2)) == pytest.approx(value, rel=1e-14, abs=0.0)
+            assert float(np.sum(residual(z)[0] ** 2)) == pytest.approx(value, rel=1e-14, abs=0.0)
 
     def test_jacobian_matches_central_differences(self, axa_quote_slice):
         cfg = CalibrationConfig(regularization=1e-3)
-        _, residual, jac = _least_squares(axa_quote_slice, cfg)
+        _, residual = _least_squares(axa_quote_slice, cfg)
         for theta in FIT_POINTS:
             z = _z(theta)
-            exact = jac(z)  # first at this z: priced anew
-            assert np.array_equal(exact, jac(z))
+            exact = residual(z)[1]
             reference = jacobian_by_central_differences(residual, z)
             scale = np.max(np.abs(reference), axis=0)
             assert np.all(np.abs(exact - reference) <= 1e-6 * scale)
@@ -216,15 +215,15 @@ class TestBsPrior:
 
 
 def linear_problem(matrix, target):
-    """residual(z) = matrix (z - target) and its Jacobian, recording every z evaluated."""
+    """residual(z) = (matrix (z - target), matrix), recording every z evaluated."""
     matrix, target = np.asarray(matrix, dtype=float), np.asarray(target, dtype=float)
     evaluated = []
 
     def residual(z):
         evaluated.append(np.array(z, copy=True))
-        return matrix @ (z - target)
+        return matrix @ (z - target), matrix
 
-    return residual, lambda z: matrix, evaluated
+    return residual, evaluated
 
 
 class TestLevenbergMarquardt:
@@ -241,8 +240,8 @@ class TestLevenbergMarquardt:
         # Jacobian the box minimum is the target with one coordinate on its
         # bound; coupled, the other coordinates move to the box minimum.
         monkeypatch.setattr(calibration, "MAX_ITERATIONS", 60)
-        residual, jac, evaluated = linear_problem(matrix, target)
-        z, evaluations = _levenberg_marquardt(residual, jac, self.START)
+        residual, evaluated = linear_problem(matrix, target)
+        z, evaluations = _levenberg_marquardt(residual, self.START)
         side, index = bound
         assert 0.0 < abs(z[index] - BOUNDS[side][index]) <= TOLERANCE * (TOLERANCE + np.linalg.norm(z))
         lower, upper = np.array(BOUNDS)
@@ -250,23 +249,24 @@ class TestLevenbergMarquardt:
         assert evaluations == len(evaluated) <= 60
         # First-order optimality on the box: the gradient vanishes in the
         # free coordinates and pushes out of the box in the bound one.
-        gradient = np.asarray(jac(z)).T @ residual(z)
+        r, jz = residual(z)
+        gradient = jz.T @ r
         free = np.arange(3) != index
         assert np.all(np.abs(gradient[free]) <= 1e-6)
         assert gradient[index] * (1.0 if side == 0 else -1.0) > 0.0
 
     def test_evaluation_cap(self, monkeypatch):
         monkeypatch.setattr(calibration, "MAX_ITERATIONS", 3)
-        residual, jac, evaluated = linear_problem(np.eye(3), (-1.0, 2.0, 1.0))
-        _, evaluations = _levenberg_marquardt(residual, jac, self.START)
+        residual, evaluated = linear_problem(np.eye(3), (-1.0, 2.0, 1.0))
+        _, evaluations = _levenberg_marquardt(residual, self.START)
         assert evaluations == len(evaluated) == 3
 
     def test_singular_normal_matrix(self):
         # J^T J is singular along (1, -1, 0): only u + v is determined.
-        residual, jac, _ = linear_problem([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], (1.5, 2.5, 1.0))
+        residual, _ = linear_problem([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], (1.5, 2.5, 1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            z, _ = _levenberg_marquardt(residual, jac, self.START)
+            z, _ = _levenberg_marquardt(residual, self.START)
         assert z[0] + z[1] == pytest.approx(4.0, rel=1e-10)
         assert z[2] == pytest.approx(1.0, rel=1e-10)
 

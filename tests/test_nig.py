@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
@@ -16,6 +17,7 @@ from qamcpricer.nig import (
     ExpNIGModel,
     NIGParams,
     cumulant_interval,
+    kve,
     martingale_adjustment,
     nig_cdf,
     nig_cumulants,
@@ -45,6 +47,23 @@ class TestParams:
     def test_gamma(self):
         p = NIGParams(5.0, 3.0, 0.2)
         assert p.gamma == pytest.approx(4.0)
+
+
+class TestScaledBessel:
+    # Cell edges of the z > 2 table sit at z = 2 cells / j, z = 2 among them.
+    EDGES = 2.0 * nig._BESSEL_CELLS / np.arange(1, nig._BESSEL_CELLS + 1)
+
+    @pytest.mark.parametrize("nu, oracle", [(0, special.k0e), (1, special.k1e)], ids=["k0e", "k1e"])
+    def test_matches_scipy(self, nu, oracle):
+        z = np.concatenate(
+            [np.logspace(-4, 6, 4001), self.EDGES, np.nextafter(self.EDGES, 0.0), np.nextafter(self.EDGES, np.inf)]
+        )
+        assert np.max(np.abs(kve(nu, z) / oracle(z) - 1.0)) <= 1e-14
+
+    def test_keeps_the_input_shape(self):
+        z = np.array([[0.5, 3.0], [2.0, 40.0]])
+        assert kve(1, z).shape == (2, 2)
+        assert kve(0, 3.0).shape == ()
 
 
 class TestPdf:

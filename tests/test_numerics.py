@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
-from scipy.special import k1e
+from scipy import special
 
+from qamcpricer.copula import CLAMP_EPS
 from qamcpricer.errors import DomainError
+from qamcpricer.nig import kve
 from qamcpricer.numerics import (
     QuadratureRule,
     gauss_legendre_panels,
@@ -27,8 +29,8 @@ def k1_integral_oracle(z: float) -> float:
 
 
 def bessel_k1(z):
-    """K1 as nig_pdf evaluates it: the scaled kernel k1e times exp(-z)."""
-    return k1e(z) * np.exp(-z)
+    """K1 as nig_pdf evaluates it: the scaled kernel kve(1, z) times exp(-z)."""
+    return kve(1, z) * np.exp(-z)
 
 
 def rule_integral(f, interval, rule: QuadratureRule) -> float:
@@ -83,6 +85,10 @@ class TestStdNormal:
         # Frozen from a 30-digit erf-series evaluation.
         assert std_normal_cdf(1.0) == pytest.approx(0.8413447460685429, abs=1e-15)
 
+    def test_cdf_matches_scipy_ndtr(self):
+        x = np.linspace(-37.0, 8.0, 45001)
+        assert np.max(np.abs(std_normal_cdf(x) / special.ndtr(x) - 1.0)) <= 1e-13
+
     def test_cdf_monotone(self):
         grid = np.linspace(-10, 10, 2001)
         assert np.all(np.diff(std_normal_cdf(grid)) >= 0)
@@ -95,12 +101,21 @@ class TestStdNormal:
         assert std_normal_quantile(0.975) == pytest.approx(1.959963984540054, abs=1e-9)
 
     def test_quantile_cdf_round_trip(self):
-        for u in [1e-12, 1e-6, 0.025, 0.3, 0.5, 0.9, 1 - 1e-9]:
+        for u in [CLAMP_EPS, 1e-6, 0.025, 0.3, 0.5, 0.9, 1 - 1e-9, 1 - CLAMP_EPS]:
             assert abs(std_normal_cdf(std_normal_quantile(u)) - u) <= 1e-12
 
     @pytest.mark.parametrize("x", [-4.0, -1.0, 0.3, 4.0])
     def test_cdf_quantile_round_trip(self, x):
         assert std_normal_quantile(std_normal_cdf(x)) == pytest.approx(x, abs=1e-9)
+
+    def test_quantile_antisymmetric(self):
+        # 1 - u is exact for u in [1/2, 1), so each pair is exactly (u, 1 - u).
+        u = np.concatenate([np.linspace(0.5, 0.999, 999), 1.0 - np.logspace(-12, -3, 10)])
+        assert np.array_equal(std_normal_quantile(1.0 - u), -std_normal_quantile(u))
+
+    def test_quantile_matches_scipy_ndtri(self):
+        u = np.concatenate([np.logspace(-300, -1, 300), np.linspace(0.1, 0.49, 391), np.linspace(0.51, 0.9, 391)])
+        assert np.max(np.abs(std_normal_quantile(u) / special.ndtri(u) - 1.0)) <= 1e-14
 
     def test_quantile_monotone(self):
         u = np.linspace(1e-6, 1 - 1e-6, 501)
