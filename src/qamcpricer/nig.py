@@ -10,15 +10,14 @@ follow NIG(alpha, beta, delta*t, mu*t).  The exponential model prices the
 asset as S(T) = S0 exp((r - q + omega) T + X(T)) where omega is the
 martingale adjustment making the discounted asset a martingale.
 
-European prices are computed by quadrature of the payoff against the density
-(the tests cross-check them with a Fourier-cosine pricer).
+European prices are payoff quadratures on an interval set by a closed-form
+tail bound (the tests cross-check them with a Fourier-cosine pricer).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -37,8 +36,7 @@ __all__ = [
     "nig_cdf",
     "martingale_adjustment",
     "nig_cumulants",
-    "cumulant_interval",
-    "widened_interval",
+    "pricing_interval",
     "support_interval",
     "price_european_batch",
 ]
@@ -105,13 +103,12 @@ _BESSEL_SERIES = _bessel_series()
 def kve(nu: int, z):
     """Exponentially scaled modified Bessel function e^z K_nu(z), nu in {0, 1}, z > 0."""
     z = np.asarray(z, dtype=float)
-    small = z <= 2.0
-    if not small.any():
+    large = z > 2.0
+    if large.all():
         return _kve_table(nu, z)
     out = np.empty_like(z)
-    large = ~small
     out[large] = _kve_table(nu, z[large])
-    out[small] = _kve_series(nu, z[small])
+    out[~large] = _kve_series(nu, z[~large])  # NaN too: the table cannot index it
     return out
 
 
@@ -167,6 +164,8 @@ def nig_pdf(x, p: NIGParams, t: float = 1.0):
     if t <= 0:
         raise DomainError("time scale t must be positive")
     x_arr = np.asarray(x, dtype=float)
+    if np.isnan(x_arr).any():
+        raise DomainError("x must not be NaN")
     dt = p.delta * t
     mt = p.mu * t
     dx = x_arr - mt
@@ -194,13 +193,6 @@ def nig_cumulants(p: NIGParams, t: float = 1.0) -> tuple[float, float, float]:
     c2 = dt * p.alpha**2 / g**3
     c4 = 3.0 * dt * p.alpha**2 * (p.alpha**2 + 4.0 * p.beta**2) / g**7
     return c1, c2, c4
-
-
-def cumulant_interval(p: NIGParams, t: float = 1.0, width: float = 10.0) -> tuple[float, float]:
-    """Symmetric truncation interval [c1 - width*s, c1 + width*s], s = sqrt(c2 + sqrt(c4))."""
-    c1, c2, c4 = nig_cumulants(p, t)
-    half = width * math.sqrt(c2 + math.sqrt(c4))
-    return c1 - half, c1 + half
 
 
 def _far_anchors(p: NIGParams, t: float) -> tuple[float, float]:
@@ -253,25 +245,34 @@ def _tail_end(tail_mass, outer: float, inner: float, target: float) -> float:
     return outer
 
 
-@lru_cache(maxsize=4096)
-def widened_interval(p: NIGParams, t: float, left_eps: float, right_eps: float) -> tuple[float, float]:
-    """Cumulant interval from width 10, widened by +2 until the tails pass.
+def pricing_interval(p: NIGParams, t: float) -> tuple[float, float]:
+    """Pricing interval [c1 - w_a s, c1 + w_b s] with s = sqrt(c2 + sqrt(c4)).
 
-    The tails pass when the quadrature mass left of a is <= left_eps and the
-    mass right of b is <= right_eps.  NIG tails decay exponentially, so this
-    terminates; width 60 is the stop regardless.
+    Each width is the first of 10, 12, ..., 60 (the stop regardless) whose
+    closed-form bound on the mass below a, or on the share of E[e^X] above b
+    (calls weight the tail by e^x), is <= 1e-11.  As K1(z) <= sqrt(pi / 2z)
+    e^-z (1 + 3 / 8z) (DLMF 10.40(ii)), a tail beyond distance m from mu t has
+    at most delta t sqrt(alpha / 2 pi) e^(delta t g) m^-3/2 (1 + 3 / (8 alpha m))
+    e^(-r m) / r: g = gamma and r = alpha + beta on the left, and on the right
+    g = sqrt(alpha^2 - (beta + 1)^2) and r = alpha - beta - 1.
     """
-    lo, hi = _far_anchors(p, t)
-    width = 10.0
-    while True:
-        a, b = cumulant_interval(p, t, width)
-        if width >= 60.0:
-            return a, b
-        left = _mass(p, t, lo, a) if a > lo else 0.0
-        right = _mass(p, t, b, hi) if b < hi else 0.0
-        if left <= left_eps and right <= right_eps:
-            return a, b
-        width += 2.0
+    c1, c2, c4 = nig_cumulants(p, t)
+    scale = math.sqrt(c2 + math.sqrt(c4))
+    g1 = math.sqrt(p.alpha**2 - (p.beta + 1.0) ** 2)
+    w_a = _bound_width(p, t, p.gamma, p.alpha + p.beta, p.mu * t - c1, scale)
+    w_b = _bound_width(p, t, g1, p.alpha - p.beta - 1.0, c1 - p.mu * t, scale)
+    return c1 - w_a * scale, c1 + w_b * scale
+
+
+def _bound_width(p: NIGParams, t: float, g: float, rate: float, shift: float, scale: float) -> int:
+    """First width w < 60 whose end m = shift + w scale > 0 has a tail bound <= 1e-11, in logs; else 60."""
+    dt = p.delta * t
+    log_c = math.log(dt * math.sqrt(p.alpha / (2.0 * math.pi)) / (rate * 1e-11)) + dt * g
+    for width in range(10, 60, 2):
+        m = shift + width * scale
+        if m > 0 and log_c - 1.5 * math.log(m) + math.log1p(0.375 / (p.alpha * m)) <= rate * m:
+            return width
+    return 60
 
 
 def support_interval(
@@ -318,15 +319,15 @@ class ExpNIGModel:
 def price_european_batch(model: ExpNIGModel, strikes, kinds, gradient: bool = False):
     """European prices of many (strike, kind) pairs off one density evaluation.
 
-    Discounted quadrature of each payoff against the density on the pricing
-    interval: the cumulant rule (width 10), widened by +2 until each tail
-    holds at most 1e-11 mass.  One composite Gauss-Legendre grid has every
+    Discounted quadrature of each payoff against the density on
+    ``pricing_interval``, beyond which lie at most 1e-11 of the mass (left)
+    and of the forward (right).  One composite Gauss-Legendre grid has every
     payoff kink among its panel edges, so each quote's integral is an exact
-    sub-sum of the shared nodes and sees an analytic integrand per panel:
-    a suffix (call) or prefix (put) sum, read off one cumulative sum each way.
-    A single quote is a batch of one.  The result is independent of the
-    location parameter mu.  Tails too heavy for a finite S(T) on the
-    interval are a DomainError.
+    sub-sum of the shared nodes and sees an analytic integrand per panel: a
+    suffix (call) or prefix (put) sum, read off one cumulative sum each way.
+    A single quote is a batch of one.  The result is independent of mu.
+    Strikes must be positive and finite.  Tails too heavy for a finite S(T)
+    on the interval are a DomainError.
 
     With ``gradient=True`` the result is ``(prices, d_prices)``, where row m
     of ``d_prices`` is d price_m / d(alpha, beta, delta) of the quadrature
@@ -335,13 +336,13 @@ def price_european_batch(model: ExpNIGModel, strikes, kinds, gradient: bool = Fa
     and through its node and weight: the panel edges are the interval ends,
     which scale with the cumulants, and the kinks, which move against the
     drift.  So the gradient is that of the computed prices wherever the
-    interval's width step is locally constant, in tails slow or not.
+    interval's width steps are locally constant, in tails slow or not.
     """
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or len(kinds) != strikes.size:
         raise DomainError("strikes must be a flat vector with one kind per strike")
-    if np.any(strikes <= 0):
-        raise DomainError("strikes must be positive")
+    if not np.all(np.isfinite(strikes) & (strikes > 0)):
+        raise DomainError("strikes must be positive and finite")
     for kind in kinds:
         if kind not in ("C", "P"):
             raise DomainError(f"unknown option kind {kind!r}")
@@ -349,7 +350,7 @@ def price_european_batch(model: ExpNIGModel, strikes, kinds, gradient: bool = Fa
     t = model.slice_.expiry
     spot = model.slice_.spot
     drift = model.drift
-    a, b = widened_interval(p, t, 1e-11, 1e-11)
+    a, b = pricing_interval(p, t)
     if math.log(spot) + drift + b >= math.log(np.finfo(float).max):
         raise DomainError(f"S(T) overflows on the pricing interval [{a:.6g}, {b:.6g}] of {p}")
     # Payoff kinks in x-space, log(K / S0) - drift, one drift per batch.
@@ -446,15 +447,15 @@ def _drift_gradient(p: NIGParams, t: float) -> np.ndarray:
 
 
 def _interval_gradient(p: NIGParams, t: float, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """d(a, b) / d(alpha, beta, delta) of a cumulant interval [a, b] at fixed width.
+    """d(a, b) / d(alpha, beta, delta) of a pricing interval [a, b] at fixed widths.
 
-    a, b = c1 -+ width * s with s = sqrt(c2 + sqrt(c4)), so both ends move by
-    d c1 -+ ((b - a) / 2) d log s.
+    a = c1 - w_a s and b = c1 + w_b s with s = sqrt(c2 + sqrt(c4)), so the
+    ends move by d c1 - (c1 - a) d log s and d c1 + (b - c1) d log s.
     """
     alpha, beta, delta = p.alpha, p.beta, p.delta
     g2 = p.gamma**2
     dt = delta * t
-    _, c2, c4 = nig_cumulants(p, t)
+    c1, c2, c4 = nig_cumulants(p, t)
     d_c1 = np.array([-dt * alpha * beta, dt * alpha**2, t * beta * g2]) / (g2 * p.gamma)
     d_log_c2 = np.array([2.0 / alpha - 3.0 * alpha / g2, 3.0 * beta / g2, 1.0 / delta])
     mix = alpha**2 + 4.0 * beta**2
@@ -463,5 +464,4 @@ def _interval_gradient(p: NIGParams, t: float, a: float, b: float) -> tuple[np.n
     )
     root_c4 = math.sqrt(c4)
     d_log_s = (c2 * d_log_c2 + 0.5 * root_c4 * d_log_c4) / (2.0 * (c2 + root_c4))
-    half = 0.5 * (b - a)
-    return d_c1 - half * d_log_s, d_c1 + half * d_log_s
+    return d_c1 - (c1 - a) * d_log_s, d_c1 + (b - c1) * d_log_s

@@ -2,9 +2,9 @@
 
 The sup-error ceilings of the cosine expansion (algebraic zeta K^-m or
 exponential zeta exp(-nu K) coefficient decay), the empirical decay fit that
-feeds them, and the tail-mass interval rule they are stated on.  No pipeline
-stage selects its truncation order from them yet; the density stage takes a
-fixed number of terms.
+feeds them, and the symmetric cumulant interval the tests integrate the
+density on.  No pipeline stage selects its truncation order from them yet;
+the density stage takes a fixed number of terms.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from qamcpricer.cosine_density import CosineSeries, Interval
 from qamcpricer.errors import DomainError, ValidationError
-from qamcpricer.nig import NIGParams, widened_interval
+from qamcpricer.nig import NIGParams, nig_cumulants
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,11 @@ def select_terms(sel: KSelection, interval: Interval) -> int:
     return max(1, math.ceil(value))
 
 
-def choose_interval(p: NIGParams, t: float, epsilon: float) -> Interval:
-    """Symmetric cumulant interval, widened until the tail condition holds.
-
-    The interval satisfies F(a) <= epsilon/2 and F(b) >= 1 - epsilon by
-    quadrature tail masses (see nig.widened_interval).
-    """
-    if not (0.0 < epsilon < 1.0):
-        raise DomainError("epsilon must lie in (0, 1)")
-    return Interval(*widened_interval(p, t, 0.5 * epsilon, epsilon))
+def cumulant_interval(p: NIGParams, t: float, width: float) -> tuple[float, float]:
+    """Symmetric truncation interval [c1 - width*s, c1 + width*s], s = sqrt(c2 + sqrt(c4))."""
+    c1, c2, c4 = nig_cumulants(p, t)
+    half = width * math.sqrt(c2 + math.sqrt(c4))
+    return c1 - half, c1 + half
 
 
 def estimate_decay(series: CosineSeries, floor: float = 1e-13) -> tuple[float, float]:

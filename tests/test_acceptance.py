@@ -36,7 +36,6 @@ from qamcpricer.market_data import (
 from qamcpricer.nig import (
     ExpNIGModel,
     NIGParams,
-    cumulant_interval,
     nig_cdf,
     nig_pdf,
     price_european_batch,
@@ -47,7 +46,7 @@ from qamcpricer.pricing import GridMeasure, cmc_price
 from qamcpricer.qamc import AEConfig, iqae_estimate, qamc_price
 
 from cos_pricing import price_european_cos
-from series_bounds import estimate_decay
+from series_bounds import cumulant_interval, estimate_decay
 
 # Deterministic regression pins for the experiment-scale Riemann references
 # (spread: AXA/Michelin rho=-0.25 K=0 J=2^3/dim; basket: three names K=25

@@ -16,11 +16,11 @@ from qamcpricer.cosine_density import (
     series_to_json,
 )
 from qamcpricer.errors import DomainError
-from qamcpricer.nig import cumulant_interval, nig_cdf, nig_pdf, support_interval
+from qamcpricer.nig import nig_cdf, nig_pdf, support_interval
 from qamcpricer.numerics import integrate
 from qamcpricer.qamc import AEConfig, signed_ae_estimate
 
-from series_bounds import KSelection, choose_interval, estimate_decay, select_terms
+from series_bounds import KSelection, estimate_decay, select_terms
 
 
 @pytest.fixture(scope="module")
@@ -184,28 +184,6 @@ class TestSelectTerms:
             KSelection("exponential", zeta=-1.0, rate=1.0, epsilon=0.1)
         with pytest.raises(DomainError):
             KSelection("other", zeta=1.0, rate=1.0, epsilon=0.1)
-
-
-class TestChooseInterval:
-    def test_axa_keeps_default_width_at_1e6(self, axa_params):
-        iv = choose_interval(axa_params, 1.0, 1e-6)
-        a10, b10 = cumulant_interval(axa_params, 1.0, 10.0)
-        assert iv.a == pytest.approx(a10) and iv.b == pytest.approx(b10)
-        assert nig_cdf(iv.a, axa_params) <= 5e-7
-        assert 1.0 - nig_cdf(iv.b, axa_params) <= 1e-6
-
-    def test_symmetric_params_symmetric_interval(self):
-        from qamcpricer.nig import NIGParams
-
-        p = NIGParams(4.0, 0.0, 0.3)
-        iv = choose_interval(p, 1.0, 1e-6)
-        assert iv.a == pytest.approx(-iv.b, abs=1e-12)
-
-    def test_widening_reduces_tail_mass(self, axa_params):
-        tight = choose_interval(axa_params, 1.0, 1e-4)
-        wide = choose_interval(axa_params, 1.0, 1e-9)
-        assert wide.a <= tight.a and wide.b >= tight.b
-        assert nig_cdf(wide.a, axa_params) <= nig_cdf(tight.a, axa_params)
 
 
 class TestSerialization:

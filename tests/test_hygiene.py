@@ -1,5 +1,6 @@
 """Source hygiene: every module under src/ and tests/ uses each name it imports,
-every export has a reader, and a CLI run imports no scipy."""
+every export has a reader, src/ memoizes nothing keyed by model inputs, and a
+CLI run imports no scipy."""
 
 import ast
 import os
@@ -106,6 +107,65 @@ def test_unreferenced_export_is_found():
     )
     other = "import m\nm.attr_only()\nused()\n"
     assert unreferenced_exports(module, [module, other]) == ["self_only"]
+
+
+def memo_sites(source: str) -> list[str]:
+    """Where a module uses functools' lru_cache or cache, as the dotted name of the enclosing def or class.
+
+    A decorator counts for the function it decorates; a use at top level is ``<module>``.
+    """
+    tree = ast.parse(source)
+    memos = ("lru_cache", "cache")
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in memos
+    }
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            elif (isinstance(child, ast.Name) and child.id in aliases) or (
+                isinstance(child, ast.Attribute)
+                and child.attr in memos
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "functools"
+            ):
+                sites.append(scope or "<module>")
+            else:
+                visit(child, scope)
+
+    visit(tree, "")
+    return sites
+
+
+def test_only_the_quadrature_rule_is_memoized():
+    # A process-global memo keyed by model parameters makes a repeated run
+    # faster than a first one and hides the cost of what it caches; the
+    # Gauss-Legendre rule depends on its node count alone.
+    sites = [
+        f"{path.stem}.{site}" for path in sorted((ROOT / "src").rglob("*.py")) for site in memo_sites(path.read_text())
+    ]
+    assert sites == ["numerics.QuadratureRule.gauss_legendre"]
+
+
+def test_memo_site_is_found():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache as memo\n"
+        "class Rule:\n"
+        "    @memo(maxsize=None)\n"
+        "    def nodes(n): pass\n"
+        "@functools.cache\n"
+        "def f(x): pass\n"
+        "g = functools.lru_cache(f)\n"
+        "def h(cache): return cache\n"
+    )
+    assert memo_sites(source) == ["Rule.nodes", "f", "<module>"]
 
 
 # Run in a fresh interpreter: pytest's own warning filters import scipy.optimize.

@@ -12,24 +12,25 @@ from scipy.optimize import minimize_scalar
 
 from qamcpricer import nig
 from qamcpricer.errors import DomainError
+from qamcpricer.experiments import FIXTURES
 from qamcpricer.market_data import MarketSlice
 from qamcpricer.nig import (
     ExpNIGModel,
     NIGParams,
-    cumulant_interval,
     kve,
     martingale_adjustment,
     nig_cdf,
     nig_cumulants,
     nig_pdf,
     price_european_batch,
+    pricing_interval,
     support_interval,
-    widened_interval,
 )
 from qamcpricer.numerics import QuadratureRule, gauss_legendre_panels, integrate
 
 from cos_pricing import nig_char_exponent, price_european_cos
 from nig_sampling import sample_nig
+from series_bounds import cumulant_interval
 
 
 class TestParams:
@@ -59,6 +60,13 @@ class TestScaledBessel:
             [np.logspace(-4, 6, 4001), self.EDGES, np.nextafter(self.EDGES, 0.0), np.nextafter(self.EDGES, np.inf)]
         )
         assert np.max(np.abs(kve(nu, z) / oracle(z) - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("nu", [0, 1])
+    def test_nan_gives_nan(self, nu):
+        # As scipy's k0e and k1e do; the z > 2 table cannot index a NaN.
+        out = kve(nu, np.array([1.0, np.nan, 3.0]))
+        assert np.isnan(out[1]) and np.all(np.isfinite(out[[0, 2]]))
+        assert np.isnan(kve(nu, np.nan))
 
     def test_keeps_the_input_shape(self):
         z = np.array([[0.5, 3.0], [2.0, 40.0]])
@@ -96,6 +104,12 @@ class TestPdf:
     def test_domain_error_on_bad_t(self, axa_params):
         with pytest.raises(DomainError):
             nig_pdf(0.0, axa_params, 0.0)
+
+    @pytest.mark.parametrize("f", [nig_pdf, nig_cdf], ids=["pdf", "cdf"])
+    @pytest.mark.parametrize("x", [math.nan, [0.0, math.nan]], ids=["scalar", "array"])
+    def test_domain_error_on_nan_x(self, axa_params, f, x):
+        with pytest.raises(DomainError):
+            f(x, axa_params)
 
 
 class TestCharExponent:
@@ -221,6 +235,27 @@ class TestPriceEuropean:
         with pytest.raises(DomainError):
             price_european_batch(model, [[30.0, 31.0]], ["C", "C"])
 
+    @pytest.mark.parametrize("strike", [0.0, -1.0, math.nan, math.inf])
+    def test_strikes_positive_and_finite(self, axa_params, axa_slice, strike):
+        # Unchecked, a NaN strike prices to nan and an infinite put to inf.
+        with pytest.raises(DomainError):
+            price_european_batch(ExpNIGModel(axa_params, axa_slice), [30.0, strike], ["C", "P"])
+
+    def test_put_call_parity_slow_right_tail(self):
+        # alpha - beta - 1 = 1.21: a right tail with little mass but much of
+        # the forward.  Cut on its mass alone, parity misses by 3.4e-6.
+        model = ExpNIGModel(NIGParams(4.91, 2.70, 0.33), PROPERTY_SLICE)
+        strikes = np.linspace(20.0, 40.0, 21)
+        calls = price_european_batch(model, strikes, ["C"] * strikes.size)
+        puts = price_european_batch(model, strikes, ["P"] * strikes.size)
+        parity = PROPERTY_SLICE.discount_factor * (PROPERTY_SLICE.forward - strikes)
+        assert np.max(np.abs(calls - puts - parity)) <= 1e-9
+
+    def test_runs_no_tail_quadrature(self, axa_params, axa_slice, monkeypatch):
+        # The pricing interval is closed-form: a batch calls no integrate.
+        monkeypatch.setattr(nig, "integrate", None)
+        assert price_european_batch(ExpNIGModel(axa_params, axa_slice), [33.8], ["C"], gradient=True)[0][0] > 0.0
+
     @pytest.mark.parametrize("params", [NIGParams(2.0, -1.99999, 0.3), NIGParams(6.0, -5.9999, 0.2)])
     def test_tails_too_heavy_to_price_rejected(self, params):
         # Admissible, but alpha + beta ~ 0 stretches the pricing interval to
@@ -264,6 +299,14 @@ def gradient_quotes(slice_):
     return strikes, kinds
 
 
+# alpha - beta = 1.001: e^x f decays like exp(-0.001 x), so the moving
+# interval ends carry most of the price derivative.
+SLOW_RIGHT = NIGParams(3.0, 1.999, 0.2)
+# alpha + beta = 0.01: a finite S(T) on the pricing interval needs
+# delta t <~ 0.002, a sharp core, and the width-60 stop.
+SLOW_LEFT = NIGParams(0.6, -0.59, 0.001)
+
+
 class TestPriceGradient:
     @pytest.mark.parametrize(
         "name, params, spot",
@@ -271,12 +314,8 @@ class TestPriceGradient:
             ("AXA", NIGParams(5.24, -3.26, 0.18), 33.8),
             ("CREDIT_AGRICOLE", NIGParams(4.69, -3.06, 0.18), 12.91),
             ("MICHELIN", NIGParams(6.2, -3.31, 0.26), 31.76),
-            # alpha - beta = 1.001: e^x f decays like exp(-0.001 x), so the
-            # moving interval ends carry most of the derivative.
-            ("SLOW_RIGHT", NIGParams(3.0, 1.999, 0.2), 30.0),
-            # alpha + beta = 0.01: a finite S(T) on the pricing interval needs
-            # delta t <~ 0.002, a sharp core, and the width-60 stop.
-            ("SLOW_LEFT", NIGParams(0.6, -0.59, 0.001), 30.0),
+            ("SLOW_RIGHT", SLOW_RIGHT, 30.0),
+            ("SLOW_LEFT", SLOW_LEFT, 30.0),
         ],
     )
     def test_matches_central_differences(self, name, params, spot):
@@ -369,7 +408,7 @@ def per_quote_prices(model, strikes, kinds):
     split at every kink of the batch), one sum per quote.
     """
     p, slice_ = model.params, model.slice_
-    a, b = widened_interval(p, slice_.expiry, 1e-11, 1e-11)
+    a, b = pricing_interval(p, slice_.expiry)
     x_stars = [math.log(strike / slice_.spot) - model.drift for strike in strikes]
     kinks = sorted({x_star for x_star in x_stars if a < x_star < b})
     edges = np.unique(np.concatenate([np.linspace(a, b, nig._PRICING_PANELS + 1), kinks]))
@@ -424,6 +463,78 @@ class TestPricerProperties:
         ladder = list(np.linspace(0.7, 1.3, 7) * PROPERTY_SLICE.forward)
         batch = price_european_batch(model, ladder + [strike], ["C", "P"] * 3 + ["C", kind])
         assert price_european_batch(model, [strike], [kind])[0] == pytest.approx(batch[-1], abs=1e-12)
+
+
+def tail_bound(p, t, end, side):
+    """The closed-form tail bound of nig.pricing_interval, inf for an end on the wrong side of mu t.
+
+    Left: the mass below ``end``.  Right: the share of E[e^X] above it.
+    """
+    dt = p.delta * t
+    if side == "left":
+        m, g, rate = p.mu * t - end, p.gamma, p.alpha + p.beta
+    else:
+        m, g, rate = end - p.mu * t, math.sqrt(p.alpha**2 - (p.beta + 1.0) ** 2), p.alpha - p.beta - 1.0
+    if m <= 0:
+        return math.inf
+    root = dt * math.sqrt(p.alpha / (2.0 * math.pi)) * math.exp(dt * g)
+    return root * m**-1.5 * (1.0 + 3.0 / (8.0 * p.alpha * m)) * math.exp(-rate * m) / rate
+
+
+def quadrature_tail(p, t, end, side):
+    """The tail that tail_bound bounds, by quadrature over 100 e-folds of its rate.
+
+    The right tail stops by x = 700, where e^x still fits a float.  A cut tail
+    is a lower estimate, so it may be held to the bound all the same.
+    """
+    if side == "left":
+        return integrate(lambda x: nig_pdf(x, p, t), (end - 100.0 / (p.alpha + p.beta), end), panels=64)
+    log_mean = t * (p.mu + p.delta * (p.gamma - math.sqrt(p.alpha**2 - (p.beta + 1.0) ** 2)))
+    reach = min(100.0 / (p.alpha - p.beta - 1.0), 700.0 - end)
+    return integrate(lambda x: np.exp(x - log_mean) * nig_pdf(x, p, t), (end, end + reach), panels=64)
+
+
+def check_pricing_interval(p, t):
+    """Each end lies at the first width of 10, 12, ..., 60 whose tail bound is <= 1e-11 (60 is the stop),
+    and the quadrature tail beyond it is within the bound."""
+    c1, c2, c4 = nig_cumulants(p, t)
+    scale = math.sqrt(c2 + math.sqrt(c4))
+    a, b = pricing_interval(p, t)
+    for side, sign, end in (("left", -1.0, a), ("right", 1.0, b)):
+        width = round(sign * (end - c1) / scale)
+        assert width in range(10, 62, 2) and end == c1 + sign * width * scale
+        bound = tail_bound(p, t, end, side)
+        assert quadrature_tail(p, t, end, side) <= bound
+        assert bound <= 1e-11 or width == 60
+        assert width == 10 or tail_bound(p, t, c1 + sign * (width - 2) * scale, side) > 1e-11
+
+
+class TestPricingInterval:
+    def test_bessel_majorant(self):
+        # DLMF 10.40(ii): K1(z) <= sqrt(pi / 2z) e^-z (1 + 3 / 8z) for z > 0.
+        z = np.logspace(-3, 3, 601)
+        assert np.all(np.sqrt(2.0 * z / np.pi) * special.k1e(z) <= 1.0 + 3.0 / (8.0 * z))
+
+    @pytest.mark.parametrize(
+        "params",
+        [*(params for params, _ in FIXTURES.values()), SLOW_RIGHT, SLOW_LEFT],
+        ids=[*FIXTURES, "SLOW_RIGHT", "SLOW_LEFT"],
+    )
+    def test_ends_pass_the_tail_bound(self, params):
+        check_pricing_interval(params, 1.0)
+
+    @property_settings
+    @given(params=equity_laws, t=st.floats(0.1, 2.0))
+    def test_ends_pass_the_tail_bound_on_equity_laws(self, params, t):
+        check_pricing_interval(params, t)
+
+    def test_slow_tails_stop_at_width_60(self):
+        # SLOW_RIGHT's forward share and SLOW_LEFT's mass beyond width 60 are
+        # above 1e-11: the stop is silent.
+        for params, side in ((SLOW_RIGHT, 1), (SLOW_LEFT, 0)):
+            c1, c2, c4 = nig_cumulants(params)
+            end = pricing_interval(params, 1.0)[side]
+            assert abs(end - c1) == pytest.approx(60.0 * math.sqrt(c2 + math.sqrt(c4)), rel=1e-12)
 
 
 class TestSampling:
