@@ -29,8 +29,8 @@ from .errors import ValidationError
 from .market_data import MarketSlice
 from .nig import NIGParams, nig_cdf, nig_pdf, support_interval
 from .pricing import (
-    AssetMarginal, GridMeasure, Payoff, PricingGrid, cmc_price, midpoint_cells, normalize_cell_masses,
-    sample_grid_indices,
+    AssetMarginal, GridMeasure, Payoff, PricingGrid, cmc_price, count_grid_cells, midpoint_cells,
+    normalize_cell_masses,
 )
 from .qamc import AEConfig, AEResult, qamc_price, signed_ae_estimate
 
@@ -139,13 +139,35 @@ def basket_setup():
     return Payoff("basket-call", BASKET_STRIKE), marginals, spec, grid
 
 
+def _ci90(values) -> tuple[float, float]:
+    """The 5th and 95th percentiles, bit for bit as np.percentile's default (linear) method gives them.
+
+    Sorts, then interpolates at the virtual index (n - 1) q / 100 the way
+    numpy does; np.percentile itself loads numpy.ma on its first call.  Bit
+    equality needs values without -0.0, which numpy may order either side
+    of 0.0 (the studies pass absolute errors).
+    """
+    ordered = np.sort(np.ravel(values))
+    last = ordered.size - 1
+    bounds = []
+    for q in (5, 95):
+        virtual = last * (q / 100)
+        lo = math.floor(virtual)
+        t = virtual - lo
+        below, above = float(ordered[lo]), float(ordered[min(lo + 1, last)])
+        step = above - below
+        bounds.append(above - step * (1 - t) if t >= 0.5 else below + step * t)
+    return bounds[0], bounds[1]
+
+
 def _percentile_record(method: str, cost: float, errors: np.ndarray) -> ConvergenceRecord:
+    ci90_lo, ci90_hi = _ci90(errors)
     return ConvergenceRecord(
         method=method,
         cost=float(cost),
         mean_abs_err=float(np.mean(errors)),
-        ci90_lo=float(np.percentile(errors, 5)),
-        ci90_hi=float(np.percentile(errors, 95)),
+        ci90_lo=ci90_lo,
+        ci90_hi=ci90_hi,
     )
 
 
@@ -163,8 +185,9 @@ def _cmc_coefficients(
     table: np.ndarray, masses: np.ndarray, samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """All coefficients from one shared classical sample of grid nodes."""
-    idx = sample_grid_indices(masses, samples, rng)
-    counts = np.bincount(idx, minlength=masses.size)
+    cells, drawn = count_grid_cells(masses, samples, rng)
+    counts = np.zeros(masses.size, dtype=drawn.dtype)
+    counts[cells] = drawn
     return (table @ counts) / samples
 
 
@@ -265,6 +288,8 @@ def study_density_recovery(cfg: StudyConfig):
                 series = CosineSeries(iv, coeffs)
                 sup_pdf[rep] = np.max(np.abs(eval_pdf(series, xs) - pdf_true))
                 sup_cdf[rep] = np.max(np.abs(eval_cdf(series, xs) - cdf_true))
+            pdf_lo, pdf_hi = _ci90(sup_pdf)
+            cdf_lo, cdf_hi = _ci90(sup_cdf)
             rows.append(
                 {
                     "method": method,
@@ -272,12 +297,12 @@ def study_density_recovery(cfg: StudyConfig):
                     "cost": cfg.matched_cost,
                     "sup_pdf_err_mean": float(sup_pdf.mean()),
                     "sup_pdf_err_median": float(np.median(sup_pdf)),
-                    "sup_pdf_ci90_lo": float(np.percentile(sup_pdf, 5)),
-                    "sup_pdf_ci90_hi": float(np.percentile(sup_pdf, 95)),
+                    "sup_pdf_ci90_lo": pdf_lo,
+                    "sup_pdf_ci90_hi": pdf_hi,
                     "sup_cdf_err_mean": float(sup_cdf.mean()),
                     "sup_cdf_err_median": float(np.median(sup_cdf)),
-                    "sup_cdf_ci90_lo": float(np.percentile(sup_cdf, 5)),
-                    "sup_cdf_ci90_hi": float(np.percentile(sup_cdf, 95)),
+                    "sup_cdf_ci90_lo": cdf_lo,
+                    "sup_cdf_ci90_hi": cdf_hi,
                 }
             )
     return rows

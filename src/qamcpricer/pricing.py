@@ -13,6 +13,10 @@ discretization error.
 CMC draws nodes of that same measure, in either formulation: joint sampling
 of the copula-weighted cell masses, or independent marginals with the copula
 weight moved into the payoff.  Its estimate is unbiased for the reference.
+Draws are exact inverse-CDF draws, through a guide table once the draw is as
+large as the table.  CMC keeps only how often each node was drawn and takes
+its mean and standard error from those (node, count) pairs, so the joint
+formulation holds no draw-sized array.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ __all__ = [
     "eval_payoff",
     "normalize_cell_masses",
     "sample_grid_indices",
+    "count_grid_cells",
     "riemann_reference",
     "cmc_price",
 ]
@@ -317,35 +322,39 @@ def riemann_reference(
     )
 
 
-def sample_grid_indices(masses: np.ndarray, count: int, rng: Generator) -> np.ndarray:
-    """Inverse-CDF draws of ``count`` cell indices from unnormalized masses.
+def _index_chunks(masses: np.ndarray, count: int, rng: Generator):
+    """Yield ``np.searchsorted(cdf, rng.random(count), side="right")`` in order, in pieces.
 
-    Returns exactly ``np.searchsorted(cdf, rng.random(count), side="right")``
-    for the normalized cumulative masses, and leaves ``rng`` where that call
-    would.  When the draw is at least as large as the table, a guide table
-    (Chen & Asau, 1974) replaces the binary search: [0, 1) is cut into a
-    power of two B of equal buckets, so u*B and the bucket edges are exact;
-    a bucket holding no CDF step maps every uniform in it to one index, and
-    only uniforms in a bucket that holds a step are searched.  The uniforms
-    are drawn in cache-sized chunks, which is the same stream as one call.
+    ``cdf`` is the normalized cumulative masses.  Below the guide threshold
+    the binary search runs once and the whole draw is one piece.  When the
+    draw is at least as large as the table, a guide table (Chen & Asau, 1974)
+    replaces the search: [0, 1) is cut into a power of two B of equal
+    buckets, so u*B and the bucket edges are exact; a bucket holding no CDF
+    step maps every uniform in it to one index, and only uniforms in a bucket
+    that holds a step are searched.  The uniforms are then drawn in chunks,
+    which is the same stream as one call, and each piece is a view of one
+    reused buffer, valid until the next is yielded.  A chunk is at least as
+    long as the table, so a per-chunk count of cells costs O(chunk).
     """
     cdf = np.cumsum(masses)
     cdf /= cdf[-1]
     cdf[-1] = 1.0
     buckets = 1 << (_GUIDE_BUCKETS_PER_CELL * cdf.size - 1).bit_length()
     if buckets > count:
-        return np.searchsorted(cdf, rng.random(count), side="right")
+        yield np.searchsorted(cdf, rng.random(count), side="right")
+        return
     # Scaling by a power of two is exact, so comparisons against u*B keep their outcome.
     cdf *= buckets
     starts = np.searchsorted(cdf, np.arange(buckets + 1, dtype=float), side="right")
     guide = starts[:-1]
     guide[guide != starts[1:]] = -1  # a step lies in the bucket: search there
-    out = np.empty(count, dtype=np.intp)
-    uniforms = np.empty(min(count, _GUIDE_CHUNK))
-    bucket = np.empty(uniforms.size, dtype=np.intp)
-    for start in range(0, count, _GUIDE_CHUNK):
-        stop = min(start + _GUIDE_CHUNK, count)
-        u, b, idx = uniforms[: stop - start], bucket[: stop - start], out[start:stop]
+    chunk = min(count, max(_GUIDE_CHUNK, cdf.size))
+    uniforms = np.empty(chunk)
+    bucket = np.empty(chunk, dtype=np.intp)
+    indices = np.empty(chunk, dtype=np.intp)
+    for start in range(0, count, chunk):
+        size = min(chunk, count - start)
+        u, b, idx = uniforms[:size], bucket[:size], indices[:size]
         rng.random(out=u)
         u *= buckets
         np.copyto(b, u, casting="unsafe")  # truncation is floor here: u >= 0
@@ -353,7 +362,57 @@ def sample_grid_indices(masses: np.ndarray, count: int, rng: Generator) -> np.nd
         misses = np.flatnonzero(idx < 0)
         if misses.size:
             idx[misses] = np.searchsorted(cdf, u[misses], side="right")
+        yield idx
+
+
+def sample_grid_indices(masses: np.ndarray, count: int, rng: Generator) -> np.ndarray:
+    """Inverse-CDF draws of ``count`` cell indices from unnormalized masses.
+
+    Returns exactly ``np.searchsorted(cdf, rng.random(count), side="right")``
+    for the normalized cumulative masses, and leaves ``rng`` where that call
+    would; draws as large as the table go through a guide table instead of
+    the binary search (see ``_index_chunks``).
+    """
+    out = np.empty(count, dtype=np.intp)
+    start = 0
+    for idx in _index_chunks(masses, count, rng):
+        out[start : start + idx.size] = idx
+        start += idx.size
     return out
+
+
+def _tally(idx: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``idx`` (all in [0, cells)) in ascending order, and how often each occurs.
+
+    Holds no array longer than min(idx.size, cells) elements, apart from a
+    byte mask over ``idx`` when it sorts; sorts ``idx`` in place.
+    """
+    if cells <= idx.size:
+        counts = np.bincount(idx, minlength=cells)
+        occupied = np.flatnonzero(counts)
+        return occupied, counts[occupied]
+    idx.sort()
+    bounds = np.flatnonzero(np.concatenate(([True], idx[1:] != idx[:-1], [True])))  # run starts, then the end
+    return idx[bounds[:-1]], np.diff(bounds)
+
+
+def count_grid_cells(masses: np.ndarray, count: int, rng: Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The draw of ``sample_grid_indices(masses, count, rng)`` as occupied cells and their counts.
+
+    Same uniforms, same indices and the same end state of ``rng``; the cells
+    come in ascending order and neither output is longer than
+    min(count, cells).  Through the guide table each chunk is counted with
+    one ``bincount``, so no draw-sized array is held.
+    """
+    chunks = _index_chunks(masses, count, rng)
+    first = next(chunks)
+    if first.size == count:  # one piece: the binary search, or a single chunk
+        return _tally(first, masses.size)
+    counts = np.bincount(first, minlength=masses.size)
+    for idx in chunks:
+        counts += np.bincount(idx, minlength=masses.size)
+    occupied = np.flatnonzero(counts)
+    return occupied, counts[occupied]
 
 
 def cmc_price(
@@ -371,8 +430,13 @@ def cmc_price(
     The joint formulation draws nodes from the copula-weighted cell masses;
     the independent one draws each axis from its marginal masses and weights
     the payoff by the copula.  Either is unbiased for riemann_reference.
-    Pass the prebuilt ``measure``, or the ``grid`` to build it on.  A
-    measure built for another payoff is a DomainError.
+    The draws are reduced to their occupied nodes and counts (the joint one
+    counted chunk by chunk, the independent one from its flat indices); the
+    mean and the ddof=1 standard error are count-weighted sums over those
+    nodes, so they equal np.mean and np.std(ddof=1) / sqrt(samples) of the
+    gathered draws up to summation order.  Pass the prebuilt ``measure``, or
+    the ``grid`` to build it on.  A measure built for another payoff is a
+    DomainError.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
@@ -385,24 +449,33 @@ def cmc_price(
     elif measure.payoff != payoff:
         raise DomainError(f"measure built for {measure.payoff}, not for {payoff}")
     if formulation == "joint":
-        idx = sample_grid_indices(measure.masses.ravel(), samples, rng)
-        draws = measure.payoff_values.ravel()[idx]
-        draws *= measure.copula_total_mass
+        cells, counts = count_grid_cells(measure.masses.ravel(), samples, rng)
+        values = measure.payoff_values.ravel()[cells]
+        values *= measure.copula_total_mass
     else:
         per_dim = [sample_grid_indices(p, samples, rng) for p in measure.marginal_masses]
         flat_idx = np.ravel_multi_index(per_dim, measure.payoff_values.shape)
-        draws = measure.payoff_values.ravel()[flat_idx]
-        draws *= measure.copula_weights.ravel()[flat_idx]
+        cells, counts = _tally(flat_idx, measure.payoff_values.size)
+        values = measure.payoff_values.ravel()[cells]
+        values *= measure.copula_weights.ravel()[cells]
 
-    df = measure.discount_factor
-    mean = float(np.mean(draws))
+    # Each draw of a cell takes that cell's value: the sample mean and the
+    # ddof=1 variance are count-weighted sums over the occupied cells, the
+    # variance centred on the mean in a second pass.  The counts go to float
+    # once.  The sums are numpy sums, not BLAS dot products: a threaded BLAS
+    # dot over some 10^4 cells leaves worker threads spinning after it
+    # returns, and on a 2-vCPU host they made the next grid-measure build
+    # twice as slow.
+    weights = counts.astype(float)
+    mean = float(np.sum(weights * values)) / samples
     if samples > 1:
-        # np.std(draws, ddof=1) step for step, in place and reusing the mean.
-        draws -= mean
-        np.square(draws, out=draws)
-        stderr = math.sqrt(float(np.sum(draws)) / (samples - 1)) / math.sqrt(samples)
+        values -= mean
+        np.square(values, out=values)
+        values *= weights
+        stderr = math.sqrt(float(np.sum(values)) / (samples - 1)) / math.sqrt(samples)
     else:
         stderr = float("inf")
+    df = measure.discount_factor
     return PriceEstimate(
         value=df * mean,
         estimator=f"cmc-{formulation}",

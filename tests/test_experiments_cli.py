@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qamcpricer import pricing
+from qamcpricer import experiments, pricing
 from qamcpricer.cli import _build_parser, _write_json, main
 from qamcpricer.cosine_density import CosineSeries, Interval
 from qamcpricer.errors import ValidationError
@@ -65,6 +65,22 @@ class TestRecordsAndFits:
         costs = np.array([1e2, 1e3, 1e4, 1e5, 1e6])
         errors = 3.0 / costs
         assert cost_at_error(costs, errors, 1e-3) == pytest.approx(3000.0, rel=1e-9)
+
+    def test_ci90_is_numpy_percentile_bit_for_bit(self):
+        # Sizes 1-299, 512 and 1000; continuous values over many scales, ties
+        # (rounded, without -0.0) and absolute values, like the studies' errors.
+        rng = np.random.default_rng(0)
+        for size in [*range(1, 300), 512, 1000]:
+            for shape in ("continuous", "ties", "absolute"):
+                values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8)
+                if shape == "ties":
+                    values = np.round(values, 1) + 0.0
+                elif shape == "absolute":
+                    values = np.abs(values)
+                lo, hi = experiments._ci90(values)
+                assert (lo.hex(), hi.hex()) == (
+                    float(np.percentile(values, 5)).hex(), float(np.percentile(values, 95)).hex()
+                ), (size, shape)
 
     def test_csv_round_trip(self, tmp_path):
         records = [ConvergenceRecord("cmc", 256.0, 0.05, 0.01, 0.1)]

@@ -191,3 +191,23 @@ def test_cli_run_imports_no_scipy(tmp_path):
     )
     lines = run.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("True", "[]")
+
+
+_STUDY_RUN = """
+import sys
+from qamcpricer import experiments
+cfg = experiments.StudyConfig(
+    study="price-convergence", repetitions=2, sample_ladder=(2**9, 2**11), epsilon_ladder=(2e-2,)
+)
+experiments.study_price_convergence(cfg)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_price_study_loads_no_numpy_ma():
+    # np.percentile and np.median load numpy.ma (about 13 ms) on their first
+    # call; the price study, the benchmark's timed pass, calls neither.  Its
+    # ladder reaches both the binary search and the guide table.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", _STUDY_RUN], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.splitlines()[-1] == "False"

@@ -300,11 +300,10 @@ class TestGridSampler:
         "irregular": np.random.default_rng(3).random(37) ** 4,
     }
 
-    @pytest.mark.parametrize("name", MASSES)
-    def test_equals_binary_search(self, name):
-        # Uniforms on every CDF step, just below each, 0.0, then random fill;
-        # counts straddle the guide threshold and the chunk size.
-        masses = self.MASSES[name]
+    @staticmethod
+    def straddling_uniforms(masses):
+        """(count, uniforms) pairs: every CDF step, just below each, 0.0, then
+        random fill, at counts that straddle the guide threshold and the chunk size."""
         cdf = normalized_cdf(masses)
         steps = cdf[cdf < 1.0]
         chosen = np.concatenate([[0.0], steps, np.nextafter(steps, 0.0), [np.nextafter(1.0, 0.0)]])
@@ -313,6 +312,15 @@ class TestGridSampler:
             fill = np.random.default_rng(count).random(count)
             u = np.resize(chosen, count)
             u[chosen.size :: 2] = fill[chosen.size :: 2]
+            yield count, u
+
+    END_STATE_COUNTS = (5, 37, guide_buckets(37), pricing._GUIDE_CHUNK, 3 * pricing._GUIDE_CHUNK + 1)
+
+    @pytest.mark.parametrize("name", MASSES)
+    def test_equals_binary_search(self, name):
+        masses = self.MASSES[name]
+        cdf = normalized_cdf(masses)
+        for count, u in self.straddling_uniforms(masses):
             rng = _Uniforms(np.concatenate([u, [0.5]]))
             idx = pricing.sample_grid_indices(masses, count, rng)
             assert np.array_equal(idx, np.searchsorted(cdf, u, side="right")), count
@@ -321,11 +329,44 @@ class TestGridSampler:
     def test_leaves_generator_where_one_draw_would(self):
         masses = self.MASSES["irregular"]
         cdf = normalized_cdf(masses)
-        for count in (5, guide_buckets(masses.size), pricing._GUIDE_CHUNK, 3 * pricing._GUIDE_CHUNK + 1):
+        for count in self.END_STATE_COUNTS:
             rng, reference = np.random.default_rng(count), np.random.default_rng(count)
             idx = pricing.sample_grid_indices(masses, count, rng)
             assert np.array_equal(idx, np.searchsorted(cdf, reference.random(count), side="right"))
             assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("name", MASSES)
+    def test_counts_equal_binary_search(self, name):
+        # The counting form reduces the very same draw: its occupied cells and
+        # counts are the nonzero entries of bincount(searchsorted(cdf, u)).
+        masses = self.MASSES[name]
+        cdf = normalized_cdf(masses)
+        for count, u in self.straddling_uniforms(masses):
+            rng = _Uniforms(np.concatenate([u, [0.5]]))
+            cells, counts = pricing.count_grid_cells(masses, count, rng)
+            expected = np.bincount(np.searchsorted(cdf, u, side="right"), minlength=masses.size)
+            assert np.array_equal(cells, np.flatnonzero(expected)), count
+            assert np.array_equal(counts, expected[cells]), count
+            assert rng.used == count
+
+    def test_counting_leaves_generator_where_one_draw_would(self):
+        masses = self.MASSES["irregular"]
+        cdf = normalized_cdf(masses)
+        for count in self.END_STATE_COUNTS:
+            rng, reference = np.random.default_rng(count), np.random.default_rng(count)
+            cells, counts = pricing.count_grid_cells(masses, count, rng)
+            expected = np.bincount(np.searchsorted(cdf, reference.random(count), side="right"), minlength=masses.size)
+            assert np.array_equal(cells, np.flatnonzero(expected))
+            assert np.array_equal(counts, expected[cells])
+            assert rng.random() == reference.random()
+
+    def test_counts_of_a_sparse_draw_are_no_longer_than_the_draw(self):
+        # Fewer draws than cells: the binary search's indices are reduced
+        # without a cell-sized count vector.
+        masses = np.random.default_rng(5).random(4096)
+        cells, counts = pricing.count_grid_cells(masses, 100, np.random.default_rng(0))
+        assert cells.size == counts.size <= 100
+        assert np.all(np.diff(cells) > 0) and counts.sum() == 100
 
     def test_guide_peak_memory(self, spread_setup):
         # The guide path holds one chunk of uniforms, not all of them: below
@@ -347,13 +388,14 @@ class TestGridSampler:
 
 class TestCmc:
     # float.hex() of (value, stderr) on the spread measure at default_rng(11),
-    # recorded with the package's own normal quantile and Bessel K: a change to
-    # the stream must be deliberate.
+    # recorded with the package's own normal quantile and Bessel K and the
+    # moments taken from per-node counts: a change to the stream must be
+    # deliberate.
     PINS = {
         ("joint", 500): ("0x1.9556c6a92a5d1p+3", "0x1.5cabc9f5090d6p-2"),
         ("joint", 2**17): ("0x1.8d04c51b4c8fdp+3", "0x1.52a300dfcc9c0p-6"),
         ("independent", 500): ("0x1.861146bd1f25ap+3", "0x1.b985d9a0cedd3p-2"),
-        ("independent", 2**17): ("0x1.8b860fb056f59p+3", "0x1.ddd5dc8c22366p-6"),
+        ("independent", 2**17): ("0x1.8b860fb056f57p+3", "0x1.ddd5dc8c22365p-6"),
     }
 
     @pytest.mark.parametrize("formulation, samples", PINS)
@@ -362,6 +404,28 @@ class TestCmc:
         measure = GridMeasure.build(payoff, marginals, spec, grid)
         est = cmc_price(payoff, marginals, spec, formulation, samples, np.random.default_rng(11), measure=measure)
         assert (est.value.hex(), est.stderr.hex()) == self.PINS[formulation, samples]
+
+    @pytest.mark.parametrize("setup", ["spread", "basket"])
+    @pytest.mark.parametrize("formulation", ["joint", "independent"])
+    @pytest.mark.parametrize("samples", [500, 2**13, 2**17])
+    def test_moments_equal_those_of_the_gathered_draws(self, setup, formulation, samples):
+        # The same stream gathered draw by draw: the count-weighted mean and
+        # stderr are np.mean and np.std(ddof=1) / sqrt(n) up to summation order.
+        payoff, marginals, spec, grid = getattr(experiments, f"{setup}_setup")()
+        measure = GridMeasure.build(payoff, marginals, spec, grid)
+        est = cmc_price(payoff, marginals, spec, formulation, samples, np.random.default_rng(4), measure=measure)
+        rng = np.random.default_rng(4)
+        values = measure.payoff_values.ravel()
+        if formulation == "joint":
+            draws = values[pricing.sample_grid_indices(measure.masses.ravel(), samples, rng)]
+            draws *= measure.copula_total_mass
+        else:
+            per_dim = [pricing.sample_grid_indices(p, samples, rng) for p in measure.marginal_masses]
+            flat = np.ravel_multi_index(per_dim, measure.payoff_values.shape)
+            draws = values[flat] * measure.copula_weights.ravel()[flat]
+        df = measure.discount_factor
+        assert est.value == pytest.approx(df * np.mean(draws), rel=1e-13, abs=0.0)
+        assert est.stderr == pytest.approx(df * np.std(draws, ddof=1) / math.sqrt(samples), rel=1e-13, abs=0.0)
 
     def test_grid_sampling_unbiased(self, spread_setup):
         payoff, marginals, spec, grid = spread_setup
@@ -450,6 +514,25 @@ class TestCmc:
         assert abs(estimate.value - reference) <= 5.0 * estimate.stderr
         assert peak - before < 2 * node_tensor
         assert after - before < 0.5 * node_tensor
+
+    def test_joint_cmc_holds_no_draw_sized_array(self, spread_setup):
+        # Joint CMC counts its draws chunk by chunk through the guide table:
+        # at 2^19 draws it peaks below a quarter of one draw-sized array and
+        # keeps nothing.  Gathering the draws would hold two of them.
+        payoff, marginals, spec, grid = spread_setup
+        measure = GridMeasure.build(payoff, marginals, spec, grid)
+        measure.masses  # the cached tensor is the measure's, not the draw's
+        count = 2**19
+        draw_array = count * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            cmc_price(payoff, marginals, spec, "joint", count, np.random.default_rng(0), measure=measure)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 0.25 * draw_array
+        assert after - before < 0.01 * draw_array
 
     def test_measure_of_another_payoff_rejected(self, spread_setup):
         # A measure holds the payoff values it was built for; priced as a
