@@ -86,8 +86,8 @@ class CalibrationConfig:
     weights_rule: str = "inverse-bid-ask"  # or "uniform"
 
     def __post_init__(self):
-        if self.regularization < 0:
-            raise ValidationError("regularization must be >= 0")
+        if not 0 <= self.regularization < np.inf:
+            raise ValidationError(f"regularization must be finite and >= 0, got {self.regularization}")
         if self.weights_rule not in ("inverse-bid-ask", "uniform"):
             raise ValidationError(f"unknown weights rule {self.weights_rule!r}")
 
@@ -114,14 +114,10 @@ def quote_weights(quotes: list[OptionQuote], rule: str) -> np.ndarray:
     return 1.0 / spreads**2
 
 
-def _admissible(theta) -> bool:
-    alpha, beta, delta = theta
-    return (
-        alpha > 0
-        and delta > 0
-        and alpha - beta >= 1.0 + ADMISSIBILITY_MARGIN
-        and alpha + beta >= ADMISSIBILITY_MARGIN
-    )
+def _inside(z) -> bool:
+    """Whether z = (u, v, delta) lies strictly inside BOUNDS: the one admissibility rule."""
+    lower, upper = BOUNDS
+    return all(lo < x < hi for lo, x, hi in zip(lower, z, upper))
 
 
 def _usable_quotes(slice_: MarketSlice) -> list[OptionQuote]:
@@ -241,15 +237,15 @@ def bs_prior(slice_: MarketSlice) -> tuple[float, float, float]:
 def grid_init(fun) -> tuple[tuple[float, float, float], float]:
     """DEFAULT_GRID point with the lowest objective, and that objective.
 
-    ``fun`` is the slice's J(theta) as ``_least_squares`` returns it.
-    Deterministic for a fixed objective.
+    ``fun`` is the slice's J(theta) as ``_least_squares`` returns it; only
+    points strictly inside BOUNDS are scored.  Deterministic for a fixed objective.
     """
     points = [
         (a, b, d)
         for a in DEFAULT_GRID["alpha"]
         for b in DEFAULT_GRID["beta"]
         for d in DEFAULT_GRID["delta"]
-        if _admissible((a, b, d))
+        if _inside(_z((a, b, d)))
     ]
     if not points:
         raise ValidationError("initialization lattice empty after admissibility filtering")
@@ -275,7 +271,7 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     start, start_value = grid_init(fun)
     z, evaluations = _levenberg_marquardt(residual, _z(start))
     theta = _theta(z)
-    if not _admissible(theta):
+    if not _inside(z):
         raise CalibrationError(f"optimizer left the admissible set at {theta}")
     value, resid = fun(theta)
     if value > start_value + 1e-12:

@@ -11,9 +11,9 @@ estimator prices the grid measure, so c is evaluated in one place: on the
 tensor grid of per-axis CDF values (copula_weights_on_grid).
 
 c(u) is unbounded at the corners of the cube for any Sigma != I, so the
-c_max used to keep the adjusted payoff h c / (h_max c_max) in [0, 1] is taken
-over the copula weights of the discrete pricing grid actually in use (plus a
-small safety factor), not over the open cube.
+c_max that keeps the adjusted payoff h c / (h_max c_max) in [0, 1] is the
+largest copula weight of the pricing grid in use.  Sigma = I needs no special
+case: Sigma^{-1} - I is exactly 0 and det(I) exactly 1, so c is exactly 1.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class CopulaSpec:
     """Correlation matrix with its inverse and determinant.
 
     Grid-level bounds of the density belong to a grid, not to the matrix:
-    GridMeasure.build takes c_max from the weights it computes (grid_c_max).
+    GridMeasure.build takes c_max as the largest weight it computes (grid_c_max).
     """
 
     sigma: np.ndarray
@@ -72,10 +72,6 @@ class CopulaSpec:
     def dim(self) -> int:
         return self.sigma.shape[0]
 
-    @property
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.sigma, np.eye(self.dim)))
-
 
 def _clamped_unit(u: np.ndarray) -> np.ndarray:
     clipped = np.clip(u, CLAMP_EPS, 1.0 - CLAMP_EPS)
@@ -96,8 +92,6 @@ def copula_weights_on_grid(spec: CopulaSpec, unit_coords: list[np.ndarray]) -> n
     if len(unit_coords) != spec.dim:
         raise DomainError("one coordinate vector per dimension required")
     shape = tuple(len(c) for c in unit_coords)
-    if spec.is_identity:
-        return np.ones(shape)
     z = []
     for axis, coords in enumerate(unit_coords):
         view = [1] * spec.dim
@@ -118,18 +112,17 @@ def copula_weights_on_grid(spec: CopulaSpec, unit_coords: list[np.ndarray]) -> n
     return quad
 
 
-def grid_c_max(spec: CopulaSpec, weights: np.ndarray) -> float:
-    """Max of a grid's copula weights (copula_weights_on_grid), times 1.01.
+def grid_c_max(weights: np.ndarray) -> float:
+    """The largest of a grid's copula weights (copula_weights_on_grid).
 
-    Exactly 1.0 for the identity matrix (c is constant there, and the
-    identity-collapse contracts require no slack).
+    The independent formulation loads h c / (h_max c_max) node by node, and
+    fl(h c) <= fl(h_max c_max) wherever h <= h_max and c <= c_max, so the
+    loaded payoff lies in [0, 1] with no slack; for Sigma = I it is exactly 1.
     """
-    if spec.is_identity:
-        return 1.0
     weights = np.asarray(weights, dtype=float)
     if weights.size == 0:
         raise DomainError("grids must be non-empty")
-    return 1.01 * float(weights.max())
+    return float(weights.max())
 
 
 def load_correlation(source, assets) -> CopulaSpec:

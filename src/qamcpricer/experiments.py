@@ -139,16 +139,19 @@ def basket_setup():
     return Payoff("basket-call", BASKET_STRIKE), marginals, spec, grid
 
 
-def _ci90(values) -> tuple[float, float]:
-    """The 5th and 95th percentiles, bit for bit as np.percentile's default (linear) method gives them.
+def _order_stats(values) -> tuple[float, float, float]:
+    """The median and the 5th and 95th percentiles, bit for bit as np.median and np.percentile give them.
 
-    Sorts, then interpolates at the virtual index (n - 1) q / 100 the way
-    numpy does; np.percentile itself loads numpy.ma on its first call.  Bit
-    equality needs values without -0.0, which numpy may order either side
-    of 0.0 (the studies pass absolute errors).
+    One sort serves all three (np.median and np.percentile load numpy.ma on
+    their first call).  The median is (a + b) / 2 of the middle pair as
+    numpy averages it, and (a + a) / 2 = a for odd sizes; the percentiles
+    interpolate at the virtual index (n - 1) q / 100 as numpy's default
+    (linear) method does.  Bit equality needs values without -0.0, which
+    numpy may order either side of 0.0 (the studies pass absolute errors).
     """
     ordered = np.sort(np.ravel(values))
     last = ordered.size - 1
+    median = (float(ordered[last // 2]) + float(ordered[ordered.size // 2])) / 2
     bounds = []
     for q in (5, 95):
         virtual = last * (q / 100)
@@ -157,11 +160,11 @@ def _ci90(values) -> tuple[float, float]:
         below, above = float(ordered[lo]), float(ordered[min(lo + 1, last)])
         step = above - below
         bounds.append(above - step * (1 - t) if t >= 0.5 else below + step * t)
-    return bounds[0], bounds[1]
+    return median, bounds[0], bounds[1]
 
 
 def _percentile_record(method: str, cost: float, errors: np.ndarray) -> ConvergenceRecord:
-    ci90_lo, ci90_hi = _ci90(errors)
+    _, ci90_lo, ci90_hi = _order_stats(errors)
     return ConvergenceRecord(
         method=method,
         cost=float(cost),
@@ -288,19 +291,19 @@ def study_density_recovery(cfg: StudyConfig):
                 series = CosineSeries(iv, coeffs)
                 sup_pdf[rep] = np.max(np.abs(eval_pdf(series, xs) - pdf_true))
                 sup_cdf[rep] = np.max(np.abs(eval_cdf(series, xs) - cdf_true))
-            pdf_lo, pdf_hi = _ci90(sup_pdf)
-            cdf_lo, cdf_hi = _ci90(sup_cdf)
+            pdf_median, pdf_lo, pdf_hi = _order_stats(sup_pdf)
+            cdf_median, cdf_lo, cdf_hi = _order_stats(sup_cdf)
             rows.append(
                 {
                     "method": method,
                     "terms": terms,
                     "cost": cfg.matched_cost,
                     "sup_pdf_err_mean": float(sup_pdf.mean()),
-                    "sup_pdf_err_median": float(np.median(sup_pdf)),
+                    "sup_pdf_err_median": pdf_median,
                     "sup_pdf_ci90_lo": pdf_lo,
                     "sup_pdf_ci90_hi": pdf_hi,
                     "sup_cdf_err_mean": float(sup_cdf.mean()),
-                    "sup_cdf_err_median": float(np.median(sup_cdf)),
+                    "sup_cdf_err_median": cdf_median,
                     "sup_cdf_ci90_lo": cdf_lo,
                     "sup_cdf_ci90_hi": cdf_hi,
                 }

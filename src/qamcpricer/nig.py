@@ -217,7 +217,9 @@ def nig_cdf(x, p: NIGParams, t: float = 1.0):
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = _far_anchors(p, t)
     queries = np.clip(x_arr.ravel(), lo, hi)
-    edges = np.union1d(np.linspace(lo, hi, 512), queries)
+    # np.union1d's sorted distinct values, without the numpy.ma import it makes.
+    edges = np.sort(np.concatenate([np.linspace(lo, hi, 512), queries]))
+    edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
     rule = QuadratureRule.gauss_legendre(16)
     nodes, half = gauss_legendre_panels(edges, rule)
     vals = nig_pdf(nodes.ravel(), p, t).reshape(nodes.shape)

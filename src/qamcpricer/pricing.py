@@ -72,8 +72,8 @@ class Payoff:
     def __post_init__(self):
         if self.kind not in PAYOFF_KINDS:
             raise DomainError(f"unknown payoff kind {self.kind!r}")
-        if self.strike < 0:
-            raise DomainError("strike must be nonnegative")
+        if not 0 <= self.strike < math.inf:
+            raise DomainError(f"strike must be finite and nonnegative, got {self.strike}")
 
 
 def eval_payoff(payoff: Payoff, prices) -> np.ndarray:
@@ -225,10 +225,10 @@ class GridMeasure:
     read, is what the Riemann sum, Q and the joint CMC sampler read;
     payoff_values holds h(s(x)).  All three tensors are built from per-axis
     factors by broadcasting.  The copula-weighted total mass Q = E_ind[c]
-    rescales the joint formulation; c_max, the bound of these same weights
-    (grid_c_max), keeps the independent formulation's payoff
-    h c / (h_max c_max) in [0, 1].  ``payoff`` is the payoff the values
-    were computed for.
+    rescales the joint formulation; c_max, the largest of these same
+    weights (grid_c_max), keeps the independent formulation's payoff
+    h c / (h_max c_max) in [0, 1] node by node, with no slack.  ``payoff``
+    is the payoff the values were computed for.
     """
 
     payoff: Payoff
@@ -270,7 +270,7 @@ class GridMeasure:
             payoff_values=payoff_values,
             discount_factor=_common_discount(marginals),
             clipped_mass=clipped_total,
-            c_max=grid_c_max(spec, weights),
+            c_max=grid_c_max(weights),
         )
 
     @cached_property

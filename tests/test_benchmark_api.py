@@ -79,3 +79,29 @@ def test_support_interval_integrates_through_the_traced_kernel():
     assert proc.returncode == 0, proc.stderr
     supports, integrals = json.loads(proc.stdout.strip().splitlines()[-1])
     assert supports == 1 and integrals > 0
+
+
+C_MAX_SPANS = """
+import json
+import child, spans
+child.import_package()
+from qamcpricer import experiments, pricing
+
+tracer = spans.Tracer()
+spans.install(tracer)
+for setup in (experiments.spread_setup, experiments.basket_setup):
+    pricing.GridMeasure.build(*setup())
+names = [span[2] for span in tracer.spans]
+metrics = tracer.metrics()
+print(json.dumps([names.count("pricing.GridMeasure.build"), names.count("copula.grid_c_max"),
+                  metrics["copula.c_max_s"]]))
+"""
+
+
+def test_measure_build_reaches_the_traced_c_max():
+    # GridMeasure.build takes c_max through pricing's module global
+    # grid_c_max, so copula.c_max_s times one bound per build.
+    proc = _run(C_MAX_SPANS)
+    assert proc.returncode == 0, proc.stderr
+    builds, bounds, c_max_s = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert builds == bounds == 2 and c_max_s > 0.0

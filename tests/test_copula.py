@@ -54,7 +54,7 @@ def bivariate_normal_pdf(x, y, rho):
 def grid_weights(spec, cdfs, grids):
     """Copula weights on the tensor grid of ``grids`` and their c_max bound."""
     weights = copula_weights_on_grid(spec, [cdf(g) for cdf, g in zip(cdfs, grids)])
-    return weights, grid_c_max(spec, weights)
+    return weights, grid_c_max(weights)
 
 
 class TestDensity:
@@ -175,7 +175,7 @@ class TestGridCMax:
         grid = np.linspace(-2, 2, 9)  # includes 0
         weights, value = grid_weights(spec, [std_normal_cdf] * 2, [grid, grid])
         assert value >= 1.0 / math.sqrt(1 - 0.0625)
-        assert value == 1.01 * weights.max()
+        assert value == weights.max()
 
     def test_grows_toward_corners(self):
         spec = two_asset_spec(-0.25)
@@ -191,7 +191,7 @@ class TestGridCMax:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
-            grid_c_max(two_asset_spec(), np.ones((0, 3)))
+            grid_c_max(np.ones((0, 3)))
 
 
 class TestPerAxisKernel:

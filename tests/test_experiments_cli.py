@@ -77,10 +77,24 @@ class TestRecordsAndFits:
                     values = np.round(values, 1) + 0.0
                 elif shape == "absolute":
                     values = np.abs(values)
-                lo, hi = experiments._ci90(values)
+                _, lo, hi = experiments._order_stats(values)
                 assert (lo.hex(), hi.hex()) == (
                     float(np.percentile(values, 5)).hex(), float(np.percentile(values, 95)).hex()
                 ), (size, shape)
+
+    def test_median_is_numpy_median_bit_for_bit(self):
+        # Odd sizes take the middle value, even sizes (a + b) / 2 of the
+        # middle pair; the same value shapes as the percentile check.
+        rng = np.random.default_rng(1)
+        for size in [*range(1, 300), 512, 1000]:
+            for shape in ("continuous", "ties", "absolute"):
+                values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8)
+                if shape == "ties":
+                    values = np.round(values, 1) + 0.0
+                elif shape == "absolute":
+                    values = np.abs(values)
+                median, _, _ = experiments._order_stats(values)
+                assert median.hex() == float(np.median(values)).hex(), (size, shape)
 
     def test_csv_round_trip(self, tmp_path):
         records = [ConvergenceRecord("cmc", 256.0, 0.05, 0.01, 0.1)]
@@ -441,6 +455,14 @@ class TestCli:
                          "payoff.assets", id="string-assets"),
             pytest.param(["price"], lambda cfg: cfg["pricing"].update(estimators="riemann"),
                          "pricing.estimators", id="string-estimators"),
+            pytest.param(["calibrate"], lambda cfg: cfg["calibration"].update({"lambda": float("nan")}),
+                         "regularization must be finite", id="nan-lambda"),
+            pytest.param(["calibrate"], lambda cfg: cfg["calibration"].update({"lambda": float("inf")}),
+                         "regularization must be finite", id="infinite-lambda"),
+            pytest.param(["price"], lambda cfg: cfg["payoff"].update(strike=float("inf")),
+                         "strike must be finite", id="infinite-strike"),
+            pytest.param(["price"], lambda cfg: cfg["payoff"].update(strike=float("nan")),
+                         "strike must be finite", id="nan-strike"),
         ],
     )
     def test_config_error_exits_2(self, bundle, tmp_path, capsys, command, edit, message):

@@ -211,3 +211,22 @@ def test_price_study_loads_no_numpy_ma():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run([sys.executable, "-c", _STUDY_RUN], capture_output=True, text=True, env=env, check=True)
     assert run.stdout.splitlines()[-1] == "False"
+
+
+_DENSITY_RUN = """
+import sys
+from qamcpricer import experiments
+cfg = experiments.StudyConfig(
+    study="density-recovery", repetitions=3, qubits=3, matched_cost=200, recovery_terms=(4, 8)
+)
+rows = experiments.study_density_recovery(cfg)
+print(len(rows), "numpy.ma" in sys.modules)
+"""
+
+
+def test_density_study_loads_no_numpy_ma():
+    # The density study takes its medians from the sort that gives its
+    # percentiles, so it loads numpy.ma no more than the price study does.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", _DENSITY_RUN], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.splitlines()[-1] == "4 False"

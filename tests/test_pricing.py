@@ -189,7 +189,18 @@ class TestMeasure:
             monkeypatch.setattr(module, "copula_weights_on_grid", counted)
         measure = GridMeasure.build(payoff, marginals, spec, grid)
         assert len(calls) == 1
-        assert measure.c_max == 1.01 * float(measure.copula_weights.max())
+        assert measure.c_max == float(measure.copula_weights.max())
+
+    @pytest.mark.parametrize("setup", ["spread", "basket"])
+    def test_independent_payoff_peaks_at_most_one(self, setup):
+        # c_max is the largest weight, so the loaded payoff h c / (h_max c_max)
+        # stays in [0, 1] node by node with no slack; with c_max = 1 it
+        # would peak near 24 (spread) and 3.5 (basket).
+        payoff, marginals, spec, grid = getattr(experiments, f"{setup}_setup")()
+        measure = GridMeasure.build(payoff, marginals, spec, grid)
+        loaded = measure.payoff_values * measure.copula_weights / (measure.payoff_max * measure.c_max)
+        assert np.all(measure.copula_weights <= measure.c_max)
+        assert 0.0 <= loaded.min() and loaded.max() <= 1.0
 
     def test_identity_copula_collapse(self, spread_setup):
         payoff, marginals, _, grid = spread_setup
