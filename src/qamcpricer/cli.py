@@ -10,7 +10,8 @@ config file that cannot be read as JSON, an unknown key, a missing required
 key (quotes_csv, spots, correlations, payoff and its three keys, for the
 stages that read them), a value of the wrong type (a fraction or a
 boolean for an integer setting, or a string for a list of names,
-included), a CMC sample count below 2 (one sample has no standard error)
+included), a CMC sample count below 2 (one sample has no standard error),
+an unknown estimator name, a spot that is not finite and positive,
 and a quote or correlation file that cannot be read are errors that exit 2:
 
     {
@@ -93,6 +94,17 @@ def _names(value) -> list[str]:
     return value
 
 
+_ESTIMATORS = ("riemann", "cmc-joint", "cmc-independent", "qamc-joint", "qamc-independent")
+
+
+def _estimators(value) -> list[str]:
+    """``value`` as a list of estimator names, each one of _ESTIMATORS."""
+    unknown = [name for name in _names(value) if name not in _ESTIMATORS]
+    if unknown:
+        raise ValueError(f"unknown estimator(s) {unknown}; expected some of {list(_ESTIMATORS)}")
+    return value
+
+
 def _converter(default):
     """Conversion to the type of ``default``, element-wise for a tuple."""
     if isinstance(default, tuple):
@@ -114,7 +126,7 @@ _SECTIONS = {
         "epsilon": (float, 1e-3),
         "rho": (float, 0.05),
         "samples": (_sample_count, 2**16),
-        "estimators": (_names, ["riemann", "cmc-joint", "qamc-joint", "qamc-independent"]),
+        "estimators": (_estimators, ["riemann", "cmc-joint", "qamc-joint", "qamc-independent"]),
     },
     # The study command picks the study and --seed the seed; every other field is settable.
     "study": {
@@ -217,7 +229,7 @@ def cmd_curves(cfg: dict, out: Path, groups) -> dict[tuple[str, float], MarketSl
     for (underlying, expiry), quotes in sorted(groups.items()):
         if not isinstance(spots, dict) or underlying not in spots:
             raise ValidationError(f"no spot configured for {underlying}")
-        slice_ = md.strip_curves(quotes, _read(f"spots.{underlying}", spots[underlying], float), expiry)
+        slice_ = md.strip_curves(quotes, _read(f"spots.{underlying}", spots[underlying], float))
         slices[(underlying, expiry)] = slice_
         rows.append(
             {
@@ -308,9 +320,11 @@ def cmd_density(cfg: dict, out: Path, drop_violations: bool):
 
 @_stage("price")
 def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool):
-    marginals = cmd_density(cfg, out, drop_violations)
+    # Its own settings first, so that a bad one stops the run before an earlier stage writes files.
     payoff_cfg = _section(cfg, "payoff")
     opts = _section(cfg, "pricing")
+    payoff = Payoff(payoff_cfg["kind"], payoff_cfg["strike"])
+    marginals = cmd_density(cfg, out, drop_violations)
     assets = payoff_cfg["assets"]
     missing = [a for a in assets if a not in marginals]
     if missing:
@@ -318,7 +332,6 @@ def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool):
     corr = _required(cfg, "correlations")
     spec = load_correlation(corr if isinstance(corr, dict) else _resolve(cfg, "correlations"), assets)
     chosen = [marginals[a] for a in assets]
-    payoff = Payoff(payoff_cfg["kind"], payoff_cfg["strike"])
     grid = PricingGrid.build(chosen, opts["qubits_per_dim"])
     measure = GridMeasure.build(payoff, chosen, spec, grid)
 
@@ -329,7 +342,7 @@ def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool):
             est = PriceEstimate(measure.reference_value(), "riemann", grid.total_nodes, stderr=0.0)
         elif estimator.startswith("cmc-"):
             est = cmc_price(payoff, chosen, spec, estimator.removeprefix("cmc-"), opts["samples"], rng, measure=measure)
-        elif estimator.startswith("qamc-"):
+        else:
             est = qamc_price(
                 payoff,
                 chosen,
@@ -340,8 +353,6 @@ def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool):
                 rng,
                 measure=measure,
             )
-        else:
-            raise ValidationError(f"unknown estimator {estimator!r}")
         rows.append(
             {
                 "payoff": payoff_cfg["kind"],

@@ -71,6 +71,16 @@ STUDY_ASSET = "AXA"  # the exact density the coefficient and density studies est
 _SETUP_TAG = {"spread": 1, "basket": 2}
 
 
+def _sample_tag(samples: int) -> int:
+    """The seed tag of a sample-ladder entry."""
+    return int(math.log2(samples))
+
+
+def _epsilon_tag(eps: float) -> int:
+    """The seed tag of an epsilon-ladder entry."""
+    return int(1.0 / eps)
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     study: str = "coeffs"
@@ -89,14 +99,23 @@ class StudyConfig:
             raise ValidationError(f"unknown study {self.study!r}")
         if self.repetitions < 1:
             raise ValidationError("repetitions must be >= 1")
-        for ladder, descending in ((self.epsilon_ladder, True), (self.sample_ladder, False)):
-            if len(ladder) == 0:
-                raise ValidationError("ladders must be non-empty")
-            diffs = np.diff(ladder)
-            if descending and not np.all(diffs < 0):
-                raise ValidationError("epsilon ladder must be strictly decreasing")
-            if not descending and not np.all(diffs > 0):
-                raise ValidationError("sample ladder must be strictly increasing")
+        if not (len(self.epsilon_ladder) and len(self.sample_ladder)):
+            raise ValidationError("ladders must be non-empty")
+        if not all(0.0 < eps < 1.0 and math.isfinite(1.0 / eps) for eps in self.epsilon_ladder):
+            raise ValidationError(f"epsilons must lie in (0, 1) with a finite 1 / epsilon, got {self.epsilon_ladder}")
+        if min(self.sample_ladder) < 1:
+            raise ValidationError(f"sample counts must be >= 1, got {self.sample_ladder}")
+        if self.terms < 2:
+            raise ValidationError("terms must be >= 2: the coefficient study estimates k = 1 .. terms - 1")
+        if min(self.recovery_terms, default=1) < 1:
+            raise ValidationError(f"recovery orders must be >= 1, got {self.recovery_terms}")
+        # Each entry seeds its own generators through its tag.  Rising tags
+        # mean epsilons strictly decreasing, sample counts strictly increasing,
+        # and no two entries sharing generators.
+        for ladder, tag in ((self.epsilon_ladder, _epsilon_tag), (self.sample_ladder, _sample_tag)):
+            tags = [tag(level) for level in ladder]
+            if any(a >= b for a, b in zip(tags, tags[1:])):
+                raise ValidationError(f"ladder {ladder} must be strictly monotone with rising seed tags, got {tags}")
 
 
 @dataclass(frozen=True)
@@ -108,13 +127,15 @@ class ConvergenceRecord:
     ci90_hi: float
 
     def __post_init__(self):
-        if not (self.ci90_lo <= self.mean_abs_err <= self.ci90_hi):
-            raise ValidationError("CI must bracket the mean error")
+        # The mean need not lie inside the 5-95 band: a few large errors can lift it above.
+        numbers = (self.cost, self.mean_abs_err, self.ci90_lo, self.ci90_hi)
+        if not (all(math.isfinite(v) for v in numbers) and 0.0 <= self.ci90_lo <= self.ci90_hi
+                and self.mean_abs_err >= 0.0):
+            raise ValidationError(f"need finite numbers, 0 <= ci90_lo <= ci90_hi and mean_abs_err >= 0, got {numbers}")
 
 
 def fixture_slice(name: str) -> MarketSlice:
-    params, spot = FIXTURES[name]
-    return MarketSlice.from_rates(name, spot, 1.0, FIXTURE_RATE, 0.0)
+    return MarketSlice(name, FIXTURES[name][1], 1.0, FIXTURE_RATE)
 
 
 def fixture_marginal(name: str) -> AssetMarginal:
@@ -214,27 +235,21 @@ def study_coeffs(cfg: StudyConfig):
     for samples in cfg.sample_ladder:
         errs = np.empty((cfg.repetitions, ks.size))
         for rep in range(cfg.repetitions):
-            rng = np.random.default_rng([cfg.seed, 101, int(math.log2(samples)), rep])
+            rng = np.random.default_rng([cfg.seed, 101, _sample_tag(samples), rep])
             est = _cmc_coefficients(table, masses, samples, rng)
             errs[rep] = np.abs(est[1:] - truth[1:])
         records.append(_percentile_record("cmc", samples, errs.mean(axis=1)))
-        for j, k in enumerate(ks):
-            per_k.append(
-                {
-                    "method": "cmc",
-                    "level": samples,
-                    "cost": samples,
-                    "k": int(k),
-                    "mean_abs_err": float(errs[:, j].mean()),
-                }
-            )
+        per_k.extend(
+            {"method": "cmc", "level": samples, "cost": samples, "k": int(k), "mean_abs_err": float(errs[:, j].mean())}
+            for j, k in enumerate(ks)
+        )
 
     for eps in cfg.epsilon_ladder:
         errs = np.empty((cfg.repetitions, ks.size))
         costs = np.empty((cfg.repetitions, ks.size))
         for rep in range(cfg.repetitions):
             for j, k in enumerate(ks):
-                rng = np.random.default_rng([cfg.seed, 202, int(1.0 / eps), rep, int(k)])
+                rng = np.random.default_rng([cfg.seed, 202, _epsilon_tag(eps), rep, int(k)])
                 ae_cfg = AEConfig(epsilon=eps, rho=cfg.rho)
                 res = signed_ae_estimate(truth[k], ae_cfg, scale, rng)
                 errs[rep, j] = abs(res.estimate - truth[k])
@@ -244,16 +259,11 @@ def study_coeffs(cfg: StudyConfig):
                         run_log_line("signed-iqae", float(truth[k]), ae_cfg, res, seed=cfg.seed)
                     )
         records.append(_percentile_record("qamc", float(costs.mean()), errs.mean(axis=1)))
-        for j, k in enumerate(ks):
-            per_k.append(
-                {
-                    "method": "qamc",
-                    "level": eps,
-                    "cost": float(costs[:, j].mean()),
-                    "k": int(k),
-                    "mean_abs_err": float(errs[:, j].mean()),
-                }
-            )
+        per_k.extend(
+            {"method": "qamc", "level": eps, "cost": float(costs[:, j].mean()), "k": int(k),
+             "mean_abs_err": float(errs[:, j].mean())}
+            for j, k in enumerate(ks)
+        )
     return records, per_k, run_log
 
 
@@ -291,23 +301,12 @@ def study_density_recovery(cfg: StudyConfig):
                 series = CosineSeries(iv, coeffs)
                 sup_pdf[rep] = np.max(np.abs(eval_pdf(series, xs) - pdf_true))
                 sup_cdf[rep] = np.max(np.abs(eval_cdf(series, xs) - cdf_true))
-            pdf_median, pdf_lo, pdf_hi = _order_stats(sup_pdf)
-            cdf_median, cdf_lo, cdf_hi = _order_stats(sup_cdf)
-            rows.append(
-                {
-                    "method": method,
-                    "terms": terms,
-                    "cost": cfg.matched_cost,
-                    "sup_pdf_err_mean": float(sup_pdf.mean()),
-                    "sup_pdf_err_median": pdf_median,
-                    "sup_pdf_ci90_lo": pdf_lo,
-                    "sup_pdf_ci90_hi": pdf_hi,
-                    "sup_cdf_err_mean": float(sup_cdf.mean()),
-                    "sup_cdf_err_median": cdf_median,
-                    "sup_cdf_ci90_lo": cdf_lo,
-                    "sup_cdf_ci90_hi": cdf_hi,
-                }
-            )
+            row = {"method": method, "terms": terms, "cost": cfg.matched_cost}
+            for name, sup in (("pdf", sup_pdf), ("cdf", sup_cdf)):
+                median, lo, hi = _order_stats(sup)
+                row.update({f"sup_{name}_err_mean": float(sup.mean()), f"sup_{name}_err_median": median,
+                            f"sup_{name}_ci90_lo": lo, f"sup_{name}_ci90_hi": hi})
+            rows.append(row)
     return rows
 
 
@@ -328,7 +327,7 @@ def study_price_convergence(cfg: StudyConfig):
         for samples in cfg.sample_ladder:
             errs = np.empty(cfg.repetitions)
             for rep in range(cfg.repetitions):
-                rng = np.random.default_rng([cfg.seed, 404, _SETUP_TAG[name], int(math.log2(samples)), rep])
+                rng = np.random.default_rng([cfg.seed, 404, _SETUP_TAG[name], _sample_tag(samples), rep])
                 est = cmc_price(payoff, marginals, spec, "joint", samples, rng, measure=measure)
                 errs[rep] = abs(est.value - reference)
             records.append(_percentile_record("cmc", samples, errs))
@@ -339,7 +338,7 @@ def study_price_convergence(cfg: StudyConfig):
                 costs = np.empty(cfg.repetitions)
                 for rep in range(cfg.repetitions):
                     rng = np.random.default_rng(
-                        [cfg.seed, 505, _SETUP_TAG[name], int(1.0 / eps), rep,
+                        [cfg.seed, 505, _SETUP_TAG[name], _epsilon_tag(eps), rep,
                          0 if formulation == "joint" else 1]
                     )
                     est = qamc_price(
@@ -388,8 +387,7 @@ def write_rows_csv(rows: list[dict], path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 RUN_LOG_HEADER = "algo,target,epsilon,rho,estimate,abs_err,queries,seed"

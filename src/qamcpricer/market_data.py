@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -70,50 +70,45 @@ class OptionQuote:
 
 @dataclass(frozen=True)
 class MarketSlice:
-    """Per-expiry market state: spot, stripped curves, and the quote set.
+    """Per-expiry market state of one underlying: spot, rates, and the quote set.
 
-    Invariants, enforced at construction: 0 < DF < 1.2 (negative rates
-    allowed), and rate = -ln(DF)/T and forward = spot * exp((r - q) T) to
-    1e-10 relative.
+    The rate r and dividend yield q are stored; the discount factor
+    exp(-r T) and the forward S exp((r - q) T) are derived from them, so
+    the slice cannot disagree with itself.  Invariants, enforced at
+    construction: every number finite, spot and expiry positive,
+    0 < DF < 1.2 (negative rates allowed), a finite forward, and every
+    quote of this slice's underlying and expiry.
     """
 
     underlying: str
     spot: float
     expiry: float
-    discount_factor: float
-    forward: float
-    rate: float
-    dividend_yield: float
-    quotes: tuple[OptionQuote, ...] = field(default_factory=tuple)
+    rate: float = 0.0
+    dividend_yield: float = 0.0
+    quotes: tuple[OptionQuote, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "quotes", tuple(self.quotes))
-        numbers = (self.spot, self.expiry, self.discount_factor, self.forward, self.rate, self.dividend_yield)
-        if not all(math.isfinite(v) for v in numbers):
-            raise ValidationError(f"slice numbers must be finite, got {numbers}")
-        if self.spot <= 0 or self.forward <= 0 or self.expiry <= 0:
-            raise ValidationError("spot, forward and expiry must be positive")
-        if not (0.0 < self.discount_factor < _DF_BOUND):
-            raise ValidationError(f"discount factor must lie in (0, {_DF_BOUND}), got {self.discount_factor}")
-        r_implied = -math.log(self.discount_factor) / self.expiry
-        if abs(r_implied - self.rate) > 1e-10 * max(1.0, abs(self.rate)):
-            raise ValidationError("rate inconsistent with discount factor")
-        fw_implied = self.spot * math.exp((self.rate - self.dividend_yield) * self.expiry)
-        if abs(fw_implied - self.forward) > 1e-10 * self.forward:
-            raise ValidationError("forward inconsistent with spot-forward relation")
+        numbers = (self.spot, self.expiry, self.rate, self.dividend_yield)
+        if not (all(math.isfinite(v) for v in numbers) and self.spot > 0 and self.expiry > 0):
+            raise ValidationError(f"slice numbers must be finite, spot and expiry positive, got {numbers}")
+        try:
+            df, forward = self.discount_factor, self.forward
+        except OverflowError:
+            df = forward = math.inf
+        if not (0.0 < df < _DF_BOUND and 0.0 < forward < math.inf):
+            raise ValidationError(f"need 0 < DF < {_DF_BOUND} and a finite positive forward, got {df}, {forward}")
+        foreign = [q for q in self.quotes if (q.underlying, q.expiry) != (self.underlying, self.expiry)]
+        if foreign:
+            raise ValidationError(f"a {self.underlying} slice at expiry {self.expiry} cannot hold {foreign[0]}")
 
-    @classmethod
-    def from_rates(
-        cls,
-        underlying: str,
-        spot: float,
-        expiry: float,
-        rate: float = 0.0,
-        dividend_yield: float = 0.0,
-    ) -> "MarketSlice":
-        df = math.exp(-rate * expiry)
-        fw = spot * math.exp((rate - dividend_yield) * expiry)
-        return cls(underlying, spot, expiry, df, fw, rate, dividend_yield)
+    @property
+    def discount_factor(self) -> float:
+        return math.exp(-self.rate * self.expiry)
+
+    @property
+    def forward(self) -> float:
+        return self.spot * math.exp((self.rate - self.dividend_yield) * self.expiry)
 
 
 @dataclass(frozen=True)
@@ -199,12 +194,17 @@ def _paired_mids(quotes: Iterable[OptionQuote]) -> tuple[np.ndarray, np.ndarray,
     )
 
 
-def strip_curves(quotes: Iterable[OptionQuote], spot: float, expiry: float) -> MarketSlice:
-    """The slice of one underlying's quotes, its discount factor and forward from put-call parity.
+def strip_curves(quotes: Iterable[OptionQuote], spot: float) -> MarketSlice:
+    """The slice of one underlying's quotes at one expiry, its rates from put-call parity.
 
-    OLS of C - P on K: the slope is -DF and the intercept FW*DF; the dividend
-    yield then follows from the spot-forward relation.
+    OLS of C - P on K: the slope is -DF and the intercept FW*DF.  The rate is
+    -ln(DF)/T and the dividend yield follows from the spot-forward relation;
+    the underlying and expiry are the quotes' own, and the slice rejects
+    quotes of any other.  The spot must be finite and positive, and the
+    stripped forward positive.
     """
+    if not (math.isfinite(spot) and spot > 0):
+        raise ValidationError(f"spot must be finite and positive, got {spot}")
     quotes = tuple(quotes)
     strikes, call_mids, put_mids = _paired_mids(quotes)
     if strikes.size < 2:
@@ -218,12 +218,12 @@ def strip_curves(quotes: Iterable[OptionQuote], spot: float, expiry: float) -> M
     if not (0.0 < df < _DF_BOUND):
         raise ValidationError(f"stripped discount factor {df} outside sanity bound (0, {_DF_BOUND})")
     forward = float(intercept) / df
+    if not forward > 0.0:
+        raise ValidationError(f"stripped forward {forward} is not positive")
+    underlying, expiry = quotes[0].underlying, quotes[0].expiry
     rate = -math.log(df) / expiry
     dividend_yield = rate - math.log(forward / spot) / expiry
-    underlyings = {q.underlying for q in quotes}
-    if len(underlyings) != 1:
-        raise ValidationError(f"a slice holds one underlying, got {sorted(underlyings)}")
-    return MarketSlice(underlyings.pop(), spot, expiry, df, forward, rate, dividend_yield, quotes)
+    return MarketSlice(underlying, spot, expiry, rate, dividend_yield, quotes)
 
 
 def _require_increasing(strikes: np.ndarray) -> None:
@@ -240,18 +240,13 @@ def check_digital_arbitrage(strikes, mids, kind: str) -> list[DigitalViolation]:
     strikes = np.asarray(strikes, dtype=float)
     mids = np.asarray(mids, dtype=float)
     _require_increasing(strikes)
-    violations = []
-    for i in range(strikes.size - 1):
-        dk = strikes[i + 1] - strikes[i]
-        if kind == "C":
-            ratio = (mids[i] - mids[i + 1]) / dk
-        else:
-            ratio = (mids[i + 1] - mids[i]) / dk
-        if not (0.0 < ratio < 1.0):
-            violations.append(
-                DigitalViolation(kind, (float(strikes[i]), float(strikes[i + 1])), float(ratio))
-            )
-    return violations
+    drops = mids[:-1] - mids[1:] if kind == "C" else mids[1:] - mids[:-1]
+    ratios = drops / (strikes[1:] - strikes[:-1])
+    return [
+        DigitalViolation(kind, (float(strikes[i]), float(strikes[i + 1])), float(ratio))
+        for i, ratio in enumerate(ratios)
+        if not (0.0 < ratio < 1.0)
+    ]
 
 
 def check_butterfly_arbitrage(strikes, mids, kind: str) -> list[ButterflyViolation]:
@@ -265,15 +260,13 @@ def check_butterfly_arbitrage(strikes, mids, kind: str) -> list[ButterflyViolati
     _require_increasing(strikes)
     if strikes.size < 3:
         raise DomainError("butterfly check needs >= 3 strikes")
-    violations = []
-    for i in range(strikes.size - 2):
-        k1, k2, k3 = strikes[i], strikes[i + 1], strikes[i + 2]
-        value = mids[i] - mids[i + 1] - (k2 - k1) / (k3 - k2) * (mids[i + 1] - mids[i + 2])
-        if value < 0.0:
-            violations.append(
-                ButterflyViolation(kind, (float(k1), float(k2), float(k3)), float(value))
-            )
-    return violations
+    k1, k2, k3 = strikes[:-2], strikes[1:-1], strikes[2:]
+    values = mids[:-2] - mids[1:-1] - (k2 - k1) / (k3 - k2) * (mids[1:-1] - mids[2:])
+    return [
+        ButterflyViolation(kind, (float(k1[i]), float(k2[i]), float(k3[i])), float(value))
+        for i, value in enumerate(values)
+        if value < 0.0
+    ]
 
 
 def _sorted_kind(quotes: list[OptionQuote], kind: str) -> tuple[np.ndarray, np.ndarray, list[OptionQuote]]:
@@ -329,16 +322,7 @@ def generate_synthetic_quotes(
     model = _nig.ExpNIGModel(params, slice_)
     pairs = [(float(strike), kind) for strike in strikes for kind in ("C", "P")]
     mids = _nig.price_european_batch(model, [k for k, _ in pairs], [kind for _, kind in pairs])
-    out = []
-    for (strike, kind), mid in zip(pairs, mids.tolist()):
-        out.append(
-            OptionQuote(
-                underlying=slice_.underlying,
-                expiry=slice_.expiry,
-                strike=strike,
-                kind=kind,
-                bid=max(mid - half, 0.0),
-                ask=mid + half,
-            )
-        )
-    return out
+    return [
+        OptionQuote(slice_.underlying, slice_.expiry, strike, kind, max(mid - half, 0.0), mid + half)
+        for (strike, kind), mid in zip(pairs, mids.tolist())
+    ]

@@ -23,14 +23,14 @@ def michelin_params():
 
 @pytest.fixture(scope="session")
 def axa_slice():
-    return MarketSlice.from_rates("AXA", spot=33.8, expiry=1.0, rate=0.02, dividend_yield=0.0)
+    return MarketSlice("AXA", spot=33.8, expiry=1.0, rate=0.02, dividend_yield=0.0)
 
 
 @pytest.fixture(scope="session")
 def ca_slice():
-    return MarketSlice.from_rates("CREDIT_AGRICOLE", spot=12.91, expiry=1.0, rate=0.02, dividend_yield=0.0)
+    return MarketSlice("CREDIT_AGRICOLE", spot=12.91, expiry=1.0, rate=0.02, dividend_yield=0.0)
 
 
 @pytest.fixture(scope="session")
 def michelin_slice():
-    return MarketSlice.from_rates("MICHELIN", spot=31.76, expiry=1.0, rate=0.02, dividend_yield=0.0)
+    return MarketSlice("MICHELIN", spot=31.76, expiry=1.0, rate=0.02, dividend_yield=0.0)

@@ -62,9 +62,9 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 
 def paper_sets():
     return [
-        (NIGParams(5.24, -3.26, 0.18), MarketSlice.from_rates("AXA", 33.8, 1.0, 0.02)),
-        (NIGParams(4.69, -3.06, 0.18), MarketSlice.from_rates("CREDIT_AGRICOLE", 12.91, 1.0, 0.02)),
-        (NIGParams(6.2, -3.31, 0.26), MarketSlice.from_rates("MICHELIN", 31.76, 1.0, 0.02)),
+        (NIGParams(5.24, -3.26, 0.18), MarketSlice("AXA", 33.8, 1.0, 0.02)),
+        (NIGParams(4.69, -3.06, 0.18), MarketSlice("CREDIT_AGRICOLE", 12.91, 1.0, 0.02)),
+        (NIGParams(6.2, -3.31, 0.26), MarketSlice("MICHELIN", 31.76, 1.0, 0.02)),
     ]
 
 
@@ -77,7 +77,7 @@ def test_criterion_1_curve_stripping_exactness():
         for kind in ("C", "P"):
             mid = bs_price(inp, kind)
             quotes.append(OptionQuote("SYN", 1.0, float(k), kind, mid, mid))
-    curves = strip_curves(quotes, spot=100.0, expiry=1.0)
+    curves = strip_curves(quotes, spot=100.0)
     df_err = abs(curves.discount_factor - math.exp(-0.03)) / math.exp(-0.03)
     fw_err = abs(curves.forward - 100.0 * math.exp(0.02)) / (100.0 * math.exp(0.02))
     elapsed = time.monotonic() - start
@@ -131,7 +131,7 @@ def test_criterion_2_nig_correctness_bundle():
 def test_criterion_3_calibration_round_trip():
     start = time.monotonic()
     truth = NIGParams(5.24, -3.26, 0.18)
-    slc = MarketSlice.from_rates("AXA", 33.8, 1.0, 0.02)
+    slc = MarketSlice("AXA", 33.8, 1.0, 0.02)
     strikes = np.linspace(0.8, 1.2, 20) * slc.forward
     slc = replace(slc, quotes=generate_synthetic_quotes(truth, slc, strikes, spread=0.0))
     result = calibrate(slc, CalibrationConfig(regularization=5e-7))

@@ -308,7 +308,7 @@ class TestCalibrate:
         # Jacobian from the pricing pass instead of stepping around the
         # point.  The second slice's truth has alpha - beta = 1.00001, 1e-5
         # from the edge.
-        edge_slice = MarketSlice.from_rates("EDGE", 30.0, 1.0, 0.02)
+        edge_slice = MarketSlice("EDGE", 30.0, 1.0, 0.02)
         edge_slice = quote_slice(
             NIGParams(3.0, 1.99999, 0.2), edge_slice, np.linspace(0.8, 1.2, 12) * edge_slice.forward
         )

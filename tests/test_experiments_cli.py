@@ -49,12 +49,43 @@ class TestStudyConfig:
         with pytest.raises(ValidationError):
             StudyConfig(study="other")
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"epsilon_ladder": (math.nan,)}, {"epsilon_ladder": (0.0,)}, {"epsilon_ladder": (-1.0,)},
+            {"epsilon_ladder": (1.0,)}, {"epsilon_ladder": (5e-324,)}, {"sample_ladder": (0, 4)}, {"sample_ladder": (-4, 4)},
+            {"terms": 1}, {"terms": 0}, {"recovery_terms": (0,)},
+            {"sample_ladder": (2, 3)}, {"epsilon_ladder": (0.5, 0.4)},
+        ],
+        ids=repr,
+    )
+    def test_unrunnable_ladders_rejected(self, fields):
+        with pytest.raises(ValidationError):
+            StudyConfig(**fields)
+
+    def test_benchmarked_ladders_keep_their_seed_tags(self):
+        # The tags of the default and the criterion-7 ladders are distinct, so
+        # they pass the shared-tag check with their seeds unchanged.
+        cfg = StudyConfig(sample_ladder=tuple(2**n for n in range(9, 20, 2)))
+        assert [experiments._sample_tag(n) for n in cfg.sample_ladder] == [9, 11, 13, 15, 17, 19]
+        assert [experiments._epsilon_tag(e) for e in cfg.epsilon_ladder] == [50, 100, 200, 500, 1000, 2000]
+
 
 class TestRecordsAndFits:
     def test_record_invariant(self):
         ConvergenceRecord("cmc", 100.0, 0.5, 0.1, 0.9)
-        with pytest.raises(ValidationError):
-            ConvergenceRecord("cmc", 100.0, 1.5, 0.1, 0.9)
+        ConvergenceRecord("cmc", 100.0, 1.5, 0.1, 0.9)  # a mean may lie above the 95th percentile
+        for numbers in ((100.0, 0.5, 0.9, 0.1), (100.0, 0.5, -0.1, 0.9), (100.0, -0.5, 0.1, 0.9),
+                        (math.nan, 0.5, 0.1, 0.9), (100.0, math.inf, 0.1, 0.9), (100.0, 0.5, 0.1, math.nan)):
+            with pytest.raises(ValidationError):
+                ConvergenceRecord("cmc", *numbers)
+
+    def test_record_of_rare_large_errors(self):
+        # Six misses in 128 is within what rho = 0.05 allows; their mean lies
+        # above the 95th percentile, which is still one of the small errors.
+        errors = np.array([1e-4] * 122 + [1e-2] * 6)
+        record = experiments._percentile_record("qamc-joint", 1000.0, errors)
+        assert record.ci90_hi == 1e-4 < record.mean_abs_err
 
     def test_slope_on_exact_power_law(self):
         costs = np.array([1e2, 1e3, 1e4, 1e5, 1e6])
@@ -463,6 +494,34 @@ class TestCli:
                          "strike must be finite", id="infinite-strike"),
             pytest.param(["price"], lambda cfg: cfg["payoff"].update(strike=float("nan")),
                          "strike must be finite", id="nan-strike"),
+            pytest.param(["curves"], lambda cfg: cfg["spots"].update(AXA=float("inf")),
+                         "spot must be finite and positive", id="infinite-spot"),
+            pytest.param(["curves"], lambda cfg: cfg["spots"].update(AXA=0.0),
+                         "spot must be finite and positive", id="zero-spot"),
+            pytest.param(["curves"], lambda cfg: cfg["spots"].update(AXA=-1.0),
+                         "spot must be finite and positive", id="negative-spot"),
+            pytest.param(["curves"], lambda cfg: cfg.update(quotes_csv="negative_forward.csv"),
+                         "is not positive", id="negative-forward"),
+            pytest.param(["study", "coeffs"], lambda cfg: cfg["study"].update(epsilon_ladder=[float("nan")]),
+                         "epsilons must lie in (0, 1)", id="nan-epsilon"),
+            pytest.param(["study", "coeffs"], lambda cfg: cfg["study"].update(epsilon_ladder=[0.0]),
+                         "epsilons must lie in (0, 1)", id="zero-epsilon"),
+            pytest.param(["study", "coeffs"], lambda cfg: cfg["study"].update(epsilon_ladder=[-1.0]),
+                         "epsilons must lie in (0, 1)", id="negative-epsilon"),
+            pytest.param(["study", "coeffs"], lambda cfg: cfg["study"].update(sample_ladder=[0, 4]),
+                         "sample counts must be >= 1", id="zero-samples"),
+            pytest.param(["study", "coeffs"], lambda cfg: cfg["study"].update(sample_ladder=[-4, 4]),
+                         "sample counts must be >= 1", id="negative-samples"),
+            pytest.param(["study", "coeffs"], lambda cfg: cfg["study"].update(sample_ladder=[2, 3]),
+                         "rising seed tags", id="shared-sample-tag"),
+            pytest.param(["study", "coeffs"], lambda cfg: cfg["study"].update(terms=0),
+                         "terms must be >= 2", id="no-terms"),
+            pytest.param(["study", "density"], lambda cfg: cfg["study"].update(recovery_terms=[0]),
+                         "recovery orders must be >= 1", id="zero-recovery-order"),
+            pytest.param(["price"], lambda cfg: cfg["pricing"].update(estimators=["riemann", "bogus"]),
+                         "unknown estimator(s) ['bogus']", id="unknown-estimator"),
+            pytest.param(["price"], lambda cfg: cfg["pricing"].update(estimators=["cmc-foo"]),
+                         "unknown estimator(s) ['cmc-foo']", id="unknown-cmc-formulation"),
         ],
     )
     def test_config_error_exits_2(self, bundle, tmp_path, capsys, command, edit, message):
@@ -470,6 +529,11 @@ class TestCli:
         # Relative paths resolve against the config's directory, which holds
         # a quote header in UTF-16.
         (tmp_path / "utf16.csv").write_text("underlying,expiry_years,strike,kind,bid,ask\n", encoding="utf-16")
+        # Parity on these quotes gives DF 0.8 and forward -5.25.
+        (tmp_path / "negative_forward.csv").write_text(
+            "underlying,expiry_years,strike,kind,bid,ask\n"
+            "AXA,1.0,1.0,C,0.1,0.2\nAXA,1.0,2.0,C,0.1,0.2\nAXA,1.0,1.0,P,5.1,5.2\nAXA,1.0,2.0,P,5.9,6.0\n"
+        )
         cfg = json.loads((bundle / "config.json").read_text())
         cfg.update(quotes_csv=str(bundle / "quotes.csv"), correlations=str(bundle / "corr.json"))
         edit(cfg)
@@ -479,6 +543,17 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    def test_bad_estimator_stops_before_any_stage(self, bundle, tmp_path):
+        # The price stage reads its own sections first, so no earlier stage writes a file.
+        cfg = json.loads((bundle / "config.json").read_text())
+        cfg.update(quotes_csv=str(bundle / "quotes.csv"), correlations=str(bundle / "corr.json"))
+        cfg["pricing"]["estimators"] = ["riemann", "bogus"]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("text", [None, "{bad"], ids=["missing-file", "malformed-json"])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, text):

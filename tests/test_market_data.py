@@ -48,16 +48,36 @@ class TestQuoteTypes:
         with pytest.raises(ValidationError):
             OptionQuote("X", 1.0, 100.0, "Z", 1.0, 2.0)
 
-    def test_slice_consistency_enforced(self):
-        MarketSlice.from_rates("X", 100.0, 1.0, 0.03, 0.01)
-        with pytest.raises(ValidationError):
-            MarketSlice("X", 100.0, 1.0, math.exp(-0.03), 105.0, 0.05, 0.01)
+    @pytest.mark.parametrize(
+        "spot, expiry, rate, dividend_yield",
+        [(100.0, 1.0, 0.03, 0.01), (33.8, 1.0, 0.02, 0.0), (12.91, 0.25, -0.005, 0.04), (31.76, 3.7, 0.1, 0.0)],
+    )
+    def test_derived_curves_are_the_rate_expressions(self, spot, expiry, rate, dividend_yield):
+        slc = MarketSlice("X", spot, expiry, rate, dividend_yield)
+        assert slc.discount_factor.hex() == math.exp(-rate * expiry).hex()
+        assert slc.forward.hex() == (spot * math.exp((rate - dividend_yield) * expiry)).hex()
+
+    def test_rates_default_to_zero(self):
+        slc = MarketSlice("X", 30.0, 2.0)
+        assert (slc.rate, slc.dividend_yield, slc.discount_factor, slc.forward, slc.quotes) == (0.0, 0.0, 1.0, 30.0, ())
+
+    def test_slice_holds_only_its_own_quotes(self):
+        own = OptionQuote("X", 1.0, 30.0, "C", 1.0, 1.1)
+        assert MarketSlice("X", 30.0, 1.0, 0.02, 0.0, [own]).quotes == (own,)
+        for foreign in (replace(own, underlying="Y"), replace(own, expiry=2.0)):
+            with pytest.raises(ValidationError, match="cannot hold"):
+                MarketSlice("X", 30.0, 1.0, 0.02, 0.0, (own, foreign))
+
+    def test_overflowing_curves_rejected(self):
+        for rate, dividend_yield in ((-1e3, 0.0), (0.0, -1e3), (0.0, 1e3)):
+            with pytest.raises(ValidationError):
+                MarketSlice("X", 30.0, 1.0, rate, dividend_yield)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_inputs_rejected(self, bad):
         for args in (("X", bad, 1.0, 0.02), ("X", 30.0, bad, 0.02), ("X", 30.0, 1.0, bad)):
             with pytest.raises(ValidationError):
-                MarketSlice.from_rates(*args)
+                MarketSlice(*args)
         for numbers in ((bad, 100.0, 1.0, 2.0), (1.0, bad, 1.0, 2.0), (1.0, 100.0, bad, 2.0),
                         (1.0, 100.0, 1.0, bad)):
             expiry, strike, bid, ask = numbers
@@ -66,14 +86,14 @@ class TestQuoteTypes:
 
     def test_zero_expiry_slice_rejected(self):
         with pytest.raises(ValidationError):
-            MarketSlice.from_rates("X", 30.0, 0.0, 0.02)
+            MarketSlice("X", 30.0, 0.0, 0.02)
 
     def test_discount_factor_sanity_bound(self):
         # A negative rate gives DF > 1; the stripping sanity bound is the limit.
-        assert MarketSlice.from_rates("X", 30.0, 1.0, -0.005).discount_factor > 1.0
+        assert MarketSlice("X", 30.0, 1.0, -0.005).discount_factor > 1.0
         for rate in (-0.2, math.inf):
             with pytest.raises(ValidationError):
-                MarketSlice.from_rates("X", 30.0, 1.0, rate)
+                MarketSlice("X", 30.0, 1.0, rate)
 
 
 class TestLoadSave:
@@ -126,7 +146,7 @@ class TestLoadSave:
 class TestStripCurves:
     def test_exact_black_scholes_recovery(self):
         quotes = bs_quote_set()
-        curves = strip_curves(quotes, spot=100.0, expiry=1.0)
+        curves = strip_curves(quotes, spot=100.0)
         assert curves.discount_factor == pytest.approx(math.exp(-0.03), rel=1e-10)
         assert curves.forward == pytest.approx(100.0 * math.exp(0.02), rel=1e-10)
         assert curves.rate == pytest.approx(0.03, abs=1e-10)
@@ -134,7 +154,7 @@ class TestStripCurves:
 
     def test_zero_rates(self):
         quotes = bs_quote_set(r=0.0, q=0.0)
-        curves = strip_curves(quotes, spot=100.0, expiry=1.0)
+        curves = strip_curves(quotes, spot=100.0)
         assert curves.discount_factor == pytest.approx(1.0, abs=1e-12)
         assert curves.forward == pytest.approx(100.0, rel=1e-12)
 
@@ -148,7 +168,7 @@ class TestStripCurves:
                 mid = bs_price(BSInputs(100.0, float(k), 1.0, 0.03, 0.01, 0.2), kind)
                 mid += noise if kind == "C" else -noise  # symmetric perturbation of C - P
                 quotes.append(OptionQuote("SYN", 1.0, float(k), kind, mid, mid))
-        curves = strip_curves(quotes, spot=100.0, expiry=1.0)
+        curves = strip_curves(quotes, spot=100.0)
         # Oracle: closed-form OLS on the same noisy parity differences.
         y = np.array(
             [q.mid for q in quotes if q.kind == "C"]
@@ -161,13 +181,13 @@ class TestStripCurves:
     def test_requires_two_pairs(self):
         quotes = bs_quote_set(strikes=[100.0])
         with pytest.raises(ValidationError):
-            strip_curves(quotes, 100.0, 1.0)
+            strip_curves(quotes, 100.0)
 
     def test_zero_bid_excluded(self):
         quotes = bs_quote_set(strikes=[90.0, 100.0, 110.0])
         dead = OptionQuote("SYN", 1.0, 95.0, "C", 0.0, 50.0)
         dead_p = OptionQuote("SYN", 1.0, 95.0, "P", 0.0, 50.0)
-        curves = strip_curves(quotes + [dead, dead_p], 100.0, 1.0)
+        curves = strip_curves(quotes + [dead, dead_p], 100.0)
         assert curves.discount_factor == pytest.approx(math.exp(-0.03), rel=1e-10)
         # The slice keeps every quote it was given, the dead ones too.
         assert (curves.underlying, curves.spot, curves.expiry) == ("SYN", 100.0, 1.0)
@@ -176,13 +196,38 @@ class TestStripCurves:
     def test_one_underlying_per_slice(self):
         quotes = bs_quote_set(strikes=[90.0, 100.0, 110.0])
         with pytest.raises(ValidationError):
-            strip_curves(quotes + [replace(quotes[0], underlying="OTHER")], 100.0, 1.0)
+            strip_curves(quotes + [replace(quotes[0], underlying="OTHER")], 100.0)
+
+    def test_one_expiry_per_slice(self):
+        quotes = bs_quote_set(strikes=[90.0, 100.0, 110.0])
+        later = bs_quote_set(expiry=2.0, strikes=[90.0, 100.0, 110.0])
+        with pytest.raises(ValidationError, match="cannot hold"):
+            strip_curves(quotes + later, 100.0)
+
+    def test_expiry_is_the_quotes_own(self):
+        curves = strip_curves(bs_quote_set(expiry=0.5), 100.0)
+        assert curves.expiry == 0.5
+        assert curves.discount_factor == pytest.approx(math.exp(-0.03 * 0.5), rel=1e-10)
+
+    @pytest.mark.parametrize("spot", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_spot_rejected(self, spot):
+        with pytest.raises(ValidationError, match="spot must be finite and positive"):
+            strip_curves(bs_quote_set(), spot)
+
+    def test_negative_forward_rejected(self):
+        # C - P is -5.0 at K = 1 and -5.8 at K = 2: DF 0.8 and forward -5.25.
+        quotes = [
+            OptionQuote("X", 1.0, 1.0, "C", 0.1, 0.2), OptionQuote("X", 1.0, 2.0, "C", 0.1, 0.2),
+            OptionQuote("X", 1.0, 1.0, "P", 5.1, 5.2), OptionQuote("X", 1.0, 2.0, "P", 5.9, 6.0),
+        ]
+        with pytest.raises(ValidationError, match="forward .* is not positive"):
+            strip_curves(quotes, 10.0)
 
     def test_parity_exact_across_rate_grid(self):
         for r in [-0.005, 0.0, 0.04, 0.1]:
             for q in [0.0, 0.03]:
                 quotes = bs_quote_set(r=r, q=q)
-                curves = strip_curves(quotes, 100.0, 1.0)
+                curves = strip_curves(quotes, 100.0)
                 assert curves.discount_factor == pytest.approx(math.exp(-r), rel=1e-10)
                 assert curves.forward == pytest.approx(100 * math.exp(r - q), rel=1e-10)
 

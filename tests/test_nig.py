@@ -261,7 +261,7 @@ class TestPriceEuropean:
         # Admissible, but alpha + beta ~ 0 stretches the pricing interval to
         # ~1e5-1e6 in log-price, where the asset price overflows: the batch
         # used to come back NaN.
-        model = ExpNIGModel(params, MarketSlice.from_rates("X", 30.0, 1.0, 0.02))
+        model = ExpNIGModel(params, MarketSlice("X", 30.0, 1.0, 0.02))
         with pytest.raises(DomainError):
             price_european_batch(model, [27.0, 30.0, 33.0], ["C", "C", "C"])
 
@@ -319,7 +319,7 @@ class TestPriceGradient:
         ],
     )
     def test_matches_central_differences(self, name, params, spot):
-        model = ExpNIGModel(params, MarketSlice.from_rates(name, spot, 1.0, 0.02))
+        model = ExpNIGModel(params, MarketSlice(name, spot, 1.0, 0.02))
         strikes, kinds = gradient_quotes(model.slice_)
         prices, grad = price_european_batch(model, strikes, kinds, gradient=True)
         assert [repr(v) for v in prices] == [repr(v) for v in price_european_batch(model, strikes, kinds)]
@@ -397,7 +397,7 @@ equity_laws = st.builds(
 )
 moneyness = st.floats(0.7, 1.3)
 property_settings = settings(max_examples=25, deadline=None, derandomize=True, database=None)
-PROPERTY_SLICE = MarketSlice.from_rates("PROP", spot=30.0, expiry=1.0, rate=0.02, dividend_yield=0.0)
+PROPERTY_SLICE = MarketSlice("PROP", spot=30.0, expiry=1.0, rate=0.02, dividend_yield=0.0)
 
 
 def per_quote_prices(model, strikes, kinds):
