@@ -17,12 +17,13 @@ quadrature pass as the prices.  Admissibility (beta^2 < alpha^2 and
 alpha + beta >= 0, so the fit runs in z = (u, v, delta) with
 u = alpha - beta - 1 and v = alpha + beta, where both become lower bounds
 (with a small margin).  The fit keeps every trial point strictly inside its
-box, so every priced point is admissible.  Initialization is a grid search
-over a small lattice of plausible starting points.
+box, so every priced point is admissible.  The start (the point of a small
+lattice with the least ||r||^2), the fit and the report read this one residual.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,10 +102,6 @@ class CalibrationResult:
     iterations: int
     start: tuple[float, float, float]
 
-    def __post_init__(self):
-        if self.objective < -1e-12:
-            raise ValidationError("objective must be nonnegative")
-
 
 def quote_weights(quotes: list[OptionQuote], rule: str) -> np.ndarray:
     """Per-quote weights: chi-square style 1/spread^2 (floored), or uniform."""
@@ -133,41 +130,37 @@ def _model_prices(theta, slice_: MarketSlice, quotes: list[OptionQuote], *, grad
 
 
 def _least_squares(slice_: MarketSlice, config: CalibrationConfig):
-    """J(theta) of one slice as ``fun``, and its stacked residual in z with the Jacobian.
+    """The stacked residual of one slice in z: ``residual(z, gradient=False)``.
 
-    ``fun(theta)`` returns (J, residuals) off one pricing batch.
-    ``residual(z)`` returns r with ||r||^2 = J(theta(z)) and dr/dz, off one
-    pricing batch with the gradient.  The usable quotes, their weights and
-    the prior are fixed per slice, so they are computed once here and not at
-    each evaluation.
+    It returns r, with ||r||^2 = J(theta(z)), off one pricing batch, and with
+    ``gradient`` the pair (r, dr/dz) off one batch that also returns the
+    price derivatives.  The usable quotes, their weights and the prior are
+    fixed per slice, so they are computed once here and not at each evaluation.
     """
     quotes = _usable_quotes(slice_)
     if len(quotes) < 3:
         raise ValidationError("calibration needs at least 3 usable quotes")
-    weights = quote_weights(quotes, config.weights_rule)
     mids = np.array([q.mid for q in quotes])
     prior = np.asarray(bs_prior(slice_), dtype=float)
-    lam = config.regularization
-    root_w, root_lam = np.sqrt(weights), np.sqrt(lam)
+    root_w, root_lam = np.sqrt(quote_weights(quotes, config.weights_rule)), np.sqrt(config.regularization)
     penalty_jac = root_lam * _THETA_OF_Z
 
-    def fun(theta):
-        resid = _model_prices(theta, slice_, quotes, gradient=False) - mids
-        return float(np.dot(weights, resid**2) + lam * np.sum((theta - prior) ** 2)), resid
-
-    def residual(z):
+    def residual(z, gradient=False):
         theta = _theta(z)
-        prices, d_prices = _model_prices(theta, slice_, quotes, gradient=True)
+        priced = _model_prices(theta, slice_, quotes, gradient=gradient)
+        prices = priced[0] if gradient else priced
         r = np.concatenate([root_w * (prices - mids), root_lam * (theta - prior)])
-        return r, np.vstack([(root_w[:, None] * d_prices) @ _THETA_OF_Z, penalty_jac])
+        if not gradient:
+            return r
+        return r, np.vstack([(root_w[:, None] * priced[1]) @ _THETA_OF_Z, penalty_jac])
 
-    return fun, residual
+    return residual
 
 
-def _levenberg_marquardt(residual, z) -> tuple[np.ndarray, int]:
-    """Minimize ||r(z)||^2 inside BOUNDS from z: the minimizer and the evaluation count.
+def _levenberg_marquardt(residual, z) -> tuple[np.ndarray, np.ndarray, int]:
+    """Minimize ||r(z)||^2 inside BOUNDS from z: the minimizer, r there and the evaluation count.
 
-    ``residual(z)`` returns r and its Jacobian dr/dz.
+    ``residual(z, gradient=True)`` returns r and its Jacobian dr/dz.
 
     Levenberg-Marquardt with Marquardt's scaling: each step solves
     (J^T J + damping D) s = -J^T r, D the diagonal of J^T J floored at eps
@@ -183,7 +176,7 @@ def _levenberg_marquardt(residual, z) -> tuple[np.ndarray, int]:
     start counting as one.
     """
     lower, upper = (np.array(b, dtype=float) for b in BOUNDS)
-    r, jz = residual(z)
+    r, jz = residual(z, gradient=True)
     cost, evaluations, damping = r @ r, 1, _DAMPING_START
     while evaluations < MAX_ITERATIONS:
         normal, gradient = jz.T @ jz, jz.T @ r
@@ -203,7 +196,7 @@ def _levenberg_marquardt(residual, z) -> tuple[np.ndarray, int]:
         trial = np.where((trial > lower) & (trial < upper), trial, z)
         if np.linalg.norm(trial - z) <= TOLERANCE * (TOLERANCE + np.linalg.norm(z)):
             break
-        r_trial, j_trial = residual(trial)
+        r_trial, j_trial = residual(trial, gradient=True)
         evaluations += 1
         cost_trial = r_trial @ r_trial
         if cost_trial < cost:
@@ -214,7 +207,7 @@ def _levenberg_marquardt(residual, z) -> tuple[np.ndarray, int]:
                 break
         else:
             damping *= _DAMPING_UP
-    return z, evaluations
+    return z, r, evaluations
 
 
 def bs_prior(slice_: MarketSlice) -> tuple[float, float, float]:
@@ -234,24 +227,19 @@ def bs_prior(slice_: MarketSlice) -> tuple[float, float, float]:
     return (10.0, 0.0, 10.0 * sigma_atm**2)
 
 
-def grid_init(fun) -> tuple[tuple[float, float, float], float]:
-    """DEFAULT_GRID point with the lowest objective, and that objective.
+def grid_init(residual) -> tuple[float, float, float]:
+    """The DEFAULT_GRID point p with the lowest ||r(z(p))||^2.
 
-    ``fun`` is the slice's J(theta) as ``_least_squares`` returns it; only
-    points strictly inside BOUNDS are scored.  Deterministic for a fixed objective.
+    ``residual`` is the slice's stacked residual as ``_least_squares``
+    returns it; only points strictly inside BOUNDS are scored, each off one
+    plain pricing batch.  Deterministic for a fixed residual.
     """
-    points = [
-        (a, b, d)
-        for a in DEFAULT_GRID["alpha"]
-        for b in DEFAULT_GRID["beta"]
-        for d in DEFAULT_GRID["delta"]
-        if _inside(_z((a, b, d)))
-    ]
+    lattice = itertools.product(*(DEFAULT_GRID[name] for name in ("alpha", "beta", "delta")))
+    points = [p for p in lattice if _inside(_z(p))]
     if not points:
         raise ValidationError("initialization lattice empty after admissibility filtering")
-    scores = [fun(np.asarray(p, dtype=float))[0] for p in points]
-    best = int(np.argmin(scores))
-    return points[best], scores[best]
+    scores = [r @ r for r in (residual(_z(p)) for p in points)]
+    return points[int(np.argmin(scores))]
 
 
 def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> CalibrationResult:
@@ -262,24 +250,24 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     Every priced point lies strictly inside the box, hence is admissible.
     Each evaluation is one pricing batch that returns the residual with its
     closed-form Jacobian (see ``price_european_batch(..., gradient=True)``);
-    a rejected step reuses the Jacobian it holds, and the final theta is
-    priced once more for the objective and the residuals.  ``iterations``
-    counts the fit's evaluations, the start included.
+    a rejected step reuses the Jacobian it holds.  The objective and errors
+    are read off r at the optimum; the fit re-prices the start bit for bit and
+    takes only steps that lower ||r||^2, so the objective is at most the
+    start's lattice score.  ``iterations`` counts the fit's evaluations, the
+    start included.
     """
     config = config or CalibrationConfig()
-    fun, residual = _least_squares(slice_, config)
-    start, start_value = grid_init(fun)
-    z, evaluations = _levenberg_marquardt(residual, _z(start))
+    residual = _least_squares(slice_, config)
+    start = grid_init(residual)
+    z, r, evaluations = _levenberg_marquardt(residual, _z(start))
     theta = _theta(z)
     if not _inside(z):
         raise CalibrationError(f"optimizer left the admissible set at {theta}")
-    value, resid = fun(theta)
-    if value > start_value + 1e-12:
-        raise CalibrationError("optimizer failed to improve on the grid start")
-    err_bp = np.abs(resid) / slice_.spot * 1e4
+    root_w = np.sqrt(quote_weights(_usable_quotes(slice_), config.weights_rule))
+    err_bp = np.abs(r[: root_w.size]) / root_w / slice_.spot * 1e4
     return CalibrationResult(
         theta=NIGParams(theta[0], theta[1], theta[2], 0.0),
-        objective=value,
+        objective=float(r @ r),
         rmse_bp=float(np.sqrt(np.mean(err_bp**2))),
         max_err_bp=float(np.max(err_bp)),
         iterations=evaluations,

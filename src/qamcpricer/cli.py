@@ -11,8 +11,9 @@ key (quotes_csv, spots, correlations, payoff and its three keys, for the
 stages that read them), a value of the wrong type (a fraction or a
 boolean for an integer setting, or a string for a list of names,
 included), a CMC sample count below 2 (one sample has no standard error),
-an unknown estimator name, a spot that is not finite and positive,
-and a quote or correlation file that cannot be read are errors that exit 2:
+a qubit count below 1, an epsilon or rho outside (0, 1), an unknown
+estimator name, a spot that is not finite and positive, and a quote or
+correlation file that cannot be read are errors that exit 2:
 
     {
       "quotes_csv": "quotes.csv",
@@ -79,12 +80,16 @@ def _integer(value) -> int:
     return number
 
 
-def _sample_count(value) -> int:
-    """``value`` as a CMC sample count: an integer of at least 2, the fewest with a standard error."""
-    number = _integer(value)
-    if number < 2:
-        raise ValueError("CMC needs at least 2 samples")
-    return number
+def _at_least(minimum: int, why: str):
+    """Conversion to an integer of at least ``minimum``; ``why`` is the error on a smaller one."""
+
+    def convert(value) -> int:
+        number = _integer(value)
+        if number < minimum:
+            raise ValueError(why)
+        return number
+
+    return convert
 
 
 def _names(value) -> list[str]:
@@ -122,10 +127,10 @@ _SECTIONS = {
     "density": {"terms": (_integer, MARGINAL_TERMS), "tail_eps": (float, MARGINAL_TAIL_EPS)},
     "payoff": {"kind": (str, None), "strike": (float, None), "assets": (_names, None)},
     "pricing": {
-        "qubits_per_dim": (_integer, 3),
+        "qubits_per_dim": (_at_least(1, "a pricing grid needs at least 1 qubit per dimension"), 3),
         "epsilon": (float, 1e-3),
         "rho": (float, 0.05),
-        "samples": (_sample_count, 2**16),
+        "samples": (_at_least(2, "CMC needs at least 2 samples, the fewest with a standard error"), 2**16),
         "estimators": (_estimators, ["riemann", "cmc-joint", "qamc-joint", "qamc-independent"]),
     },
     # The study command picks the study and --seed the seed; every other field is settable.
@@ -320,17 +325,18 @@ def cmd_density(cfg: dict, out: Path, drop_violations: bool):
 
 @_stage("price")
 def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool):
-    # Its own settings first, so that a bad one stops the run before an earlier stage writes files.
+    # All of its own inputs first, so that a bad one stops the run before an earlier stage writes files.
     payoff_cfg = _section(cfg, "payoff")
     opts = _section(cfg, "pricing")
     payoff = Payoff(payoff_cfg["kind"], payoff_cfg["strike"])
-    marginals = cmd_density(cfg, out, drop_violations)
+    ae_config = AEConfig(epsilon=opts["epsilon"], rho=opts["rho"], seed=seed)
     assets = payoff_cfg["assets"]
+    corr = _required(cfg, "correlations")
+    spec = load_correlation(corr if isinstance(corr, dict) else _resolve(cfg, "correlations"), assets)
+    marginals = cmd_density(cfg, out, drop_violations)
     missing = [a for a in assets if a not in marginals]
     if missing:
         raise ValidationError(f"no calibrated marginal for asset(s) {missing}")
-    corr = _required(cfg, "correlations")
-    spec = load_correlation(corr if isinstance(corr, dict) else _resolve(cfg, "correlations"), assets)
     chosen = [marginals[a] for a in assets]
     grid = PricingGrid.build(chosen, opts["qubits_per_dim"])
     measure = GridMeasure.build(payoff, chosen, spec, grid)
@@ -349,7 +355,7 @@ def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool):
                 spec,
                 estimator.removeprefix("qamc-"),
                 grid,
-                AEConfig(epsilon=opts["epsilon"], rho=opts["rho"], seed=seed),
+                ae_config,
                 rng,
                 measure=measure,
             )
@@ -378,9 +384,7 @@ def cmd_study(cfg: dict, study: str, out: Path, seed: int) -> None:
     scfg = _study_config(cfg, study, seed)
     if study == "coeffs":
         records, per_k, run_log = study_coeffs(scfg)
-        write_records_csv(records, out / "study_coeffs.csv")
-        write_rows_csv(per_k, out / "study_coeffs_per_k.csv")
-        write_run_log(run_log, out / "study_coeffs_runs.csv")
+        # The slopes first: a ladder too short for a line stops the study before it writes a file.
         slopes = {
             method: fit_loglog_slope(
                 [r.cost for r in records if r.method == method],
@@ -388,6 +392,9 @@ def cmd_study(cfg: dict, study: str, out: Path, seed: int) -> None:
             )
             for method in ("cmc", "qamc")
         }
+        write_records_csv(records, out / "study_coeffs.csv")
+        write_rows_csv(per_k, out / "study_coeffs_per_k.csv")
+        write_run_log(run_log, out / "study_coeffs_runs.csv")
         _write_json(out / "study_coeffs_slopes.json", slopes)
     elif study == "density":
         rows = study_density_recovery(scfg)

@@ -109,10 +109,11 @@ class StudyConfig:
             raise ValidationError("terms must be >= 2: the coefficient study estimates k = 1 .. terms - 1")
         if min(self.recovery_terms, default=1) < 1:
             raise ValidationError(f"recovery orders must be >= 1, got {self.recovery_terms}")
-        # Each entry seeds its own generators through its tag.  Rising tags
-        # mean epsilons strictly decreasing, sample counts strictly increasing,
-        # and no two entries sharing generators.
-        for ladder, tag in ((self.epsilon_ladder, _epsilon_tag), (self.sample_ladder, _sample_tag)):
+        # Each entry seeds its own generators through its tag, a recovery order
+        # being its own.  Rising tags mean epsilons strictly decreasing, sample
+        # counts and orders strictly increasing, and no two entries sharing generators.
+        for ladder, tag in ((self.epsilon_ladder, _epsilon_tag), (self.sample_ladder, _sample_tag),
+                            (self.recovery_terms, int)):
             tags = [tag(level) for level in ladder]
             if any(a >= b for a, b in zip(tags, tags[1:])):
                 raise ValidationError(f"ladder {ladder} must be strictly monotone with rising seed tags, got {tags}")
@@ -360,6 +361,8 @@ def _trimmed_loglog(costs, errors) -> tuple[np.ndarray, np.ndarray]:
         costs = costs[1:-1]
         errors = errors[1:-1]
     keep = errors > 0
+    if np.count_nonzero(keep) < 2:
+        raise ValidationError(f"a log-log fit needs 2 points with a nonzero error, got {np.count_nonzero(keep)}")
     return np.log(costs[keep]), np.log(errors[keep])
 
 

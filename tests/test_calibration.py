@@ -1,5 +1,6 @@
 """Tests for the regularized NIG calibration."""
 
+import itertools
 import warnings
 from dataclasses import replace
 
@@ -12,9 +13,11 @@ from qamcpricer.calibration import (
     BOUNDS,
     TOLERANCE,
     CalibrationConfig,
+    _inside,
     _least_squares,
     _levenberg_marquardt,
     _theta,
+    _usable_quotes,
     _z,
     bs_prior,
     calibrate,
@@ -23,17 +26,32 @@ from qamcpricer.calibration import (
 )
 from qamcpricer.errors import DomainError, ValidationError
 from qamcpricer.market_data import MarketSlice, OptionQuote, generate_synthetic_quotes
-from qamcpricer.nig import NIGParams, nig_cumulants
+from qamcpricer.nig import ExpNIGModel, NIGParams, nig_cumulants, price_european_batch
 
 
 def quote_slice(params, slice_, strikes):
     return replace(slice_, quotes=generate_synthetic_quotes(params, slice_, strikes, spread=0.0))
 
 
+def pricing_errors(theta, slice_):
+    """V(theta) - mid over the usable quotes of the slice."""
+    quotes = _usable_quotes(slice_)
+    model = ExpNIGModel(NIGParams(theta[0], theta[1], theta[2], 0.0), slice_)
+    prices = price_european_batch(model, [q.strike for q in quotes], [q.kind for q in quotes])
+    return prices - np.array([q.mid for q in quotes])
+
+
 def objective(theta, slice_, cfg) -> float:
-    """J(theta) as calibrate evaluates it."""
-    fun, _ = _least_squares(slice_, cfg)
-    return fun(np.asarray(theta, dtype=float))[0]
+    """J(theta) = sum_m w_m (V_m - mid_m)^2 + lambda ||theta - theta0||^2, from its definition."""
+    weights = quote_weights(_usable_quotes(slice_), cfg.weights_rule)
+    penalty = np.sum((np.asarray(theta, dtype=float) - bs_prior(slice_)) ** 2)
+    return float(weights @ pricing_errors(theta, slice_) ** 2 + cfg.regularization * penalty)
+
+
+def lattice_size():
+    """The number of DEFAULT_GRID points strictly inside the box."""
+    lattice = calibration.DEFAULT_GRID
+    return sum(_inside(_z(p)) for p in itertools.product(lattice["alpha"], lattice["beta"], lattice["delta"]))
 
 
 def desk_slice(name):
@@ -60,7 +78,7 @@ def jacobian_by_central_differences(residual, z):
         up, dn = z.copy(), z.copy()
         up[i] += step
         dn[i] -= step
-        columns.append((residual(up)[0] - residual(dn)[0]) / (2.0 * step))
+        columns.append((residual(up) - residual(dn)) / (2.0 * step))
     return np.column_stack(columns)
 
 
@@ -106,18 +124,20 @@ class TestObjective:
 
     def test_residual_norm_is_the_objective(self, axa_quote_slice):
         cfg = CalibrationConfig(regularization=1e-3)
-        fun, residual = _least_squares(axa_quote_slice, cfg)
+        residual = _least_squares(axa_quote_slice, cfg)
         for theta in FIT_POINTS[:3] + [bs_prior(axa_quote_slice)]:
             z = _z(theta)
-            value = fun(_theta(z))[0]
-            assert float(np.sum(residual(z)[0] ** 2)) == pytest.approx(value, rel=1e-14, abs=0.0)
+            r = residual(z)
+            assert r @ r == pytest.approx(objective(_theta(z), axa_quote_slice, cfg), rel=1e-14, abs=0.0)
+            # The lattice's plain batch and the fit's gradient batch give the same r, bit for bit.
+            np.testing.assert_array_equal(residual(z, gradient=True)[0], r)
 
     def test_jacobian_matches_central_differences(self, axa_quote_slice):
         cfg = CalibrationConfig(regularization=1e-3)
-        _, residual = _least_squares(axa_quote_slice, cfg)
+        residual = _least_squares(axa_quote_slice, cfg)
         for theta in FIT_POINTS:
             z = _z(theta)
-            exact = residual(z)[1]
+            exact = residual(z, gradient=True)[1]
             reference = jacobian_by_central_differences(residual, z)
             scale = np.max(np.abs(reference), axis=0)
             assert np.all(np.abs(exact - reference) <= 1e-6 * scale)
@@ -158,18 +178,15 @@ class TestGridInit:
         lattice = {"alpha": (4.0, 5.24, 8.0), "beta": (-3.26, 0.0), "delta": (0.18, 0.4)}
         monkeypatch.setattr(calibration, "DEFAULT_GRID", lattice)
         cfg = CalibrationConfig(regularization=0.0, weights_rule="uniform")
-        assert grid_init(_least_squares(axa_quote_slice, cfg)[0])[0] == (5.24, -3.26, 0.18)
+        assert grid_init(_least_squares(axa_quote_slice, cfg)) == (5.24, -3.26, 0.18)
 
     def test_singleton_lattice(self, axa_quote_slice, monkeypatch):
         monkeypatch.setattr(calibration, "DEFAULT_GRID", {"alpha": (6.0,), "beta": (-2.0,), "delta": (0.2,)})
-        assert grid_init(_least_squares(axa_quote_slice, CalibrationConfig())[0]) == (
-            (6.0, -2.0, 0.2),
-            objective((6.0, -2.0, 0.2), axa_quote_slice, CalibrationConfig()),
-        )
+        assert grid_init(_least_squares(axa_quote_slice, CalibrationConfig())) == (6.0, -2.0, 0.2)
 
     def test_default_lattice_beats_median(self, axa_quote_slice):
         cfg = CalibrationConfig()
-        start, _ = grid_init(_least_squares(axa_quote_slice, cfg)[0])
+        start = grid_init(_least_squares(axa_quote_slice, cfg))
         lattice = calibration.DEFAULT_GRID
         admissible = [
             (a, b, d)
@@ -184,7 +201,7 @@ class TestGridInit:
     def test_empty_lattice_error(self, axa_quote_slice, monkeypatch):
         monkeypatch.setattr(calibration, "DEFAULT_GRID", {"alpha": (1.0,), "beta": (4.0,), "delta": (0.2,)})
         with pytest.raises(ValidationError):
-            grid_init(_least_squares(axa_quote_slice, CalibrationConfig())[0])
+            grid_init(_least_squares(axa_quote_slice, CalibrationConfig()))
 
 
 class TestBsPrior:
@@ -215,13 +232,14 @@ class TestBsPrior:
 
 
 def linear_problem(matrix, target):
-    """residual(z) = (matrix (z - target), matrix), recording every z evaluated."""
+    """residual(z) = matrix (z - target), with the Jacobian matrix, recording every z evaluated."""
     matrix, target = np.asarray(matrix, dtype=float), np.asarray(target, dtype=float)
     evaluated = []
 
-    def residual(z):
+    def residual(z, gradient=False):
         evaluated.append(np.array(z, copy=True))
-        return matrix @ (z - target), matrix
+        r = matrix @ (z - target)
+        return (r, matrix) if gradient else r
 
     return residual, evaluated
 
@@ -241,7 +259,7 @@ class TestLevenbergMarquardt:
         # bound; coupled, the other coordinates move to the box minimum.
         monkeypatch.setattr(calibration, "MAX_ITERATIONS", 60)
         residual, evaluated = linear_problem(matrix, target)
-        z, evaluations = _levenberg_marquardt(residual, self.START)
+        z, r_fit, evaluations = _levenberg_marquardt(residual, self.START)
         side, index = bound
         assert 0.0 < abs(z[index] - BOUNDS[side][index]) <= TOLERANCE * (TOLERANCE + np.linalg.norm(z))
         lower, upper = np.array(BOUNDS)
@@ -249,7 +267,8 @@ class TestLevenbergMarquardt:
         assert evaluations == len(evaluated) <= 60
         # First-order optimality on the box: the gradient vanishes in the
         # free coordinates and pushes out of the box in the bound one.
-        r, jz = residual(z)
+        r, jz = residual(z, gradient=True)
+        np.testing.assert_array_equal(r_fit, r)  # the residual at the returned z
         gradient = jz.T @ r
         free = np.arange(3) != index
         assert np.all(np.abs(gradient[free]) <= 1e-6)
@@ -258,7 +277,7 @@ class TestLevenbergMarquardt:
     def test_evaluation_cap(self, monkeypatch):
         monkeypatch.setattr(calibration, "MAX_ITERATIONS", 3)
         residual, evaluated = linear_problem(np.eye(3), (-1.0, 2.0, 1.0))
-        _, evaluations = _levenberg_marquardt(residual, self.START)
+        _, _, evaluations = _levenberg_marquardt(residual, self.START)
         assert evaluations == len(evaluated) == 3
 
     def test_singular_normal_matrix(self):
@@ -266,7 +285,7 @@ class TestLevenbergMarquardt:
         residual, _ = linear_problem([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], (1.5, 2.5, 1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            z, _ = _levenberg_marquardt(residual, self.START)
+            z, _, _ = _levenberg_marquardt(residual, self.START)
         assert z[0] + z[1] == pytest.approx(4.0, rel=1e-10)
         assert z[2] == pytest.approx(1.0, rel=1e-10)
 
@@ -299,7 +318,22 @@ class TestCalibrate:
         first = calibrate(axa_quote_slice, cfg)
         again = calibrate(axa_quote_slice, cfg)
         assert first == again  # bit-for-bit: no hidden RNG
-        assert first.objective <= objective(first.start, axa_quote_slice, cfg)
+        # At most the start's lattice score, exactly: the fit re-prices the
+        # start bit for bit and takes only steps that lower ||r||^2.
+        r = _least_squares(axa_quote_slice, cfg)(_z(first.start))
+        assert first.objective <= r @ r
+
+    @pytest.mark.parametrize("name", ["AXA", "MICHELIN"])
+    def test_report_matches_the_definitions(self, name):
+        # The objective and the errors in bp of spot, read off the residual at
+        # the optimum, against J and V - mid evaluated at the fitted theta.
+        slice_, cfg = desk_slice(name), CalibrationConfig()
+        result = calibrate(slice_, cfg)
+        theta = (result.theta.alpha, result.theta.beta, result.theta.delta)
+        err_bp = np.abs(pricing_errors(theta, slice_)) / slice_.spot * 1e4
+        assert result.objective == pytest.approx(objective(theta, slice_, cfg), rel=1e-12)
+        assert result.rmse_bp == pytest.approx(np.sqrt(np.mean(err_bp**2)), rel=1e-12)
+        assert result.max_err_bp == pytest.approx(np.max(err_bp), rel=1e-12)
 
     def test_admissible_at_every_accepted_iterate(self, axa_quote_slice, monkeypatch):
         # Every point priced lies in the NIG domain: the fit keeps every trial
@@ -333,9 +367,10 @@ class TestCalibrate:
                 NIGParams(alpha, beta, delta)  # does not raise
 
     def test_desk_slice_prices_few_batches(self, monkeypatch):
-        # The make-bundle AXA slice.  The fit prices one batch per lattice
-        # point, one per evaluation (the Jacobian comes with the residual at
-        # the same point) and one at the optimum: 27 + 6 + 1.
+        # The make-bundle AXA slice.  The grid start prices one plain batch
+        # per admissible lattice point and the fit one gradient batch per
+        # evaluation (the Jacobian comes with the residual at the same
+        # point); the optimum is not priced again.
         calls = []
         model_prices = calibration._model_prices
 
@@ -345,13 +380,11 @@ class TestCalibrate:
 
         monkeypatch.setattr(calibration, "_model_prices", counting)
         result = calibrate(desk_slice("AXA"), CalibrationConfig())
-        assert len(calls) <= 34
-        assert calls.count(True) == result.iterations
-        assert calls[-1] is False  # the optimum: objective and residuals off one batch
+        assert calls == [False] * lattice_size() + [True] * result.iterations
 
     def test_prior_inverted_once_per_slice(self, monkeypatch):
         # calibrate builds the slice's least-squares problem once and the
-        # grid start scores the lattice with that objective, so the ATM
+        # grid start scores the lattice with that residual, so the ATM
         # implied vol of the prior is inverted once.
         calls = []
         inverse = calibration.implied_vol
@@ -380,8 +413,6 @@ class TestCalibrate:
     def test_mu_invariance_of_fit_quality(self, axa_quote_slice):
         # Prices from the fitted theta are unchanged when mu is moved (and the
         # martingale adjustment recenters), restated at price level.
-        from qamcpricer.nig import ExpNIGModel, price_european_batch
-
         result = calibrate(axa_quote_slice, CalibrationConfig(regularization=5e-7))
         base = ExpNIGModel(result.theta, axa_quote_slice)
         moved = ExpNIGModel(replace(result.theta, mu=0.3), axa_quote_slice)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,14 @@ class TestRecordsAndFits:
         costs = np.array([1e2, 1e3, 1e4, 1e5, 1e6])
         errors = 3.0 / costs
         assert cost_at_error(costs, errors, 1e-3) == pytest.approx(3000.0, rel=1e-9)
+
+    @pytest.mark.parametrize("fit", [fit_loglog_slope, lambda c, e: cost_at_error(c, e, 1e-3)],
+                             ids=["slope", "cost-at-error"])
+    @pytest.mark.parametrize("costs, errors", [([256.0], [0.1]), ([256.0, 1024.0, 4096.0], [0.1, 0.0, 0.0])],
+                             ids=["one-point", "one-nonzero-error"])
+    def test_loglog_fit_needs_two_points(self, fit, costs, errors):
+        with pytest.raises(ValidationError, match="needs 2 points"):
+            fit(costs, errors)
 
     def test_ci90_is_numpy_percentile_bit_for_bit(self):
         # Sizes 1-299, 512 and 1000; continuous values over many scales, ties
@@ -518,6 +527,8 @@ class TestCli:
                          "terms must be >= 2", id="no-terms"),
             pytest.param(["study", "density"], lambda cfg: cfg["study"].update(recovery_terms=[0]),
                          "recovery orders must be >= 1", id="zero-recovery-order"),
+            pytest.param(["study", "density"], lambda cfg: cfg["study"].update(recovery_terms=[4, 4]),
+                         "rising seed tags", id="repeated-recovery-order"),
             pytest.param(["price"], lambda cfg: cfg["pricing"].update(estimators=["riemann", "bogus"]),
                          "unknown estimator(s) ['bogus']", id="unknown-estimator"),
             pytest.param(["price"], lambda cfg: cfg["pricing"].update(estimators=["cmc-foo"]),
@@ -544,15 +555,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
-    def test_bad_estimator_stops_before_any_stage(self, bundle, tmp_path):
-        # The price stage reads its own sections first, so no earlier stage writes a file.
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cfg: cfg["pricing"].update(estimators=["riemann", "bogus"]),
+            lambda cfg: cfg["pricing"].update(epsilon=0),
+            lambda cfg: cfg["pricing"].update(rho=1.0),
+            lambda cfg: cfg["pricing"].update(qubits_per_dim=0),
+            lambda cfg: cfg.update(correlations="missing.json"),
+        ],
+        ids=["unknown-estimator", "zero-epsilon", "unit-rho", "no-qubit", "missing-correlation-file"],
+    )
+    def test_bad_estimator_stops_before_any_stage(self, bundle, tmp_path, edit):
+        # The price stage reads all of its own inputs first, so no earlier stage writes a file.
         cfg = json.loads((bundle / "config.json").read_text())
         cfg.update(quotes_csv=str(bundle / "quotes.csv"), correlations=str(bundle / "corr.json"))
-        cfg["pricing"]["estimators"] = ["riemann", "bogus"]
+        edit(cfg)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "out"
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert list(out.iterdir()) == []
+
+    def test_single_point_ladders_stop_the_coefficient_study(self, bundle, tmp_path, capsys):
+        # Each method's slope was a line through one point, written with
+        # numpy's "Polyfit may be poorly conditioned" warning.
+        cfg = json.loads((bundle / "config.json").read_text())
+        cfg["study"].update(sample_ladder=[256], epsilon_ladder=[0.1])
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["study", "coeffs", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "log-log fit needs 2 points" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("text", [None, "{bad"], ids=["missing-file", "malformed-json"])
