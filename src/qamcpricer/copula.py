@@ -7,8 +7,11 @@ The copula density with correlation matrix Sigma is
 which multiplies the product of marginals to form the joint density (Sklar).
 Pricing under independent marginals weights the payoff by c(F_1,...,F_N):
 the whole dependence structure rides on that multiplicative factor.  Every
-estimator prices the grid measure, so c is evaluated in one place: on the
-tensor grid of per-axis CDF values (copula_weights_on_grid).
+estimator prices the grid measure, so c is evaluated by one kernel from the
+normal scores z_i = Phi^{-1}(F_i) of each axis (normal_scores): on a tensor
+grid of them (copula_weights_on_grid, which the grid measure calls slab by
+slab) or at scattered grid nodes (copula_weights_at, for the cells a CMC
+draw visits), with the same bits at a shared node.
 
 c(u) is unbounded at the corners of the cube for any Sigma != I, so the
 c_max that keeps the adjusted payoff h c / (h_max c_max) in [0, 1] is the
@@ -30,7 +33,9 @@ from .numerics import std_normal_quantile
 
 __all__ = [
     "CopulaSpec",
+    "normal_scores",
     "copula_weights_on_grid",
+    "copula_weights_at",
     "grid_c_max",
     "load_correlation",
     "CLAMP_EPS",
@@ -81,26 +86,27 @@ def _clamped_unit(u: np.ndarray) -> np.ndarray:
     return clipped
 
 
-def copula_weights_on_grid(spec: CopulaSpec, unit_coords: list[np.ndarray]) -> np.ndarray:
-    """c(u_1,...,u_N) on the tensor grid of per-dimension CDF values.
+def normal_scores(unit_coords: list[np.ndarray]) -> list[np.ndarray]:
+    """z_i = Phi^{-1}(u_i) for each coordinate array: what the copula density reads.
 
     CDF values exactly at 0 or 1 (truncated-CDF saturation) are clamped into
-    the open cube with a diagnostic count.  The normal quantile runs once per
-    axis; the quadratic form is summed over (i, j) by broadcasting those
-    per-axis vectors, so no (nodes, N) array of coordinates is formed.
+    the open cube with a diagnostic count.  The normal quantile runs once
+    per array, so the scores of a grid's axes cost one quantile per axis
+    point, not one per node.
     """
-    if len(unit_coords) != spec.dim:
-        raise DomainError("one coordinate vector per dimension required")
-    shape = tuple(len(c) for c in unit_coords)
-    z = []
-    for axis, coords in enumerate(unit_coords):
-        view = [1] * spec.dim
-        view[axis] = shape[axis]
-        z.append(std_normal_quantile(_clamped_unit(np.asarray(coords, dtype=float))).reshape(view))
+    return [std_normal_quantile(_clamped_unit(np.asarray(coords, dtype=float))) for coords in unit_coords]
+
+
+def _density(spec: CopulaSpec, z: list[np.ndarray]) -> np.ndarray:
+    """c at every point of the broadcast of the per-coordinate scores ``z``.
+
+    Node by node the arithmetic is the same whatever the shapes, so a grid
+    and a set of points give the same bits at a shared node.
+    """
     m = spec.inv - np.eye(spec.dim)
     # Terms are added from zero in row-major (i, j) order; the last bits of
     # the weights, and so the pinned references, depend on that order.
-    quad = np.zeros(shape)
+    quad = np.zeros(np.broadcast_shapes(*(s.shape for s in z)))
     for i in range(spec.dim):
         for j in range(spec.dim):
             quad += z[i] * m[i, j] * z[j]
@@ -110,6 +116,37 @@ def copula_weights_on_grid(spec: CopulaSpec, unit_coords: list[np.ndarray]) -> n
     np.exp(quad, out=quad)
     quad /= math.sqrt(spec.det)
     return quad
+
+
+def copula_weights_on_grid(spec: CopulaSpec, scores: list[np.ndarray]) -> np.ndarray:
+    """c on the tensor grid of per-dimension normal scores z_i = Phi^{-1}(F_i) (normal_scores).
+
+    The quadratic form is summed over (i, j) by broadcasting the per-axis
+    score vectors, so no (nodes, N) array of coordinates is formed.  A slab
+    of a grid (some rows of its leading axis) is the grid of those rows'
+    scores and the other axes' scores.
+    """
+    if len(scores) != spec.dim:
+        raise DomainError("one score vector per dimension required")
+    z = []
+    for axis, vector in enumerate(scores):
+        vector = np.asarray(vector, dtype=float)
+        view = [1] * spec.dim
+        view[axis] = vector.size
+        z.append(vector.reshape(view))
+    return _density(spec, z)
+
+
+def copula_weights_at(spec: CopulaSpec, scores: list[np.ndarray]) -> np.ndarray:
+    """c(z_1[k],...,z_N[k]) for each k: the weights at scattered points, one score array per dimension.
+
+    The arithmetic of copula_weights_on_grid, so the weight of a grid node
+    is bit-equal to that grid's entry there.
+    """
+    scores = [np.asarray(vector, dtype=float) for vector in scores]
+    if len(scores) != spec.dim or len({vector.shape for vector in scores}) != 1:
+        raise DomainError("one score array per dimension required, all of one shape")
+    return _density(spec, scores)
 
 
 def grid_c_max(weights: np.ndarray) -> float:

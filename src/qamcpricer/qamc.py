@@ -212,14 +212,16 @@ def qamc_price(
     amplitude equals V/scale, with V the discounted Riemann reference and
     scale = DF h_max Q or DF h_max c_max.  cfg.epsilon is the price-level
     target; it is mapped to the amplitude scale and the estimate back.  A
-    prebuilt ``measure`` built for another payoff is a DomainError.
+    prebuilt ``measure`` built for another payoff, other marginals, another
+    copula or another grid than the ones given is a DomainError.  Every
+    number it reads is a scalar the measure reduced at build.
     """
     if formulation not in ("joint", "independent"):
         raise DomainError(f"unknown formulation {formulation!r}")
     if measure is None:
         measure = GridMeasure.build(payoff, marginals, spec, grid)
-    elif measure.payoff != payoff:
-        raise DomainError(f"measure built for {measure.payoff}, not for {payoff}")
+    else:
+        measure.check_inputs(payoff, marginals, spec, grid)
     df = measure.discount_factor
     h_max = measure.payoff_max
     if h_max <= 0.0:

@@ -46,6 +46,7 @@ from qamcpricer.pricing import GridMeasure, cmc_price
 from qamcpricer.qamc import AEConfig, iqae_estimate, qamc_price
 
 from cos_pricing import price_european_cos
+from dense_measure import DenseMeasure
 from series_bounds import cumulant_interval, estimate_decay
 
 # Deterministic regression pins for the experiment-scale Riemann references
@@ -299,9 +300,10 @@ def test_criterion_8_copula_identities():
     worst = 0.0
     for spec in (eye, rho_spec):
         m = GridMeasure.build(payoff, marginals, spec, grid)
+        dense = DenseMeasure.of(m)
         h_max = m.payoff_max
-        lhs = m.masses * m.payoff_values
-        h_adj = m.payoff_values * m.copula_weights / (h_max * m.c_max)
+        lhs = dense.masses * dense.payoff_values
+        h_adj = dense.payoff_values * dense.weights / (h_max * m.c_max)
         rhs = reduce(np.multiply.outer, m.marginal_masses) * h_adj * m.c_max * h_max
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     elapsed = time.monotonic() - start

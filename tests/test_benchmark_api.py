@@ -110,3 +110,34 @@ def test_measure_build_reaches_the_traced_c_max():
     assert proc.returncode == 0, proc.stderr
     builds, bounds, c_max_s = json.loads(proc.stdout.strip().splitlines()[-1])
     assert builds == bounds == 2 and c_max_s > 0.0
+
+
+SLAB_SPANS = """
+import json
+import child, spans
+child.import_package()
+from qamcpricer import experiments, pricing
+
+tracer = spans.Tracer()
+spans.install(tracer)
+payoff, marginals, spec, _ = experiments.basket_setup()
+grid = pricing.PricingGrid.build(marginals, 6)
+for _ in range(2):
+    pricing.GridMeasure.build(payoff, marginals, spec, grid)
+names = [span[2] for span in tracer.spans]
+metrics = tracer.metrics()
+print(json.dumps([grid.total_nodes, len(list(pricing._row_slabs(grid))), names.count("pricing.GridMeasure.build"),
+                  metrics["copula.weights_calls"], names.count("copula.grid_c_max"), metrics["copula.weights_nodes"]]))
+"""
+
+
+def test_slab_build_reaches_the_traced_copula_kernels():
+    # A multi-slab build calls copula_weights_on_grid and grid_c_max once
+    # per slab through pricing's module globals, so copula.weights_calls
+    # counts slabs and copula.weights_nodes counts each node once per build.
+    proc = _run(SLAB_SPANS)
+    assert proc.returncode == 0, proc.stderr
+    nodes, slabs, builds, weights_calls, bounds, weights_nodes = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert slabs > 1 and builds == 2
+    assert weights_calls == bounds == builds * slabs
+    assert weights_nodes == builds * nodes == 2 * 2**18

@@ -1,8 +1,9 @@
 """Tests for the Gaussian copula weights on the pricing grid and their bound.
 
-copula_weights_on_grid is the one evaluator of the copula density.  Pointwise
-checks use one-point axes; joint-density checks multiply the weights by the
-marginal densities on the same tensor grid.
+The copula density is evaluated from normal scores, on a tensor grid
+(copula_weights_on_grid) or at scattered points (copula_weights_at).
+Pointwise checks use one-point axes; joint-density checks multiply the
+weights by the marginal densities on the same tensor grid.
 """
 
 import json
@@ -18,9 +19,11 @@ from qamcpricer.cli import main
 from qamcpricer.copula import (
     CLAMP_EPS,
     CopulaSpec,
+    copula_weights_at,
     copula_weights_on_grid,
     grid_c_max,
     load_correlation,
+    normal_scores,
 )
 from qamcpricer.errors import DomainError, ValidationError
 from qamcpricer.nig import nig_cdf, nig_pdf, support_interval
@@ -31,14 +34,19 @@ def two_asset_spec(rho=-0.25):
     return CopulaSpec.from_matrix([[1.0, rho], [rho, 1.0]])
 
 
+def weights_on_grid(spec, unit_coords):
+    """Copula weights on the tensor grid of per-axis CDF values."""
+    return copula_weights_on_grid(spec, normal_scores(unit_coords))
+
+
 def weight_at(spec, *u):
     """The copula density at one point: the weights of one-point axes."""
-    return copula_weights_on_grid(spec, [np.array([ui]) for ui in u]).item()
+    return weights_on_grid(spec, [np.array([ui]) for ui in u]).item()
 
 
 def normal_joint_on_grid(spec, grids):
     """Joint density of standard normal marginals under ``spec`` on a tensor grid."""
-    weights = copula_weights_on_grid(spec, [std_normal_cdf(g) for g in grids])
+    weights = weights_on_grid(spec, [std_normal_cdf(g) for g in grids])
     product = std_normal_pdf(grids[0])
     for g in grids[1:]:
         product = np.multiply.outer(product, std_normal_pdf(g))
@@ -53,7 +61,7 @@ def bivariate_normal_pdf(x, y, rho):
 
 def grid_weights(spec, cdfs, grids):
     """Copula weights on the tensor grid of ``grids`` and their c_max bound."""
-    weights = copula_weights_on_grid(spec, [cdf(g) for cdf, g in zip(cdfs, grids)])
+    weights = weights_on_grid(spec, [cdf(g) for cdf, g in zip(cdfs, grids)])
     return weights, grid_c_max(weights)
 
 
@@ -74,14 +82,14 @@ class TestDensity:
         assert weight_at(spec, 0.3, 0.8) == pytest.approx(weight_at(spec, 0.8, 0.3), rel=1e-14)
         u = np.array([0.1, 0.3, 0.8])
         v = np.array([0.05, 0.6])
-        swapped = copula_weights_on_grid(spec, [v, u]).T
-        assert np.allclose(copula_weights_on_grid(spec, [u, v]), swapped, rtol=1e-14, atol=0.0)
+        swapped = weights_on_grid(spec, [v, u]).T
+        assert np.allclose(weights_on_grid(spec, [u, v]), swapped, rtol=1e-14, atol=0.0)
 
     def test_strictly_positive(self):
         spec = two_asset_spec(0.9)
         rng = np.random.default_rng(1)
         u = [rng.uniform(0.01, 0.99, 10), rng.uniform(0.01, 0.99, 10)]
-        assert np.all(copula_weights_on_grid(spec, u) > 0.0)
+        assert np.all(weights_on_grid(spec, u) > 0.0)
 
     def test_matrix_validation(self):
         with pytest.raises(ValidationError):
@@ -117,7 +125,7 @@ class TestJointPdf:
             grids.append(nodes)
             pdfs.append(nig_pdf(nodes, p, 1.0))
             cdfs.append(np.array([nig_cdf(v, p, 1.0) for v in nodes]))
-        values = copula_weights_on_grid(spec, cdfs) * np.multiply.outer(*pdfs)
+        values = weights_on_grid(spec, cdfs) * np.multiply.outer(*pdfs)
         dx = grids[0][1] - grids[0][0]
         dy = grids[1][1] - grids[1][0]
         assert float(values.sum() * dx * dy) == pytest.approx(1.0, abs=2e-3)
@@ -133,8 +141,8 @@ class TestJointPdf:
         sigma = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.45], [-0.2, 0.45, 1.0]])
         perm = [2, 0, 1]
         u = [np.array([0.4, 0.7]), np.array([0.1, 0.5, 0.95]), np.array([0.2, 0.6, 0.8, 0.99])]
-        direct = copula_weights_on_grid(CopulaSpec.from_matrix(sigma), u)
-        permuted = copula_weights_on_grid(
+        direct = weights_on_grid(CopulaSpec.from_matrix(sigma), u)
+        permuted = weights_on_grid(
             CopulaSpec.from_matrix(sigma[np.ix_(perm, perm)]), [u[k] for k in perm]
         )
         assert np.allclose(np.transpose(direct, perm), permuted, rtol=1e-13, atol=0.0)
@@ -186,8 +194,15 @@ class TestGridCMax:
 
     def test_weights_on_grid_identity(self):
         spec = CopulaSpec.from_matrix(np.eye(2))
-        w = copula_weights_on_grid(spec, [np.array([0.2, 0.5]), np.array([0.4, 0.9])])
+        w = weights_on_grid(spec, [np.array([0.2, 0.5]), np.array([0.4, 0.9])])
         assert np.array_equal(w, np.ones((2, 2)))
+
+    def test_scattered_points_need_one_array_per_dimension_of_one_shape(self):
+        spec = two_asset_spec()
+        with pytest.raises(DomainError):
+            copula_weights_at(spec, [np.zeros(2), np.zeros(3)])
+        with pytest.raises(DomainError):
+            copula_weights_at(spec, [np.zeros(2)])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
@@ -206,7 +221,7 @@ class TestPerAxisKernel:
         monkeypatch.setattr(copula, "std_normal_quantile", counting)
         sigma = [[1.0, -0.2, -0.25], [-0.2, 1.0, -0.15], [-0.25, -0.15, 1.0]]
         axes = [np.linspace(0.0, 1.0, 16)] * 3
-        weights = copula_weights_on_grid(CopulaSpec.from_matrix(sigma), axes)
+        weights = weights_on_grid(CopulaSpec.from_matrix(sigma), axes)
         assert weights.shape == (16, 16, 16)
         assert sum(points) == 48
 
@@ -219,7 +234,7 @@ class TestPerAxisKernel:
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            weights = copula_weights_on_grid(CopulaSpec.from_matrix(sigma), axes)
+            weights = weights_on_grid(CopulaSpec.from_matrix(sigma), axes)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -268,15 +283,15 @@ class TestCopulaProperties:
     @given(case=copula_grids())
     def test_identity_gives_all_ones(self, case):
         _, axes, _ = case
-        weights = copula_weights_on_grid(CopulaSpec.from_matrix(np.eye(len(axes))), axes)
+        weights = weights_on_grid(CopulaSpec.from_matrix(np.eye(len(axes))), axes)
         assert np.array_equal(weights, np.ones(tuple(len(a) for a in axes)))
 
     @copula_settings
     @given(case=copula_grids())
     def test_permuting_axes_and_sigma_permutes_weights(self, case):
         sigma, axes, perm = case
-        direct = copula_weights_on_grid(CopulaSpec.from_matrix(sigma), axes)
-        permuted = copula_weights_on_grid(
+        direct = weights_on_grid(CopulaSpec.from_matrix(sigma), axes)
+        permuted = weights_on_grid(
             CopulaSpec.from_matrix(sigma[np.ix_(perm, perm)]), [axes[k] for k in perm]
         )
         assert np.allclose(np.transpose(direct, perm), permuted, rtol=1e-12, atol=0.0)
@@ -286,7 +301,7 @@ class TestCopulaProperties:
     def test_weights_match_pointwise_formula(self, case, picks):
         sigma, axes, _ = case
         spec = CopulaSpec.from_matrix(sigma)
-        weights = copula_weights_on_grid(spec, axes)
+        weights = weights_on_grid(spec, axes)
         for pick in picks:
             node = np.unravel_index(pick % weights.size, weights.shape)
             u = np.array([axes[i][k] for i, k in enumerate(node)])
@@ -295,10 +310,27 @@ class TestCopulaProperties:
             assert weights[node] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @copula_settings
+    @given(case=copula_grids(), picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=8))
+    def test_slabs_and_scattered_nodes_take_the_grid_bits(self, case, picks):
+        # The grid measure reads the weights slab by slab (rows of the
+        # leading axis) and CMC at the nodes it draws: both are the full
+        # grid's entries bit for bit.
+        sigma, axes, _ = case
+        spec = CopulaSpec.from_matrix(sigma)
+        scores = normal_scores(axes)
+        weights = copula_weights_on_grid(spec, scores)
+        for start in range(len(axes[0])):
+            rows = slice(start, start + 2)
+            assert np.array_equal(copula_weights_on_grid(spec, [scores[0][rows], *scores[1:]]), weights[rows])
+        nodes = np.unravel_index(np.array(picks) % weights.size, weights.shape)
+        scattered = copula_weights_at(spec, [z[k] for z, k in zip(scores, nodes)])
+        assert np.array_equal(scattered, weights[nodes])
+
+    @copula_settings
     @given(case=copula_grids())
     def test_weights_finite_and_positive(self, case):
         sigma, axes, _ = case
-        weights = copula_weights_on_grid(CopulaSpec.from_matrix(sigma), axes)
+        weights = weights_on_grid(CopulaSpec.from_matrix(sigma), axes)
         assert np.all(np.isfinite(weights)) and np.all(weights > 0.0)
 
 

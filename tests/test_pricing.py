@@ -3,12 +3,12 @@
 import itertools
 import math
 import tracemalloc
-from dataclasses import replace
 from functools import reduce
 
 import numpy as np
 import pytest
 
+from dense_measure import DenseMeasure, flat_priced
 from qamcpricer import copula, experiments, pricing
 from qamcpricer.copula import CopulaSpec
 from qamcpricer.cosine_density import CosineSeries, Interval, coeffs_classical
@@ -22,8 +22,10 @@ from qamcpricer.pricing import (
     PricingGrid,
     cmc_price,
     eval_payoff,
+    normalize_cell_masses,
     riemann_reference,
 )
+from qamcpricer.qamc import AEConfig, qamc_price
 
 
 @pytest.fixture(scope="module")
@@ -165,31 +167,47 @@ class TestMeasure:
         with pytest.raises(ValidationError):
             GridMeasure.build(payoff, chosen, spec, PricingGrid.build(chosen, 3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cell_masses_rejected(self, bad):
+        # [nan, 1.0] used to come back as ([nan, 0.], nan) after a RuntimeWarning.
+        for raw in ([bad, 1.0], [0.5, 0.25, bad]):
+            with pytest.raises(DomainError):
+                normalize_cell_masses(raw)
+
     def test_identity_grid_identity(self, spread_setup):
         # f_joint h == f_ind H c_max node by node.
         payoff, marginals, _, grid = spread_setup
         spec = CopulaSpec.from_matrix([[1.0, -0.25], [-0.25, 1.0]])
         measure = GridMeasure.build(payoff, marginals, spec, grid)
+        dense = DenseMeasure.of(measure)
         h_max = measure.payoff_max
-        joint_side = measure.masses * measure.payoff_values
-        adj = measure.payoff_values * measure.copula_weights / (h_max * measure.c_max)
+        joint_side = dense.masses * dense.payoff_values
+        adj = dense.payoff_values * dense.weights / (h_max * measure.c_max)
         ind_side = reduce(np.multiply.outer, measure.marginal_masses) * adj * measure.c_max * h_max
         assert np.max(np.abs(joint_side - ind_side)) <= 1e-12 * max(h_max, 1.0)
 
     def test_copula_weights_evaluated_once(self, spread_setup, monkeypatch):
-        payoff, marginals, spec, grid = spread_setup
-        calls = []
+        # One copula call per slab, the slabs covering every node once: one
+        # call on the 2^3 grid, 2^20 nodes in 32 calls on the 2^10 one.
+        payoff, marginals, spec, _ = spread_setup
+        sizes = []
         weights_on_grid = copula.copula_weights_on_grid
 
         def counted(*args):
-            calls.append(args)
-            return weights_on_grid(*args)
+            weights = weights_on_grid(*args)
+            sizes.append(weights.size)
+            return weights
 
-        for module in (copula, pricing):
-            monkeypatch.setattr(module, "copula_weights_on_grid", counted)
-        measure = GridMeasure.build(payoff, marginals, spec, grid)
-        assert len(calls) == 1
-        assert measure.c_max == float(measure.copula_weights.max())
+        for qubits, calls in ((3, 1), (10, 32)):
+            grid = PricingGrid.build(marginals, qubits)
+            sizes.clear()
+            with monkeypatch.context() as patch:
+                for module in (copula, pricing):
+                    patch.setattr(module, "copula_weights_on_grid", counted)
+                measure = GridMeasure.build(payoff, marginals, spec, grid)
+            assert len(sizes) == len(list(pricing._row_slabs(grid))) == calls
+            assert sum(sizes) == grid.total_nodes
+            assert measure.c_max == DenseMeasure.of(measure).c_max
 
     @pytest.mark.parametrize("setup", ["spread", "basket"])
     def test_independent_payoff_peaks_at_most_one(self, setup):
@@ -198,8 +216,9 @@ class TestMeasure:
         # would peak near 24 (spread) and 3.5 (basket).
         payoff, marginals, spec, grid = getattr(experiments, f"{setup}_setup")()
         measure = GridMeasure.build(payoff, marginals, spec, grid)
-        loaded = measure.payoff_values * measure.copula_weights / (measure.payoff_max * measure.c_max)
-        assert np.all(measure.copula_weights <= measure.c_max)
+        dense = DenseMeasure.of(measure)
+        loaded = dense.payoff_values * dense.weights / (measure.payoff_max * measure.c_max)
+        assert np.all(dense.weights <= measure.c_max)
         assert 0.0 <= loaded.min() and loaded.max() <= 1.0
 
     def test_identity_copula_collapse(self, spread_setup):
@@ -208,38 +227,147 @@ class TestMeasure:
         measure = GridMeasure.build(payoff, marginals, eye, grid)
         assert measure.copula_total_mass == pytest.approx(1.0, abs=1e-14)
         assert measure.c_max == 1.0
-        assert np.array_equal(measure.copula_weights, np.ones_like(measure.copula_weights))
-
+        weights = DenseMeasure.of(measure).weights
+        assert np.array_equal(weights, np.ones_like(weights))
 
     def test_build_peak_memory(self):
-        # The payoff, the copula weights and prod(p_i) c are built from
-        # per-axis factors, so the build holds no (nodes, d) array: at d=3,
-        # q=6 it peaks at 5 node-sized tensors at most (about 3 are kept).
+        # The measure reduces its node tensors slab by slab and keeps none:
+        # at d=3, q=6 the build, the Riemann value and both QAMC estimates
+        # peak below one node-sized tensor.
         marginals = [experiments.fixture_marginal(name) for name in ("AXA", "CREDIT_AGRICOLE", "MICHELIN")]
         spec = CopulaSpec.from_matrix(experiments.BASKET_CORRELATION)
         grid = PricingGrid.build(marginals, 6)
         node_tensor = grid.total_nodes * np.dtype(float).itemsize
+        cfg = AEConfig(epsilon=1e-3, rho=0.05)
         for kind in ("basket-call", "worst-of-put"):
             payoff = Payoff(kind, experiments.BASKET_STRIKE)
             tracemalloc.start()
             try:
                 before, _ = tracemalloc.get_traced_memory()
                 measure = GridMeasure.build(payoff, marginals, spec, grid)
-                _, peak = tracemalloc.get_traced_memory()
+                reference = measure.reference_value()
+                quantum = [
+                    qamc_price(payoff, marginals, spec, formulation, grid, cfg, np.random.default_rng(0), measure=measure)
+                    for formulation in ("joint", "independent")
+                ]
+                after, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert measure.payoff_values.shape == (64, 64, 64)
-            assert peak - before <= 5 * node_tensor
+            assert len(list(pricing._row_slabs(grid))) > 1
+            assert peak - before < node_tensor
+            assert after - before < 0.01 * node_tensor
+            assert all(abs(q.value - reference) <= 4 * cfg.epsilon for q in quantum)
+
+    def test_four_names_at_six_qubits_run_in_small_memory(self):
+        # d=4, q=6 is 2^24 nodes, 128 MiB per node tensor: the Riemann value
+        # and both QAMC estimates on one measure peak below 16 MiB.
+        names = ("AXA", "CREDIT_AGRICOLE", "MICHELIN", "AXA")
+        marginals = [experiments.fixture_marginal(name) for name in names]
+        sigma = np.eye(4)
+        sigma[:3, :3] = experiments.BASKET_CORRELATION
+        sigma[3, :3] = sigma[:3, 3] = 0.1
+        spec = CopulaSpec.from_matrix(sigma)
+        grid = PricingGrid.build(marginals, 6)
+        payoff = Payoff("basket-call", experiments.BASKET_STRIKE)
+        cfg = AEConfig(epsilon=1e-3, rho=0.05)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            measure = GridMeasure.build(payoff, marginals, spec, grid)
+            reference = measure.reference_value()
+            quantum = [
+                qamc_price(payoff, marginals, spec, formulation, grid, cfg, np.random.default_rng(1), measure=measure)
+                for formulation in ("joint", "independent")
+            ]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid.total_nodes == 2**24
+        assert peak - before < 16 * 2**20
+        assert 0.0 < reference < 25.0
+        assert all(abs(q.value - reference) <= 4 * cfg.epsilon for q in quantum)
+
+
+def slab_outputs(measure_args, monkeypatch):
+    """Build a measure and return it with the copula weights and payoff values its slabs formed, joined."""
+    weights, values = [], []
+    weights_on_grid, payoff_on_grid = pricing.copula_weights_on_grid, pricing.eval_payoff
+
+    def recorded(store, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            store.append(out.copy())
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(pricing, "copula_weights_on_grid", recorded(weights, weights_on_grid))
+    monkeypatch.setattr(pricing, "eval_payoff", recorded(values, payoff_on_grid))
+    measure = GridMeasure.build(*measure_args)
+    monkeypatch.undo()
+    return measure, np.concatenate(weights), np.concatenate(values)
+
+
+def _setup_at(name):
+    """(payoff, marginals, spec, grid) of the study setups, the basket and worst-of at finer grids too."""
+    if name in ("spread", "basket"):
+        return getattr(experiments, f"{name}_setup")()
+    kind, qubits = name.rsplit("-q", 1)
+    if kind == "spread":
+        payoff, marginals, spec, _ = experiments.spread_setup()
+    else:
+        _, marginals, spec, _ = experiments.basket_setup()
+        payoff = Payoff(f"{kind}-call" if kind == "basket" else "worst-of-put", experiments.BASKET_STRIKE)
+    return payoff, marginals, spec, PricingGrid.build(marginals, int(qubits))
+
+
+def ulps(a, b):
+    return abs(a - b) / np.spacing(max(abs(a), abs(b)))
+
+
+class TestSlabReductions:
+    """The slab-reduced measure against the dense one (tests/dense_measure.py)."""
+
+    ONE_SLAB = ("spread", "basket")
+    MULTI_SLAB = ("basket-q6", "basket-q7", "worst-q6", "spread-q10")
+
+    @pytest.mark.parametrize("name", ONE_SLAB + MULTI_SLAB)
+    def test_tensors_and_bounds_are_the_dense_ones(self, name, monkeypatch):
+        args = _setup_at(name)
+        slabs = len(list(pricing._row_slabs(args[3])))
+        assert (slabs == 1) == (name in self.ONE_SLAB)
+        measure, weights, values = slab_outputs(args, monkeypatch)
+        dense = DenseMeasure.of(measure)
+        assert np.array_equal(weights, dense.weights)
+        assert np.array_equal(values, dense.payoff_values)
+        assert np.array_equal(measure.joint_cdf, dense.joint_cdf)
+        assert measure.c_max == dense.c_max
+        assert measure.payoff_max == dense.payoff_max
+        cells = np.arange(measure.grid.total_nodes)
+        assert np.array_equal(measure.payoff_at(cells), dense.payoff_values.ravel())
+        assert np.array_equal(measure.weights_at(cells), dense.weights.ravel())
+
+    @pytest.mark.parametrize("name", ONE_SLAB + MULTI_SLAB)
+    def test_reference_and_total_mass(self, name):
+        measure = GridMeasure.build(*_setup_at(name))
+        dense = DenseMeasure.of(measure)
+        if name in self.ONE_SLAB:
+            assert measure.reference_value() == dense.reference_value
+            assert measure.copula_total_mass == dense.copula_total_mass
+        else:
+            assert ulps(measure.reference_value(), dense.reference_value) <= 4
+            assert ulps(measure.copula_total_mass, dense.copula_total_mass) <= 4
 
 
 class TestRiemannReference:
     def test_constant_payoff_pins_discounting(self, spread_setup):
         _, marginals, spec, grid = spread_setup
-        measure = GridMeasure.build(Payoff("spread-call", 0.0), marginals, spec, grid)
-        ones = replace(measure, payoff_values=np.ones_like(measure.payoff_values), clipped_mass=0.0)
+        flat = flat_priced(marginals, (2.0, 1.0))
+        measure = GridMeasure.build(Payoff("spread-call", 0.0), flat, spec, grid)
+        assert DenseMeasure.of(measure).payoff_values.min() == measure.payoff_max == 1.0
         df = marginals[0].slice_.discount_factor
         # payoff == 1: DF times the copula-weighted total grid mass (~1).
-        assert ones.reference_value() == pytest.approx(df * measure.copula_total_mass, rel=1e-12)
+        assert measure.reference_value() == pytest.approx(df * measure.copula_total_mass, rel=1e-12)
         assert measure.copula_total_mass == pytest.approx(1.0, abs=0.1)
 
     def test_identity_matches_iterated_sums(self, spread_setup):
@@ -383,7 +511,7 @@ class TestGridSampler:
         # The guide path holds one chunk of uniforms, not all of them: below
         # 1.5 draw-sized arrays at peak, and only the result afterwards.
         payoff, marginals, spec, grid = spread_setup
-        masses = GridMeasure.build(payoff, marginals, spec, grid).masses.ravel()
+        masses = DenseMeasure.of(GridMeasure.build(payoff, marginals, spec, grid)).masses.ravel()
         count = 2**19
         draw_array = count * np.dtype(float).itemsize
         tracemalloc.start()
@@ -416,24 +544,18 @@ class TestCmc:
         est = cmc_price(payoff, marginals, spec, formulation, samples, np.random.default_rng(11), measure=measure)
         assert (est.value.hex(), est.stderr.hex()) == self.PINS[formulation, samples]
 
-    @pytest.mark.parametrize("setup", ["spread", "basket"])
+    @pytest.mark.parametrize("setup", ["spread", "basket", "basket-q6"])
     @pytest.mark.parametrize("formulation", ["joint", "independent"])
     @pytest.mark.parametrize("samples", [500, 2**13, 2**17])
     def test_moments_equal_those_of_the_gathered_draws(self, setup, formulation, samples):
-        # The same stream gathered draw by draw: the count-weighted mean and
-        # stderr are np.mean and np.std(ddof=1) / sqrt(n) up to summation order.
-        payoff, marginals, spec, grid = getattr(experiments, f"{setup}_setup")()
+        # The same stream gathered draw by draw off the dense measure's
+        # tensors: the count-weighted mean and stderr are np.mean and
+        # np.std(ddof=1) / sqrt(n) up to summation order, on one slab and on
+        # several (basket-q6).
+        payoff, marginals, spec, grid = _setup_at(setup)
         measure = GridMeasure.build(payoff, marginals, spec, grid)
         est = cmc_price(payoff, marginals, spec, formulation, samples, np.random.default_rng(4), measure=measure)
-        rng = np.random.default_rng(4)
-        values = measure.payoff_values.ravel()
-        if formulation == "joint":
-            draws = values[pricing.sample_grid_indices(measure.masses.ravel(), samples, rng)]
-            draws *= measure.copula_total_mass
-        else:
-            per_dim = [pricing.sample_grid_indices(p, samples, rng) for p in measure.marginal_masses]
-            flat = np.ravel_multi_index(per_dim, measure.payoff_values.shape)
-            draws = values[flat] * measure.copula_weights.ravel()[flat]
+        draws = DenseMeasure.of(measure).draws(formulation, samples, np.random.default_rng(4))
         df = measure.discount_factor
         assert est.value == pytest.approx(df * np.mean(draws), rel=1e-13, abs=0.0)
         assert est.stderr == pytest.approx(df * np.std(draws, ddof=1) / math.sqrt(samples), rel=1e-13, abs=0.0)
@@ -479,12 +601,13 @@ class TestCmc:
         # estimate is DF exactly for any sample count.
         payoff, marginals, _, grid = spread_setup
         eye = CopulaSpec.from_matrix(np.eye(2))
-        base = GridMeasure.build(payoff, marginals, eye, grid)
-        flat = replace(base, payoff_values=np.ones_like(base.payoff_values), clipped_mass=0.0)
+        flat = flat_priced(marginals, (2.0, 1.0))
+        measure = GridMeasure.build(payoff, flat, eye, grid)
         df = marginals[0].slice_.discount_factor
         for L in (1, 7, 256):
-            est = cmc_price(payoff, marginals, eye, "joint", L, np.random.default_rng(0), measure=flat)
-            assert est.value == pytest.approx(df, abs=1e-14)
+            for formulation in ("joint", "independent"):
+                est = cmc_price(payoff, flat, eye, formulation, L, np.random.default_rng(0), measure=measure)
+                assert est.value == pytest.approx(df, abs=1e-14)
 
     def test_identity_formulations_agree(self, spread_setup):
         payoff, marginals, _, grid = spread_setup
@@ -505,9 +628,9 @@ class TestCmc:
             cmc_price(payoff, marginals, spec, "joint", 10, np.random.default_rng(0))
 
     def test_joint_sampling_peak_memory(self):
-        # Joint CMC reads the measure's one mass tensor and normalizes its
-        # cumulative sum in place: at d=3, q=6 it peaks below 2 node-sized
-        # tensors and keeps none.
+        # Joint CMC forms the measure's cumulative masses slab by slab, the
+        # one node-sized array it keeps: at d=3, q=6 it peaks below 1.25
+        # node-sized tensors and keeps nothing else.
         marginals = [experiments.fixture_marginal(name) for name in ("AXA", "CREDIT_AGRICOLE", "MICHELIN")]
         spec = CopulaSpec.from_matrix(experiments.BASKET_CORRELATION)
         grid = PricingGrid.build(marginals, 6)
@@ -523,8 +646,9 @@ class TestCmc:
         finally:
             tracemalloc.stop()
         assert abs(estimate.value - reference) <= 5.0 * estimate.stderr
-        assert peak - before < 2 * node_tensor
-        assert after - before < 0.5 * node_tensor
+        assert peak - before < 1.25 * node_tensor
+        assert measure.joint_cdf.nbytes == node_tensor
+        assert after - before - node_tensor < 0.01 * node_tensor
 
     def test_joint_cmc_holds_no_draw_sized_array(self, spread_setup):
         # Joint CMC counts its draws chunk by chunk through the guide table:
@@ -532,7 +656,7 @@ class TestCmc:
         # keeps nothing.  Gathering the draws would hold two of them.
         payoff, marginals, spec, grid = spread_setup
         measure = GridMeasure.build(payoff, marginals, spec, grid)
-        measure.masses  # the cached tensor is the measure's, not the draw's
+        measure.joint_cdf  # the cached cumulative masses are the measure's, not the draw's
         count = 2**19
         draw_array = count * np.dtype(float).itemsize
         tracemalloc.start()
@@ -555,6 +679,32 @@ class TestCmc:
             with pytest.raises(DomainError):
                 cmc_price(Payoff("spread-call", 1000.0), marginals, spec, formulation, 16,
                           np.random.default_rng(0), measure=measure)
+
+    def test_measure_of_other_inputs_rejected(self):
+        # A measure built under the identity copula and priced with the
+        # -0.25 spec used to return 9.92, where the -0.25 Riemann price is
+        # 12.39; other marginals and another grid are just as wrong.
+        payoff, marginals, spec, grid = experiments.spread_setup()
+        eye = CopulaSpec.from_matrix(np.eye(2))
+        identity_measure = GridMeasure.build(payoff, marginals, eye, grid)
+        assert riemann_reference(payoff, marginals, spec, grid).value == pytest.approx(12.39, abs=0.01)
+        swapped = [marginals[1], marginals[0]]
+        for formulation in ("joint", "independent"):
+            for given_spec, given_marginals, given_grid in (
+                (spec, marginals, None),
+                (eye, swapped, None),
+                (eye, marginals, PricingGrid.build(marginals, 4)),
+            ):
+                with pytest.raises(DomainError):
+                    cmc_price(payoff, given_marginals, given_spec, formulation, 2**16, np.random.default_rng(0),
+                              grid=given_grid, measure=identity_measure)
+        # Inputs are compared by value: a measure serves a rebuilt copy of
+        # the ones it was built for.
+        rebuilt = experiments.spread_setup()
+        assert rebuilt[1][0] is not marginals[0]
+        measure = GridMeasure.build(payoff, marginals, spec, grid)
+        same = cmc_price(*rebuilt[:3], "joint", 64, np.random.default_rng(0), grid=rebuilt[3], measure=measure)
+        assert same.value == cmc_price(payoff, marginals, spec, "joint", 64, np.random.default_rng(0), grid=grid).value
 
 
 class TestPriceEstimate:

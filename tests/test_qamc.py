@@ -1,18 +1,19 @@
 """Tests for the amplitude estimators, checked against the statevector model."""
 
 import math
-from dataclasses import replace
 from functools import reduce
 
 import numpy as np
 import pytest
 
+from dense_measure import DenseMeasure, flat_priced
 from qamcpricer import qamc
+from qamcpricer.copula import CopulaSpec
 from qamcpricer.cosine_density import Interval, basis_matrix
 from qamcpricer.errors import DomainError, ValidationError
 from qamcpricer.experiments import basket_setup, spread_setup
 from qamcpricer.nig import nig_pdf
-from qamcpricer.pricing import GridMeasure, Payoff, riemann_reference
+from qamcpricer.pricing import GridMeasure, Payoff, PricingGrid, riemann_reference
 from qamcpricer.qamc import (
     AEConfig,
     iqae_estimate,
@@ -130,12 +131,13 @@ class TestProductionAmplitude:
         monkeypatch.setattr(qamc, "iqae_estimate", spy)
         qamc_price(payoff, marginals, spec, formulation, grid, AEConfig(epsilon=1e-2, seed=0), measure=measure)
         h_max = measure.payoff_max
+        dense = DenseMeasure.of(measure)
         if formulation == "joint":
-            masses = measure.masses.ravel() / measure.copula_total_mass
-            values = measure.payoff_values.ravel() / h_max
+            masses = dense.masses.ravel() / measure.copula_total_mass
+            values = dense.payoff_values.ravel() / h_max
         else:
             masses = reduce(np.multiply.outer, measure.marginal_masses).ravel()
-            values = (measure.payoff_values * measure.copula_weights).ravel() / (h_max * measure.c_max)
+            values = (dense.payoff_values * dense.weights).ravel() / (h_max * measure.c_max)
         assert handed and 0.0 < handed[0] < 1.0
         assert prepare(masses, values).ancilla_one_probability == pytest.approx(handed[0], abs=1e-12)
 
@@ -290,14 +292,16 @@ def small_pricing_setup():
 class TestQamcPrice:
     def test_constant_payoff_is_discounted_max(self, small_pricing_setup):
         payoff, marginals, spec, grid = small_pricing_setup
-        measure = GridMeasure.build(payoff, marginals, spec, grid)
+        # Prices 4.7 and 1 at every node: a constant spread payoff of 3.7.
+        flat = flat_priced(marginals, (4.7, 1.0))
+        measure = GridMeasure.build(payoff, flat, spec, grid)
+        assert measure.payoff_max == pytest.approx(3.7, rel=1e-15)
         # Constant payoff: amplitude 1 exactly, price = DF * h_max * Q.
-        flat = replace(measure, payoff_values=np.full_like(measure.payoff_values, 3.7), clipped_mass=0.0)
         est = qamc_price(
-            payoff, marginals, spec, "joint", grid,
-            AEConfig(epsilon=1e-3, rho=0.05, seed=0), measure=flat,
+            payoff, flat, spec, "joint", grid,
+            AEConfig(epsilon=1e-3, rho=0.05, seed=0), measure=measure,
         )
-        expected = measure.discount_factor * 3.7 * measure.copula_total_mass
+        expected = measure.discount_factor * measure.payoff_max * measure.copula_total_mass
         assert est.value == pytest.approx(expected, abs=2e-3)
 
     def test_joint_matches_reference(self, small_pricing_setup):
@@ -346,3 +350,18 @@ class TestQamcPrice:
         with pytest.raises(DomainError):
             qamc_price(Payoff("spread-call", 1000.0), marginals, spec, "joint", grid, cfg,
                        np.random.default_rng(0), measure=measure)
+
+    def test_measure_of_other_inputs_rejected(self, small_pricing_setup):
+        # A measure built under the identity copula, priced with the -0.25
+        # spec, would estimate the identity price; other marginals and
+        # another grid are rejected too.
+        payoff, marginals, spec, grid = small_pricing_setup
+        eye = CopulaSpec.from_matrix(np.eye(2))
+        measure = GridMeasure.build(payoff, marginals, eye, grid)
+        cfg = AEConfig(epsilon=1e-3, rho=0.05)
+        for formulation in ("joint", "independent"):
+            for given in ((marginals, spec, grid), (marginals[::-1], eye, grid),
+                          (marginals, eye, PricingGrid.build(marginals, 4))):
+                with pytest.raises(DomainError):
+                    qamc_price(payoff, *given[:2], formulation, given[2], cfg, np.random.default_rng(0),
+                               measure=measure)
