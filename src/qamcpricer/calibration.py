@@ -100,7 +100,6 @@ class CalibrationResult:
     rmse_bp: float
     max_err_bp: float
     iterations: int
-    start: tuple[float, float, float]
 
 
 def quote_weights(quotes: list[OptionQuote], rule: str) -> np.ndarray:
@@ -271,5 +270,4 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
         rmse_bp=float(np.sqrt(np.mean(err_bp**2))),
         max_err_bp=float(np.max(err_bp)),
         iterations=evaluations,
-        start=tuple(float(s) for s in start),
     )

@@ -12,8 +12,10 @@ stages that read them), a value of the wrong type (a fraction or a
 boolean for an integer setting, or a string for a list of names,
 included), a CMC sample count below 2 (one sample has no standard error),
 a qubit count below 1, an epsilon or rho outside (0, 1), an unknown
-estimator name, a spot that is not finite and positive, and a quote or
-correlation file that cannot be read are errors that exit 2:
+estimator name, a payoff on no asset or a spread-call on other than 2,
+a payoff asset named twice, a spot that is not finite and positive, a repeated quote
+row, and a quote or correlation file that cannot be read are errors that
+exit 2:
 
     {
       "quotes_csv": "quotes.csv",
@@ -329,8 +331,10 @@ def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool):
     payoff_cfg = _section(cfg, "payoff")
     opts = _section(cfg, "pricing")
     payoff = Payoff(payoff_cfg["kind"], payoff_cfg["strike"])
-    ae_config = AEConfig(epsilon=opts["epsilon"], rho=opts["rho"], seed=seed)
+    # Each QAMC row draws from its own generator, so the config carries no seed.
+    ae_config = AEConfig(epsilon=opts["epsilon"], rho=opts["rho"])
     assets = payoff_cfg["assets"]
+    payoff.check_assets(len(assets))
     corr = _required(cfg, "correlations")
     spec = load_correlation(corr if isinstance(corr, dict) else _resolve(cfg, "correlations"), assets)
     marginals = cmd_density(cfg, out, drop_violations)
@@ -345,7 +349,7 @@ def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool):
     for i, estimator in enumerate(opts["estimators"]):
         rng = np.random.default_rng([seed, 7000 + i])
         if estimator == "riemann":
-            est = PriceEstimate(measure.reference_value(), "riemann", grid.total_nodes, stderr=0.0)
+            est = PriceEstimate(measure.reference_value(), grid.total_nodes, stderr=0.0)
         elif estimator.startswith("cmc-"):
             est = cmc_price(payoff, chosen, spec, estimator.removeprefix("cmc-"), opts["samples"], rng, measure=measure)
         else:
@@ -374,15 +378,11 @@ def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool):
     return rows
 
 
-def _study_config(cfg: dict, study: str, seed: int) -> StudyConfig:
-    name = {"coeffs": "coeffs", "density": "density-recovery", "price": "price-convergence"}[study]
-    return StudyConfig(study=name, seed=seed, **_section(cfg, "study"))
-
-
 @_stage("study")
-def cmd_study(cfg: dict, study: str, out: Path, seed: int) -> None:
-    scfg = _study_config(cfg, study, seed)
-    if study == "coeffs":
+def cmd_study(cfg: dict, kind: str, out: Path, seed: int) -> None:
+    study = {"coeffs": "coeffs", "density": "density-recovery", "price": "price-convergence"}[kind]
+    scfg = StudyConfig(study=study, seed=seed, **_section(cfg, "study"))
+    if scfg.study == "coeffs":
         records, per_k, run_log = study_coeffs(scfg)
         # The slopes first: a ladder too short for a line stops the study before it writes a file.
         slopes = {
@@ -396,7 +396,7 @@ def cmd_study(cfg: dict, study: str, out: Path, seed: int) -> None:
         write_rows_csv(per_k, out / "study_coeffs_per_k.csv")
         write_run_log(run_log, out / "study_coeffs_runs.csv")
         _write_json(out / "study_coeffs_slopes.json", slopes)
-    elif study == "density":
+    elif scfg.study == "density-recovery":
         rows = study_density_recovery(scfg)
         write_rows_csv(rows, out / "study_density.csv")
     else:

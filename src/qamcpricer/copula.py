@@ -168,7 +168,8 @@ def load_correlation(source, assets) -> CopulaSpec:
     ``source`` is that object or the path of a JSON file holding it.  The
     full matrix is validated before the assets' rows and columns are taken.
     A file that cannot be read as JSON, a missing key, a non-numeric matrix
-    and an asset named twice are ValidationErrors.
+    and an asset named twice, in the file or in ``assets``, are
+    ValidationErrors.
     """
     if isinstance(source, dict):
         data = source
@@ -188,9 +189,11 @@ def load_correlation(source, assets) -> CopulaSpec:
     full = CopulaSpec.from_matrix(sigma)
     if len(names) != full.dim:
         raise ValidationError("asset list length must match matrix dimension")
-    repeated = [a for i, a in enumerate(names) if a in names[:i]]
-    if repeated:
-        raise ValidationError(f"correlations name asset(s) {repeated} more than once")
+    for listed, message in ((names, "correlations name asset(s) {} more than once"),
+                            (assets, "asset(s) {} asked for more than once")):
+        repeated = [a for i, a in enumerate(listed) if a in listed[:i]]
+        if repeated:
+            raise ValidationError(message.format(repeated))
     uncorrelated = [a for a in assets if a not in names]
     if uncorrelated:
         raise ValidationError(f"no correlation entry for asset(s) {uncorrelated}")

@@ -26,4 +26,3 @@ class StageError(QamcError, RuntimeError):
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
-        self.stage = stage

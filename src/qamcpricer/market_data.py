@@ -128,9 +128,10 @@ class ButterflyViolation:
 def load_quotes(path) -> dict[tuple[str, float], list[OptionQuote]]:
     """Read and validate a quote CSV, grouped by (underlying, expiry).
 
-    Invalid rows are collected and raised with their line numbers; nothing is
-    silently dropped.  A file that cannot be opened, decoded or parsed as CSV
-    is a ValidationError too.
+    Invalid rows and rows that repeat an earlier (underlying, expiry, strike,
+    kind) are collected and raised with their line numbers; nothing is
+    silently dropped.  A file that cannot be opened, decoded or parsed as
+    CSV is a ValidationError too.
     """
     try:
         with open(path, newline="") as handle:
@@ -141,6 +142,7 @@ def load_quotes(path) -> dict[tuple[str, float], list[OptionQuote]]:
     if header is None or [h.strip() for h in header] != CSV_HEADER:
         raise ValidationError(f"expected header {','.join(CSV_HEADER)}, got {header}")
     groups: dict[tuple[str, float], list[OptionQuote]] = {}
+    first_lines: dict[tuple[str, float, float, str], int] = {}
     problems: list[str] = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
@@ -160,6 +162,11 @@ def load_quotes(path) -> dict[tuple[str, float], list[OptionQuote]]:
         except (ValueError, ValidationError) as exc:
             problems.append(f"line {lineno}: {exc}")
             continue
+        key = (quote.underlying, quote.expiry, quote.strike, quote.kind)
+        if key in first_lines:
+            problems.append(f"line {lineno}: repeats the quote {key} of line {first_lines[key]}")
+            continue
+        first_lines[key] = lineno
         groups.setdefault((quote.underlying, quote.expiry), []).append(quote)
     if problems:
         raise ValidationError("invalid quote rows:\n" + "\n".join(problems))

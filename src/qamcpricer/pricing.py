@@ -89,6 +89,13 @@ class Payoff:
         if not 0 <= self.strike < math.inf:
             raise DomainError(f"strike must be finite and nonnegative, got {self.strike}")
 
+    def check_assets(self, count: int) -> None:
+        """DomainError unless the payoff is defined on ``count`` assets: at least 1, and exactly 2 for a spread."""
+        if self.kind == "spread-call" and count != 2:
+            raise DomainError(f"spread-call requires exactly 2 assets, got {count}")
+        if count < 1:
+            raise DomainError("a payoff needs at least 1 asset")
+
 
 def eval_payoff(payoff: Payoff, prices) -> np.ndarray:
     """Payoff on the tensor grid of per-asset price vectors, one vector per asset.
@@ -98,6 +105,7 @@ def eval_payoff(payoff: Payoff, prices) -> np.ndarray:
     broadcasting, so no (nodes, N) array of price vectors is formed.
     """
     vectors = [np.asarray(vector, dtype=float) for vector in prices]
+    payoff.check_assets(len(vectors))
     for vector in vectors:
         if vector.ndim != 1:
             raise DomainError("one price vector per asset required")
@@ -113,13 +121,10 @@ def _combine_payoff(payoff: Payoff, axes) -> np.ndarray:
     nodes go through the same arithmetic node by node, so a node's payoff has
     the same bits either way.
     """
-    n = len(axes)
     if payoff.kind == "spread-call":
-        if n != 2:
-            raise DomainError("spread-call requires exactly 2 assets")
         out = axes[0] - axes[1] - payoff.strike
     elif payoff.kind == "basket-call":  # the equal-weight mean
-        weight = 1.0 / n
+        weight = 1.0 / len(axes)
         total = axes[0] * weight
         for axis in axes[1:]:
             total = total + axis * weight
@@ -314,7 +319,6 @@ class GridMeasure:
     scores: tuple[np.ndarray, ...]
     prices: tuple[np.ndarray, ...]
     discount_factor: float
-    clipped_mass: float
     c_max: float
     payoff_max: float
     copula_total_mass: float
@@ -330,12 +334,10 @@ class GridMeasure:
     ) -> "GridMeasure":
         if len(marginals) != spec.dim or grid.dim != spec.dim:
             raise DomainError("dimension mismatch between marginals, spec, and grid")
-        marginal_masses = []
-        clipped_total = 0.0
-        for marginal, nodes, dx in zip(marginals, grid.nodes, grid.deltas):
-            p, clipped = normalize_cell_masses(np.asarray(marginal.pdf(nodes), dtype=float) * dx)
-            marginal_masses.append(p)
-            clipped_total += clipped
+        marginal_masses = [
+            normalize_cell_masses(np.asarray(marginal.pdf(nodes), dtype=float) * dx)[0]
+            for marginal, nodes, dx in zip(marginals, grid.nodes, grid.deltas)
+        ]
         scores = normal_scores([m.cdf(nodes) for m, nodes in zip(marginals, grid.nodes)])
         prices = [np.asarray(m.price_at(nodes), dtype=float) for m, nodes in zip(marginals, grid.nodes)]
         c_maxima, h_maxima, mass_sums, value_sums = [], [], [], []
@@ -359,7 +361,6 @@ class GridMeasure:
             scores=tuple(scores),
             prices=tuple(prices),
             discount_factor=_common_discount(marginals),
-            clipped_mass=clipped_total,
             c_max=max(c_maxima),
             payoff_max=max(h_maxima),
             copula_total_mass=_pairwise_sum(mass_sums),
@@ -414,9 +415,8 @@ class GridMeasure:
 @dataclass(frozen=True)
 class PriceEstimate:
     value: float
-    estimator: str
     samples_or_queries: int
-    stderr: float | None = None
+    stderr: float
 
     def __post_init__(self):
         if not math.isfinite(self.value):
@@ -433,12 +433,7 @@ def riemann_reference(
 ) -> PriceEstimate:
     """Deterministic discounted Riemann price on the shared grid measure."""
     measure = GridMeasure.build(payoff, marginals, spec, grid)
-    return PriceEstimate(
-        value=measure.reference_value(),
-        estimator="riemann",
-        samples_or_queries=grid.total_nodes,
-        stderr=0.0,
-    )
+    return PriceEstimate(measure.reference_value(), grid.total_nodes, stderr=0.0)
 
 
 def _normalize_cumulative(cumulative: np.ndarray) -> np.ndarray:
@@ -604,9 +599,4 @@ def cmc_price(
     else:
         stderr = float("inf")
     df = measure.discount_factor
-    return PriceEstimate(
-        value=df * mean,
-        estimator=f"cmc-{formulation}",
-        samples_or_queries=samples,
-        stderr=df * stderr,
-    )
+    return PriceEstimate(df * mean, samples, stderr=df * stderr)

@@ -225,15 +225,10 @@ def qamc_price(
     df = measure.discount_factor
     h_max = measure.payoff_max
     if h_max <= 0.0:
-        return PriceEstimate(0.0, f"qamc-{formulation}", 1, stderr=0.0)
+        return PriceEstimate(0.0, 1, stderr=0.0)
 
     bound = measure.copula_total_mass if formulation == "joint" else measure.c_max
     scale = df * h_max * bound
     eps_ae = min(cfg.epsilon / scale, 0.499)
     result = iqae_estimate(measure.reference_value() / scale, replace(cfg, epsilon=eps_ae), rng)
-    return PriceEstimate(
-        value=scale * result.estimate,
-        estimator=f"qamc-{formulation}",
-        samples_or_queries=result.oracle_queries,
-        stderr=scale * result.half_width,
-    )
+    return PriceEstimate(scale * result.estimate, result.oracle_queries, stderr=scale * result.half_width)

@@ -320,7 +320,8 @@ class TestCalibrate:
         assert first == again  # bit-for-bit: no hidden RNG
         # At most the start's lattice score, exactly: the fit re-prices the
         # start bit for bit and takes only steps that lower ||r||^2.
-        r = _least_squares(axa_quote_slice, cfg)(_z(first.start))
+        residual = _least_squares(axa_quote_slice, cfg)
+        r = residual(_z(grid_init(residual)))
         assert first.objective <= r @ r
 
     @pytest.mark.parametrize("name", ["AXA", "MICHELIN"])

@@ -373,3 +373,10 @@ class TestLoadCorrelation:
         data = {"assets": ["A", "B", "A"], "sigma": [[1.0, 0.5, 0.2], [0.5, 1.0, 0.1], [0.2, 0.1, 1.0]]}
         with pytest.raises(ValidationError, match=r"asset\(s\) \['A'\] more than once"):
             load_correlation(data, ["A", "B"])
+
+    def test_repeated_requested_asset(self):
+        # ["A", "A"] took the same row twice, and the singular matrix surfaced
+        # as "correlation matrix must be positive definite".
+        data = {"assets": ["A", "B"], "sigma": [[1.0, 0.5], [0.5, 1.0]]}
+        with pytest.raises(ValidationError, match=r"asset\(s\) \['A'\] asked for more than once"):
+            load_correlation(data, ["A", "B", "A"])

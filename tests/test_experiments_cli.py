@@ -377,6 +377,23 @@ class TestCli:
         rc = main(["ingest", "--config", str(bad / "config.json"), "--out", str(tmp_path / "bad_out")])
         assert rc == 2
 
+    def test_repeated_quote_row_stops_before_any_file(self, bundle, tmp_path, capsys):
+        # A repeated call row passed ingest, which wrote three files, and the
+        # run stopped only at the arbitrage scan's strike-order check.
+        quotes = (bundle / "quotes.csv").read_text().rstrip().splitlines()
+        first = next(i for i, row in enumerate(quotes) if row.startswith("AXA,") and row.split(",")[3] == "C")
+        quotes.append(quotes[first])
+        repeated = tmp_path / "repeated"
+        repeated.mkdir()
+        (repeated / "quotes.csv").write_text("\n".join(quotes) + "\n")
+        (repeated / "corr.json").write_text((bundle / "corr.json").read_text())
+        (repeated / "config.json").write_text((bundle / "config.json").read_text())
+        out = tmp_path / "repeated_out"
+        assert main(["pipeline", "--config", str(repeated / "config.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {len(quotes)}: repeats the quote ('AXA', 1.0, " in err and f"C') of line {first + 1}" in err
+        assert list(out.iterdir()) == []
+
     def test_study_command_writes_csvs(self, bundle, tmp_path):
         cfg = json.loads((bundle / "config.json").read_text())
         cfg["study"] = {
@@ -533,6 +550,12 @@ class TestCli:
                          "unknown estimator(s) ['bogus']", id="unknown-estimator"),
             pytest.param(["price"], lambda cfg: cfg["pricing"].update(estimators=["cmc-foo"]),
                          "unknown estimator(s) ['cmc-foo']", id="unknown-cmc-formulation"),
+            pytest.param(["price"], lambda cfg: cfg["payoff"].update(assets=["AXA", "CREDIT_AGRICOLE", "MICHELIN"]),
+                         "spread-call requires exactly 2 assets, got 3", id="three-asset-spread"),
+            pytest.param(["price"], lambda cfg: cfg["payoff"].update(assets=["AXA", "AXA"]),
+                         "asset(s) ['AXA'] asked for more than once", id="repeated-payoff-asset"),
+            pytest.param(["price"], lambda cfg: cfg["payoff"].update(kind="basket-call", assets=[]),
+                         "a payoff needs at least 1 asset", id="no-payoff-asset"),
         ],
     )
     def test_config_error_exits_2(self, bundle, tmp_path, capsys, command, edit, message):
@@ -563,8 +586,12 @@ class TestCli:
             lambda cfg: cfg["pricing"].update(rho=1.0),
             lambda cfg: cfg["pricing"].update(qubits_per_dim=0),
             lambda cfg: cfg.update(correlations="missing.json"),
+            lambda cfg: cfg["payoff"].update(assets=["AXA", "CREDIT_AGRICOLE", "MICHELIN"]),
+            lambda cfg: cfg["payoff"].update(assets=["AXA", "AXA"]),
+            lambda cfg: cfg["payoff"].update(kind="basket-call", assets=[]),
         ],
-        ids=["unknown-estimator", "zero-epsilon", "unit-rho", "no-qubit", "missing-correlation-file"],
+        ids=["unknown-estimator", "zero-epsilon", "unit-rho", "no-qubit", "missing-correlation-file",
+             "three-asset-spread", "repeated-payoff-asset", "no-payoff-asset"],
     )
     def test_bad_estimator_stops_before_any_stage(self, bundle, tmp_path, edit):
         # The price stage reads all of its own inputs first, so no earlier stage writes a file.

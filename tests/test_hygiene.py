@@ -1,6 +1,12 @@
 """Source hygiene: every module under src/ and tests/ uses each name it imports,
-every export has a reader, src/ memoizes nothing keyed by model inputs, and a
-CLI run imports no scipy."""
+every export has a reader, every field a src/ class stores has a reader, src/
+memoizes nothing keyed by model inputs, and a CLI run imports no scipy.
+
+The field rule covers each field of a src/ dataclass and each attribute a
+src/ class sets on ``self``.  It counts as read when src/ or perfbench/
+loads its name as an attribute outside that class's ``__init__`` and
+``__post_init__``, so a value that is only validated, or only read by the
+tests, fails it."""
 
 import ast
 import os
@@ -107,6 +113,87 @@ def test_unreferenced_export_is_found():
     )
     other = "import m\nm.attr_only()\nused()\n"
     assert unreferenced_exports(module, [module, other]) == ["self_only"]
+
+
+_SETUP = ("__init__", "__post_init__")
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for decorator in cls.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if (target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)) == "dataclass":
+            return True
+    return False
+
+
+def stored_fields(cls: ast.ClassDef) -> list[str]:
+    """The class's dataclass fields, then the attributes its methods set on ``self``, each once."""
+    names = []
+    if _is_dataclass(cls):
+        names += [s.target.id for s in cls.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    for node in ast.walk(cls):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            names.append(node.attr)
+    return list(dict.fromkeys(names))
+
+
+def unread_fields(module: str, sources: list[str]) -> list[str]:
+    """``Class.field`` for each field a class of ``module`` stores that no source reads.
+
+    A field counts as read when its name is loaded as an attribute anywhere
+    in ``sources`` (``module`` among them), except inside the class's own
+    ``__init__`` and ``__post_init__``: a check there is validation, not a
+    reader.
+    """
+    tree = ast.parse(module)
+    loads = [
+        node
+        for source in sources
+        for node in ast.walk(tree if source is module else ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+    unread = []
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        setup = {
+            id(node)
+            for method in cls.body
+            if isinstance(method, ast.FunctionDef) and method.name in _SETUP
+            for node in ast.walk(method)
+        }
+        read = {node.attr for node in loads if id(node) not in setup}
+        unread += [f"{cls.name}.{name}" for name in stored_fields(cls) if name not in read]
+    return unread
+
+
+def test_every_field_is_read():
+    # A stored value that nothing reads is state the package carries for no
+    # one; one that only the tests read belongs in the tests.
+    src = sorted((ROOT / "src").rglob("*.py"))
+    sources = {path: path.read_text() for path in src + sorted((ROOT / "perfbench").rglob("*.py"))}
+    unread = {str(path.relative_to(ROOT)): unread_fields(sources[path], list(sources.values())) for path in src}
+    assert {path: names for path, names in unread.items() if names} == {}
+
+
+def test_write_only_field_is_found():
+    module = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Quote:\n"
+        "    bid: float\n"
+        "    ask: float\n"
+        "    venue: str\n"
+        "    def __post_init__(self):\n"
+        "        if not self.venue or self.ask < self.bid:\n"
+        "            raise ValueError\n"
+        "class Stage(Exception):\n"
+        "    def __init__(self, name):\n"
+        "        self.name = name\n"
+        "        self.code = 2\n"
+        "def mid(q): return 0.5 * q.bid\n"
+    )
+    other = "import m\nprint(m.Stage('x').code, quote.ask)\n"
+    assert unread_fields(module, [module, other]) == ["Quote.venue", "Stage.name"]
 
 
 def memo_sites(source: str) -> list[str]:

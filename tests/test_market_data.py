@@ -135,6 +135,21 @@ class TestLoadSave:
         reported = [line.split(":")[0] for line in str(info.value).splitlines()[1:]]
         assert reported == ["line 2", "line 3", "line 4"]
 
+    def test_repeated_row_reported_with_both_lines(self, tmp_path):
+        # The same (underlying, expiry, strike, kind) twice used to pass ingest;
+        # a differently spelt number is the same quote, and the other kind is not.
+        path = tmp_path / "quotes.csv"
+        path.write_text(
+            "underlying,expiry_years,strike,kind,bid,ask\n"
+            "AXA,1.0,30.0,C,3.1,3.3\n"
+            "AXA,1.0,30.0,P,1.1,1.3\n"
+            "AXA,1,30,C,3.0,3.4\n"
+            "AXA,2.0,30.0,C,4.1,4.3\n"
+        )
+        with pytest.raises(ValidationError) as info:
+            load_quotes(path)
+        assert str(info.value).splitlines()[1:] == ["line 4: repeats the quote ('AXA', 1.0, 30.0, 'C') of line 2"]
+
     def test_round_trip_lossless(self, tmp_path, axa_params, axa_slice):
         quotes = generate_synthetic_quotes(axa_params, axa_slice, [30.0, 33.8, 37.0], spread=0.01)
         path = tmp_path / "round.csv"

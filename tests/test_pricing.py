@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -101,6 +102,9 @@ class TestEvalPayoff:
             eval_payoff(Payoff("spread-call", 0.0), [[35.0], [30.0], [10.0]])
         with pytest.raises(DomainError):
             eval_payoff(Payoff("spread-call", 0.0), axis_prices(3))
+        for kind in ("basket-call", "worst-of-put"):
+            with pytest.raises(DomainError, match="at least 1 asset"):
+                eval_payoff(Payoff(kind, 1.0), [])
 
     def test_vectorized(self):
         # One price vector per asset broadcasts to the tensor grid, axis i
@@ -166,6 +170,26 @@ class TestMeasure:
         chosen = [lobed, marginals[1]]
         with pytest.raises(ValidationError):
             GridMeasure.build(payoff, chosen, spec, PricingGrid.build(chosen, 3))
+
+    def test_small_clip_renormalizes_and_logs(self, caplog):
+        # Below the 1e-4 bound the negative mass is clipped, the rest
+        # renormalized, and the clipped mass returned and logged.
+        with caplog.at_level("WARNING", logger="qamcpricer.pricing"):
+            masses, clipped = normalize_cell_masses([0.25, 0.5, -5e-5])
+        assert clipped == 5e-5
+        assert masses.tolist() == [0.25 / 0.75, 0.5 / 0.75, 0.0]
+        assert caplog.messages == ["clipped 5.000e-05 negative cell mass"]
+
+    def test_marginals_on_other_discount_curves_rejected(self, spread_setup):
+        payoff, marginals, spec, grid = spread_setup
+        other = AssetMarginal(marginals[1].params, replace(marginals[1].slice_, rate=0.05), marginals[1].series)
+        with pytest.raises(ValidationError, match="one discount curve"):
+            GridMeasure.build(payoff, [marginals[0], other], spec, grid)
+
+    def test_spec_of_another_dimension_rejected(self, spread_setup):
+        payoff, marginals, _, grid = spread_setup
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            GridMeasure.build(payoff, marginals, CopulaSpec.from_matrix(experiments.BASKET_CORRELATION), grid)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_cell_masses_rejected(self, bad):
@@ -710,6 +734,6 @@ class TestCmc:
 class TestPriceEstimate:
     def test_invariants(self):
         with pytest.raises(Exception):
-            PriceEstimate(float("nan"), "riemann", 10)
+            PriceEstimate(float("nan"), 10, 0.0)
         with pytest.raises(Exception):
-            PriceEstimate(1.0, "riemann", 0)
+            PriceEstimate(1.0, 0, 0.0)

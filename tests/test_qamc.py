@@ -13,7 +13,7 @@ from qamcpricer.cosine_density import Interval, basis_matrix
 from qamcpricer.errors import DomainError, ValidationError
 from qamcpricer.experiments import basket_setup, spread_setup
 from qamcpricer.nig import nig_pdf
-from qamcpricer.pricing import GridMeasure, Payoff, PricingGrid, riemann_reference
+from qamcpricer.pricing import GridMeasure, Payoff, PricingGrid, cmc_price, riemann_reference
 from qamcpricer.qamc import (
     AEConfig,
     iqae_estimate,
@@ -303,6 +303,18 @@ class TestQamcPrice:
         )
         expected = measure.discount_factor * measure.payoff_max * measure.copula_total_mass
         assert est.value == pytest.approx(expected, abs=2e-3)
+
+    def test_payoff_zero_at_every_node(self, small_pricing_setup):
+        # A spread struck at 1e6 pays nothing on the grid: no amplitude to
+        # estimate, so the price is 0 at the cost of one query.
+        _, marginals, spec, grid = small_pricing_setup
+        payoff = Payoff("spread-call", 1e6)
+        assert riemann_reference(payoff, marginals, spec, grid).value == 0.0
+        for formulation in ("joint", "independent"):
+            est = qamc_price(payoff, marginals, spec, formulation, grid, AEConfig(epsilon=1e-3), np.random.default_rng(0))
+            assert (est.value, est.stderr, est.samples_or_queries) == (0.0, 0.0, 1)
+            cmc = cmc_price(payoff, marginals, spec, formulation, 256, np.random.default_rng(0), grid=grid)
+            assert (cmc.value, cmc.stderr) == (0.0, 0.0)
 
     def test_joint_matches_reference(self, small_pricing_setup):
         payoff, marginals, spec, grid = small_pricing_setup
