@@ -13,18 +13,22 @@ discretization error.
 The measure keeps per-axis factors only.  Its node tensors (the copula
 weights, the payoff values and the masses) are formed in slabs of whole
 leading-axis rows and reduced to the scalars the Riemann sum and QAMC read,
-so no node-sized tensor is held: the Riemann and QAMC prices of d=4 at 2^6
-cells per axis (2^24 nodes) peak below 16 MiB.
+and to each slab's total mass, so no node-sized tensor is held: the
+Riemann, QAMC and joint CMC prices of d=4 at 2^6 cells per axis (2^24
+nodes) peak below 16 MiB.
 
 CMC draws nodes of that same measure, in either formulation: joint sampling
 of the copula-weighted cell masses, or independent marginals with the copula
 weight moved into the payoff.  Its estimate is unbiased for the reference.
 Draws are exact inverse-CDF draws, through a guide table once the draw is as
-large as the table.  The joint draw reads the measure's cumulative masses,
-the one node-sized array, formed slab by slab on first use.  CMC keeps only
-how often each node was drawn, evaluates the payoff and the copula weight at
-those nodes alone, and takes its mean and standard error from the (node,
-count) pairs, so the joint formulation holds no draw-sized array.
+large as the table.  The joint draw is an indexed inversion in two stages
+(Devroye 1986, ch. III): each uniform picks a slab by the slabs' total
+masses, and then a cell by that slab's cumulative masses, which are formed
+with the build's kernel and bits when a draw lands in the slab and dropped
+after it.  CMC keeps only how often each node was drawn, evaluates the
+payoff and the copula weight at those nodes alone, and takes its mean and
+standard error from the (node, count) pairs, so neither the draw nor the
+grid is held whole.
 """
 
 from __future__ import annotations
@@ -66,16 +70,21 @@ PAYOFF_KINDS = ("basket-call", "worst-of-put", "spread-call")
 # density is rejected as too far from a density to price or load.
 _CLIP_BOUND = 1e-4
 
-# Nodes per slab of the grid measure's reductions (whole leading-axis rows,
-# at least one): a slab's tensors are 256 KiB, so at d=3, q=6 the joint
-# sampler's cumulative masses plus one slab's weights stay below 1.25 node
-# tensors.
+# Nodes per slab of the grid measure's reductions and of the joint sampler's
+# second stage (whole leading-axis rows, at least one): a slab's tensors are
+# 256 KiB, so joint CMC, which holds one slab's masses at a time, stays below
+# a quarter of a node tensor at d=3, q=6, while a slab is large enough that
+# the per-slab Python overhead is small next to its arithmetic.
 _SLAB_NODES = 2**15
 
 # Guide-table sampler: buckets per cell (so few buckets hold a CDF step) and
 # uniforms per chunk (so a chunk's working arrays stay in cache).
 _GUIDE_BUCKETS_PER_CELL = 16
 _GUIDE_CHUNK = 2**14
+
+# The largest double below 1: a uniform rescaled into a slab's interval is
+# held below it, so that it lands on a cell of the slab.
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -259,12 +268,25 @@ def _leading(vectors, rows: slice) -> list[np.ndarray]:
     return [vectors[0][rows], *vectors[1:]]
 
 
-def _outer_product(factors, out=None) -> np.ndarray:
-    """prod_i factors[i] on their tensor grid, formed as reduce(np.multiply.outer, factors), into ``out`` if given."""
-    return np.multiply.outer(reduce(np.multiply.outer, factors[:-1], 1.0), factors[-1], out=out)
+def _outer_product(factors) -> np.ndarray:
+    """prod_i factors[i] on their tensor grid, formed as reduce(np.multiply.outer, factors)."""
+    return np.multiply.outer(reduce(np.multiply.outer, factors[:-1], 1.0), factors[-1])
 
 
-def _pairwise_sum(parts: list) -> float:
+def _weigh(weights: np.ndarray, marginal_masses, rows: slice) -> np.ndarray:
+    """The masses prod(p_i) c of the slab ``rows``, written over its copula weights ``weights``.
+
+    Each node's product of marginal masses (_outer_product of the slab's
+    factors) multiplies its weight; the product is formed one leading row at
+    a time, so no second slab-sized array is held.
+    """
+    leading = marginal_masses[0][rows]
+    for row in range(leading.size):
+        weights[row : row + 1] *= _outer_product([leading[row : row + 1], *marginal_masses[1:]])
+    return weights
+
+
+def _pairwise_sum(parts) -> float:
     """The slab sums added by halving, as numpy's pairwise sum splits a contiguous array.
 
     Over equal power-of-two slabs of a power-of-two grid this is one np.sum
@@ -300,15 +322,17 @@ class GridMeasure:
     they span (the copula weights c, the payoff h and the masses
     prod(p_i) c) are never held whole: ``build`` forms them slab by slab of
     whole leading-axis rows, each by broadcasting the slab's factors, and
-    reduces them to the Riemann sum, Q, c_max and h_max.  The
-    copula-weighted total mass Q = E_ind[c] rescales the joint formulation;
-    c_max, the largest of these same weights (grid_c_max), keeps the
-    independent formulation's payoff h c / (h_max c_max) in [0, 1] node by
-    node, with no slack.  The one node-sized array a measure may hold is
-    the joint CMC sampler's cumulative masses (``joint_cdf``), formed on
-    first read.  CMC evaluates h and c only at the cells it draws, with the
-    slabs' kernels and bits.  ``payoff``, ``marginals`` and ``spec`` are
-    the inputs it was built for.
+    reduces them to the Riemann sum, c_max, h_max and each slab's total mass
+    (``slab_masses``).  The copula-weighted total mass Q = E_ind[c], the sum
+    of the slab masses, rescales the joint formulation; c_max, the largest
+    of these same weights (grid_c_max), keeps the independent formulation's
+    payoff h c / (h_max c_max) in [0, 1] node by node, with no slack.  Joint
+    CMC (``draw_counts``) picks a slab by the slab masses and forms only the
+    slabs its draws land in; on a one-slab grid it keeps that slab's
+    cumulative masses, so a measure holds at most one slab of sampler state.
+    CMC evaluates h and c only at the cells it draws, with the slabs'
+    kernels and bits.  ``payoff``, ``marginals`` and ``spec`` are the inputs
+    it was built for.
     """
 
     payoff: Payoff
@@ -321,7 +345,7 @@ class GridMeasure:
     discount_factor: float
     c_max: float
     payoff_max: float
-    copula_total_mass: float
+    slab_masses: np.ndarray
     payoff_total: float
 
     @classmethod
@@ -344,9 +368,7 @@ class GridMeasure:
         for rows in _row_slabs(grid):
             weights = copula_weights_on_grid(spec, _leading(scores, rows))
             c_maxima.append(grid_c_max(weights))
-            masses = _outer_product(_leading(marginal_masses, rows))
-            masses *= weights
-            del weights
+            masses = _weigh(weights, marginal_masses, rows)
             mass_sums.append(np.sum(masses))
             values = eval_payoff(payoff, _leading(prices, rows))
             h_maxima.append(float(values.max()))
@@ -363,7 +385,7 @@ class GridMeasure:
             discount_factor=_common_discount(marginals),
             c_max=max(c_maxima),
             payoff_max=max(h_maxima),
-            copula_total_mass=_pairwise_sum(mass_sums),
+            slab_masses=np.array(mass_sums),
             payoff_total=_pairwise_sum(value_sums),
         )
 
@@ -378,27 +400,47 @@ class GridMeasure:
             if given is not None and not _same(built, given):
                 raise DomainError(f"measure built for another {name} than the one given")
 
-    @cached_property
-    def joint_cdf(self) -> np.ndarray:
-        """The normalized cumulative masses prod(p_i) c in row-major node order, which joint CMC draws from.
+    @property
+    def copula_total_mass(self) -> float:
+        """Q, the copula-weighted total mass: the sum of the slab masses that the joint sampler picks slabs by."""
+        return _pairwise_sum(self.slab_masses)
 
-        The one node-sized array a measure holds, formed slab by slab on
-        first read.  Each slab's masses are written into their part of the
-        array, and the previous slab's last cumulative value is added to the
-        slab's first mass before its cumsum, which is the step the running
-        sum takes there: the result is np.cumsum over all nodes bit for bit.
+    def _slab_cdf(self, rows: slice) -> np.ndarray:
+        """The normalized cumulative masses of the slab ``rows``, in row-major order.
+
+        The masses are formed with the build's kernel and bits (its copula
+        weights times the slab's _outer_product), and cumulated in place.
         """
-        cdf = np.empty(self.grid.total_nodes)
-        start, carry = 0, 0.0
-        for rows in _row_slabs(self.grid):
-            factors = _leading(self.marginal_masses, rows)
-            piece = cdf[start : start + math.prod(f.size for f in factors)]
-            masses = _outer_product(factors, out=piece.reshape([f.size for f in factors]))
-            masses *= copula_weights_on_grid(self.spec, _leading(self.scores, rows))
-            piece[0] += carry
-            np.cumsum(piece, out=piece)
-            start, carry = start + piece.size, piece[-1]
-        return _normalize_cumulative(cdf)
+        masses = _weigh(copula_weights_on_grid(self.spec, _leading(self.scores, rows)), self.marginal_masses, rows)
+        flat = masses.reshape(-1)
+        return _normalize_cumulative(np.cumsum(flat, out=flat))
+
+    @cached_property
+    def _one_slab_cdf(self) -> np.ndarray:
+        """A one-slab grid's cumulative masses (at most _SLAB_NODES nodes), formed on the first joint draw and kept."""
+        return self._slab_cdf(next(_row_slabs(self.grid)))
+
+    def draw_counts(self, count: int, rng: Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Joint CMC's draw of ``count`` nodes from the masses prod(p_i) c: the occupied nodes and their counts.
+
+        Stage 1 picks each uniform's slab by the normalized cumulative slab
+        masses, stage 2 the node within it (see ``_count_draws``).  On a
+        one-slab grid this is count_grid_cells of the flat masses, with its
+        indices and end state of ``rng``; on several slabs an index can
+        differ from that single-stage draw only where a uniform lies within
+        roundoff of a cell edge.  No array longer than min(count, nodes) plus
+        one slab is held, and each occupied slab is formed at most once per
+        chunk of uniforms.
+        """
+        slabs = list(_row_slabs(self.grid))
+        row_nodes = self.grid.total_nodes // self.grid.shape[0]
+        bounds = [rows.start * row_nodes for rows in slabs] + [self.grid.total_nodes]
+
+        def slab_cdf(slab: int) -> np.ndarray:
+            return self._one_slab_cdf if len(slabs) == 1 else self._slab_cdf(slabs[slab])
+
+        edges = _normalize_cumulative(np.cumsum(self.slab_masses))
+        return _count_draws(edges, bounds, slab_cdf, count, rng)
 
     def _gather(self, vectors, cells: np.ndarray) -> list[np.ndarray]:
         return [vector[index] for vector, index in zip(vectors, np.unravel_index(cells, self.grid.shape))]
@@ -443,43 +485,44 @@ def _normalize_cumulative(cumulative: np.ndarray) -> np.ndarray:
     return cumulative
 
 
-def _index_chunks(cdf: np.ndarray, count: int, rng: Generator):
-    """Yield ``np.searchsorted(cdf, rng.random(count), side="right")`` in order, in pieces.
+def _guide_buckets(cells: int) -> int:
+    """The guide table's bucket count B for ``cells`` cells: a power of two, about _GUIDE_BUCKETS_PER_CELL per cell."""
+    return 1 << (_GUIDE_BUCKETS_PER_CELL * cells - 1).bit_length()
 
-    ``cdf`` is the normalized cumulative masses; it is read, never written.
-    Below the guide threshold the binary search runs once and the whole draw
-    is one piece.  When the draw is at least as large as the table, a guide
-    table (Chen & Asau, 1974) replaces the search: [0, 1) is cut into a power
-    of two B of equal buckets, so u*B and the bucket edges k/B are exact; a
-    bucket holding no CDF step maps every uniform in it to one index, and
-    only uniforms in a bucket that holds a step are searched.  The uniforms
-    are then drawn in chunks, which is the same stream as one call, and each
-    piece is a view of one reused buffer, valid until the next is yielded.
-    A chunk is at least as long as the table, so a per-chunk count of cells
-    costs O(chunk).
+
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """The guide table (Chen & Asau, 1974) of the normalized cumulative masses ``cdf``.
+
+    [0, 1) is cut into a power of two B of equal buckets, so u*B and the
+    bucket edges k/B are exact.  Entry k is the one index that every uniform
+    in bucket k maps to, or -1 when a CDF step lies in the bucket and its
+    uniforms are searched.
     """
-    buckets = 1 << (_GUIDE_BUCKETS_PER_CELL * cdf.size - 1).bit_length()
-    if buckets > count:
-        yield np.searchsorted(cdf, rng.random(count), side="right")
-        return
+    buckets = _guide_buckets(cdf.size)
     # Scaling by a power of two is exact, so comparisons against k/B and u*B keep their outcome.
     starts = np.searchsorted(cdf, np.arange(buckets + 1, dtype=float) / buckets, side="right")
     guide = starts[:-1]
     guide[guide != starts[1:]] = -1  # a step lies in the bucket: search there
-    chunk = min(count, max(_GUIDE_CHUNK, cdf.size))
-    uniforms = np.empty(chunk)
-    bucket = np.empty(chunk, dtype=np.intp)
-    indices = np.empty(chunk, dtype=np.intp)
-    for start in range(0, count, chunk):
-        size = min(chunk, count - start)
-        u, b, idx = uniforms[:size], bucket[:size], indices[:size]
-        rng.random(out=u)
-        np.multiply(u, buckets, out=b, casting="unsafe")  # truncation is floor here: u >= 0
-        np.take(guide, b, out=idx, mode="clip")  # b < B since u < 1
-        misses = np.flatnonzero(idx < 0)
-        if misses.size:
-            idx[misses] = np.searchsorted(cdf, u[misses], side="right")
-        yield idx
+    return guide
+
+
+def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")`` through the guide table ``guide`` of ``cdf``, into ``out`` if given.
+
+    A uniform in a bucket that holds no CDF step takes that bucket's index,
+    and only the others are searched.  ``cdf`` and ``u`` are only read.
+    """
+    bucket = np.multiply(u, guide.size, out=np.empty(u.size, dtype=np.intp), casting="unsafe")  # floor: u >= 0
+    idx = np.take(guide, bucket, out=out, mode="clip")  # bucket < B since u < 1
+    misses = np.flatnonzero(idx < 0)
+    if misses.size:
+        idx[misses] = np.searchsorted(cdf, u[misses], side="right")
+    return idx
+
+
+def _chunk_size(count: int, cells: int) -> int:
+    """Uniforms drawn at a time: at least _GUIDE_CHUNK and at least the cells, so a per-chunk count costs O(chunk)."""
+    return min(count, max(_GUIDE_CHUNK, cells))
 
 
 def sample_grid_indices(masses: np.ndarray, count: int, rng: Generator) -> np.ndarray:
@@ -487,14 +530,21 @@ def sample_grid_indices(masses: np.ndarray, count: int, rng: Generator) -> np.nd
 
     Returns exactly ``np.searchsorted(cdf, rng.random(count), side="right")``
     for the normalized cumulative masses, and leaves ``rng`` where that call
-    would; draws as large as the table go through a guide table instead of
-    the binary search (see ``_index_chunks``).
+    would.  Below the guide table's size the binary search runs once; a
+    draw at least as large as the table goes through the table
+    (``_guide_table``), its uniforms drawn in chunks, which is the same
+    stream as one call.
     """
-    out = np.empty(count, dtype=np.intp)
-    start = 0
-    for idx in _index_chunks(_normalize_cumulative(np.cumsum(masses)), count, rng):
-        out[start : start + idx.size] = idx
-        start += idx.size
+    cdf = _normalize_cumulative(np.cumsum(masses))
+    if _guide_buckets(cdf.size) > count:
+        return np.searchsorted(cdf, rng.random(count), side="right")
+    guide = _guide_table(cdf)
+    chunk = _chunk_size(count, cdf.size)
+    uniforms, out = np.empty(chunk), np.empty(count, dtype=np.intp)
+    for start in range(0, count, chunk):
+        u = uniforms[: min(chunk, count - start)]
+        rng.random(out=u)
+        _guided_search(cdf, guide, u, out=out[start : start + u.size])
     return out
 
 
@@ -513,28 +563,85 @@ def _tally(idx: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray]:
     return idx[bounds[:-1]], np.diff(bounds)
 
 
+def _by_slab(u: np.ndarray, edges: np.ndarray):
+    """Stage 1 of a two-stage draw: yield (slab, v) for each slab that uniforms of ``u`` fall in, in order.
+
+    A uniform u picks the slab ``np.searchsorted(edges, u, side="right")``
+    of the normalized cumulative slab masses ``edges``, so a slab of empty
+    interval is never picked; v holds the slab's uniforms mapped onto
+    [0, 1) as (u - start) / (end - start), held below 1.  ``u`` is sorted and
+    rescaled in place.  On one slab, v is ``u`` itself.
+    """
+    if edges.size == 1:
+        yield 0, u
+        return
+    u.sort()
+    begin, start = 0, 0.0
+    for slab, end in enumerate(np.searchsorted(u, edges)):  # the uniforms below each edge
+        if end > begin:
+            v = u[begin:end]
+            v -= start
+            v /= edges[slab] - start
+            np.minimum(v, _BELOW_ONE, out=v)
+            yield slab, v
+        begin, start = end, edges[slab]
+
+
+def _count_draws(edges: np.ndarray, bounds, slab_cdf, count: int, rng: Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied cells and counts of ``count`` inverse-CDF draws taken in two stages: a slab, then a cell in it.
+
+    This is indexed inversion (Devroye 1986, ch. III).  ``edges`` are the
+    normalized cumulative slab masses; slab s holds the cells
+    [bounds[s], bounds[s+1]) and ``slab_cdf(s)`` returns their normalized
+    cumulative masses.  The uniforms are drawn in chunks, the same stream
+    as one call; within a chunk each uniform picks its slab (``_by_slab``),
+    and each occupied slab's cumulative masses are formed once per chunk
+    and searched for its uniforms, through a guide table when they are at
+    least as many as the table.  A slab's last cell of positive mass is the most a
+    uniform rescaled to 1 reaches, so a cell of zero mass is never drawn.
+
+    Cells come in ascending order.  A draw longer than one chunk is counted
+    in a cell-sized vector (it is then longer than the cells); a shorter one
+    is tallied slab by slab, so neither output is longer than
+    min(count, cells).
+    """
+    cells = bounds[-1]
+    chunk = _chunk_size(count, cells)
+    uniforms = np.empty(chunk)
+    totals = np.zeros(cells, dtype=np.intp) if count > chunk else None
+    pieces = []
+    held = None  # the slab whose cumulative masses (cdf) and guide table (guide, or None) are held
+    for start in range(0, count, chunk):
+        u = uniforms[: min(chunk, count - start)]
+        rng.random(out=u)
+        for slab, v in _by_slab(u, edges):
+            if slab != held:
+                cdf = guide = None  # let the previous slab go before the next is formed
+                held, cdf = slab, slab_cdf(slab)
+                guide = _guide_table(cdf) if _guide_buckets(cdf.size) <= v.size else None
+            idx = np.searchsorted(cdf, v, side="right") if guide is None else _guided_search(cdf, guide, v)
+            first = bounds[slab]
+            if totals is None:
+                occupied, hits = _tally(idx, cdf.size)
+                pieces.append((occupied + first, hits))
+            else:
+                totals[first : first + cdf.size] += np.bincount(idx, minlength=cdf.size)
+    if totals is None:
+        return np.concatenate([p[0] for p in pieces]), np.concatenate([p[1] for p in pieces])
+    occupied = np.flatnonzero(totals)
+    return occupied, totals[occupied]
+
+
 def count_grid_cells(masses: np.ndarray, count: int, rng: Generator) -> tuple[np.ndarray, np.ndarray]:
     """The draw of ``sample_grid_indices(masses, count, rng)`` as occupied cells and their counts.
 
     Same uniforms, same indices and the same end state of ``rng``; the cells
     come in ascending order and neither output is longer than
-    min(count, cells).  Through the guide table each chunk is counted with
-    one ``bincount``, so no draw-sized array is held.
+    min(count, cells).  It is the two-stage draw on one slab, counted chunk
+    by chunk, so no draw-sized array is held.
     """
-    return _count_cells(_normalize_cumulative(np.cumsum(masses)), count, rng)
-
-
-def _count_cells(cdf: np.ndarray, count: int, rng: Generator) -> tuple[np.ndarray, np.ndarray]:
-    """count_grid_cells on the normalized cumulative masses ``cdf``, which it only reads."""
-    chunks = _index_chunks(cdf, count, rng)
-    first = next(chunks)
-    if first.size == count:  # one piece: the binary search, or a single chunk
-        return _tally(first, cdf.size)
-    counts = np.bincount(first, minlength=cdf.size)
-    for idx in chunks:
-        counts += np.bincount(idx, minlength=cdf.size)
-    occupied = np.flatnonzero(counts)
-    return occupied, counts[occupied]
+    cdf = _normalize_cumulative(np.cumsum(masses))
+    return _count_draws(np.ones(1), [0, cdf.size], lambda slab: cdf, count, rng)
 
 
 def cmc_price(
@@ -550,17 +657,18 @@ def cmc_price(
     """Classical Monte Carlo over the nodes of the shared grid measure.
 
     The joint formulation draws nodes from the copula-weighted cell masses
-    (the measure's cumulative masses, formed on the first joint draw); the
-    independent one draws each axis from its marginal masses and weights
-    the payoff by the copula.  Either is unbiased for riemann_reference.
-    The draws are reduced to their occupied nodes and counts (the joint one
-    counted chunk by chunk, the independent one from its flat indices), and
-    the payoff and copula weight are evaluated at those nodes only; the mean
-    and the ddof=1 standard error are count-weighted sums over them, so they
-    equal np.mean and np.std(ddof=1) / sqrt(samples) of the gathered draws
-    up to summation order.  Pass the prebuilt ``measure``, or the ``grid``
-    to build it on.  A measure built for another payoff, other marginals,
-    another copula or another grid than the ones given is a DomainError.
+    in two stages, a slab and then a cell in it (GridMeasure.draw_counts);
+    the independent one draws each axis from its marginal masses and
+    weights the payoff by the copula.  Either is unbiased for
+    riemann_reference.  The draws are reduced to their occupied nodes and
+    counts (the joint one counted chunk by chunk and slab by slab, the
+    independent one from its flat indices), and the payoff and copula
+    weight are evaluated at those nodes only; the mean and the ddof=1
+    standard error are count-weighted sums over them, so they equal np.mean
+    and np.std(ddof=1) / sqrt(samples) of the gathered draws up to summation
+    order.  Pass the prebuilt ``measure``, or the ``grid`` to build it on.
+    A measure built for another payoff, other marginals, another copula or
+    another grid than the ones given is a DomainError.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
@@ -573,7 +681,7 @@ def cmc_price(
     else:
         measure.check_inputs(payoff, marginals, spec, grid)
     if formulation == "joint":
-        cells, counts = _count_cells(measure.joint_cdf, samples, rng)
+        cells, counts = measure.draw_counts(samples, rng)
         values = measure.payoff_at(cells)
         values *= measure.copula_total_mass
     else:

@@ -3,8 +3,8 @@
 It forms them the direct way, on the full axes: the copula weights from
 every axis's normal scores, the payoff on the tensor grid of price vectors
 (eval_payoff, which np.ix_ spreads over the grid), and prod(p_i) c by outer
-products.  The tests hold the slab reductions, the cumulative masses and CMC
-against it.
+products.  The tests hold the slab reductions, the slab masses, the joint
+draw's counts and CMC against it.
 """
 
 from dataclasses import dataclass
@@ -62,14 +62,6 @@ class DenseMeasure:
     @property
     def payoff_max(self) -> float:
         return float(self.payoff_values.max())
-
-    @property
-    def joint_cdf(self) -> np.ndarray:
-        """The normalized cumulative masses, as the sampler forms them from a mass tensor."""
-        cdf = np.cumsum(self.masses)
-        cdf /= cdf[-1]
-        cdf[-1] = 1.0
-        return cdf
 
     def draws(self, formulation: str, samples: int, rng) -> np.ndarray:
         """CMC's undiscounted draws, gathered draw by draw from the same stream."""

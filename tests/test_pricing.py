@@ -285,14 +285,7 @@ class TestMeasure:
     def test_four_names_at_six_qubits_run_in_small_memory(self):
         # d=4, q=6 is 2^24 nodes, 128 MiB per node tensor: the Riemann value
         # and both QAMC estimates on one measure peak below 16 MiB.
-        names = ("AXA", "CREDIT_AGRICOLE", "MICHELIN", "AXA")
-        marginals = [experiments.fixture_marginal(name) for name in names]
-        sigma = np.eye(4)
-        sigma[:3, :3] = experiments.BASKET_CORRELATION
-        sigma[3, :3] = sigma[:3, 3] = 0.1
-        spec = CopulaSpec.from_matrix(sigma)
-        grid = PricingGrid.build(marginals, 6)
-        payoff = Payoff("basket-call", experiments.BASKET_STRIKE)
+        payoff, marginals, spec, grid = four_names_setup()
         cfg = AEConfig(epsilon=1e-3, rho=0.05)
         tracemalloc.start()
         try:
@@ -310,6 +303,16 @@ class TestMeasure:
         assert peak - before < 16 * 2**20
         assert 0.0 < reference < 25.0
         assert all(abs(q.value - reference) <= 4 * cfg.epsilon for q in quantum)
+
+
+def four_names_setup():
+    """(payoff, marginals, spec, grid) of a four-name basket at 2^6 cells per axis: 2^24 nodes."""
+    marginals = [experiments.fixture_marginal(name) for name in ("AXA", "CREDIT_AGRICOLE", "MICHELIN", "AXA")]
+    sigma = np.eye(4)
+    sigma[:3, :3] = experiments.BASKET_CORRELATION
+    sigma[3, :3] = sigma[:3, 3] = 0.1
+    return (Payoff("basket-call", experiments.BASKET_STRIKE), marginals, CopulaSpec.from_matrix(sigma),
+            PricingGrid.build(marginals, 6))
 
 
 def slab_outputs(measure_args, monkeypatch):
@@ -364,7 +367,10 @@ class TestSlabReductions:
         dense = DenseMeasure.of(measure)
         assert np.array_equal(weights, dense.weights)
         assert np.array_equal(values, dense.payoff_values)
-        assert np.array_equal(measure.joint_cdf, dense.joint_cdf)
+        rows = list(pricing._row_slabs(measure.grid))
+        assert measure.slab_masses.tolist() == [np.sum(dense.masses[r]) for r in rows]
+        for r in rows:
+            assert np.array_equal(measure._slab_cdf(r), normalized_cdf(dense.masses[r].ravel()))
         assert measure.c_max == dense.c_max
         assert measure.payoff_max == dense.payoff_max
         cells = np.arange(measure.grid.total_nodes)
@@ -381,6 +387,71 @@ class TestSlabReductions:
         else:
             assert ulps(measure.reference_value(), dense.reference_value) <= 4
             assert ulps(measure.copula_total_mass, dense.copula_total_mass) <= 4
+
+    @pytest.mark.parametrize("name", ONE_SLAB + MULTI_SLAB)
+    def test_joint_counts_are_the_dense_draws(self, name):
+        # Two stages, a slab by the slab masses and then a cell by that slab's
+        # cumulative masses, draw the cells of one inverse-CDF draw over every
+        # node's mass, and leave the generator where it does: on one slab by
+        # construction, and on several unless a uniform falls within roundoff
+        # of a cell edge.
+        measure = GridMeasure.build(*_setup_at(name))
+        masses = DenseMeasure.of(measure).masses.ravel()
+        for seed, count in itertools.product(range(10), (4096, 2**16)):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            cells, counts = measure.draw_counts(count, rng)
+            expected_cells, expected_counts = pricing.count_grid_cells(masses, count, reference)
+            assert np.array_equal(cells, expected_cells), (seed, count)
+            assert np.array_equal(counts, expected_counts), (seed, count)
+            assert rng.random() == reference.random()
+
+    def test_zero_mass_is_never_drawn(self):
+        # basket-q6 (8 slabs of 8 leading rows) with rows 8-15 and 56-63 and
+        # the middle axis' last cell given zero mass: slabs 1 and 7 have empty
+        # stage-1 intervals, and every slab ends in 64 cells of zero mass.
+        # A uniform planted at a slab's start lands on its first cell of
+        # positive mass, one just below its end on a cell of positive mass in
+        # the same slab, and a random draw stays on positive mass.
+        built = GridMeasure.build(*_setup_at("basket-q6"))
+        p0, p1, p2 = (m.copy() for m in built.marginal_masses)
+        p0[8:16] = p0[56:] = 0.0
+        p1[-1] = 0.0
+        rows = list(pricing._row_slabs(built.grid))
+        masses = DenseMeasure.of(replace(built, marginal_masses=(p0, p1, p2))).masses
+        measure = replace(built, marginal_masses=(p0, p1, p2),
+                          slab_masses=np.array([np.sum(masses[r]) for r in rows]))
+        by_slab = masses.reshape(len(rows), -1)
+        assert np.all(by_slab[:, -64:] == 0.0)
+        edges = pricing._normalize_cumulative(np.cumsum(measure.slab_masses))
+        assert edges[0] == edges[1] and edges[6] == edges[7] == 1.0
+        starts = np.concatenate(([0.0], edges[:-1]))
+        live = np.flatnonzero(edges > starts)
+        assert live.tolist() == [0, 2, 3, 4, 5, 6]
+        drawn = []
+        for planted in (starts[live], np.nextafter(edges[live], 0.0)):
+            rng = _Uniforms(planted)
+            cells, counts = measure.draw_counts(planted.size, rng)
+            assert rng.used == planted.size and counts.tolist() == [1] * live.size
+            slab, cell = np.divmod(cells, by_slab.shape[1])
+            assert slab.tolist() == live.tolist()
+            assert np.all(by_slab[slab, cell] > 0.0)
+            drawn.append(cell)
+        assert drawn[0].tolist() == [np.flatnonzero(by_slab[s])[0] for s in live]
+        cells, counts = measure.draw_counts(2**16, np.random.default_rng(0))
+        assert counts.sum() == 2**16 and np.all(masses.ravel()[cells] > 0.0)
+
+    def test_uniform_rescaled_to_one_lands_on_the_last_cell_of_positive_mass(self):
+        # Slab 1 spans [2^-54, 0.75 + 2^-53): at u = 0.75 both u - start and
+        # end - start round to 0.75, so v rounds up to 1.0, which a search
+        # would map past the slab's last cell.  v is held below 1, and u lands
+        # on cell 2 of the slab, its last of positive mass.
+        edges = np.array([2.0**-54, 0.75 + 2.0**-53, 1.0])
+        assert (0.75 - edges[0]) / (edges[1] - edges[0]) == 1.0
+        slab_cdfs = [np.array([1.0]), normalized_cdf(np.array([0.3, 0.5, 0.2, 0.0, 0.0])), np.array([0.5, 1.0])]
+        bounds = [0, 1, 6, 8]
+        rng = _Uniforms([0.75, 2.0**-54, 0.0])
+        cells, counts = pricing._count_draws(edges, bounds, slab_cdfs.__getitem__, 3, rng)
+        assert cells.tolist() == [0, 1, 3] and counts.tolist() == [1, 1, 1]
 
 
 class TestRiemannReference:
@@ -652,9 +723,9 @@ class TestCmc:
             cmc_price(payoff, marginals, spec, "joint", 10, np.random.default_rng(0))
 
     def test_joint_sampling_peak_memory(self):
-        # Joint CMC forms the measure's cumulative masses slab by slab, the
-        # one node-sized array it keeps: at d=3, q=6 it peaks below 1.25
-        # node-sized tensors and keeps nothing else.
+        # Joint CMC forms one slab's cumulative masses at a time, only for the
+        # slabs its draws land in, and drops each: at d=3, q=6 it peaks below
+        # a quarter of a node-sized tensor and keeps nothing.
         marginals = [experiments.fixture_marginal(name) for name in ("AXA", "CREDIT_AGRICOLE", "MICHELIN")]
         spec = CopulaSpec.from_matrix(experiments.BASKET_CORRELATION)
         grid = PricingGrid.build(marginals, 6)
@@ -669,18 +740,36 @@ class TestCmc:
             after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert len(list(pricing._row_slabs(grid))) > 1
         assert abs(estimate.value - reference) <= 5.0 * estimate.stderr
-        assert peak - before < 1.25 * node_tensor
-        assert measure.joint_cdf.nbytes == node_tensor
-        assert after - before - node_tensor < 0.01 * node_tensor
+        assert peak - before < 0.25 * node_tensor
+        assert after - before < 0.01 * node_tensor
+
+    def test_four_names_joint_cmc_runs_in_small_memory(self):
+        # d=4, q=6 is 2^24 nodes, 128 MiB per node tensor: 2^16 joint draws
+        # peak below 16 MiB and land within 5 standard errors of the Riemann
+        # value.
+        payoff, marginals, spec, grid = four_names_setup()
+        measure = GridMeasure.build(payoff, marginals, spec, grid)
+        reference = measure.reference_value()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            estimate = cmc_price(payoff, marginals, spec, "joint", 2**16, np.random.default_rng(2), measure=measure)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 16 * 2**20
+        assert after - before < 2**20
+        assert abs(estimate.value - reference) <= 5.0 * estimate.stderr
 
     def test_joint_cmc_holds_no_draw_sized_array(self, spread_setup):
         # Joint CMC counts its draws chunk by chunk through the guide table:
         # at 2^19 draws it peaks below a quarter of one draw-sized array and
-        # keeps nothing.  Gathering the draws would hold two of them.
+        # keeps nothing but the one-slab grid's cumulative masses (64 nodes).
+        # Gathering the draws would hold two of them.
         payoff, marginals, spec, grid = spread_setup
         measure = GridMeasure.build(payoff, marginals, spec, grid)
-        measure.joint_cdf  # the cached cumulative masses are the measure's, not the draw's
         count = 2**19
         draw_array = count * np.dtype(float).itemsize
         tracemalloc.start()
