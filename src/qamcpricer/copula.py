@@ -13,6 +13,18 @@ grid of them (copula_weights_on_grid, which the grid measure calls slab by
 slab) or at scattered grid nodes (copula_weights_at, for the cells a CMC
 draw visits), with the same bits at a shared node.
 
+With m = Sigma^{-1} - I (CopulaSpec.inv_minus_identity) and the terms
+t_ij = z_i m_ij z_j, the exponent is split at the leading axis.  The
+trailing table R, the row-major fold of t_ij over i, j >= 1, spans the
+trailing axes only: it is one leading row in size, the same for every slab
+of a grid, and trailing_exponent forms it once for all of them.  A slab adds
+to it the leading part ((t00 + t01) + t10) + (t02 + t20) + ... + (t0k + tk0),
+one broadcast write per axis k >= 2, and takes one exp.  At d <= 2 this is the
+row-major fold of every term, bit for bit; at d >= 3 it is a regrouping of
+it, whose weights differ from the fold's by the rounding of a reordered sum
+only.  The factor -1/2 is folded into m, a scaling by a power of two, which
+is exact.
+
 c(u) is unbounded at the corners of the cube for any Sigma != I, so the
 c_max that keeps the adjusted payoff h c / (h_max c_max) in [0, 1] is the
 largest copula weight of the pricing grid in use.  Sigma = I needs no special
@@ -25,6 +37,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -34,6 +47,7 @@ from .numerics import std_normal_quantile
 __all__ = [
     "CopulaSpec",
     "normal_scores",
+    "trailing_exponent",
     "copula_weights_on_grid",
     "copula_weights_at",
     "grid_c_max",
@@ -48,14 +62,14 @@ CLAMP_EPS = 1e-12
 
 @dataclass(frozen=True)
 class CopulaSpec:
-    """Correlation matrix with its inverse and determinant.
+    """Correlation matrix with the kernel's matrix m = Sigma^{-1} - I and the determinant.
 
     Grid-level bounds of the density belong to a grid, not to the matrix:
     GridMeasure.build takes c_max as the largest weight it computes (grid_c_max).
     """
 
     sigma: np.ndarray
-    inv: np.ndarray
+    inv_minus_identity: np.ndarray
     det: float
 
     @classmethod
@@ -71,7 +85,8 @@ class CopulaSpec:
             np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError as exc:
             raise ValidationError("correlation matrix must be positive definite") from exc
-        return cls(sigma=sigma, inv=np.linalg.inv(sigma), det=float(np.linalg.det(sigma)))
+        return cls(sigma=sigma, inv_minus_identity=np.linalg.inv(sigma) - np.eye(len(sigma)),
+                   det=float(np.linalg.det(sigma)))
 
     @property
     def dim(self) -> int:
@@ -97,35 +112,59 @@ def normal_scores(unit_coords: list[np.ndarray]) -> list[np.ndarray]:
     return [std_normal_quantile(_clamped_unit(np.asarray(coords, dtype=float))) for coords in unit_coords]
 
 
-def _density(spec: CopulaSpec, z: list[np.ndarray]) -> np.ndarray:
-    """c at every point of the broadcast of the per-coordinate scores ``z``.
+def _half(spec: CopulaSpec) -> np.ndarray:
+    """-m/2: scaling by -1/2 is exact, so the halved terms sum to the exponent -q/2 bit for bit."""
+    return -0.5 * spec.inv_minus_identity
 
-    Node by node the arithmetic is the same whatever the shapes, so a grid
-    and a set of points give the same bits at a shared node.
+
+def _term(half: np.ndarray, z: list[np.ndarray], i: int, j: int) -> np.ndarray:
+    return z[i] * half[i, j] * z[j]
+
+
+def _trailing_sum(half: np.ndarray, z: list[np.ndarray]) -> np.ndarray:
+    """The row-major left fold of the terms over i, j >= 1, or a zero when there are none (d = 1)."""
+    if len(z) == 1:
+        return np.zeros(np.shape(z[0]))
+    return reduce(np.add, (_term(half, z, i, j) for i in range(1, len(z)) for j in range(1, len(z))))
+
+
+def _density(spec: CopulaSpec, z: list[np.ndarray], trailing: np.ndarray) -> np.ndarray:
+    """c at every point of the broadcast of the per-coordinate scores ``z``, given their trailing sum.
+
+    ``trailing`` is _trailing_sum of the same scores, or a table that
+    broadcasts against them as it would.  The leading terms are added as
+    ((t00 + t01) + t10) + (t02 + t20) + ... + (t0k + tk0), each in the order
+    written, and the trailing sum last; node by node the arithmetic is the
+    same whatever the shapes, so a grid, a slab of it and a set of points
+    give the same bits at a shared node.  At d = 2 this is the row-major fold
+    of the four terms (the first two added as t01 + t00, the same sum).  At
+    d >= 3 the leading terms span the leading axis and one other, so on a
+    slab they are small until the last pair's broadcast write.
     """
-    m = spec.inv - np.eye(spec.dim)
-    # Terms are added from zero in row-major (i, j) order; the last bits of
-    # the weights, and so the pinned references, depend on that order.
-    quad = np.zeros(np.broadcast_shapes(*(s.shape for s in z)))
-    for i in range(spec.dim):
-        for j in range(spec.dim):
-            quad += z[i] * m[i, j] * z[j]
-    # exp(-quad / 2) / sqrt(det), in place: the weights are the one
-    # node-sized tensor the kernel allocates (same bits as the out-of-place form).
-    quad *= -0.5
-    np.exp(quad, out=quad)
-    quad /= math.sqrt(spec.det)
-    return quad
+    half = _half(spec)
+    if len(z) == 1:
+        exponent = _term(half, z, 0, 0)
+    else:
+        exponent = _term(half, z, 0, 1)
+        exponent += _term(half, z, 0, 0)
+        exponent += _term(half, z, 1, 0)
+    for k in range(2, len(z)):
+        pair = _term(half, z, 0, k) + _term(half, z, k, 0)
+        # exponent + pair: a copy of the one, broadcast, plus the other in
+        # place, so that numpy buffers one broadcast operand and not two.
+        total = np.empty(np.broadcast_shapes(exponent.shape, pair.shape))
+        np.copyto(total, exponent)
+        total += pair
+        exponent = total
+    # exp(exponent) / sqrt(det), in place on the exponent.
+    exponent += trailing
+    np.exp(exponent, out=exponent)
+    exponent /= math.sqrt(spec.det)
+    return exponent
 
 
-def copula_weights_on_grid(spec: CopulaSpec, scores: list[np.ndarray]) -> np.ndarray:
-    """c on the tensor grid of per-dimension normal scores z_i = Phi^{-1}(F_i) (normal_scores).
-
-    The quadratic form is summed over (i, j) by broadcasting the per-axis
-    score vectors, so no (nodes, N) array of coordinates is formed.  A slab
-    of a grid (some rows of its leading axis) is the grid of those rows'
-    scores and the other axes' scores.
-    """
+def _grid_axes(spec: CopulaSpec, scores: list[np.ndarray]) -> list[np.ndarray]:
+    """Each axis's score vector along its own axis of the d-axis tensor grid."""
     if len(scores) != spec.dim:
         raise DomainError("one score vector per dimension required")
     z = []
@@ -134,7 +173,38 @@ def copula_weights_on_grid(spec: CopulaSpec, scores: list[np.ndarray]) -> np.nda
         view = [1] * spec.dim
         view[axis] = vector.size
         z.append(vector.reshape(view))
-    return _density(spec, z)
+    return z
+
+
+def trailing_exponent(spec: CopulaSpec, scores: list[np.ndarray]) -> np.ndarray:
+    """The trailing table of the tensor grid of ``scores``: -1/2 the fold of t_ij over i, j >= 1.
+
+    It spans axes 1..d-1 and has shape (1, n_1, ..., n_{d-1}), one leading
+    row; the leading axis' scores are not read.  Every slab of the grid
+    adds it to its leading terms (copula_weights_on_grid), so a grid measure
+    forms it once and hands it to each slab.
+    """
+    z = _grid_axes(spec, [np.zeros(1), *scores[1:]])
+    return _trailing_sum(_half(spec), z)
+
+
+def copula_weights_on_grid(
+    spec: CopulaSpec, scores: list[np.ndarray], trailing: np.ndarray | None = None
+) -> np.ndarray:
+    """c on the tensor grid of per-dimension normal scores z_i = Phi^{-1}(F_i) (normal_scores).
+
+    The quadratic form is summed by broadcasting the per-axis score vectors,
+    so no (nodes, N) array of coordinates is formed.  A slab of a grid (some
+    rows of its leading axis) is the grid of those rows' scores and the
+    other axes' scores; ``trailing`` is those axes' trailing_exponent, which
+    every slab of one grid shares, and is formed here when not given.
+    """
+    z = _grid_axes(spec, scores)
+    if trailing is None:
+        trailing = trailing_exponent(spec, scores)
+    elif trailing.shape != (1, *(axis.size for axis in z[1:])):
+        raise DomainError("trailing table does not match the grid's trailing axes")
+    return _density(spec, z, trailing)
 
 
 def copula_weights_at(spec: CopulaSpec, scores: list[np.ndarray]) -> np.ndarray:
@@ -146,7 +216,7 @@ def copula_weights_at(spec: CopulaSpec, scores: list[np.ndarray]) -> np.ndarray:
     scores = [np.asarray(vector, dtype=float) for vector in scores]
     if len(scores) != spec.dim or len({vector.shape for vector in scores}) != 1:
         raise DomainError("one score array per dimension required, all of one shape")
-    return _density(spec, scores)
+    return _density(spec, scores, _trailing_sum(_half(spec), scores))
 
 
 def grid_c_max(weights: np.ndarray) -> float:

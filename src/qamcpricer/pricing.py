@@ -15,7 +15,11 @@ weights, the payoff values and the masses) are formed in slabs of whole
 leading-axis rows and reduced to the scalars the Riemann sum and QAMC read,
 and to each slab's total mass, so no node-sized tensor is held: the
 Riemann, QAMC and joint CMC prices of d=4 at 2^6 cells per axis (2^24
-nodes) peak below 16 MiB.
+nodes) peak below 16 MiB.  What every slab shares is formed once per build
+(and once per joint draw) and handed to each slab: the copula exponent's
+trailing-axes table (copula.trailing_exponent), one leading row in size and
+not kept on the measure, so a slab's weights cost its leading terms, one
+add of the table and one exp.
 
 CMC draws nodes of that same measure, in either formulation: joint sampling
 of the copula-weighted cell masses, or independent marginals with the copula
@@ -41,7 +45,7 @@ from functools import cached_property, reduce
 import numpy as np
 from numpy.random import Generator
 
-from .copula import CopulaSpec, copula_weights_at, copula_weights_on_grid, grid_c_max, normal_scores
+from .copula import CopulaSpec, copula_weights_at, copula_weights_on_grid, grid_c_max, normal_scores, trailing_exponent
 from .cosine_density import CosineSeries, Interval, coeffs_classical, eval_cdf, eval_pdf
 from .errors import DomainError, ValidationError
 from .market_data import MarketSlice
@@ -118,7 +122,7 @@ def eval_payoff(payoff: Payoff, prices) -> np.ndarray:
     for vector in vectors:
         if vector.ndim != 1:
             raise DomainError("one price vector per asset required")
-        if np.any(vector <= 0.0):
+        if (vector <= 0.0).any():
             raise DomainError("asset prices must be positive")
     return _combine_payoff(payoff, np.ix_(*vectors))
 
@@ -128,16 +132,18 @@ def _combine_payoff(payoff: Payoff, axes) -> np.ndarray:
 
     The tensor grid's open axes (np.ix_) and the gathered prices of a set of
     nodes go through the same arithmetic node by node, so a node's payoff has
-    the same bits either way.
+    the same bits either way.  The strike is taken off in place, so a slab
+    of the grid writes one slab-sized array.
     """
     if payoff.kind == "spread-call":
-        out = axes[0] - axes[1] - payoff.strike
-    elif payoff.kind == "basket-call":  # the equal-weight mean
+        out = axes[0] - axes[1]
+        out -= payoff.strike
+    elif payoff.kind == "basket-call":  # the equal-weight mean, summed left to right
         weight = 1.0 / len(axes)
-        total = axes[0] * weight
+        out = axes[0] * weight
         for axis in axes[1:]:
-            total = total + axis * weight
-        out = total - payoff.strike
+            out = out + axis * weight
+        out -= payoff.strike
     else:  # worst-of-put
         worst = axes[0]
         for axis in axes[1:]:
@@ -268,21 +274,25 @@ def _leading(vectors, rows: slice) -> list[np.ndarray]:
     return [vectors[0][rows], *vectors[1:]]
 
 
-def _outer_product(factors) -> np.ndarray:
-    """prod_i factors[i] on their tensor grid, formed as reduce(np.multiply.outer, factors)."""
-    return np.multiply.outer(reduce(np.multiply.outer, factors[:-1], 1.0), factors[-1])
-
-
 def _weigh(weights: np.ndarray, marginal_masses, rows: slice) -> np.ndarray:
     """The masses prod(p_i) c of the slab ``rows``, written over its copula weights ``weights``.
 
-    Each node's product of marginal masses (_outer_product of the slab's
-    factors) multiplies its weight; the product is formed one leading row at
-    a time, so no second slab-sized array is held.
+    Each node's product of marginal masses, (p_0 p_1 ... p_{d-2}) p_{d-1}
+    multiplied left to right, multiplies its weight.  The product is formed
+    one leading row at a time in one row-sized buffer, the row's head
+    p_0 ... p_{d-2} copied along the last axis and multiplied by p_{d-1} in
+    place, so no second slab-sized array is held.
     """
     leading = marginal_masses[0][rows]
+    if len(marginal_masses) == 1:
+        weights *= leading
+        return weights
+    head = reduce(np.multiply.outer, [leading, *marginal_masses[1:-1]])
+    product = np.empty(weights.shape[1:])
     for row in range(leading.size):
-        weights[row : row + 1] *= _outer_product([leading[row : row + 1], *marginal_masses[1:]])
+        np.copyto(product, head[row][..., np.newaxis])
+        product *= marginal_masses[-1]
+        weights[row] *= product
     return weights
 
 
@@ -321,14 +331,16 @@ class GridMeasure:
     axis's normal scores Phi^{-1}(F(x)) and prices s(x).  The node tensors
     they span (the copula weights c, the payoff h and the masses
     prod(p_i) c) are never held whole: ``build`` forms them slab by slab of
-    whole leading-axis rows, each by broadcasting the slab's factors, and
-    reduces them to the Riemann sum, c_max, h_max and each slab's total mass
-    (``slab_masses``).  The copula-weighted total mass Q = E_ind[c], the sum
-    of the slab masses, rescales the joint formulation; c_max, the largest
-    of these same weights (grid_c_max), keeps the independent formulation's
-    payoff h c / (h_max c_max) in [0, 1] node by node, with no slack.  Joint
-    CMC (``draw_counts``) picks a slab by the slab masses and forms only the
-    slabs its draws land in; on a one-slab grid it keeps that slab's
+    whole leading-axis rows, each by broadcasting the slab's factors (the
+    weights onto the copula's trailing-axes table, formed once per build and
+    not kept), and reduces them to the Riemann sum, c_max, h_max and each
+    slab's total mass (``slab_masses``).  The copula-weighted total mass
+    Q = E_ind[c], the sum of the slab masses, rescales the joint
+    formulation; c_max, the largest of these same weights (grid_c_max),
+    keeps the independent formulation's payoff h c / (h_max c_max) in
+    [0, 1] node by node, with no slack.  Joint CMC (``draw_counts``) picks a
+    slab by the slab masses and forms only the slabs its draws land in, off
+    one trailing table per call; on a one-slab grid it keeps that slab's
     cumulative masses, so a measure holds at most one slab of sampler state.
     CMC evaluates h and c only at the cells it draws, with the slabs'
     kernels and bits.  ``payoff``, ``marginals`` and ``spec`` are the inputs
@@ -364,9 +376,10 @@ class GridMeasure:
         ]
         scores = normal_scores([m.cdf(nodes) for m, nodes in zip(marginals, grid.nodes)])
         prices = [np.asarray(m.price_at(nodes), dtype=float) for m, nodes in zip(marginals, grid.nodes)]
+        trailing = trailing_exponent(spec, scores)
         c_maxima, h_maxima, mass_sums, value_sums = [], [], [], []
         for rows in _row_slabs(grid):
-            weights = copula_weights_on_grid(spec, _leading(scores, rows))
+            weights = copula_weights_on_grid(spec, _leading(scores, rows), trailing)
             c_maxima.append(grid_c_max(weights))
             masses = _weigh(weights, marginal_masses, rows)
             mass_sums.append(np.sum(masses))
@@ -405,14 +418,15 @@ class GridMeasure:
         """Q, the copula-weighted total mass: the sum of the slab masses that the joint sampler picks slabs by."""
         return _pairwise_sum(self.slab_masses)
 
-    def _slab_cdf(self, rows: slice) -> np.ndarray:
+    def _slab_cdf(self, rows: slice, trailing: np.ndarray | None = None) -> np.ndarray:
         """The normalized cumulative masses of the slab ``rows``, in row-major order.
 
         The masses are formed with the build's kernel and bits (its copula
-        weights times the slab's _outer_product), and cumulated in place.
+        weights, off the grid's trailing_exponent table ``trailing``, times
+        the marginal masses by _weigh), and cumulated in place.
         """
-        masses = _weigh(copula_weights_on_grid(self.spec, _leading(self.scores, rows)), self.marginal_masses, rows)
-        flat = masses.reshape(-1)
+        weights = copula_weights_on_grid(self.spec, _leading(self.scores, rows), trailing)
+        flat = _weigh(weights, self.marginal_masses, rows).reshape(-1)
         return _normalize_cumulative(np.cumsum(flat, out=flat))
 
     @cached_property
@@ -430,14 +444,16 @@ class GridMeasure:
         differ from that single-stage draw only where a uniform lies within
         roundoff of a cell edge.  No array longer than min(count, nodes) plus
         one slab is held, and each occupied slab is formed at most once per
-        chunk of uniforms.
+        chunk of uniforms.  The slabs share one trailing_exponent table,
+        formed once per call on several slabs.
         """
         slabs = list(_row_slabs(self.grid))
         row_nodes = self.grid.total_nodes // self.grid.shape[0]
         bounds = [rows.start * row_nodes for rows in slabs] + [self.grid.total_nodes]
+        trailing = None if len(slabs) == 1 else trailing_exponent(self.spec, self.scores)
 
         def slab_cdf(slab: int) -> np.ndarray:
-            return self._one_slab_cdf if len(slabs) == 1 else self._slab_cdf(slabs[slab])
+            return self._one_slab_cdf if trailing is None else self._slab_cdf(slabs[slab], trailing)
 
         edges = _normalize_cumulative(np.cumsum(self.slab_masses))
         return _count_draws(edges, bounds, slab_cdf, count, rng)

@@ -4,9 +4,11 @@ It forms them the direct way, on the full axes: the copula weights from
 every axis's normal scores, the payoff on the tensor grid of price vectors
 (eval_payoff, which np.ix_ spreads over the grid), and prod(p_i) c by outer
 products.  The tests hold the slab reductions, the slab masses, the joint
-draw's counts and CMC against it.
+draw's counts and CMC against it.  row_major_weights is the copula kernel's
+arithmetic before it split the exponent at the leading axis.
 """
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -73,3 +75,38 @@ class DenseMeasure:
         per_dim = [sample_grid_indices(p, samples, rng) for p in self.measure.marginal_masses]
         flat = np.ravel_multi_index(per_dim, self.payoff_values.shape)
         return values[flat] * self.weights.ravel()[flat]
+
+
+def row_major_weights(spec, scores) -> tuple[np.ndarray, np.ndarray]:
+    """c on the tensor grid of ``scores`` by the row-major fold of the exponent from zero, and the fold's magnitude.
+
+    quad = 0 + z_0 m_00 z_0 + z_0 m_01 z_1 + ... in row-major (i, j) order,
+    with m = Sigma^{-1} - I, then exp(-quad / 2) / sqrt(det).  The second
+    array is sum |z_i m_ij z_j|, which bounds the rounding of any order of
+    that sum.
+    """
+    z = []
+    for axis, vector in enumerate(scores):
+        view = [1] * len(scores)
+        view[axis] = len(vector)
+        z.append(np.asarray(vector, dtype=float).reshape(view))
+    m = np.linalg.inv(spec.sigma) - np.eye(spec.dim)
+    quad = np.zeros(tuple(len(vector) for vector in scores))
+    magnitude = np.zeros_like(quad)
+    for i in range(spec.dim):
+        for j in range(spec.dim):
+            term = z[i] * m[i, j] * z[j]
+            quad += term
+            magnitude += np.abs(term)
+    return np.exp(-0.5 * quad) / math.sqrt(spec.det), magnitude
+
+
+def regrouping_bound(spec, magnitude) -> np.ndarray:
+    """The relative distance two summation orders of the exponent can put between their weights.
+
+    Each order of the d^2 terms rounds by at most (d^2 - 1) u sum|t| (u the
+    unit roundoff), the weight takes half the exponent's difference, and
+    exp and the division add a few ulps on each side.
+    """
+    u = np.finfo(float).eps / 2
+    return spec.dim**2 * u * magnitude + 8 * u

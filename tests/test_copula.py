@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_measure import regrouping_bound, row_major_weights
 from qamcpricer import copula
 from qamcpricer.cli import main
 from qamcpricer.copula import (
@@ -306,7 +307,7 @@ class TestCopulaProperties:
             node = np.unravel_index(pick % weights.size, weights.shape)
             u = np.array([axes[i][k] for i, k in enumerate(node)])
             z = std_normal_quantile(np.clip(u, CLAMP_EPS, 1.0 - CLAMP_EPS))
-            expected = math.exp(-0.5 * z @ (spec.inv - np.eye(spec.dim)) @ z) / math.sqrt(spec.det)
+            expected = math.exp(-0.5 * z @ (np.linalg.inv(sigma) - np.eye(spec.dim)) @ z) / math.sqrt(spec.det)
             assert weights[node] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @copula_settings
@@ -325,6 +326,23 @@ class TestCopulaProperties:
         nodes = np.unravel_index(np.array(picks) % weights.size, weights.shape)
         scattered = copula_weights_at(spec, [z[k] for z, k in zip(scores, nodes)])
         assert np.array_equal(scattered, weights[nodes])
+
+    @copula_settings
+    @given(case=copula_grids())
+    def test_weights_follow_the_row_major_fold(self, case):
+        # The exponent is summed as a leading part plus the trailing-axes
+        # table: at d = 2 that is the row-major fold from zero, bit for bit;
+        # at d >= 3 it is a regrouping of it, held to the rounding bound of
+        # a reordered sum.
+        sigma, axes, _ = case
+        spec = CopulaSpec.from_matrix(sigma)
+        scores = normal_scores(axes)
+        weights = copula_weights_on_grid(spec, scores)
+        expected, magnitude = row_major_weights(spec, scores)
+        if spec.dim <= 2:
+            assert np.array_equal(weights, expected)
+        else:
+            assert np.all(np.abs(weights - expected) <= expected * regrouping_bound(spec, magnitude))
 
     @copula_settings
     @given(case=copula_grids())
@@ -357,7 +375,7 @@ class TestLoadCorrelation:
         spec = load_correlation(path, ["MICHELIN", "AXA"])
         expected = CopulaSpec.from_matrix(subset)
         assert np.array_equal(spec.sigma, subset)
-        assert np.array_equal(spec.inv, expected.inv)
+        assert np.array_equal(spec.inv_minus_identity, expected.inv_minus_identity)
         assert spec.det == expected.det
 
     def test_missing_asset(self):

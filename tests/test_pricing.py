@@ -9,7 +9,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from dense_measure import DenseMeasure, flat_priced
+from dense_measure import DenseMeasure, flat_priced, regrouping_bound, row_major_weights
 from qamcpricer import copula, experiments, pricing
 from qamcpricer.copula import CopulaSpec
 from qamcpricer.cosine_density import CosineSeries, Interval, coeffs_classical
@@ -452,6 +452,81 @@ class TestSlabReductions:
         rng = _Uniforms([0.75, 2.0**-54, 0.0])
         cells, counts = pricing._count_draws(edges, bounds, slab_cdfs.__getitem__, 3, rng)
         assert cells.tolist() == [0, 1, 3] and counts.tolist() == [1, 1, 1]
+
+
+def left_to_right_payoff(measure, cells):
+    """The payoff at the flat node indices ``cells`` in Python floats: a basket summed left to right."""
+    n = measure.grid.dim
+    values = []
+    for index in zip(*np.unravel_index(cells, measure.grid.shape)):
+        s = [float(measure.prices[i][j]) for i, j in enumerate(index)]
+        if measure.payoff.kind == "spread-call":
+            value = s[0] - s[1] - measure.payoff.strike
+        else:
+            value = sum(x * (1.0 / n) for x in s) - measure.payoff.strike
+        values.append(max(value, 0.0))
+    return np.array(values)
+
+
+class TestBitPolicy:
+    """The measure's weights and payoff against the row-major fold and the left-to-right sum.
+
+    The copula exponent is summed as a leading part plus a trailing-axes
+    table: the same bits at d <= 2, a regrouping within the rounding bound
+    of a reordered sum at d >= 3.  The payoff keeps its arithmetic at every d.
+    """
+
+    def test_spread_measure_keeps_its_bits(self, spread_setup):
+        measure = GridMeasure.build(*spread_setup)
+        dense = DenseMeasure.of(measure)
+        expected, _ = row_major_weights(measure.spec, measure.scores)
+        assert np.array_equal(dense.weights, expected)
+        assert measure.c_max == expected.max()
+        cells = np.arange(measure.grid.total_nodes)
+        assert np.array_equal(dense.payoff_values.ravel(), left_to_right_payoff(measure, cells))
+
+    @pytest.mark.parametrize("name", ["basket-q6", "four-names-q4"])
+    def test_regrouped_weights_stay_within_the_rounding_bound(self, name):
+        if name == "basket-q6":
+            args = _setup_at(name)
+        else:
+            payoff, marginals, spec, _ = four_names_setup()
+            args = (payoff, marginals, spec, PricingGrid.build(marginals, 4))
+        measure = GridMeasure.build(*args)
+        dense = DenseMeasure.of(measure)
+        expected, magnitude = row_major_weights(measure.spec, measure.scores)
+        assert np.all(np.abs(dense.weights - expected) <= expected * regrouping_bound(measure.spec, magnitude))
+        cells = np.random.default_rng(0).integers(0, measure.grid.total_nodes, 500)
+        assert np.array_equal(measure.payoff_at(cells), left_to_right_payoff(measure, cells))
+
+
+class TestTrailingTable:
+    def test_formed_once_per_build_and_per_joint_draw(self, monkeypatch):
+        # Every slab of a grid adds the same trailing-axes table: a build
+        # forms it once, a joint draw on several slabs once per call, and a
+        # one-slab grid's second draw not at all (it keeps its cumulative
+        # masses).  A slab that formed its own table would count here.
+        formed = []
+        trailing_exponent = copula.trailing_exponent
+
+        def counted(*args):
+            formed.append(args)
+            return trailing_exponent(*args)
+
+        for module in (copula, pricing):
+            monkeypatch.setattr(module, "trailing_exponent", counted)
+        measure = GridMeasure.build(*_setup_at("basket-q6"))
+        assert len(list(pricing._row_slabs(measure.grid))) == 8
+        assert len(formed) == 1
+        for draws in (1, 2):
+            measure.draw_counts(4096, np.random.default_rng(draws))
+            assert len(formed) == 1 + draws
+        formed.clear()
+        measure = GridMeasure.build(*_setup_at("basket"))
+        assert len(list(pricing._row_slabs(measure.grid))) == 1
+        for _ in range(2):
+            measure.draw_counts(4096, np.random.default_rng(0))
+            assert len(formed) == 2
 
 
 class TestRiemannReference:
