@@ -109,6 +109,12 @@ class StudyConfig:
             raise ValidationError("terms must be >= 2: the coefficient study estimates k = 1 .. terms - 1")
         if min(self.recovery_terms, default=1) < 1:
             raise ValidationError(f"recovery orders must be >= 1, got {self.recovery_terms}")
+        if not 0.0 < self.rho < 1.0:
+            raise ValidationError(f"rho must lie in (0, 1), got {self.rho}")
+        if self.qubits < 1:
+            raise ValidationError(f"a study needs at least one qubit per dimension, got {self.qubits}")
+        if self.matched_cost < 1:
+            raise ValidationError(f"matched_cost must be >= 1, got {self.matched_cost}")
         # Each entry seeds its own generators through its tag, a recovery order
         # being its own.  Rising tags mean epsilons strictly decreasing, sample
         # counts and orders strictly increasing, and no two entries sharing generators.

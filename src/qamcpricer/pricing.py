@@ -29,10 +29,10 @@ large as the table.  The joint draw is an indexed inversion in two stages
 (Devroye 1986, ch. III): each uniform picks a slab by the slabs' total
 masses, and then a cell by that slab's cumulative masses, which are formed
 with the build's kernel and bits when a draw lands in the slab and dropped
-after it.  CMC keeps only how often each node was drawn, evaluates the
-payoff and the copula weight at those nodes alone, and takes its mean and
-standard error from the (node, count) pairs, so neither the draw nor the
-grid is held whole.
+after it.  The independent draw inverts each axis's masses in turn and folds
+the axes into one flat node index.  CMC keeps only how often each node was
+drawn, evaluates the payoff and the copula weight at those nodes alone, and
+takes its mean and standard error from the (node, count) pairs.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ __all__ = [
     "PriceEstimate",
     "eval_payoff",
     "normalize_cell_masses",
-    "sample_grid_indices",
     "count_grid_cells",
     "riemann_reference",
     "cmc_price",
@@ -440,7 +439,7 @@ class GridMeasure:
         Stage 1 picks each uniform's slab by the normalized cumulative slab
         masses, stage 2 the node within it (see ``_count_draws``).  On a
         one-slab grid this is count_grid_cells of the flat masses, with its
-        indices and end state of ``rng``; on several slabs an index can
+        counts and end state of ``rng``; on several slabs an index can
         differ from that single-stage draw only where a uniform lies within
         roundoff of a cell edge.  No array longer than min(count, nodes) plus
         one slab is held, and each occupied slab is formed at most once per
@@ -506,15 +505,17 @@ def _guide_buckets(cells: int) -> int:
     return 1 << (_GUIDE_BUCKETS_PER_CELL * cells - 1).bit_length()
 
 
-def _guide_table(cdf: np.ndarray) -> np.ndarray:
-    """The guide table (Chen & Asau, 1974) of the normalized cumulative masses ``cdf``.
+def _guide_table(cdf: np.ndarray, draws: int) -> np.ndarray | None:
+    """The guide table (Chen & Asau, 1974) of the normalized cumulative masses ``cdf``, for ``draws`` uniforms.
 
     [0, 1) is cut into a power of two B of equal buckets, so u*B and the
     bucket edges k/B are exact.  Entry k is the one index that every uniform
     in bucket k maps to, or -1 when a CDF step lies in the bucket and its
-    uniforms are searched.
+    uniforms are searched.  Fewer draws than buckets get None: binary search.
     """
     buckets = _guide_buckets(cdf.size)
+    if buckets > draws:
+        return None
     # Scaling by a power of two is exact, so comparisons against k/B and u*B keep their outcome.
     starts = np.searchsorted(cdf, np.arange(buckets + 1, dtype=float) / buckets, side="right")
     guide = starts[:-1]
@@ -522,14 +523,16 @@ def _guide_table(cdf: np.ndarray) -> np.ndarray:
     return guide
 
 
-def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``np.searchsorted(cdf, u, side="right")`` through the guide table ``guide`` of ``cdf``, into ``out`` if given.
+def _search(cdf: np.ndarray, guide: np.ndarray | None, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")``, through the guide table ``guide`` of ``cdf`` unless it is None.
 
     A uniform in a bucket that holds no CDF step takes that bucket's index,
     and only the others are searched.  ``cdf`` and ``u`` are only read.
     """
+    if guide is None:
+        return np.searchsorted(cdf, u, side="right")
     bucket = np.multiply(u, guide.size, out=np.empty(u.size, dtype=np.intp), casting="unsafe")  # floor: u >= 0
-    idx = np.take(guide, bucket, out=out, mode="clip")  # bucket < B since u < 1
+    idx = np.take(guide, bucket, mode="clip")  # bucket < B since u < 1
     misses = np.flatnonzero(idx < 0)
     if misses.size:
         idx[misses] = np.searchsorted(cdf, u[misses], side="right")
@@ -539,29 +542,6 @@ def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray, out: np.nd
 def _chunk_size(count: int, cells: int) -> int:
     """Uniforms drawn at a time: at least _GUIDE_CHUNK and at least the cells, so a per-chunk count costs O(chunk)."""
     return min(count, max(_GUIDE_CHUNK, cells))
-
-
-def sample_grid_indices(masses: np.ndarray, count: int, rng: Generator) -> np.ndarray:
-    """Inverse-CDF draws of ``count`` cell indices from unnormalized masses.
-
-    Returns exactly ``np.searchsorted(cdf, rng.random(count), side="right")``
-    for the normalized cumulative masses, and leaves ``rng`` where that call
-    would.  Below the guide table's size the binary search runs once; a
-    draw at least as large as the table goes through the table
-    (``_guide_table``), its uniforms drawn in chunks, which is the same
-    stream as one call.
-    """
-    cdf = _normalize_cumulative(np.cumsum(masses))
-    if _guide_buckets(cdf.size) > count:
-        return np.searchsorted(cdf, rng.random(count), side="right")
-    guide = _guide_table(cdf)
-    chunk = _chunk_size(count, cdf.size)
-    uniforms, out = np.empty(chunk), np.empty(count, dtype=np.intp)
-    for start in range(0, count, chunk):
-        u = uniforms[: min(chunk, count - start)]
-        rng.random(out=u)
-        _guided_search(cdf, guide, u, out=out[start : start + u.size])
-    return out
 
 
 def _tally(idx: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray]:
@@ -634,8 +614,8 @@ def _count_draws(edges: np.ndarray, bounds, slab_cdf, count: int, rng: Generator
             if slab != held:
                 cdf = guide = None  # let the previous slab go before the next is formed
                 held, cdf = slab, slab_cdf(slab)
-                guide = _guide_table(cdf) if _guide_buckets(cdf.size) <= v.size else None
-            idx = np.searchsorted(cdf, v, side="right") if guide is None else _guided_search(cdf, guide, v)
+                guide = _guide_table(cdf, v.size)
+            idx = _search(cdf, guide, v)
             first = bounds[slab]
             if totals is None:
                 occupied, hits = _tally(idx, cdf.size)
@@ -649,15 +629,37 @@ def _count_draws(edges: np.ndarray, bounds, slab_cdf, count: int, rng: Generator
 
 
 def count_grid_cells(masses: np.ndarray, count: int, rng: Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The draw of ``sample_grid_indices(masses, count, rng)`` as occupied cells and their counts.
+    """Occupied cells and counts of ``count`` inverse-CDF draws from unnormalized masses.
 
-    Same uniforms, same indices and the same end state of ``rng``; the cells
-    come in ascending order and neither output is longer than
-    min(count, cells).  It is the two-stage draw on one slab, counted chunk
-    by chunk, so no draw-sized array is held.
+    The counts of ``np.searchsorted(cdf, rng.random(count), side="right")``
+    on the normalized cumulative masses, with its end state of ``rng``: the
+    two-stage draw on one slab, counted chunk by chunk, so no array is longer
+    than min(count, cells).  Cells ascend; a count below 1 is a DomainError.
     """
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
     cdf = _normalize_cumulative(np.cumsum(masses))
     return _count_draws(np.ones(1), [0, cdf.size], lambda slab: cdf, count, rng)
+
+
+def _fold_draws(marginal_masses, count: int, rng: Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied nodes and counts of ``count`` draws of each axis from its own masses, independently.
+
+    Axis i inverts uniforms i*count to (i+1)*count - 1 of ``rng``, drawn in
+    chunks, and is folded into one row-major flat index as it is drawn
+    (flat = flat * n_i + index_i), so one draw-sized array is held.
+    """
+    flat = np.zeros(count, dtype=np.intp)
+    for masses in marginal_masses:
+        cdf = _normalize_cumulative(np.cumsum(masses))
+        guide, chunk = _guide_table(cdf, count), _chunk_size(count, cdf.size)
+        uniforms = np.empty(chunk)
+        flat *= cdf.size
+        for start in range(0, count, chunk):
+            u = uniforms[: min(chunk, count - start)]
+            rng.random(out=u)
+            flat[start : start + u.size] += _search(cdf, guide, u)
+    return _tally(flat, math.prod(masses.size for masses in marginal_masses))
 
 
 def cmc_price(
@@ -678,13 +680,13 @@ def cmc_price(
     weights the payoff by the copula.  Either is unbiased for
     riemann_reference.  The draws are reduced to their occupied nodes and
     counts (the joint one counted chunk by chunk and slab by slab, the
-    independent one from its flat indices), and the payoff and copula
-    weight are evaluated at those nodes only; the mean and the ddof=1
-    standard error are count-weighted sums over them, so they equal np.mean
-    and np.std(ddof=1) / sqrt(samples) of the gathered draws up to summation
-    order.  Pass the prebuilt ``measure``, or the ``grid`` to build it on.
-    A measure built for another payoff, other marginals, another copula or
-    another grid than the ones given is a DomainError.
+    independent one from one flat index its axes are folded into), and the
+    payoff and copula weight are evaluated at those nodes only; the mean and
+    the ddof=1 standard error are count-weighted sums over them, so they
+    equal np.mean and np.std(ddof=1) / sqrt(samples) of the gathered draws
+    up to summation order.  Pass the prebuilt ``measure``, or the ``grid``
+    to build it on.  A measure built for another payoff, other marginals,
+    another copula or another grid than the ones given is a DomainError.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
@@ -701,8 +703,7 @@ def cmc_price(
         values = measure.payoff_at(cells)
         values *= measure.copula_total_mass
     else:
-        per_dim = [sample_grid_indices(p, samples, rng) for p in measure.marginal_masses]
-        cells, counts = _tally(np.ravel_multi_index(per_dim, measure.grid.shape), measure.grid.total_nodes)
+        cells, counts = _fold_draws(measure.marginal_masses, samples, rng)
         values = measure.payoff_at(cells)
         values *= measure.weights_at(cells)
 

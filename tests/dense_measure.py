@@ -4,8 +4,9 @@ It forms them the direct way, on the full axes: the copula weights from
 every axis's normal scores, the payoff on the tensor grid of price vectors
 (eval_payoff, which np.ix_ spreads over the grid), and prod(p_i) c by outer
 products.  The tests hold the slab reductions, the slab masses, the joint
-draw's counts and CMC against it.  row_major_weights is the copula kernel's
-arithmetic before it split the exponent at the leading axis.
+draw's counts and CMC against it, its draws taken by plain binary search.
+row_major_weights is the copula kernel's arithmetic before it split the
+exponent at the leading axis.
 """
 
 import math
@@ -15,7 +16,7 @@ from functools import reduce
 import numpy as np
 
 from qamcpricer.copula import copula_weights_on_grid, normal_scores
-from qamcpricer.pricing import AssetMarginal, GridMeasure, eval_payoff, sample_grid_indices
+from qamcpricer.pricing import AssetMarginal, GridMeasure, eval_payoff
 
 
 @dataclass(frozen=True)
@@ -69,12 +70,23 @@ class DenseMeasure:
         """CMC's undiscounted draws, gathered draw by draw from the same stream."""
         values = self.payoff_values.ravel()
         if formulation == "joint":
-            draws = values[sample_grid_indices(self.masses.ravel(), samples, rng)]
+            draws = values[inverse_cdf_draws(self.masses.ravel(), samples, rng)]
             draws *= self.copula_total_mass
             return draws
-        per_dim = [sample_grid_indices(p, samples, rng) for p in self.measure.marginal_masses]
+        per_dim = [inverse_cdf_draws(p, samples, rng) for p in self.measure.marginal_masses]
         flat = np.ravel_multi_index(per_dim, self.payoff_values.shape)
         return values[flat] * self.weights.ravel()[flat]
+
+
+def inverse_cdf_draws(masses, count: int, rng) -> np.ndarray:
+    """``count`` cell indices drawn from unnormalized masses by one binary search of ``count`` uniforms.
+
+    This is the contract the package's guide-table sampler promises, written
+    without it: np.searchsorted on the cumulative masses over their total.
+    """
+    cdf = np.cumsum(masses)
+    cdf /= cdf[-1]
+    return np.searchsorted(cdf, rng.random(count), side="right")
 
 
 def row_major_weights(spec, scores) -> tuple[np.ndarray, np.ndarray]:

@@ -57,6 +57,7 @@ class TestStudyConfig:
             {"epsilon_ladder": (1.0,)}, {"epsilon_ladder": (5e-324,)}, {"sample_ladder": (0, 4)}, {"sample_ladder": (-4, 4)},
             {"terms": 1}, {"terms": 0}, {"recovery_terms": (0,)},
             {"sample_ladder": (2, 3)}, {"epsilon_ladder": (0.5, 0.4)},
+            {"rho": 0.0}, {"rho": 1.5}, {"qubits": 0}, {"matched_cost": 0},
         ],
         ids=repr,
     )

@@ -627,21 +627,35 @@ class TestGridSampler:
 
     @pytest.mark.parametrize("name", MASSES)
     def test_equals_binary_search(self, name):
+        # Independent CMC's fold on one axis counts the binary search's
+        # indices, with uniforms on every CDF step and just below each, on
+        # both sides of the guide threshold and of the chunk size.
         masses = self.MASSES[name]
         cdf = normalized_cdf(masses)
         for count, u in self.straddling_uniforms(masses):
             rng = _Uniforms(np.concatenate([u, [0.5]]))
-            idx = pricing.sample_grid_indices(masses, count, rng)
-            assert np.array_equal(idx, np.searchsorted(cdf, u, side="right")), count
+            cells, counts = pricing._fold_draws([masses], count, rng)
+            expected = np.bincount(np.searchsorted(cdf, u, side="right"), minlength=masses.size)
+            assert np.array_equal(cells, np.flatnonzero(expected)), count
+            assert np.array_equal(counts, expected[cells]), count
             assert rng.used == count
 
-    def test_leaves_generator_where_one_draw_would(self):
-        masses = self.MASSES["irregular"]
-        cdf = normalized_cdf(masses)
+    @pytest.mark.parametrize("axes", [2, 3])
+    @pytest.mark.parametrize("name", ["irregular", "zero runs"])
+    def test_fold_equals_axis_by_axis_search(self, name, axes):
+        # Independent CMC folds each axis's draw into one flat index as it is
+        # drawn.  Its occupied nodes and counts are those of the axes' binary
+        # searches taken one after the other off the same stream and raveled
+        # row-major, and the generator ends where those searches leave it.
+        masses = [np.roll(self.MASSES[name], 5 * axis) for axis in range(axes)]
+        shape = tuple(m.size for m in masses)
         for count in self.END_STATE_COUNTS:
             rng, reference = np.random.default_rng(count), np.random.default_rng(count)
-            idx = pricing.sample_grid_indices(masses, count, rng)
-            assert np.array_equal(idx, np.searchsorted(cdf, reference.random(count), side="right"))
+            cells, counts = pricing._fold_draws(masses, count, rng)
+            per_axis = [np.searchsorted(normalized_cdf(m), reference.random(count), side="right") for m in masses]
+            expected = np.bincount(np.ravel_multi_index(per_axis, shape), minlength=math.prod(shape))
+            assert np.array_equal(cells, np.flatnonzero(expected)), count
+            assert np.array_equal(counts, expected[cells]), count
             assert rng.random() == reference.random()
 
     @pytest.mark.parametrize("name", MASSES)
@@ -677,22 +691,11 @@ class TestGridSampler:
         assert cells.size == counts.size <= 100
         assert np.all(np.diff(cells) > 0) and counts.sum() == 100
 
-    def test_guide_peak_memory(self, spread_setup):
-        # The guide path holds one chunk of uniforms, not all of them: below
-        # 1.5 draw-sized arrays at peak, and only the result afterwards.
-        payoff, marginals, spec, grid = spread_setup
-        masses = DenseMeasure.of(GridMeasure.build(payoff, marginals, spec, grid)).masses.ravel()
-        count = 2**19
-        draw_array = count * np.dtype(float).itemsize
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            idx = pricing.sample_grid_indices(masses, count, np.random.default_rng(0))
-            after, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - before < 1.5 * draw_array
-        assert after - before - idx.nbytes < 0.01 * draw_array
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, count):
+        # A zero count used to reach range(0, 0, 0) and raise a bare ValueError.
+        with pytest.raises(DomainError):
+            pricing.count_grid_cells(self.MASSES["dyadic"], count, np.random.default_rng(0))
 
 
 class TestCmc:
@@ -855,6 +858,26 @@ class TestCmc:
         finally:
             tracemalloc.stop()
         assert peak - before < 0.25 * draw_array
+        assert after - before < 0.01 * draw_array
+
+    @pytest.mark.parametrize("setup", ["spread", "basket"])
+    def test_independent_cmc_holds_one_draw_sized_array(self, setup):
+        # Independent CMC folds its axes' draws into one flat index array: at
+        # 2^19 draws it peaks at about 1.1 draw-sized arrays and keeps nothing.
+        # One index array per axis plus their raveled index held 3 (spread)
+        # and 4 (basket).
+        payoff, marginals, spec, grid = _setup_at(setup)
+        measure = GridMeasure.build(payoff, marginals, spec, grid)
+        count = 2**19
+        draw_array = count * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            cmc_price(payoff, marginals, spec, "independent", count, np.random.default_rng(0), measure=measure)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 1.25 * draw_array
         assert after - before < 0.01 * draw_array
 
     def test_measure_of_another_payoff_rejected(self, spread_setup):
