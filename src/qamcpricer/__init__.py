@@ -44,7 +44,6 @@ from .pricing import (
     PriceEstimate,
     PricingGrid,
     cmc_price,
-    eval_payoff,
     riemann_reference,
 )
 from .qamc import (
@@ -89,7 +88,6 @@ __all__ = [
     "cmc_price",
     "coeffs_classical",
     "eval_cdf",
-    "eval_payoff",
     "eval_pdf",
     "generate_synthetic_quotes",
     "implied_vol",

@@ -58,7 +58,6 @@ __all__ = [
     "midpoint_cells",
     "GridMeasure",
     "PriceEstimate",
-    "eval_payoff",
     "normalize_cell_masses",
     "count_grid_cells",
     "riemann_reference",
@@ -109,12 +108,13 @@ class Payoff:
             raise DomainError("a payoff needs at least 1 asset")
 
 
-def eval_payoff(payoff: Payoff, prices) -> np.ndarray:
-    """Payoff on the tensor grid of per-asset price vectors, one vector per asset.
+def _payoff_axes(payoff: Payoff, prices) -> list[np.ndarray]:
+    """The price vectors, one per asset, checked and returned as the tensor grid's open axes (np.ix_ views).
 
-    Entry (j_1, ..., j_N) is the payoff at (prices[0][j_1], ..., prices[N-1][j_N]).
-    Each asset enters along its own axis and the payoff is combined by
-    broadcasting, so no (nodes, N) array of price vectors is formed.
+    Each asset enters along its own axis, so ``_combine_payoff`` of these
+    axes, or of their leading-axis slabs, is the payoff at every node
+    (prices[0][j_1], ..., prices[N-1][j_N]) by broadcasting, and no
+    (nodes, N) array of price vectors is formed.
     """
     vectors = [np.asarray(vector, dtype=float) for vector in prices]
     payoff.check_assets(len(vectors))
@@ -123,7 +123,7 @@ def eval_payoff(payoff: Payoff, prices) -> np.ndarray:
             raise DomainError("one price vector per asset required")
         if (vector <= 0.0).any():
             raise DomainError("asset prices must be positive")
-    return _combine_payoff(payoff, np.ix_(*vectors))
+    return list(np.ix_(*vectors))
 
 
 def _combine_payoff(payoff: Payoff, axes) -> np.ndarray:
@@ -269,7 +269,7 @@ def _row_slabs(grid: PricingGrid):
 
 
 def _leading(vectors, rows: slice) -> list[np.ndarray]:
-    """Per-axis vectors with the leading one cut to ``rows``: one slab's tensor-grid factors."""
+    """Per-axis arrays with the leading one cut to ``rows``: one slab's tensor-grid factors."""
     return [vectors[0][rows], *vectors[1:]]
 
 
@@ -376,13 +376,14 @@ class GridMeasure:
         scores = normal_scores([m.cdf(nodes) for m, nodes in zip(marginals, grid.nodes)])
         prices = [np.asarray(m.price_at(nodes), dtype=float) for m, nodes in zip(marginals, grid.nodes)]
         trailing = trailing_exponent(spec, scores)
+        price_axes = _payoff_axes(payoff, prices)
         c_maxima, h_maxima, mass_sums, value_sums = [], [], [], []
         for rows in _row_slabs(grid):
             weights = copula_weights_on_grid(spec, _leading(scores, rows), trailing)
             c_maxima.append(grid_c_max(weights))
             masses = _weigh(weights, marginal_masses, rows)
             mass_sums.append(np.sum(masses))
-            values = eval_payoff(payoff, _leading(prices, rows))
+            values = _combine_payoff(payoff, _leading(price_axes, rows))
             h_maxima.append(float(values.max()))
             masses *= values
             value_sums.append(np.sum(masses))

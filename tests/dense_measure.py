@@ -16,7 +16,17 @@ from functools import reduce
 import numpy as np
 
 from qamcpricer.copula import copula_weights_on_grid, normal_scores
-from qamcpricer.pricing import AssetMarginal, GridMeasure, eval_payoff
+from qamcpricer.pricing import AssetMarginal, GridMeasure, Payoff, _combine_payoff, _payoff_axes
+
+
+def eval_payoff(payoff: Payoff, prices) -> np.ndarray:
+    """Payoff on the whole tensor grid of per-asset price vectors, one vector per asset.
+
+    Entry (j_1, ..., j_N) is the payoff at (prices[0][j_1], ..., prices[N-1][j_N]):
+    the checks and arithmetic a measure build applies slab by slab, over
+    every node at once.
+    """
+    return _combine_payoff(payoff, _payoff_axes(payoff, prices))
 
 
 @dataclass(frozen=True)

@@ -141,3 +141,38 @@ def test_slab_build_reaches_the_traced_copula_kernels():
     assert slabs > 1 and builds == 2
     assert weights_calls == bounds == builds * slabs
     assert weights_nodes == builds * nodes == 2 * 2**18
+
+
+DENSITY_SPANS = """
+import json
+import numpy as np
+import child, spans
+child.import_package()
+from qamcpricer import cosine_density, experiments
+
+tracer = spans.Tracer()
+spans.install(tracer)
+marginals = [experiments.fixture_marginal(name) for name in sorted(experiments.FIXTURES)]
+iv = marginals[0].series.interval
+xs = np.linspace(iv.a, iv.b, 3 * cosine_density._POINT_BLOCK + 1, endpoint=False)
+marginals[0].pdf(xs)
+marginals[0].cdf(xs)
+names = [span[2] for span in tracer.spans]
+metrics = tracer.metrics()
+print(json.dumps([len(marginals), names.count("cosine_density.coeffs_classical"), xs.size,
+                  metrics["cosine_density.eval_pdf_points"], metrics["cosine_density.eval_cdf_points"],
+                  names.count("cosine_density.eval_cdf")]))
+"""
+
+
+def test_density_stage_counts_each_marginal_and_point_once():
+    # A marginal fit reaches coeffs_classical through pricing's module
+    # global, once per marginal.  The pdf and CDF take their points in
+    # blocks without re-entering the wrapped eval_pdf and eval_cdf, so the
+    # point counters see each point once however many blocks it spans.
+    proc = _run(DENSITY_SPANS)
+    assert proc.returncode == 0, proc.stderr
+    fits, projections, points, pdf_points, cdf_points, cdf_calls = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert fits == projections == 3
+    assert pdf_points == cdf_points == points
+    assert cdf_calls == 1

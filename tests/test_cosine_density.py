@@ -2,10 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dense_basis import one_matrix_cdf, one_matrix_coeffs, one_matrix_pdf
+from qamcpricer import cosine_density, experiments
 from qamcpricer.cosine_density import (
     CosineSeries,
     Interval,
@@ -18,6 +21,7 @@ from qamcpricer.cosine_density import (
 from qamcpricer.errors import DomainError
 from qamcpricer.nig import nig_cdf, nig_pdf, support_interval
 from qamcpricer.numerics import integrate
+from qamcpricer.pricing import AssetMarginal
 from qamcpricer.qamc import AEConfig, signed_ae_estimate
 
 from series_bounds import KSelection, estimate_decay, select_terms
@@ -159,6 +163,89 @@ class TestEvalCdf:
         for x in np.linspace(iv.a + 0.2, iv.b - 0.2, 7):
             fd = (eval_cdf(axa_series, x + h) - eval_cdf(axa_series, x - h)) / (2 * h)
             assert fd == pytest.approx(eval_pdf(axa_series, x), abs=1e-4)
+
+
+def traced_peak(call):
+    """call()'s result and the peak bytes it allocated under tracemalloc."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        out = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - before
+
+
+class TestBlocks:
+    """The blocked projection and evaluators against the one-matrix products (tests/dense_basis.py)."""
+
+    def test_one_item_tail_joins_the_block_before(self):
+        blocks = cosine_density._blocks
+        assert blocks(0, 16) == []
+        assert blocks(1, 16) == [slice(0, 1)]
+        assert blocks(16, 16) == [slice(0, 16)]
+        assert blocks(17, 16) == [slice(0, 17)]
+        assert blocks(37, 16) == [slice(0, 16), slice(16, 32), slice(32, 37)]
+
+    @pytest.mark.parametrize("name", sorted(experiments.FIXTURES))
+    @pytest.mark.parametrize("terms", [1, 16, 17, 37, 128, 200])
+    def test_coeffs_are_the_one_matrix_bits(self, name, terms):
+        # A one-row block goes down numpy's dot path rather than the matrix
+        # kernel.  With OpenBLAS, a 17-term CREDIT_AGRICOLE projection whose
+        # last row is its own block misses the one-matrix bits.
+        params, _ = experiments.FIXTURES[name]
+        iv = Interval(*support_interval(params, 1.0, experiments.MARGINAL_TAIL_EPS))
+
+        def pdf(x):
+            return nig_pdf(x, params, 1.0)
+
+        blocked = coeffs_classical(pdf, iv, terms).coeffs
+        assert [float(c).hex() for c in blocked] == [float(c).hex() for c in one_matrix_coeffs(pdf, iv, terms)]
+
+    @pytest.mark.parametrize("points", [1, 2, 127, 128, 129, 257, 4096])
+    def test_pdf_and_cdf_are_the_one_matrix_bits(self, axa_series, points):
+        iv = axa_series.interval
+        xs = np.random.default_rng(points).uniform(iv.a, iv.b, points)
+        assert np.array_equal(eval_pdf(axa_series, xs), one_matrix_pdf(axa_series, xs))
+        assert np.array_equal(eval_cdf(axa_series, xs), one_matrix_cdf(axa_series, xs))
+        assert eval_pdf(axa_series, xs[0]) == one_matrix_pdf(axa_series, xs[:1])[0]
+        assert eval_cdf(axa_series, xs[0]) == one_matrix_cdf(axa_series, xs[:1])[0]
+
+    def test_values_keep_the_shape_of_the_points(self, axa_series):
+        iv = axa_series.interval
+        xs = np.linspace(iv.a - 0.1, iv.b + 0.1, 300).reshape(20, 15)
+        inside = np.clip(xs, iv.a, iv.b - 1e-9)
+        assert np.array_equal(eval_cdf(axa_series, xs).ravel(), eval_cdf(axa_series, xs.ravel()))
+        assert np.array_equal(eval_pdf(axa_series, inside).ravel(), eval_pdf(axa_series, inside.ravel()))
+
+    def test_fit_at_128_terms_peaks_below_one_mib(self):
+        params, _ = experiments.FIXTURES["AXA"]
+        slice_ = experiments.fixture_slice("AXA")
+        marginal, peak = traced_peak(lambda: AssetMarginal.fit(params, slice_, 128, experiments.MARGINAL_TAIL_EPS))
+        assert marginal.series.terms == 128
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("evaluate", [eval_pdf, eval_cdf])
+    def test_evaluation_peak_does_not_grow_with_the_points(self, axa_series, evaluate):
+        # One 128 x 4096 basis takes 4 MiB.  The blocks hold 128 x 128
+        # values (128 KiB) at a time, so a bound that does not depend on the
+        # point count, 512 KiB, covers their temporaries and the 32 KiB of values.
+        iv = axa_series.interval
+        xs = np.linspace(iv.a, iv.b, 2**12)
+        values, peak = traced_peak(lambda: evaluate(axa_series, xs))
+        assert values.shape == xs.shape
+        assert peak < 2**19
+
+
+class TestNaN:
+    @pytest.mark.parametrize("evaluate", [eval_pdf, eval_cdf])
+    def test_a_nan_point_is_a_domain_error(self, axa_series, evaluate):
+        middle = 0.5 * (axa_series.interval.a + axa_series.interval.b)
+        with pytest.raises(DomainError, match="NaN"):
+            evaluate(axa_series, np.array([math.nan, middle, math.nan]))
+        with pytest.raises(DomainError, match="NaN"):
+            evaluate(axa_series, math.nan)
 
 
 class TestSelectTerms:

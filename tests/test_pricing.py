@@ -9,7 +9,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from dense_measure import DenseMeasure, flat_priced, regrouping_bound, row_major_weights
+from dense_measure import DenseMeasure, eval_payoff, flat_priced, regrouping_bound, row_major_weights
 from qamcpricer import copula, experiments, pricing
 from qamcpricer.copula import CopulaSpec
 from qamcpricer.cosine_density import CosineSeries, Interval, coeffs_classical
@@ -22,7 +22,6 @@ from qamcpricer.pricing import (
     PriceEstimate,
     PricingGrid,
     cmc_price,
-    eval_payoff,
     normalize_cell_masses,
     riemann_reference,
 )
@@ -318,7 +317,7 @@ def four_names_setup():
 def slab_outputs(measure_args, monkeypatch):
     """Build a measure and return it with the copula weights and payoff values its slabs formed, joined."""
     weights, values = [], []
-    weights_on_grid, payoff_on_grid = pricing.copula_weights_on_grid, pricing.eval_payoff
+    weights_on_grid, payoff_on_slab = pricing.copula_weights_on_grid, pricing._combine_payoff
 
     def recorded(store, fn):
         def wrapper(*args):
@@ -329,7 +328,7 @@ def slab_outputs(measure_args, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(pricing, "copula_weights_on_grid", recorded(weights, weights_on_grid))
-    monkeypatch.setattr(pricing, "eval_payoff", recorded(values, payoff_on_grid))
+    monkeypatch.setattr(pricing, "_combine_payoff", recorded(values, payoff_on_slab))
     measure = GridMeasure.build(*measure_args)
     monkeypatch.undo()
     return measure, np.concatenate(weights), np.concatenate(values)
