@@ -2,8 +2,10 @@
 
 Commands: ingest, curves, arb-check, calibrate, density, price,
 study {coeffs,density,price}, pipeline, and make-bundle (synthetic demo
-inputs).  All outputs are CSV/JSON; reruns with the same config and seed are
-byte-identical.
+inputs).  The library's stages and studies return data, and this module
+writes it: every JSON file through ``_write_json`` and every CSV but the
+quote files (``market_data.save_quotes``) through ``_write_csv``.  Reruns
+with the same config and seed are byte-identical.
 
 Config JSON schema (paths are resolved relative to the config file).  A
 config file that cannot be read as JSON, an unknown key, a missing required
@@ -11,7 +13,9 @@ key (quotes_csv, spots, correlations, payoff and its three keys, for the
 stages that read them), a value of the wrong type (a fraction or a
 boolean for an integer setting, or a string for a list of names,
 included), a CMC sample count below 2 (one sample has no standard error),
-a qubit count below 1, an epsilon or rho outside (0, 1), an unknown
+a qubit count below 1, an epsilon or rho outside (0, 1), a density term
+count below 1 or tail mass outside (0, 1), a negative or non-finite
+calibration lambda or an unknown weights rule, an unknown
 estimator name, a payoff on no asset or a spread-call on other than 2,
 a payoff asset named twice, a spot that is not finite and positive, a repeated quote
 row, and a quote or correlation file that cannot be read are errors that
@@ -35,9 +39,10 @@ exit 2:
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +50,6 @@ import numpy as np
 from . import calibration as cal
 from . import market_data as md
 from .copula import load_correlation
-from .cosine_density import series_to_json
 from .errors import QamcError, StageError, ValidationError
 from .experiments import (
     BASKET_CORRELATION,
@@ -58,9 +62,6 @@ from .experiments import (
     study_coeffs,
     study_density_recovery,
     study_price_convergence,
-    write_records_csv,
-    write_rows_csv,
-    write_run_log,
 )
 from .market_data import MarketSlice, generate_synthetic_quotes
 from .pricing import AssetMarginal, GridMeasure, Payoff, PriceEstimate, PricingGrid, cmc_price
@@ -72,6 +73,16 @@ __all__ = ["main"]
 def _write_json(path: Path, payload) -> None:
     # A non-finite float would be written as Infinity or NaN, which strict JSON parsers reject.
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """``rows`` under a header of the first row's keys, in the csv module's default dialect."""
+    if not rows:
+        raise ValidationError("nothing to write")
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _integer(value) -> int:
@@ -92,6 +103,14 @@ def _at_least(minimum: int, why: str):
         return number
 
     return convert
+
+
+def _open_unit(value) -> float:
+    """``value`` as a float strictly between 0 and 1."""
+    number = float(value)
+    if not 0.0 < number < 1.0:
+        raise ValueError("must lie in (0, 1)")
+    return number
 
 
 def _names(value) -> list[str]:
@@ -126,7 +145,10 @@ _SECTIONS = {
         "lambda": (float, cal.CalibrationConfig.regularization),
         "weights_rule": (str, cal.CalibrationConfig.weights_rule),
     },
-    "density": {"terms": (_integer, MARGINAL_TERMS), "tail_eps": (float, MARGINAL_TAIL_EPS)},
+    "density": {
+        "terms": (_at_least(1, "a cosine series needs at least 1 term"), MARGINAL_TERMS),
+        "tail_eps": (_open_unit, MARGINAL_TAIL_EPS),
+    },
     "payoff": {"kind": (str, None), "strike": (float, None), "assets": (_names, None)},
     "pricing": {
         "qubits_per_dim": (_at_least(1, "a pricing grid needs at least 1 qubit per dimension"), 3),
@@ -287,9 +309,10 @@ def _build_slices(cfg, out, drop_violations):
 
 @_stage("calibrate")
 def cmd_calibrate(cfg: dict, out: Path, drop_violations: bool):
-    slices = _build_slices(cfg, out, drop_violations)
+    # Its own inputs first, so that a bad one stops the run before an earlier stage writes files.
     opts = _section(cfg, "calibration")
     config = cal.CalibrationConfig(regularization=opts["lambda"], weights_rule=opts["weights_rule"])
+    slices = _build_slices(cfg, out, drop_violations)
     rows = []
     results = {}
     for (underlying, expiry), slice_ in sorted(slices.items()):
@@ -315,12 +338,14 @@ def cmd_calibrate(cfg: dict, out: Path, drop_violations: bool):
 
 @_stage("density")
 def cmd_density(cfg: dict, out: Path, drop_violations: bool):
-    calibrated = cmd_calibrate(cfg, out, drop_violations)
     opts = _section(cfg, "density")
+    calibrated = cmd_calibrate(cfg, out, drop_violations)
     marginals = {}
     for (underlying, _), (result, slice_) in sorted(calibrated.items()):
         marginal = AssetMarginal.fit(result.theta, slice_, opts["terms"], opts["tail_eps"])
-        (out / f"density_{underlying}.json").write_text(series_to_json(marginal.series) + "\n")
+        series = marginal.series
+        _write_json(out / f"density_{underlying}.json",
+                    {"a": series.interval.a, "b": series.interval.b, "coeffs": series.coeffs.tolist()})
         marginals[underlying] = marginal
     return marginals
 
@@ -392,18 +417,18 @@ def cmd_study(cfg: dict, kind: str, out: Path, seed: int) -> None:
             )
             for method in ("cmc", "qamc")
         }
-        write_records_csv(records, out / "study_coeffs.csv")
-        write_rows_csv(per_k, out / "study_coeffs_per_k.csv")
-        write_run_log(run_log, out / "study_coeffs_runs.csv")
+        _write_csv(out / "study_coeffs.csv", [asdict(r) for r in records])
+        _write_csv(out / "study_coeffs_per_k.csv", per_k)
+        _write_csv(out / "study_coeffs_runs.csv", run_log)
         _write_json(out / "study_coeffs_slopes.json", slopes)
     elif scfg.study == "density-recovery":
         rows = study_density_recovery(scfg)
-        write_rows_csv(rows, out / "study_density.csv")
+        _write_csv(out / "study_density.csv", rows)
     else:
         results = study_price_convergence(scfg)
         summary = {}
         for name, data in results.items():
-            write_records_csv(data["records"], out / f"study_price_{name}.csv")
+            _write_csv(out / f"study_price_{name}.csv", [asdict(r) for r in data["records"]])
             summary[name] = {"reference": data["reference"]}
         _write_json(out / "study_price_references.json", summary)
 

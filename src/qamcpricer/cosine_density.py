@@ -18,11 +18,13 @@ takes at most 16 x 1,408 values at the 128 terms of the pricing marginals
 (176 KiB) and 128 x 128 values per evaluated block.  Each coefficient is
 still one BLAS product over every node and each value one over every term,
 so the blocks give the bits of the whole matrix.
+
+The module computes and returns series and values and writes no file; the
+command line writes each fitted series as ``density_<underlying>.json``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -45,7 +47,6 @@ __all__ = [
     "coeffs_classical",
     "eval_pdf",
     "eval_cdf",
-    "series_to_json",
 ]
 
 
@@ -185,14 +186,4 @@ def eval_cdf(series: CosineSeries, x):
     x_arr = _points(x)
     out = _by_blocks(lambda xb: _cdf_block(series, xb), x_arr)
     return float(out[0]) if np.isscalar(x) else out
-
-
-def series_to_json(series: CosineSeries) -> str:
-    return json.dumps(
-        {
-            "a": series.interval.a,
-            "b": series.interval.b,
-            "coeffs": [float(c) for c in series.coeffs],
-        }
-    )
 

@@ -1,7 +1,8 @@
 """Study harness: convergence comparisons of CMC vs amplitude estimation.
 
-Three studies, each emitting CSV records reproducible bit-for-bit from
-(config, seed):
+Three studies, each returning its tables as records or dict rows,
+reproducible bit-for-bit from (config, seed); the command line writes them
+as CSV:
 
 * coeffs            - per-coefficient and average error of cosine-coefficient
                       estimation against the classical Riemann-grid truth.
@@ -17,9 +18,8 @@ the proprietary discount/forward curves.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .pricing import (
     AssetMarginal, GridMeasure, Payoff, PricingGrid, cmc_price, count_grid_cells, midpoint_cells,
     normalize_cell_masses,
 )
-from .qamc import AEConfig, AEResult, qamc_price, signed_ae_estimate
+from .qamc import AEConfig, qamc_price, signed_ae_estimate
 
 __all__ = [
     "FIXTURES",
@@ -47,9 +47,6 @@ __all__ = [
     "study_price_convergence",
     "fit_loglog_slope",
     "cost_at_error",
-    "write_records_csv",
-    "run_log_line",
-    "RUN_LOG_HEADER",
 ]
 
 # Calibrated 1Y NIG parameters and spots for the bundled reference names.
@@ -227,7 +224,9 @@ def study_coeffs(cfg: StudyConfig):
 
     Returns (records, per_k, run_log): aggregate ConvergenceRecords (error
     averaged over coefficients k >= 1), a per-(method, cost, k) mean-error
-    table, and amplitude-estimation run-log lines.
+    table, and the amplitude-estimation run log, one row per (epsilon, k) of
+    the first repetition in the columns algo, target, epsilon, rho, estimate,
+    abs_err, queries and seed.
     """
     iv, nodes, masses = _coeff_grid(cfg.qubits, MARGINAL_TAIL_EPS)
     table = basis_matrix(iv, cfg.terms, nodes)
@@ -237,7 +236,7 @@ def study_coeffs(cfg: StudyConfig):
 
     records: list[ConvergenceRecord] = []
     per_k: list[dict] = []
-    run_log: list[str] = []
+    run_log: list[dict] = []
 
     for samples in cfg.sample_ladder:
         errs = np.empty((cfg.repetitions, ks.size))
@@ -262,8 +261,11 @@ def study_coeffs(cfg: StudyConfig):
                 errs[rep, j] = abs(res.estimate - truth[k])
                 costs[rep, j] = res.oracle_queries
                 if rep == 0:
+                    target = float(truth[k])
                     run_log.append(
-                        run_log_line("signed-iqae", float(truth[k]), ae_cfg, res, seed=cfg.seed)
+                        {"algo": "signed-iqae", "target": target, "epsilon": eps, "rho": cfg.rho,
+                         "estimate": res.estimate, "abs_err": abs(res.estimate - target),
+                         "queries": res.oracle_queries, "seed": cfg.seed}
                     )
         records.append(_percentile_record("qamc", float(costs.mean()), errs.mean(axis=1)))
         per_k.extend(
@@ -385,33 +387,3 @@ def cost_at_error(costs, errors, target: float) -> float:
     slope, intercept = np.polyfit(log_errors, log_costs, 1)
     return float(math.exp(intercept + slope * math.log(target)))
 
-
-def write_records_csv(records: list[ConvergenceRecord], path) -> None:
-    write_rows_csv([asdict(record) for record in records], path)
-
-
-def write_rows_csv(rows: list[dict], path) -> None:
-    if not rows:
-        raise ValidationError("nothing to write")
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-RUN_LOG_HEADER = "algo,target,epsilon,rho,estimate,abs_err,queries,seed"
-
-
-def run_log_line(algo: str, target: float, cfg: AEConfig, result: AEResult, seed) -> str:
-    """One run-log CSV record, in the columns of RUN_LOG_HEADER."""
-    return (
-        f"{algo},{target!r},{cfg.epsilon!r},{cfg.rho!r},{result.estimate!r},"
-        f"{abs(result.estimate - target)!r},{result.oracle_queries},{seed}"
-    )
-
-
-def write_run_log(lines: list[str], path) -> None:
-    with open(path, "w") as handle:
-        handle.write(RUN_LOG_HEADER + "\n")
-        for line in lines:
-            handle.write(line + "\n")

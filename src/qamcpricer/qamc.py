@@ -75,13 +75,13 @@ class AEResult:
         return sum(shots * (2 * k + 1) for k, shots in self.rounds)
 
 
-def _find_next_k(k: int, theta_l: float, theta_u: float, up: bool, cap: int):
+def _find_next_k(k: int, theta_l: float, theta_u: float, up: bool):
     """Largest Grover power (a doubling step up) keeping the scaled interval in one half-period."""
     span = theta_u - theta_l
     k_old_scale = 4 * k + 2
     if span <= 0.0:
         return k, up
-    scale_max = min(int(math.pi / span), 4 * cap + 2)
+    scale_max = min(int(math.pi / span), 4 * _MAX_GROVER_DEPTH + 2)
     scale = scale_max - (scale_max - 2) % 4
     while scale >= 2 * k_old_scale:
         lo = (scale * theta_l) % (2.0 * math.pi)
@@ -129,7 +129,7 @@ def iqae_estimate(amplitude: float, cfg: AEConfig, rng: np.random.Generator | No
     rounds: list[tuple[int, int]] = []
     capped = False
     while math.sin(theta_u) ** 2 - math.sin(theta_l) ** 2 > 2.0 * cfg.epsilon:
-        next_k, up = _find_next_k(k, theta_l, theta_u, up, _MAX_GROVER_DEPTH)
+        next_k, up = _find_next_k(k, theta_l, theta_u, up)
         if next_k != k:
             k, looks, ones, shots, batch = next_k, 0, 0, 0, _FIRST_BATCH
         if looks == _LOOKS_CAP:

@@ -1,6 +1,5 @@
 """Tests for cosine-series density and CDF estimation."""
 
-import json
 import math
 import tracemalloc
 
@@ -16,7 +15,6 @@ from qamcpricer.cosine_density import (
     coeffs_classical,
     eval_cdf,
     eval_pdf,
-    series_to_json,
 )
 from qamcpricer.errors import DomainError
 from qamcpricer.nig import nig_cdf, nig_pdf, support_interval
@@ -272,10 +270,3 @@ class TestSelectTerms:
         with pytest.raises(DomainError):
             KSelection("other", zeta=1.0, rate=1.0, epsilon=0.1)
 
-
-class TestSerialization:
-    def test_json_round_trip(self, axa_series):
-        data = json.loads(series_to_json(axa_series))
-        back = CosineSeries(Interval(data["a"], data["b"]), np.asarray(data["coeffs"]))
-        assert back.interval == axa_series.interval
-        assert np.array_equal(back.coeffs, axa_series.coeffs)

@@ -8,13 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
-from qamcpricer import experiments, pricing
+from qamcpricer import cli, experiments, pricing
 from qamcpricer.cli import _build_parser, _write_json, main
 from qamcpricer.cosine_density import CosineSeries, Interval
 from qamcpricer.errors import ValidationError
 from qamcpricer.experiments import (
     FIXTURES,
-    RUN_LOG_HEADER,
     ConvergenceRecord,
     StudyConfig,
     basket_setup,
@@ -22,14 +21,11 @@ from qamcpricer.experiments import (
     fit_loglog_slope,
     fixture_marginal,
     fixture_slice,
-    run_log_line,
     spread_setup,
     study_coeffs,
     study_density_recovery,
     study_price_convergence,
-    write_records_csv,
 )
-from qamcpricer.qamc import AEConfig, AEResult
 
 
 class TestStudyConfig:
@@ -137,26 +133,6 @@ class TestRecordsAndFits:
                 median, _, _ = experiments._order_stats(values)
                 assert median.hex() == float(np.median(values)).hex(), (size, shape)
 
-    def test_csv_round_trip(self, tmp_path):
-        records = [ConvergenceRecord("cmc", 256.0, 0.05, 0.01, 0.1)]
-        path = tmp_path / "records.csv"
-        write_records_csv(records, path)
-        with open(path) as handle:
-            rows = list(csv.DictReader(handle))
-        assert float(rows[0]["mean_abs_err"]) == 0.05
-        assert rows[0]["method"] == "cmc"
-
-
-class TestRunLog:
-    def test_line_format(self):
-        cfg = AEConfig(epsilon=1e-2, rho=0.05)
-        res = AEResult(estimate=0.25, half_width=0.005, rounds=((20, 3),))  # 3 shots x 41 queries
-        line = run_log_line("iqae", 0.251, cfg, res, seed=7)
-        fields = line.split(",")
-        assert len(fields) == len(RUN_LOG_HEADER.split(",")) == 8
-        assert fields[0] == "iqae"
-        assert int(fields[6]) == 123
-
 
 class TestFixtures:
     def test_slices_consistent(self):
@@ -179,6 +155,9 @@ class TestFixtures:
         assert len(marginals) == 3 and spec.dim == 3 and grid.total_nodes == 64
 
 
+RUN_LOG_COLUMNS = ["algo", "target", "epsilon", "rho", "estimate", "abs_err", "queries", "seed"]
+
+
 @pytest.fixture(scope="module")
 def small_cfg():
     return StudyConfig(
@@ -196,7 +175,13 @@ class TestStudies:
         assert len(records) == len(small_cfg.epsilon_ladder) + len(small_cfg.sample_ladder)
         again, _, _ = study_coeffs(small_cfg)
         assert records == again  # bit-for-bit from (config, seed)
-        assert all(line.count(",") == 7 for line in run_log)
+        # One run-log row per (epsilon, k >= 1) of the first repetition, its numbers Python floats.
+        assert len(run_log) == len(small_cfg.epsilon_ladder) * (small_cfg.terms - 1)
+        for row in run_log:
+            assert list(row) == RUN_LOG_COLUMNS
+            assert all(type(row[name]) is float for name in ("target", "epsilon", "rho", "estimate", "abs_err"))
+            assert row["abs_err"] == abs(row["estimate"] - row["target"])
+            assert type(row["queries"]) is int and row["queries"] > 0
 
     def test_coeffs_error_decreases_with_cost(self, small_cfg):
         records, _, _ = study_coeffs(small_cfg)
@@ -252,6 +237,21 @@ def price_run(bundle, tmp_path_factory):
     return out, len(builds)
 
 
+@pytest.fixture(scope="module")
+def study_run(bundle, tmp_path_factory):
+    """The study section and the output directory of one run of each study command."""
+    root = tmp_path_factory.mktemp("study")
+    study = {"repetitions": 4, "epsilon_ladder": [2e-2, 1e-2], "sample_ladder": [256, 1024], "recovery_terms": [8]}
+    cfg = json.loads((bundle / "config.json").read_text())
+    cfg.update(study=study, quotes_csv=str(bundle / "quotes.csv"), correlations=str(bundle / "corr.json"))
+    cfg_path = root / "study_cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = root / "out"
+    for kind in ("coeffs", "density", "price"):
+        assert main(["study", kind, "--config", str(cfg_path), "--out", str(out)]) == 0
+    return study, out
+
+
 class TestCli:
     def test_bundle_contents(self, bundle):
         assert {p.name for p in bundle.iterdir()} == {"quotes.csv", "corr.json", "config.json"}
@@ -280,6 +280,16 @@ class TestCli:
             assert row["beta"] == pytest.approx(truth.beta, rel=0.02)
             assert row["delta"] == pytest.approx(truth.delta, rel=0.02)
             assert row["rmse_bp"] <= 10.0
+
+    def test_density_files_reload_float_hex_equal(self, bundle, tmp_path):
+        # Each density file holds its fitted series exactly.
+        marginals = cli.cmd_density(cli._load_config(str(bundle / "config.json")), tmp_path, False)
+        assert sorted(marginals) == ["AXA", "CREDIT_AGRICOLE", "MICHELIN"]
+        for name, marginal in marginals.items():
+            data = json.loads((tmp_path / f"density_{name}.json").read_text())
+            series = marginal.series
+            assert [data["a"].hex(), data["b"].hex()] == [series.interval.a.hex(), series.interval.b.hex()]
+            assert [c.hex() for c in data["coeffs"]] == [float(c).hex() for c in series.coeffs]
 
     def test_density_export_loadable(self, pipeline_out):
         data = json.loads((pipeline_out / "density_AXA.json").read_text())
@@ -395,27 +405,48 @@ class TestCli:
         assert f"line {len(quotes)}: repeats the quote ('AXA', 1.0, " in err and f"C') of line {first + 1}" in err
         assert list(out.iterdir()) == []
 
-    def test_study_command_writes_csvs(self, bundle, tmp_path):
-        cfg = json.loads((bundle / "config.json").read_text())
-        cfg["study"] = {
-            "repetitions": 4,
-            "epsilon_ladder": [2e-2, 1e-2],
-            "sample_ladder": [256, 1024],
-            "recovery_terms": [8],
+    def test_study_command_writes_csvs(self, study_run):
+        _, out = study_run
+        assert {p.name for p in out.iterdir()} == {
+            "study_coeffs.csv", "study_coeffs_per_k.csv", "study_coeffs_runs.csv", "study_coeffs_slopes.json",
+            "study_density.csv", "study_price_spread.csv", "study_price_basket.csv", "study_price_references.json",
         }
-        cfg_path = tmp_path / "study_cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        out = tmp_path / "study_out"
-        assert main(["study", "coeffs", "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert (out / "study_coeffs.csv").exists()
-        assert (out / "study_coeffs_runs.csv").read_text().startswith(
-            "algo,target,epsilon,rho,estimate,abs_err,queries,seed"
-        )
-        assert main(["study", "density", "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert (out / "study_density.csv").exists()
-        assert main(["study", "price", "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert (out / "study_price_spread.csv").exists()
-        assert (out / "study_price_basket.csv").exists()
+
+    def test_study_records_reload_equal(self, study_run):
+        # A convergence record's CSV row reads back to the record, every float bit for bit.
+        study, out = study_run
+        records, _, _ = study_coeffs(StudyConfig(study="coeffs", seed=0, **study))
+        with open(out / "study_coeffs.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        back = [ConvergenceRecord(row.pop("method"), **{k: float(v) for k, v in row.items()}) for row in rows]
+        assert back == records
+
+    def test_run_log_has_one_row_per_epsilon_and_k(self, study_run):
+        study, out = study_run
+        with open(out / "study_coeffs_runs.csv", newline="") as handle:
+            header, *rows = list(csv.reader(handle))
+        assert header == RUN_LOG_COLUMNS
+        ks = range(1, StudyConfig.terms)
+        assert [float(row[2]) for row in rows] == [eps for eps in study["epsilon_ladder"] for _ in ks]
+        for algo, target, _, rho, estimate, abs_err, queries, seed in rows:
+            assert (algo, float(rho), seed) == ("signed-iqae", 0.05, "0")
+            assert float(abs_err) == abs(float(estimate) - float(target))
+            assert int(queries) > 0
+
+    def test_every_study_csv_uses_one_dialect(self, study_run):
+        # Each file is what the one CSV writer gives for its own parsed rows: csv's default
+        # dialect, lines ended by \r\n, no quoting the values need not have.
+        _, out = study_run
+        paths = sorted(out.glob("*.csv"))
+        assert len(paths) == 6
+        for path in paths:
+            raw = path.read_bytes()
+            assert raw.count(b"\n") == raw.count(b"\r\n") > 1, path.name
+            with open(path, newline="") as handle:
+                rows = list(csv.DictReader(handle))
+            again = out.parent / f"again_{path.name}"
+            cli._write_csv(again, rows)
+            assert again.read_bytes() == raw, path.name
 
     @pytest.mark.parametrize(
         "argv",
@@ -580,30 +611,38 @@ class TestCli:
         assert err.startswith("error:") and message in err
 
     @pytest.mark.parametrize(
-        "edit",
+        "commands, edit",
         [
-            lambda cfg: cfg["pricing"].update(estimators=["riemann", "bogus"]),
-            lambda cfg: cfg["pricing"].update(epsilon=0),
-            lambda cfg: cfg["pricing"].update(rho=1.0),
-            lambda cfg: cfg["pricing"].update(qubits_per_dim=0),
-            lambda cfg: cfg.update(correlations="missing.json"),
-            lambda cfg: cfg["payoff"].update(assets=["AXA", "CREDIT_AGRICOLE", "MICHELIN"]),
-            lambda cfg: cfg["payoff"].update(assets=["AXA", "AXA"]),
-            lambda cfg: cfg["payoff"].update(kind="basket-call", assets=[]),
+            (["pipeline"], lambda cfg: cfg["pricing"].update(estimators=["riemann", "bogus"])),
+            (["pipeline"], lambda cfg: cfg["pricing"].update(epsilon=0)),
+            (["pipeline"], lambda cfg: cfg["pricing"].update(rho=1.0)),
+            (["pipeline"], lambda cfg: cfg["pricing"].update(qubits_per_dim=0)),
+            (["pipeline"], lambda cfg: cfg.update(correlations="missing.json")),
+            (["pipeline"], lambda cfg: cfg["payoff"].update(assets=["AXA", "CREDIT_AGRICOLE", "MICHELIN"])),
+            (["pipeline"], lambda cfg: cfg["payoff"].update(assets=["AXA", "AXA"])),
+            (["pipeline"], lambda cfg: cfg["payoff"].update(kind="basket-call", assets=[])),
+            # Each of these stopped the run only after ingest, curves and
+            # arb-check (and, for a density setting, calibrate) had written files.
+            (["density", "pipeline"], lambda cfg: cfg["density"].update(terms=0)),
+            (["density", "pipeline"], lambda cfg: cfg["density"].update(tail_eps=2.0)),
+            (["calibrate", "density", "pipeline"], lambda cfg: cfg["calibration"].update({"lambda": -1})),
+            (["calibrate", "density", "pipeline"], lambda cfg: cfg["calibration"].update(weights_rule="bogus")),
         ],
         ids=["unknown-estimator", "zero-epsilon", "unit-rho", "no-qubit", "missing-correlation-file",
-             "three-asset-spread", "repeated-payoff-asset", "no-payoff-asset"],
+             "three-asset-spread", "repeated-payoff-asset", "no-payoff-asset",
+             "no-density-term", "tail-eps-above-1", "negative-lambda", "unknown-weights-rule"],
     )
-    def test_bad_estimator_stops_before_any_stage(self, bundle, tmp_path, edit):
-        # The price stage reads all of its own inputs first, so no earlier stage writes a file.
+    def test_bad_estimator_stops_before_any_stage(self, bundle, tmp_path, commands, edit):
+        # Each stage reads all of its own inputs first, so no earlier stage writes a file.
         cfg = json.loads((bundle / "config.json").read_text())
         cfg.update(quotes_csv=str(bundle / "quotes.csv"), correlations=str(bundle / "corr.json"))
         edit(cfg)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg))
-        out = tmp_path / "out"
-        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert list(out.iterdir()) == []
+        for command in commands:
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+            assert list(out.iterdir()) == []
 
     def test_single_point_ladders_stop_the_coefficient_study(self, bundle, tmp_path, capsys):
         # Each method's slope was a line through one point, written with

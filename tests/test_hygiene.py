@@ -1,6 +1,7 @@
 """Source hygiene: every module under src/ and tests/ uses each name it imports,
 every export has a reader, every field a src/ class stores has a reader, src/
-memoizes nothing keyed by model inputs, and a CLI run imports no scipy.
+memoizes nothing keyed by model inputs, only the CLI's two writers and the
+quote saver write files, and a CLI run imports no scipy.
 
 The field rule covers each field of a src/ dataclass and each attribute a
 src/ class sets on ``self``.  It counts as read when src/ or perfbench/
@@ -253,6 +254,96 @@ def test_memo_site_is_found():
         "def h(cache): return cache\n"
     )
     assert memo_sites(source) == ["Rule.nodes", "f", "<module>"]
+
+
+# Calls that write a file: module -> the functions of it that write.
+_WRITER_CALLS = {"json": {"dump", "dumps"}, "csv": {"writer", "DictWriter"}}
+
+
+def _writes_by_mode(call: ast.Call) -> bool:
+    """Whether an ``open`` call's mode, when it has one, may write: any mode that is not a read-only literal."""
+    mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str) and not set(mode.value) & set("wax+"))
+
+
+def write_sites(source: str) -> list[str]:
+    """Where a module writes a file, as the dotted name of the enclosing def or class.
+
+    A write is an ``open`` (or ``.open``) call in a mode that may write, a
+    ``write_text`` or ``write_bytes`` call, ``json.dump`` or ``json.dumps``,
+    and a ``csv.writer`` or ``csv.DictWriter``, reached through the module or
+    imported from it under any name.  A write at top level is ``<module>``.
+    """
+    tree = ast.parse(source)
+    modules = {}
+    direct = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update({alias.asname or alias.name: alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module in _WRITER_CALLS:
+            direct |= {alias.asname or alias.name for alias in node.names if alias.name in _WRITER_CALLS[node.module]}
+
+    def writes(call: ast.Call) -> bool:
+        func = call.func
+        if isinstance(func, ast.Name):
+            return func.id in direct or (func.id == "open" and _writes_by_mode(call))
+        if not isinstance(func, ast.Attribute):
+            return False
+        if func.attr in ("write_text", "write_bytes"):
+            return True
+        if func.attr == "open":
+            return _writes_by_mode(call)
+        owner = modules.get(func.value.id) if isinstance(func.value, ast.Name) else None
+        return func.attr in _WRITER_CALLS.get(owner, ())
+
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call) and writes(child):
+                sites.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return list(dict.fromkeys(sites))
+
+
+def test_only_the_cli_writers_and_save_quotes_write_files():
+    # The studies and the stages return data; the CLI writes every run
+    # artifact through one JSON and one CSV writer, and market_data, which
+    # owns the quote schema, writes the quote files.
+    sites = [
+        f"{path.stem}.{site}" for path in sorted((ROOT / "src").rglob("*.py")) for site in write_sites(path.read_text())
+    ]
+    assert sites == ["cli._write_json", "cli._write_csv", "market_data.save_quotes"]
+
+
+def test_write_site_is_found():
+    source = (
+        "import csv, json as j\n"
+        "from json import dumps as to_text\n"
+        "from pathlib import Path\n"
+        "def load(path):\n"
+        "    with open(path) as a, open(path, 'rb') as b, Path(path).open(mode='r'):\n"
+        "        return j.loads(a.read()), csv.reader(b)\n"
+        "class Report:\n"
+        "    def save(self, path, mode):\n"
+        "        Path(path).write_text(to_text(self))\n"
+        "    def append(self, path):\n"
+        "        with open(path, 'a') as handle:\n"
+        "            csv.DictWriter(handle, ['x'])\n"
+        "def dump(path, mode):\n"
+        "    return open(path, mode)\n"
+        "j.dump({}, open('log', 'r+'))\n"
+        "def blob(path):\n"
+        "    path.write_bytes(b'')\n"
+    )
+    assert write_sites(source) == ["Report.save", "Report.append", "dump", "<module>", "blob"]
 
 
 # Run in a fresh interpreter: pytest's own warning filters import scipy.optimize.
