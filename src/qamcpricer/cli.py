@@ -237,8 +237,11 @@ def _stage(name: str):
 
 
 @_stage("ingest")
-def cmd_ingest(cfg: dict, out: Path) -> dict[tuple[str, float], list[md.OptionQuote]]:
-    groups = md.load_quotes(_resolve(cfg, "quotes_csv"))
+def _load_groups(cfg: dict) -> dict[tuple[str, float], list[md.OptionQuote]]:
+    return md.load_quotes(_resolve(cfg, "quotes_csv"))
+
+
+def _write_ingest(out: Path, groups) -> None:
     md.save_quotes(out / "quotes_validated.csv", [q for qs in groups.values() for q in qs])
     _write_json(
         out / "ingest_summary.json",
@@ -247,20 +250,33 @@ def cmd_ingest(cfg: dict, out: Path) -> dict[tuple[str, float], list[md.OptionQu
             for (u, t), qs in sorted(groups.items())
         ],
     )
+
+
+def cmd_ingest(cfg: dict, out: Path) -> dict[tuple[str, float], list[md.OptionQuote]]:
+    groups = _load_groups(cfg)
+    _write_ingest(out, groups)
     return groups
 
 
 @_stage("curves")
-def cmd_curves(cfg: dict, out: Path, groups) -> dict[tuple[str, float], MarketSlice]:
+def _strip_slices(cfg: dict, groups) -> dict[tuple[str, float], MarketSlice]:
     spots = _required(cfg, "spots")
     slices = {}
-    rows = []
     for (underlying, expiry), quotes in sorted(groups.items()):
         if not isinstance(spots, dict) or underlying not in spots:
             raise ValidationError(f"no spot configured for {underlying}")
-        slice_ = md.strip_curves(quotes, _read(f"spots.{underlying}", spots[underlying], float))
-        slices[(underlying, expiry)] = slice_
-        rows.append(
+        slices[(underlying, expiry)] = md.strip_curves(quotes, _read(f"spots.{underlying}", spots[underlying], float))
+    return slices
+
+
+def cmd_curves(cfg: dict, out: Path):
+    """Ingest, then curves: every slice is stripped before either stage writes, so a bad spot leaves no file."""
+    groups = _load_groups(cfg)
+    slices = _strip_slices(cfg, groups)
+    _write_ingest(out, groups)
+    _write_json(
+        out / "curves.json",
+        [
             {
                 "underlying": underlying,
                 "expiry_years": expiry,
@@ -269,9 +285,10 @@ def cmd_curves(cfg: dict, out: Path, groups) -> dict[tuple[str, float], MarketSl
                 "r": slice_.rate,
                 "q": slice_.dividend_yield,
             }
-        )
-    _write_json(out / "curves.json", rows)
-    return slices
+            for (underlying, expiry), slice_ in slices.items()
+        ],
+    )
+    return groups, slices
 
 
 @_stage("arb-check")
@@ -301,8 +318,7 @@ def cmd_arb_check(cfg: dict, out: Path, drop_violations: bool, groups):
 
 
 def _build_slices(cfg, out, drop_violations):
-    groups = cmd_ingest(cfg, out)
-    slices = cmd_curves(cfg, out, groups)
+    groups, slices = cmd_curves(cfg, out)
     cleaned = cmd_arb_check(cfg, out, drop_violations, groups)
     return {key: replace(slices[key], quotes=tuple(quotes)) for key, quotes in sorted(cleaned.items())}
 
@@ -504,7 +520,7 @@ def main(argv=None) -> int:
         if args.command == "ingest":
             cmd_ingest(cfg, out)
         elif args.command == "curves":
-            cmd_curves(cfg, out, cmd_ingest(cfg, out))
+            cmd_curves(cfg, out)
         elif args.command == "arb-check":
             cmd_arb_check(cfg, out, args.drop_violations, cmd_ingest(cfg, out))
         elif args.command == "calibrate":

@@ -9,7 +9,9 @@ as CSV:
 * density-recovery  - sup-norm pdf/CDF errors at matched per-coefficient cost
                       for increasing truncation orders.
 * price-convergence - spread and basket option error against the pinned
-                      Riemann reference for CMC and both QAMC formulations.
+                      Riemann reference for CMC and both QAMC formulations;
+                      the two setups run in two processes when two CPUs are
+                      usable, with outputs identical to a serial run.
 
 Bundled fixture parameters are the calibrated 1-year NIG sets for three
 liquid Euronext names (spots at the data date); a flat 2% rate stands in for
@@ -19,7 +21,11 @@ the proprietary discount/forward curves.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -162,6 +168,9 @@ def basket_setup():
     spec = CopulaSpec.from_matrix(BASKET_CORRELATION)
     grid = PricingGrid.build(marginals, 2)
     return Payoff("basket-call", BASKET_STRIKE), marginals, spec, grid
+
+
+_PRICE_SETUPS = {"spread": spread_setup, "basket": basket_setup}
 
 
 def _order_stats(values) -> tuple[float, float, float]:
@@ -319,46 +328,128 @@ def study_density_recovery(cfg: StudyConfig):
     return rows
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where the platform cannot say or cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_join(tasks: list) -> list:
+    """Each zero-argument task's result, in task order, the tasks run side by side.
+
+    Tasks run in waves of one per usable CPU: the first of a wave in this
+    process, each other in a forked child, so a task may be a closure and
+    finds every module already imported.  With one usable CPU every task
+    runs here in turn.  A child sends its pickled result, or its pickled
+    exception, down a pipe and leaves through ``os._exit``; the exception
+    is raised here with its type and message.  A child that sends nothing
+    is an error naming its exit status.  Every child is reaped on every
+    path, and one whose result is no longer wanted is killed first.
+
+    Tasks must share no state that they change: a child's changes stay in
+    the child.  Python 3.12+ warns (DeprecationWarning) on each fork of a
+    process with more than one thread, and numpy's OpenBLAS holds such
+    threads once imported.  The warning is emitted in this process once
+    the child exists; no filter is set here, so the caller's filters decide
+    whether it shows.  OpenBLAS stops its threads around a fork and starts
+    them again on use, so a child waits on no thread it did not inherit.
+    """
+    width = _usable_cpus()
+    results = []
+    for start in range(0, len(tasks), width):
+        first, *rest = tasks[start:start + width]
+        children = []  # (pid, read end of its pipe), in task order
+        try:
+            for task in rest:
+                read_fd, write_fd = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    raise
+                if pid == 0:  # the child: never returns into the caller's stack
+                    status = 1
+                    try:
+                        os.close(read_fd)
+                        try:
+                            outcome = (True, task())
+                        except Exception as exc:
+                            outcome = (False, exc)
+                        with os.fdopen(write_fd, "wb") as pipe:
+                            pipe.write(pickle.dumps(outcome))
+                        status = 0
+                    finally:
+                        os._exit(status)
+                os.close(write_fd)
+                children.append((pid, os.fdopen(read_fd, "rb")))
+            results.append(first())
+            while children:
+                pid, pipe = children[0]
+                with pipe:
+                    payload = pipe.read()  # to EOF: the child has written all it will
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[0]
+                if status != 0 or not payload:
+                    raise RuntimeError(f"worker process {pid} ended with exit status {status} and sent no result")
+                ok, value = pickle.loads(payload)
+                if not ok:
+                    raise value
+                results.append(value)
+        finally:
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return results
+
+
+def _price_setup(cfg: StudyConfig, name: str) -> dict:
+    """One setup's {"reference": value, "records": [...]}: it builds its own measure and seeds its own generators."""
+    payoff, marginals, spec, grid = _PRICE_SETUPS[name]()
+    measure = GridMeasure.build(payoff, marginals, spec, grid)
+    reference = measure.reference_value()
+    records: list[ConvergenceRecord] = []
+
+    for samples in cfg.sample_ladder:
+        errs = np.empty(cfg.repetitions)
+        for rep in range(cfg.repetitions):
+            rng = np.random.default_rng([cfg.seed, 404, _SETUP_TAG[name], _sample_tag(samples), rep])
+            est = cmc_price(payoff, marginals, spec, "joint", samples, rng, measure=measure)
+            errs[rep] = abs(est.value - reference)
+        records.append(_percentile_record("cmc", samples, errs))
+
+    for formulation in ("joint", "independent"):
+        for eps in cfg.epsilon_ladder:
+            errs = np.empty(cfg.repetitions)
+            costs = np.empty(cfg.repetitions)
+            for rep in range(cfg.repetitions):
+                rng = np.random.default_rng(
+                    [cfg.seed, 505, _SETUP_TAG[name], _epsilon_tag(eps), rep,
+                     0 if formulation == "joint" else 1]
+                )
+                est = qamc_price(
+                    payoff, marginals, spec, formulation, grid,
+                    AEConfig(epsilon=eps, rho=cfg.rho), rng, measure=measure,
+                )
+                errs[rep] = abs(est.value - reference)
+                costs[rep] = est.samples_or_queries
+            records.append(_percentile_record(f"qamc-{formulation}", float(costs.mean()), errs))
+    return {"reference": reference, "records": records}
+
+
 def study_price_convergence(cfg: StudyConfig):
     """Error-vs-cost tables for the spread and basket pricing problems.
 
     Returns {setup_name: {"reference": value, "records": [...]}} with CMC
     (grid sampling of the shared measure, joint formulation) and both QAMC
-    formulations measured against the pinned Riemann reference.
+    formulations measured against the pinned Riemann reference.  The setups
+    share no state, so they run side by side (``_fork_join``) and give what
+    a serial run gives, bit for bit.
     """
-    out: dict[str, dict] = {}
-    for name, setup in (("spread", spread_setup), ("basket", basket_setup)):
-        payoff, marginals, spec, grid = setup()
-        measure = GridMeasure.build(payoff, marginals, spec, grid)
-        reference = measure.reference_value()
-        records: list[ConvergenceRecord] = []
-
-        for samples in cfg.sample_ladder:
-            errs = np.empty(cfg.repetitions)
-            for rep in range(cfg.repetitions):
-                rng = np.random.default_rng([cfg.seed, 404, _SETUP_TAG[name], _sample_tag(samples), rep])
-                est = cmc_price(payoff, marginals, spec, "joint", samples, rng, measure=measure)
-                errs[rep] = abs(est.value - reference)
-            records.append(_percentile_record("cmc", samples, errs))
-
-        for formulation in ("joint", "independent"):
-            for eps in cfg.epsilon_ladder:
-                errs = np.empty(cfg.repetitions)
-                costs = np.empty(cfg.repetitions)
-                for rep in range(cfg.repetitions):
-                    rng = np.random.default_rng(
-                        [cfg.seed, 505, _SETUP_TAG[name], _epsilon_tag(eps), rep,
-                         0 if formulation == "joint" else 1]
-                    )
-                    est = qamc_price(
-                        payoff, marginals, spec, formulation, grid,
-                        AEConfig(epsilon=eps, rho=cfg.rho), rng, measure=measure,
-                    )
-                    errs[rep] = abs(est.value - reference)
-                    costs[rep] = est.samples_or_queries
-                records.append(_percentile_record(f"qamc-{formulation}", float(costs.mean()), errs))
-        out[name] = {"reference": reference, "records": records}
-    return out
+    names = list(_PRICE_SETUPS)
+    return dict(zip(names, _fork_join([partial(_price_setup, cfg, name) for name in names])))
 
 
 def _trimmed_loglog(costs, errors) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import os
+import time
 import warnings
 
 import numpy as np
@@ -202,6 +204,70 @@ class TestStudies:
         for data in out.values():
             assert data["reference"] > 0
             assert {r.method for r in data["records"]} == {"cmc", "qamc-joint", "qamc-independent"}
+
+    def test_price_convergence_in_one_process_matches_two(self, small_cfg, monkeypatch):
+        # The setups share no generator, so forking one of them off changes no bit and no order.
+        def run(cpus):
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+            return [
+                (name, data["reference"].hex(),
+                 [(r.method, *(v.hex() for v in (r.cost, r.mean_abs_err, r.ci90_lo, r.ci90_hi)))
+                  for r in data["records"]])
+                for name, data in study_price_convergence(small_cfg).items()
+            ]
+
+        serial = run(1)
+        assert [name for name, *_ in serial] == ["spread", "basket"]
+        assert run(2) == serial
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _exit_3():
+    os._exit(3)
+
+
+def _bad_spot():
+    raise ValidationError("spot must be finite and positive, got -1.0")
+
+
+class TestForkJoin:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+
+    def test_results_in_task_order_one_child_per_extra_cpu(self):
+        parent = os.getpid()
+        results = experiments._fork_join([lambda i=i: (i, os.getpid()) for i in range(5)])
+        assert [i for i, _ in results] == list(range(5))
+        # Waves of two: the first task of each here, the second in a child.
+        assert [pid == parent for _, pid in results] == [True, False, True, False, True]
+        _no_child_left()
+
+    def test_one_cpu_runs_every_task_here(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+        assert experiments._fork_join([os.getpid, os.getpid]) == [os.getpid()] * 2
+
+    def test_child_exception_is_raised_with_its_type_and_message(self):
+        with pytest.raises(ValidationError, match=r"^spot must be finite and positive, got -1\.0$"):
+            experiments._fork_join([lambda: 1, _bad_spot])
+        _no_child_left()
+
+    def test_child_without_a_result_names_its_exit_status(self):
+        with pytest.raises(RuntimeError, match="exit status 3"):
+            experiments._fork_join([lambda: 1, _exit_3])
+        _no_child_left()
+
+    def test_failing_task_here_stops_the_children(self):
+        # A child whose result is no longer wanted is killed, not waited for.
+        start = time.monotonic()
+        with pytest.raises(ValidationError):
+            experiments._fork_join([_bad_spot, lambda: time.sleep(60)])
+        assert time.monotonic() - start < 30
+        _no_child_left()
 
 
 @pytest.fixture(scope="module")
@@ -627,10 +693,14 @@ class TestCli:
             (["density", "pipeline"], lambda cfg: cfg["density"].update(tail_eps=2.0)),
             (["calibrate", "density", "pipeline"], lambda cfg: cfg["calibration"].update({"lambda": -1})),
             (["calibrate", "density", "pipeline"], lambda cfg: cfg["calibration"].update(weights_rule="bogus")),
+            # These two stopped at curves after ingest had written two files.
+            (["curves", "calibrate", "density", "pipeline"], lambda cfg: cfg["spots"].update(AXA=-1.0)),
+            (["curves", "calibrate", "density", "pipeline"], lambda cfg: cfg["spots"].pop("AXA")),
         ],
         ids=["unknown-estimator", "zero-epsilon", "unit-rho", "no-qubit", "missing-correlation-file",
              "three-asset-spread", "repeated-payoff-asset", "no-payoff-asset",
-             "no-density-term", "tail-eps-above-1", "negative-lambda", "unknown-weights-rule"],
+             "no-density-term", "tail-eps-above-1", "negative-lambda", "unknown-weights-rule",
+             "negative-spot", "no-spot"],
     )
     def test_bad_estimator_stops_before_any_stage(self, bundle, tmp_path, commands, edit):
         # Each stage reads all of its own inputs first, so no earlier stage writes a file.

@@ -1,7 +1,8 @@
 """Source hygiene: every module under src/ and tests/ uses each name it imports,
 every export has a reader, every field a src/ class stores has a reader, src/
 memoizes nothing keyed by model inputs, only the CLI's two writers and the
-quote saver write files, and a CLI run imports no scipy.
+quote saver write files, only the study harness's fork-join helper starts
+processes or threads, and a CLI run imports no scipy.
 
 The field rule covers each field of a src/ dataclass and each attribute a
 src/ class sets on ``self``.  It counts as read when src/ or perfbench/
@@ -346,6 +347,79 @@ def test_write_site_is_found():
     assert write_sites(source) == ["Report.save", "Report.append", "dump", "<module>", "blob"]
 
 
+# Modules whose import or use starts processes or threads, and the os functions that fork.
+_CONCURRENCY_MODULES = {"multiprocessing", "concurrent", "subprocess", "threading", "_thread"}
+_FORKS = {"fork", "forkpty"}
+
+
+def concurrency_sites(source: str) -> list[str]:
+    """Where a module may start a process or a thread, as the dotted name of the enclosing def or class.
+
+    A site is an import of multiprocessing, concurrent.futures, subprocess,
+    threading or _thread, an import of ``fork`` or ``forkpty`` from os, and
+    a call of either through the os module under any name.  A site at top
+    level is ``<module>``.
+    """
+    tree = ast.parse(source)
+    os_names = {
+        alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "os"
+    }
+
+    def starts(node) -> bool:
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] in _CONCURRENCY_MODULES for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            root = (node.module or "").split(".")[0]
+            return root in _CONCURRENCY_MODULES or (root == "os" and any(a.name in _FORKS for a in node.names))
+        return (isinstance(node, ast.Attribute) and node.attr in _FORKS
+                and isinstance(node.value, ast.Name) and node.value.id in os_names)
+
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if starts(child):
+                sites.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return list(dict.fromkeys(sites))
+
+
+def test_only_the_fork_join_helper_starts_processes():
+    # One place owns the lifetime of every process and thread the package
+    # starts: it reaps each child on every path and raises a child's error.
+    sites = [
+        f"{path.stem}.{site}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for site in concurrency_sites(path.read_text())
+    ]
+    assert sites == ["experiments._fork_join"]
+
+
+def test_concurrency_site_is_found():
+    source = (
+        "import os as system\n"
+        "import concurrent.futures\n"
+        "from os import fork\n"
+        "def helper():\n"
+        "    return system.fork()\n"
+        "class Pool:\n"
+        "    def start(self):\n"
+        "        from multiprocessing import Process\n"
+        "        import threading\n"
+        "def run(cmd):\n"
+        "    import subprocess\n"
+        "def quiet(os):\n"
+        "    return system.getpid(), system.forked, os.fork\n"
+    )
+    assert concurrency_sites(source) == ["<module>", "helper", "Pool.start", "run"]
+
+
 # Run in a fresh interpreter: pytest's own warning filters import scipy.optimize.
 _CLI_RUN = """
 import sys
@@ -377,8 +451,9 @@ from qamcpricer import experiments
 cfg = experiments.StudyConfig(
     study="price-convergence", repetitions=2, sample_ladder=(2**9, 2**11), epsilon_ladder=(2e-2,)
 )
-experiments.study_price_convergence(cfg)
-print("numpy.ma" in sys.modules)
+# Both setups in this process: what a forked worker imports never reaches this sys.modules.
+experiments._usable_cpus = lambda: 1
+print(len(experiments.study_price_convergence(cfg)), "numpy.ma" in sys.modules)
 """
 
 
@@ -388,7 +463,7 @@ def test_price_study_loads_no_numpy_ma():
     # ladder reaches both the binary search and the guide table.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run([sys.executable, "-c", _STUDY_RUN], capture_output=True, text=True, env=env, check=True)
-    assert run.stdout.splitlines()[-1] == "False"
+    assert run.stdout.splitlines()[-1] == "2 False"
 
 
 _DENSITY_RUN = """
