@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qamcpricer import calibration, experiments
+from qamcpricer import calibration, experiments, nig
 from qamcpricer.calibration import (
     BOUNDS,
     TOLERANCE,
@@ -382,6 +382,33 @@ class TestCalibrate:
         monkeypatch.setattr(calibration, "_model_prices", counting)
         result = calibrate(desk_slice("AXA"), CalibrationConfig())
         assert calls == [False] * lattice_size() + [True] * result.iterations
+
+    @pytest.mark.parametrize(
+        "name, start, evaluations",
+        [("AXA", (6.0, -4.0, 0.2), 6), ("CREDIT_AGRICOLE", (6.0, -4.0, 0.2), 6), ("MICHELIN", (4.0, -2.0, 0.2), 7)],
+    )
+    def test_desk_batches_stay_small(self, name, start, evaluations, monkeypatch):
+        # The make-bundle slices.  Every pricing batch evaluates at most 800
+        # density nodes, a bound on the graded 16-node mesh that a 64-node
+        # rule on the 36 equal and kink panels (2,304 nodes) breaks.  The grid
+        # starts and the fit's evaluation counts are pinned too.
+        slice_ = desk_slice(name)
+        points, starts = [], []
+        pdf, init = nig.nig_pdf, calibration.grid_init
+
+        def counting_pdf(x, *args, **kwargs):
+            points.append(np.size(x))
+            return pdf(x, *args, **kwargs)
+
+        def recording_init(residual):
+            starts.append(init(residual))
+            return starts[-1]
+
+        monkeypatch.setattr(nig, "nig_pdf", counting_pdf)
+        monkeypatch.setattr(calibration, "grid_init", recording_init)
+        result = calibrate(slice_, CalibrationConfig())
+        assert starts == [start] and result.iterations == evaluations
+        assert len(points) == lattice_size() + evaluations and max(points) <= 800
 
     def test_prior_inverted_once_per_slice(self, monkeypatch):
         # calibrate builds the slice's least-squares problem once and the

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from qamcpricer import nig
+from qamcpricer.calibration import BOUNDS, _theta
 from qamcpricer.errors import DomainError
 from qamcpricer.experiments import FIXTURES
 from qamcpricer.market_data import MarketSlice
@@ -26,7 +27,7 @@ from qamcpricer.nig import (
     pricing_interval,
     support_interval,
 )
-from qamcpricer.numerics import QuadratureRule, gauss_legendre_panels, integrate
+from qamcpricer.numerics import integrate
 
 from cos_pricing import nig_char_exponent, price_european_cos
 from nig_sampling import sample_nig
@@ -338,6 +339,24 @@ class TestPriceGradient:
         assert np.all(np.abs(moved_grad - grad) <= 1e-9 * scale)
         assert np.all(np.abs(moved_grad - reference) <= 1e-6 * scale)
 
+    def test_one_bessel_pass_per_kind(self, axa_params, axa_slice, monkeypatch):
+        # The scores reuse the K1 values of the density pass: a plain batch
+        # evaluates K1 once, and a gradient batch K1 and then K0.
+        orders = []
+
+        def counting(nu, z):
+            orders.append(nu)
+            return kve(nu, z)
+
+        monkeypatch.setattr(nig, "kve", counting)
+        model = ExpNIGModel(axa_params, axa_slice)
+        strikes, kinds = gradient_quotes(axa_slice)
+        price_european_batch(model, strikes, kinds)
+        assert orders == [1]
+        orders.clear()
+        price_european_batch(model, strikes, kinds, gradient=True)
+        assert orders == [1, 0]
+
     def test_zero_where_the_price_is_zero(self, axa_params, axa_slice):
         # A call struck beyond the interval and a put below it price to 0 for
         # every nearby theta.
@@ -400,24 +419,40 @@ property_settings = settings(max_examples=25, deadline=None, derandomize=True, d
 PROPERTY_SLICE = MarketSlice("PROP", spot=30.0, expiry=1.0, rate=0.02, dividend_yield=0.0)
 
 
-def per_quote_prices(model, strikes, kinds):
-    """Each quote priced by its own dot product over the batch's quadrature nodes.
+def per_quote_prices(model, strikes, kinds, refine=1, nodes=16):
+    """Each quote priced by its own dot product over a mesh of the pricing interval.
 
-    The reference for price_european_batch, which reads every price off one
-    prefix and one suffix sum: the same nodes (the pricing interval's panels
-    split at every kink of the batch), one sum per quote.
+    The mesh is 24 * ``refine`` equal panels, the batch's kinks, and the edges
+    graded toward mu t: mu t and mu t +- delta t 2^k for k = -1, 0, 1, ...
+    while 2^k delta t is below (b - a) / 24, kept strictly inside (a, b).
+    Each panel carries a ``nodes``-node Gauss-Legendre rule.  At the
+    defaults these are price_european_batch's own nodes, so the function is
+    the reference for its prefix and suffix sums; at ``refine=4, nodes=64``
+    it is the quadrature oracle.  It shares only nig_pdf and pricing_interval
+    with the package.
     """
     p, slice_ = model.params, model.slice_
-    a, b = pricing_interval(p, slice_.expiry)
-    x_stars = [math.log(strike / slice_.spot) - model.drift for strike in strikes]
+    t = slice_.expiry
+    a, b = pricing_interval(p, t)
+    omega = -p.mu + p.delta * (math.sqrt(p.alpha**2 - (p.beta + 1.0) ** 2) - math.sqrt(p.alpha**2 - p.beta**2))
+    drift = (slice_.rate - slice_.dividend_yield + omega) * t
+    x_stars = [math.log(strike / slice_.spot) - drift for strike in strikes]
     kinks = sorted({x_star for x_star in x_stars if a < x_star < b})
-    edges = np.unique(np.concatenate([np.linspace(a, b, nig._PRICING_PANELS + 1), kinks]))
-    rule = QuadratureRule.gauss_legendre(64)
-    nodes, half = gauss_legendre_panels(edges, rule)
-    x = nodes.ravel()
-    w = (half[:, None] * rule.weights[None, :]).ravel()
-    dens = nig_pdf(x, p, slice_.expiry)
-    s_vals = model.price_at(x)
+    dt = p.delta * t
+    steps = [0.0]
+    c = 0.5
+    while c * dt < (b - a) / 24:
+        steps += [-c, c]
+        c *= 2.0
+    graded = [p.mu * t + dt * step for step in steps if a < p.mu * t + dt * step < b]
+    edges = np.unique(np.concatenate([np.linspace(a, b, 24 * refine + 1), kinks, graded]))
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(nodes)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    x = (mid[:, None] + half[:, None] * ref_nodes[None, :]).ravel()
+    w = (half[:, None] * ref_weights[None, :]).ravel()
+    dens = nig_pdf(x, p, t)
+    s_vals = slice_.spot * np.exp(drift + x)
     out = []
     for strike, kind, x_star in zip(strikes, kinds, x_stars):
         if kind == "C":
@@ -428,6 +463,19 @@ def per_quote_prices(model, strikes, kinds):
             payoff = strike - s_vals[run]
         out.append(slice_.discount_factor * float(np.dot(w[run], payoff * dens[run])))
     return np.array(out)
+
+
+def certified(model, strikes, kinds):
+    """Whether the batch's prices lie within 1e-12 of spot of the quadrature oracle."""
+    prices = price_european_batch(model, strikes, kinds)
+    oracle = per_quote_prices(model, strikes, kinds, refine=4, nodes=64)
+    return np.max(np.abs(prices - oracle)) <= 1e-12 * model.slice_.spot
+
+
+def desk_quotes(slice_):
+    """The make-bundle quote layout: 12 strikes 0.82-1.18 F, each as a call and a put."""
+    strikes = np.repeat(np.linspace(0.82, 1.18, 12) * slice_.forward, 2)
+    return strikes, ["C", "P"] * 12
 
 
 class TestPricerProperties:
@@ -443,6 +491,32 @@ class TestPricerProperties:
         assert prices.tobytes() == price_european_batch(model, strikes, kinds).tobytes()
         reference = per_quote_prices(model, strikes, kinds)
         assert np.all(np.abs(prices - reference) <= 1e-12 * np.abs(reference))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(BOUNDS[0][0], BOUNDS[1][0]),
+        st.floats(BOUNDS[0][1], BOUNDS[1][1]),
+        st.floats(BOUNDS[0][2], BOUNDS[1][2]),
+    )
+    def test_prices_certified_over_the_calibration_box(self, u, v, delta):
+        # Every law the calibration may price, at the desk's quotes: the
+        # 16-node batch is within 1e-12 of spot of the 4x refined 64-node
+        # oracle.  Laws whose S(T) overflows on the interval are rejected.
+        model = ExpNIGModel(NIGParams(*_theta((u, v, delta))), PROPERTY_SLICE)
+        try:
+            ok = certified(model, *desk_quotes(PROPERTY_SLICE))
+        except DomainError:
+            return
+        assert ok
+
+    @pytest.mark.parametrize("delta", [1e-3, 2e-3, 5e-3, 2e-2])
+    def test_narrow_core_certified(self, delta):
+        # NIG(0.6, -0.59, delta): a core of width ~delta, far narrower than an
+        # equal panel (delta = 1e-3 is SLOW_LEFT).
+        slice_ = MarketSlice("CORE", 30.0, 1.0, 0.03)
+        strikes, kinds = desk_quotes(slice_)
+        strikes = np.concatenate([strikes, [25.0, 25.0, 30.0, 30.0, 35.0, 35.0]])
+        assert certified(ExpNIGModel(NIGParams(0.6, -0.59, delta), slice_), strikes, kinds + ["C", "P"] * 3)
 
     @property_settings
     @given(params=equity_laws, m=moneyness)
