@@ -19,6 +19,10 @@ u = alpha - beta - 1 and v = alpha + beta, where both become lower bounds
 (with a small margin).  The fit keeps every trial point strictly inside its
 box, so every priced point is admissible.  The start (the point of a small
 lattice with the least ||r||^2), the fit and the report read this one residual.
+The lattice is scored off one stacked pricing batch, each point's prices and
+score bit for bit those of its own batch.  A point whose S(T) overflows on its
+pricing interval is not priced: a lattice point there is left unscored, and a
+trial step there is a rejected step.
 """
 
 from __future__ import annotations
@@ -122,44 +126,88 @@ def _usable_quotes(slice_: MarketSlice) -> list[OptionQuote]:
 
 
 def _model_prices(theta, slice_: MarketSlice, quotes: list[OptionQuote], *, gradient: bool):
-    """Model prices of the quotes at theta, and with ``gradient`` their theta-derivatives."""
-    params = NIGParams(theta[0], theta[1], theta[2], 0.0)
-    model = ExpNIGModel(params, slice_)
-    return price_european_batch(model, [q.strike for q in quotes], [q.kind for q in quotes], gradient=gradient)
+    """Model prices of the quotes at theta, and with ``gradient`` their theta-derivatives.
 
-
-def _least_squares(slice_: MarketSlice, config: CalibrationConfig):
-    """The stacked residual of one slice in z: ``residual(z, gradient=False)``.
-
-    It returns r, with ||r||^2 = J(theta(z)), off one pricing batch, and with
-    ``gradient`` the pair (r, dr/dz) off one batch that also returns the
-    price derivatives.  The usable quotes, their weights and the prior are
-    fixed per slice, so they are computed once here and not at each evaluation.
+    ``theta`` is one point, or a stack of points (shape (points, 3)) priced
+    as one stacked batch, one row per point.  None at a point whose S(T)
+    overflows on its pricing interval (``ExpNIGModel.priceable``), and a
+    row of NaN for such a point of a stack.
     """
+    strikes, kinds = [q.strike for q in quotes], [q.kind for q in quotes]
+    if np.ndim(theta) == 1:
+        model = ExpNIGModel(NIGParams(theta[0], theta[1], theta[2], 0.0), slice_)
+        return price_european_batch(model, strikes, kinds, gradient=gradient) if model.priceable else None
+    models = [ExpNIGModel(NIGParams(row[0], row[1], row[2], 0.0), slice_) for row in theta]
+    priceable = np.array([model.priceable for model in models], dtype=bool)
+    prices = np.full((len(models), len(quotes)), np.nan)
+    if priceable.any():
+        prices[priceable] = price_european_batch([m for m, ok in zip(models, priceable) if ok], strikes, kinds)
+    return prices
+
+
+@dataclass(frozen=True, eq=False)
+class _Residual:
+    """The stacked residual r(z) of one slice, with ||r||^2 = J(theta(z)).
+
+    ``residual(z)`` returns r off one pricing batch, and
+    ``residual(z, gradient=True)`` the pair (r, dr/dz) off one batch that
+    also returns the price derivatives; both are None at a z whose S(T)
+    overflows on its pricing interval.  ``scores(zs)`` gives ||r||^2 at
+    many points off one stacked batch.  The usable quotes, their weights
+    and the prior are fixed per slice, so they are computed once and not at
+    each evaluation; ``root_w`` (sqrt of the weights) serves the report too.
+    """
+
+    slice_: MarketSlice
+    quotes: list[OptionQuote]
+    mids: np.ndarray
+    prior: np.ndarray
+    root_w: np.ndarray
+    root_lam: float
+
+    def _stack(self, prices, theta) -> np.ndarray:
+        return np.concatenate([self.root_w * (prices - self.mids), self.root_lam * (theta - self.prior)])
+
+    def __call__(self, z, gradient=False):
+        theta = _theta(z)
+        priced = _model_prices(theta, self.slice_, self.quotes, gradient=gradient)
+        if priced is None:
+            return None
+        if not gradient:
+            return self._stack(priced, theta)
+        jacobian = np.vstack([(self.root_w[:, None] * priced[1]) @ _THETA_OF_Z, self.root_lam * _THETA_OF_Z])
+        return self._stack(priced[0], theta), jacobian
+
+    def scores(self, zs) -> np.ndarray:
+        """||r(z)||^2 at each z of ``zs``, NaN where S(T) overflows, off one stacked batch.
+
+        Each score has the bits of ``r @ r`` for ``r = residual(z)``.
+        """
+        thetas = np.array([_theta(z) for z in zs]).reshape(-1, 3)
+        prices = _model_prices(thetas, self.slice_, self.quotes, gradient=False)
+        return np.array([r @ r for r in map(self._stack, prices, thetas)])
+
+
+def _least_squares(slice_: MarketSlice, config: CalibrationConfig) -> _Residual:
+    """The stacked residual of one slice in z (see ``_Residual``)."""
     quotes = _usable_quotes(slice_)
     if len(quotes) < 3:
         raise ValidationError("calibration needs at least 3 usable quotes")
-    mids = np.array([q.mid for q in quotes])
-    prior = np.asarray(bs_prior(slice_), dtype=float)
-    root_w, root_lam = np.sqrt(quote_weights(quotes, config.weights_rule)), np.sqrt(config.regularization)
-    penalty_jac = root_lam * _THETA_OF_Z
-
-    def residual(z, gradient=False):
-        theta = _theta(z)
-        priced = _model_prices(theta, slice_, quotes, gradient=gradient)
-        prices = priced[0] if gradient else priced
-        r = np.concatenate([root_w * (prices - mids), root_lam * (theta - prior)])
-        if not gradient:
-            return r
-        return r, np.vstack([(root_w[:, None] * priced[1]) @ _THETA_OF_Z, penalty_jac])
-
-    return residual
+    return _Residual(
+        slice_,
+        quotes,
+        np.array([q.mid for q in quotes]),
+        np.asarray(bs_prior(slice_), dtype=float),
+        np.sqrt(quote_weights(quotes, config.weights_rule)),
+        np.sqrt(config.regularization),
+    )
 
 
 def _levenberg_marquardt(residual, z) -> tuple[np.ndarray, np.ndarray, int]:
     """Minimize ||r(z)||^2 inside BOUNDS from z: the minimizer, r there and the evaluation count.
 
-    ``residual(z, gradient=True)`` returns r and its Jacobian dr/dz.
+    ``residual(z, gradient=True)`` returns r and its Jacobian dr/dz, or None
+    where it cannot price z (S(T) overflows on the pricing interval).
 
     Levenberg-Marquardt with Marquardt's scaling: each step solves
     (J^T J + damping D) s = -J^T r, D the diagonal of J^T J floored at eps
@@ -168,8 +216,9 @@ def _levenberg_marquardt(residual, z) -> tuple[np.ndarray, np.ndarray, int]:
     and the others are solved again; every component is cut the same way,
     and one that rounding would put on its bound stays where it is, so
     every evaluated z lies strictly inside.  A step that lowers ||r||^2
-    is taken and the damping falls; otherwise the damping rises and the
-    Jacobian already held at z serves the next solve.  The fit stops at a
+    is taken and the damping falls; otherwise, an unpriceable trial
+    included, the damping rises and the Jacobian already held at z serves
+    the next solve.  The fit stops at a
     step below TOLERANCE relative to z, at a taken step that lowers ||r||^2
     by at most TOLERANCE relative, or at MAX_ITERATIONS evaluations, the
     start counting as one.
@@ -195,12 +244,12 @@ def _levenberg_marquardt(residual, z) -> tuple[np.ndarray, np.ndarray, int]:
         trial = np.where((trial > lower) & (trial < upper), trial, z)
         if np.linalg.norm(trial - z) <= TOLERANCE * (TOLERANCE + np.linalg.norm(z)):
             break
-        r_trial, j_trial = residual(trial, gradient=True)
+        priced = residual(trial, gradient=True)
         evaluations += 1
-        cost_trial = r_trial @ r_trial
+        cost_trial = np.inf if priced is None else priced[0] @ priced[0]
         if cost_trial < cost:
             converged = cost - cost_trial <= TOLERANCE * cost
-            z, r, cost, jz = trial, r_trial, cost_trial, j_trial
+            z, (r, jz), cost = trial, priced, cost_trial
             damping *= _DAMPING_DOWN
             if converged:
                 break
@@ -230,15 +279,17 @@ def grid_init(residual) -> tuple[float, float, float]:
     """The DEFAULT_GRID point p with the lowest ||r(z(p))||^2.
 
     ``residual`` is the slice's stacked residual as ``_least_squares``
-    returns it; only points strictly inside BOUNDS are scored, each off one
-    plain pricing batch.  Deterministic for a fixed residual.
+    returns it.  Only points strictly inside BOUNDS are scored, all of them
+    off one stacked plain pricing batch (``_Residual.scores``), and a point
+    whose S(T) overflows on its pricing interval is left unscored.
+    Deterministic for a fixed residual.
     """
     lattice = itertools.product(*(DEFAULT_GRID[name] for name in ("alpha", "beta", "delta")))
     points = [p for p in lattice if _inside(_z(p))]
-    if not points:
+    scores = residual.scores([_z(p) for p in points])
+    if np.isnan(scores).all():  # no point, or none priceable
         raise ValidationError("initialization lattice empty after admissibility filtering")
-    scores = [r @ r for r in (residual(_z(p)) for p in points)]
-    return points[int(np.argmin(scores))]
+    return points[int(np.nanargmin(scores))]
 
 
 def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> CalibrationResult:
@@ -262,8 +313,7 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     theta = _theta(z)
     if not _inside(z):
         raise CalibrationError(f"optimizer left the admissible set at {theta}")
-    root_w = np.sqrt(quote_weights(_usable_quotes(slice_), config.weights_rule))
-    err_bp = np.abs(r[: root_w.size]) / root_w / slice_.spot * 1e4
+    err_bp = np.abs(r[: residual.root_w.size]) / residual.root_w / slice_.spot * 1e4
     return CalibrationResult(
         theta=NIGParams(theta[0], theta[1], theta[2], 0.0),
         objective=float(r @ r),

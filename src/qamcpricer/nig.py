@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -52,9 +53,15 @@ __all__ = [
 ]
 
 # The European pricer's mesh: _PRICING_PANELS equal panels on the pricing
-# interval, graded toward the density's branch points (see
-# _graded_edges), with a _PRICING_NODES-node Gauss-Legendre rule on each.
+# interval, graded toward the density's branch points (see _Mesh), with a
+# _PRICING_NODES-node Gauss-Legendre rule on each.
 _PRICING_PANELS, _PRICING_NODES = 24, 16
+
+# The most nodes one density pass of a stacked batch holds (a lone model's
+# mesh may hold more): blocks of many laws stay small in memory.
+_STACK_NODES = 7_200
+
+_LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 
 # e^z K_nu(z) for z > 2 is read off a table: sqrt(z) e^z K_nu(z) as a
 # degree-_BESSEL_DEGREE polynomial on each of _BESSEL_CELLS equal cells of
@@ -172,6 +179,8 @@ def nig_pdf(x, p: NIGParams, t: float = 1.0, return_kve: bool = False):
     accurate deep into the tails instead of underflowing prematurely.  With
     ``return_kve=True`` the result is ``(density, kve(1, z))`` at
     z = alpha sqrt((delta t)^2 + (x - mu t)^2), the Bessel values it used.
+    ``p`` may also give the parameters per point (``_LawColumns``, arrays
+    the shape of x): each value is the one the point's own law gives.
     """
     if t <= 0:
         raise DomainError("time scale t must be positive")
@@ -322,18 +331,33 @@ class ExpNIGModel:
     params: NIGParams
     slice_: MarketSlice
 
-    @property
+    @cached_property
     def drift(self) -> float:
         """(r - q + omega) T: total log-drift of S(T)/S0 beyond the NIG increment."""
         s = self.slice_
         return (s.rate - s.dividend_yield + martingale_adjustment(self.params)) * s.expiry
+
+    @cached_property
+    def interval(self) -> tuple[float, float]:
+        """The pricing interval [a, b] of the law at expiry (see ``pricing_interval``)."""
+        return pricing_interval(self.params, self.slice_.expiry)
+
+    @property
+    def priceable(self) -> bool:
+        """Whether S(T) = S0 exp(drift + x) stays finite on the pricing interval.
+
+        The closed form log S0 + drift + b < log(max float), with no density
+        pass: heavy right tails (alpha - beta - 1 near 0) stretch b until S(T)
+        overflows there.
+        """
+        return math.log(self.slice_.spot) + self.drift + self.interval[1] < _LOG_MAX_FLOAT
 
     def price_at(self, x):
         """Map a log-return node x to the terminal asset price."""
         return self.slice_.spot * np.exp(self.drift + np.asarray(x, dtype=float))
 
 
-def price_european_batch(model: ExpNIGModel, strikes, kinds, gradient: bool = False):
+def price_european_batch(model, strikes, kinds, gradient: bool = False):
     """European prices of many (strike, kind) pairs off one density evaluation.
 
     Discounted quadrature of each payoff against the density on
@@ -342,8 +366,8 @@ def price_european_batch(model: ExpNIGModel, strikes, kinds, gradient: bool = Fa
     payoff kink among its panel edges, so each quote's integral is an exact
     sub-sum of the shared nodes and sees an analytic integrand per panel: a
     suffix (call) or prefix (put) sum, read off one cumulative sum each way.
-    The panel edges are the interval's 24 equal panels, the kinks, and
-    ``_graded_edges``: mu t and mu t +- delta t 2^k, k = -1, 0, 1, ... while
+    The panel edges are the interval's 24 equal panels, the kinks, and the
+    graded edges mu t and mu t +- delta t 2^k, k = -1, 0, 1, ... while
     2^k delta t is below the equal-panel width.  The density's only
     singularities are its branch points mu t +- i delta t, and each panel of
     this mesh keeps them outside its Bernstein ellipse of parameter
@@ -352,17 +376,25 @@ def price_european_batch(model: ExpNIGModel, strikes, kinds, gradient: bool = Fa
     on a broad one (see the module docstring).
     A single quote is a batch of one.  The result is independent of mu.
     Strikes must be positive and finite.  Tails too heavy for a finite S(T)
-    on the interval are a DomainError.
+    on the interval (``ExpNIGModel.priceable``) are a DomainError.
 
-    With ``gradient=True`` the result is ``(prices, d_prices)``, where row m
-    of ``d_prices`` is d price_m / d(alpha, beta, delta) of the quadrature
-    sum itself, off the same density pass.  A parameter moves each term
-    w payoff(S(T)) f(x) through the density, through S(T) = S0 exp(drift + x),
-    and through its node and weight: the panel edges are the interval ends,
-    which scale with the cumulants, the kinks, which move against the drift,
-    and the graded edges, which scale with delta.  So the gradient is that
-    of the computed prices wherever the interval's width steps and the
-    graded edges' count are locally constant, in tails slow or not.
+    ``model`` may also be a sequence of models on one slice; the result then
+    has one row of prices per model, each ``tobytes()``-equal to pricing that
+    model alone.  The models' meshes are stacked, each row padded at its end
+    with zero-width panels whose nodes weigh +0.0, and scored in blocks of at
+    most _STACK_NODES nodes: one density pass over a block's live nodes, one
+    cumulative sum each way, and one read per row.
+
+    With ``gradient=True`` (one model only) the result is
+    ``(prices, d_prices)``, where row m of ``d_prices`` is
+    d price_m / d(alpha, beta, delta) of the quadrature sum itself, off the
+    same density pass.  A parameter moves each term w payoff(S(T)) f(x)
+    through the density, through S(T) = S0 exp(drift + x), and through its
+    node and weight: the panel edges are the interval ends, which scale with
+    the cumulants, the kinks, which move against the drift, and the graded
+    edges, which scale with delta.  So the gradient is that of the computed
+    prices wherever the interval's width steps and the graded edges' count
+    are locally constant, in tails slow or not.
     """
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or len(kinds) != strikes.size:
@@ -372,88 +404,199 @@ def price_european_batch(model: ExpNIGModel, strikes, kinds, gradient: bool = Fa
     for kind in kinds:
         if kind not in ("C", "P"):
             raise DomainError(f"unknown option kind {kind!r}")
+    single = isinstance(model, ExpNIGModel)
+    models = [model] if single else list(model)
+    if not models or any(m.slice_ != models[0].slice_ for m in models):
+        raise DomainError("a stacked batch needs at least one model, all on one slice")
+    if gradient and not single:
+        raise DomainError("the gradient is priced for one model at a time")
+    for m in models:
+        if not m.priceable:
+            a, b = m.interval
+            raise DomainError(f"S(T) overflows on the pricing interval [{a:.6g}, {b:.6g}] of {m.params}")
+    slice_ = models[0].slice_
+    # Payoff kinks in x-space are log(K / S0) - drift, one drift per model.
+    log_k = np.array([math.log(strike / slice_.spot) for strike in strikes])
+    is_call = np.array([kind == "C" for kind in kinds], dtype=bool)
+    mesh = _Mesh.build(models, log_k)
+    if gradient:
+        return _price_with_gradient(model, mesh, strikes, is_call)
+    mesh = mesh.deduped()
+    out = np.empty((len(models), strikes.size))
+    for rows, block in mesh.blocks():
+        out[rows] = _price_block(slice_, block, strikes, is_call)
+    return out[0] if single else out
+
+
+class _LawColumns(NamedTuple):
+    """NIG parameters per point: ``nig_pdf`` over the nodes of many laws at once."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    delta: np.ndarray
+    mu: np.ndarray
+    gamma: np.ndarray
+
+
+class _Mesh(NamedTuple):
+    """The pricing meshes of laws on one slice, one row per law.
+
+    Row i's candidate edges are the _PRICING_PANELS + 1 equal-panel edges
+    of law i's interval [a, b], its kinks log(K / S0) - drift inside (a, b),
+    and its graded edges mu t + delta t c inside (a, b), c = 0 and +-2^k for
+    k = -1, 0, 1, ... while 2^k delta t is below the equal-panel width
+    (``steps`` lists every c); a candidate that is no edge is set to a.
+    ``laws`` holds each law's (alpha, beta, delta, mu, gamma).  ``edges``
+    and ``count`` are set by ``deduped``.
+    """
+
+    laws: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    drift: np.ndarray
+    x_stars: np.ndarray
+    steps: np.ndarray
+    candidates: np.ndarray
+    edges: np.ndarray | None = None
+    count: np.ndarray | None = None
+
+    @classmethod
+    def build(cls, models, log_k: np.ndarray) -> "_Mesh":
+        t = models[0].slice_.expiry
+        scalars = np.array(
+            [(*m.interval, m.drift, *(getattr(m.params, name) for name in _LawColumns._fields)) for m in models]
+        )
+        a, b, drift = scalars[:, :3].T
+        laws = scalars[:, 3:]
+        dt, mt = (laws[:, 2:4] * t).T
+        width = (b - a) / _PRICING_PANELS
+        # c = 2^(k-1) doubles c dt exactly, so the steps below the width are a prefix.
+        powers = 0.5 * 2.0 ** np.arange(max(math.ceil(math.log2((width / dt).max())) + 2, 0))
+        steps = np.concatenate([[0.0], -powers, powers])
+        below = powers * dt[:, None] < width[:, None]
+        inner = np.concatenate([log_k - drift[:, None], mt[:, None] + dt[:, None] * steps], axis=1)
+        edge = (inner > a[:, None]) & (inner < b[:, None])
+        edge[:, log_k.size + 1 : log_k.size + 1 + powers.size] &= below
+        edge[:, log_k.size + 1 + powers.size :] &= below
+        # np.linspace(a, b, _PRICING_PANELS + 1) row by row, as it forms them.
+        panel = np.arange(_PRICING_PANELS + 1.0) * width[:, None] + a[:, None]
+        panel[:, -1] = b
+        candidates = np.concatenate([panel, np.where(edge, inner, a[:, None])], axis=1)
+        return cls(laws, a, b, drift, inner[:, : log_k.size], steps, candidates)
+
+    def deduped(self) -> "_Mesh":
+        """With ``edges``, each row's ``count`` distinct candidates in order, as
+        ``np.unique`` gives them, padded at the end with b: zero-width panels."""
+        ordered = np.sort(self.candidates, axis=1)
+        repeat = ordered[:, 1:] == ordered[:, :-1]
+        # Each repeat becomes b, the largest edge, and a second sort moves it to the padding.
+        ordered[:, 1:] = np.where(repeat, self.b[:, None], ordered[:, 1:])
+        count = ordered.shape[1] - repeat.sum(axis=1)
+        return self._replace(edges=np.sort(ordered, axis=1)[:, : count.max()], count=count)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """Live quadrature nodes per row."""
+        return (self.count - 1) * _PRICING_NODES
+
+    def blocks(self):
+        """Consecutive rows holding at most _STACK_NODES nodes, padding included, as
+        (rows, their mesh with the padding cut to the longest of them).
+
+        A row whose own mesh holds more is a block alone.
+        """
+        nodes, start = self.nodes, 0
+        while start < nodes.size:
+            stop = start + 1
+            while stop < nodes.size and (stop + 1 - start) * nodes[start : stop + 1].max() <= _STACK_NODES:
+                stop += 1
+            rows = slice(start, stop)
+            block = self._replace(**{name: getattr(self, name)[rows] for name in self._fields if name != "steps"})
+            yield rows, block._replace(edges=block.edges[:, : block.count.max()])
+            start = stop
+
+
+def _price_block(slice_: MarketSlice, mesh: _Mesh, strikes: np.ndarray, is_call: np.ndarray) -> np.ndarray:
+    """Plain prices of a block of laws, one row each, off one density pass over their live nodes."""
+    rule = QuadratureRule.gauss_legendre(_PRICING_NODES)
+    nodes, half = gauss_legendre_panels(mesh.edges, rule)
+    x = nodes.reshape(mesh.count.size, -1)
+    w = (half[..., None] * rule.weights).reshape(x.shape)
+    live = np.arange(x.shape[1]) < mesh.nodes[:, None]
+    dens = np.zeros(x.shape)
+    dens[live] = nig_pdf(x[live], _LawColumns(*np.repeat(mesh.laws.T, mesh.nodes, axis=1)), slice_.expiry)
+    # Per node, w payoff f is u - K v for a call and K v - u for a put, with
+    # u = w S(T) f and v = w f.
+    uv = np.empty(x.shape + (2,))
+    uv[..., 0] = w * (slice_.spot * np.exp(mesh.drift[:, None] + x) * dens)
+    uv[..., 1] = w * dens
+    return _read_prices(uv, x, mesh.nodes, mesh, strikes, is_call, slice_.discount_factor)[..., 0]
+
+
+def _price_with_gradient(model: ExpNIGModel, mesh: _Mesh, strikes: np.ndarray, is_call: np.ndarray):
+    """Prices of one law and their (alpha, beta, delta)-gradient off one density pass."""
     p = model.params
     t = model.slice_.expiry
-    spot = model.slice_.spot
-    drift = model.drift
-    a, b = pricing_interval(p, t)
-    if math.log(spot) + drift + b >= math.log(np.finfo(float).max):
-        raise DomainError(f"S(T) overflows on the pricing interval [{a:.6g}, {b:.6g}] of {p}")
-    # Payoff kinks in x-space, log(K / S0) - drift, one drift per batch.
-    x_stars = np.array([math.log(strike / spot) - drift for strike in strikes])
-    kinks = np.array(sorted({x_star for x_star in x_stars if a < x_star < b}))
-    panel_edges = np.linspace(a, b, _PRICING_PANELS + 1)
-    graded, steps = _graded_edges(p, t, a, b)
-    edges, first = np.unique(np.concatenate([panel_edges, kinks, graded]), return_index=True)
-
+    edges, source = np.unique(mesh.candidates[0], return_index=True)
     rule = QuadratureRule.gauss_legendre(_PRICING_NODES)
     nodes, half = gauss_legendre_panels(edges, rule)
     x = nodes.ravel()
     w = (half[:, None] * rule.weights[None, :]).ravel()
     dens, k1 = nig_pdf(x, p, t, return_kve=True)
     s_dens = model.price_at(x) * dens
-    df = model.slice_.discount_factor
-    # Per node, w payoff f is u - K v for a call and K v - u for a put, with
-    # u = w S(T) f and v = w f.  Column 0 of uv is u and column ``cols`` is v;
-    # on request, the columns after each hold its (alpha, beta, delta)-gradient.
-    cols = 4 if gradient else 1
-    uv = np.empty((x.size, 2 * cols))
+    # Columns u = w S(T) f and v = w f as in _price_block, each followed by
+    # its (alpha, beta, delta)-gradient.
+    uv = np.empty((x.size, 8))
     uv[:, 0] = w * s_dens
-    uv[:, cols] = w * dens
-    if gradient:
-        scores, slope = _log_density_scores(x, p, t, k1)
-        d_drift = _drift_gradient(p, t)
-        # Nodes and weights move with the panel edges: the interval's edges
-        # with its ends, the kinks log(K / S0) - drift against the drift,
-        # and the graded edges mu t + delta t c by t c along delta.
-        d_a, d_b = _interval_gradient(p, t, a, b)
-        frac = np.linspace(0.0, 1.0, _PRICING_PANELS + 1)[:, None]
-        d_graded = np.zeros((graded.size, 3))
-        d_graded[:, 2] = t * steps
-        d_edges = np.concatenate([d_a + frac * (d_b - d_a), np.tile(-d_drift, (kinks.size, 1)), d_graded])[first]
-        d_mid = 0.5 * (d_edges[1:] + d_edges[:-1])[:, None, :]
-        d_half = 0.5 * (d_edges[1:] - d_edges[:-1])[:, None, :]
-        d_x = (d_mid + d_half * rule.nodes[None, :, None]).reshape(-1, 3)
-        d_w = (d_half * rule.weights[None, :, None]).reshape(-1, 3)
-        # d payoff / d drift = +-S(T), so the drift moves u and not v.
-        uv[:, 1:cols] = s_dens[:, None] * d_w + (w * s_dens)[:, None] * (
-            scores + (1.0 + slope)[:, None] * d_x + d_drift
-        )
-        uv[:, cols + 1:] = dens[:, None] * d_w + (w * dens)[:, None] * (scores + slope[:, None] * d_x)
-
-    # x increases, so a call's support is a suffix of the nodes and a put's a
-    # prefix; a call struck above b or a put below a has an empty run: 0.
-    prefix = np.zeros((x.size + 1, 2 * cols))
-    suffix = np.zeros_like(prefix)
-    np.cumsum(uv, axis=0, out=prefix[1:])
-    np.cumsum(uv[::-1], axis=0, out=suffix[-2::-1])
-    clipped = np.clip(x_stars, a, b)
-    lo = np.searchsorted(x, clipped, side="left")
-    hi = np.searchsorted(x, clipped, side="right")
-    k = strikes[:, None]
-    calls = df * (suffix[lo, :cols] - k * suffix[lo, cols:])
-    puts = df * (k * prefix[hi, cols:] - prefix[hi, :cols])
-    out = np.where(np.array([kind == "C" for kind in kinds], dtype=bool)[:, None], calls, puts)
-    return (out[:, 0], out[:, 1:]) if gradient else out[:, 0]
+    uv[:, 4] = w * dens
+    scores, slope = _log_density_scores(x, p, t, k1)
+    d_drift = _drift_gradient(p, t)
+    # Nodes and weights move with the panel edges: the interval's edges
+    # with its ends, the kinks log(K / S0) - drift against the drift,
+    # and the graded edges mu t + delta t c by t c along delta.
+    d_a, d_b = _interval_gradient(p, t, mesh.a[0], mesh.b[0])
+    frac = np.linspace(0.0, 1.0, _PRICING_PANELS + 1)[:, None]
+    d_graded = np.zeros((mesh.steps.size, 3))
+    d_graded[:, 2] = t * mesh.steps
+    d_edges = np.concatenate([d_a + frac * (d_b - d_a), np.tile(-d_drift, (strikes.size, 1)), d_graded])[source]
+    d_mid = 0.5 * (d_edges[1:] + d_edges[:-1])[:, None, :]
+    d_half = 0.5 * (d_edges[1:] - d_edges[:-1])[:, None, :]
+    d_x = (d_mid + d_half * rule.nodes[None, :, None]).reshape(-1, 3)
+    d_w = (d_half * rule.weights[None, :, None]).reshape(-1, 3)
+    # d payoff / d drift = +-S(T), so the drift moves u and not v.
+    uv[:, 1:4] = s_dens[:, None] * d_w + (w * s_dens)[:, None] * (scores + (1.0 + slope)[:, None] * d_x + d_drift)
+    uv[:, 5:] = dens[:, None] * d_w + (w * dens)[:, None] * (scores + slope[:, None] * d_x)
+    out = _read_prices(uv[None], x[None], [x.size], mesh, strikes, is_call, model.slice_.discount_factor)[0]
+    return out[:, 0], out[:, 1:]
 
 
-def _graded_edges(p: NIGParams, t: float, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Panel edges mu t + delta t c strictly inside (a, b), and their steps c.
+def _read_prices(uv, x, live, mesh: _Mesh, strikes, is_call, df) -> np.ndarray:
+    """Discounted prices off per-node columns (u, ..., v, ...), shape (rows, strikes, columns / 2).
 
-    c is 0 and +-2^k for k = -1, 0, 1, ... while 2^k delta t is below the
-    width (b - a) / _PRICING_PANELS of an equal panel.
+    x increases along each row, so a call's support is a suffix of the
+    row's nodes and a put's a prefix; a call struck above b or a put below
+    a has an empty run: 0.  Each row is read with its own searchsorted over
+    its ``live`` nodes.  The cumulative sums run only as far as some read
+    needs them: the prefix sums up to the last read, the suffix sums down
+    to the first.
     """
-    dt = p.delta * t
-    width = (b - a) / _PRICING_PANELS
-    powers = []
-    c = 0.5
-    while c * dt < width:
-        powers.append(c)
-        c *= 2.0
-    steps = np.concatenate([[0.0], -np.array(powers), powers])
-    edges = p.mu * t + dt * steps
-    inside = (edges > a) & (edges < b)
-    return edges[inside], steps[inside]
+    rows, size, columns = uv.shape
+    clipped = np.clip(mesh.x_stars, mesh.a[:, None], mesh.b[:, None])
+    lo = np.empty(clipped.shape, dtype=np.intp)
+    hi = np.empty_like(lo)
+    for i, n in enumerate(live):
+        lo[i] = np.searchsorted(x[i, :n], clipped[i], side="left")
+        hi[i] = np.searchsorted(x[i, :n], clipped[i], side="right")
+    top, bottom = hi.max(), lo.min()
+    prefix = np.zeros((rows, top + 1, columns))
+    suffix = np.zeros((rows, size - bottom + 1, columns))
+    np.cumsum(uv[:, :top], axis=1, out=prefix[:, 1:])
+    np.cumsum(uv[:, bottom:][:, ::-1], axis=1, out=suffix[:, -2::-1])
+    row, lo = np.arange(rows)[:, None], lo - bottom
+    k, cols = strikes[:, None], columns // 2
+    calls = df * (suffix[row, lo, :cols] - k * suffix[row, lo, cols:])
+    puts = df * (k * prefix[row, hi, cols:] - prefix[row, hi, :cols])
+    return np.where(is_call[:, None], calls, puts)
 
 
 def _log_density_scores(x: np.ndarray, p: NIGParams, t: float, k1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

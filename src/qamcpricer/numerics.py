@@ -94,13 +94,14 @@ def gauss_legendre_panels(edges, rule: QuadratureRule) -> tuple[np.ndarray, np.n
     Returns the nodes, shape (panels, n), and the panel half-widths: node
     (i, j) carries weight half[i] * rule.weights[j].  The weights stay
     factored so that a panel sum can read half[i] * (f[i] @ rule.weights),
-    the rounding of a single-panel rule.
+    the rounding of a single-panel rule.  Stacked edges, shape (..., edges),
+    give nodes of shape (..., panels, n), each row as it would be alone.
     """
     edges = np.asarray(edges, dtype=float)
-    left, right = edges[:-1], edges[1:]
+    left, right = edges[..., :-1], edges[..., 1:]
     half = 0.5 * (right - left)
     mid = 0.5 * (right + left)
-    return mid[:, None] + half[:, None] * rule.nodes[None, :], half
+    return mid[..., None] + half[..., None] * rule.nodes, half
 
 
 def std_normal_pdf(x):

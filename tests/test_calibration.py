@@ -86,6 +86,11 @@ def jacobian_by_central_differences(residual, z):
 FIT_POINTS = [(5.24, -3.26, 0.18), (4.69, -3.06, 0.18), (6.2, -3.31, 0.26), (3.0, 1.999, 0.2)]
 
 
+# Inside BOUNDS, but alpha + beta -> 0 stretches the pricing interval's right
+# end until S(T) overflows there on the make-bundle AXA slice.
+UNPRICEABLE_Z = (5.0, 1e-3, 0.2)
+
+
 @pytest.fixture(scope="module")
 def axa_quote_slice(axa_params, axa_slice):
     return quote_slice(axa_params, axa_slice, np.linspace(0.8, 1.2, 20) * axa_slice.forward)
@@ -202,6 +207,40 @@ class TestGridInit:
         monkeypatch.setattr(calibration, "DEFAULT_GRID", {"alpha": (1.0,), "beta": (4.0,), "delta": (0.2,)})
         with pytest.raises(ValidationError):
             grid_init(_least_squares(axa_quote_slice, CalibrationConfig()))
+
+    @pytest.mark.parametrize("name", ["AXA", "CREDIT_AGRICOLE", "MICHELIN", "axa_quote_slice"])
+    def test_lattice_scored_as_per_point_residuals(self, name, request):
+        # The stacked lattice pass gives each point the prices of its own
+        # pricing batch and the score ||r(z)||^2 of its own residual, bit for bit.
+        slice_ = request.getfixturevalue(name) if name == "axa_quote_slice" else desk_slice(name)
+        residual, quotes = _least_squares(slice_, CalibrationConfig()), _usable_quotes(slice_)
+        lattice = calibration.DEFAULT_GRID
+        zs = [_z(p) for p in itertools.product(lattice["alpha"], lattice["beta"], lattice["delta"]) if _inside(_z(p))]
+        stack = calibration._model_prices(np.array([_theta(z) for z in zs]), slice_, quotes, gradient=False)
+        scores = residual.scores(zs)
+        assert stack.shape == (lattice_size(), len(quotes)) and scores.shape == (lattice_size(),)
+        for z, row, score in zip(zs, stack, scores):
+            r = residual(z)
+            assert row.tobytes() == calibration._model_prices(_theta(z), slice_, quotes, gradient=False).tobytes()
+            assert score.tobytes() == (r @ r).tobytes()
+
+    def test_unpriceable_point_left_unscored(self, monkeypatch):
+        slice_ = desk_slice("AXA")
+        residual = _least_squares(slice_, CalibrationConfig())
+        alpha, beta, delta = _theta(UNPRICEABLE_Z)
+        assert _inside(_z((alpha, beta, delta))) and residual(_z((alpha, beta, delta))) is None
+        assert residual(np.array(UNPRICEABLE_Z), gradient=True) is None
+        ok = _z((6.0, beta, delta))
+        scores = residual.scores([_z((alpha, beta, delta)), ok])
+        assert np.isnan(scores[0]) and scores[1] == residual(ok) @ residual(ok)
+        monkeypatch.setattr(calibration, "DEFAULT_GRID", {"alpha": (alpha, 6.0), "beta": (beta,), "delta": (delta,)})
+        assert grid_init(residual) == (6.0, beta, delta)
+
+    def test_unpriceable_lattice_is_an_empty_lattice(self, monkeypatch):
+        alpha, beta, delta = _theta(UNPRICEABLE_Z)
+        monkeypatch.setattr(calibration, "DEFAULT_GRID", {"alpha": (alpha,), "beta": (beta,), "delta": (delta,)})
+        with pytest.raises(ValidationError, match="lattice empty"):
+            grid_init(_least_squares(desk_slice("AXA"), CalibrationConfig()))
 
 
 class TestBsPrior:
@@ -351,7 +390,7 @@ class TestCalibrate:
         model_prices = calibration._model_prices
 
         def recording(theta, slice_, quotes, **kwargs):
-            priced.append(np.array(theta, copy=True))
+            priced.extend(np.array(theta, copy=True).reshape(-1, 3))  # the lattice is one stack
             return model_prices(theta, slice_, quotes, **kwargs)
 
         monkeypatch.setattr(calibration, "_model_prices", recording)
@@ -367,48 +406,82 @@ class TestCalibrate:
                 assert delta > 0 and alpha - beta > 1.0 and alpha + beta > 0.0
                 NIGParams(alpha, beta, delta)  # does not raise
 
+    def test_unpriceable_trial_is_a_rejected_step(self, monkeypatch):
+        # A trial step planted where S(T) overflows on the pricing interval
+        # is a rejected step: the damping goes up and the fit goes on to the
+        # optimum it reaches unplanted.
+        slice_ = desk_slice("AXA")
+        unplanted = calibrate(slice_, CalibrationConfig())
+        trials = []
+        fit = calibration._levenberg_marquardt
+
+        def planted_fit(residual, z):
+            def planted(trial, gradient=False):
+                trials.append(np.array(trial, copy=True))
+                return residual(np.array(UNPRICEABLE_Z) if len(trials) == 2 else trial, gradient=gradient)
+
+            return fit(planted, z)
+
+        monkeypatch.setattr(calibration, "_levenberg_marquardt", planted_fit)
+        result = calibrate(slice_, CalibrationConfig())
+        assert len(trials) == result.iterations > 2
+        assert result.objective == pytest.approx(unplanted.objective, rel=1e-9)
+        assert result.objective <= 1.667132355685896e-05 * (1.0 + 1e-9)
+
     def test_desk_slice_prices_few_batches(self, monkeypatch):
-        # The make-bundle AXA slice.  The grid start prices one plain batch
-        # per admissible lattice point and the fit one gradient batch per
-        # evaluation (the Jacobian comes with the residual at the same
-        # point); the optimum is not priced again.
+        # The make-bundle AXA slice.  The grid start prices the admissible
+        # lattice points as one stacked plain batch and the fit one gradient
+        # batch per evaluation (the Jacobian comes with the residual at the
+        # same point); the optimum is not priced again.
         calls = []
         model_prices = calibration._model_prices
 
         def counting(*args, **kwargs):
-            calls.append(kwargs["gradient"])
+            calls.append((kwargs["gradient"], len(np.reshape(args[0], (-1, 3)))))
             return model_prices(*args, **kwargs)
 
         monkeypatch.setattr(calibration, "_model_prices", counting)
         result = calibrate(desk_slice("AXA"), CalibrationConfig())
-        assert calls == [False] * lattice_size() + [True] * result.iterations
+        assert calls == [(False, lattice_size())] + [(True, 1)] * result.iterations
 
     @pytest.mark.parametrize(
         "name, start, evaluations",
         [("AXA", (6.0, -4.0, 0.2), 6), ("CREDIT_AGRICOLE", (6.0, -4.0, 0.2), 6), ("MICHELIN", (4.0, -2.0, 0.2), 7)],
     )
     def test_desk_batches_stay_small(self, name, start, evaluations, monkeypatch):
-        # The make-bundle slices.  Every pricing batch evaluates at most 800
-        # density nodes, a bound on the graded 16-node mesh that a 64-node
-        # rule on the 36 equal and kink panels (2,304 nodes) breaks.  The grid
-        # starts and the fit's evaluation counts are pinned too.
+        # The make-bundle slices.  Every lattice row and every fit evaluation
+        # has at most 800 live density nodes, a bound on the graded 16-node
+        # mesh that a 64-node rule on the 36 equal and kink panels (2,304
+        # nodes) breaks.  The lattice is scored in stacked blocks, each one
+        # density pass holding at most nig._STACK_NODES nodes, padding
+        # included.  The grid starts and the fit's evaluation counts are
+        # pinned too.
         slice_ = desk_slice(name)
-        points, starts = [], []
-        pdf, init = nig.nig_pdf, calibration.grid_init
+        points, blocks, starts = [], [], []
+        pdf, price_block, init = nig.nig_pdf, nig._price_block, calibration.grid_init
 
         def counting_pdf(x, *args, **kwargs):
             points.append(np.size(x))
             return pdf(x, *args, **kwargs)
+
+        def recording_block(slice_, mesh, *args):
+            blocks.append((mesh.nodes.copy(), mesh.edges.shape))
+            return price_block(slice_, mesh, *args)
 
         def recording_init(residual):
             starts.append(init(residual))
             return starts[-1]
 
         monkeypatch.setattr(nig, "nig_pdf", counting_pdf)
+        monkeypatch.setattr(nig, "_price_block", recording_block)
         monkeypatch.setattr(calibration, "grid_init", recording_init)
         result = calibrate(slice_, CalibrationConfig())
         assert starts == [start] and result.iterations == evaluations
-        assert len(points) == lattice_size() + evaluations and max(points) <= 800
+        assert len(points) == len(blocks) + evaluations
+        assert sum(len(live) for live, _ in blocks) == lattice_size()
+        assert max(max(live) for live, _ in blocks) <= 800 and max(points[len(blocks):]) <= 800
+        held = [rows * (edges - 1) * 16 for _, (rows, edges) in blocks]
+        assert max(held) <= nig._STACK_NODES and points[: len(blocks)] == [sum(live) for live, _ in blocks]
 
     def test_prior_inverted_once_per_slice(self, monkeypatch):
         # calibrate builds the slice's least-squares problem once and the

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import special
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
@@ -537,6 +537,80 @@ class TestPricerProperties:
         ladder = list(np.linspace(0.7, 1.3, 7) * PROPERTY_SLICE.forward)
         batch = price_european_batch(model, ladder + [strike], ["C", "P"] * 3 + ["C", kind])
         assert price_european_batch(model, [strike], [kind])[0] == pytest.approx(batch[-1], abs=1e-12)
+
+
+def strike_on_a_panel_edge(model):
+    """A strike whose kink log(K / S0) - drift is exactly an inner equal-panel edge of the model's mesh.
+
+    None if no strike within 16 ulps of S0 exp(edge + drift) hits one.
+    """
+    a, b = model.interval
+    spot, drift = model.slice_.spot, model.drift
+    for edge in np.linspace(a, b, 25)[1:-1]:
+        if not -700.0 < edge + drift < 700.0:
+            continue
+        guess = spot * math.exp(edge + drift)
+        for strike in (guess * (1.0 + j * 2.0**-52) for j in range(-16, 17)):
+            if math.log(strike / spot) - drift == edge:
+                return strike
+    return None
+
+
+# Laws drawn from the calibration box, in its coordinates (u, v, delta).
+box_laws = st.builds(
+    lambda u, v, delta: NIGParams(*_theta((u, v, delta))),
+    st.floats(BOUNDS[0][0], BOUNDS[1][0]),
+    st.floats(BOUNDS[0][1], BOUNDS[1][1]),
+    st.floats(BOUNDS[0][2], BOUNDS[1][2]),
+)
+
+
+class TestStackedBatch:
+    @property_settings
+    @given(st.lists(box_laws, min_size=1, max_size=12))
+    def test_rows_match_single_batches(self, laws):
+        # Each row of a stack is the batch of its law alone, bit for bit: a
+        # ladder from deep in the money to beyond the interval (kinks outside
+        # (a, b)) and, where one exists, a strike whose kink is a panel edge.
+        # Twelve desk-sized rows overflow one block of nig._STACK_NODES.
+        models = [m for m in (ExpNIGModel(p, PROPERTY_SLICE) for p in laws) if m.priceable]
+        assume(models)
+        strikes = list(np.linspace(0.4, 2.0, 9) * PROPERTY_SLICE.forward) + [1e-8, 1e8]
+        on_edge = strike_on_a_panel_edge(models[-1])
+        strikes += [] if on_edge is None else [on_edge]
+        kinds = ["C", "P"] * (len(strikes) // 2) + ["C"] * (len(strikes) % 2)
+        stack = price_european_batch(models, strikes, kinds)
+        assert stack.shape == (len(models), len(strikes))
+        for model, row in zip(models, stack):
+            assert row.tobytes() == price_european_batch(model, strikes, kinds).tobytes()
+        # The stacked equal-panel edges are np.linspace's, bit for bit.
+        log_k = np.log(np.asarray(strikes) / PROPERTY_SLICE.spot)
+        panels = nig._Mesh.build(models, log_k).candidates[:, :25]
+        assert panels.tobytes() == np.array([np.linspace(*m.interval, 25) for m in models]).tobytes()
+
+    def test_kink_on_a_panel_edge(self, axa_params, ca_params, michelin_params, axa_slice):
+        # The edge and the kink are one edge after the dedupe, in the stack
+        # as in each single batch.
+        models = [ExpNIGModel(p, axa_slice) for p in (axa_params, ca_params, michelin_params)]
+        strikes = [strike_on_a_panel_edge(m) for m in models]
+        assert None not in strikes
+        kinds = ["C", "P", "C"]
+        stack = price_european_batch(models, strikes, kinds)
+        for model, row in zip(models, stack):
+            assert row.tobytes() == price_european_batch(model, strikes, kinds).tobytes()
+
+    def test_stack_checked(self, axa_params, ca_params, axa_slice, michelin_slice):
+        heavy = ExpNIGModel(NIGParams(2.0, -1.99999, 0.3), axa_slice)
+        models = [ExpNIGModel(axa_params, axa_slice), ExpNIGModel(ca_params, axa_slice)]
+        assert not heavy.priceable and all(m.priceable for m in models)
+        with pytest.raises(DomainError):
+            price_european_batch(models + [heavy], [30.0], ["C"])  # one row cannot be priced
+        with pytest.raises(DomainError):
+            price_european_batch(models + [ExpNIGModel(axa_params, michelin_slice)], [30.0], ["C"])
+        with pytest.raises(DomainError):
+            price_european_batch([], [30.0], ["C"])
+        with pytest.raises(DomainError):
+            price_european_batch(models, [30.0], ["C"], gradient=True)
 
 
 def tail_bound(p, t, end, side):
