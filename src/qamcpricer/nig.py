@@ -10,11 +10,11 @@ follow NIG(alpha, beta, delta*t, mu*t).  The exponential model prices the
 asset as S(T) = S0 exp((r - q + omega) T + X(T)) where omega is the
 martingale adjustment making the discounted asset a martingale.
 
-European prices are payoff quadratures on an interval set by a closed-form
-tail bound (the tests cross-check them with a Fourier-cosine pricer and
-with a 4x refined 64-node quadrature).  The density is analytic in x but
-at its branch points mu t +- i delta t, where the square root vanishes.
-The pricer's panels are the interval's 24 equal panels, the payoff kinks,
+European prices and the CDF are quadratures on an interval set by a
+closed-form tail bound (the tests cross-check them with a Fourier-cosine
+pricer and with a 4x refined 64-node quadrature).  The density is analytic
+in x but at its branch points mu t +- i delta t.  Both use one mesh: the
+interval's 24 equal panels, the payoff kinks or the CDF's query points,
 and edges graded geometrically toward mu t (mu t and mu t +- delta t 2^k):
 no panel off mu t is wider than twice its distance from it, so the branch
 points lie outside every panel's Bernstein ellipse of parameter
@@ -56,6 +56,7 @@ __all__ = [
 # interval, graded toward the density's branch points (see _Mesh), with a
 # _PRICING_NODES-node Gauss-Legendre rule on each.
 _PRICING_PANELS, _PRICING_NODES = 24, 16
+_PRICING_RULE = QuadratureRule.gauss_legendre(_PRICING_NODES)
 
 # The most nodes one density pass of a stacked batch holds (a lone model's
 # mesh may hold more): blocks of many laws stay small in memory.
@@ -231,26 +232,25 @@ def _far_anchors(p: NIGParams, t: float) -> tuple[float, float]:
 
 
 def nig_cdf(x, p: NIGParams, t: float = 1.0):
-    """CDF by cumulative quadrature of the density (no closed form exists).
+    """CDF by quadrature of the density (no closed form exists) on ``pricing_interval`` [a, b].
 
-    Vectorized: query points are merged with a fine base grid, each resulting
-    segment is integrated with a 16-node Gauss-Legendre rule, and segment
-    masses are accumulated.
+    The query points, clipped to [a, b], join the edges of the pricer's
+    mesh (``_Mesh``), and one prefix sum over its nodes is read at each.
+    The CDF is 0 at and below a.  Above a it misses the mass below a, and
+    from b on also the mass above b: each within the interval's 1e-11 tail
+    bound (above b, once b > log E[e^X]) unless that side's width stopped
+    at 60.  Every panel converges as the pricer's do, so a point's value
+    does not depend on the other query points beyond rounding.
     """
-    scalar = np.isscalar(x)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    lo, hi = _far_anchors(p, t)
-    queries = np.clip(x_arr.ravel(), lo, hi)
-    # np.union1d's sorted distinct values, without the numpy.ma import it makes.
-    edges = np.sort(np.concatenate([np.linspace(lo, hi, 512), queries]))
-    edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
-    rule = QuadratureRule.gauss_legendre(16)
-    nodes, half = gauss_legendre_panels(edges, rule)
-    vals = nig_pdf(nodes.ravel(), p, t).reshape(nodes.shape)
-    cum = np.concatenate([[0.0], np.cumsum(half * (vals @ rule.weights))])
-    out = cum[np.searchsorted(edges, queries)]
-    out = out.reshape(x_arr.shape)
-    return float(out[0]) if scalar else out
+    x_arr = np.asarray(x, dtype=float)
+    if t <= 0 or np.isnan(x_arr).any():  # clipped, a NaN would read as the full mass
+        raise DomainError("t must be positive and x not NaN")
+    law = np.array([[*pricing_interval(p, t), 0.0, p.alpha, p.beta, p.delta, p.mu, p.gamma]])
+    mesh = _Mesh.build(law, x_arr.reshape(1, -1), t).deduped()
+    (nodes,), (weights,) = mesh.quadrature()
+    cum = np.concatenate([[0.0], np.cumsum(weights * nig_pdf(nodes, p, t))])
+    out = cum[np.searchsorted(mesh.edges[0], mesh.extra[0]) * _PRICING_NODES].reshape(x_arr.shape)
+    return float(out) if np.isscalar(x) else out
 
 
 def _mass(p: NIGParams, t: float, lo: float, hi: float) -> float:
@@ -415,13 +415,13 @@ def price_european_batch(model, strikes, kinds, gradient: bool = False):
             a, b = m.interval
             raise DomainError(f"S(T) overflows on the pricing interval [{a:.6g}, {b:.6g}] of {m.params}")
     slice_ = models[0].slice_
+    laws = np.array([(*m.interval, m.drift, *(getattr(m.params, f) for f in _LawColumns._fields)) for m in models])
     # Payoff kinks in x-space are log(K / S0) - drift, one drift per model.
     log_k = np.array([math.log(strike / slice_.spot) for strike in strikes])
     is_call = np.array([kind == "C" for kind in kinds], dtype=bool)
-    mesh = _Mesh.build(models, log_k)
+    mesh = _Mesh.build(laws, log_k - laws[:, 2:3], slice_.expiry).deduped()
     if gradient:
         return _price_with_gradient(model, mesh, strikes, is_call)
-    mesh = mesh.deduped()
     out = np.empty((len(models), strikes.size))
     for rows, block in mesh.blocks():
         out[rows] = _price_block(slice_, block, strikes, is_call)
@@ -439,10 +439,10 @@ class _LawColumns(NamedTuple):
 
 
 class _Mesh(NamedTuple):
-    """The pricing meshes of laws on one slice, one row per law.
+    """The quadrature meshes of NIG laws at one horizon t, one row per law.
 
     Row i's candidate edges are the _PRICING_PANELS + 1 equal-panel edges
-    of law i's interval [a, b], its kinks log(K / S0) - drift inside (a, b),
+    of law i's interval [a, b], its ``extra`` edges (clipped to [a, b]),
     and its graded edges mu t + delta t c inside (a, b), c = 0 and +-2^k for
     k = -1, 0, 1, ... while 2^k delta t is below the equal-panel width
     (``steps`` lists every c); a candidate that is no edge is set to a.
@@ -454,35 +454,34 @@ class _Mesh(NamedTuple):
     a: np.ndarray
     b: np.ndarray
     drift: np.ndarray
-    x_stars: np.ndarray
+    extra: np.ndarray
     steps: np.ndarray
     candidates: np.ndarray
     edges: np.ndarray | None = None
     count: np.ndarray | None = None
 
     @classmethod
-    def build(cls, models, log_k: np.ndarray) -> "_Mesh":
-        t = models[0].slice_.expiry
-        scalars = np.array(
-            [(*m.interval, m.drift, *(getattr(m.params, name) for name in _LawColumns._fields)) for m in models]
-        )
-        a, b, drift = scalars[:, :3].T
-        laws = scalars[:, 3:]
+    def build(cls, rows: np.ndarray, extra: np.ndarray, t: float) -> "_Mesh":
+        """From rows (a, b, drift, alpha, beta, delta, mu, gamma) and x-space edges, shape (laws, edges)."""
+        a, b, drift = rows[:, :3].T
+        laws = rows[:, 3:]
+        extra = np.clip(extra, a[:, None], b[:, None])
         dt, mt = (laws[:, 2:4] * t).T
         width = (b - a) / _PRICING_PANELS
         # c = 2^(k-1) doubles c dt exactly, so the steps below the width are a prefix.
         powers = 0.5 * 2.0 ** np.arange(max(math.ceil(math.log2((width / dt).max())) + 2, 0))
         steps = np.concatenate([[0.0], -powers, powers])
         below = powers * dt[:, None] < width[:, None]
-        inner = np.concatenate([log_k - drift[:, None], mt[:, None] + dt[:, None] * steps], axis=1)
+        inner = np.concatenate([extra, mt[:, None] + dt[:, None] * steps], axis=1)
         edge = (inner > a[:, None]) & (inner < b[:, None])
-        edge[:, log_k.size + 1 : log_k.size + 1 + powers.size] &= below
-        edge[:, log_k.size + 1 + powers.size :] &= below
+        graded = extra.shape[1] + 1
+        edge[:, graded : graded + powers.size] &= below
+        edge[:, graded + powers.size :] &= below
         # np.linspace(a, b, _PRICING_PANELS + 1) row by row, as it forms them.
         panel = np.arange(_PRICING_PANELS + 1.0) * width[:, None] + a[:, None]
         panel[:, -1] = b
         candidates = np.concatenate([panel, np.where(edge, inner, a[:, None])], axis=1)
-        return cls(laws, a, b, drift, inner[:, : log_k.size], steps, candidates)
+        return cls(laws, a, b, drift, extra, steps, candidates)
 
     def deduped(self) -> "_Mesh":
         """With ``edges``, each row's ``count`` distinct candidates in order, as
@@ -498,6 +497,12 @@ class _Mesh(NamedTuple):
     def nodes(self) -> np.ndarray:
         """Live quadrature nodes per row."""
         return (self.count - 1) * _PRICING_NODES
+
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of the _PRICING_NODES-node rule on every panel, one row per law."""
+        nodes, half = gauss_legendre_panels(self.edges, _PRICING_RULE)
+        x = nodes.reshape(self.count.size, -1)
+        return x, (half[..., None] * _PRICING_RULE.weights).reshape(x.shape)
 
     def blocks(self):
         """Consecutive rows holding at most _STACK_NODES nodes, padding included, as
@@ -518,10 +523,7 @@ class _Mesh(NamedTuple):
 
 def _price_block(slice_: MarketSlice, mesh: _Mesh, strikes: np.ndarray, is_call: np.ndarray) -> np.ndarray:
     """Plain prices of a block of laws, one row each, off one density pass over their live nodes."""
-    rule = QuadratureRule.gauss_legendre(_PRICING_NODES)
-    nodes, half = gauss_legendre_panels(mesh.edges, rule)
-    x = nodes.reshape(mesh.count.size, -1)
-    w = (half[..., None] * rule.weights).reshape(x.shape)
+    x, w = mesh.quadrature()
     live = np.arange(x.shape[1]) < mesh.nodes[:, None]
     dens = np.zeros(x.shape)
     dens[live] = nig_pdf(x[live], _LawColumns(*np.repeat(mesh.laws.T, mesh.nodes, axis=1)), slice_.expiry)
@@ -537,11 +539,7 @@ def _price_with_gradient(model: ExpNIGModel, mesh: _Mesh, strikes: np.ndarray, i
     """Prices of one law and their (alpha, beta, delta)-gradient off one density pass."""
     p = model.params
     t = model.slice_.expiry
-    edges, source = np.unique(mesh.candidates[0], return_index=True)
-    rule = QuadratureRule.gauss_legendre(_PRICING_NODES)
-    nodes, half = gauss_legendre_panels(edges, rule)
-    x = nodes.ravel()
-    w = (half[:, None] * rule.weights[None, :]).ravel()
+    (x,), (w,) = mesh.quadrature()
     dens, k1 = nig_pdf(x, p, t, return_kve=True)
     s_dens = model.price_at(x) * dens
     # Columns u = w S(T) f and v = w f as in _price_block, each followed by
@@ -551,18 +549,19 @@ def _price_with_gradient(model: ExpNIGModel, mesh: _Mesh, strikes: np.ndarray, i
     uv[:, 4] = w * dens
     scores, slope = _log_density_scores(x, p, t, k1)
     d_drift = _drift_gradient(p, t)
-    # Nodes and weights move with the panel edges: the interval's edges
-    # with its ends, the kinks log(K / S0) - drift against the drift,
-    # and the graded edges mu t + delta t c by t c along delta.
+    # Nodes and weights move with the panel edges, each as the first equal
+    # candidate: the interval's edges with its ends, the kinks against the
+    # drift, and the graded edges mu t + delta t c by t c along delta.
     d_a, d_b = _interval_gradient(p, t, mesh.a[0], mesh.b[0])
     frac = np.linspace(0.0, 1.0, _PRICING_PANELS + 1)[:, None]
     d_graded = np.zeros((mesh.steps.size, 3))
     d_graded[:, 2] = t * mesh.steps
+    source = np.argmax(mesh.candidates[0] == mesh.edges[0, :, None], axis=1)
     d_edges = np.concatenate([d_a + frac * (d_b - d_a), np.tile(-d_drift, (strikes.size, 1)), d_graded])[source]
     d_mid = 0.5 * (d_edges[1:] + d_edges[:-1])[:, None, :]
     d_half = 0.5 * (d_edges[1:] - d_edges[:-1])[:, None, :]
-    d_x = (d_mid + d_half * rule.nodes[None, :, None]).reshape(-1, 3)
-    d_w = (d_half * rule.weights[None, :, None]).reshape(-1, 3)
+    d_x = (d_mid + d_half * _PRICING_RULE.nodes[None, :, None]).reshape(-1, 3)
+    d_w = (d_half * _PRICING_RULE.weights[None, :, None]).reshape(-1, 3)
     # d payoff / d drift = +-S(T), so the drift moves u and not v.
     uv[:, 1:4] = s_dens[:, None] * d_w + (w * s_dens)[:, None] * (scores + (1.0 + slope)[:, None] * d_x + d_drift)
     uv[:, 5:] = dens[:, None] * d_w + (w * dens)[:, None] * (scores + slope[:, None] * d_x)
@@ -573,20 +572,20 @@ def _price_with_gradient(model: ExpNIGModel, mesh: _Mesh, strikes: np.ndarray, i
 def _read_prices(uv, x, live, mesh: _Mesh, strikes, is_call, df) -> np.ndarray:
     """Discounted prices off per-node columns (u, ..., v, ...), shape (rows, strikes, columns / 2).
 
-    x increases along each row, so a call's support is a suffix of the
-    row's nodes and a put's a prefix; a call struck above b or a put below
-    a has an empty run: 0.  Each row is read with its own searchsorted over
+    The mesh's ``extra`` edges are the kinks, clipped to [a, b].  x
+    increases along each row, so a call's support is a suffix of the row's
+    nodes and a put's a prefix; a call struck above b or a put below a has
+    an empty run: 0.  Each row is read with its own searchsorted over
     its ``live`` nodes.  The cumulative sums run only as far as some read
     needs them: the prefix sums up to the last read, the suffix sums down
     to the first.
     """
     rows, size, columns = uv.shape
-    clipped = np.clip(mesh.x_stars, mesh.a[:, None], mesh.b[:, None])
-    lo = np.empty(clipped.shape, dtype=np.intp)
+    lo = np.empty(mesh.extra.shape, dtype=np.intp)
     hi = np.empty_like(lo)
     for i, n in enumerate(live):
-        lo[i] = np.searchsorted(x[i, :n], clipped[i], side="left")
-        hi[i] = np.searchsorted(x[i, :n], clipped[i], side="right")
+        lo[i] = np.searchsorted(x[i, :n], mesh.extra[i], side="left")
+        hi[i] = np.searchsorted(x[i, :n], mesh.extra[i], side="right")
     top, bottom = hi.max(), lo.min()
     prefix = np.zeros((rows, top + 1, columns))
     suffix = np.zeros((rows, size - bottom + 1, columns))

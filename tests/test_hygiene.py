@@ -2,7 +2,8 @@
 every export has a reader, every field a src/ class stores has a reader, src/
 memoizes nothing keyed by model inputs, only the CLI's two writers and the
 quote saver write files, only the study harness's fork-join helper starts
-processes or threads, and a CLI run imports no scipy.
+processes or threads, nig maps its quadrature rule at one site and never
+calls np.unique, and a CLI run imports no scipy.
 
 The field rule covers each field of a src/ dataclass and each attribute a
 src/ class sets on ``self``.  It counts as read when src/ or perfbench/
@@ -257,6 +258,26 @@ def test_memo_site_is_found():
     assert memo_sites(source) == ["Rule.nodes", "f", "<module>"]
 
 
+def _scoped_sites(tree, hit) -> list[str]:
+    """The dotted name of the def or class enclosing each node for which ``hit`` holds, in source order.
+
+    A node at top level is ``<module>``.
+    """
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if hit(child):
+                sites.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return sites
+
+
 # Calls that write a file: module -> the functions of it that write.
 _WRITER_CALLS = {"json": {"dump", "dumps"}, "csv": {"writer", "DictWriter"}}
 
@@ -299,19 +320,7 @@ def write_sites(source: str) -> list[str]:
         owner = modules.get(func.value.id) if isinstance(func.value, ast.Name) else None
         return func.attr in _WRITER_CALLS.get(owner, ())
 
-    sites = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}" if scope else child.name)
-                continue
-            if isinstance(child, ast.Call) and writes(child):
-                sites.append(scope or "<module>")
-            visit(child, scope)
-
-    visit(tree, "")
-    return list(dict.fromkeys(sites))
+    return list(dict.fromkeys(_scoped_sites(tree, lambda node: isinstance(node, ast.Call) and writes(node))))
 
 
 def test_only_the_cli_writers_and_save_quotes_write_files():
@@ -375,19 +384,7 @@ def concurrency_sites(source: str) -> list[str]:
         return (isinstance(node, ast.Attribute) and node.attr in _FORKS
                 and isinstance(node.value, ast.Name) and node.value.id in os_names)
 
-    sites = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}" if scope else child.name)
-                continue
-            if starts(child):
-                sites.append(scope or "<module>")
-            visit(child, scope)
-
-    visit(tree, "")
-    return list(dict.fromkeys(sites))
+    return list(dict.fromkeys(_scoped_sites(tree, starts)))
 
 
 def test_only_the_fork_join_helper_starts_processes():
@@ -418,6 +415,63 @@ def test_concurrency_site_is_found():
         "    return system.getpid(), system.forked, os.fork\n"
     )
     assert concurrency_sites(source) == ["<module>", "helper", "Pool.start", "run"]
+
+
+def call_sites(source: str, module: str, function: str) -> list[str]:
+    """Each call of ``module.function`` in a module, as the dotted name of the enclosing def or class.
+
+    The function counts when reached through the module (imported under any
+    name, or from its package) or imported from it under any name, the
+    module matched by its last dotted component, so relative imports count
+    too.  Each call is listed, two in one def as two sites; a call at top
+    level is ``<module>``.
+    """
+    tree = ast.parse(source)
+    modules, direct = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name.split(".")[-1] == module}
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == module:
+                direct |= {alias.asname or alias.name for alias in node.names if alias.name == function}
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name == module}
+
+    def calls(node) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        if isinstance(func, ast.Name):
+            return func.id in direct
+        return (isinstance(func, ast.Attribute) and func.attr == function
+                and isinstance(func.value, ast.Name) and func.value.id in modules)
+
+    return _scoped_sites(tree, calls)
+
+
+def test_nig_maps_one_quadrature_rule_and_dedupes_once():
+    # Every NIG density integral that shares the pricer's mesh gets its
+    # nodes and weights from one mapping, and its edges from one dedupe.
+    source = (ROOT / "src" / "qamcpricer" / "nig.py").read_text()
+    assert call_sites(source, "numerics", "gauss_legendre_panels") == ["_Mesh.quadrature"]
+    assert call_sites(source, "numpy", "unique") == []
+
+
+def test_call_site_is_found():
+    source = (
+        "import numpy as np\n"
+        "import numpy\n"
+        "from numpy import unique as distinct\n"
+        "from .numerics import gauss_legendre_panels as panels\n"
+        "from . import numerics\n"
+        "class Mesh:\n"
+        "    def nodes(self):\n"
+        "        return panels(self.edges), numerics.gauss_legendre_panels(self.edges)\n"
+        "def dedupe(x):\n"
+        "    return np.unique(x), numpy.unique(x), distinct(x), np.sort(x), unique(x), x.unique()\n"
+        "np.unique([1])\n"
+    )
+    assert call_sites(source, "numerics", "gauss_legendre_panels") == ["Mesh.nodes", "Mesh.nodes"]
+    assert call_sites(source, "numpy", "unique") == ["dedupe", "dedupe", "dedupe", "<module>"]
 
 
 # Run in a fresh interpreter: pytest's own warning filters import scipy.optimize.

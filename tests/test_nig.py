@@ -13,7 +13,7 @@ from scipy.optimize import minimize_scalar
 from qamcpricer import nig
 from qamcpricer.calibration import BOUNDS, _theta
 from qamcpricer.errors import DomainError
-from qamcpricer.experiments import FIXTURES
+from qamcpricer.experiments import FIXTURES, fixture_slice
 from qamcpricer.market_data import MarketSlice
 from qamcpricer.nig import (
     ExpNIGModel,
@@ -103,8 +103,9 @@ class TestPdf:
         assert direct == pytest.approx(nig_pdf(0.05, scaled, 1.0), rel=1e-13)
 
     def test_domain_error_on_bad_t(self, axa_params):
-        with pytest.raises(DomainError):
-            nig_pdf(0.0, axa_params, 0.0)
+        for f in (nig_pdf, nig_cdf):
+            with pytest.raises(DomainError):
+                f(0.0, axa_params, 0.0)
 
     @pytest.mark.parametrize("f", [nig_pdf, nig_cdf], ids=["pdf", "cdf"])
     @pytest.mark.parametrize("x", [math.nan, [0.0, math.nan]], ids=["scalar", "array"])
@@ -419,25 +420,15 @@ property_settings = settings(max_examples=25, deadline=None, derandomize=True, d
 PROPERTY_SLICE = MarketSlice("PROP", spot=30.0, expiry=1.0, rate=0.02, dividend_yield=0.0)
 
 
-def per_quote_prices(model, strikes, kinds, refine=1, nodes=16):
-    """Each quote priced by its own dot product over a mesh of the pricing interval.
+def reference_mesh(p, t, inner, refine, nodes):
+    """Edges, nodes and weights of a composite Gauss-Legendre rule on the pricing interval [a, b].
 
-    The mesh is 24 * ``refine`` equal panels, the batch's kinks, and the edges
-    graded toward mu t: mu t and mu t +- delta t 2^k for k = -1, 0, 1, ...
-    while 2^k delta t is below (b - a) / 24, kept strictly inside (a, b).
-    Each panel carries a ``nodes``-node Gauss-Legendre rule.  At the
-    defaults these are price_european_batch's own nodes, so the function is
-    the reference for its prefix and suffix sums; at ``refine=4, nodes=64``
-    it is the quadrature oracle.  It shares only nig_pdf and pricing_interval
-    with the package.
+    The mesh is 24 * ``refine`` equal panels, the points ``inner`` inside
+    (a, b), and the edges graded toward mu t: mu t and mu t +- delta t 2^k
+    for k = -1, 0, 1, ... while 2^k delta t is below (b - a) / 24, kept
+    strictly inside (a, b).  Each panel carries a ``nodes``-node rule.
     """
-    p, slice_ = model.params, model.slice_
-    t = slice_.expiry
     a, b = pricing_interval(p, t)
-    omega = -p.mu + p.delta * (math.sqrt(p.alpha**2 - (p.beta + 1.0) ** 2) - math.sqrt(p.alpha**2 - p.beta**2))
-    drift = (slice_.rate - slice_.dividend_yield + omega) * t
-    x_stars = [math.log(strike / slice_.spot) - drift for strike in strikes]
-    kinks = sorted({x_star for x_star in x_stars if a < x_star < b})
     dt = p.delta * t
     steps = [0.0]
     c = 0.5
@@ -445,12 +436,31 @@ def per_quote_prices(model, strikes, kinds, refine=1, nodes=16):
         steps += [-c, c]
         c *= 2.0
     graded = [p.mu * t + dt * step for step in steps if a < p.mu * t + dt * step < b]
-    edges = np.unique(np.concatenate([np.linspace(a, b, 24 * refine + 1), kinks, graded]))
+    inner = [v for v in inner if a < v < b]
+    edges = np.unique(np.concatenate([np.linspace(a, b, 24 * refine + 1), inner, graded]))
     ref_nodes, ref_weights = np.polynomial.legendre.leggauss(nodes)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     x = (mid[:, None] + half[:, None] * ref_nodes[None, :]).ravel()
     w = (half[:, None] * ref_weights[None, :]).ravel()
+    return edges, x, w
+
+
+def per_quote_prices(model, strikes, kinds, refine=1, nodes=16):
+    """Each quote priced by its own dot product over ``reference_mesh`` with the batch's kinks.
+
+    At the defaults these are price_european_batch's own nodes, so the
+    function is the reference for its prefix and suffix sums; at
+    ``refine=4, nodes=64`` it is the quadrature oracle.  It shares only
+    nig_pdf and pricing_interval with the package.
+    """
+    p, slice_ = model.params, model.slice_
+    t = slice_.expiry
+    a, b = pricing_interval(p, t)
+    omega = -p.mu + p.delta * (math.sqrt(p.alpha**2 - (p.beta + 1.0) ** 2) - math.sqrt(p.alpha**2 - p.beta**2))
+    drift = (slice_.rate - slice_.dividend_yield + omega) * t
+    x_stars = [math.log(strike / slice_.spot) - drift for strike in strikes]
+    _, x, w = reference_mesh(p, t, x_stars, refine, nodes)
     dens = nig_pdf(x, p, t)
     s_vals = slice_.spot * np.exp(drift + x)
     out = []
@@ -585,7 +595,9 @@ class TestStackedBatch:
             assert row.tobytes() == price_european_batch(model, strikes, kinds).tobytes()
         # The stacked equal-panel edges are np.linspace's, bit for bit.
         log_k = np.log(np.asarray(strikes) / PROPERTY_SLICE.spot)
-        panels = nig._Mesh.build(models, log_k).candidates[:, :25]
+        fields = nig._LawColumns._fields
+        rows = np.array([(*m.interval, m.drift, *(getattr(m.params, f) for f in fields)) for m in models])
+        panels = nig._Mesh.build(rows, log_k - rows[:, 2:3], PROPERTY_SLICE.expiry).candidates[:, :25]
         assert panels.tobytes() == np.array([np.linspace(*m.interval, 25) for m in models]).tobytes()
 
     def test_kink_on_a_panel_edge(self, axa_params, ca_params, michelin_params, axa_slice):
@@ -611,6 +623,122 @@ class TestStackedBatch:
             price_european_batch([], [30.0], ["C"])
         with pytest.raises(DomainError):
             price_european_batch(models, [30.0], ["C"], gradient=True)
+
+
+# Pinned at the commit before nig_cdf and the gradient batch moved onto the
+# pricer's deduped mesh: the make-bundle AXA slice's 24 prices and their
+# (alpha, beta, delta)-gradient, and a stack of the three fixtures on that
+# slice, each strike the kink of its row's law on an equal-panel edge.
+AXA_PLAIN_HEX = [
+    "0x1.c5ab715707997p+2", "0x1.012cbf371d745p+0", "0x1.8c9cfe76d4667p+2", "0x1.3821af02d48b8p+0",
+    "0x1.5630ce399c2e1p+2", "0x1.799fa95a778c8p+0", "0x1.22ddf61498133p+2", "0x1.c7830412eb00ap+0",
+    "0x1.e652c9a697b66p+1", "0x1.11efbd2d1f02ep+1", "0x1.8f3fcc190b4d1p+1", "0x1.48741d45d4875p+1",
+    "0x1.41929fbedd436p+1", "0x1.885e4e91e86ddp+1", "0x1.fc4cdcb5f523bp+0", "0x1.d2897ad447ad5p+1",
+    "0x1.8ad68e0462b50p+0", "0x1.13b2d890e032fp+2", "0x1.2e6dbeaa19fd2p+0", "0x1.4364538d6efd7p+2",
+    "0x1.cae34ab9521f5p-1", "0x1.77f0fc0d33bbbp+2", "0x1.5a824335d0564p-1", "0x1.b0b089efe47b0p+2",
+]
+AXA_GRADIENT_HEX = [
+    ["-0x1.b3325d0bb3ae5p-2", "-0x1.dd04c65b64d0bp-2", "0x1.52a02e3a0f35bp+2"],
+    ["-0x1.b3325d0a5e4c1p-2", "-0x1.dd04c65a3c2e4p-2", "0x1.52a02e3b2c8e0p+2"],
+    ["-0x1.d2800d40488d9p-2", "-0x1.fe61b0146c0d5p-2", "0x1.85ccdcee62dfbp+2"],
+    ["-0x1.d2800d3ee58b7p-2", "-0x1.fe61b01337940p-2", "0x1.85ccdcef8b9bap+2"],
+    ["-0x1.ec295ab942dc0p-2", "-0x1.0c31bb28a8a22p-1", "0x1.baa141996233ap+2"],
+    ["-0x1.ec295ab7d239ep-2", "-0x1.0c31bb28087a1p-1", "0x1.baa1419a96532p+2"],
+    ["-0x1.fdbdfa0034121p-2", "-0x1.13eb9468ae574p-1", "0x1.ee7d2a195f175p+2"],
+    ["-0x1.fdbdf9feb5cffp-2", "-0x1.13eb94680843dp-1", "0x1.ee7d2a1a9e9a7p+2"],
+    ["-0x1.024f333ce5614p-1", "-0x1.14a5947fcc7aap-1", "0x1.0ebef46adb358p+3"],
+    ["-0x1.024f333c1f706p-1", "-0x1.14a5947f207bfp-1", "0x1.0ebef46b80a91p+3"],
+    ["-0x1.fe5c8c2a19e53p-2", "-0x1.0ccf4d05cd52fp-1", "0x1.2139d2e9ad5dap+3"],
+    ["-0x1.fe5c8c288063bp-2", "-0x1.0ccf4d051b68cp-1", "0x1.2139d2ea58832p+3"],
+    ["-0x1.e9652693ce36ep-2", "-0x1.f6fed26121874p-2", "0x1.2baf038d4b0e1p+3"],
+    ["-0x1.e965269227156p-2", "-0x1.f6fed25fb1dbfp-2", "0x1.2baf038dfbe58p+3"],
+    ["-0x1.c5de4826b15bfp-2", "-0x1.c231659d349c9p-2", "0x1.2b65420aed7fdp+3"],
+    ["-0x1.c5de4824fc9a6p-2", "-0x1.c231659bb919cp-2", "0x1.2b65420ba4092p+3"],
+    ["-0x1.9656a6d61e7fep-2", "-0x1.7f87c7fe2867fp-2", "0x1.1f0218746890ep+3"],
+    ["-0x1.9656a6d45c1e1p-2", "-0x1.7f87c7fca10e5p-2", "0x1.1f02187524cbfp+3"],
+    ["-0x1.5f9f72eb3cabfp-2", "-0x1.36766bdf968b7p-2", "0x1.078351b172ccbp+3"],
+    ["-0x1.5f9f72e96caa1p-2", "-0x1.36766bde035b1p-2", "0x1.078351b234b96p+3"],
+    ["-0x1.2780dfa770407p-2", "-0x1.decb257307c18p-3", "0x1.d081d98db090bp+2"],
+    ["-0x1.2780dfa5929e8p-2", "-0x1.decb256fc9b33p-3", "0x1.d081d98f3fcd0p+2"],
+    ["-0x1.e5e091113275ap-3", "-0x1.61d149d574350p-3", "0x1.8b6a83461e5e3p+2"],
+    ["-0x1.e5e0910d5bf23p-3", "-0x1.61d149d21e792p-3", "0x1.8b6a8347b8fe2p+2"],
+]
+EDGE_STRIKES_HEX = [
+    "0x1.09e291fb5b563p+6", "0x1.25db4b0c76c5fp+6", "0x1.f3a35b19c9bc8p+5",
+]
+EDGE_STACK_HEX = [
+    ["0x1.400c2f1ca88ebp-8", "0x1.31b0f0d0a51a3p+5", "0x1.2079d8b6bfc7ep-7"],
+    ["0x1.069a557b0a9e1p-7", "0x1.31b3fa366a819p+5", "0x1.c4085fa79f94dp-7"],
+    ["0x1.ba931e37607a1p-8", "0x1.31b21025ee4d4p+5", "0x1.9f9418b387360p-7"],
+]
+
+
+class TestPinnedBits:
+    def test_make_bundle_axa_slice(self):
+        slice_ = fixture_slice("AXA")
+        model = ExpNIGModel(FIXTURES["AXA"][0], slice_)
+        strikes, kinds = desk_quotes(slice_)
+        prices, grad = price_european_batch(model, strikes, kinds, gradient=True)
+        assert [v.hex() for v in price_european_batch(model, strikes, kinds)] == AXA_PLAIN_HEX
+        assert [v.hex() for v in prices] == AXA_PLAIN_HEX
+        assert [[v.hex() for v in row] for row in grad] == AXA_GRADIENT_HEX
+
+    def test_stack_with_kinks_on_panel_edges(self):
+        slice_ = fixture_slice("AXA")
+        models = [ExpNIGModel(FIXTURES[name][0], slice_) for name in ("AXA", "CREDIT_AGRICOLE", "MICHELIN")]
+        strikes = [float.fromhex(v) for v in EDGE_STRIKES_HEX]
+        for model, strike in zip(models, strikes):
+            assert math.log(strike / slice_.spot) - model.drift in np.linspace(*model.interval, 25)[1:-1]
+        stack = price_european_batch(models, strikes, ["C", "P", "C"])
+        assert [[v.hex() for v in row] for row in stack] == EDGE_STACK_HEX
+
+
+def reference_cdf(p, t, xs):
+    """The CDF at xs clipped to the pricing interval [a, b], by one cumulative
+    sum over a 4x refined 64-node ``reference_mesh`` with the points as edges."""
+    a, b = pricing_interval(p, t)
+    clipped = np.clip(xs, a, b)
+    edges, x, w = reference_mesh(p, t, clipped, refine=4, nodes=64)
+    cum = np.concatenate([[0.0], np.cumsum(w * nig_pdf(x, p, t))])
+    return cum[np.searchsorted(edges, clipped) * 64]
+
+
+def check_cdf(p, t=1.0):
+    """nig_cdf is 0 at and below a and within 1e-12 of the oracle across and beyond [a, b]."""
+    a, b = pricing_interval(p, t)
+    c1, c2, c4 = nig_cumulants(p, t)
+    scale = math.sqrt(c2 + math.sqrt(c4))
+    core = p.mu * t + p.delta * t * np.array([-4.0, -1.0, -0.25, 0.0, 0.25, 1.0, 4.0])
+    inside = np.concatenate([np.linspace(a, b, 41)[1:-1], c1 + scale * np.linspace(-3.0, 3.0, 13), core])
+    xs = np.concatenate([[a - 1.0, a], inside, [b, b + 1.0]])
+    cdf = nig_cdf(xs, p, t)
+    assert cdf[0] == 0.0 and cdf[1] == 0.0
+    assert np.max(np.abs(cdf - reference_cdf(p, t, xs))) <= 1e-12
+
+
+class TestCdf:
+    def test_narrow_core_reaches_one(self):
+        # NIG(0.6, -0.59, 0.2) lies inside the calibration box and has a
+        # core far narrower than an equal panel of its interval.
+        p = NIGParams(0.6, -0.59, 0.2)
+        a, b = pricing_interval(p, 1.0)
+        assert abs(nig_cdf(b, p) - 1.0) <= 1e-10
+        xs = np.concatenate([np.linspace(-5.0, 5.0, 201), [a, b]])
+        batch = nig_cdf(xs, p)
+        assert np.max(np.abs(np.array([nig_cdf(v, p) for v in xs]) - batch)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "params",
+        [*(params for params, _ in FIXTURES.values()), SLOW_RIGHT, SLOW_LEFT, NIGParams(0.6, -0.59, 0.2)],
+        ids=[*FIXTURES, "SLOW_RIGHT", "SLOW_LEFT", "NARROW_CORE"],
+    )
+    def test_matches_refined_oracle(self, params):
+        check_cdf(params)
+
+    @property_settings
+    @given(params=equity_laws, t=st.floats(0.1, 2.0))
+    def test_matches_refined_oracle_on_equity_laws(self, params, t):
+        check_cdf(params, t)
 
 
 def tail_bound(p, t, end, side):
