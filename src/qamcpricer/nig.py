@@ -493,6 +493,16 @@ class _Mesh(NamedTuple):
         count = ordered.shape[1] - repeat.sum(axis=1)
         return self._replace(edges=np.sort(ordered, axis=1)[:, : count.max()], count=count)
 
+    def sources(self, row: int) -> np.ndarray:
+        """The index of each of row ``row``'s edges among its candidates, the first equal one.
+
+        A stable sort puts equal candidates in index order, so an edge's first
+        place in it is its first equal candidate: the indices that
+        ``np.unique(..., return_index=True)`` returns, and b's for the padding.
+        """
+        order = np.argsort(self.candidates[row], kind="stable")
+        return order[np.searchsorted(self.candidates[row, order], self.edges[row])]
+
     @property
     def nodes(self) -> np.ndarray:
         """Live quadrature nodes per row."""
@@ -556,8 +566,8 @@ def _price_with_gradient(model: ExpNIGModel, mesh: _Mesh, strikes: np.ndarray, i
     frac = np.linspace(0.0, 1.0, _PRICING_PANELS + 1)[:, None]
     d_graded = np.zeros((mesh.steps.size, 3))
     d_graded[:, 2] = t * mesh.steps
-    source = np.argmax(mesh.candidates[0] == mesh.edges[0, :, None], axis=1)
-    d_edges = np.concatenate([d_a + frac * (d_b - d_a), np.tile(-d_drift, (strikes.size, 1)), d_graded])[source]
+    d_edges = np.concatenate([d_a + frac * (d_b - d_a), np.tile(-d_drift, (strikes.size, 1)), d_graded])
+    d_edges = d_edges[mesh.sources(0)]
     d_mid = 0.5 * (d_edges[1:] + d_edges[:-1])[:, None, :]
     d_half = 0.5 * (d_edges[1:] - d_edges[:-1])[:, None, :]
     d_x = (d_mid + d_half * _PRICING_RULE.nodes[None, :, None]).reshape(-1, 3)

@@ -15,11 +15,18 @@ weights, the payoff values and the masses) are formed in slabs of whole
 leading-axis rows and reduced to the scalars the Riemann sum and QAMC read,
 and to each slab's total mass, so no node-sized tensor is held: the
 Riemann, QAMC and joint CMC prices of d=4 at 2^6 cells per axis (2^24
-nodes) peak below 16 MiB.  What every slab shares is formed once per build
-(and once per joint draw) and handed to each slab: the copula exponent's
-trailing-axes table (copula.trailing_exponent), one leading row in size and
-not kept on the measure, so a slab's weights cost its leading terms, one
-add of the table and one exp.
+nodes) peak below 16 MiB.  Each node tensor is a leading-axis factor
+combined with one table over the trailing axes 1..d-1, one leading row in
+size: the copula exponent's (copula.trailing_exponent), the masses'
+p_1 (x) ... (x) p_{d-1} (_mass_table) and the payoff's (_payoff_table).  A
+build forms each table once, and a joint draw its exponent and mass tables
+once per call, and hands them to every slab; no measure keeps one.  So a
+slab's weights cost its leading terms, one add of the table and one exp,
+its masses one scaled copy of the mass table per leading row, and its
+payoff one broadcast add (or min) of the table.  At d <= 2 the tables give
+the left-to-right arithmetic bit for bit; at d >= 3 the weights, the masses
+and a basket's values regroup it, within the rounding of a reordered sum
+or product.
 
 CMC draws nodes of that same measure, in either formulation: joint sampling
 of the copula-weighted cell masses, or independent marginals with the copula
@@ -111,7 +118,7 @@ class Payoff:
 def _payoff_axes(payoff: Payoff, prices) -> list[np.ndarray]:
     """The price vectors, one per asset, checked and returned as the tensor grid's open axes (np.ix_ views).
 
-    Each asset enters along its own axis, so ``_combine_payoff`` of these
+    Each asset enters along its own axis, so ``_payoff_values`` of these
     axes, or of their leading-axis slabs, is the payoff at every node
     (prices[0][j_1], ..., prices[N-1][j_N]) by broadcasting, and no
     (nodes, N) array of price vectors is formed.
@@ -126,28 +133,45 @@ def _payoff_axes(payoff: Payoff, prices) -> list[np.ndarray]:
     return list(np.ix_(*vectors))
 
 
-def _combine_payoff(payoff: Payoff, axes) -> np.ndarray:
-    """The payoff of per-asset price arrays that broadcast together, one per asset.
+def _payoff_table(payoff: Payoff, axes) -> np.ndarray | float:
+    """The payoff's trailing table: what it takes from the per-asset price arrays ``axes[1:]``.
 
-    The tensor grid's open axes (np.ix_) and the gathered prices of a set of
-    nodes go through the same arithmetic node by node, so a node's payoff has
-    the same bits either way.  The strike is taken off in place, so a slab
-    of the grid writes one slab-sized array.
+    A basket's is H = x_1 w + ... + x_{d-1} w, summed left to right from 0
+    (w = 1/d); a worst-of's is min(x_1, ..., x_{d-1}), from +inf; a
+    spread's is x_1.  On the tensor grid's open axes it spans the trailing
+    axes only, one leading row in size, and every slab of the grid shares
+    it.  At d = 1 it is the bare identity, 0 or +inf, which leaves x_0 w and
+    x_0 exact.
     """
     if payoff.kind == "spread-call":
-        out = axes[0] - axes[1]
-        out -= payoff.strike
-    elif payoff.kind == "basket-call":  # the equal-weight mean, summed left to right
+        return axes[1]
+    if payoff.kind == "basket-call":
         weight = 1.0 / len(axes)
-        out = axes[0] * weight
-        for axis in axes[1:]:
-            out = out + axis * weight
+        return reduce(np.add, (axis * weight for axis in axes[1:]), 0.0)
+    return reduce(np.minimum, axes[1:], math.inf)
+
+
+def _payoff_values(payoff: Payoff, axes, table) -> np.ndarray:
+    """The payoff of per-asset price arrays ``axes`` that broadcast together, given their ``_payoff_table``.
+
+    The leading asset meets the table of the others: a basket is
+    max((x_0 w + H) - K, 0), a worst-of max(K - min(x_0, min_{i>=1} x_i), 0)
+    and a spread max((x_0 - x_1) - K, 0).  At d <= 2 this is the left-to-right
+    sum; at d >= 3 a basket regroups it, within the rounding of a reordered
+    sum, and a worst-of, whose min is exact, keeps its bits.  The tensor
+    grid's open axes (or a slab of their leading rows) and the gathered
+    prices of a set of nodes go through the same arithmetic node by node, so
+    a node's payoff has the same bits either way.  The strike is taken off
+    in place, so a slab of the grid writes one slab-sized array.
+    """
+    if payoff.kind == "spread-call":
+        out = axes[0] - table
+        out -= payoff.strike
+    elif payoff.kind == "basket-call":
+        out = axes[0] * (1.0 / len(axes)) + table
         out -= payoff.strike
     else:  # worst-of-put
-        worst = axes[0]
-        for axis in axes[1:]:
-            worst = np.minimum(worst, axis)
-        out = payoff.strike - worst
+        out = payoff.strike - np.minimum(axes[0], table)
     return np.maximum(out, 0.0, out=out)
 
 
@@ -273,25 +297,32 @@ def _leading(vectors, rows: slice) -> list[np.ndarray]:
     return [vectors[0][rows], *vectors[1:]]
 
 
-def _weigh(weights: np.ndarray, marginal_masses, rows: slice) -> np.ndarray:
-    """The masses prod(p_i) c of the slab ``rows``, written over its copula weights ``weights``.
+def _mass_table(marginal_masses) -> np.ndarray | None:
+    """T_p = p_1 (x) ... (x) p_{d-1}, multiplied left to right: the trailing axes' masses, or None at d = 1.
 
-    Each node's product of marginal masses, (p_0 p_1 ... p_{d-2}) p_{d-1}
-    multiplied left to right, multiplies its weight.  The product is formed
-    one leading row at a time in one row-sized buffer, the row's head
-    p_0 ... p_{d-2} copied along the last axis and multiplied by p_{d-1} in
-    place, so no second slab-sized array is held.
+    It spans axes 1..d-1, one leading row in size, and every slab of the
+    grid shares it.
     """
-    leading = marginal_masses[0][rows]
-    if len(marginal_masses) == 1:
+    return reduce(np.multiply.outer, marginal_masses[1:]) if len(marginal_masses) > 1 else None
+
+
+def _weigh(weights: np.ndarray, leading: np.ndarray, table: np.ndarray | None) -> np.ndarray:
+    """The masses prod(p_i) c of a slab, written over its copula weights ``weights``.
+
+    ``leading`` is the slab's masses p_0 on the leading axis and ``table``
+    the grid's _mass_table T_p.  Leading row i is multiplied by p_0[i] T_p,
+    formed in one row-sized buffer, so no second slab-sized array is held
+    and a node's mass is c (p_0 (p_1 ... p_{d-1})).  At d <= 2 this is the
+    left-to-right product; at d >= 3 it regroups it, within the rounding of
+    a reordered product.
+    """
+    if table is None:
         weights *= leading
         return weights
-    head = reduce(np.multiply.outer, [leading, *marginal_masses[1:-1]])
-    product = np.empty(weights.shape[1:])
-    for row in range(leading.size):
-        np.copyto(product, head[row][..., np.newaxis])
-        product *= marginal_masses[-1]
-        weights[row] *= product
+    row = np.empty(table.shape)
+    for i, mass in enumerate(leading):
+        np.multiply(table, mass, out=row)
+        weights[i] *= row
     return weights
 
 
@@ -330,20 +361,20 @@ class GridMeasure:
     axis's normal scores Phi^{-1}(F(x)) and prices s(x).  The node tensors
     they span (the copula weights c, the payoff h and the masses
     prod(p_i) c) are never held whole: ``build`` forms them slab by slab of
-    whole leading-axis rows, each by broadcasting the slab's factors (the
-    weights onto the copula's trailing-axes table, formed once per build and
-    not kept), and reduces them to the Riemann sum, c_max, h_max and each
-    slab's total mass (``slab_masses``).  The copula-weighted total mass
-    Q = E_ind[c], the sum of the slab masses, rescales the joint
-    formulation; c_max, the largest of these same weights (grid_c_max),
-    keeps the independent formulation's payoff h c / (h_max c_max) in
-    [0, 1] node by node, with no slack.  Joint CMC (``draw_counts``) picks a
-    slab by the slab masses and forms only the slabs its draws land in, off
-    one trailing table per call; on a one-slab grid it keeps that slab's
-    cumulative masses, so a measure holds at most one slab of sampler state.
-    CMC evaluates h and c only at the cells it draws, with the slabs'
-    kernels and bits.  ``payoff``, ``marginals`` and ``spec`` are the inputs
-    it was built for.
+    whole leading-axis rows, each as the slab's leading factor combined with
+    one trailing-axes table (the copula exponent's, the masses' and the
+    payoff's, formed once per build and not kept), and reduces them to the
+    Riemann sum, c_max, h_max and each slab's total mass (``slab_masses``).
+    The copula-weighted total mass Q = E_ind[c], the sum of the slab masses,
+    rescales the joint formulation; c_max, the largest of these same weights
+    (grid_c_max), keeps the independent formulation's payoff
+    h c / (h_max c_max) in [0, 1] node by node, with no slack.  Joint CMC
+    (``draw_counts``) picks a slab by the slab masses and forms only the
+    slabs its draws land in, off one exponent table and one mass table per
+    call; on a one-slab grid it keeps that slab's cumulative masses, so a
+    measure holds at most one slab of sampler state.  CMC evaluates h and c
+    only at the cells it draws, with the slabs' kernels and bits.
+    ``payoff``, ``marginals`` and ``spec`` are the inputs it was built for.
     """
 
     payoff: Payoff
@@ -375,15 +406,17 @@ class GridMeasure:
         ]
         scores = normal_scores([m.cdf(nodes) for m, nodes in zip(marginals, grid.nodes)])
         prices = [np.asarray(m.price_at(nodes), dtype=float) for m, nodes in zip(marginals, grid.nodes)]
-        trailing = trailing_exponent(spec, scores)
         price_axes = _payoff_axes(payoff, prices)
+        trailing = trailing_exponent(spec, scores)
+        mass_table = _mass_table(marginal_masses)
+        payoff_table = _payoff_table(payoff, price_axes)
         c_maxima, h_maxima, mass_sums, value_sums = [], [], [], []
         for rows in _row_slabs(grid):
             weights = copula_weights_on_grid(spec, _leading(scores, rows), trailing)
             c_maxima.append(grid_c_max(weights))
-            masses = _weigh(weights, marginal_masses, rows)
+            masses = _weigh(weights, marginal_masses[0][rows], mass_table)
             mass_sums.append(np.sum(masses))
-            values = _combine_payoff(payoff, _leading(price_axes, rows))
+            values = _payoff_values(payoff, _leading(price_axes, rows), payoff_table)
             h_maxima.append(float(values.max()))
             masses *= values
             value_sums.append(np.sum(masses))
@@ -418,15 +451,21 @@ class GridMeasure:
         """Q, the copula-weighted total mass: the sum of the slab masses that the joint sampler picks slabs by."""
         return _pairwise_sum(self.slab_masses)
 
-    def _slab_cdf(self, rows: slice, trailing: np.ndarray | None = None) -> np.ndarray:
+    def _trailing_tables(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The copula exponent's and the masses' trailing-axes tables, which every slab of the grid shares."""
+        return trailing_exponent(self.spec, self.scores), _mass_table(self.marginal_masses)
+
+    def _slab_cdf(self, rows: slice, tables=None) -> np.ndarray:
         """The normalized cumulative masses of the slab ``rows``, in row-major order.
 
-        The masses are formed with the build's kernel and bits (its copula
-        weights, off the grid's trailing_exponent table ``trailing``, times
-        the marginal masses by _weigh), and cumulated in place.
+        The masses are formed with the build's kernels and bits (its copula
+        weights times the marginal masses by _weigh) off the grid's
+        ``_trailing_tables`` ``tables``, formed here when not given, and
+        cumulated in place.
         """
+        trailing, mass_table = self._trailing_tables() if tables is None else tables
         weights = copula_weights_on_grid(self.spec, _leading(self.scores, rows), trailing)
-        flat = _weigh(weights, self.marginal_masses, rows).reshape(-1)
+        flat = _weigh(weights, self.marginal_masses[0][rows], mass_table).reshape(-1)
         return _normalize_cumulative(np.cumsum(flat, out=flat))
 
     @cached_property
@@ -444,16 +483,17 @@ class GridMeasure:
         differ from that single-stage draw only where a uniform lies within
         roundoff of a cell edge.  No array longer than min(count, nodes) plus
         one slab is held, and each occupied slab is formed at most once per
-        chunk of uniforms.  The slabs share one trailing_exponent table,
-        formed once per call on several slabs.
+        chunk of uniforms.  The slabs share one copula exponent table and
+        one mass table (``_trailing_tables``), formed once per call on
+        several slabs.
         """
         slabs = list(_row_slabs(self.grid))
         row_nodes = self.grid.total_nodes // self.grid.shape[0]
         bounds = [rows.start * row_nodes for rows in slabs] + [self.grid.total_nodes]
-        trailing = None if len(slabs) == 1 else trailing_exponent(self.spec, self.scores)
+        tables = None if len(slabs) == 1 else self._trailing_tables()
 
         def slab_cdf(slab: int) -> np.ndarray:
-            return self._one_slab_cdf if trailing is None else self._slab_cdf(slabs[slab], trailing)
+            return self._one_slab_cdf if tables is None else self._slab_cdf(slabs[slab], tables)
 
         edges = _normalize_cumulative(np.cumsum(self.slab_masses))
         return _count_draws(edges, bounds, slab_cdf, count, rng)
@@ -462,8 +502,13 @@ class GridMeasure:
         return [vector[index] for vector, index in zip(vectors, np.unravel_index(cells, self.grid.shape))]
 
     def payoff_at(self, cells: np.ndarray) -> np.ndarray:
-        """h at the flat (row-major) node indices ``cells``: the payoff grid's entries there, bit for bit."""
-        return _combine_payoff(self.payoff, self._gather(self.prices, cells))
+        """h at the flat (row-major) node indices ``cells``: the payoff grid's entries there, bit for bit.
+
+        The gathered prices are split into the leading asset and the payoff's
+        trailing table of the others, as a slab's are.
+        """
+        prices = self._gather(self.prices, cells)
+        return _payoff_values(self.payoff, prices, _payoff_table(self.payoff, prices))
 
     def weights_at(self, cells: np.ndarray) -> np.ndarray:
         """c at the flat node indices ``cells``: the copula grid's entries there, bit for bit."""

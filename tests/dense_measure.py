@@ -3,8 +3,9 @@
 It forms them the direct way, on the full axes: the copula weights from
 every axis's normal scores, the payoff on the tensor grid of price vectors
 (eval_payoff, which np.ix_ spreads over the grid), and prod(p_i) c by outer
-products.  The tests hold the slab reductions, the slab masses, the joint
-draw's counts and CMC against it, its draws taken by plain binary search.
+products, grouped p_0 (x) (p_1 (x) ... (x) p_{d-1}) as the slabs group them.
+The tests hold the slab reductions, the slab masses, the joint draw's
+counts and CMC against it, its draws taken by plain binary search.
 row_major_weights is the copula kernel's arithmetic before it split the
 exponent at the leading axis.
 """
@@ -16,7 +17,7 @@ from functools import reduce
 import numpy as np
 
 from qamcpricer.copula import copula_weights_on_grid, normal_scores
-from qamcpricer.pricing import AssetMarginal, GridMeasure, Payoff, _combine_payoff, _payoff_axes
+from qamcpricer.pricing import AssetMarginal, GridMeasure, Payoff, _payoff_axes, _payoff_table, _payoff_values
 
 
 def eval_payoff(payoff: Payoff, prices) -> np.ndarray:
@@ -26,7 +27,8 @@ def eval_payoff(payoff: Payoff, prices) -> np.ndarray:
     the checks and arithmetic a measure build applies slab by slab, over
     every node at once.
     """
-    return _combine_payoff(payoff, _payoff_axes(payoff, prices))
+    axes = _payoff_axes(payoff, prices)
+    return _payoff_values(payoff, axes, _payoff_table(payoff, axes))
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,8 @@ class DenseMeasure:
         cdfs = [m.cdf(nodes) for m, nodes in zip(measure.marginals, grid.nodes)]
         weights = copula_weights_on_grid(measure.spec, normal_scores(cdfs))
         values = eval_payoff(measure.payoff, [m.price_at(nodes) for m, nodes in zip(measure.marginals, grid.nodes)])
-        masses = reduce(np.multiply.outer, measure.marginal_masses) * weights
+        head, *tail = measure.marginal_masses
+        masses = (np.multiply.outer(head, reduce(np.multiply.outer, tail)) if tail else head) * weights
         return cls(measure, weights, values, masses)
 
     @property
@@ -132,3 +135,18 @@ def regrouping_bound(spec, magnitude) -> np.ndarray:
     """
     u = np.finfo(float).eps / 2
     return spec.dim**2 * u * magnitude + 8 * u
+
+
+def reordering_bound(operands: int) -> float:
+    """The relative distance two orders of a sum or a product of ``operands`` positive terms can put between them.
+
+    Each order rounds operands - 1 times, so it lies within
+    gamma_{n-1} = (n - 1) u / (1 - (n - 1) u) of the exact value, relative to
+    the sum of the terms or to the exact product (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, sections 3.1 and 4.2), and the
+    two orders within twice that of each other.  One rounding more, 2
+    gamma_n, also covers measuring a product against either computed result
+    and a sum against a computed sum of its terms.
+    """
+    u = np.finfo(float).eps / 2
+    return 2 * operands * u / (1 - operands * u)

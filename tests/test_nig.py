@@ -692,6 +692,37 @@ class TestPinnedBits:
         stack = price_european_batch(models, strikes, ["C", "P", "C"])
         assert [[v.hex() for v in row] for row in stack] == EDGE_STACK_HEX
 
+    def test_edge_sources_are_the_first_equal_candidates(self):
+        # The gradient moves each panel edge as its first equal candidate:
+        # np.unique's first indices, on the make-bundle AXA slice, with the
+        # AXA kink on an equal-panel edge (the edge's source is the panel's,
+        # not the kink's), and on the stack of the three fixtures' edge kinks,
+        # whose shorter rows pad with b.
+        slice_ = fixture_slice("AXA")
+        models = [ExpNIGModel(FIXTURES[name][0], slice_) for name in ("AXA", "CREDIT_AGRICOLE", "MICHELIN")]
+        desk, _ = desk_quotes(slice_)
+        edge = [float.fromhex(v) for v in EDGE_STRIKES_HEX]
+        for laws, strikes in (([models[0]], desk), ([models[0]], [*desk, edge[0]]), (models, edge)):
+            mesh = pricer_mesh(laws, strikes)
+            for row in range(len(laws)):
+                values, first = np.unique(mesh.candidates[row], return_index=True)
+                pad = mesh.edges.shape[1] - values.size
+                assert np.array_equal(mesh.edges[row], np.concatenate([values, np.full(pad, values[-1])]))
+                assert np.array_equal(mesh.sources(row), np.concatenate([first, np.full(pad, first[-1])]))
+            assert mesh.edges.shape[1] > min(mesh.count) or len(laws) == 1
+        on_edge = pricer_mesh([models[0]], [*desk, edge[0]])
+        kink = on_edge.candidates.shape[1] - on_edge.steps.size - 1
+        assert on_edge.candidates[0, kink] in on_edge.candidates[0, 1:24]
+        assert kink not in on_edge.sources(0)
+
+
+def pricer_mesh(models, strikes):
+    """The deduped mesh that price_european_batch builds for ``models`` on their one slice."""
+    slice_ = models[0].slice_
+    rows = np.array([(*m.interval, m.drift, *(getattr(m.params, f) for f in nig._LawColumns._fields)) for m in models])
+    log_k = np.array([math.log(strike / slice_.spot) for strike in strikes])
+    return nig._Mesh.build(rows, log_k - rows[:, 2:3], slice_.expiry).deduped()
+
 
 def reference_cdf(p, t, xs):
     """The CDF at xs clipped to the pricing interval [a, b], by one cumulative

@@ -9,7 +9,14 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from dense_measure import DenseMeasure, eval_payoff, flat_priced, regrouping_bound, row_major_weights
+from dense_measure import (
+    DenseMeasure,
+    eval_payoff,
+    flat_priced,
+    regrouping_bound,
+    reordering_bound,
+    row_major_weights,
+)
 from qamcpricer import copula, experiments, pricing
 from qamcpricer.copula import CopulaSpec
 from qamcpricer.cosine_density import CosineSeries, Interval, coeffs_classical
@@ -41,19 +48,30 @@ def spread_setup(axa_params, michelin_params, axa_slice, michelin_slice):
     return payoff, marginals, spec, grid
 
 
+def node_payoff(payoff, s):
+    """The payoff at one node's prices ``s`` (Python floats), grouped as the package groups it.
+
+    A basket is (x_0 w + H) - K with H = x_1 w + ... + x_{d-1} w summed left
+    to right: the left-to-right sum at d <= 2, a regrouping of it at d >= 3.
+    """
+    if payoff.kind == "spread-call":
+        value = s[0] - s[1] - payoff.strike
+    elif payoff.kind == "basket-call":
+        weight = 1.0 / len(s)
+        trailing = 0.0
+        for x in s[1:]:
+            trailing += x * weight
+        value = (s[0] * weight + trailing) - payoff.strike
+    else:
+        value = payoff.strike - min(s)
+    return max(value, 0.0)
+
+
 def pointwise(payoff, prices):
     """The payoff node by node over the tensor grid of per-asset prices, by loops."""
-    n = len(prices)
     out = np.empty(tuple(len(v) for v in prices))
     for index in itertools.product(*(range(len(v)) for v in prices)):
-        s = [float(prices[i][j]) for i, j in enumerate(index)]
-        if payoff.kind == "spread-call":
-            value = s[0] - s[1] - payoff.strike
-        elif payoff.kind == "basket-call":
-            value = sum(x * (1.0 / n) for x in s) - payoff.strike
-        else:
-            value = payoff.strike - min(s)
-        out[index] = max(value, 0.0)
+        out[index] = node_payoff(payoff, [float(prices[i][j]) for i, j in enumerate(index)])
     return out
 
 
@@ -317,7 +335,7 @@ def four_names_setup():
 def slab_outputs(measure_args, monkeypatch):
     """Build a measure and return it with the copula weights and payoff values its slabs formed, joined."""
     weights, values = [], []
-    weights_on_grid, payoff_on_slab = pricing.copula_weights_on_grid, pricing._combine_payoff
+    weights_on_grid, payoff_on_slab = pricing.copula_weights_on_grid, pricing._payoff_values
 
     def recorded(store, fn):
         def wrapper(*args):
@@ -328,7 +346,7 @@ def slab_outputs(measure_args, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(pricing, "copula_weights_on_grid", recorded(weights, weights_on_grid))
-    monkeypatch.setattr(pricing, "_combine_payoff", recorded(values, payoff_on_slab))
+    monkeypatch.setattr(pricing, "_payoff_values", recorded(values, payoff_on_slab))
     measure = GridMeasure.build(*measure_args)
     monkeypatch.undo()
     return measure, np.concatenate(weights), np.concatenate(values)
@@ -453,12 +471,17 @@ class TestSlabReductions:
         assert cells.tolist() == [0, 1, 3] and counts.tolist() == [1, 1, 1]
 
 
+def node_prices(measure, cells):
+    """Each node's prices, as Python floats, at the flat node indices ``cells``."""
+    for index in zip(*np.unravel_index(cells, measure.grid.shape)):
+        yield [float(measure.prices[i][j]) for i, j in enumerate(index)]
+
+
 def left_to_right_payoff(measure, cells):
     """The payoff at the flat node indices ``cells`` in Python floats: a basket summed left to right."""
     n = measure.grid.dim
     values = []
-    for index in zip(*np.unravel_index(cells, measure.grid.shape)):
-        s = [float(measure.prices[i][j]) for i, j in enumerate(index)]
+    for s in node_prices(measure, cells):
         if measure.payoff.kind == "spread-call":
             value = s[0] - s[1] - measure.payoff.strike
         else:
@@ -467,12 +490,25 @@ def left_to_right_payoff(measure, cells):
     return np.array(values)
 
 
-class TestBitPolicy:
-    """The measure's weights and payoff against the row-major fold and the left-to-right sum.
+def bit_policy_setup(name):
+    """(payoff, marginals, spec, grid) of the study setups at finer grids, or of four names at 2^4 cells per axis."""
+    if name != "four-names-q4":
+        return _setup_at(name)
+    payoff, marginals, spec, _ = four_names_setup()
+    return payoff, marginals, spec, PricingGrid.build(marginals, 4)
 
-    The copula exponent is summed as a leading part plus a trailing-axes
-    table: the same bits at d <= 2, a regrouping within the rounding bound
-    of a reordered sum at d >= 3.  The payoff keeps its arithmetic at every d.
+
+class TestBitPolicy:
+    """The measure's node tensors against the row-major fold, the left-to-right product and the left-to-right sum.
+
+    Each tensor is a leading-axis factor combined with one table over the
+    trailing axes.  The copula exponent is a leading part plus the trailing
+    table of its terms, a node's mass is c (p_0 (p_1 ... p_{d-1})), and a
+    basket is (x_0 w + (x_1 w + ... + x_{d-1} w)) - K: the same bits as the
+    row-major fold, the left-to-right product and the left-to-right sum at
+    d <= 2, and at d >= 3 a regrouping within the rounding bound of a
+    reordered sum or product.  A worst-of's min and a spread keep their bits
+    at every d.
     """
 
     def test_spread_measure_keeps_its_bits(self, spread_setup):
@@ -486,46 +522,72 @@ class TestBitPolicy:
 
     @pytest.mark.parametrize("name", ["basket-q6", "four-names-q4"])
     def test_regrouped_weights_stay_within_the_rounding_bound(self, name):
-        if name == "basket-q6":
-            args = _setup_at(name)
-        else:
-            payoff, marginals, spec, _ = four_names_setup()
-            args = (payoff, marginals, spec, PricingGrid.build(marginals, 4))
-        measure = GridMeasure.build(*args)
+        measure = GridMeasure.build(*bit_policy_setup(name))
         dense = DenseMeasure.of(measure)
         expected, magnitude = row_major_weights(measure.spec, measure.scores)
         assert np.all(np.abs(dense.weights - expected) <= expected * regrouping_bound(measure.spec, magnitude))
         cells = np.random.default_rng(0).integers(0, measure.grid.total_nodes, 500)
-        assert np.array_equal(measure.payoff_at(cells), left_to_right_payoff(measure, cells))
+        grouped = [node_payoff(measure.payoff, s) for s in node_prices(measure, cells)]
+        assert np.array_equal(measure.payoff_at(cells), grouped)
+
+    @pytest.mark.parametrize("name", ["basket-q6", "worst-q6", "four-names-q4"])
+    def test_regrouped_masses_and_payoff_stay_within_the_rounding_bound(self, name):
+        # Against the left-to-right forms ((p_0 p_1) p_2 ...) c and
+        # ((x_0 w + x_1 w) + ...) - K: a mass is a product of d + 1 factors
+        # and a basket a sum of d + 1 terms, whose two orders differ by the
+        # rounding of a reordered product or sum; the regrouping moves some
+        # masses (and basket values), and a worst-of's values not at all.
+        measure = GridMeasure.build(*bit_policy_setup(name))
+        dense = DenseMeasure.of(measure)
+        dim, strike = measure.grid.dim, measure.payoff.strike
+        bound = reordering_bound(dim + 1)
+        left_to_right = reduce(np.multiply.outer, measure.marginal_masses) * dense.weights
+        assert np.all(np.abs(dense.masses - left_to_right) <= bound * left_to_right)
+        assert not np.array_equal(dense.masses, left_to_right)
+        axes = np.ix_(*measure.prices)
+        if measure.payoff.kind == "worst-of-put":
+            expected = np.maximum(strike - reduce(np.minimum, axes), 0.0)
+            assert np.array_equal(dense.payoff_values, expected)
+            return
+        summed = reduce(np.add, (axis * (1.0 / dim) for axis in axes[1:]), axes[0] * (1.0 / dim))
+        expected = np.maximum(summed - strike, 0.0)
+        assert np.all(np.abs(dense.payoff_values - expected) <= bound * (summed + strike))
+        assert not np.array_equal(dense.payoff_values, expected)
 
 
 class TestTrailingTable:
     def test_formed_once_per_build_and_per_joint_draw(self, monkeypatch):
-        # Every slab of a grid adds the same trailing-axes table: a build
-        # forms it once, a joint draw on several slabs once per call, and a
-        # one-slab grid's second draw not at all (it keeps its cumulative
-        # masses).  A slab that formed its own table would count here.
-        formed = []
-        trailing_exponent = copula.trailing_exponent
+        # Every slab of a grid combines its leading rows with the same
+        # trailing-axes tables, the copula exponent's, the masses' and the
+        # payoff's: a build forms each once, a joint draw on several slabs the
+        # exponent and mass tables once per call (it forms no payoff), and a
+        # one-slab grid's second draw none (it keeps its cumulative masses).
+        # A slab that formed its own table would count here.
+        formed = {"trailing_exponent": 0, "_mass_table": 0, "_payoff_table": 0}
 
-        def counted(*args):
-            formed.append(args)
-            return trailing_exponent(*args)
+        def counted(name, fn):
+            def wrapper(*args):
+                formed[name] += 1
+                return fn(*args)
 
-        for module in (copula, pricing):
-            monkeypatch.setattr(module, "trailing_exponent", counted)
+            return wrapper
+
+        for name, module in (("trailing_exponent", copula), ("_mass_table", pricing), ("_payoff_table", pricing)):
+            fn = getattr(module, name)
+            for owner in {module, pricing}:
+                monkeypatch.setattr(owner, name, counted(name, fn))
         measure = GridMeasure.build(*_setup_at("basket-q6"))
         assert len(list(pricing._row_slabs(measure.grid))) == 8
-        assert len(formed) == 1
+        assert list(formed.values()) == [1, 1, 1]
         for draws in (1, 2):
             measure.draw_counts(4096, np.random.default_rng(draws))
-            assert len(formed) == 1 + draws
-        formed.clear()
+            assert list(formed.values()) == [1 + draws, 1 + draws, 1]
+        formed.update(dict.fromkeys(formed, 0))
         measure = GridMeasure.build(*_setup_at("basket"))
         assert len(list(pricing._row_slabs(measure.grid))) == 1
         for _ in range(2):
             measure.draw_counts(4096, np.random.default_rng(0))
-            assert len(formed) == 2
+            assert list(formed.values()) == [2, 2, 1]
 
 
 class TestRiemannReference:
