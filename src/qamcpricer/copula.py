@@ -188,21 +188,17 @@ def trailing_exponent(spec: CopulaSpec, scores: list[np.ndarray]) -> np.ndarray:
     return _trailing_sum(_half(spec), z)
 
 
-def copula_weights_on_grid(
-    spec: CopulaSpec, scores: list[np.ndarray], trailing: np.ndarray | None = None
-) -> np.ndarray:
+def copula_weights_on_grid(spec: CopulaSpec, scores: list[np.ndarray], trailing: np.ndarray) -> np.ndarray:
     """c on the tensor grid of per-dimension normal scores z_i = Phi^{-1}(F_i) (normal_scores).
 
     The quadratic form is summed by broadcasting the per-axis score vectors,
     so no (nodes, N) array of coordinates is formed.  A slab of a grid (some
     rows of its leading axis) is the grid of those rows' scores and the
     other axes' scores; ``trailing`` is those axes' trailing_exponent, which
-    every slab of one grid shares, and is formed here when not given.
+    every slab of one grid shares.
     """
     z = _grid_axes(spec, scores)
-    if trailing is None:
-        trailing = trailing_exponent(spec, scores)
-    elif trailing.shape != (1, *(axis.size for axis in z[1:])):
+    if trailing.shape != (1, *(axis.size for axis in z[1:])):
         raise DomainError("trailing table does not match the grid's trailing axes")
     return _density(spec, z, trailing)
 

@@ -21,7 +21,8 @@ points lie outside every panel's Bernstein ellipse of parameter
 rho = 2 + sqrt(3).  An n-node Gauss-Legendre rule then errs by O(rho^-2n)
 per panel (Trefethen, Approximation Theory and Approximation Practice,
 ch. 19), however narrow the law's core: rho^-2n is 5e-19 at 16 nodes and
-2e-14 at 12.
+2e-14 at 12.  Each kink or query point is an edge, so its integral is a
+prefix or a suffix of the mesh's nodes, read at 16 nodes per panel below it.
 """
 
 from __future__ import annotations
@@ -181,7 +182,8 @@ def nig_pdf(x, p: NIGParams, t: float = 1.0, return_kve: bool = False):
     ``return_kve=True`` the result is ``(density, kve(1, z))`` at
     z = alpha sqrt((delta t)^2 + (x - mu t)^2), the Bessel values it used.
     ``p`` may also give the parameters per point (``_LawColumns``, arrays
-    the shape of x): each value is the one the point's own law gives.
+    that broadcast against x): each value is the one the point's own law
+    gives.
     """
     if t <= 0:
         raise DomainError("time scale t must be positive")
@@ -235,7 +237,8 @@ def nig_cdf(x, p: NIGParams, t: float = 1.0):
     """CDF by quadrature of the density (no closed form exists) on ``pricing_interval`` [a, b].
 
     The query points, clipped to [a, b], join the edges of the pricer's
-    mesh (``_Mesh``), and one prefix sum over its nodes is read at each.
+    mesh (``_Mesh``), and one prefix sum over its nodes is read at each
+    (``_Mesh.reads``).
     The CDF is 0 at and below a.  Above a it misses the mass below a, and
     from b on also the mass above b: each within the interval's 1e-11 tail
     bound (above b, once b > log E[e^X]) unless that side's width stopped
@@ -246,10 +249,10 @@ def nig_cdf(x, p: NIGParams, t: float = 1.0):
     if t <= 0 or np.isnan(x_arr).any():  # clipped, a NaN would read as the full mass
         raise DomainError("t must be positive and x not NaN")
     law = np.array([[*pricing_interval(p, t), 0.0, p.alpha, p.beta, p.delta, p.mu, p.gamma]])
-    mesh = _Mesh.build(law, x_arr.reshape(1, -1), t).deduped()
+    mesh = _Mesh.build(law, x_arr.reshape(1, -1), t)
     (nodes,), (weights,) = mesh.quadrature()
     cum = np.concatenate([[0.0], np.cumsum(weights * nig_pdf(nodes, p, t))])
-    out = cum[np.searchsorted(mesh.edges[0], mesh.extra[0]) * _PRICING_NODES].reshape(x_arr.shape)
+    out = cum[mesh.reads()[0]].reshape(x_arr.shape)
     return float(out) if np.isscalar(x) else out
 
 
@@ -382,8 +385,8 @@ def price_european_batch(model, strikes, kinds, gradient: bool = False):
     has one row of prices per model, each ``tobytes()``-equal to pricing that
     model alone.  The models' meshes are stacked, each row padded at its end
     with zero-width panels whose nodes weigh +0.0, and scored in blocks of at
-    most _STACK_NODES nodes: one density pass over a block's live nodes, one
-    cumulative sum each way, and one read per row.
+    most _STACK_NODES nodes: one density pass over a block's padded nodes,
+    one cumulative sum each way, and one read per row.
 
     With ``gradient=True`` (one model only) the result is
     ``(prices, d_prices)``, where row m of ``d_prices`` is
@@ -419,7 +422,7 @@ def price_european_batch(model, strikes, kinds, gradient: bool = False):
     # Payoff kinks in x-space are log(K / S0) - drift, one drift per model.
     log_k = np.array([math.log(strike / slice_.spot) for strike in strikes])
     is_call = np.array([kind == "C" for kind in kinds], dtype=bool)
-    mesh = _Mesh.build(laws, log_k - laws[:, 2:3], slice_.expiry).deduped()
+    mesh = _Mesh.build(laws, log_k - laws[:, 2:3], slice_.expiry)
     if gradient:
         return _price_with_gradient(model, mesh, strikes, is_call)
     out = np.empty((len(models), strikes.size))
@@ -429,7 +432,11 @@ def price_european_batch(model, strikes, kinds, gradient: bool = False):
 
 
 class _LawColumns(NamedTuple):
-    """NIG parameters per point: ``nig_pdf`` over the nodes of many laws at once."""
+    """NIG parameters per point: ``nig_pdf`` over the nodes of many laws at once.
+
+    Each column broadcasts against the points: one value per row of a
+    mesh's node matrix, the row's law.
+    """
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -446,8 +453,10 @@ class _Mesh(NamedTuple):
     and its graded edges mu t + delta t c inside (a, b), c = 0 and +-2^k for
     k = -1, 0, 1, ... while 2^k delta t is below the equal-panel width
     (``steps`` lists every c); a candidate that is no edge is set to a.
-    ``laws`` holds each law's (alpha, beta, delta, mu, gamma).  ``edges``
-    and ``count`` are set by ``deduped``.
+    ``edges`` holds each row's ``count`` distinct candidates in order, as
+    ``np.unique`` gives them, padded at the end with b: zero-width panels,
+    whose nodes weigh +0.0.  ``laws`` holds each law's (alpha, beta, delta,
+    mu, gamma).
     """
 
     laws: np.ndarray
@@ -457,8 +466,8 @@ class _Mesh(NamedTuple):
     extra: np.ndarray
     steps: np.ndarray
     candidates: np.ndarray
-    edges: np.ndarray | None = None
-    count: np.ndarray | None = None
+    edges: np.ndarray
+    count: np.ndarray
 
     @classmethod
     def build(cls, rows: np.ndarray, extra: np.ndarray, t: float) -> "_Mesh":
@@ -481,17 +490,13 @@ class _Mesh(NamedTuple):
         panel = np.arange(_PRICING_PANELS + 1.0) * width[:, None] + a[:, None]
         panel[:, -1] = b
         candidates = np.concatenate([panel, np.where(edge, inner, a[:, None])], axis=1)
-        return cls(laws, a, b, drift, extra, steps, candidates)
-
-    def deduped(self) -> "_Mesh":
-        """With ``edges``, each row's ``count`` distinct candidates in order, as
-        ``np.unique`` gives them, padded at the end with b: zero-width panels."""
-        ordered = np.sort(self.candidates, axis=1)
+        ordered = np.sort(candidates, axis=1)
         repeat = ordered[:, 1:] == ordered[:, :-1]
         # Each repeat becomes b, the largest edge, and a second sort moves it to the padding.
-        ordered[:, 1:] = np.where(repeat, self.b[:, None], ordered[:, 1:])
+        ordered[:, 1:] = np.where(repeat, b[:, None], ordered[:, 1:])
         count = ordered.shape[1] - repeat.sum(axis=1)
-        return self._replace(edges=np.sort(ordered, axis=1)[:, : count.max()], count=count)
+        edges = np.sort(ordered, axis=1)[:, : count.max()]
+        return cls(laws, a, b, drift, extra, steps, candidates, edges, count)
 
     def sources(self, row: int) -> np.ndarray:
         """The index of each of row ``row``'s edges among its candidates, the first equal one.
@@ -502,6 +507,18 @@ class _Mesh(NamedTuple):
         """
         order = np.argsort(self.candidates[row], kind="stable")
         return order[np.searchsorted(self.candidates[row, order], self.edges[row])]
+
+    def reads(self) -> np.ndarray:
+        """Where each ``extra`` edge splits its row's nodes, in the shape of ``extra``.
+
+        _PRICING_NODES times the row's edges strictly below it, the lower
+        edges of the panels below it (the padding, at b, never is).  No
+        quadrature node lies on an edge of a panel wider than rounding, so
+        this is the count of the row's nodes below the edge and of those at
+        or below it alike: a call's suffix starts there, a put's prefix ends
+        there.
+        """
+        return (self.edges[:, None, :] < self.extra[..., None]).sum(axis=2) * _PRICING_NODES
 
     @property
     def nodes(self) -> np.ndarray:
@@ -532,17 +549,15 @@ class _Mesh(NamedTuple):
 
 
 def _price_block(slice_: MarketSlice, mesh: _Mesh, strikes: np.ndarray, is_call: np.ndarray) -> np.ndarray:
-    """Plain prices of a block of laws, one row each, off one density pass over their live nodes."""
+    """Plain prices of a block of laws, one row each, off one density pass over their padded nodes."""
     x, w = mesh.quadrature()
-    live = np.arange(x.shape[1]) < mesh.nodes[:, None]
-    dens = np.zeros(x.shape)
-    dens[live] = nig_pdf(x[live], _LawColumns(*np.repeat(mesh.laws.T, mesh.nodes, axis=1)), slice_.expiry)
+    dens = nig_pdf(x, _LawColumns(*mesh.laws.T[..., None]), slice_.expiry)
     # Per node, w payoff f is u - K v for a call and K v - u for a put, with
     # u = w S(T) f and v = w f.
     uv = np.empty(x.shape + (2,))
     uv[..., 0] = w * (slice_.spot * np.exp(mesh.drift[:, None] + x) * dens)
     uv[..., 1] = w * dens
-    return _read_prices(uv, x, mesh.nodes, mesh, strikes, is_call, slice_.discount_factor)[..., 0]
+    return _read_prices(uv, mesh, strikes, is_call, slice_.discount_factor)[..., 0]
 
 
 def _price_with_gradient(model: ExpNIGModel, mesh: _Mesh, strikes: np.ndarray, is_call: np.ndarray):
@@ -575,36 +590,30 @@ def _price_with_gradient(model: ExpNIGModel, mesh: _Mesh, strikes: np.ndarray, i
     # d payoff / d drift = +-S(T), so the drift moves u and not v.
     uv[:, 1:4] = s_dens[:, None] * d_w + (w * s_dens)[:, None] * (scores + (1.0 + slope)[:, None] * d_x + d_drift)
     uv[:, 5:] = dens[:, None] * d_w + (w * dens)[:, None] * (scores + slope[:, None] * d_x)
-    out = _read_prices(uv[None], x[None], [x.size], mesh, strikes, is_call, model.slice_.discount_factor)[0]
+    out = _read_prices(uv[None], mesh, strikes, is_call, model.slice_.discount_factor)[0]
     return out[:, 0], out[:, 1:]
 
 
-def _read_prices(uv, x, live, mesh: _Mesh, strikes, is_call, df) -> np.ndarray:
+def _read_prices(uv, mesh: _Mesh, strikes, is_call, df) -> np.ndarray:
     """Discounted prices off per-node columns (u, ..., v, ...), shape (rows, strikes, columns / 2).
 
-    The mesh's ``extra`` edges are the kinks, clipped to [a, b].  x
-    increases along each row, so a call's support is a suffix of the row's
-    nodes and a put's a prefix; a call struck above b or a put below a has
-    an empty run: 0.  Each row is read with its own searchsorted over
-    its ``live`` nodes.  The cumulative sums run only as far as some read
-    needs them: the prefix sums up to the last read, the suffix sums down
-    to the first.
+    The mesh's ``extra`` edges are the kinks, clipped to [a, b], and x
+    increases along each row, so a call's support is the suffix of the
+    row's nodes from its kink's ``reads`` and a put's the prefix up to it;
+    a call struck above b or a put below a has an empty run: 0.  The
+    cumulative sums run only as far as some read needs them: the prefix
+    sums up to the last read, the suffix sums down to the first.
     """
     rows, size, columns = uv.shape
-    lo = np.empty(mesh.extra.shape, dtype=np.intp)
-    hi = np.empty_like(lo)
-    for i, n in enumerate(live):
-        lo[i] = np.searchsorted(x[i, :n], mesh.extra[i], side="left")
-        hi[i] = np.searchsorted(x[i, :n], mesh.extra[i], side="right")
-    top, bottom = hi.max(), lo.min()
+    at = mesh.reads()
+    top, bottom = at.max(), at.min()
     prefix = np.zeros((rows, top + 1, columns))
     suffix = np.zeros((rows, size - bottom + 1, columns))
     np.cumsum(uv[:, :top], axis=1, out=prefix[:, 1:])
     np.cumsum(uv[:, bottom:][:, ::-1], axis=1, out=suffix[:, -2::-1])
-    row, lo = np.arange(rows)[:, None], lo - bottom
-    k, cols = strikes[:, None], columns // 2
-    calls = df * (suffix[row, lo, :cols] - k * suffix[row, lo, cols:])
-    puts = df * (k * prefix[row, hi, cols:] - prefix[row, hi, :cols])
+    row, k, cols = np.arange(rows)[:, None], strikes[:, None], columns // 2
+    calls = df * (suffix[row, at - bottom, :cols] - k * suffix[row, at - bottom, cols:])
+    puts = df * (k * prefix[row, at, cols:] - prefix[row, at, :cols])
     return np.where(is_call[:, None], calls, puts)
 
 

@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from qamcpricer.copula import copula_weights_on_grid, normal_scores
+from qamcpricer.copula import copula_weights_on_grid, normal_scores, trailing_exponent
 from qamcpricer.pricing import AssetMarginal, GridMeasure, Payoff, _payoff_axes, _payoff_table, _payoff_values
 
 
@@ -57,7 +57,8 @@ class DenseMeasure:
     def of(cls, measure: GridMeasure) -> "DenseMeasure":
         grid = measure.grid
         cdfs = [m.cdf(nodes) for m, nodes in zip(measure.marginals, grid.nodes)]
-        weights = copula_weights_on_grid(measure.spec, normal_scores(cdfs))
+        scores = normal_scores(cdfs)
+        weights = copula_weights_on_grid(measure.spec, scores, trailing_exponent(measure.spec, scores))
         values = eval_payoff(measure.payoff, [m.price_at(nodes) for m, nodes in zip(measure.marginals, grid.nodes)])
         head, *tail = measure.marginal_masses
         masses = (np.multiply.outer(head, reduce(np.multiply.outer, tail)) if tail else head) * weights

@@ -453,9 +453,9 @@ class TestCalibrate:
         # has at most 800 live density nodes, a bound on the graded 16-node
         # mesh that a 64-node rule on the 36 equal and kink panels (2,304
         # nodes) breaks.  The lattice is scored in stacked blocks, each one
-        # density pass holding at most nig._STACK_NODES nodes, padding
-        # included.  The grid starts and the fit's evaluation counts are
-        # pinned too.
+        # density pass over all of its rows' nodes, padding included, and
+        # holding at most nig._STACK_NODES of them.  The grid starts and the
+        # fit's evaluation counts are pinned too.
         slice_ = desk_slice(name)
         points, blocks, starts = [], [], []
         pdf, price_block, init = nig.nig_pdf, nig._price_block, calibration.grid_init
@@ -481,7 +481,7 @@ class TestCalibrate:
         assert sum(len(live) for live, _ in blocks) == lattice_size()
         assert max(max(live) for live, _ in blocks) <= 800 and max(points[len(blocks):]) <= 800
         held = [rows * (edges - 1) * 16 for _, (rows, edges) in blocks]
-        assert max(held) <= nig._STACK_NODES and points[: len(blocks)] == [sum(live) for live, _ in blocks]
+        assert max(held) <= nig._STACK_NODES and points[: len(blocks)] == held
 
     def test_prior_inverted_once_per_slice(self, monkeypatch):
         # calibrate builds the slice's least-squares problem once and the

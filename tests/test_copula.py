@@ -25,6 +25,7 @@ from qamcpricer.copula import (
     grid_c_max,
     load_correlation,
     normal_scores,
+    trailing_exponent,
 )
 from qamcpricer.errors import DomainError, ValidationError
 from qamcpricer.nig import nig_cdf, nig_pdf, support_interval
@@ -37,7 +38,8 @@ def two_asset_spec(rho=-0.25):
 
 def weights_on_grid(spec, unit_coords):
     """Copula weights on the tensor grid of per-axis CDF values."""
-    return copula_weights_on_grid(spec, normal_scores(unit_coords))
+    scores = normal_scores(unit_coords)
+    return copula_weights_on_grid(spec, scores, trailing_exponent(spec, scores))
 
 
 def weight_at(spec, *u):
@@ -319,10 +321,11 @@ class TestCopulaProperties:
         sigma, axes, _ = case
         spec = CopulaSpec.from_matrix(sigma)
         scores = normal_scores(axes)
-        weights = copula_weights_on_grid(spec, scores)
+        trailing = trailing_exponent(spec, scores)
+        weights = copula_weights_on_grid(spec, scores, trailing)
         for start in range(len(axes[0])):
             rows = slice(start, start + 2)
-            assert np.array_equal(copula_weights_on_grid(spec, [scores[0][rows], *scores[1:]]), weights[rows])
+            assert np.array_equal(copula_weights_on_grid(spec, [scores[0][rows], *scores[1:]], trailing), weights[rows])
         nodes = np.unravel_index(np.array(picks) % weights.size, weights.shape)
         scattered = copula_weights_at(spec, [z[k] for z, k in zip(scores, nodes)])
         assert np.array_equal(scattered, weights[nodes])
@@ -337,7 +340,7 @@ class TestCopulaProperties:
         sigma, axes, _ = case
         spec = CopulaSpec.from_matrix(sigma)
         scores = normal_scores(axes)
-        weights = copula_weights_on_grid(spec, scores)
+        weights = copula_weights_on_grid(spec, scores, trailing_exponent(spec, scores))
         expected, magnitude = row_major_weights(spec, scores)
         if spec.dim <= 2:
             assert np.array_equal(weights, expected)

@@ -451,9 +451,12 @@ def call_sites(source: str, module: str, function: str) -> list[str]:
 def test_nig_maps_one_quadrature_rule_and_dedupes_once():
     # Every NIG density integral that shares the pricer's mesh gets its
     # nodes and weights from one mapping, and its edges from one dedupe.
+    # Prices and the CDF are read off it by one rule, _Mesh.reads, a count
+    # of edges; the one searchsorted finds each edge's first candidate.
     source = (ROOT / "src" / "qamcpricer" / "nig.py").read_text()
     assert call_sites(source, "numerics", "gauss_legendre_panels") == ["_Mesh.quadrature"]
     assert call_sites(source, "numpy", "unique") == []
+    assert call_sites(source, "numpy", "searchsorted") == ["_Mesh.sources"]
 
 
 def test_call_site_is_found():
@@ -469,9 +472,13 @@ def test_call_site_is_found():
         "def dedupe(x):\n"
         "    return np.unique(x), numpy.unique(x), distinct(x), np.sort(x), unique(x), x.unique()\n"
         "np.unique([1])\n"
+        "class Reader:\n"
+        "    def at(self, x, v):\n"
+        "        return np.searchsorted(x, v), x.searchsorted(v)\n"
     )
     assert call_sites(source, "numerics", "gauss_legendre_panels") == ["Mesh.nodes", "Mesh.nodes"]
     assert call_sites(source, "numpy", "unique") == ["dedupe", "dedupe", "dedupe", "<module>"]
+    assert call_sites(source, "numpy", "searchsorted") == ["Reader.at"]
 
 
 # Run in a fresh interpreter: pytest's own warning filters import scipy.optimize.

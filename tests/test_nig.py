@@ -1,6 +1,7 @@
 """Tests for the NIG distribution and the exponential-NIG pricing model."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -717,11 +718,64 @@ class TestPinnedBits:
 
 
 def pricer_mesh(models, strikes):
-    """The deduped mesh that price_european_batch builds for ``models`` on their one slice."""
+    """The mesh that price_european_batch builds for ``models`` on their one slice."""
     slice_ = models[0].slice_
     rows = np.array([(*m.interval, m.drift, *(getattr(m.params, f) for f in nig._LawColumns._fields)) for m in models])
     log_k = np.array([math.log(strike / slice_.spot) for strike in strikes])
-    return nig._Mesh.build(rows, log_k - rows[:, 2:3], slice_.expiry).deduped()
+    return nig._Mesh.build(rows, log_k - rows[:, 2:3], slice_.expiry)
+
+
+def check_reads(mesh):
+    """``mesh.reads()`` is each kink's left and right searchsorted over its row's live nodes.
+
+    A kink beside a panel narrower than 256 ulps, whose nodes may round onto
+    its ends, is only held between the two: the count of such kinks is
+    returned.  Every padding weight is +0.0.
+    """
+    x, w = mesh.quadrature()
+    reads, crowded = mesh.reads(), 0
+    for row, live in enumerate(mesh.nodes):
+        kinks = mesh.extra[row]
+        left = np.searchsorted(x[row, :live], kinks, side="left")
+        right = np.searchsorted(x[row, :live], kinks, side="right")
+        gap = np.abs(mesh.edges[row][None, :] - kinks[:, None])
+        near = np.any((gap > 0.0) & (gap <= 256.0 * np.spacing(np.abs(kinks))[:, None]), axis=1)
+        assert np.all(left <= reads[row]) and np.all(reads[row] <= right)
+        assert np.array_equal(reads[row][~near], left[~near]) and np.array_equal(reads[row][~near], right[~near])
+        crowded += int(near.sum())
+        padding = w[row, live:]
+        assert np.all(padding == 0.0) and not np.signbit(padding).any()
+    return crowded
+
+
+class TestMeshReads:
+    def test_reads_split_the_live_nodes_at_each_kink(self):
+        # The make-bundle AXA slice, the three fixtures with kinks on
+        # equal-panel edges, the slow tails and a narrow core, and kinks
+        # below a and above b; stacked, the shorter rows pad with b.
+        slice_ = fixture_slice("AXA")
+        desk, _ = desk_quotes(slice_)
+        edge = [float.fromhex(v) for v in EDGE_STRIKES_HEX]
+        beyond = [1e-8, 1e8]
+        fixtures = [ExpNIGModel(FIXTURES[name][0], slice_) for name in ("AXA", "CREDIT_AGRICOLE", "MICHELIN")]
+        hard = [ExpNIGModel(p, slice_) for p in (SLOW_LEFT, SLOW_RIGHT, NIGParams(0.6, -0.59, 0.2))]
+        for models, strikes in (
+            (fixtures[:1], desk),
+            (fixtures, edge),
+            (hard, [*desk, *beyond]),
+            (fixtures + hard, [*desk, *edge, *beyond]),
+        ):
+            mesh = pricer_mesh(models, strikes)
+            assert check_reads(mesh) == 0
+            assert mesh.edges.shape[1] > min(mesh.count) or len(models) == 1
+
+    @property_settings
+    @given(st.lists(box_laws, min_size=1, max_size=12))
+    def test_reads_split_the_live_nodes_on_box_law_stacks(self, laws):
+        models = [m for m in (ExpNIGModel(p, PROPERTY_SLICE) for p in laws) if m.priceable]
+        assume(models)
+        strikes, _ = desk_quotes(PROPERTY_SLICE)
+        check_reads(pricer_mesh(models, [*strikes, 1e-8, 1e8]))
 
 
 def reference_cdf(p, t, xs):
@@ -770,6 +824,28 @@ class TestCdf:
     @given(params=equity_laws, t=st.floats(0.1, 2.0))
     def test_matches_refined_oracle_on_equity_laws(self, params, t):
         check_cdf(params, t)
+
+
+class TestSupportIntervalTightness:
+    @pytest.mark.parametrize(
+        "params",
+        [*(params for params, _ in FIXTURES.values()), SLOW_RIGHT, SLOW_LEFT, NIGParams(0.6, -0.59, 0.2)],
+        ids=[*FIXTURES, "SLOW_RIGHT", "SLOW_LEFT", "NARROW_CORE"],
+    )
+    def test_each_end_holds_almost_its_share(self, params):
+        # An independent oracle, scipy's adaptive quadrature over each
+        # half-line, puts between 0.99 and 1 + 1e-6 of tail_eps / 2 beyond
+        # each end: the bisection stops within 1e-3 of the tightest end.
+        tail_eps = 1e-5
+        a, b = support_interval(params, 1.0, tail_eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tails = [
+                quad(lambda x: nig_pdf(x, params), lo, hi, epsabs=1e-16, epsrel=1e-11)[0]
+                for lo, hi in ((-np.inf, a), (b, np.inf))
+            ]
+        for tail in tails:
+            assert 0.99 <= tail / (0.5 * tail_eps) <= 1.0 + 1e-6
 
 
 def tail_bound(p, t, end, side):
