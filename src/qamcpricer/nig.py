@@ -23,6 +23,8 @@ per panel (Trefethen, Approximation Theory and Approximation Practice,
 ch. 19), however narrow the law's core: rho^-2n is 5e-19 at 16 nodes and
 2e-14 at 12.  Each kink or query point is an edge, so its integral is a
 prefix or a suffix of the mesh's nodes, read at 16 nodes per panel below it.
+One kernel (``_price_block``) prices every European batch, one law or a
+stack of laws on one slice, plain or with the (alpha, beta, delta)-gradient.
 """
 
 from __future__ import annotations
@@ -252,7 +254,7 @@ def nig_cdf(x, p: NIGParams, t: float = 1.0):
     mesh = _Mesh.build(law, x_arr.reshape(1, -1), t)
     (nodes,), (weights,) = mesh.quadrature()
     cum = np.concatenate([[0.0], np.cumsum(weights * nig_pdf(nodes, p, t))])
-    out = cum[mesh.reads()[0]].reshape(x_arr.shape)
+    out = cum[mesh.reads[0]].reshape(x_arr.shape)
     return float(out) if np.isscalar(x) else out
 
 
@@ -378,30 +380,32 @@ def price_european_batch(model, strikes, kinds, gradient: bool = False):
     the same geometric rate on a core far narrower than an equal panel as
     on a broad one (see the module docstring).
     A single quote is a batch of one.  The result is independent of mu.
-    Strikes must be positive and finite.  Tails too heavy for a finite S(T)
-    on the interval (``ExpNIGModel.priceable``) are a DomainError.
+    Strikes must be a non-empty vector, positive and finite.  Tails too
+    heavy for a finite S(T) on the interval (``ExpNIGModel.priceable``) are
+    a DomainError.
 
     ``model`` may also be a sequence of models on one slice; the result then
-    has one row of prices per model, each ``tobytes()``-equal to pricing that
-    model alone.  The models' meshes are stacked, each row padded at its end
-    with zero-width panels whose nodes weigh +0.0, and scored in blocks of at
-    most _STACK_NODES nodes: one density pass over a block's padded nodes,
-    one cumulative sum each way, and one read per row.
+    has one row per model, each ``tobytes()``-equal to pricing that model
+    alone.  The models' meshes are stacked, each row padded at its end with
+    zero-width panels whose nodes weigh +0.0, and priced in blocks of at
+    most _STACK_NODES nodes (``_price_block``): one density pass over a
+    block's padded nodes, one cumulative sum each way, and one read per row.
 
-    With ``gradient=True`` (one model only) the result is
-    ``(prices, d_prices)``, where row m of ``d_prices`` is
-    d price_m / d(alpha, beta, delta) of the quadrature sum itself, off the
-    same density pass.  A parameter moves each term w payoff(S(T)) f(x)
-    through the density, through S(T) = S0 exp(drift + x), and through its
-    node and weight: the panel edges are the interval ends, which scale with
-    the cumulants, the kinks, which move against the drift, and the graded
+    With ``gradient=True`` the result is ``(prices, d_prices)``, where
+    ``d_prices[..., m, :]`` is d price_m / d(alpha, beta, delta) of the
+    quadrature sum itself, off the same density pass: shapes (strikes,) and
+    (strikes, 3) for one model, (models, strikes) and (models, strikes, 3)
+    for a stack.  A parameter moves each term w payoff(S(T)) f(x) through
+    the density, through S(T) = S0 exp(drift + x), and through its node and
+    weight: the panel edges are the interval ends, which scale with the
+    cumulants, the kinks, which move against the drift, and the graded
     edges, which scale with delta.  So the gradient is that of the computed
     prices wherever the interval's width steps and the graded edges' count
     are locally constant, in tails slow or not.
     """
     strikes = np.asarray(strikes, dtype=float)
-    if strikes.ndim != 1 or len(kinds) != strikes.size:
-        raise DomainError("strikes must be a flat vector with one kind per strike")
+    if strikes.ndim != 1 or not 0 < strikes.size == len(kinds):
+        raise DomainError("strikes must be a non-empty flat vector with one kind per strike")
     if not np.all(np.isfinite(strikes) & (strikes > 0)):
         raise DomainError("strikes must be positive and finite")
     for kind in kinds:
@@ -411,8 +415,6 @@ def price_european_batch(model, strikes, kinds, gradient: bool = False):
     models = [model] if single else list(model)
     if not models or any(m.slice_ != models[0].slice_ for m in models):
         raise DomainError("a stacked batch needs at least one model, all on one slice")
-    if gradient and not single:
-        raise DomainError("the gradient is priced for one model at a time")
     for m in models:
         if not m.priceable:
             a, b = m.interval
@@ -423,12 +425,11 @@ def price_european_batch(model, strikes, kinds, gradient: bool = False):
     log_k = np.array([math.log(strike / slice_.spot) for strike in strikes])
     is_call = np.array([kind == "C" for kind in kinds], dtype=bool)
     mesh = _Mesh.build(laws, log_k - laws[:, 2:3], slice_.expiry)
-    if gradient:
-        return _price_with_gradient(model, mesh, strikes, is_call)
-    out = np.empty((len(models), strikes.size))
+    out = np.empty((len(models), strikes.size, 4 if gradient else 1))
     for rows, block in mesh.blocks():
-        out[rows] = _price_block(slice_, block, strikes, is_call)
-    return out[0] if single else out
+        out[rows] = _price_block(models[rows], block, strikes, is_call, gradient)
+    out = out[0] if single else out
+    return (out[..., 0], out[..., 1:]) if gradient else out[..., 0]
 
 
 class _LawColumns(NamedTuple):
@@ -448,77 +449,68 @@ class _LawColumns(NamedTuple):
 class _Mesh(NamedTuple):
     """The quadrature meshes of NIG laws at one horizon t, one row per law.
 
-    Row i's candidate edges are the _PRICING_PANELS + 1 equal-panel edges
-    of law i's interval [a, b], its ``extra`` edges (clipped to [a, b]),
-    and its graded edges mu t + delta t c inside (a, b), c = 0 and +-2^k for
+    Row i's ``candidates`` are the _PRICING_PANELS + 1 equal-panel edges of
+    law i's interval [a, b], its ``extra`` edges clipped to [a, b], and its
+    graded edges mu t + delta t c inside (a, b), c = 0 and +-2^k for
     k = -1, 0, 1, ... while 2^k delta t is below the equal-panel width
-    (``steps`` lists every c); a candidate that is no edge is set to a.
-    ``edges`` holds each row's ``count`` distinct candidates in order, as
-    ``np.unique`` gives them, padded at the end with b: zero-width panels,
-    whose nodes weigh +0.0.  ``laws`` holds each law's (alpha, beta, delta,
-    mu, gamma).
+    (``steps`` lists every c); a graded candidate that is no edge is set to
+    a.  One stable sort of each row dedupes them: ``edges`` holds the row's
+    ``count`` distinct candidates in order, padded at the end with b
+    (zero-width panels, whose nodes weigh +0.0), and ``sources`` the index
+    of each edge's first equal candidate (b's for the padding), the indices
+    ``np.unique(..., return_index=True)`` returns.  ``reads`` says where
+    each ``extra`` edge splits its row's nodes: _PRICING_NODES times the
+    row's edges strictly below it, its rank in the sort.  No quadrature node
+    lies on an edge of a panel wider than rounding, so this is the count of
+    the row's nodes below the edge and of those at or below it alike: a
+    call's suffix starts there, a put's prefix ends there.  ``laws`` holds
+    each law's (alpha, beta, delta, mu, gamma).
     """
 
     laws: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
     drift: np.ndarray
-    extra: np.ndarray
     steps: np.ndarray
     candidates: np.ndarray
     edges: np.ndarray
     count: np.ndarray
+    sources: np.ndarray
+    reads: np.ndarray
 
     @classmethod
     def build(cls, rows: np.ndarray, extra: np.ndarray, t: float) -> "_Mesh":
         """From rows (a, b, drift, alpha, beta, delta, mu, gamma) and x-space edges, shape (laws, edges)."""
         a, b, drift = rows[:, :3].T
         laws = rows[:, 3:]
-        extra = np.clip(extra, a[:, None], b[:, None])
         dt, mt = (laws[:, 2:4] * t).T
         width = (b - a) / _PRICING_PANELS
         # c = 2^(k-1) doubles c dt exactly, so the steps below the width are a prefix.
         powers = 0.5 * 2.0 ** np.arange(max(math.ceil(math.log2((width / dt).max())) + 2, 0))
         steps = np.concatenate([[0.0], -powers, powers])
         below = powers * dt[:, None] < width[:, None]
-        inner = np.concatenate([extra, mt[:, None] + dt[:, None] * steps], axis=1)
-        edge = (inner > a[:, None]) & (inner < b[:, None])
-        graded = extra.shape[1] + 1
-        edge[:, graded : graded + powers.size] &= below
-        edge[:, graded + powers.size :] &= below
+        graded = mt[:, None] + dt[:, None] * steps
+        edge = (graded > a[:, None]) & (graded < b[:, None])
+        edge[:, 1 : powers.size + 1] &= below
+        edge[:, powers.size + 1 :] &= below
         # np.linspace(a, b, _PRICING_PANELS + 1) row by row, as it forms them.
         panel = np.arange(_PRICING_PANELS + 1.0) * width[:, None] + a[:, None]
         panel[:, -1] = b
-        candidates = np.concatenate([panel, np.where(edge, inner, a[:, None])], axis=1)
-        ordered = np.sort(candidates, axis=1)
-        repeat = ordered[:, 1:] == ordered[:, :-1]
-        # Each repeat becomes b, the largest edge, and a second sort moves it to the padding.
-        ordered[:, 1:] = np.where(repeat, b[:, None], ordered[:, 1:])
-        count = ordered.shape[1] - repeat.sum(axis=1)
-        edges = np.sort(ordered, axis=1)[:, : count.max()]
-        return cls(laws, a, b, drift, extra, steps, candidates, edges, count)
-
-    def sources(self, row: int) -> np.ndarray:
-        """The index of each of row ``row``'s edges among its candidates, the first equal one.
-
-        A stable sort puts equal candidates in index order, so an edge's first
-        place in it is its first equal candidate: the indices that
-        ``np.unique(..., return_index=True)`` returns, and b's for the padding.
-        """
-        order = np.argsort(self.candidates[row], kind="stable")
-        return order[np.searchsorted(self.candidates[row, order], self.edges[row])]
-
-    def reads(self) -> np.ndarray:
-        """Where each ``extra`` edge splits its row's nodes, in the shape of ``extra``.
-
-        _PRICING_NODES times the row's edges strictly below it, the lower
-        edges of the panels below it (the padding, at b, never is).  No
-        quadrature node lies on an edge of a panel wider than rounding, so
-        this is the count of the row's nodes below the edge and of those at
-        or below it alike: a call's suffix starts there, a put's prefix ends
-        there.
-        """
-        return (self.edges[:, None, :] < self.extra[..., None]).sum(axis=2) * _PRICING_NODES
+        extra = np.clip(extra, a[:, None], b[:, None])
+        candidates = np.concatenate([panel, extra, np.where(edge, graded, a[:, None])], axis=1)
+        line = np.arange(a.size)[:, None]
+        order = np.argsort(candidates, axis=1, kind="stable")
+        ordered = candidates[line, order]
+        first = np.ones(ordered.shape, dtype=bool)
+        first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+        rank = np.cumsum(first, axis=1) - 1
+        count = rank[:, -1] + 1
+        live = np.arange(count.max()) < count[:, None]
+        edges = np.where(live, 0.0, b[:, None])
+        edges[live] = ordered[first]
+        sources = np.where(live, 0, _PRICING_PANELS)
+        sources[live] = order[first]
+        rank[line, order] = rank.copy()
+        reads = rank[:, panel.shape[1] : panel.shape[1] + extra.shape[1]] * _PRICING_NODES
+        return cls(laws, drift, steps, candidates, edges, count, sources, reads)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -544,86 +536,91 @@ class _Mesh(NamedTuple):
                 stop += 1
             rows = slice(start, stop)
             block = self._replace(**{name: getattr(self, name)[rows] for name in self._fields if name != "steps"})
-            yield rows, block._replace(edges=block.edges[:, : block.count.max()])
+            size = block.count.max()
+            yield rows, block._replace(edges=block.edges[:, :size], sources=block.sources[:, :size])
             start = stop
 
 
-def _price_block(slice_: MarketSlice, mesh: _Mesh, strikes: np.ndarray, is_call: np.ndarray) -> np.ndarray:
-    """Plain prices of a block of laws, one row each, off one density pass over their padded nodes."""
+def _price_block(models, mesh: _Mesh, strikes: np.ndarray, is_call: np.ndarray, gradient: bool) -> np.ndarray:
+    """Prices of a block of laws on one slice, one row each, off one density pass over their padded nodes.
+
+    Shape (rows, strikes, 1), or with ``gradient`` (rows, strikes, 4): each
+    price followed by its (alpha, beta, delta)-gradient.
+    """
+    slice_, t = models[0].slice_, models[0].slice_.expiry
     x, w = mesh.quadrature()
-    dens = nig_pdf(x, _LawColumns(*mesh.laws.T[..., None]), slice_.expiry)
+    law = _LawColumns(*mesh.laws.T[..., None])
+    dens, k1 = nig_pdf(x, law, t, return_kve=True)
+    s_dens = slice_.spot * np.exp(mesh.drift[:, None] + x) * dens
     # Per node, w payoff f is u - K v for a call and K v - u for a put, with
-    # u = w S(T) f and v = w f.
-    uv = np.empty(x.shape + (2,))
-    uv[..., 0] = w * (slice_.spot * np.exp(mesh.drift[:, None] + x) * dens)
-    uv[..., 1] = w * dens
-    return _read_prices(uv, mesh, strikes, is_call, slice_.discount_factor)[..., 0]
+    # u = w S(T) f and v = w f, each followed by its gradient if asked.
+    uv = np.empty(x.shape + (2, 4 if gradient else 1))
+    uv[..., 0, 0] = w * s_dens
+    uv[..., 1, 0] = w * dens
+    if gradient:
+        scores, slope = _log_density_scores(x, law, t, k1)
+        d_drift, d_x, d_w = _node_gradients(models, mesh, strikes.size)
+        # d payoff / d drift = +-S(T), so the drift moves u and not v.
+        d_u = scores + (1.0 + slope)[..., None] * d_x + d_drift
+        uv[..., 0, 1:] = s_dens[..., None] * d_w + (w * s_dens)[..., None] * d_u
+        uv[..., 1, 1:] = dens[..., None] * d_w + (w * dens)[..., None] * (scores + slope[..., None] * d_x)
+    return _read_prices(uv, mesh, strikes, is_call, slice_.discount_factor)
 
 
-def _price_with_gradient(model: ExpNIGModel, mesh: _Mesh, strikes: np.ndarray, is_call: np.ndarray):
-    """Prices of one law and their (alpha, beta, delta)-gradient off one density pass."""
-    p = model.params
-    t = model.slice_.expiry
-    (x,), (w,) = mesh.quadrature()
-    dens, k1 = nig_pdf(x, p, t, return_kve=True)
-    s_dens = model.price_at(x) * dens
-    # Columns u = w S(T) f and v = w f as in _price_block, each followed by
-    # its (alpha, beta, delta)-gradient.
-    uv = np.empty((x.size, 8))
-    uv[:, 0] = w * s_dens
-    uv[:, 4] = w * dens
-    scores, slope = _log_density_scores(x, p, t, k1)
-    d_drift = _drift_gradient(p, t)
-    # Nodes and weights move with the panel edges, each as the first equal
-    # candidate: the interval's edges with its ends, the kinks against the
-    # drift, and the graded edges mu t + delta t c by t c along delta.
-    d_a, d_b = _interval_gradient(p, t, mesh.a[0], mesh.b[0])
+def _node_gradients(models, mesh: _Mesh, kinks: int):
+    """d drift / d(alpha, beta, delta) per row, shape (rows, 1, 3), and that of every node and weight.
+
+    Nodes and weights move with the panel edges, each as its first equal
+    candidate (``_Mesh.sources``): the interval's edges with its ends, the
+    kinks against the drift, and the graded edges mu t + delta t c by t c
+    along delta.  Each law's drift and interval gradients are scalar code.
+    """
+    t, rows = models[0].slice_.expiry, len(models)
+    d_drift = np.array([_drift_gradient(m.params, t) for m in models])[:, None]
+    ends = np.array([_interval_gradient(m.params, t, *m.interval) for m in models])
+    d_a, d_b = ends[:, :1], ends[:, 1:]
     frac = np.linspace(0.0, 1.0, _PRICING_PANELS + 1)[:, None]
-    d_graded = np.zeros((mesh.steps.size, 3))
-    d_graded[:, 2] = t * mesh.steps
-    d_edges = np.concatenate([d_a + frac * (d_b - d_a), np.tile(-d_drift, (strikes.size, 1)), d_graded])
-    d_edges = d_edges[mesh.sources(0)]
-    d_mid = 0.5 * (d_edges[1:] + d_edges[:-1])[:, None, :]
-    d_half = 0.5 * (d_edges[1:] - d_edges[:-1])[:, None, :]
-    d_x = (d_mid + d_half * _PRICING_RULE.nodes[None, :, None]).reshape(-1, 3)
-    d_w = (d_half * _PRICING_RULE.weights[None, :, None]).reshape(-1, 3)
-    # d payoff / d drift = +-S(T), so the drift moves u and not v.
-    uv[:, 1:4] = s_dens[:, None] * d_w + (w * s_dens)[:, None] * (scores + (1.0 + slope)[:, None] * d_x + d_drift)
-    uv[:, 5:] = dens[:, None] * d_w + (w * dens)[:, None] * (scores + slope[:, None] * d_x)
-    out = _read_prices(uv[None], mesh, strikes, is_call, model.slice_.discount_factor)[0]
-    return out[:, 0], out[:, 1:]
+    d_graded = np.zeros((rows, mesh.steps.size, 3))
+    d_graded[..., 2] = t * mesh.steps
+    d_candidates = np.concatenate([d_a + frac * (d_b - d_a), np.repeat(-d_drift, kinks, axis=1), d_graded], axis=1)
+    d_edges = d_candidates[np.arange(rows)[:, None], mesh.sources]
+    d_mid = 0.5 * (d_edges[:, 1:] + d_edges[:, :-1])[:, :, None]
+    d_half = 0.5 * (d_edges[:, 1:] - d_edges[:, :-1])[:, :, None]
+    d_x = (d_mid + d_half * _PRICING_RULE.nodes[:, None]).reshape(rows, -1, 3)
+    d_w = (d_half * _PRICING_RULE.weights[:, None]).reshape(d_x.shape)
+    return d_drift, d_x, d_w
 
 
 def _read_prices(uv, mesh: _Mesh, strikes, is_call, df) -> np.ndarray:
-    """Discounted prices off per-node columns (u, ..., v, ...), shape (rows, strikes, columns / 2).
+    """Discounted prices off per-node columns ``uv[..., (u, v), :]``, shape (rows, strikes, columns).
 
-    The mesh's ``extra`` edges are the kinks, clipped to [a, b], and x
-    increases along each row, so a call's support is the suffix of the
-    row's nodes from its kink's ``reads`` and a put's the prefix up to it;
-    a call struck above b or a put below a has an empty run: 0.  The
-    cumulative sums run only as far as some read needs them: the prefix
-    sums up to the last read, the suffix sums down to the first.
+    The mesh's extra edges (``_Mesh.build``) are the kinks, clipped to
+    [a, b], and x increases along each row, so a call's support is the
+    suffix of the row's nodes from its kink's ``reads`` and a put's the
+    prefix up to it; a call struck above b or a put below a has an empty
+    run: 0.  The cumulative sums run only as far as some read needs them:
+    the prefix sums up to the last read, the suffix sums down to the first.
     """
-    rows, size, columns = uv.shape
-    at = mesh.reads()
+    rows, size = uv.shape[:2]
+    at = mesh.reads
     top, bottom = at.max(), at.min()
-    prefix = np.zeros((rows, top + 1, columns))
-    suffix = np.zeros((rows, size - bottom + 1, columns))
+    prefix = np.zeros((rows, top + 1) + uv.shape[2:])
+    suffix = np.zeros((rows, size - bottom + 1) + uv.shape[2:])
     np.cumsum(uv[:, :top], axis=1, out=prefix[:, 1:])
     np.cumsum(uv[:, bottom:][:, ::-1], axis=1, out=suffix[:, -2::-1])
-    row, k, cols = np.arange(rows)[:, None], strikes[:, None], columns // 2
-    calls = df * (suffix[row, at - bottom, :cols] - k * suffix[row, at - bottom, cols:])
-    puts = df * (k * prefix[row, at, cols:] - prefix[row, at, :cols])
+    row, k = np.arange(rows)[:, None], strikes[:, None]
+    calls = df * (suffix[row, at - bottom, 0] - k * suffix[row, at - bottom, 1])
+    puts = df * (k * prefix[row, at, 1] - prefix[row, at, 0])
     return np.where(is_call[:, None], calls, puts)
 
 
-def _log_density_scores(x: np.ndarray, p: NIGParams, t: float, k1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """d log f / d(alpha, beta, delta) at fixed x, shape (nodes, 3), and d log f / dx.
+def _log_density_scores(x: np.ndarray, p: _LawColumns, t: float, k1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d log f / d(alpha, beta, delta) at fixed x, shape x.shape + (3,), and d log f / dx.
 
-    f is the NIG(alpha, beta, delta t, mu t) density, and ``k1`` is
-    kve(1, alpha q) as ``nig_pdf`` formed it.  With dx = x - mu t,
-    q = sqrt((delta t)^2 + dx^2), g = sqrt(alpha^2 - beta^2) and
-    R = K0(alpha q) / K1(alpha q) (from K1' = -K0 - K1/z):
+    f is the NIG(alpha, beta, delta t, mu t) density of each point's law,
+    and ``k1`` is kve(1, alpha q) as ``nig_pdf`` formed it.  With
+    dx = x - mu t, q = sqrt((delta t)^2 + dx^2), g = sqrt(alpha^2 - beta^2)
+    and R = K0(alpha q) / K1(alpha q) (from K1' = -K0 - K1/z):
 
         d_alpha log f = -q R + delta t alpha / g
         d_beta  log f = dx - delta t beta / g
@@ -637,10 +634,10 @@ def _log_density_scores(x: np.ndarray, p: NIGParams, t: float, k1: np.ndarray) -
     q = np.sqrt(dt * dt + dx * dx)
     z = alpha * q
     ratio = kve(0, z) / k1  # the exp(-z) scalings cancel
-    scores = np.empty((x.size, 3))
-    scores[:, 0] = -q * ratio + dt * alpha / g
-    scores[:, 1] = dx - dt * beta / g
-    scores[:, 2] = t * (1.0 / dt - alpha * dt * ratio / q - 2.0 * dt / (q * q) + g)
+    scores = np.empty(x.shape + (3,))
+    scores[..., 0] = -q * ratio + dt * alpha / g
+    scores[..., 1] = dx - dt * beta / g
+    scores[..., 2] = t * (1.0 / dt - alpha * dt * ratio / q - 2.0 * dt / (q * q) + g)
     slope = beta - alpha * dx * ratio / q - 2.0 * dx / (q * q)
     return scores, slope
 

@@ -452,10 +452,12 @@ class TestCalibrate:
         # The make-bundle slices.  Every lattice row and every fit evaluation
         # has at most 800 live density nodes, a bound on the graded 16-node
         # mesh that a 64-node rule on the 36 equal and kink panels (2,304
-        # nodes) breaks.  The lattice is scored in stacked blocks, each one
-        # density pass over all of its rows' nodes, padding included, and
-        # holding at most nig._STACK_NODES of them.  The grid starts and the
-        # fit's evaluation counts are pinned too.
+        # nodes) breaks.  Every price goes through nig._price_block: the
+        # lattice in stacked plain blocks, each one density pass over all of
+        # its rows' nodes, padding included, and holding at most
+        # nig._STACK_NODES of them, then each fit evaluation in a gradient
+        # block of one row.  The grid starts and the fit's evaluation counts
+        # are pinned too.
         slice_ = desk_slice(name)
         points, blocks, starts = [], [], []
         pdf, price_block, init = nig.nig_pdf, nig._price_block, calibration.grid_init
@@ -464,9 +466,9 @@ class TestCalibrate:
             points.append(np.size(x))
             return pdf(x, *args, **kwargs)
 
-        def recording_block(slice_, mesh, *args):
-            blocks.append((mesh.nodes.copy(), mesh.edges.shape))
-            return price_block(slice_, mesh, *args)
+        def recording_block(models, mesh, strikes, is_call, gradient):
+            blocks.append((mesh.nodes.copy(), mesh.edges.shape, gradient))
+            return price_block(models, mesh, strikes, is_call, gradient)
 
         def recording_init(residual):
             starts.append(init(residual))
@@ -477,11 +479,13 @@ class TestCalibrate:
         monkeypatch.setattr(calibration, "grid_init", recording_init)
         result = calibrate(slice_, CalibrationConfig())
         assert starts == [start] and result.iterations == evaluations
-        assert len(points) == len(blocks) + evaluations
-        assert sum(len(live) for live, _ in blocks) == lattice_size()
-        assert max(max(live) for live, _ in blocks) <= 800 and max(points[len(blocks):]) <= 800
-        held = [rows * (edges - 1) * 16 for _, (rows, edges) in blocks]
-        assert max(held) <= nig._STACK_NODES and points[: len(blocks)] == held
+        lattice = len(blocks) - evaluations
+        assert len(points) == len(blocks) and [g for _, _, g in blocks] == [False] * lattice + [True] * evaluations
+        assert sum(len(live) for live, _, _ in blocks[:lattice]) == lattice_size()
+        assert all(len(live) == 1 for live, _, _ in blocks[lattice:])
+        assert max(max(live) for live, _, _ in blocks) <= 800
+        held = [rows * (edges - 1) * 16 for _, (rows, edges), _ in blocks]
+        assert max(held) <= nig._STACK_NODES and points == held
 
     def test_prior_inverted_once_per_slice(self, monkeypatch):
         # calibrate builds the slice's least-squares problem once and the

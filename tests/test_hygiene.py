@@ -3,7 +3,8 @@ every export has a reader, every field a src/ class stores has a reader, src/
 memoizes nothing keyed by model inputs, only the CLI's two writers and the
 quote saver write files, only the study harness's fork-join helper starts
 processes or threads, nig maps its quadrature rule at one site and never
-calls np.unique, and a CLI run imports no scipy.
+calls np.unique, a CLI run imports no scipy, and the float.hex pins that
+depend on numpy's SIMD level hold on its AVX2 kernels too.
 
 The field rule covers each field of a src/ dataclass and each attribute a
 src/ class sets on ``self``.  It counts as read when src/ or perfbench/
@@ -18,6 +19,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from simd import AVX2_ONLY, LEVEL_PINNED
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
@@ -450,13 +453,16 @@ def call_sites(source: str, module: str, function: str) -> list[str]:
 
 def test_nig_maps_one_quadrature_rule_and_dedupes_once():
     # Every NIG density integral that shares the pricer's mesh gets its
-    # nodes and weights from one mapping, and its edges from one dedupe.
-    # Prices and the CDF are read off it by one rule, _Mesh.reads, a count
-    # of edges; the one searchsorted finds each edge's first candidate.
+    # nodes and weights from one mapping, and its edges from one dedupe:
+    # one stable sort gives each edge, its first candidate and the rank of
+    # each extra edge, so prices and the CDF are read off it by one rule,
+    # _Mesh.reads, with no search.
     source = (ROOT / "src" / "qamcpricer" / "nig.py").read_text()
     assert call_sites(source, "numerics", "gauss_legendre_panels") == ["_Mesh.quadrature"]
     assert call_sites(source, "numpy", "unique") == []
-    assert call_sites(source, "numpy", "searchsorted") == ["_Mesh.sources"]
+    assert call_sites(source, "numpy", "argsort") == ["_Mesh.build"]
+    assert call_sites(source, "numpy", "sort") == []
+    assert call_sites(source, "numpy", "searchsorted") == []
 
 
 def test_call_site_is_found():
@@ -479,6 +485,24 @@ def test_call_site_is_found():
     assert call_sites(source, "numerics", "gauss_legendre_panels") == ["Mesh.nodes", "Mesh.nodes"]
     assert call_sites(source, "numpy", "unique") == ["dedupe", "dedupe", "dedupe", "<module>"]
     assert call_sites(source, "numpy", "searchsorted") == ["Reader.at"]
+
+
+
+def test_level_pinned_bits_hold_on_avx2_kernels():
+    # Each test whose pins depend on numpy's SIMD level, rerun in a process
+    # whose numpy takes its AVX2 kernels, so that an AVX-512 host checks the
+    # AVX2 values too.
+    check = (
+        "import sys, pytest\n"
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        "assert not __cpu_features__['X86_V4']\n"
+        "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *sys.argv[1:]]))\n"
+    )
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": AVX2_ONLY}
+    run = subprocess.run(
+        [sys.executable, "-c", check, *LEVEL_PINNED], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
 
 
 # Run in a fresh interpreter: pytest's own warning filters import scipy.optimize.

@@ -1,12 +1,13 @@
 """Tests for the NIG distribution and the exponential-NIG pricing model."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import special
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
@@ -33,6 +34,7 @@ from qamcpricer.numerics import integrate
 from cos_pricing import nig_char_exponent, price_european_cos
 from nig_sampling import sample_nig
 from series_bounds import cumulant_interval
+from simd import X86_V4
 
 
 class TestParams:
@@ -237,6 +239,12 @@ class TestPriceEuropean:
             price_european_batch(model, [30.0], ["C", "P"])
         with pytest.raises(DomainError):
             price_european_batch(model, [[30.0, 31.0]], ["C", "C"])
+
+    @pytest.mark.parametrize("gradient", [False, True])
+    def test_empty_strikes_rejected(self, axa_params, axa_slice, gradient):
+        # No strike used to reach an empty reduction in the price read.
+        with pytest.raises(DomainError):
+            price_european_batch(ExpNIGModel(axa_params, axa_slice), [], [], gradient=gradient)
 
     @pytest.mark.parametrize("strike", [0.0, -1.0, math.nan, math.inf])
     def test_strikes_positive_and_finite(self, axa_params, axa_slice, strike):
@@ -579,11 +587,13 @@ box_laws = st.builds(
 class TestStackedBatch:
     @property_settings
     @given(st.lists(box_laws, min_size=1, max_size=12))
+    @example([FIXTURES[name][0] for name in ("AXA", "CREDIT_AGRICOLE", "MICHELIN")] * 4)
     def test_rows_match_single_batches(self, laws):
-        # Each row of a stack is the batch of its law alone, bit for bit: a
-        # ladder from deep in the money to beyond the interval (kinks outside
-        # (a, b)) and, where one exists, a strike whose kink is a panel edge.
-        # Twelve desk-sized rows overflow one block of nig._STACK_NODES.
+        # Each row of a stack, prices and (alpha, beta, delta)-gradient, is
+        # the batch of its law alone, bit for bit: a ladder from deep in the
+        # money to beyond the interval (kinks outside (a, b)) and, where one
+        # exists, a strike whose kink is a panel edge.  Twelve desk-sized
+        # rows overflow one block of nig._STACK_NODES.
         models = [m for m in (ExpNIGModel(p, PROPERTY_SLICE) for p in laws) if m.priceable]
         assume(models)
         strikes = list(np.linspace(0.4, 2.0, 9) * PROPERTY_SLICE.forward) + [1e-8, 1e8]
@@ -591,9 +601,12 @@ class TestStackedBatch:
         strikes += [] if on_edge is None else [on_edge]
         kinds = ["C", "P"] * (len(strikes) // 2) + ["C"] * (len(strikes) % 2)
         stack = price_european_batch(models, strikes, kinds)
-        assert stack.shape == (len(models), len(strikes))
-        for model, row in zip(models, stack):
+        prices, grads = price_european_batch(models, strikes, kinds, gradient=True)
+        assert stack.shape == prices.shape == (len(models), len(strikes)) and grads.shape == prices.shape + (3,)
+        for model, row, price, grad in zip(models, stack, prices, grads):
             assert row.tobytes() == price_european_batch(model, strikes, kinds).tobytes()
+            alone, d_alone = price_european_batch(model, strikes, kinds, gradient=True)
+            assert price.tobytes() == alone.tobytes() and grad.tobytes() == d_alone.tobytes()
         # The stacked equal-panel edges are np.linspace's, bit for bit.
         log_k = np.log(np.asarray(strikes) / PROPERTY_SLICE.spot)
         fields = nig._LawColumns._fields
@@ -622,8 +635,6 @@ class TestStackedBatch:
             price_european_batch(models + [ExpNIGModel(axa_params, michelin_slice)], [30.0], ["C"])
         with pytest.raises(DomainError):
             price_european_batch([], [30.0], ["C"])
-        with pytest.raises(DomainError):
-            price_european_batch(models, [30.0], ["C"], gradient=True)
 
 
 # Pinned at the commit before nig_cdf and the gradient batch moved onto the
@@ -673,6 +684,47 @@ EDGE_STACK_HEX = [
     ["0x1.ba931e37607a1p-8", "0x1.31b21025ee4d4p+5", "0x1.9f9418b387360p-7"],
 ]
 
+# The same pins on numpy's AVX2 kernels (see simd.py).
+AXA_PLAIN_HEX_AVX2 = [
+    "0x1.c5ab715707993p+2", "0x1.012cbf371d745p+0", "0x1.8c9cfe76d4667p+2", "0x1.3821af02d48b8p+0",
+    "0x1.5630ce399c2e1p+2", "0x1.799fa95a778c8p+0", "0x1.22ddf61498133p+2", "0x1.c7830412eb00ap+0",
+    "0x1.e652c9a697b5ep+1", "0x1.11efbd2d1f02ep+1", "0x1.8f3fcc190b4c1p+1", "0x1.48741d45d4875p+1",
+    "0x1.41929fbedd42ep+1", "0x1.885e4e91e86ddp+1", "0x1.fc4cdcb5f5233p+0", "0x1.d2897ad447ad5p+1",
+    "0x1.8ad68e0462b49p+0", "0x1.13b2d890e032fp+2", "0x1.2e6dbeaa19fd2p+0", "0x1.4364538d6efd7p+2",
+    "0x1.cae34ab9521f5p-1", "0x1.77f0fc0d33bbbp+2", "0x1.5a824335d0564p-1", "0x1.b0b089efe47b0p+2",
+]
+AXA_GRADIENT_HEX_AVX2 = [
+    ["-0x1.b3325d0bb3ae5p-2", "-0x1.dd04c65b64d13p-2", "0x1.52a02e3a0f34fp+2"],
+    ["-0x1.b3325d0a5e4c1p-2", "-0x1.dd04c65a3c2f6p-2", "0x1.52a02e3b2c8dap+2"],
+    ["-0x1.d2800d40488d9p-2", "-0x1.fe61b0146c0ddp-2", "0x1.85ccdcee62debp+2"],
+    ["-0x1.d2800d3ee58b7p-2", "-0x1.fe61b01337952p-2", "0x1.85ccdcef8b9b4p+2"],
+    ["-0x1.ec295ab942dc0p-2", "-0x1.0c31bb28a8a26p-1", "0x1.baa141996232ep+2"],
+    ["-0x1.ec295ab7d239ep-2", "-0x1.0c31bb28087aap-1", "0x1.baa1419a9652cp+2"],
+    ["-0x1.fdbdfa0034121p-2", "-0x1.13eb9468ae578p-1", "0x1.ee7d2a195f165p+2"],
+    ["-0x1.fdbdf9feb5cffp-2", "-0x1.13eb946808447p-1", "0x1.ee7d2a1a9e9a1p+2"],
+    ["-0x1.024f333ce5614p-1", "-0x1.14a5947fcc7aep-1", "0x1.0ebef46adb351p+3"],
+    ["-0x1.024f333c1f707p-1", "-0x1.14a5947f207c7p-1", "0x1.0ebef46b80a8dp+3"],
+    ["-0x1.fe5c8c2a19e53p-2", "-0x1.0ccf4d05cd533p-1", "0x1.2139d2e9ad5d2p+3"],
+    ["-0x1.fe5c8c288063bp-2", "-0x1.0ccf4d051b694p-1", "0x1.2139d2ea5882fp+3"],
+    ["-0x1.e9652693ce36ep-2", "-0x1.f6fed2612187cp-2", "0x1.2baf038d4b0d9p+3"],
+    ["-0x1.e965269227156p-2", "-0x1.f6fed25fb1dcep-2", "0x1.2baf038dfbe53p+3"],
+    ["-0x1.c5de4826b15bfp-2", "-0x1.c231659d349d1p-2", "0x1.2b65420aed7f7p+3"],
+    ["-0x1.c5de4824fc9a6p-2", "-0x1.c231659bb91b3p-2", "0x1.2b65420ba408dp+3"],
+    ["-0x1.9656a6d61e7fep-2", "-0x1.7f87c7fe28686p-2", "0x1.1f0218746890ap+3"],
+    ["-0x1.9656a6d45c1e1p-2", "-0x1.7f87c7fca1104p-2", "0x1.1f02187524cb9p+3"],
+    ["-0x1.5f9f72eb3cabfp-2", "-0x1.36766bdf968bfp-2", "0x1.078351b172cc7p+3"],
+    ["-0x1.5f9f72e96caa1p-2", "-0x1.36766bde035c8p-2", "0x1.078351b234b90p+3"],
+    ["-0x1.2780dfa770407p-2", "-0x1.decb257307c18p-3", "0x1.d081d98db08fbp+2"],
+    ["-0x1.2780dfa5929e0p-2", "-0x1.decb256fc9b72p-3", "0x1.d081d98f3fcc1p+2"],
+    ["-0x1.e5e091113275ap-3", "-0x1.61d149d574350p-3", "0x1.8b6a83461e5d4p+2"],
+    ["-0x1.e5e0910d5bf14p-3", "-0x1.61d149d21e7d1p-3", "0x1.8b6a8347b8fdbp+2"],
+]
+EDGE_STACK_HEX_AVX2 = [
+    ["0x1.400c2f1ca88e4p-8", "0x1.31b0f0d0a51a3p+5", "0x1.2079d8b6bfc86p-7"],
+    ["0x1.069a557b0a9e9p-7", "0x1.31b3fa366a818p+5", "0x1.c4085fa79f95dp-7"],
+    ["0x1.ba931e3760791p-8", "0x1.31b21025ee4d3p+5", "0x1.9f9418b387350p-7"],
+]
+
 
 class TestPinnedBits:
     def test_make_bundle_axa_slice(self):
@@ -680,9 +732,10 @@ class TestPinnedBits:
         model = ExpNIGModel(FIXTURES["AXA"][0], slice_)
         strikes, kinds = desk_quotes(slice_)
         prices, grad = price_european_batch(model, strikes, kinds, gradient=True)
-        assert [v.hex() for v in price_european_batch(model, strikes, kinds)] == AXA_PLAIN_HEX
-        assert [v.hex() for v in prices] == AXA_PLAIN_HEX
-        assert [[v.hex() for v in row] for row in grad] == AXA_GRADIENT_HEX
+        plain_hex = AXA_PLAIN_HEX if X86_V4 else AXA_PLAIN_HEX_AVX2
+        assert [v.hex() for v in price_european_batch(model, strikes, kinds)] == plain_hex
+        assert [v.hex() for v in prices] == plain_hex
+        assert [[v.hex() for v in row] for row in grad] == (AXA_GRADIENT_HEX if X86_V4 else AXA_GRADIENT_HEX_AVX2)
 
     def test_stack_with_kinks_on_panel_edges(self):
         slice_ = fixture_slice("AXA")
@@ -691,7 +744,7 @@ class TestPinnedBits:
         for model, strike in zip(models, strikes):
             assert math.log(strike / slice_.spot) - model.drift in np.linspace(*model.interval, 25)[1:-1]
         stack = price_european_batch(models, strikes, ["C", "P", "C"])
-        assert [[v.hex() for v in row] for row in stack] == EDGE_STACK_HEX
+        assert [[v.hex() for v in row] for row in stack] == (EDGE_STACK_HEX if X86_V4 else EDGE_STACK_HEX_AVX2)
 
     def test_edge_sources_are_the_first_equal_candidates(self):
         # The gradient moves each panel edge as its first equal candidate:
@@ -709,12 +762,12 @@ class TestPinnedBits:
                 values, first = np.unique(mesh.candidates[row], return_index=True)
                 pad = mesh.edges.shape[1] - values.size
                 assert np.array_equal(mesh.edges[row], np.concatenate([values, np.full(pad, values[-1])]))
-                assert np.array_equal(mesh.sources(row), np.concatenate([first, np.full(pad, first[-1])]))
+                assert np.array_equal(mesh.sources[row], np.concatenate([first, np.full(pad, first[-1])]))
             assert mesh.edges.shape[1] > min(mesh.count) or len(laws) == 1
         on_edge = pricer_mesh([models[0]], [*desk, edge[0]])
         kink = on_edge.candidates.shape[1] - on_edge.steps.size - 1
         assert on_edge.candidates[0, kink] in on_edge.candidates[0, 1:24]
-        assert kink not in on_edge.sources(0)
+        assert kink not in on_edge.sources[0]
 
 
 def pricer_mesh(models, strikes):
@@ -726,20 +779,23 @@ def pricer_mesh(models, strikes):
 
 
 def check_reads(mesh):
-    """``mesh.reads()`` is each kink's left and right searchsorted over its row's live nodes.
+    """``mesh.reads`` is each kink's left and right searchsorted over its row's live nodes.
 
-    A kink beside a panel narrower than 256 ulps, whose nodes may round onto
-    its ends, is only held between the two: the count of such kinks is
-    returned.  Every padding weight is +0.0.
+    The kinks are the candidates after the equal-panel edges, clipped to
+    [a, b].  A kink beside a panel narrower than 256 ulps, whose nodes may
+    round onto its ends, is only held between the two: the count of such
+    kinks is returned.  Every padding weight is +0.0.
     """
     x, w = mesh.quadrature()
-    reads, crowded = mesh.reads(), 0
+    reads, crowded = mesh.reads, 0
     for row, live in enumerate(mesh.nodes):
-        kinks = mesh.extra[row]
+        kinks = mesh.candidates[row, 25 : 25 + reads.shape[1]]
         left = np.searchsorted(x[row, :live], kinks, side="left")
         right = np.searchsorted(x[row, :live], kinks, side="right")
         gap = np.abs(mesh.edges[row][None, :] - kinks[:, None])
         near = np.any((gap > 0.0) & (gap <= 256.0 * np.spacing(np.abs(kinks))[:, None]), axis=1)
+        below = np.searchsorted(mesh.edges[row, : mesh.count[row]], kinks, side="left")
+        assert np.array_equal(reads[row], below * 16)
         assert np.all(left <= reads[row]) and np.all(reads[row] <= right)
         assert np.array_equal(reads[row][~near], left[~near]) and np.array_equal(reads[row][~near], right[~near])
         crowded += int(near.sum())
@@ -811,6 +867,22 @@ class TestCdf:
         xs = np.concatenate([np.linspace(-5.0, 5.0, 201), [a, b]])
         batch = nig_cdf(xs, p)
         assert np.max(np.abs(np.array([nig_cdf(v, p) for v in xs]) - batch)) <= 1e-14
+
+    def test_many_points_stay_small(self):
+        # 10,000 points across the AXA fixture's interval widened by 0.5 peak
+        # near 22 MiB under tracemalloc; an edges x points comparison in the
+        # reads needs 94 MiB.
+        p = FIXTURES["AXA"][0]
+        a, b = pricing_interval(p, 1.0)
+        xs = np.linspace(a - 0.5, b + 0.5, 10_000)
+        tracemalloc.start()
+        try:
+            cdf = nig_cdf(xs, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+        assert cdf[0] == 0.0 and np.all(np.diff(cdf) >= 0.0) and abs(cdf[-1] - 1.0) <= 1e-10
 
     @pytest.mark.parametrize(
         "params",

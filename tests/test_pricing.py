@@ -33,6 +33,7 @@ from qamcpricer.pricing import (
     riemann_reference,
 )
 from qamcpricer.qamc import AEConfig, qamc_price
+from simd import X86_V4
 
 
 @pytest.fixture(scope="module")
@@ -770,6 +771,9 @@ class TestCmc:
         ("independent", 500): ("0x1.861146bd1f25ap+3", "0x1.b985d9a0cedd3p-2"),
         ("independent", 2**17): ("0x1.8b860fb056f57p+3", "0x1.ddd5dc8c22365p-6"),
     }
+    # On numpy's AVX2 kernels (see simd.py) one stderr is an ulp above.
+    if not X86_V4:
+        PINS["independent", 2**17] = ("0x1.8b860fb056f57p+3", "0x1.ddd5dc8c22366p-6")
 
     @pytest.mark.parametrize("formulation, samples", PINS)
     def test_bit_identical_pins(self, spread_setup, formulation, samples):
