@@ -64,7 +64,7 @@ from .experiments import (
     study_price_convergence,
 )
 from .market_data import MarketSlice, generate_synthetic_quotes
-from .pricing import AssetMarginal, GridMeasure, Payoff, PriceEstimate, PricingGrid, cmc_price
+from .pricing import AssetMarginal, Payoff, PriceEstimate, PricingGrid, cmc_price
 from .qamc import AEConfig, qamc_price
 
 __all__ = ["main"]
@@ -384,7 +384,7 @@ def cmd_price(cfg: dict, out: Path, seed: int, drop_violations: bool):
         raise ValidationError(f"no calibrated marginal for asset(s) {missing}")
     chosen = [marginals[a] for a in assets]
     grid = PricingGrid.build(chosen, opts["qubits_per_dim"])
-    measure = GridMeasure.build(payoff, chosen, spec, grid)
+    measure = grid.measure(payoff, chosen, spec)
 
     rows = []
     for i, estimator in enumerate(opts["estimators"]):

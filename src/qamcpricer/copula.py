@@ -42,7 +42,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .numerics import std_normal_quantile
+from .numerics import read_only, std_normal_quantile
 
 __all__ = [
     "CopulaSpec",
@@ -64,13 +64,18 @@ CLAMP_EPS = 1e-12
 class CopulaSpec:
     """Correlation matrix with the kernel's matrix m = Sigma^{-1} - I and the determinant.
 
-    Grid-level bounds of the density belong to a grid, not to the matrix:
+    Both matrices are read-only copies of those given.  Grid-level bounds
+    of the density belong to a grid, not to the matrix:
     GridMeasure.build takes c_max as the largest weight it computes (grid_c_max).
     """
 
     sigma: np.ndarray
     inv_minus_identity: np.ndarray
     det: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "sigma", read_only(self.sigma))
+        object.__setattr__(self, "inv_minus_identity", read_only(self.inv_minus_identity))
 
     @classmethod
     def from_matrix(cls, sigma) -> "CopulaSpec":

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .numerics import QuadratureRule, gauss_legendre_panels
+from .numerics import QuadratureRule, gauss_legendre_panels, read_only
 
 # Basis rows per projection block and points per evaluation block.  Each is
 # a multiple of 8, so a block starts on a boundary of the row groups (4 or 8
@@ -66,11 +66,13 @@ class Interval:
 
 @dataclass(frozen=True)
 class CosineSeries:
+    """The truncated series sum_k a_k gamma_k on ``interval``; ``coeffs`` is a read-only copy of the a_k given."""
+
     interval: Interval
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
+        coeffs = read_only(self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         if coeffs.ndim != 1 or coeffs.size < 1:
             raise ValidationError("coefficient vector must be 1-d and non-empty")

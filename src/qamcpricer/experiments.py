@@ -35,7 +35,7 @@ from .errors import ValidationError
 from .market_data import MarketSlice
 from .nig import NIGParams, nig_cdf, nig_pdf, support_interval
 from .pricing import (
-    AssetMarginal, GridMeasure, Payoff, PricingGrid, cmc_price, count_grid_cells, midpoint_cells,
+    AssetMarginal, Payoff, PricingGrid, cmc_price, count_grid_cells, midpoint_cells,
     normalize_cell_masses,
 )
 from .qamc import AEConfig, qamc_price, signed_ae_estimate
@@ -406,9 +406,9 @@ def _fork_join(tasks: list) -> list:
 
 
 def _price_setup(cfg: StudyConfig, name: str) -> dict:
-    """One setup's {"reference": value, "records": [...]}: it builds its own measure and seeds its own generators."""
+    """One setup's {"reference": value, "records": [...]}: its grid builds its measure; it seeds its own generators."""
     payoff, marginals, spec, grid = _PRICE_SETUPS[name]()
-    measure = GridMeasure.build(payoff, marginals, spec, grid)
+    measure = grid.measure(payoff, marginals, spec)
     reference = measure.reference_value()
     records: list[ConvergenceRecord] = []
 

@@ -20,6 +20,7 @@ from .errors import DomainError
 
 __all__ = [
     "QuadratureRule",
+    "read_only",
     "horner",
     "std_normal_cdf",
     "std_normal_pdf",
@@ -55,9 +56,21 @@ _AS241_FAR = (
 )
 
 
+def read_only(values) -> np.ndarray:
+    """A float copy of ``values`` that cannot be written into.
+
+    A frozen object keeps its arrays this way, so no caller that held the
+    array it was built from, and no reader of the field, changes it after
+    the object was checked or used.
+    """
+    array = np.array(values, dtype=float)
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights on the reference interval [-1, 1].
+    """Nodes and weights on the reference interval [-1, 1], read-only copies of those given.
 
     Invariants: at least two nodes, strictly increasing nodes, strictly
     positive weights.
@@ -67,8 +80,8 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        nodes = read_only(self.nodes)
+        weights = read_only(self.weights)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         if nodes.ndim != 1 or nodes.size < 2 or nodes.size != weights.size:
@@ -82,10 +95,7 @@ class QuadratureRule:
     @lru_cache(maxsize=None)
     def gauss_legendre(cls, n: int) -> "QuadratureRule":
         """The n-point Gauss-Legendre rule, computed once per n and read-only."""
-        nodes, weights = legendre.leggauss(n)
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        return cls(nodes, weights)
+        return cls(*legendre.leggauss(n))
 
 
 def gauss_legendre_panels(edges, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,10 @@ values.  The Riemann reference
     V = DF * sum_j [prod_i p_i(j_i)] c(F_1(x_j1),...,F_N(x_jN)) h(s(x_j))
 
 is the common estimand, so estimator error can be studied without mixing in
-discretization error.
+discretization error.  A (payoff, marginals, copula, grid) has one measure,
+and the pricing grid keeps the last one built on it (PricingGrid.measure):
+the Riemann sum, CMC and QAMC given those ingredients and that grid share
+one build, and other ingredients build a new measure that replaces it.
 
 The measure keeps per-axis factors only.  Its node tensors (the copula
 weights, the payoff values and the masses) are formed in slabs of whole
@@ -57,6 +60,7 @@ from .cosine_density import CosineSeries, Interval, coeffs_classical, eval_cdf, 
 from .errors import DomainError, ValidationError
 from .market_data import MarketSlice
 from .nig import ExpNIGModel, NIGParams, nig_pdf, support_interval
+from .numerics import read_only
 
 __all__ = [
     "Payoff",
@@ -257,12 +261,20 @@ def midpoint_cells(a: float, b: float, qubits: int) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class PricingGrid:
-    """Midpoints of 2^n equal cells per dimension on each marginal interval."""
+    """Midpoints of 2^n equal cells per dimension on each marginal interval.
+
+    The nodes are read-only copies of those given.  A grid keeps the last
+    measure built on it (``measure``), so the estimators that are given a
+    payoff, marginals and a copula on this grid share one build of their
+    measure.  That slot is not a dataclass field: grids compare by their
+    nodes and deltas alone.
+    """
 
     nodes: tuple[np.ndarray, ...]
     deltas: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "nodes", tuple(read_only(arr) for arr in self.nodes))
         for arr in self.nodes:
             if arr.size < 1 or (arr.size > 1 and not np.all(np.diff(arr) > 0)):
                 raise ValidationError("grid nodes must be strictly increasing")
@@ -283,6 +295,20 @@ class PricingGrid:
     @property
     def total_nodes(self) -> int:
         return math.prod(self.shape)
+
+    def measure(self, payoff: Payoff, marginals, spec: CopulaSpec) -> "GridMeasure":
+        """The grid measure of these inputs on this grid: the one the grid holds if built for them, else a new build.
+
+        Inputs are compared with the held measure's by value, by the rule of
+        GridMeasure.check_inputs, so the same objects given again cost an
+        identity check.  A new build replaces the held measure: the grid
+        keeps one, and it goes with the grid.
+        """
+        held = self.__dict__.get("_measure")
+        if held is None or held._mismatch(payoff, marginals, spec) is not None:
+            held = GridMeasure.build(payoff, marginals, spec, self)
+            self.__dict__["_measure"] = held
+        return held
 
 
 def _row_slabs(grid: PricingGrid):
@@ -375,6 +401,8 @@ class GridMeasure:
     measure holds at most one slab of sampler state.  CMC evaluates h and c
     only at the cells it draws, with the slabs' kernels and bits.
     ``payoff``, ``marginals`` and ``spec`` are the inputs it was built for.
+    The per-axis arrays and the slab masses are read-only copies of those
+    given, so a measure cannot go stale under its inputs' value check.
     """
 
     payoff: Payoff
@@ -389,6 +417,11 @@ class GridMeasure:
     payoff_max: float
     slab_masses: np.ndarray
     payoff_total: float
+
+    def __post_init__(self):
+        for name in ("marginal_masses", "scores", "prices"):
+            object.__setattr__(self, name, tuple(read_only(vector) for vector in getattr(self, name)))
+        object.__setattr__(self, "slab_masses", read_only(self.slab_masses))
 
     @classmethod
     def build(
@@ -425,13 +458,13 @@ class GridMeasure:
             marginals=tuple(marginals),
             spec=spec,
             grid=grid,
-            marginal_masses=tuple(marginal_masses),
-            scores=tuple(scores),
-            prices=tuple(prices),
+            marginal_masses=marginal_masses,
+            scores=scores,
+            prices=prices,
             discount_factor=_common_discount(marginals),
             c_max=max(c_maxima),
             payoff_max=max(h_maxima),
-            slab_masses=np.array(mass_sums),
+            slab_masses=mass_sums,
             payoff_total=_pairwise_sum(value_sums),
         )
 
@@ -439,12 +472,22 @@ class GridMeasure:
         """Discounted Riemann sum over the shared measure."""
         return self.discount_factor * self.payoff_total
 
-    def check_inputs(self, payoff: Payoff, marginals, spec: CopulaSpec, grid: PricingGrid | None = None) -> None:
-        """DomainError unless the measure was built for these inputs (and this grid, if given), compared by value."""
+    def _mismatch(self, payoff: Payoff, marginals, spec: CopulaSpec, grid: PricingGrid | None = None) -> str | None:
+        """The first input, by name, that the measure was not built for, compared by value; None if there is none.
+
+        The grid is compared only when given.
+        """
         for name, built, given in (("payoff", self.payoff, payoff), ("marginals", self.marginals, tuple(marginals)),
                                    ("copula", self.spec, spec), ("grid", self.grid, grid)):
             if given is not None and not _same(built, given):
-                raise DomainError(f"measure built for another {name} than the one given")
+                return name
+        return None
+
+    def check_inputs(self, payoff: Payoff, marginals, spec: CopulaSpec, grid: PricingGrid | None = None) -> None:
+        """DomainError unless the measure was built for these inputs (and this grid, if given), compared by value."""
+        name = self._mismatch(payoff, marginals, spec, grid)
+        if name is not None:
+            raise DomainError(f"measure built for another {name} than the one given")
 
     @property
     def copula_total_mass(self) -> float:
@@ -534,8 +577,8 @@ def riemann_reference(
     spec: CopulaSpec,
     grid: PricingGrid,
 ) -> PriceEstimate:
-    """Deterministic discounted Riemann price on the shared grid measure."""
-    measure = GridMeasure.build(payoff, marginals, spec, grid)
+    """Deterministic discounted Riemann price on the shared grid measure, the one ``grid`` holds for these inputs."""
+    measure = grid.measure(payoff, marginals, spec)
     return PriceEstimate(measure.reference_value(), grid.total_nodes, stderr=0.0)
 
 
@@ -731,8 +774,10 @@ def cmc_price(
     the ddof=1 standard error are count-weighted sums over them, so they
     equal np.mean and np.std(ddof=1) / sqrt(samples) of the gathered draws
     up to summation order.  Pass the prebuilt ``measure``, or the ``grid``
-    to build it on.  A measure built for another payoff, other marginals,
-    another copula or another grid than the ones given is a DomainError.
+    whose measure of these inputs it prices (PricingGrid.measure: built on
+    the first call and shared by the estimators that follow).  A measure
+    built for another payoff, other marginals, another copula or another
+    grid than the ones given is a DomainError.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
@@ -741,7 +786,7 @@ def cmc_price(
     if measure is None:
         if grid is None:
             raise DomainError("cmc_price needs a grid or a prebuilt measure")
-        measure = GridMeasure.build(payoff, marginals, spec, grid)
+        measure = grid.measure(payoff, marginals, spec)
     else:
         measure.check_inputs(payoff, marginals, spec, grid)
     if formulation == "joint":

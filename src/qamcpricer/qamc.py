@@ -113,14 +113,19 @@ def iqae_estimate(amplitude: float, cfg: AEConfig, rng: np.random.Generator | No
         raise DomainError(f"amplitude {a!r} lies outside [0, 1]")
     rng = rng or np.random.default_rng(cfg.seed)
     theta_true = math.asin(math.sqrt(min(max(a, 0.0), 1.0)))
+    # What the round loop reads, bound once: each constant is the value of
+    # the expression it replaces, so every round keeps its bits.
+    sin, acos, sqrt, floor, binomial = math.sin, math.acos, math.sqrt, math.floor, rng.binomial
+    two_pi, half_pi, width, budget = 2.0 * math.pi, math.pi / 2.0, 2.0 * cfg.epsilon, cfg.max_queries
 
     # Confidence budget: rho split over the candidate depth levels and the
     # (log-bounded, thanks to batch doubling) number of looks per level.
     t_rounds = max(1, math.ceil(math.log2(math.pi / (8.0 * cfg.epsilon))))
     log_term = math.log(2.0 * t_rounds * _LOOKS_CAP / cfg.rho)
-    theta_l, theta_u = 0.0, math.pi / 2.0
+    theta_l, theta_u = 0.0, half_pi
     up = True
     k = 0
+    hit = sin(theta_true) ** 2  # the shot law sin^2((2k+1) theta) at the current depth
     # Counts pooled at the current depth.  The Grover power never returns to
     # an earlier depth, so they reset whenever it moves up.
     looks = ones = shots = 0
@@ -128,17 +133,18 @@ def iqae_estimate(amplitude: float, cfg: AEConfig, rng: np.random.Generator | No
     queries = 0
     rounds: list[tuple[int, int]] = []
     capped = False
-    while math.sin(theta_u) ** 2 - math.sin(theta_l) ** 2 > 2.0 * cfg.epsilon:
+    while sin(theta_u) ** 2 - sin(theta_l) ** 2 > width:
         next_k, up = _find_next_k(k, theta_l, theta_u, up)
         if next_k != k:
             k, looks, ones, shots, batch = next_k, 0, 0, 0, _FIRST_BATCH
+            hit = sin((2 * k + 1) * theta_true) ** 2
         if looks == _LOOKS_CAP:
             capped = True  # a further look would overdraw this depth's share of rho
             break
-        if cfg.max_queries is not None and queries > 0 and queries + batch * (2 * k + 1) > cfg.max_queries:
+        if budget is not None and queries > 0 and queries + batch * (2 * k + 1) > budget:
             capped = True
             break
-        ones += int(rng.binomial(batch, math.sin((2 * k + 1) * theta_true) ** 2))
+        ones += int(binomial(batch, hit))
         looks += 1
         shots += batch
         queries += batch * (2 * k + 1)
@@ -149,26 +155,26 @@ def iqae_estimate(amplitude: float, cfg: AEConfig, rng: np.random.Generator | No
         batch = min(2 * batch, 2**20)
 
         mean = ones / shots
-        radius = math.sqrt(log_term / (2.0 * shots))
+        radius = sqrt(log_term / (2.0 * shots))
         p_lo = max(0.0, mean - radius)
         p_hi = min(1.0, mean + radius)
         if up:
-            omega_lo = math.acos(1.0 - 2.0 * p_lo)
-            omega_hi = math.acos(1.0 - 2.0 * p_hi)
+            omega_lo = acos(1.0 - 2.0 * p_lo)
+            omega_hi = acos(1.0 - 2.0 * p_hi)
         else:
-            omega_lo = 2.0 * math.pi - math.acos(1.0 - 2.0 * p_hi)
-            omega_hi = 2.0 * math.pi - math.acos(1.0 - 2.0 * p_lo)
+            omega_lo = two_pi - acos(1.0 - 2.0 * p_hi)
+            omega_hi = two_pi - acos(1.0 - 2.0 * p_lo)
         # Replace (don't intersect) the interval using the cumulative counts
         # at this depth, so a transient bad confidence interval heals as
         # shots accumulate instead of being committed forever.  The turn
         # count comes from the interval midpoint, which sits strictly inside
         # its half-period (endpoints can touch turn boundaries).
         scale = 4 * k + 2
-        turns = math.floor(scale * 0.5 * (theta_l + theta_u) / (2.0 * math.pi))
-        new_l = (2.0 * math.pi * turns + omega_lo) / scale
-        new_u = (2.0 * math.pi * turns + omega_hi) / scale
-        theta_l = min(max(0.0, min(new_l, new_u)), math.pi / 2.0)
-        theta_u = max(0.0, min(max(new_l, new_u), math.pi / 2.0))
+        turns = floor(scale * 0.5 * (theta_l + theta_u) / two_pi)
+        new_l = (two_pi * turns + omega_lo) / scale
+        new_u = (two_pi * turns + omega_hi) / scale
+        theta_l = min(max(0.0, min(new_l, new_u)), half_pi)
+        theta_u = max(0.0, min(max(new_l, new_u), half_pi))
 
     a_lo, a_hi = math.sin(theta_l) ** 2, math.sin(theta_u) ** 2
     return AEResult(0.5 * (a_lo + a_hi), 0.5 * (a_hi - a_lo), capped, tuple(rounds))
@@ -211,15 +217,18 @@ def qamc_price(
     one loads p with the copula-adjusted payoff h c/(h_max c_max).  Either
     amplitude equals V/scale, with V the discounted Riemann reference and
     scale = DF h_max Q or DF h_max c_max.  cfg.epsilon is the price-level
-    target; it is mapped to the amplitude scale and the estimate back.  A
-    prebuilt ``measure`` built for another payoff, other marginals, another
-    copula or another grid than the ones given is a DomainError.  Every
-    number it reads is a scalar the measure reduced at build.
+    target; it is mapped to the amplitude scale and the estimate back.
+    Without ``measure`` it prices the measure ``grid`` holds for these
+    inputs (PricingGrid.measure), which the other estimators on the grid
+    share.  A prebuilt ``measure`` built for another payoff, other
+    marginals, another copula or another grid than the ones given is a
+    DomainError.  Every number it reads is a scalar the measure reduced at
+    build.
     """
     if formulation not in ("joint", "independent"):
         raise DomainError(f"unknown formulation {formulation!r}")
     if measure is None:
-        measure = GridMeasure.build(payoff, marginals, spec, grid)
+        measure = grid.measure(payoff, marginals, spec)
     else:
         measure.check_inputs(payoff, marginals, spec, grid)
     df = measure.discount_factor

@@ -3,7 +3,8 @@ every export has a reader, every field a src/ class stores has a reader, src/
 memoizes nothing keyed by model inputs, only the CLI's two writers and the
 quote saver write files, only the study harness's fork-join helper starts
 processes or threads, nig maps its quadrature rule at one site and never
-calls np.unique, a CLI run imports no scipy, and the float.hex pins that
+calls np.unique, only the pricing grid builds a grid measure, a CLI run
+imports no scipy, and the float.hex pins that
 depend on numpy's SIMD level hold on its AVX2 kernels too.
 
 The field rule covers each field of a src/ dataclass and each attribute a
@@ -486,6 +487,62 @@ def test_call_site_is_found():
     assert call_sites(source, "numpy", "unique") == ["dedupe", "dedupe", "dedupe", "<module>"]
     assert call_sites(source, "numpy", "searchsorted") == ["Reader.at"]
 
+
+def method_call_sites(source: str, owner: str, method: str) -> list[str]:
+    """Each call of ``owner.method`` in a module, as the dotted name of the enclosing def or class.
+
+    The method counts when reached through the name ``owner``: a class of
+    that name in the module, the name imported under any alias, or an
+    attribute of that name (``module.owner.method``).  Each call is listed;
+    a call at top level is ``<module>``.
+    """
+    tree = ast.parse(source)
+    names = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == owner}
+    names |= {
+        alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name == owner
+    }
+
+    def calls(node) -> bool:
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == method):
+            return False
+        target = node.func.value
+        return (isinstance(target, ast.Name) and target.id in names) or (
+            isinstance(target, ast.Attribute) and target.attr == owner
+        )
+
+    return _scoped_sites(tree, calls)
+
+
+def test_the_grid_builds_every_measure():
+    # A measure is built from its ingredients at one site, the pricing
+    # grid's lookup, so the estimators and stages given one grid share its
+    # one build instead of each building their own.
+    sites = [
+        f"{path.stem}.{site}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for site in method_call_sites(path.read_text(), "GridMeasure", "build")
+    ]
+    assert sites == ["pricing.PricingGrid.measure"]
+
+
+def test_method_call_site_is_found():
+    source = (
+        "from .pricing import GridMeasure as Measure\n"
+        "from . import pricing\n"
+        "class GridMeasure:\n"
+        "    @classmethod\n"
+        "    def build(cls):\n"
+        "        return cls.build\n"
+        "class Grid:\n"
+        "    def measure(self):\n"
+        "        return GridMeasure.build(), Measure.build()\n"
+        "def price(grid, build):\n"
+        "    return pricing.GridMeasure.build(), grid.build(), build(), Measure.check()\n"
+        "Measure.build\n"
+        "GridMeasure.build()\n"
+    )
+    assert method_call_sites(source, "GridMeasure", "build") == ["Grid.measure", "Grid.measure", "price", "<module>"]
 
 
 def test_level_pinned_bits_hold_on_avx2_kernels():

@@ -216,6 +216,29 @@ class TestMeasure:
             with pytest.raises(DomainError):
                 normalize_cell_masses(raw)
 
+    def test_arrays_are_read_only_copies(self):
+        # A measure is reused while its inputs compare equal, the same
+        # objects by identity: a write into a series' coefficients, a grid's
+        # nodes or a copula matrix after a build used to pass that check and
+        # leave the measure stale, as would a write into the measure.
+        payoff, marginals, spec, grid = experiments.spread_setup()
+        measure = GridMeasure.build(payoff, marginals, spec, grid)
+        held = [marginals[0].series.coeffs, *grid.nodes, spec.sigma, spec.inv_minus_identity,
+                *measure.marginal_masses, *measure.scores, *measure.prices, measure.slab_masses]
+        for array in held:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        # The arrays a caller passes in are copied, so writing into them
+        # afterwards leaves the object as it was checked.
+        coeffs, sigma, nodes = np.array([0.5, 0.1]), np.array([[1.0, 0.5], [0.5, 1.0]]), np.array([0.1, 0.2])
+        series, given_spec, given_grid = (CosineSeries(Interval(-1.0, 1.0), coeffs), CopulaSpec.from_matrix(sigma),
+                                          PricingGrid((nodes,), (0.1,)))
+        masses = measure.marginal_masses[0].copy()
+        moved = replace(measure, marginal_masses=(masses, *measure.marginal_masses[1:]))
+        coeffs[1] = sigma[0, 1] = nodes[0] = masses[0] = 0.0
+        assert series.coeffs[1] == 0.1 and given_spec.sigma[0, 1] == 0.5 and given_grid.nodes[0][0] == 0.1
+        assert moved.marginal_masses[0][0] == measure.marginal_masses[0][0] > 0.0
+
     def test_identity_grid_identity(self, spread_setup):
         # f_joint h == f_ind H c_max node by node.
         payoff, marginals, _, grid = spread_setup
@@ -981,6 +1004,80 @@ class TestCmc:
         measure = GridMeasure.build(payoff, marginals, spec, grid)
         same = cmc_price(*rebuilt[:3], "joint", 64, np.random.default_rng(0), grid=rebuilt[3], measure=measure)
         assert same.value == cmc_price(payoff, marginals, spec, "joint", 64, np.random.default_rng(0), grid=grid).value
+
+
+def counted_builds(monkeypatch) -> list:
+    """Wrap GridMeasure.build so that each measure it returns is appended to the list returned."""
+    built = []
+    build = GridMeasure.build.__func__
+
+    def counted(cls, *args, **kwargs):
+        built.append(build(cls, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(GridMeasure, "build", classmethod(counted))
+    return built
+
+
+def bits(estimate) -> tuple:
+    return estimate.value.hex(), estimate.stderr.hex(), estimate.samples_or_queries
+
+
+class TestSharedMeasure:
+    def test_estimators_on_one_grid_build_once(self, monkeypatch):
+        # The README quick start, then the independent QAMC price: each
+        # estimator used to build its own measure, 4 builds of one measure.
+        payoff, marginals, spec, grid = experiments.spread_setup()
+        cfg = AEConfig(epsilon=1e-3, rho=0.05)
+        estimators = (
+            lambda grid: riemann_reference(payoff, marginals, spec, grid),
+            lambda grid: cmc_price(payoff, marginals, spec, "joint", 2**16, np.random.default_rng(0), grid=grid),
+            lambda grid: qamc_price(payoff, marginals, spec, "joint", grid, cfg, np.random.default_rng(1)),
+            lambda grid: qamc_price(payoff, marginals, spec, "independent", grid, cfg, np.random.default_rng(2)),
+        )
+        built = counted_builds(monkeypatch)
+        shared = [bits(estimate(grid)) for estimate in estimators]
+        assert len(built) == 1 and grid.measure(payoff, marginals, spec) is built[0]
+        # Each on a fresh grid, with its own build: the same bits.
+        assert [bits(estimate(PricingGrid.build(marginals, 3))) for estimate in estimators] == shared
+        assert len(built) == 5
+
+    def test_other_inputs_rebuild_and_replace_the_held_measure(self, monkeypatch):
+        # The grid lies on MICHELIN's support, inside AXA's, so the swapped
+        # marginals price on it too.
+        payoff, marginals, spec, _ = experiments.spread_setup()
+        grid = PricingGrid.build([marginals[1], marginals[1]], 3)
+        built = counted_builds(monkeypatch)
+        first = grid.measure(payoff, marginals, spec)
+        # Inputs are compared by value: rebuilt copies find the held measure.
+        assert grid.measure(*experiments.spread_setup()[:3]) is first and len(built) == 1
+        others = (
+            (Payoff("spread-call", 1.0), marginals, spec),
+            (payoff, marginals, CopulaSpec.from_matrix(np.eye(2))),
+            (payoff, marginals[::-1], spec),
+        )
+        for count, inputs in enumerate(others, start=2):
+            measure = grid.measure(*inputs)
+            assert len(built) == count and measure is built[-1]
+            assert grid.measure(*inputs) is measure and len(built) == count
+        # A build that fails leaves the held measure in place.
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            grid.measure(payoff, marginals, CopulaSpec.from_matrix(experiments.BASKET_CORRELATION))
+        assert grid.measure(*others[-1]) is built[-1] and len(built) == 4
+        # The grid holds the latest measure only: the first inputs build again.
+        again = grid.measure(payoff, marginals, spec)
+        assert len(built) == 5 and again is not first
+        assert again.reference_value().hex() == first.reference_value().hex()
+
+    def test_grids_compare_by_nodes_whatever_measure_they_hold(self):
+        # The held measure is no dataclass field, so equal grids are equal
+        # inputs while they hold measures of different inputs.
+        payoff, marginals, spec, grid = experiments.spread_setup()
+        other = PricingGrid.build(marginals, 3)
+        measure = grid.measure(payoff, marginals, spec)
+        other.measure(payoff, marginals, CopulaSpec.from_matrix(np.eye(2)))
+        assert pricing._same(grid, other)
+        measure.check_inputs(payoff, marginals, spec, other)
 
 
 class TestPriceEstimate:
